@@ -527,25 +527,20 @@ impl Database {
         let mut recovered = Vec::new();
         for (name, generation) in manifest.tables() {
             let vt = match &db.pool {
-                Some(pool) => match TableDurability::recover_cold(
-                    &d.config.data_dir,
-                    &name,
-                    generation,
-                    Arc::clone(&manifest),
-                    d.config.fsync,
-                    Arc::clone(pool),
-                ) {
-                    Ok(rec) => {
-                        let mut vt = VersionedTable::from_cold(rec.cold, generation);
-                        replay(&mut vt, &rec.ops)?;
-                        vt.set_durability(Arc::new(rec.durability));
-                        vt
-                    }
-                    // Pre-extent (v2) checkpoints cannot be opened cold;
-                    // the resident path loads them — and re-raises real
-                    // corruption as the hard error it is.
-                    Err(_) => recover_resident(&name, generation)?,
-                },
+                Some(pool) => {
+                    let rec = TableDurability::recover_cold(
+                        &d.config.data_dir,
+                        &name,
+                        generation,
+                        Arc::clone(&manifest),
+                        d.config.fsync,
+                        Arc::clone(pool),
+                    )?;
+                    let mut vt = VersionedTable::from_cold(rec.cold, generation);
+                    replay(&mut vt, &rec.ops)?;
+                    vt.set_durability(Arc::new(rec.durability));
+                    vt
+                }
                 None => recover_resident(&name, generation)?,
             };
             recovered.push((name, TableEntry::new(vt)));
@@ -1531,7 +1526,10 @@ impl Database {
             return None;
         };
         let entry = self.read_catalog().get(table)?.clone();
-        let t = entry.table.main_arc();
+        // Column types come from the versioned table's schema, never from
+        // the main store: planning a filtered scan must not hydrate a
+        // cold table.
+        let col_ty = |c: usize| entry.table.with_read(|vt| vt.schema().columns()[c].ty);
         let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
         let mut range_cand: Option<IndexCandidate> = None;
         for conj in conjuncts(pred) {
@@ -1549,7 +1547,7 @@ impl Database {
                     // e.g. Int32 column = Float64 literal) has no index
                     // key, so the probe would silently miss main-store
                     // hits — leave those shapes to the scan path.
-                    let ty = t.schema().columns()[col].ty;
+                    let ty = col_ty(col);
                     let keyable = matches!(
                         (ty, lit),
                         (
@@ -1572,7 +1570,7 @@ impl Database {
                 CmpOp::Le | CmpOp::Lt | CmpOp::Ge | CmpOp::Gt
                     if range_cand.is_none()
                         && matches!(ie.index.as_ref(), Index::RBTree(_))
-                        && t.schema().columns()[col].ty != DataType::Str =>
+                        && col_ty(col) != DataType::Str =>
                 {
                     if let Some(k) = lit.as_i64() {
                         // Saturating strict bounds can over-include one

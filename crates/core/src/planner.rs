@@ -160,9 +160,10 @@ impl Planner {
 
         // --- zone-map pruning: the "partitions survived" term ---
         // Blocks the main store's zone map refutes under the root selection
-        // are never touched by the compiled scan skeleton or dispensed by
-        // the morsel queue, so those two engines' memory traffic and
-        // per-tuple work shrink linearly with the surviving fraction.
+        // are never touched by the pipeline core's survivor loop, which
+        // both the compiled and the parallel engine walk, so those two
+        // engines' memory traffic and per-tuple work shrink linearly with
+        // the surviving fraction.
         // Volcano/bulk/vectorized read every block and are priced unscaled.
         let (zone_blocks, zone_pruned) = zone_stats(db, logical);
         let survived = pdsm_cost::survived_fraction(zone_blocks, zone_pruned);
@@ -243,10 +244,20 @@ impl Planner {
         let mut chosen_access = AccessPath::FullScan;
         let mut chosen_cost = best_engine_cost;
         let mut probe_rows = 0.0;
+        // The work a result-cache hit saves: the cheapest way to re-run the
+        // query on ONE core. Parallel's total is critical-path latency
+        // (its terms are divided by `threads`), so pricing admission
+        // against it would make the cache's contents a function of `nproc`.
+        let mut reexec_cycles = engines
+            .iter()
+            .filter(|(e, _)| *e != EngineChoice::Parallel)
+            .map(|(_, c)| c.total())
+            .fold(f64::INFINITY, f64::min);
         if let (Some(db), Some(cand)) = (db, idx) {
             if let Some((mut cost, hits)) = self.index_cost(db, logical, &cand, &views) {
                 cost.disk_cycles = disk;
                 alternatives.push(("index".to_string(), cost.total()));
+                reexec_cycles = reexec_cycles.min(cost.total());
                 if cost.total() < chosen_cost.total() {
                     chosen_access = cand.access.clone();
                     chosen_cost = cost;
@@ -301,15 +312,16 @@ impl Planner {
 
         // --- result-cache admission: recompute vs. copy-out ---
         // Estimated materialized size: output rows × output arity ×
-        // ~16 bytes per Value. Admit only when re-running the chosen plan
-        // is predicted CACHE_ADMIT_FACTOR× dearer than writing the result
-        // once and reading it back — full-table SELECT *s (copy ≈ scan)
-        // bypass, aggregates over big scans (copy ≈ one row) admit.
+        // ~16 bytes per Value. Admit only when re-running the query
+        // single-threaded is predicted CACHE_ADMIT_FACTOR× dearer than
+        // writing the result once and reading it back — full-table
+        // SELECT *s (copy ≈ scan) bypass, aggregates over big scans
+        // (copy ≈ one row) admit.
         let out_arity = logical.arity(&|t| views.get(t).map(|v| v.col_widths.len()).unwrap_or(0));
         let out_bytes = (emitted.out_rows.max(0.0) * out_arity.max(1) as f64 * 16.0) as u64;
         let copy_out = pdsm_cost::copy_out_cycles(out_bytes, &self.hierarchy);
-        let cache_admit = chosen_cost.total() >= CACHE_MIN_REEXEC_CYCLES
-            && chosen_cost.total() > CACHE_ADMIT_FACTOR * copy_out;
+        let cache_admit = reexec_cycles >= CACHE_MIN_REEXEC_CYCLES
+            && reexec_cycles > CACHE_ADMIT_FACTOR * copy_out;
 
         PhysicalPlan {
             logical: logical.clone(),
@@ -738,6 +750,42 @@ mod tests {
         };
         let phys = many.plan(&db, &plan).unwrap();
         assert_eq!(phys.engine, EngineChoice::Parallel);
+    }
+
+    #[test]
+    fn cache_admission_does_not_depend_on_the_thread_count() {
+        let db = db(20_000);
+        db.create_index("r", "c0", IndexKind::Hash).unwrap();
+        let plans = [
+            // big aggregate: admitted
+            QueryBuilder::scan("r")
+                .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
+                .build(),
+            // full-schema fragment: the shape the result-cache test reuses
+            QueryBuilder::scan("r")
+                .filter(Expr::col(1).gt(Expr::lit(100)))
+                .build(),
+            // point probe: bypasses
+            QueryBuilder::scan("r")
+                .filter(Expr::col(0).eq(Expr::lit(80)))
+                .build(),
+        ];
+        for plan in &plans {
+            let admits: Vec<bool> = [1, 2, 4, 16]
+                .into_iter()
+                .map(|threads| {
+                    let p = Planner {
+                        threads,
+                        ..Default::default()
+                    };
+                    p.plan(&db, plan).unwrap().cache_admit
+                })
+                .collect();
+            assert!(
+                admits.iter().all(|a| *a == admits[0]),
+                "cache_admit varies with threads: {admits:?} for {plan:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,22 +19,23 @@
 //! Enum-match dispatch inside the loop compiles to direct, predictable
 //! branches (the same target every iteration), which is the microarchitectural
 //! property the paper contrasts against Volcano's function pointers.
+//!
+//! This file holds the kernels (predicate compilation, 64-row block masks,
+//! zone-predicate extraction). The lowering, the survivor loop and the
+//! aggregate state live in [`crate::pipeline`], shared with the parallel
+//! and cold-streaming drivers; the compiled engine is that core walked
+//! sequentially — one state (or one output buffer) over `0..n`, then the
+//! delta tail.
 
-use crate::engine::{
-    agg_tail_update, fig2c_tail_fold, masked_tail_row, tail_defeats_raw_keys, tail_raw_key,
-    tail_row_passes, Accumulator, Engine, ExecError, Overlay, TableProvider,
-};
-use crate::keys::GroupKey;
+use crate::engine::{Engine, ExecError, Overlay, TableProvider};
+use crate::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
 use crate::result::QueryOutput;
 use crate::simd;
 use pdsm_plan::expr::{CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
-use pdsm_storage::types::cmp_values;
-use pdsm_storage::{ColId, DataType, Table, Value, ZoneMap, ZoneOp, ZonePred, ZONE_BLOCK_ROWS};
-use std::collections::HashMap;
-use std::sync::Arc;
+use pdsm_storage::{ColId, DataType, Table, Value, ZoneOp, ZonePred};
 
 /// The compiled engine.
 #[derive(Debug, Default, Clone, Copy)]
@@ -50,10 +51,46 @@ impl Engine for CompiledEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
-        let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
-        let required = plan.required_columns(&width);
-        let rows = exec(plan, db, &required)?;
+        let rows = pipeline::execute(plan, db, &Sequential)?;
         Ok(QueryOutput { rows })
+    }
+}
+
+/// The sequential driver: surviving zone blocks fold in row order into one
+/// state (or one output buffer), then the delta tail.
+struct Sequential;
+
+impl PipeDriver for Sequential {
+    fn collect(
+        &self,
+        table: &Table,
+        overlay: Option<Overlay<'_>>,
+        spec: PipeSpec<'_>,
+    ) -> Vec<Vec<Value>> {
+        let dead = Overlay::dead_of(&overlay);
+        let mut out = Vec::new();
+        Scan::new(table, spec).collect_range(dead, 0..table.len(), &mut out);
+        if let Some(o) = &overlay {
+            pipeline::tail_rows(o, spec, table.schema().len(), |r| out.push(r));
+        }
+        out
+    }
+
+    fn aggregate(
+        &self,
+        table: &Table,
+        overlay: Option<Overlay<'_>>,
+        spec: PipeSpec<'_>,
+        group_by: &[Expr],
+        aggs: &[AggExpr],
+    ) -> Vec<Vec<Value>> {
+        let dead = Overlay::dead_of(&overlay);
+        let mut state = AggState::new(table, spec, group_by, aggs);
+        state.fold_range(&Scan::new(table, spec), dead, 0..table.len());
+        if let Some(o) = &overlay {
+            state.fold_tail(o);
+        }
+        state.finish()
     }
 }
 
@@ -457,15 +494,6 @@ fn collect_zone_pred(t: &Table, e: &Expr, out: &mut Vec<ZonePred>) {
     }
 }
 
-/// The zone map of `table` when any conjunct can refute blocks; `None`
-/// avoids even the (one-time) zone-map build for unprunable scans.
-fn prunable_zones(table: &Table, zpreds: &[ZonePred]) -> Option<Arc<ZoneMap>> {
-    if zpreds.is_empty() || table.is_empty() {
-        return None;
-    }
-    Some(table.zone_map().clone())
-}
-
 /// Per-row validity of `c` over `len (≤ 64)` rows from `start`, as a bitmask.
 fn valid_mask(t: &Table, c: ColId, start: usize, len: usize) -> u64 {
     let mut m = 0u64;
@@ -477,14 +505,19 @@ fn valid_mask(t: &Table, c: ColId, start: usize, len: usize) -> u64 {
 
 impl<'t> PredKernel<'t> {
     /// Evaluate this kernel over `len (≤ 64)` consecutive main-store rows
-    /// starting at `start`; bit `j` of the result is `self.test(start + j)`.
+    /// starting at `start`; for every row `j` set in `alive`, bit `j` of
+    /// the result is `self.test(start + j)` (bits outside `alive` are
+    /// unspecified — callers AND the result into their mask).
     /// Densely packed integer comparisons go through the wide kernels of
-    /// [`crate::simd`]; everything else falls back to a scalar loop, so the
-    /// mask is always exactly the row-at-a-time verdicts.
+    /// [`crate::simd`] and ignore `alive`; everything else tests only the
+    /// alive rows one at a time, so a selective cheap conjunct in front
+    /// spares an expensive scalar one (interpreted predicates allocate
+    /// per row) the rows it already rejected.
     pub fn block_mask(
         &self,
         start: usize,
         len: usize,
+        alive: u64,
         wide: bool,
         stats: &mut simd::ChunkStats,
     ) -> u64 {
@@ -547,883 +580,30 @@ impl<'t> PredKernel<'t> {
                 }
             }
             PredKernel::And(a, b) => {
-                let ma = a.block_mask(start, len, wide, stats);
+                let ma = a.block_mask(start, len, alive, wide, stats) & alive;
                 if ma == 0 {
                     return 0;
                 }
-                ma & b.block_mask(start, len, wide, stats)
+                ma & b.block_mask(start, len, ma, wide, stats)
             }
             PredKernel::Or(a, b) => {
-                a.block_mask(start, len, wide, stats) | b.block_mask(start, len, wide, stats)
+                let ma = a.block_mask(start, len, alive, wide, stats) & alive;
+                ma | b.block_mask(start, len, alive & !ma, wide, stats)
             }
-            PredKernel::Not(a) => !a.block_mask(start, len, wide, stats) & simd::ones(len),
+            PredKernel::Not(a) => !a.block_mask(start, len, alive, wide, stats) & simd::ones(len),
             // Float comparisons, dictionary-code tests, and interpreted
             // predicates stay scalar (floats deliberately so: see the
             // module docs of `crate::simd`).
             _ => {
                 stats.scalar += 1;
-                let mut m = 0u64;
-                for j in 0..len {
-                    m |= (self.test(start + j) as u64) << j;
+                let (mut m, mut todo) = (0u64, alive);
+                while todo != 0 {
+                    let j = todo.trailing_zeros();
+                    todo &= todo - 1;
+                    m |= (self.test(start + j as usize) as u64) << j;
                 }
                 m
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// pipelines
-// ---------------------------------------------------------------------------
-
-/// Steps applied to rows that survive the scan predicates.
-enum Step {
-    /// Replace the row with the projected expressions.
-    Project(Vec<Expr>),
-    /// Probe a build-side hash table; fan out to `build_row ++ row`.
-    Probe {
-        ht: HashMap<GroupKey, Vec<Vec<Value>>>,
-        key: Expr,
-    },
-    /// Post-join filter (interpreted; rare in the workloads).
-    Filter(Expr),
-}
-
-/// A compiled query fragment: either an open scan pipeline or materialized
-/// rows (output of a pipeline breaker).
-enum Fragment {
-    Pipe {
-        table: String,
-        preds: Vec<Expr>,
-        steps: Vec<Step>,
-    },
-    Rows(Vec<Vec<Value>>),
-}
-
-/// Sinks consume survivor rows.
-enum Sink {
-    Collect(Vec<Vec<Value>>),
-    Agg {
-        group_by: Vec<Expr>,
-        aggs: Vec<AggExpr>,
-        groups: HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>,
-    },
-}
-
-impl Sink {
-    fn consume(&mut self, row: Vec<Value>) {
-        match self {
-            Sink::Collect(rows) => rows.push(row),
-            Sink::Agg {
-                group_by,
-                aggs,
-                groups,
-            } => {
-                let key_vals: Vec<Value> = group_by.iter().map(|g| g.eval(&row[..])).collect();
-                let key = GroupKey::of(&key_vals);
-                let entry = groups.entry(key).or_insert_with(|| {
-                    (
-                        key_vals.clone(),
-                        aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
-                    )
-                });
-                for (acc, spec) in entry.1.iter_mut().zip(aggs.iter()) {
-                    match &spec.arg {
-                        Some(e) => acc.update(&e.eval(&row[..])),
-                        None => acc.update(&Value::Int32(1)),
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Vec<Vec<Value>> {
-        match self {
-            Sink::Collect(rows) => rows,
-            Sink::Agg {
-                group_by,
-                aggs,
-                groups,
-            } => {
-                if groups.is_empty() && group_by.is_empty() {
-                    let accs: Vec<Accumulator> =
-                        aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-                    return vec![accs.iter().map(|a| a.finish()).collect()];
-                }
-                groups
-                    .into_values()
-                    .map(|(mut k, accs)| {
-                        k.extend(accs.iter().map(|a| a.finish()));
-                        k
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
-/// Recursively push `row` through `steps[step_idx..]` into the sink.
-fn push_row(row: Vec<Value>, steps: &[Step], sink: &mut Sink) {
-    match steps.first() {
-        None => sink.consume(row),
-        Some(Step::Project(exprs)) => {
-            let projected: Vec<Value> = exprs.iter().map(|e| e.eval(&row[..])).collect();
-            push_row(projected, &steps[1..], sink);
-        }
-        Some(Step::Filter(pred)) => {
-            if pred.eval_bool(&row[..]) {
-                push_row(row, &steps[1..], sink);
-            }
-        }
-        Some(Step::Probe { ht, key }) => {
-            let k = key.eval(&row[..]);
-            if k.is_null() {
-                return;
-            }
-            if let Some(matches) = ht.get(&GroupKey::single(&k)) {
-                for m in matches {
-                    let mut joined = m.clone();
-                    joined.extend(row.iter().cloned());
-                    push_row(joined, &steps[1..], sink);
-                }
-            }
-        }
-    }
-}
-
-/// Run a fused pipeline: one loop over the scan, kernels first, survivors
-/// through the steps into the sink. With an [`Overlay`], tombstoned rows
-/// are skipped and the live tail rows run through the same steps after the
-/// main loop (predicates interpreted: tail rows are decoded, not
-/// dictionary-coded).
-fn run_pipeline(
-    table: &Table,
-    overlay: Option<Overlay<'_>>,
-    preds: &[Expr],
-    steps: &[Step],
-    needed: &[ColId],
-    mut sink: Sink,
-) -> Vec<Vec<Value>> {
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
-    let width = table.schema().len();
-    let n = table.len();
-    let dead: &[bool] = overlay.as_ref().map(|o| o.dead).unwrap_or(&[]);
-    // Probe steps whose key reads columns this scan must supply are included
-    // in `needed` by the caller.
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let mut row = vec![Value::Null; width];
-                for &c in needed {
-                    row[c] = table.get(i, c).expect("in-range");
-                }
-                push_row(row, steps, &mut sink);
-            }
-            sub += len;
-        }
-    }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    if let Some(o) = &overlay {
-        for r in o.live_tail() {
-            if !tail_row_passes(preds, r) {
-                continue;
-            }
-            push_row(masked_tail_row(r, needed, width), steps, &mut sink);
-        }
-    }
-    sink.finish()
-}
-
-/// The Fig.-2c special case: conjunctive typed predicates + scalar
-/// column aggregates, no steps. Runs with **zero** per-survivor heap
-/// allocation: values go straight from partition readers into accumulators.
-enum AggReader<'t> {
-    I32(I32Col<'t>, Option<ColId>),
-    I64(I64Col<'t>, Option<ColId>),
-    F64(F64Col<'t>, Option<ColId>),
-    CountStar,
-}
-
-/// The literal Fig. 2c kernel: one `i32` comparison predicate, scalar `sum`s
-/// over non-nullable `i32` columns. Compiles to a single branch + a handful
-/// of adds per tuple — the code HyPer's LLVM backend would emit. With an
-/// overlay, the typed loop additionally skips tombstones and the (decoded)
-/// tail rows fold into the same running sums afterwards.
-fn fig2c_kernel(
-    table: &Table,
-    overlay: Option<&Overlay<'_>>,
-    preds: &[Expr],
-    aggs: &[AggExpr],
-) -> Option<Vec<Vec<Value>>> {
-    if preds.len() != 1 {
-        return None;
-    }
-    let k = compile_pred(table, &preds[0]);
-    let (pr, op, pv) = match k {
-        PredKernel::I32Cmp {
-            r,
-            op,
-            v,
-            null_col: None,
-            ..
-        } => (r, op, v),
-        _ => return None,
-    };
-    let mut readers = Vec::with_capacity(aggs.len());
-    let mut agg_cols = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            Some(Expr::Col(c)) if a.func == pdsm_plan::logical::AggFunc::Sum => {
-                let def = &table.schema().columns()[*c];
-                if def.ty != DataType::Int32 || def.nullable {
-                    return None;
-                }
-                readers.push(table.i32_reader(*c));
-                agg_cols.push(*c);
-            }
-            _ => return None,
-        }
-    }
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let mut sums = vec![0i64; readers.len()];
-    let mut hits = 0u64;
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    // Dense slices exist when each column lives alone in its partition
-    // (column / suitable hybrid layouts) — that is where the fused wide
-    // kernel applies. Tombstoned scans keep the scalar path.
-    let pred_slice = pr.as_slice();
-    let agg_slices: Option<Vec<&[i32]>> = readers.iter().map(|r| r.as_slice()).collect();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        if dead.is_empty() {
-            if let (Some(ps), Some(ags)) = (pred_slice, agg_slices.as_ref()) {
-                let tails: Vec<&[i32]> = ags.iter().map(|a| &a[bs..be]).collect();
-                hits += simd::fused_filter_sum_i32(
-                    &ps[bs..be],
-                    op,
-                    pv,
-                    &tails,
-                    &mut sums,
-                    wide,
-                    &mut stats,
-                );
-                continue;
-            }
-        }
-        stats.scalar += (be - bs).div_ceil(simd::CHUNK_ROWS) as u64;
-        fig2c_scan_rows(&pr, op, pv, &readers, dead, bs, be, &mut sums, &mut hits);
-    }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    fig2c_tail_fold(overlay, preds, &agg_cols, &mut sums, &mut hits);
-    let row: Vec<Value> = sums
-        .into_iter()
-        .map(|s| {
-            if hits == 0 {
-                Value::Null
-            } else {
-                Value::Int64(s)
-            }
-        })
-        .collect();
-    Some(vec![row])
-}
-
-/// The row-at-a-time Fig.-2c loop, for strided columns and tombstoned
-/// regions (the pre-SIMD kernel, kept verbatim as the fallback).
-#[allow(clippy::too_many_arguments)]
-fn fig2c_scan_rows(
-    pr: &I32Col<'_>,
-    op: CmpOp,
-    pv: i64,
-    readers: &[I32Col<'_>],
-    dead: &[bool],
-    start: usize,
-    end: usize,
-    sums: &mut [i64],
-    hits: &mut u64,
-) {
-    match op {
-        CmpOp::Eq => {
-            for i in start..end {
-                if (dead.is_empty() || !dead[i]) && pr.get(i) as i64 == pv {
-                    *hits += 1;
-                    for (s, r) in sums.iter_mut().zip(readers.iter()) {
-                        *s += r.get(i) as i64;
-                    }
-                }
-            }
-        }
-        _ => {
-            for i in start..end {
-                if (dead.is_empty() || !dead[i]) && op.matches((pr.get(i) as i64).cmp(&pv)) {
-                    *hits += 1;
-                    for (s, r) in sums.iter_mut().zip(readers.iter()) {
-                        *s += r.get(i) as i64;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Typed reader over a single-column group key.
-enum KeyReader<'t> {
-    I32(I32Col<'t>),
-    I64(I64Col<'t>),
-    Code(U32Col<'t>, ColId),
-}
-
-/// Grouped-aggregation fast path: a single plain-column group key and
-/// plain-column aggregate arguments. Keys hash as raw `u64`s (no per-row
-/// `Value` allocation, no byte-key serialization) — the compiled engine's
-/// group-by loop, as HyPer's generated code would do it. Overlay tombstones
-/// are skipped in the typed loop and tail rows fold in afterwards; if a tail
-/// row carries a group-key string the main dictionary has never seen, there
-/// is no raw code for it and the caller falls back to the generic path.
-fn grouped_agg_fast_path(
-    table: &Table,
-    overlay: Option<&Overlay<'_>>,
-    preds: &[Expr],
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-) -> Option<Vec<Vec<Value>>> {
-    let [Expr::Col(key_col)] = group_by else {
-        return None;
-    };
-    let key_def = &table.schema().columns()[*key_col];
-    if key_def.nullable {
-        return None;
-    }
-    let key = match key_def.ty {
-        DataType::Int32 => KeyReader::I32(table.i32_reader(*key_col)),
-        DataType::Int64 => KeyReader::I64(table.i64_reader(*key_col)),
-        DataType::Str => KeyReader::Code(table.str_code_reader(*key_col), *key_col),
-        DataType::Float64 => return None,
-    };
-    if tail_defeats_raw_keys(table, *key_col, overlay) {
-        return None;
-    }
-    let mut readers = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            None => readers.push(AggReader::CountStar),
-            Some(Expr::Col(c)) => {
-                let def = &table.schema().columns()[*c];
-                let nc = def.nullable.then_some(*c);
-                match def.ty {
-                    DataType::Int32 => readers.push(AggReader::I32(table.i32_reader(*c), nc)),
-                    DataType::Int64 => readers.push(AggReader::I64(table.i64_reader(*c), nc)),
-                    DataType::Float64 => readers.push(AggReader::F64(table.f64_reader(*c), nc)),
-                    DataType::Str => return None,
-                }
-            }
-            Some(_) => return None,
-        }
-    }
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
-    if kernels
-        .iter()
-        .any(|k| matches!(k, PredKernel::Interp { .. }))
-    {
-        return None;
-    }
-    let mut groups: HashMap<u64, Vec<Accumulator>> = HashMap::new();
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let raw_key = match &key {
-                    KeyReader::I32(r) => r.get(i) as i64 as u64,
-                    KeyReader::I64(r) => r.get(i) as u64,
-                    KeyReader::Code(r, _) => r.get(i) as u64,
-                };
-                let accs = groups
-                    .entry(raw_key)
-                    .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-                for (acc, rd) in accs.iter_mut().zip(readers.iter()) {
-                    match rd {
-                        AggReader::CountStar => acc.update_i64(1),
-                        AggReader::I32(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i) as i64);
-                            }
-                        }
-                        AggReader::I64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i));
-                            }
-                        }
-                        AggReader::F64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_f64(r.get(i));
-                            }
-                        }
-                    }
-                }
-            }
-            sub += len;
-        }
-    }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    if let Some(o) = overlay {
-        for r in o.live_tail() {
-            if !tail_row_passes(preds, r) {
-                continue;
-            }
-            let raw_key = tail_raw_key(table, *key_col, &r.values()[*key_col])
-                .expect("tail keys checked before entering the fast path");
-            let accs = groups
-                .entry(raw_key)
-                .or_insert_with(|| aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-            agg_tail_update(aggs, r, accs);
-        }
-    }
-    let decode_key = |raw: u64| -> Value {
-        match &key {
-            // Int32 keys must decode as Int32 to match the generic path.
-            KeyReader::I32(_) => Value::Int32(raw as i64 as i32),
-            KeyReader::I64(_) => Value::Int64(raw as i64),
-            KeyReader::Code(_, c) => Value::Str(
-                table
-                    .dict(*c)
-                    .expect("str col has dict")
-                    .decode(raw as u32)
-                    .to_owned(),
-            ),
-        }
-    };
-    Some(
-        groups
-            .into_iter()
-            .map(|(raw, accs)| {
-                let mut row = vec![decode_key(raw)];
-                row.extend(accs.iter().map(|a| a.finish()));
-                row
-            })
-            .collect(),
-    )
-}
-
-fn scalar_agg_fast_path(
-    table: &Table,
-    overlay: Option<&Overlay<'_>>,
-    preds: &[Expr],
-    aggs: &[AggExpr],
-) -> Option<Vec<Vec<Value>>> {
-    if let Some(rows) = fig2c_kernel(table, overlay, preds, aggs) {
-        return Some(rows);
-    }
-    // All aggregates must be over plain non-string columns (or count(*)).
-    let mut readers = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        match &a.arg {
-            None => readers.push(AggReader::CountStar),
-            Some(Expr::Col(c)) => {
-                let def = &table.schema().columns()[*c];
-                let nc = def.nullable.then_some(*c);
-                match def.ty {
-                    DataType::Int32 => readers.push(AggReader::I32(table.i32_reader(*c), nc)),
-                    DataType::Int64 => readers.push(AggReader::I64(table.i64_reader(*c), nc)),
-                    DataType::Float64 => readers.push(AggReader::F64(table.f64_reader(*c), nc)),
-                    DataType::Str => return None,
-                }
-            }
-            Some(_) => return None,
-        }
-    }
-    let kernels: Vec<PredKernel<'_>> = preds.iter().map(|p| compile_pred(table, p)).collect();
-    // Interpreted kernels would defeat the purpose; fall back.
-    if kernels
-        .iter()
-        .any(|k| matches!(k, PredKernel::Interp { .. }))
-    {
-        return None;
-    }
-    let mut accs: Vec<Accumulator> = aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-    let n = table.len();
-    let dead: &[bool] = overlay.map(|o| o.dead).unwrap_or(&[]);
-    let wide = simd::wide_enabled(simd::mode());
-    let mut stats = simd::ChunkStats::default();
-    let zpreds = zone_preds(table, preds);
-    let zones = prunable_zones(table, &zpreds);
-    let (mut scanned, mut pruned) = (0u64, 0u64);
-    for b in 0..n.div_ceil(ZONE_BLOCK_ROWS) {
-        let (bs, be) = (b * ZONE_BLOCK_ROWS, ((b + 1) * ZONE_BLOCK_ROWS).min(n));
-        if let Some(z) = &zones {
-            if z.block_refuted(b, &zpreds) {
-                pruned += 1;
-                continue;
-            }
-            scanned += 1;
-        }
-        let mut sub = bs;
-        while sub < be {
-            let len = (be - sub).min(64);
-            let mut mask = simd::ones(len);
-            if !dead.is_empty() {
-                for (j, &d) in dead[sub..sub + len].iter().enumerate() {
-                    mask &= !((d as u64) << j);
-                }
-            }
-            for k in &kernels {
-                if mask == 0 {
-                    break;
-                }
-                mask &= k.block_mask(sub, len, wide, &mut stats);
-            }
-            while mask != 0 {
-                let i = sub + mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                for (acc, rd) in accs.iter_mut().zip(readers.iter()) {
-                    match rd {
-                        AggReader::CountStar => acc.update_i64(1),
-                        AggReader::I32(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i) as i64);
-                            }
-                        }
-                        AggReader::I64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_i64(r.get(i));
-                            }
-                        }
-                        AggReader::F64(r, nc) => {
-                            if nc.map(|c| table.is_valid(i, c)).unwrap_or(true) {
-                                acc.update_f64(r.get(i));
-                            }
-                        }
-                    }
-                }
-            }
-            sub += len;
-        }
-    }
-    stats.flush();
-    simd::note_blocks(scanned, pruned);
-    if let Some(o) = overlay {
-        for r in o.live_tail() {
-            if !tail_row_passes(preds, r) {
-                continue;
-            }
-            agg_tail_update(aggs, r, &mut accs);
-        }
-    }
-    Some(vec![accs.iter().map(|a| a.finish()).collect()])
-}
-
-// ---------------------------------------------------------------------------
-// compilation / execution
-// ---------------------------------------------------------------------------
-
-fn exec(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    let frag = lower(plan, db, required)?;
-    Ok(match frag {
-        Fragment::Rows(rows) => rows,
-        Fragment::Pipe {
-            table,
-            preds,
-            steps,
-        } => {
-            let t = db
-                .table(&table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            let needed = needed_cols(&table, t, required);
-            run_pipeline(
-                t,
-                db.overlay(&table),
-                &preds,
-                &steps,
-                &needed,
-                Sink::Collect(Vec::new()),
-            )
-        }
-    })
-}
-
-fn needed_cols(name: &str, t: &Table, required: &[(String, Vec<ColId>)]) -> Vec<ColId> {
-    required
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.clone())
-        .unwrap_or_else(|| (0..t.schema().len()).collect())
-}
-
-/// Lower a plan into a fragment, executing pipeline breakers on the way.
-fn lower(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-) -> Result<Fragment, ExecError> {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            db.table(table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            Ok(Fragment::Pipe {
-                table: table.clone(),
-                preds: Vec::new(),
-                steps: Vec::new(),
-            })
-        }
-        LogicalPlan::Select { input, pred, .. } => {
-            let frag = lower(input, db, required)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    mut preds,
-                    mut steps,
-                } => {
-                    if steps.is_empty() {
-                        preds.extend(conjuncts(pred).into_iter().cloned());
-                    } else {
-                        steps.push(Step::Filter(pred.clone()));
-                    }
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
-                }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .filter(|r| pred.eval_bool(&r[..]))
-                        .collect(),
-                ),
-            })
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let frag = lower(input, db, required)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    mut steps,
-                } => {
-                    steps.push(Step::Project(exprs.clone()));
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
-                }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .map(|r| exprs.iter().map(|e| e.eval(&r[..])).collect())
-                        .collect(),
-                ),
-            })
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let frag = lower(input, db, required)?;
-            let rows = match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    steps,
-                } => {
-                    let t = db
-                        .table(&table)
-                        .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-                    let overlay = db.overlay(&table);
-                    // Fig. 2c fast path: no steps, scalar column aggregates.
-                    if steps.is_empty() && group_by.is_empty() {
-                        if let Some(rows) = scalar_agg_fast_path(t, overlay.as_ref(), &preds, aggs)
-                        {
-                            return Ok(Fragment::Rows(rows));
-                        }
-                    }
-                    // Grouped fast path: single plain-column key.
-                    if steps.is_empty() && !group_by.is_empty() {
-                        if let Some(rows) =
-                            grouped_agg_fast_path(t, overlay.as_ref(), &preds, group_by, aggs)
-                        {
-                            return Ok(Fragment::Rows(rows));
-                        }
-                    }
-                    let needed = needed_cols(&table, t, required);
-                    run_pipeline(
-                        t,
-                        overlay,
-                        &preds,
-                        &steps,
-                        &needed,
-                        Sink::Agg {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            groups: HashMap::new(),
-                        },
-                    )
-                }
-                Fragment::Rows(rows) => {
-                    let mut sink = Sink::Agg {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                        groups: HashMap::new(),
-                    };
-                    for r in rows {
-                        sink.consume(r);
-                    }
-                    sink.finish()
-                }
-            };
-            Ok(Fragment::Rows(rows))
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            // Build side is always materialized (pipeline breaker).
-            let build_rows = exec(left, db, required)?;
-            let mut ht: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
-            for r in build_rows {
-                let k = left_key.eval(&r[..]);
-                if k.is_null() {
-                    continue;
-                }
-                ht.entry(GroupKey::single(&k)).or_default().push(r);
-            }
-            let frag = lower(right, db, required)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    mut steps,
-                } => {
-                    // Probe key is evaluated against the probe-side row; the
-                    // produced row is build ++ probe, so later steps see the
-                    // concatenated space. The probe-side row arrives in its
-                    // base space, so the key needs no shifting — but steps
-                    // after the probe do (they already operate positionally).
-                    steps.push(Step::Probe {
-                        ht,
-                        key: right_key.clone(),
-                    });
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
-                }
-                Fragment::Rows(rows) => {
-                    let mut out = Vec::new();
-                    for r in rows {
-                        let k = right_key.eval(&r[..]);
-                        if k.is_null() {
-                            continue;
-                        }
-                        if let Some(ms) = ht.get(&GroupKey::single(&k)) {
-                            for m in ms {
-                                let mut j = m.clone();
-                                j.extend(r.iter().cloned());
-                                out.push(j);
-                            }
-                        }
-                    }
-                    Fragment::Rows(out)
-                }
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut rows = exec(input, db, required)?;
-            rows.sort_by(|a, b| {
-                for k in keys {
-                    let ord = cmp_values(&k.expr.eval(&a[..]), &k.expr.eval(&b[..]));
-                    let ord = if k.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(Fragment::Rows(rows))
-        }
-        LogicalPlan::Limit { input, n } => {
-            let mut rows = exec(input, db, required)?;
-            rows.truncate(*n);
-            Ok(Fragment::Rows(rows))
         }
     }
 }
@@ -1436,6 +616,7 @@ mod tests {
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_plan::logical::AggFunc;
     use pdsm_storage::{ColumnDef, Schema};
+    use std::collections::HashMap;
 
     fn db() -> HashMap<String, Table> {
         let mut t = Table::new(

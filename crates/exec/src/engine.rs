@@ -2,7 +2,7 @@
 
 use crate::result::QueryOutput;
 use pdsm_plan::expr::Expr;
-use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
+use pdsm_plan::logical::{AggFunc, LogicalPlan};
 use pdsm_storage::row::Row;
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{ColId, Table, Value};
@@ -30,6 +30,11 @@ pub struct Overlay<'a> {
 }
 
 impl<'a> Overlay<'a> {
+    /// The tombstone mask of an optional overlay (empty = no tombstones).
+    pub fn dead_of(overlay: &Option<Overlay<'a>>) -> &'a [bool] {
+        overlay.as_ref().map(|o| o.dead).unwrap_or(&[])
+    }
+
     /// Is main row `i` tombstoned?
     #[inline(always)]
     pub fn is_dead(&self, i: usize) -> bool {
@@ -76,69 +81,6 @@ pub fn masked_tail_row(row: &Row, needed: &[ColId], width: usize) -> Vec<Value> 
         }
     }
     out
-}
-
-/// Raw `u64` group key of a decoded tail value, hashed the way the typed
-/// grouped fast paths hash main rows: integers sign-extended, strings by
-/// main-dictionary code. `None` when no raw key exists — a string the main
-/// dictionary has never interned has no code, so raw-key fast paths must
-/// fall back to the generic (decoded-key) path.
-pub fn tail_raw_key(table: &Table, key_col: ColId, v: &Value) -> Option<u64> {
-    match v {
-        Value::Int32(_) | Value::Int64(_) => v.as_i64().map(|x| x as u64),
-        Value::Str(s) => table
-            .dict(key_col)
-            .and_then(|d| d.code_of(s))
-            .map(|c| c as u64),
-        _ => None,
-    }
-}
-
-/// True iff some live tail row's group-key value has no raw `u64` key (see
-/// [`tail_raw_key`]) — the bail-out check every raw-key grouped fast path
-/// must run before trusting `tail_raw_key(...).expect(..)` in its fold.
-pub fn tail_defeats_raw_keys(table: &Table, key_col: ColId, overlay: Option<&Overlay<'_>>) -> bool {
-    let Some(o) = overlay else {
-        return false;
-    };
-    o.live_tail()
-        .any(|r| tail_raw_key(table, key_col, &r.values()[key_col]).is_none())
-}
-
-/// Fold one decoded tail row into a slice of accumulators by evaluating
-/// each aggregate's argument against the row (`count(*)` counts the row).
-/// This is the shared tail half of every engine's aggregation fast path;
-/// the caller has already applied the scan predicates.
-pub fn agg_tail_update(aggs: &[AggExpr], row: &Row, accs: &mut [Accumulator]) {
-    for (acc, spec) in accs.iter_mut().zip(aggs) {
-        match &spec.arg {
-            Some(e) => acc.update(&e.eval(row.values())),
-            None => acc.update(&Value::Int32(1)),
-        }
-    }
-}
-
-/// Fold the live tail rows passing `preds` into the Fig.-2c kernel's raw
-/// running sums (`agg_cols` are the non-nullable `i32` sum columns).
-pub fn fig2c_tail_fold(
-    overlay: Option<&Overlay<'_>>,
-    preds: &[Expr],
-    agg_cols: &[ColId],
-    sums: &mut [i64],
-    hits: &mut u64,
-) {
-    let Some(o) = overlay else {
-        return;
-    };
-    for r in o.live_tail() {
-        if !tail_row_passes(preds, r) {
-            continue;
-        }
-        *hits += 1;
-        for (s, &c) in sums.iter_mut().zip(agg_cols) {
-            *s += r.values()[c].as_i64().expect("non-nullable i32 tail value");
-        }
-    }
 }
 
 /// Resolves table names to storage. Implemented by `pdsm-core`'s `Database`
@@ -199,7 +141,8 @@ pub use crate::volcano::VolcanoEngine;
 /// One aggregate's running state. All engines use this accumulator so that
 /// NULL handling and result typing agree exactly:
 /// `count → Int64` (never NULL), `sum(int) → Int64`, `sum(float) → Float64`,
-/// `avg → Float64`, `min/max` keep the input type; NULL inputs are skipped;
+/// `avg → Float64`, `min/max(int) → Int64`, `min/max` of floats and strings
+/// keep the input type; NULL inputs are skipped;
 /// empty input yields NULL for everything but count.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
@@ -243,24 +186,15 @@ impl Accumulator {
                     self.sum_f += x as f64;
                 }
             },
-            AggFunc::Min => {
-                let replace = match &self.extreme {
-                    None => true,
-                    Some(m) => cmp_values(v, m).is_lt(),
-                };
-                if replace {
-                    self.extreme = Some(v.clone());
+            // Integers widen to Int64 exactly as the typed fast paths do,
+            // so an extreme's type never depends on which engine, path or
+            // partial (main rows vs. decoded tail) happened to supply it.
+            AggFunc::Min | AggFunc::Max => match v {
+                Value::Int32(_) | Value::Int64(_) => {
+                    self.update_extreme_i64(v.as_i64().expect("integer"))
                 }
-            }
-            AggFunc::Max => {
-                let replace = match &self.extreme {
-                    None => true,
-                    Some(m) => cmp_values(v, m).is_gt(),
-                };
-                if replace {
-                    self.extreme = Some(v.clone());
-                }
-            }
+                _ => self.update_extreme(v.clone()),
+            },
         }
     }
 
@@ -289,22 +223,20 @@ impl Accumulator {
                 self.saw_float = true;
                 self.sum_f += x;
             }
-            AggFunc::Min | AggFunc::Max => {
-                let v = Value::Float64(x);
-                let replace = match &self.extreme {
-                    None => true,
-                    Some(m) => {
-                        if self.func == AggFunc::Min {
-                            cmp_values(&v, m).is_lt()
-                        } else {
-                            cmp_values(&v, m).is_gt()
-                        }
-                    }
-                };
-                if replace {
-                    self.extreme = Some(v);
-                }
-            }
+            AggFunc::Min | AggFunc::Max => self.update_extreme(Value::Float64(x)),
+        }
+    }
+
+    /// Keep `v` if it strictly beats the current extreme (earlier inputs
+    /// keep ties).
+    fn update_extreme(&mut self, v: Value) {
+        let replace = match &self.extreme {
+            None => true,
+            Some(m) if self.func == AggFunc::Min => cmp_values(&v, m).is_lt(),
+            Some(m) => cmp_values(&v, m).is_gt(),
+        };
+        if replace {
+            self.extreme = Some(v);
         }
     }
 
@@ -322,7 +254,6 @@ impl Accumulator {
             }
         };
         if keep {
-            // preserve Int32 typing when the value fits and input was i32-like
             self.extreme = Some(Value::Int64(x));
         }
     }
@@ -347,19 +278,7 @@ impl Accumulator {
             }
             AggFunc::Min | AggFunc::Max => {
                 if let Some(theirs) = &other.extreme {
-                    let replace = match &self.extreme {
-                        None => true,
-                        Some(ours) => {
-                            if self.func == AggFunc::Min {
-                                cmp_values(theirs, ours).is_lt()
-                            } else {
-                                cmp_values(theirs, ours).is_gt()
-                            }
-                        }
-                    };
-                    if replace {
-                        self.extreme = Some(theirs.clone());
-                    }
+                    self.update_extreme(theirs.clone());
                 }
             }
         }
@@ -429,7 +348,7 @@ mod tests {
         let mut m = Accumulator::new(AggFunc::Max);
         m.update(&Value::Int32(-5));
         m.update(&Value::Null);
-        assert_eq!(m.finish(), Value::Int32(-5));
+        assert_eq!(m.finish(), Value::Int64(-5));
     }
 
     #[test]

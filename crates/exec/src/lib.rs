@@ -28,6 +28,7 @@ pub mod bulk;
 pub mod compiled;
 pub mod engine;
 pub mod keys;
+pub mod pipeline;
 pub mod result;
 pub mod simd;
 pub mod vectorized;
@@ -35,9 +36,8 @@ pub mod volcano;
 
 pub use compiled::{compile_pred, zone_preds, PredKernel};
 pub use engine::{
-    agg_tail_update, fig2c_tail_fold, masked_tail_row, tail_defeats_raw_keys, tail_raw_key,
-    tail_row_passes, Accumulator, BulkEngine, CompiledEngine, Engine, ExecError, Overlay,
-    TableProvider, VolcanoEngine,
+    masked_tail_row, tail_row_passes, Accumulator, BulkEngine, CompiledEngine, Engine, ExecError,
+    Overlay, TableProvider, VolcanoEngine,
 };
 pub use result::{QueryOutput, QueryResult};
 pub use simd::{reset_scan_counters, scan_counters, set_mode_override, ScanCounters, SimdMode};

@@ -1,33 +1,28 @@
-//! `ParallelEngine`: the compiled engine's plan lowering with parallel
-//! pipeline drivers.
+//! `ParallelEngine`: the shared pipeline core walked by morsel-claiming
+//! workers.
 //!
-//! Lowering mirrors `pdsm_exec::compiled` exactly — scans open pipelines,
-//! selections merge into kernel conjuncts (or residual filter steps once
-//! the pipe has steps), projections and join probes append steps, and
-//! pipeline breakers (aggregates, join builds, sorts, limits) materialize.
-//! The difference is *how* an open pipeline runs:
+//! Lowering, the survivor loop and the aggregate state are
+//! `pdsm_exec::pipeline`'s — the same code the compiled engine runs. This
+//! driver only decides *how an open pipeline's row range is walked*:
 //!
 //! * **collect pipelines** run on the worker pool with per-morsel output
 //!   buffers stitched in morsel order — byte-identical to sequential;
 //! * **bare-scan aggregations** with merge-exact aggregates (counts,
-//!   integer sums, min/max) use thread-local partial states merged at the
-//!   barrier;
+//!   integer sums, min/max) give every worker its own [`AggState`], merged
+//!   in worker order at the barrier;
 //! * **float-sensitive or stepped aggregations** parallelize the scan and
 //!   probe work via an ordered collect, then fold sequentially, keeping
 //!   float accumulation order — and therefore every output bit — identical
 //!   to the compiled engine.
 
-use crate::agg::{float_sensitive, fold_rows, grouped_agg_parallel, scalar_agg_parallel};
-use crate::pipeline::{collect_parallel, Step};
-use crate::pool::default_threads;
-use pdsm_exec::compiled::conjuncts;
-use pdsm_exec::engine::{Engine, ExecError, TableProvider};
-use pdsm_exec::keys::GroupKey;
+use crate::morsel::MorselQueue;
+use crate::pool::{default_threads, run_workers};
+use pdsm_exec::engine::{Engine, ExecError, Overlay, TableProvider};
+use pdsm_exec::pipeline::{self, aggregate_rows, AggState, PipeDriver, PipeSpec, Scan};
 use pdsm_exec::QueryOutput;
-use pdsm_plan::logical::LogicalPlan;
-use pdsm_storage::types::cmp_values;
-use pdsm_storage::{ColId, Table, Value};
-use std::collections::HashMap;
+use pdsm_plan::expr::Expr;
+use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
+use pdsm_storage::{DataType, Table, Value};
 
 /// The morsel-driven parallel engine.
 ///
@@ -69,235 +64,130 @@ impl Engine for ParallelEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
-        let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
-        let required = plan.required_columns(&width);
-        let threads = self.effective_threads();
-        let rows = exec(plan, db, &required, threads)?;
+        let driver = Workers {
+            threads: self.effective_threads(),
+        };
+        let rows = pipeline::execute(plan, db, &driver)?;
         Ok(QueryOutput { rows })
     }
 }
 
-/// A lowered query fragment: an open (parallelizable) scan pipeline or
-/// materialized rows. The parallel twin of the compiled engine's.
-enum Fragment {
-    Pipe {
-        table: String,
-        preds: Vec<pdsm_plan::expr::Expr>,
-        steps: Vec<Step>,
-    },
-    Rows(Vec<Vec<Value>>),
-}
-
-fn needed_cols(name: &str, t: &Table, required: &[(String, Vec<ColId>)]) -> Vec<ColId> {
-    required
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.clone())
-        .unwrap_or_else(|| (0..t.schema().len()).collect())
-}
-
-fn exec(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
+/// The morsel driver: `threads` scoped workers claim morsels off one queue.
+struct Workers {
     threads: usize,
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    let frag = lower(plan, db, required, threads)?;
-    Ok(match frag {
-        Fragment::Rows(rows) => rows,
-        Fragment::Pipe {
-            table,
-            preds,
-            steps,
-        } => {
-            let t = db
-                .table(&table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            let needed = needed_cols(&table, t, required);
-            collect_parallel(t, db.overlay(&table), &preds, &steps, &needed, threads)
-        }
-    })
 }
 
-fn lower(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-    threads: usize,
-) -> Result<Fragment, ExecError> {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            db.table(table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            Ok(Fragment::Pipe {
-                table: table.clone(),
-                preds: Vec::new(),
-                steps: Vec::new(),
-            })
-        }
-        LogicalPlan::Select { input, pred, .. } => {
-            let frag = lower(input, db, required, threads)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    mut preds,
-                    mut steps,
-                } => {
-                    if steps.is_empty() {
-                        preds.extend(conjuncts(pred).into_iter().cloned());
-                    } else {
-                        steps.push(Step::Filter(pred.clone()));
-                    }
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
+impl Workers {
+    /// Run `worker(queue)` on as many workers as the table has morsels
+    /// for (at most `self.threads`), results in worker-id order.
+    fn run<R: Send>(&self, table: &Table, worker: impl Fn(&MorselQueue) -> R + Sync) -> Vec<R> {
+        let queue = MorselQueue::for_table(table);
+        let threads = self.threads.min(queue.n_morsels()).max(1);
+        run_workers(threads, |_| worker(&queue))
+    }
+}
+
+impl PipeDriver for Workers {
+    /// Per-morsel buffers stitched by morsel index, so the rows come back
+    /// in *exactly* the sequential scan order regardless of worker count
+    /// or claim interleaving; the delta tail is appended by one sequential
+    /// pass after the stitch.
+    fn collect(
+        &self,
+        table: &Table,
+        overlay: Option<Overlay<'_>>,
+        spec: PipeSpec<'_>,
+    ) -> Vec<Vec<Value>> {
+        let dead = Overlay::dead_of(&overlay);
+        let per_worker = self.run(table, |queue| {
+            let scan = Scan::new(table, spec);
+            let mut chunks: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
+            while let Some(m) = queue.claim() {
+                let mut rows = Vec::new();
+                scan.collect_range(dead, m.start..m.end, &mut rows);
+                if !rows.is_empty() {
+                    chunks.push((m.index, rows));
                 }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .filter(|r| pred.eval_bool(&r[..]))
-                        .collect(),
-                ),
-            })
-        }
-        LogicalPlan::Project { input, exprs } => {
-            let frag = lower(input, db, required, threads)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    mut steps,
-                } => {
-                    steps.push(Step::Project(exprs.clone()));
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
-                }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .map(|r| exprs.iter().map(|e| e.eval(&r[..])).collect())
-                        .collect(),
-                ),
-            })
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let frag = lower(input, db, required, threads)?;
-            let rows = match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    steps,
-                } => {
-                    let t = db
-                        .table(&table)
-                        .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-                    let overlay = db.overlay(&table);
-                    let needed = needed_cols(&table, t, required);
-                    let mergeable = steps.is_empty() && !aggs.iter().any(|a| float_sensitive(t, a));
-                    if mergeable && group_by.is_empty() {
-                        scalar_agg_parallel(t, overlay.as_ref(), &preds, aggs, &needed, threads)
-                    } else if mergeable {
-                        grouped_agg_parallel(
-                            t,
-                            overlay.as_ref(),
-                            &preds,
-                            group_by,
-                            aggs,
-                            &needed,
-                            threads,
-                        )
-                    } else {
-                        // Ordered collect keeps the sequential accumulation
-                        // order, so float sums stay bit-identical.
-                        let survivors =
-                            collect_parallel(t, overlay, &preds, &steps, &needed, threads);
-                        fold_rows(survivors, group_by, aggs)
-                    }
-                }
-                Fragment::Rows(rows) => fold_rows(rows, group_by, aggs),
-            };
-            Ok(Fragment::Rows(rows))
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            // Build side is a pipeline breaker: materialize (in parallel,
-            // order-preserving) and build the hash table in row order so
-            // probe fan-out order matches the sequential engines.
-            let build_rows = exec(left, db, required, threads)?;
-            let mut ht: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
-            for r in build_rows {
-                let k = left_key.eval(&r[..]);
-                if k.is_null() {
-                    continue;
-                }
-                ht.entry(GroupKey::single(&k)).or_default().push(r);
             }
-            let frag = lower(right, db, required, threads)?;
-            Ok(match frag {
-                Fragment::Pipe {
-                    table,
-                    preds,
-                    mut steps,
-                } => {
-                    steps.push(Step::Probe {
-                        ht,
-                        key: right_key.clone(),
-                    });
-                    Fragment::Pipe {
-                        table,
-                        preds,
-                        steps,
-                    }
+            chunks
+        });
+        let mut tagged: Vec<(usize, Vec<Vec<Value>>)> = per_worker.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|(idx, _)| *idx);
+        let mut out: Vec<Vec<Value>> = tagged.into_iter().flat_map(|(_, rows)| rows).collect();
+        if let Some(o) = &overlay {
+            pipeline::tail_rows(o, spec, table.schema().len(), |r| out.push(r));
+        }
+        out
+    }
+
+    fn aggregate(
+        &self,
+        table: &Table,
+        overlay: Option<Overlay<'_>>,
+        spec: PipeSpec<'_>,
+        group_by: &[Expr],
+        aggs: &[AggExpr],
+    ) -> Vec<Vec<Value>> {
+        if !spec.steps.is_empty() || aggs.iter().any(|a| float_sensitive(table, a)) {
+            // Ordered collect keeps the sequential accumulation order, so
+            // float sums stay bit-identical.
+            return aggregate_rows(self.collect(table, overlay, spec), group_by, aggs);
+        }
+        let dead = Overlay::dead_of(&overlay);
+        let mut partials = self
+            .run(table, |queue| {
+                let scan = Scan::new(table, spec);
+                let mut state = AggState::new(table, spec, group_by, aggs);
+                while let Some(m) = queue.claim() {
+                    state.fold_range(&scan, dead, m.start..m.end);
                 }
-                Fragment::Rows(rows) => {
-                    let mut out = Vec::new();
-                    for r in rows {
-                        let k = right_key.eval(&r[..]);
-                        if k.is_null() {
-                            continue;
-                        }
-                        if let Some(ms) = ht.get(&GroupKey::single(&k)) {
-                            for m in ms {
-                                let mut j = m.clone();
-                                j.extend(r.iter().cloned());
-                                out.push(j);
-                            }
-                        }
-                    }
-                    Fragment::Rows(out)
-                }
+                state
             })
+            .into_iter();
+        let mut merged = partials.next().expect("at least one worker");
+        for partial in partials {
+            merged.merge(partial);
         }
-        LogicalPlan::Sort { input, keys } => {
-            let mut rows = exec(input, db, required, threads)?;
-            rows.sort_by(|a, b| {
-                for k in keys {
-                    let ord = cmp_values(&k.expr.eval(&a[..]), &k.expr.eval(&b[..]));
-                    let ord = if k.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(Fragment::Rows(rows))
+        // Only merge-exact aggregates reach this path, so folding the tail
+        // after the barrier matches the sequential main-then-tail fold.
+        if let Some(o) = &overlay {
+            merged.fold_tail(o);
         }
-        LogicalPlan::Limit { input, n } => {
-            let mut rows = exec(input, db, required, threads)?;
-            rows.truncate(*n);
-            Ok(Fragment::Rows(rows))
+        merged.finish()
+    }
+}
+
+/// True when merging partials of `agg` could reassociate float addition
+/// and so break this engine's bit-identical-to-compiled guarantee: float
+/// inputs, or `avg` (which always finishes through the float running sum,
+/// where partial int sums beyond 2^53 round order-dependently). Such
+/// aggregates take the ordered collect+fold path instead. Count never
+/// inspects magnitudes and integer sums finish through the exact integer
+/// sum, so those merge freely.
+fn float_sensitive(table: &Table, agg: &AggExpr) -> bool {
+    if agg.func == AggFunc::Count {
+        return false;
+    }
+    if agg.func == AggFunc::Avg {
+        return true;
+    }
+    let Some(arg) = &agg.arg else { return false };
+    arg.columns()
+        .iter()
+        .any(|&c| table.schema().columns()[c].ty == DataType::Float64)
+        || contains_float_lit(arg)
+}
+
+fn contains_float_lit(e: &Expr) -> bool {
+    match e {
+        Expr::Lit(Value::Float64(_)) => true,
+        Expr::Lit(_) | Expr::Col(_) => false,
+        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
+            contains_float_lit(left) || contains_float_lit(right)
         }
+        Expr::And(a, b) | Expr::Or(a, b) => contains_float_lit(a) || contains_float_lit(b),
+        Expr::Not(a) | Expr::IsNull(a) => contains_float_lit(a),
+        Expr::Like { expr, .. } => contains_float_lit(expr),
     }
 }
 
@@ -305,10 +195,10 @@ fn lower(
 mod tests {
     use super::*;
     use pdsm_exec::engine::{CompiledEngine, VolcanoEngine};
+    use pdsm_exec::pipeline::Step;
     use pdsm_plan::builder::QueryBuilder;
-    use pdsm_plan::expr::Expr;
-    use pdsm_plan::logical::{AggExpr, AggFunc};
-    use pdsm_storage::{ColumnDef, DataType, Schema};
+    use pdsm_storage::{ColumnDef, Row, Schema};
+    use std::collections::HashMap;
 
     fn db() -> HashMap<String, Table> {
         let mut t = Table::new(
@@ -459,6 +349,153 @@ mod tests {
         let plan = QueryBuilder::scan("missing").build();
         let err = ParallelEngine::new().execute(&plan, &d).unwrap_err();
         assert_eq!(err, ExecError::UnknownTable("missing".into()));
+    }
+
+    /// `k = i % 5`, `v = i`, `f` NULL every third row.
+    fn kvf(n: usize) -> Table {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", DataType::Int32),
+                ColumnDef::new("v", DataType::Int64),
+                ColumnDef::nullable("f", DataType::Float64),
+            ]),
+        );
+        for i in 0..n {
+            t.insert(&[
+                Value::Int32((i % 5) as i32),
+                Value::Int64(i as i64),
+                if i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float64(i as f64 / 4.0)
+                },
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    fn spec<'a>(preds: &'a [Expr], steps: &'a [Step]) -> PipeSpec<'a> {
+        PipeSpec {
+            preds,
+            steps,
+            needed: &[0, 1],
+        }
+    }
+
+    #[test]
+    fn parallel_collect_preserves_scan_order() {
+        let t = kvf(20_000);
+        let preds = [Expr::col(0).eq(Expr::lit(3))];
+        let sequential = Workers { threads: 1 }.collect(&t, None, spec(&preds, &[]));
+        for threads in [2, 4, 8] {
+            let parallel = Workers { threads }.collect(&t, None, spec(&preds, &[]));
+            assert_eq!(sequential, parallel, "threads={threads}");
+        }
+        assert_eq!(sequential.len(), 4_000);
+    }
+
+    #[test]
+    fn steps_apply_after_kernels() {
+        let t = kvf(5_000);
+        let preds = [Expr::col(1).lt(Expr::lit(100))];
+        let steps = [Step::Project(vec![Expr::col(1).mul(Expr::lit(2))])];
+        let out = Workers { threads: 4 }.collect(&t, None, spec(&preds, &steps));
+        assert_eq!(out.len(), 100);
+        assert_eq!(out[7], vec![Value::Int64(14)]);
+    }
+
+    #[test]
+    fn overlay_tombstones_and_tail_in_order() {
+        let t = kvf(1_000);
+        let mut dead = vec![false; 1_000];
+        dead[0] = true;
+        dead[3] = true;
+        let tail = vec![
+            Row(vec![Value::Int32(3), Value::Int64(5000), Value::Null]),
+            Row(vec![Value::Int32(4), Value::Int64(5001), Value::Null]),
+        ];
+        let overlay = Overlay {
+            dead: &dead,
+            tail: &tail,
+            tail_alive: &[],
+        };
+        let preds = [Expr::col(0).eq(Expr::lit(3))];
+        let one = Workers { threads: 1 }.collect(&t, Some(overlay), spec(&preds, &[]));
+        for threads in [2, 4] {
+            let many = Workers { threads }.collect(&t, Some(overlay), spec(&preds, &[]));
+            assert_eq!(one, many, "threads={threads}");
+        }
+        // row 3 (k==3) is tombstoned; tail row 5000 matches and comes last
+        assert!(!one.iter().any(|r| r[1] == Value::Int64(3)));
+        assert_eq!(one.last().unwrap()[1], Value::Int64(5000));
+    }
+
+    #[test]
+    fn scalar_partials_merge_exactly() {
+        let t = kvf(30_000);
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+            AggExpr::new(AggFunc::Min, Expr::col(1)),
+            AggExpr::new(AggFunc::Max, Expr::col(1)),
+        ];
+        let preds = [Expr::col(0).eq(Expr::lit(2))];
+        let one = Workers { threads: 1 }.aggregate(&t, None, spec(&preds, &[]), &[], &aggs);
+        for threads in [2, 4, 8] {
+            let many = Workers { threads }.aggregate(&t, None, spec(&preds, &[]), &[], &aggs);
+            assert_eq!(one, many, "threads={threads}");
+        }
+        assert_eq!(one[0][0], Value::Int64(6_000));
+    }
+
+    #[test]
+    fn grouped_partials_merge_exactly() {
+        let t = kvf(10_000);
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+        ];
+        // raw-u64-keyed groups, then GroupKey-keyed ones
+        for group in [vec![Expr::col(0)], vec![Expr::col(0), Expr::col(0)]] {
+            let mut one = Workers { threads: 1 }.aggregate(&t, None, spec(&[], &[]), &group, &aggs);
+            one.sort_by_key(|r| format!("{r:?}"));
+            assert_eq!(one.len(), 5);
+            for threads in [2, 4] {
+                let mut many =
+                    Workers { threads }.aggregate(&t, None, spec(&[], &[]), &group, &aggs);
+                many.sort_by_key(|r| format!("{r:?}"));
+                assert_eq!(one, many, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_scan_yields_null_row() {
+        let t = kvf(0);
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+        ];
+        let out = Workers { threads: 4 }.aggregate(&t, None, spec(&[], &[]), &[], &aggs);
+        assert_eq!(out, vec![vec![Value::Int64(0), Value::Null]]);
+    }
+
+    #[test]
+    fn float_sensitivity_detection() {
+        let t = kvf(1);
+        let sensitive = |a: AggExpr| float_sensitive(&t, &a);
+        assert!(sensitive(AggExpr::new(AggFunc::Sum, Expr::col(2))));
+        assert!(sensitive(AggExpr::new(
+            AggFunc::Sum,
+            Expr::col(1).mul(Expr::lit(0.5))
+        )));
+        assert!(!sensitive(AggExpr::new(AggFunc::Sum, Expr::col(1))));
+        assert!(!sensitive(AggExpr::new(AggFunc::Count, Expr::col(2))));
+        assert!(!sensitive(AggExpr::count_star()));
+        // avg always finishes through the float running sum, even over ints
+        assert!(sensitive(AggExpr::new(AggFunc::Avg, Expr::col(1))));
     }
 
     #[test]

@@ -12,18 +12,16 @@
 //!   single atomic cursor dispenses morsels; claiming is wait-free and
 //!   skew self-balances.
 //! * **Workers** ([`pool`]) — a fixed pool of scoped `std::thread` workers
-//!   (no runtime dependencies). Each worker compiles its own predicate
-//!   kernels from `pdsm-exec`'s compiled engine — the same typed,
-//!   branch-predictable fused loops the paper's argument rests on — and
-//!   runs them morsel at a time.
-//! * **Pipelines** ([`pipeline`]) — scan/select/project (and join-probe)
-//!   pipelines buffer output per morsel and stitch buffers in morsel
-//!   order, so parallel execution returns rows in **exactly** the
-//!   sequential scan order: byte-identical results at any thread count.
-//! * **Aggregation** ([`agg`]) — workers hold thread-local partial states
-//!   (accumulator vectors, or per-worker hash tables for grouped
-//!   aggregation) merged at the pipeline barrier via
-//!   [`pdsm_exec::Accumulator::merge`]. Counts, integer sums and min/max
+//!   (no runtime dependencies). Each worker binds its own
+//!   `pdsm_exec::pipeline::Scan` — the same typed, branch-predictable
+//!   survivor loop the compiled engine runs, SIMD block masks and zone
+//!   refutation included — and walks it morsel at a time.
+//! * **The driver** ([`engine`]) — this crate adds no lowering, no scan
+//!   loop and no aggregate of its own. Collect pipelines buffer output per
+//!   morsel and stitch buffers in morsel order, so parallel execution
+//!   returns rows in **exactly** the sequential scan order. Aggregations
+//!   give every worker a private `pdsm_exec::pipeline::AggState`, merged
+//!   in worker order at the barrier. Counts, integer sums and min/max
 //!   merge exactly; float-summing aggregates and `avg` instead take an
 //!   order-preserving collect + sequential fold so their accumulation
 //!   order — and therefore every output bit — matches the compiled engine.
@@ -61,8 +59,8 @@
 //! pdsm-plan ───── logical plans, expressions
 //!      │
 //! pdsm-exec ───── Volcano / bulk / vectorized / compiled engines,
-//!      │          predicate kernels (shared with this crate), Accumulator
-//! pdsm-par ────── morsels, worker pool, parallel pipelines   ← you are here
+//!      │          the pipeline core (lowering, survivor loop, AggState)
+//! pdsm-par ────── morsels, worker pool, the morsel driver    ← you are here
 //!      │
 //! pdsm-core ───── Database catalog, EngineKind::{Volcano,Bulk,Compiled,Parallel}
 //! ```
@@ -71,10 +69,8 @@
 //! bench and the `fig_scaling` binary (rows/sec vs worker count on the
 //! Fig. 3 microbenchmark query).
 
-pub mod agg;
 pub mod engine;
 pub mod morsel;
-pub mod pipeline;
 pub mod pool;
 
 pub use engine::ParallelEngine;

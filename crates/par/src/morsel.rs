@@ -12,7 +12,7 @@
 //! selective predicate matching only one region) self-balances without any
 //! static assignment.
 
-use pdsm_storage::{Table, ZonePred, ZONE_BLOCK_ROWS};
+use pdsm_storage::Table;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Target working-set bytes per morsel. Half a typical L2 so the scanned
@@ -54,16 +54,14 @@ pub fn rows_per_morsel(table: &Table) -> usize {
     (MORSEL_TARGET_BYTES / bytes_per_row.max(1)).clamp(MIN_MORSEL_ROWS, MAX_MORSEL_ROWS)
 }
 
-/// A lock-free dispenser of morsels over `0..n_rows`. Built with
-/// [`MorselQueue::for_table_pruned`], morsels whose zone blocks are *all*
-/// refuted by the scan predicates are never handed out — pruning happens
-/// at dispatch, before any worker touches the morsel's memory.
+/// A lock-free dispenser of morsels over `0..n_rows`. Zone-map pruning is
+/// not the queue's business: the survivor loop every worker runs
+/// (`pdsm_exec::pipeline::Scan`) refutes blocks inside whatever range it
+/// is handed, before touching the block's memory.
 pub struct MorselQueue {
     cursor: AtomicUsize,
     n_rows: usize,
     rows_per: usize,
-    /// `pruned[i]` = morsel `i` is fully refuted (empty when unpruned).
-    pruned: Vec<bool>,
 }
 
 impl MorselQueue {
@@ -73,7 +71,6 @@ impl MorselQueue {
             cursor: AtomicUsize::new(0),
             n_rows,
             rows_per: rows_per.max(1),
-            pruned: Vec::new(),
         }
     }
 
@@ -82,73 +79,25 @@ impl MorselQueue {
         Self::new(table.len(), rows_per_morsel(table))
     }
 
-    /// Queue sized for `table` that skips morsels refuted by `zpreds` via
-    /// the table's zone map. A morsel is skipped only when **every** zone
-    /// block it overlaps is refuted, so skipping never drops a surviving
-    /// row. Returns the queue plus `(scanned, pruned)` zone-block counts
-    /// for the scan counters (each block attributed to the morsel holding
-    /// its first row).
-    pub fn for_table_pruned(table: &Table, zpreds: &[ZonePred]) -> (Self, u64, u64) {
-        let mut q = Self::for_table(table);
-        if zpreds.is_empty() || table.is_empty() {
-            return (q, 0, 0);
-        }
-        let zones = table.zone_map();
-        let refuted = zones.pruned_blocks(zpreds);
-        let n_blocks = refuted.len() as u64;
-        let mut pruned_blocks = 0u64;
-        let mut any = false;
-        let pruned: Vec<bool> = (0..q.n_morsels())
-            .map(|m| {
-                let start = m * q.rows_per;
-                let end = (start + q.rows_per).min(q.n_rows);
-                let b0 = start / ZONE_BLOCK_ROWS;
-                let b1 = (end - 1) / ZONE_BLOCK_ROWS;
-                let skip = refuted[b0..=b1].iter().all(|&r| r);
-                if skip {
-                    any = true;
-                    // blocks starting inside this morsel
-                    let first = if b0 * ZONE_BLOCK_ROWS >= start {
-                        b0
-                    } else {
-                        b0 + 1
-                    };
-                    pruned_blocks += (b1 + 1 - first) as u64;
-                }
-                skip
-            })
-            .collect();
-        if any {
-            q.pruned = pruned;
-        }
-        (q, n_blocks - pruned_blocks, pruned_blocks)
-    }
-
-    /// Total number of morsels this queue dispenses (pruned ones included —
-    /// they occupy an index so stitched output order is stable).
+    /// Total number of morsels this queue dispenses.
     pub fn n_morsels(&self) -> usize {
         self.n_rows.div_ceil(self.rows_per)
     }
 
-    /// Claim the next unpruned morsel, or `None` when the scan is
-    /// exhausted. Safe to call from any number of threads; each morsel is
-    /// handed out exactly once.
+    /// Claim the next morsel, or `None` when the scan is exhausted. Safe
+    /// to call from any number of threads; each morsel is handed out
+    /// exactly once.
     pub fn claim(&self) -> Option<Morsel> {
-        loop {
-            let index = self.cursor.fetch_add(1, Ordering::Relaxed);
-            let start = index.checked_mul(self.rows_per)?;
-            if start >= self.n_rows {
-                return None;
-            }
-            if self.pruned.get(index).copied().unwrap_or(false) {
-                continue;
-            }
-            return Some(Morsel {
-                index,
-                start,
-                end: (start + self.rows_per).min(self.n_rows),
-            });
+        let index = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let start = index.checked_mul(self.rows_per)?;
+        if start >= self.n_rows {
+            return None;
         }
+        Some(Morsel {
+            index,
+            start,
+            end: (start + self.rows_per).min(self.n_rows),
+        })
     }
 }
 
@@ -177,46 +126,6 @@ mod tests {
         let q = MorselQueue::new(0, 4_096);
         assert_eq!(q.n_morsels(), 0);
         assert!(q.claim().is_none());
-    }
-
-    #[test]
-    fn pruned_morsels_are_never_dispensed() {
-        use pdsm_storage::{ColumnDef, DataType, Schema, Value, ZoneOp};
-        let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("a", DataType::Int32)]));
-        const N: usize = 1_000_000;
-        for i in 0..N {
-            t.insert(&[Value::Int32(i as i32)]).unwrap();
-        }
-        // a >= N-1000: only the last morsel can hold matches.
-        let zp = vec![ZonePred::I64Cmp {
-            col: 0,
-            op: ZoneOp::Ge,
-            v: (N - 1_000) as i64,
-        }];
-        let (q, scanned, pruned) = MorselQueue::for_table_pruned(&t, &zp);
-        assert!(pruned > 0, "clustered predicate must prune blocks");
-        assert_eq!(
-            scanned + pruned,
-            (N as u64).div_ceil(ZONE_BLOCK_ROWS as u64)
-        );
-        let mut rows = Vec::new();
-        while let Some(m) = q.claim() {
-            rows.extend(m.start..m.end);
-        }
-        // every potentially-matching row is still dispensed
-        assert!(rows.contains(&(N - 1_000)));
-        assert!(rows.contains(&(N - 1)));
-        // and refuted regions are skipped
-        assert!(!rows.contains(&0));
-
-        // unpruned queue (no zone preds) dispenses everything
-        let (q2, s2, p2) = MorselQueue::for_table_pruned(&t, &[]);
-        assert_eq!((s2, p2), (0, 0));
-        let mut n = 0;
-        while let Some(m) = q2.claim() {
-            n += m.len();
-        }
-        assert_eq!(n, N);
     }
 
     #[test]

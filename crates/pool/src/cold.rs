@@ -159,7 +159,7 @@ impl ColdTable {
     }
 
     /// Fault in the whole table and reassemble the resident main store —
-    /// bit-identical to a v2 `from_bytes` load. Every extent still moves
+    /// bit-identical to a `persist::from_bytes` load. Every extent still moves
     /// through the pool (so budgets, stats, and eviction apply), but the
     /// assembled table itself is owned by the caller.
     pub fn hydrate(&self) -> Result<Table> {

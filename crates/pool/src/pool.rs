@@ -174,10 +174,14 @@ impl BufferPool {
                     }),
                 );
                 g.resident += bytes;
-                g.peak = g.peak.max(g.resident);
                 g.replacer.record_access(key);
                 g.replacer.set_evictable(key, false);
                 Self::evict_over_budget(self.budget, &mut g);
+                // Sampled after eviction: the new frame and its victims
+                // change hands under one lock hold, so the pre-eviction
+                // sum is never resident outside it. The peak exceeds the
+                // budget only when an overcommit was counted.
+                g.peak = g.peak.max(g.resident);
                 self.cond.notify_all();
                 Ok(PinnedFrame {
                     pool: Arc::clone(self),
@@ -369,6 +373,13 @@ mod tests {
         assert_eq!(s.misses, 5);
         assert!(s.evictions >= 3, "evictions: {}", s.evictions);
         assert!(s.resident_bytes <= 250);
+        assert_eq!(s.overcommits, 0);
+        assert!(
+            s.peak_resident_bytes <= s.budget_bytes,
+            "peak {} over budget {} without an overcommit",
+            s.peak_resident_bytes,
+            s.budget_bytes
+        );
         assert_eq!(s.pinned_frames, 0);
         assert_eq!(s.fault_ns_total, 25);
     }

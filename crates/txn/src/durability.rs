@@ -293,9 +293,8 @@ impl TableDurability {
     }
 
     /// Like [`TableDurability::recover`], but the main store is *not*
-    /// read: a header-only [`ColdTable`] is mounted over the v3 extent
-    /// checkpoint and row data faults in through `pool` on demand. Fails
-    /// on pre-extent (v2) blobs — callers fall back to the resident path.
+    /// read: a header-only [`ColdTable`] is mounted over the extent
+    /// checkpoint and row data faults in through `pool` on demand.
     pub fn recover_cold(
         data_dir: &Path,
         name: &str,

@@ -60,9 +60,10 @@ fn layout_for(sel: usize) -> Layout {
     }
 }
 
-/// Queries the streaming executor can run extent-at-a-time: row scans
-/// (full, equality-filtered, clustered range, zone-refuted-everywhere)
-/// and global aggregates with mergeable accumulators.
+/// Queries the streaming executor runs extent-at-a-time: row scans (full,
+/// equality-filtered, clustered range, zone-refuted-everywhere) and
+/// aggregates of every kind — one partial state is carried across the
+/// extents, so `avg`, float sums and grouped shapes stream too.
 fn streamable_plans(n: usize) -> Vec<LogicalPlan> {
     vec![
         QueryBuilder::scan("R").build(),
@@ -75,7 +76,7 @@ fn streamable_plans(n: usize) -> Vec<LogicalPlan> {
             .filter(Expr::col(0).lt(Expr::lit(-(n as i32) + 64)))
             .build(),
         // `A` never exceeds 0: every extent is refuted, only the delta
-        // tail can answer. Exercises the zero-extent seeding path.
+        // tail can answer. Exercises the zero-extent path.
         QueryBuilder::scan("R")
             .filter(Expr::col(0).gt(Expr::lit(0)))
             .build(),
@@ -92,16 +93,15 @@ fn streamable_plans(n: usize) -> Vec<LogicalPlan> {
             )
             .build(),
         microbench::query(0.05),
-    ]
-}
-
-/// Shapes the streaming executor refuses (float-reassociating or
-/// partition-crossing): they fall back to whole-table hydration, which
-/// must of course agree too.
-fn hydrating_plans() -> Vec<LogicalPlan> {
-    vec![
         QueryBuilder::scan("R")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Avg, Expr::col(1))])
+            .build(),
+        // Float sum: accumulation order is observable in the low bits.
+        QueryBuilder::scan("R")
+            .aggregate(
+                vec![],
+                vec![AggExpr::new(AggFunc::Sum, Expr::col(1).mul(Expr::lit(0.1)))],
+            )
             .build(),
         QueryBuilder::scan("R")
             .filter(Expr::col(0).le(Expr::lit(0)))
@@ -110,7 +110,28 @@ fn hydrating_plans() -> Vec<LogicalPlan> {
                 vec![AggExpr::new(AggFunc::Count, Expr::col(1))],
             )
             .build(),
+        // Two keys: the GroupKey-keyed state rather than the raw-u64 one.
+        QueryBuilder::scan("R")
+            .filter(Expr::col(0).eq(Expr::lit(0)))
+            .aggregate(
+                vec![Expr::col(0), Expr::col(5)],
+                vec![
+                    AggExpr::new(AggFunc::Avg, Expr::col(2)),
+                    AggExpr::new(AggFunc::Max, Expr::col(3)),
+                ],
+            )
+            .build(),
     ]
+}
+
+/// Partition-crossing shapes the streaming executor refuses: they fall
+/// back to whole-table hydration, which must of course agree too.
+fn hydrating_plans() -> Vec<LogicalPlan> {
+    vec![QueryBuilder::scan("R")
+        .filter(Expr::col(0).eq(Expr::lit(0)))
+        .sort(vec![(Expr::col(1), true), (Expr::col(2), true)])
+        .limit(10)
+        .build()]
 }
 
 /// Grouped aggregates hash their groups, so their output *order* is not
@@ -126,6 +147,9 @@ fn order_insensitive(plan: &LogicalPlan) -> bool {
 fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPlan]) {
     for (i, plan) in plans.iter().enumerate() {
         for engine in EngineKind::all() {
+            if !engine.supports(plan) {
+                continue;
+            }
             let a = pooled.run(plan, engine).unwrap();
             let b = resident.run(plan, engine).unwrap();
             prop_assert_eq!(
@@ -249,6 +273,10 @@ proptest! {
         // extent-at-a-time on the pooled twin, faulting and evicting
         // under the tiny budget.
         assert_twins_agree(&pooled, &resident, &streamable_plans(n));
+        prop_assert!(
+            pooled.with_table("R", |vt| vt.cold_main().is_some()).unwrap(),
+            "a streamable plan hydrated the table"
+        );
         let stats = pool.stats();
         prop_assert_eq!(stats.pinned_frames, 0, "pin leak at quiesce");
         prop_assert!(stats.misses > 0, "cold battery never faulted");

@@ -222,6 +222,65 @@ fn chunk_counters_witness_dispatch() {
     }
 }
 
+/// The parallel engine runs the same survivor loop as the compiled one, so
+/// its typed scalar and raw-keyed grouped aggregates take the wide
+/// predicate masks too — it used to test rows one at a time.
+#[test]
+fn parallel_engine_takes_the_wide_masks() {
+    let _g = SimdGuard::lock();
+    let db = Database::new();
+    db.register(microbench::generate(
+        100_000,
+        0.01,
+        Layout::column(microbench::N_COLS),
+        22,
+    ));
+    let pred = Expr::col(0).lt(Expr::lit(-50_000));
+    let plans = [
+        // typed scalar accumulators (count/min are not the Fig.-2c shape)
+        QueryBuilder::scan("R")
+            .filter(pred.clone())
+            .aggregate(
+                vec![],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Min, Expr::col(1)),
+                ],
+            )
+            .build(),
+        // single plain key: raw-u64-keyed groups
+        QueryBuilder::scan("R")
+            .filter(pred)
+            .aggregate(
+                vec![Expr::col(1)],
+                vec![AggExpr::new(AggFunc::Sum, Expr::col(2))],
+            )
+            .build(),
+    ];
+    for (i, plan) in plans.iter().enumerate() {
+        set_mode_override(Some(mrdb::core::SimdMode::Scalar));
+        db.reset_scan_stats();
+        let scalar = db.run(plan, EngineKind::Parallel).unwrap();
+        let s = db.scan_stats();
+        assert_eq!(s.simd_chunks, 0, "plan {i}: scalar mode took a SIMD chunk");
+        assert!(s.scalar_chunks > 0, "plan {i}: {s:?}");
+
+        set_mode_override(Some(mrdb::core::SimdMode::Auto));
+        db.reset_scan_stats();
+        let auto = db.run(plan, EngineKind::Parallel).unwrap();
+        let s = db.scan_stats();
+        if cfg!(target_arch = "x86_64") {
+            assert!(
+                s.simd_chunks > 0,
+                "plan {i}: no SIMD chunk under auto: {s:?}"
+            );
+        } else {
+            assert_eq!(s.simd_chunks, 0);
+        }
+        scalar.assert_same(&auto, &format!("plan {i}: scalar vs auto"));
+    }
+}
+
 /// The acceptance scenario from the issue: a ≤1%-selective range scan
 /// over a clustered column prunes the majority of zone blocks, with
 /// byte-identical results across all five engines, and the planner's

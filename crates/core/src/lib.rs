@@ -41,13 +41,12 @@ pub mod advisor;
 pub mod database;
 pub mod maintenance;
 pub mod planner;
+pub mod query;
 pub mod result_cache;
 pub mod streaming;
 
 pub use advisor::{AdvisorReport, LayoutAdvisor};
-pub use database::{
-    Database, DbError, DbSnapshot, DurabilityConfig, EngineKind, IndexKind, StorageStats,
-};
+pub use database::{Database, DbError, DurabilityConfig, EngineKind, IndexKind, StorageStats};
 pub use maintenance::{MaintenanceConfig, MaintenanceMode, MaintenanceScheduler, MaintenanceStats};
 pub use pdsm_exec::{
     reset_scan_counters, scan_counters, set_mode_override, QueryOutput, QueryResult, ScanCounters,
@@ -62,4 +61,5 @@ pub use pdsm_txn::{
     VersionedTable,
 };
 pub use planner::Planner;
+pub use query::DbSnapshot;
 pub use result_cache::{CacheStats, PlanCacheStats, ResultCacheConfig, ResultCacheStats};

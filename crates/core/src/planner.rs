@@ -20,7 +20,8 @@
 //! best full scan — that invariant is property-tested in
 //! `tests/planner.rs`.
 
-use crate::database::{Database, DbError, IndexCandidate};
+use crate::database::{Database, DbError};
+use crate::query::IndexCandidate;
 use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
 use pdsm_exec::{zone_preds, VectorizedEngine};
 use pdsm_index::Index;
@@ -546,7 +547,7 @@ fn selection_pred(plan: &LogicalPlan) -> Option<&pdsm_plan::expr::Expr> {
 /// and would underprice the probe.
 fn single_conjunct_hint(plan: &LogicalPlan) -> Option<f64> {
     let pred = selection_pred(plan)?;
-    if crate::database::conjuncts(pred).len() == 1 {
+    if crate::query::conjuncts(pred).len() == 1 {
         selection_hint(plan)
     } else {
         None
@@ -565,8 +566,8 @@ fn indexed_conjunct_selectivity(
         return Some(h);
     }
     let pred = selection_pred(plan)?;
-    for c in crate::database::conjuncts(pred) {
-        let Some((col, op, _)) = crate::database::simple_cmp(c) else {
+    for c in crate::query::conjuncts(pred) {
+        let Some((col, op, _)) = crate::query::simple_cmp(c) else {
             continue;
         };
         if col == cand.col && !matches!(op, pdsm_plan::expr::CmpOp::Eq) {

@@ -23,12 +23,10 @@
 //! begins merges on the write path but builds *and applies* them on a
 //! worker thread.
 //!
-//! Queries enter through [`Database::execute`]: the cost-based planner
-//! (`crate::planner`) lowers the logical plan to a [`PhysicalPlan`] —
-//! choosing engine and access path via `pdsm_cost::estimate` — caches it
-//! keyed on the tables' merge generations, and dispatches. [`Database::run`]
-//! remains as the forced-engine escape hatch benchmarks and differential
-//! tests use.
+//! The query half of `Database` — [`Database::execute`], the plan and
+//! result caches, engine dispatch, the index probe, [`Database::run`] —
+//! lives in [`crate::query`]; this module is the catalog, DML,
+//! maintenance and durability half.
 //!
 //! ## Migration notes (from the single-writer `&mut self` API)
 //!
@@ -54,6 +52,7 @@ use crate::maintenance::{
     choose_layout, AdviseInputs, BuildJob, MaintenanceConfig, MaintenanceMode,
     MaintenanceScheduler, MaintenanceStats,
 };
+use crate::planner::Planner;
 use crate::result_cache::{CacheStats, PlanCache, ResultCache, ResultCacheConfig};
 use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, ExecError, VolcanoEngine};
 use pdsm_exec::VectorizedEngine;
@@ -154,7 +153,7 @@ impl std::str::FromStr for EngineKind {
     type Err = String;
 
     /// Parse the [`std::fmt::Display`] names (case-insensitive) — the
-    /// `PDSM_ENGINE`-style knob format.
+    /// names `EXPLAIN` and the bench tables print.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "volcano" => Ok(EngineKind::Volcano),
@@ -399,6 +398,11 @@ pub struct Database {
     /// tokens on every lookup. Sharded + LRU-bounded; repeat executes of
     /// the same plan take only a shard read lock.
     pub(crate) plan_cache: PlanCache,
+    /// The planner every plan-cache miss lowers with, built once here: the
+    /// hierarchy it prices against and the worker count (`PDSM_THREADS` or
+    /// the host's, read at construction) are fixed for this database's
+    /// lifetime, so its plans do not move when the environment does.
+    pub(crate) planner: Planner,
     /// Materialized results keyed by [`pdsm_plan::plan_fingerprint`] plus
     /// the same per-table tokens — see [`crate::result_cache`]. Consulted
     /// by [`Database::execute`] for admitted plans; serves whole results
@@ -423,7 +427,7 @@ pub struct Database {
 
 impl Default for Database {
     /// Empty database; maintenance policy comes from the environment
-    /// (`PDSM_MERGE`, `PDSM_MERGE_THRESHOLD`, `PDSM_MERGE_MAX_LAG`).
+    /// (`PDSM_MERGE`, `PDSM_MERGE_THRESHOLD`).
     fn default() -> Self {
         Self::with_maintenance(MaintenanceConfig::from_env())
     }
@@ -442,6 +446,10 @@ impl Database {
             catalog: RwLock::new(HashMap::new()),
             catalog_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::new(PLAN_CACHE_CAP),
+            planner: Planner {
+                hierarchy: pdsm_cost::Hierarchy::nehalem(),
+                threads: pdsm_par::default_threads(),
+            },
             result_cache: ResultCache::new(ResultCacheConfig::from_env()),
             observed: Mutex::new(ObservedTraffic::default()),
             maintenance: MaintenanceScheduler::new(cfg),
@@ -1027,7 +1035,7 @@ impl Database {
             table,
             current,
             advise.as_ref(),
-            &pdsm_cost::Hierarchy::nehalem(),
+            &self.planner.hierarchy,
             &pdsm_layout::bpi::OptimizerConfig::default(),
         );
         let merged = entry.table.with_write(|vt| {

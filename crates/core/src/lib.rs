@@ -3,12 +3,13 @@
 //! The integrated memory-resident DBMS this reproduction delivers: a
 //! [`Database`] catalog of vertically partitioned tables, secondary index
 //! maintenance, the cost-based [`planner`] that lowers every query to a
-//! [`pdsm_plan::physical::PhysicalPlan`] — choosing engine
-//! (Volcano / bulk / vectorized / compiled / parallel) and access path
-//! (full scan vs. main-index probe + delta-tail union, §VI-B, Fig. 10)
-//! via `pdsm_cost::estimate` — and the [`advisor`] that drives the
+//! [`pdsm_plan::physical::PhysicalPlan`] — choosing access path (full
+//! scan vs. main-index probe + delta-tail union, §VI-B, Fig. 10) and
+//! fan-out (compiled = one worker, parallel = N) via
+//! `pdsm_cost::estimate` — and the [`advisor`] that drives the
 //! cost-model-based layout optimizer (§V). Queries enter through
-//! [`Database::execute`]; [`Database::run`] forces an engine.
+//! [`Database::execute`] (the [`query`] path); [`Database::run`] forces
+//! any of the five engines, the Fig.-3 baselines included.
 //!
 //! ```
 //! use pdsm_core::{Database, EngineKind};

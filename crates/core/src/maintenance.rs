@@ -3,8 +3,9 @@
 //! write path too.
 //!
 //! Every DML call used to be the only thing that could pay for a merge —
-//! an O(table) fold on the writer's thread (`fig_update_mix` shows the
-//! resulting 50/50-mix throughput cliff at small thresholds). The
+//! an O(table) fold on the writer's thread, a throughput cliff on
+//! write-heavy mixes at small thresholds (`pdsm-bench`'s `htap_mixed`
+//! workload watches it as `write_p95_us` and `txn.merge_ms`). The
 //! [`MaintenanceScheduler`] owned by [`crate::Database`] decouples that:
 //!
 //! * it watches every table's `delta_ops` against a configurable
@@ -23,7 +24,7 @@
 //!   longer rides the write path: writers never apply someone else's
 //!   merge.
 //!
-//! ## Backpressure (`PDSM_MERGE_MAX_LAG`)
+//! ## Backpressure
 //!
 //! A fast writer can outrun the builder: while one build is in flight the
 //! delta keeps growing, and scans pay for every pending row. When a
@@ -33,7 +34,7 @@
 //! to a *synchronous* merge (staling the in-flight build, which is
 //! discarded harmlessly). With the slot free, a lagging table just
 //! launches a background build: writers never stall when the worker is
-//! available. `PDSM_MERGE_MAX_LAG` sets the factor (default 8; `0`
+//! available. [`MaintenanceConfig::max_lag`] is the factor (8; `0`
 //! disables backpressure).
 //!
 //! ## Modes (`PDSM_MERGE`)
@@ -78,8 +79,7 @@ pub enum MaintenanceMode {
 }
 
 /// Scheduler policy. [`MaintenanceConfig::from_env`] honors the
-/// `PDSM_MERGE` / `PDSM_MERGE_THRESHOLD` / `PDSM_MERGE_MAX_LAG` knobs;
-/// `Database::new` uses it.
+/// `PDSM_MERGE` / `PDSM_MERGE_THRESHOLD` knobs; `Database::new` uses it.
 #[derive(Debug, Clone)]
 pub struct MaintenanceConfig {
     pub mode: MaintenanceMode,
@@ -111,9 +111,8 @@ impl Default for MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// Defaults overridden by `PDSM_MERGE` (`background` | `sync` | `off`),
-    /// `PDSM_MERGE_THRESHOLD` (delta ops) and `PDSM_MERGE_MAX_LAG`
-    /// (backpressure factor, `0` = off).
+    /// Defaults overridden by `PDSM_MERGE` (`background` | `sync` | `off`)
+    /// and `PDSM_MERGE_THRESHOLD` (delta ops).
     pub fn from_env() -> Self {
         let mut cfg = MaintenanceConfig::default();
         match std::env::var("PDSM_MERGE").ok().as_deref() {
@@ -126,12 +125,6 @@ impl MaintenanceConfig {
             .and_then(|v| v.parse().ok())
         {
             cfg.merge_threshold = t;
-        }
-        if let Some(l) = std::env::var("PDSM_MERGE_MAX_LAG")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.max_lag = l;
         }
         cfg
     }
@@ -266,7 +259,7 @@ impl MaintenanceScheduler {
     }
 
     /// Scheduler built from the process environment (`PDSM_MERGE`,
-    /// `PDSM_MERGE_THRESHOLD`, `PDSM_MERGE_MAX_LAG`).
+    /// `PDSM_MERGE_THRESHOLD`).
     pub fn from_env() -> Self {
         Self::new(MaintenanceConfig::from_env())
     }

@@ -9,12 +9,11 @@
 //! durability halves of `Database` live in [`crate::database`].
 
 use crate::database::{Database, DbError, EngineKind};
-use crate::planner::Planner;
 use crate::result_cache::{DepTokens, FRAGMENT_TABLE};
 use pdsm_exec::engine::{Overlay, TableProvider};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_index::Index;
-use pdsm_plan::expr::{CmpOp, Expr};
+use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
 use pdsm_plan::fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
@@ -113,7 +112,7 @@ impl Database {
         if let Some(phys) = self.plan_cache.lookup(key, epoch, &deps) {
             return Ok((phys, deps, epoch));
         }
-        let phys = Arc::new(Planner::default().plan(self, plan)?);
+        let phys = Arc::new(self.planner.plan(self, plan)?);
         self.plan_cache
             .insert(key.to_string(), epoch, deps.clone(), phys.clone());
         Ok((phys, deps, epoch))
@@ -202,17 +201,17 @@ impl Database {
         Ok(result)
     }
 
-    /// Execute an already-lowered plan with no cache interaction:
-    /// index-probe pipelines run the overlay-aware probe + delta-tail
-    /// union; everything else dispatches to the chosen engine.
+    /// Execute an already-lowered plan with no cache interaction: an
+    /// index-probe root pipeline runs the overlay-aware probe + delta-tail
+    /// union the plan recorded; everything else dispatches to the chosen
+    /// engine.
     fn execute_physical_uncached(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
-        if phys.access().is_indexed() {
-            if let Some(cand) = self.index_candidate(&phys.logical) {
-                if let Some(out) = self.run_index_candidate(&phys.logical, &cand)? {
-                    return Ok(QueryResult::new(self.names_for(&phys.logical), out));
-                }
+        if let Some(pipe) = phys.pipelines.first().filter(|p| p.access.is_indexed()) {
+            if let Some(out) = self.run_index_candidate(&phys.logical, &pipe.table, &pipe.access)? {
+                return Ok(QueryResult::new(self.names_for(&phys.logical), out));
             }
-            // Index dropped (or reshaped) since planning — scan instead.
+            // Index dropped, or lagging the snapshot's generation, since
+            // planning — scan instead.
         }
         self.run(&phys.logical, phys.engine.into())
     }
@@ -287,8 +286,8 @@ impl Database {
         plan: &LogicalPlan,
         engine: EngineKind,
     ) -> Result<QueryResult, DbError> {
-        if let Some(cand) = self.index_candidate(plan) {
-            if let Some(out) = self.run_index_candidate(plan, &cand)? {
+        if let Some((table, access)) = self.index_candidate(plan) {
+            if let Some(out) = self.run_index_candidate(plan, &table, &access)? {
                 return Ok(QueryResult::new(self.names_for(plan), out));
             }
         }
@@ -311,12 +310,12 @@ impl Database {
     }
 
     /// Recognize `[Project] (Select (Scan))` plans whose predicate contains
-    /// an indexed equality or range conjunct, and name the probe that
-    /// serves it. Pure shape/catalog matching — no data access, so the
-    /// planner prices the candidate before anything is fetched. A point
-    /// probe (one key's bucket) is preferred over a range probe whatever
-    /// the conjunct order.
-    pub(crate) fn index_candidate(&self, plan: &LogicalPlan) -> Option<IndexCandidate> {
+    /// an indexed equality or range conjunct, and name the table and the
+    /// probe that serves it. Pure shape/catalog matching — no data access,
+    /// so the planner prices the candidate before anything is fetched. A
+    /// point probe (one key's bucket) is preferred over a range probe
+    /// whatever the conjunct order.
+    pub(crate) fn index_candidate(&self, plan: &LogicalPlan) -> Option<(String, AccessPath)> {
         let inner = match plan {
             LogicalPlan::Project { input, .. } => input.as_ref(),
             other => other,
@@ -333,7 +332,7 @@ impl Database {
         // cold table.
         let col_ty = |c: usize| entry.table.with_read(|vt| vt.schema().columns()[c].ty);
         let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
-        let mut range_cand: Option<IndexCandidate> = None;
+        let mut range_cand: Option<AccessPath> = None;
         for conj in conjuncts(pred) {
             let Some((col, op, lit)) = simple_cmp(conj) else {
                 continue;
@@ -360,14 +359,13 @@ impl Database {
                     if !keyable {
                         continue;
                     }
-                    return Some(IndexCandidate {
-                        table: table.clone(),
-                        col,
-                        access: AccessPath::IndexPoint {
+                    return Some((
+                        table.clone(),
+                        AccessPath::IndexPoint {
                             column: col,
                             key: lit.clone(),
                         },
-                    });
+                    ));
                 }
                 CmpOp::Le | CmpOp::Lt | CmpOp::Ge | CmpOp::Gt
                     if range_cand.is_none()
@@ -387,35 +385,34 @@ impl Database {
                             CmpOp::Gt => (k.saturating_add(1), i64::MAX),
                             _ => unreachable!(),
                         };
-                        range_cand = Some(IndexCandidate {
-                            table: table.clone(),
-                            col,
-                            access: AccessPath::IndexRange {
-                                column: col,
-                                lo,
-                                hi,
-                            },
+                        range_cand = Some(AccessPath::IndexRange {
+                            column: col,
+                            lo,
+                            hi,
                         });
                     }
                 }
                 _ => {}
             }
         }
-        range_cand
+        range_cand.map(|access| (table.clone(), access))
     }
 
-    /// Evaluate `plan` via an index candidate: pin a snapshot, probe the
-    /// main-store index, drop tombstoned hits, residual-filter and project
+    /// Evaluate `plan` via the index probe `access` on `table`: pin a
+    /// snapshot, probe the main-store index, drop tombstoned hits,
+    /// residual-filter and project
     /// the survivors, then union the live delta tail (full predicate,
     /// append order). Rows come out in scan order — main order then tail
     /// order — exactly what an engine scan of the same plan produces.
-    /// Returns `Ok(None)` when the candidate no longer matches the catalog
-    /// or the index lags the snapshot's generation (a merge swapped the
-    /// main in between; the caller falls back to the engine).
+    /// Returns `Ok(None)` when the probe no longer matches the catalog
+    /// (index dropped since planning) or the index lags the snapshot's
+    /// generation (a merge swapped the main in between); the caller falls
+    /// back to the engine.
     fn run_index_candidate(
         &self,
         plan: &LogicalPlan,
-        cand: &IndexCandidate,
+        table: &str,
+        access: &AccessPath,
     ) -> Result<Option<QueryOutput>, DbError> {
         let (project, inner) = match plan {
             LogicalPlan::Project { input, exprs } => (Some(exprs), input.as_ref()),
@@ -424,13 +421,16 @@ impl Database {
         let LogicalPlan::Select { pred, .. } = inner else {
             return Ok(None);
         };
-        let entry = self.entry(&cand.table)?;
+        let Some(col) = access.column() else {
+            return Ok(None);
+        };
+        let entry = self.entry(table)?;
         // The snapshot pins (main, overlay, generation) atomically; the
         // index is used only if it covers exactly that main store.
         let snap = entry.table.snapshot();
         let ie = {
             let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
-            match set.by_col.get(&cand.col) {
+            match set.by_col.get(&col) {
                 Some(e) => e.clone(),
                 None => return Ok(None),
             }
@@ -439,8 +439,8 @@ impl Database {
             return Ok(None); // index not yet rebuilt for this version
         }
         let t = snap.main();
-        let mut rows = match &cand.access {
-            AccessPath::IndexPoint { key, .. } => match key_of_value(t, cand.col, key) {
+        let mut rows = match access {
+            AccessPath::IndexPoint { key, .. } => match key_of_value(t, col, key) {
                 Some(k) => ie.index.lookup(k),
                 None => Vec::new(), // value not in dictionary → no main hits
             },
@@ -497,17 +497,6 @@ impl Database {
     }
 }
 
-/// A recognized index probe: which `(table, column)` index serves the
-/// plan's outermost selection, and how. Produced by
-/// `Database::index_candidate`, priced by the planner, executed by the
-/// overlay-aware probe.
-#[derive(Debug, Clone)]
-pub(crate) struct IndexCandidate {
-    pub table: String,
-    pub col: ColId,
-    pub access: AccessPath,
-}
-
 /// An owned multi-table snapshot: every table pinned at one version.
 /// Implements [`TableProvider`], so it can be handed to any engine — from
 /// any thread — while the database keeps moving.
@@ -536,33 +525,12 @@ impl DbSnapshot {
         })
     }
 
-    /// Execute `plan` against this snapshot with the chosen engine — the
-    /// forced-engine escape hatch. Routine queries should use
-    /// [`DbSnapshot::execute`].
+    /// Execute `plan` against this snapshot with the chosen engine.
+    /// Snapshots carry no plan cache, result cache or indexes — planned
+    /// execution is [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
         let output = engine.engine().execute(plan, self)?;
         Ok(QueryResult::new(self.output_names(plan), output))
-    }
-
-    /// Execute `plan` with the planner choosing the engine. Snapshots
-    /// carry no secondary indexes, so access-path selection reduces to
-    /// engine selection over the pinned versions.
-    pub fn execute(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        let mut views = HashMap::new();
-        for name in plan.tables() {
-            if views.contains_key(name) {
-                continue;
-            }
-            let Some(s) = self.tables.get(name) else {
-                return Err(DbError::UnknownTable(name.to_string()));
-            };
-            views.insert(
-                name.to_string(),
-                crate::planner::table_view(s.main(), s.len()),
-            );
-        }
-        let phys = Planner::default().plan_views(views, plan);
-        self.run(plan, phys.engine.into())
     }
 }
 
@@ -597,42 +565,4 @@ fn key_of_value(t: &Table, col: ColId, v: &Value) -> Option<i64> {
         Value::Str(s) => t.dict(col).and_then(|d| d.code_of(s)).map(|c| c as i64),
         _ => None,
     }
-}
-
-/// The AND-conjuncts of a predicate, in evaluation order (shared with the
-/// planner's conjunct-level selectivity pricing).
-pub(crate) fn conjuncts(pred: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::And(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(pred, &mut out);
-    out
-}
-
-/// Decompose `col ⟨op⟩ literal` (either orientation) into its parts.
-pub(crate) fn simple_cmp(e: &Expr) -> Option<(ColId, CmpOp, &Value)> {
-    if let Expr::Cmp { op, left, right } = e {
-        match (left.as_ref(), right.as_ref()) {
-            (Expr::Col(c), Expr::Lit(v)) => return Some((*c, *op, v)),
-            (Expr::Lit(v), Expr::Col(c)) => {
-                let flip = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    o => *o,
-                };
-                return Some((*c, flip, v));
-            }
-            _ => {}
-        }
-    }
-    None
 }

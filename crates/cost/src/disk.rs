@@ -14,7 +14,7 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskTier {
     /// Fixed cycles per fault request (one extent read): syscall +
-    /// scheduler hand-off + device/page-cache latency. ~80 µs at 3 GHz.
+    /// device/page-cache latency. ~80 µs at 3 GHz.
     pub seek_cycles: f64,
     /// Cycles per sequentially transferred byte. ~2 GB/s effective NVMe
     /// read at 3 GHz ⇒ 1.5 cycles/byte.

@@ -16,7 +16,7 @@
 use crate::engine::{Accumulator, Engine, ExecError, Overlay, TableProvider};
 use crate::keys::GroupKey;
 use crate::result::QueryOutput;
-use pdsm_plan::expr::{CmpOp, Expr};
+use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::row::Row;
@@ -114,43 +114,6 @@ impl Engine for BulkEngine {
 // ---------------------------------------------------------------------------
 // selection primitives
 // ---------------------------------------------------------------------------
-
-/// Split a predicate into AND-ed conjuncts (evaluation order preserved).
-fn conjuncts(pred: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::And(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(pred, &mut out);
-    out
-}
-
-/// `(col, op, literal)` if the conjunct is a simple column/constant compare.
-fn simple_cmp(e: &Expr) -> Option<(ColId, CmpOp, &Value)> {
-    if let Expr::Cmp { op, left, right } = e {
-        match (left.as_ref(), right.as_ref()) {
-            (Expr::Col(c), Expr::Lit(v)) => return Some((*c, *op, v)),
-            (Expr::Lit(v), Expr::Col(c)) => {
-                let flipped = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    other => *other,
-                };
-                return Some((*c, flipped, v));
-            }
-            _ => {}
-        }
-    }
-    None
-}
 
 macro_rules! typed_select {
     ($reader:expr, $t:expr, $c:expr, $op:expr, $lit:expr, $cands:expr, $conv:expr) => {{

@@ -31,7 +31,7 @@ use crate::engine::{Engine, ExecError, Overlay, TableProvider};
 use crate::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
 use crate::result::QueryOutput;
 use crate::simd;
-use pdsm_plan::expr::{CmpOp, Expr};
+use pdsm_plan::expr::{conjuncts, CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
@@ -385,21 +385,6 @@ pub fn compile_pred<'t>(t: &'t Table, e: &Expr) -> PredKernel<'t> {
         width: t.schema().len(),
         t,
     }
-}
-
-pub fn conjuncts(pred: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        match e {
-            Expr::And(a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(pred, &mut out);
-    out
 }
 
 // ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@
 //! block, morsel or extent — never per row; the per-row loops below are
 //! monomorphic.
 
-use crate::compiled::{compile_pred, conjuncts, zone_preds, PredKernel};
+use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
     masked_tail_row, tail_row_passes, Accumulator, ExecError, Overlay, TableProvider,
 };
 use crate::keys::GroupKey;
 use crate::simd;
-use pdsm_plan::expr::{CmpOp, Expr};
+use pdsm_plan::expr::{conjuncts, CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{

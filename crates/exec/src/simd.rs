@@ -19,10 +19,10 @@
 //! byte-identical (the same reasoning `pdsm-par` applies to
 //! float-sensitive aggregates).
 //!
-//! The `PDSM_SIMD` knob selects the dispatch (`auto` | `scalar` |
-//! `forced`); global counters record engaged SIMD vs scalar chunks and
-//! scanned vs zone-pruned blocks so benches and CI can assert the fast
-//! path actually ran (surfaced as `Database::scan_stats()`).
+//! The `PDSM_SIMD` knob selects the dispatch (`auto` | `scalar`); global
+//! counters record engaged SIMD vs scalar chunks and scanned vs
+//! zone-pruned blocks so benches and CI can assert the fast path actually
+//! ran (surfaced as `Database::scan_stats()`).
 
 use pdsm_plan::expr::CmpOp;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -34,9 +34,6 @@ pub enum SimdMode {
     Auto,
     /// Chunked scalar only — the differential-testing baseline.
     Scalar,
-    /// Like `auto`, but panics if no SIMD instruction set is available:
-    /// pins benches/tests to the wide path instead of silently degrading.
-    Forced,
 }
 
 impl SimdMode {
@@ -44,7 +41,6 @@ impl SimdMode {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Some(SimdMode::Auto),
             "scalar" => Some(SimdMode::Scalar),
-            "forced" | "force" => Some(SimdMode::Forced),
             _ => None,
         }
     }
@@ -61,7 +57,6 @@ pub fn set_mode_override(mode: Option<SimdMode>) {
         None => 0,
         Some(SimdMode::Auto) => 1,
         Some(SimdMode::Scalar) => 2,
-        Some(SimdMode::Forced) => 3,
     };
     MODE_OVERRIDE.store(v, Ordering::Relaxed);
 }
@@ -72,7 +67,6 @@ pub fn mode() -> SimdMode {
     match MODE_OVERRIDE.load(Ordering::Relaxed) {
         1 => return SimdMode::Auto,
         2 => return SimdMode::Scalar,
-        3 => return SimdMode::Forced,
         _ => {}
     }
     std::env::var("PDSM_SIMD")
@@ -81,20 +75,11 @@ pub fn mode() -> SimdMode {
         .unwrap_or(SimdMode::Auto)
 }
 
-/// Is the wide path allowed (and, for `Forced`, available)?
+/// Is the wide path allowed and available?
 pub fn wide_enabled(mode: SimdMode) -> bool {
     match mode {
         SimdMode::Scalar => false,
         SimdMode::Auto => cfg!(target_arch = "x86_64"),
-        SimdMode::Forced => {
-            if !cfg!(target_arch = "x86_64") {
-                panic!(
-                    "PDSM_SIMD=forced but no SIMD instruction set is available \
-                     on this architecture"
-                );
-            }
-            true
-        }
     }
 }
 
@@ -700,7 +685,7 @@ mod tests {
     fn mode_parse_and_override() {
         assert_eq!(SimdMode::parse("auto"), Some(SimdMode::Auto));
         assert_eq!(SimdMode::parse("SCALAR"), Some(SimdMode::Scalar));
-        assert_eq!(SimdMode::parse("forced"), Some(SimdMode::Forced));
+        assert_eq!(SimdMode::parse("forced"), None);
         assert_eq!(SimdMode::parse("bogus"), None);
         set_mode_override(Some(SimdMode::Scalar));
         assert_eq!(mode(), SimdMode::Scalar);

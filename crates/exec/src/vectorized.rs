@@ -15,13 +15,13 @@
 //! queries). Joins and sorts return [`ExecError::Unsupported`]; the paper's
 //! comparisons involving those operators use the other three engines.
 
-use crate::compiled::{compile_pred, conjuncts, PredKernel};
+use crate::compiled::{compile_pred, PredKernel};
 use crate::engine::{
     masked_tail_row, tail_row_passes, Accumulator, Engine, ExecError, TableProvider,
 };
 use crate::keys::GroupKey;
 use crate::result::QueryOutput;
-use pdsm_plan::expr::Expr;
+use pdsm_plan::expr::{conjuncts, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::{ColId, Table, Value};
 use std::collections::HashMap;

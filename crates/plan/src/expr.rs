@@ -330,6 +330,45 @@ fn arith(op: ArithOp, l: &Value, r: &Value) -> Value {
     }
 }
 
+/// The AND-conjuncts of a predicate, in evaluation order — what scans
+/// compile to kernels one by one and what the planner prices per conjunct.
+pub fn conjuncts(pred: &Expr) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+        match e {
+            Expr::And(a, b) => {
+                walk(a, out);
+                walk(b, out);
+            }
+            other => out.push(other),
+        }
+    }
+    walk(pred, &mut out);
+    out
+}
+
+/// Decompose `col ⟨op⟩ literal` into `(col, op, literal)`. The literal may
+/// stand on either side; `op` is flipped so it always reads column-first.
+pub fn simple_cmp(e: &Expr) -> Option<(ColId, CmpOp, &Value)> {
+    if let Expr::Cmp { op, left, right } = e {
+        match (left.as_ref(), right.as_ref()) {
+            (Expr::Col(c), Expr::Lit(v)) => return Some((*c, *op, v)),
+            (Expr::Lit(v), Expr::Col(c)) => {
+                let flipped = match op {
+                    CmpOp::Lt => CmpOp::Gt,
+                    CmpOp::Le => CmpOp::Ge,
+                    CmpOp::Gt => CmpOp::Lt,
+                    CmpOp::Ge => CmpOp::Le,
+                    other => *other,
+                };
+                return Some((*c, flipped, v));
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Truthiness of a value used as a predicate result.
 trait Truthy {
     fn truthy(&self) -> bool;
@@ -413,6 +452,44 @@ mod tests {
         );
         assert_eq!(Expr::col(3).add(Expr::lit(1)).eval(&r), Value::Null);
         assert_eq!(Expr::col(0).div(Expr::lit(0)).eval(&r), Value::Null);
+    }
+
+    #[test]
+    fn conjuncts_split_ands_in_evaluation_order() {
+        let a = Expr::col(0).eq(Expr::lit(1));
+        let b = Expr::col(1).lt(Expr::lit(2));
+        let c = Expr::col(2).gt(Expr::lit(3)).or(Expr::col(3).is_null());
+        let pred = a.clone().and(b.clone()).and(c.clone());
+        assert_eq!(conjuncts(&pred), vec![&a, &b, &c]);
+        // nested on the right, and a lone non-AND predicate
+        let pred = a.clone().and(b.clone().and(c.clone()));
+        assert_eq!(conjuncts(&pred), vec![&a, &b, &c]);
+        assert_eq!(conjuncts(&c), vec![&c]);
+    }
+
+    #[test]
+    fn simple_cmp_reads_column_first_in_either_orientation() {
+        let seven = Value::Int32(7);
+        let e = Expr::col(4).le(Expr::lit(7));
+        assert_eq!(simple_cmp(&e), Some((4, CmpOp::Le, &seven)));
+        for (op, flipped) in [
+            (CmpOp::Lt, CmpOp::Gt),
+            (CmpOp::Le, CmpOp::Ge),
+            (CmpOp::Gt, CmpOp::Lt),
+            (CmpOp::Ge, CmpOp::Le),
+            (CmpOp::Eq, CmpOp::Eq),
+            (CmpOp::Ne, CmpOp::Ne),
+        ] {
+            let e = Expr::lit(7).cmp(op, Expr::col(4));
+            assert_eq!(simple_cmp(&e), Some((4, flipped, &seven)), "{op:?}");
+        }
+        // column-column, arithmetic and non-comparisons are not simple
+        assert_eq!(simple_cmp(&Expr::col(0).eq(Expr::col(1))), None);
+        assert_eq!(
+            simple_cmp(&Expr::col(0).add(Expr::lit(1)).eq(Expr::lit(2))),
+            None
+        );
+        assert_eq!(simple_cmp(&Expr::col(0).is_null()), None);
     }
 
     #[test]

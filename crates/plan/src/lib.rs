@@ -30,7 +30,7 @@ pub mod physical;
 pub mod selectivity;
 
 pub use builder::QueryBuilder;
-pub use expr::{ArithOp, CmpOp, Expr};
+pub use expr::{conjuncts, simple_cmp, ArithOp, CmpOp, Expr};
 pub use fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
 pub use logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
 pub use names::{render_agg, render_expr, sql_literal};

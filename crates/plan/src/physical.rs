@@ -2,7 +2,9 @@
 //!
 //! A [`PhysicalPlan`] is a [`LogicalPlan`] annotated with the decisions the
 //! cost-based planner made for it: which execution engine runs the query
-//! ([`EngineChoice`]), which access path feeds each pipeline
+//! ([`EngineChoice`] — the planner picks between `Compiled` and
+//! `Parallel`; the other variants name the forced-engine baselines),
+//! which access path feeds each pipeline
 //! ([`AccessPath`] — a full scan through the engine, or a main-store index
 //! probe unioned with a scan of the live delta tail), and what the
 //! prefetch-aware cost model (`pdsm_cost::estimate`) predicted for the
@@ -70,6 +72,16 @@ impl AccessPath {
     /// True for the index-probe variants.
     pub fn is_indexed(&self) -> bool {
         !matches!(self, AccessPath::FullScan)
+    }
+
+    /// The probed column; `None` for a full scan.
+    pub fn column(&self) -> Option<ColId> {
+        match self {
+            AccessPath::FullScan => None,
+            AccessPath::IndexPoint { column, .. } | AccessPath::IndexRange { column, .. } => {
+                Some(*column)
+            }
+        }
     }
 
     /// Short label for `explain()` output.
@@ -164,8 +176,8 @@ pub struct PhysicalPlan {
     /// Predicted cost of the chosen (engine, access path) combination.
     pub cost: CostSummary,
     /// Every alternative the planner priced, as `(label, total cycles)`,
-    /// sorted cheapest first. Labels are `"scan/<engine>"` and `"index"`;
-    /// the first entry is the chosen one.
+    /// sorted cheapest first. Labels are `"scan/compiled"`,
+    /// `"scan/parallel"` and `"index"`; the first entry is the chosen one.
     pub alternatives: Vec<(String, f64)>,
     /// Estimated result cardinality.
     pub est_out_rows: f64,
@@ -320,7 +332,7 @@ mod tests {
             alternatives: vec![
                 ("index".to_string(), 1000.0),
                 ("scan/compiled".to_string(), 5000.0),
-                ("scan/volcano".to_string(), 90000.0),
+                ("scan/parallel".to_string(), 90000.0),
             ],
             est_out_rows: 2.0,
             cache_admit: false,
@@ -336,7 +348,7 @@ mod tests {
         assert!(e.contains("index probe col 0 = 7"), "{e}");
         assert!(e.contains("(+3 delta)"), "{e}");
         assert!(e.contains("cost: 1000 cycles (mem 900 + cpu 100)"), "{e}");
-        assert!(e.contains("scan/volcano=90000"), "{e}");
+        assert!(e.contains("scan/parallel=90000"), "{e}");
     }
 
     #[test]

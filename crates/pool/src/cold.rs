@@ -9,6 +9,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use pdsm_storage::persist::{self, ExtentData, TableHeader};
 use pdsm_storage::{Error, Result, Row, Table, ZonePred};
@@ -23,6 +24,17 @@ pub struct ColdTable {
 
 fn io_err(e: io::Error) -> Error {
     Error::Io(format!("cold table read: {e}"))
+}
+
+/// One extent fault: exactly `len` bytes at `offset`, on the faulting
+/// thread (it would block on the read either way), with the wall-clock
+/// latency in nanoseconds the query observed. A short read — a directory
+/// entry reaching past EOF — is an error, never a partial payload.
+fn read_timed(file: &File, offset: u64, len: usize) -> io::Result<(Vec<u8>, u64)> {
+    let started = Instant::now();
+    let mut buf = vec![0u8; len];
+    file.read_exact_at(&mut buf, offset)?;
+    Ok((buf, started.elapsed().as_nanos() as u64))
 }
 
 impl ColdTable {
@@ -135,8 +147,8 @@ impl ColdTable {
                 let header = Arc::clone(&self.header);
                 let file = Arc::clone(&self.file);
                 self.pool
-                    .pin(&key, move |sched| {
-                        let (bytes, ns) = sched.read(&file, off, plen as usize)?;
+                    .pin(&key, move || {
+                        let (bytes, ns) = read_timed(&file, off, plen as usize)?;
                         let data =
                             persist::decode_extent(&header, e, g, &bytes).map_err(|err| {
                                 io::Error::new(io::ErrorKind::InvalidData, err.to_string())
@@ -207,5 +219,26 @@ impl std::fmt::Debug for ColdTable {
             .field("len", &self.header.len)
             .field("extents", &self.n_extents())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    #[test]
+    fn reads_land_byte_exact() {
+        let dir = std::env::temp_dir().join(format!("pdsm-cold-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("blob");
+        let mut f = File::create(&path).unwrap();
+        f.write_all(&(0..=255u8).collect::<Vec<_>>()).unwrap();
+        f.sync_all().unwrap();
+        let f = File::open(&path).unwrap();
+        let (bytes, _ns) = read_timed(&f, 10, 5).unwrap();
+        assert_eq!(bytes, vec![10, 11, 12, 13, 14]);
+        assert!(read_timed(&f, 250, 10).is_err()); // past EOF
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Partition-granular buffer pool over the v3 extent checkpoints written
 //! by `pdsm-store`/`pdsm-txn` — the "larger than memory" layer. The
-//! decomposition is the classical one (frame table + replacer + disk
-//! scheduler): a [`BufferPool`] with a `PDSM_POOL_BYTES` budget hands out
-//! pinned frames holding decoded `(extent, layout group)` payloads, an
-//! LRU-K replacer picks eviction victims among unpinned frames, and a
-//! single scheduler thread drains the fault queue.
+//! decomposition is the classical one (frame table + replacer): a
+//! [`BufferPool`] with a `PDSM_POOL_BYTES` budget hands out pinned frames
+//! holding decoded `(extent, layout group)` payloads, an LRU-K replacer
+//! picks eviction victims among unpinned frames, and the faulting thread
+//! reads its extent itself (`Loading` slots keep two scans from faulting
+//! the same frame twice).
 //!
 //! [`ColdTable`] is the integration point: a checkpoint opened header-only
 //! whose extents fault in on first touch. `pdsm-txn` mounts one as the
@@ -18,9 +19,7 @@
 pub mod cold;
 pub mod lru_k;
 pub mod pool;
-pub mod scheduler;
 
 pub use cold::ColdTable;
 pub use lru_k::LruKReplacer;
 pub use pool::{BufferPool, FrameKey, PinnedFrame, PoolStats};
-pub use scheduler::DiskScheduler;

@@ -15,7 +15,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use pdsm_storage::persist::ExtentData;
 
 use crate::lru_k::LruKReplacer;
-use crate::scheduler::DiskScheduler;
 
 /// Identity of one pool frame: a single layout group of a single extent of
 /// a generation-stamped checkpoint. Generations are immutable, so a frame
@@ -83,7 +82,6 @@ pub struct BufferPool {
     budget: usize,
     inner: Mutex<Inner>,
     cond: Condvar,
-    sched: DiskScheduler,
 }
 
 impl BufferPool {
@@ -98,7 +96,6 @@ impl BufferPool {
                 stats: Counters::default(),
             }),
             cond: Condvar::new(),
-            sched: DiskScheduler::new(),
         })
     }
 
@@ -117,18 +114,15 @@ impl BufferPool {
         self.budget
     }
 
-    /// The shared read thread — cold tables route their faults through it.
-    pub fn scheduler(&self) -> &DiskScheduler {
-        &self.sched
-    }
-
     /// Pin the frame for `key`, faulting it in via `load` on a miss.
-    /// `load` runs without the pool lock held and returns the decoded
-    /// payload plus the observed fault latency in nanoseconds.
+    /// `load` runs on the calling thread without the pool lock held (the
+    /// `Loading` slot makes concurrent pins of the same key wait instead of
+    /// faulting twice) and returns the decoded payload plus the observed
+    /// fault latency in nanoseconds.
     pub fn pin(
         self: &Arc<Self>,
         key: &FrameKey,
-        load: impl FnOnce(&DiskScheduler) -> io::Result<(ExtentData, u64)>,
+        load: impl FnOnce() -> io::Result<(ExtentData, u64)>,
     ) -> io::Result<PinnedFrame> {
         let mut g = self.inner.lock().unwrap();
         loop {
@@ -152,7 +146,7 @@ impl BufferPool {
         g.frames.insert(key.clone(), Slot::Loading);
         g.stats.misses += 1;
         drop(g);
-        let loaded = load(&self.sched);
+        let loaded = load();
         let mut g = self.inner.lock().unwrap();
         match loaded {
             Err(e) => {
@@ -366,7 +360,7 @@ mod tests {
     fn eviction_keeps_resident_within_budget_once_unpinned() {
         let pool = BufferPool::new(250);
         for e in 0..5 {
-            let f = pool.pin(&key(e), |_| Ok((payload(100), 5))).unwrap();
+            let f = pool.pin(&key(e), || Ok((payload(100), 5))).unwrap();
             drop(f);
         }
         let s = pool.stats();
@@ -387,8 +381,8 @@ mod tests {
     #[test]
     fn pinned_frames_overcommit_instead_of_deadlocking() {
         let pool = BufferPool::new(150);
-        let a = pool.pin(&key(0), |_| Ok((payload(100), 0))).unwrap();
-        let b = pool.pin(&key(1), |_| Ok((payload(100), 0))).unwrap();
+        let a = pool.pin(&key(0), || Ok((payload(100), 0))).unwrap();
+        let b = pool.pin(&key(1), || Ok((payload(100), 0))).unwrap();
         let s = pool.stats();
         assert_eq!(s.resident_bytes, 200); // over budget, both pinned
         assert!(s.overcommits >= 1);
@@ -400,10 +394,10 @@ mod tests {
     #[test]
     fn repinning_is_a_hit_and_returns_the_same_payload() {
         let pool = BufferPool::new(1 << 20);
-        let a = pool.pin(&key(3), |_| Ok((payload(64), 0))).unwrap();
+        let a = pool.pin(&key(3), || Ok((payload(64), 0))).unwrap();
         let p1 = Arc::as_ptr(a.data());
         drop(a);
-        let b = pool.pin(&key(3), |_| panic!("must not refault")).unwrap();
+        let b = pool.pin(&key(3), || panic!("must not refault")).unwrap();
         assert_eq!(Arc::as_ptr(b.data()), p1);
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
@@ -412,8 +406,8 @@ mod tests {
     #[test]
     fn retire_drops_a_generation() {
         let pool = BufferPool::new(1 << 20);
-        drop(pool.pin(&key(0), |_| Ok((payload(10), 0))).unwrap());
-        drop(pool.pin(&key(1), |_| Ok((payload(10), 0))).unwrap());
+        drop(pool.pin(&key(0), || Ok((payload(10), 0))).unwrap());
+        drop(pool.pin(&key(1), || Ok((payload(10), 0))).unwrap());
         assert_eq!(pool.resident_frames("t", 1), 2);
         pool.retire("t", 1);
         assert_eq!(pool.resident_frames("t", 1), 0);
@@ -423,10 +417,10 @@ mod tests {
     #[test]
     fn failed_fault_clears_the_loading_slot() {
         let pool = BufferPool::new(1 << 20);
-        let err = pool.pin(&key(9), |_| Err(io::Error::other("boom")));
+        let err = pool.pin(&key(9), || Err(io::Error::other("boom")));
         assert!(err.is_err());
         // A retry faults cleanly instead of waiting forever on Loading.
-        let ok = pool.pin(&key(9), |_| Ok((payload(8), 0))).unwrap();
+        let ok = pool.pin(&key(9), || Ok((payload(8), 0))).unwrap();
         assert_eq!(ok.data().arena.len(), 8);
     }
 

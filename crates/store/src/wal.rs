@@ -278,23 +278,9 @@ impl Drop for Wal {
 /// How long the flusher waits after the first append of a group before
 /// fsyncing, so racing writers coalesce into one sync. This is also the
 /// power-loss exposure window in Batch mode (a process crash still loses
-/// nothing — appends hit the file before returning). Overridable via
-/// `PDSM_FSYNC_WINDOW_MS` (cf. PostgreSQL's `commit_delay`): on a slow
-/// or busy disk a wider window trades staleness-under-power-loss for
-/// less fsync interference with the append path.
-const COALESCE_WINDOW_MS: u64 = 20;
-
-fn coalesce_window() -> Duration {
-    use std::sync::OnceLock;
-    static WINDOW: OnceLock<Duration> = OnceLock::new();
-    *WINDOW.get_or_init(|| {
-        let ms = std::env::var("PDSM_FSYNC_WINDOW_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(COALESCE_WINDOW_MS);
-        Duration::from_millis(ms)
-    })
-}
+/// nothing — appends hit the file before returning); cf. PostgreSQL's
+/// `commit_delay`.
+const COALESCE_WINDOW: Duration = Duration::from_millis(20);
 
 /// Group-commit loop: wait for appends, give concurrent writers a short
 /// coalesce window, then fsync once for the whole group — through a
@@ -314,7 +300,7 @@ fn flusher_loop(shared: &WalShared) {
             // bounds power-loss exposure AND the fsync rate — on a machine
             // where fdatasync costs ~250µs, a too-eager flusher would eat
             // a whole core (and the write path's tail latency) in syncs.
-            std::thread::sleep(coalesce_window());
+            std::thread::sleep(COALESCE_WINDOW);
             let mut g = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             let group = g.pending;
             let up_to = g.len;

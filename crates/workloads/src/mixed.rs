@@ -3,7 +3,7 @@
 //! The paper's benchmarks are read-only except SAP-SD Q6 (the insert
 //! query); this module generates *interleaved* read/write op streams so the
 //! delta-store trade-off — bigger delta ⇒ cheaper writes amortized, slower
-//! scans — can be measured (`fig_update_mix`) and tested.
+//! scans — can be tested against a model, operation by operation.
 //!
 //! A [`MixedWorkload`] is a deterministic spec: read ops name a plan from
 //! `plans`, write ops carry rows or row *hints*. Hints are resolved by the

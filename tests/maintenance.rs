@@ -389,10 +389,7 @@ fn long_lived_db_snapshot_pins_one_version() {
 
 #[test]
 fn env_config_parses_modes_and_threshold() {
-    if std::env::var("PDSM_MERGE").is_err()
-        && std::env::var("PDSM_MERGE_THRESHOLD").is_err()
-        && std::env::var("PDSM_MERGE_MAX_LAG").is_err()
-    {
+    if std::env::var("PDSM_MERGE").is_err() && std::env::var("PDSM_MERGE_THRESHOLD").is_err() {
         let cfg = MaintenanceConfig::from_env();
         assert_eq!(cfg.mode, MaintenanceMode::Background);
         assert_eq!(cfg.merge_threshold, 65_536);

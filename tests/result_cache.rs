@@ -206,7 +206,7 @@ fn snapshots_never_see_post_dml_cached_results() {
     let _ = db.execute(&plan).unwrap(); // cached hit on the new answer
     assert_ne!(original.rows, updated.rows);
     // the pre-DML snapshot still answers from its pinned cut
-    let snap_out = pinned.execute(&plan).unwrap();
+    let snap_out = pinned.run(&plan, EngineKind::Compiled).unwrap();
     assert_eq!(
         snap_out.rows, original.rows,
         "snapshot read a cached future"

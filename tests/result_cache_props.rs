@@ -205,7 +205,7 @@ proptest! {
         }
         // The snapshot still answers every pool query from its cut.
         for ((q, ordered), want) in queries.iter().zip(&expected) {
-            let got = pinned.execute(q).unwrap();
+            let got = pinned.run(q, EngineKind::Compiled).unwrap();
             if *ordered {
                 prop_assert_eq!(&got.rows, &want.rows, "snapshot drifted");
             } else {

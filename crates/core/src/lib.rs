@@ -45,6 +45,7 @@ pub mod planner;
 pub mod query;
 pub mod result_cache;
 pub mod streaming;
+pub mod write;
 
 pub use advisor::{AdvisorReport, LayoutAdvisor};
 pub use database::{Database, DbError, DurabilityConfig, EngineKind, IndexKind, StorageStats};

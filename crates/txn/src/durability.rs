@@ -388,6 +388,8 @@ impl TableDurability {
     /// be renamed into a committed name — and the checkpoint falls back
     /// to inline serialization.
     pub fn pre_persist(&self, table: &Table, generation: u64, epoch: u64) -> Result<()> {
+        // The previous checkpoint's deletion pass would scrub this blob.
+        self.wait_cleanup();
         let path = pre_persist_path(&self.dir, epoch);
         let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
         let res = (|| -> std::io::Result<()> {
@@ -424,6 +426,10 @@ impl TableDurability {
         tail: &[Row],
         tail_alive: &[bool],
     ) -> Result<()> {
+        // The previous checkpoint's deletion pass scrubs temp files and
+        // every generation but its own: it must be done before this
+        // generation's files start to appear.
+        self.wait_cleanup();
         // (1) main.<G>.tbl — rename the pre-persisted build if the
         // background path left one (already fsynced), else serialize now.
         let dest = main_path(&self.dir, generation);
@@ -490,14 +496,9 @@ impl TableDurability {
         // (5) previous generations are now unreachable: the old main blob
         // and every fully-checkpointed WAL segment die on a background
         // thread, off the merge-swap critical path.
-        {
-            let dir = self.dir.clone();
-            let mut cleaner = self.cleaner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(h) = cleaner.take() {
-                let _ = h.join();
-            }
-            *cleaner = Some(std::thread::spawn(move || cleanup(&dir, generation)));
-        }
+        let dir = self.dir.clone();
+        *self.cleaner.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some(std::thread::spawn(move || cleanup(&dir, generation)));
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -853,6 +854,25 @@ mod tests {
         assert!(main_path(&tdir, 1).exists());
         assert!(!main_path(&tdir, 0).exists(), "gen 0 blob scrubbed");
         assert!(!wal_path(&tdir, 0).exists(), "gen 0 wal scrubbed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Back-to-back checkpoints: the deletion pass of one must never scrub
+    /// the temp file — or the committed generation — of the next.
+    #[test]
+    fn consecutive_checkpoints_do_not_race_the_cleaner() {
+        let dir = tmpdir("ckpt-race");
+        let (mut t, manifest) = durable_table(&dir, "t");
+        for i in 0..200 {
+            t.insert(&[Value::Int32(i), Value::Str("x".into()), Value::Null])
+                .unwrap();
+            t.merge().unwrap();
+            t.merge().unwrap();
+        }
+        assert_eq!(manifest.get("t"), Some(400));
+        let before = all_rows(&t);
+        drop(t);
+        assert_eq!(all_rows(&reopen(&dir, "t")), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

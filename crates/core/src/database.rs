@@ -1,5 +1,6 @@
-//! The database catalog: versioned tables, indexes, engines and DML —
-//! behind a **shared handle**: every entry point takes `&self`.
+//! The database catalog: versioned tables, their secondary indexes, open /
+//! recovery and statistics — behind a **shared handle**: every entry point
+//! takes `&self`.
 //!
 //! Every table lives as a [`pdsm_txn::SharedTable`]: an immutable
 //! read-optimized main store plus an append-only delta with tombstones,
@@ -13,30 +14,28 @@
 //!   pinned under a short read lock, entirely lock-free afterwards.
 //!
 //! `Database` is `Send + Sync`; the multi-threaded entry point is
-//! `Arc<Database>` (clone the `Arc` per thread). DML
-//! ([`Database::insert`] / [`Database::update`] / [`Database::delete`])
-//! appends to the written table's delta; queries see main ∪ delta −
-//! tombstones through the engines' [`pdsm_exec::Overlay`] support;
-//! [`Database::merge`] (or [`Database::relayout`], which is a merge under
-//! a new layout) folds the delta into a fresh main store and refreshes
-//! secondary indexes. Background maintenance (see [`crate::maintenance`])
-//! begins merges on the write path but builds *and applies* them on a
-//! worker thread.
+//! `Arc<Database>` (clone the `Arc` per thread). `Database` is one type
+//! in three `impl` blocks:
 //!
-//! The query half of `Database` — [`Database::execute`], the plan and
-//! result caches, engine dispatch, the index probe, [`Database::run`] —
-//! lives in [`crate::query`]; DML, the maintenance step and explicit
-//! merges live in [`crate::write`]; this module is the catalog,
-//! open/recovery, indexes and statistics.
+//! * this module — the catalog (create / register / look up), opening a
+//!   data directory and recovering its tables (one
+//!   [`TableDurability::recover`] per manifest entry, cold when a buffer
+//!   pool is configured), index creation and the post-merge rebuild
+//!   (`TableEntry::reindex`), and every `*_stats` accessor;
+//! * [`crate::write`] — row and predicate DML, the insert-path
+//!   maintenance step, [`Database::merge`] / [`Database::relayout`] /
+//!   [`Database::checkpoint_all`];
+//! * [`crate::query`] — [`Database::execute`], the plan and result caches,
+//!   engine dispatch, the index probe, [`Database::run`].
 //!
 //! ## Migration notes (from the single-writer `&mut self` API)
 //!
 //! * `versioned(name) -> &VersionedTable` and `get_table_mut(name)` are
 //!   gone — borrows can no longer escape the catalog lock. Use
 //!   [`Database::with_table`] / [`Database::with_table_write`] (closure
-//!   under the table's own lock), [`Database::shared`] (owned handle),
-//!   [`Database::table_snapshot`] (pinned version), or
-//!   [`Database::edit_main`] (bulk loading).
+//!   under the table's own lock), [`Database::shared`] (owned handle) or
+//!   [`Database::table_snapshot`] (pinned version); to bulk load, build a
+//!   [`Table`] and [`Database::register`] it.
 //! * `get_table(name)` now returns an owned `Arc<Table>` of the main
 //!   store instead of `&Table`.
 //! * `maintenance_config_mut()` is replaced by
@@ -60,9 +59,8 @@ use pdsm_par::ParallelEngine;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::EngineChoice;
 use pdsm_pool::{BufferPool, PoolStats};
-use pdsm_storage::{ColId, DataType, Layout, Schema, Table, Value};
+use pdsm_storage::{ColId, DataType, Layout, Schema, Table};
 use pdsm_store::{FsyncMode, Manifest};
-use pdsm_txn::durability::replay;
 use pdsm_txn::{MergeStats, SharedTable, Snapshot, TableDurability, VersionStats, VersionedTable};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -501,52 +499,23 @@ impl Database {
             manifest: Arc::clone(&manifest),
         });
         db.pool = pool;
-        let d = db.durability.as_ref().expect("just set");
         // Recover every manifest table: newest committed main + WAL tail
         // replayed through the normal DML path (so engines, overlays and
         // row ids come out exactly as they were at the last durable op).
         // With a buffer pool configured the main store stays *cold* —
         // header only, extents fault in on demand — because WAL replay
         // never reads main-store row data.
-        let recover_resident = |name: &str, generation: u64| -> Result<VersionedTable, DbError> {
-            let rec = TableDurability::recover(
+        let d = db.durability.as_ref().expect("just set");
+        for (name, generation) in manifest.tables() {
+            let vt = TableDurability::recover(
                 &d.config.data_dir,
-                name,
+                &name,
                 generation,
                 Arc::clone(&manifest),
                 d.config.fsync,
+                db.pool.clone(),
             )?;
-            let mut vt = VersionedTable::from_recovered(rec.table, generation);
-            replay(&mut vt, &rec.ops)?;
-            vt.set_durability(Arc::new(rec.durability));
-            Ok(vt)
-        };
-        let mut recovered = Vec::new();
-        for (name, generation) in manifest.tables() {
-            let vt = match &db.pool {
-                Some(pool) => {
-                    let rec = TableDurability::recover_cold(
-                        &d.config.data_dir,
-                        &name,
-                        generation,
-                        Arc::clone(&manifest),
-                        d.config.fsync,
-                        Arc::clone(pool),
-                    )?;
-                    let mut vt = VersionedTable::from_cold(rec.cold, generation);
-                    replay(&mut vt, &rec.ops)?;
-                    vt.set_durability(Arc::new(rec.durability));
-                    vt
-                }
-                None => recover_resident(&name, generation)?,
-            };
-            recovered.push((name, TableEntry::new(vt)));
-        }
-        {
-            let mut catalog = db.write_catalog();
-            for (name, entry) in recovered {
-                catalog.insert(name, entry);
-            }
+            db.write_catalog().insert(name, TableEntry::new(vt));
         }
         db.bump_epoch();
         Ok(db)
@@ -569,15 +538,12 @@ impl Database {
     /// create/register race can never double-create one table's files.
     fn make_durable(&self, vt: &mut VersionedTable) -> Result<(), DbError> {
         if let Some(d) = &self.durability {
-            let td = TableDurability::create(
+            TableDurability::create(
                 &d.config.data_dir,
-                vt.main().name(),
                 Arc::clone(&d.manifest),
                 d.config.fsync,
-                vt.main(),
-                vt.generation(),
+                vt,
             )?;
-            vt.set_durability(Arc::new(td));
         }
         Ok(())
     }
@@ -712,27 +678,6 @@ impl Database {
         Ok(self.entry(name)?.table.main_arc())
     }
 
-    /// Edit the main store in place (bulk loading), under the table's
-    /// write lock. A pending delta is merged first (rebuilding indexes),
-    /// since delta row addressing is relative to the main store. Replaces
-    /// the old `get_table_mut` accessor. Note that direct main-store edits
-    /// are not reflected in existing indexes or snapshots.
-    pub fn edit_main<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> R) -> Result<R, DbError> {
-        let entry = self.entry(name)?;
-        if entry.table.has_delta() {
-            self.merge(name)?;
-        }
-        // Re-persist the edited main store blob (the WAL describes delta
-        // ops only; a just-merged table's WAL is empty, so the blob swap
-        // alone keeps the durable state consistent).
-        let r = entry.table.with_write(|vt| {
-            let r = vt.main_mut().map(f)?;
-            vt.persist_main()?;
-            Ok::<_, pdsm_storage::Error>(r)
-        })?;
-        Ok(r)
-    }
-
     /// Table names in the catalog, sorted.
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.read_catalog().keys().cloned().collect();
@@ -848,9 +793,7 @@ impl Database {
     /// index lock.
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> Result<(), DbError> {
         let entry = self.entry(table)?;
-        if entry.table.has_delta() {
-            self.merge(table)?;
-        }
+        entry.merge_if(None, 1)?;
         let (main, generation) = entry.table.with_read(|vt| (vt.main_arc(), vt.generation()));
         let col = main.schema().col_id(column)?;
         let ty = main.schema().columns()[col].ty;
@@ -880,7 +823,7 @@ impl Database {
         // the next merge's rebuild.
         let (main2, gen2) = entry.table.with_read(|vt| (vt.main_arc(), vt.generation()));
         if gen2 != generation {
-            rebuild_index_set(&entry.indexes, &main2, gen2);
+            entry.reindex(&main2, gen2);
         }
         self.bump_epoch();
         Ok(())
@@ -978,65 +921,75 @@ impl Database {
     }
 }
 
-/// Re-derive every index of a table from a freshly merged main store.
-/// Called after the swap (sync path: the merging thread; background path:
-/// the maintenance worker), never under the table lock — the main store is
-/// immutable, and the per-index generation tag keeps racing rebuilds
-/// monotonic: an older build never overwrites a newer one, and columns
-/// dropped meanwhile stay dropped.
-pub(crate) fn rebuild_index_set(indexes: &RwLock<IndexSet>, main: &Table, generation: u64) {
-    let cols: Vec<(ColId, IndexKind)> = {
-        let set = indexes.read().unwrap_or_else(|e| e.into_inner());
-        set.by_col
-            .iter()
-            .filter(|(_, e)| e.generation < generation)
-            .map(|(c, e)| (*c, e.kind))
-            .collect()
-    };
-    if cols.is_empty() {
-        return;
-    }
-    let rebuilt: Vec<(ColId, IndexKind, Arc<Index>)> = cols
-        .into_iter()
-        .map(|(c, k)| (c, k, Arc::new(build_index(main, c, k))))
-        .collect();
-    let mut set = indexes.write().unwrap_or_else(|e| e.into_inner());
-    for (col, kind, index) in rebuilt {
-        if let Some(e) = set.by_col.get_mut(&col) {
-            if e.generation < generation {
-                *e = IndexEntry {
-                    generation,
-                    kind,
-                    index,
-                };
+impl TableEntry {
+    /// Re-derive every stale index of this table from a freshly merged main
+    /// store. Called after the swap (sync path: the merging thread;
+    /// background path: the maintenance worker), never under the table lock
+    /// — the main store is immutable, and the per-index generation tag
+    /// keeps racing rebuilds monotonic: an older build never overwrites a
+    /// newer one, and columns dropped meanwhile stay dropped.
+    pub(crate) fn reindex(&self, main: &Table, generation: u64) {
+        let cols: Vec<(ColId, IndexKind)> = {
+            let set = self.indexes.read().unwrap_or_else(|e| e.into_inner());
+            set.by_col
+                .iter()
+                .filter(|(_, e)| e.generation < generation)
+                .map(|(c, e)| (*c, e.kind))
+                .collect()
+        };
+        if cols.is_empty() {
+            return;
+        }
+        let rebuilt: Vec<(ColId, IndexKind, Arc<Index>)> = cols
+            .into_iter()
+            .map(|(c, k)| (c, k, Arc::new(build_index(main, c, k))))
+            .collect();
+        let mut set = self.indexes.write().unwrap_or_else(|e| e.into_inner());
+        for (col, kind, index) in rebuilt {
+            if let Some(e) = set.by_col.get_mut(&col) {
+                if e.generation < generation {
+                    *e = IndexEntry {
+                        generation,
+                        kind,
+                        index,
+                    };
+                }
             }
         }
     }
 }
 
-/// Build one secondary index over a main store.
+/// Build one secondary index over a main store. Keys are read in place
+/// through the column's typed reader: integers by value, strings by their
+/// stored dictionary code. NULLs are not indexed.
 fn build_index(t: &Table, col: ColId, kind: IndexKind) -> Index {
     let mut idx = match kind {
         IndexKind::Hash => Index::Hash(HashIndex::with_capacity(t.len())),
         IndexKind::RBTree => Index::RBTree(RBTree::new()),
     };
-    for row in 0..t.len() {
-        if let Some(key) = index_key(t, row, col) {
-            idx.insert(key, row as u32);
+    let def = &t.schema().columns()[col];
+    let mut fill = |key: &dyn Fn(usize) -> i64| {
+        for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
+            idx.insert(key(row), row as u32);
         }
+    };
+    match def.ty {
+        DataType::Int32 => {
+            let r = t.i32_reader(col);
+            fill(&|row| r.get(row) as i64)
+        }
+        DataType::Int64 => {
+            let r = t.i64_reader(col);
+            fill(&|row| r.get(row))
+        }
+        DataType::Str => {
+            let r = t.str_code_reader(col);
+            fill(&|row| r.get(row) as i64)
+        }
+        // Not indexable: `create_index` rejects float columns.
+        DataType::Float64 => {}
     }
     idx
-}
-
-/// Index key of `table[row][col]`: integers by value, strings by dictionary
-/// code. NULLs are not indexed.
-fn index_key(t: &Table, row: usize, col: ColId) -> Option<i64> {
-    match t.get(row, col).ok()? {
-        Value::Int32(v) => Some(v as i64),
-        Value::Int64(v) => Some(v),
-        Value::Str(s) => t.dict(col).and_then(|d| d.code_of(&s)).map(|c| c as i64),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1045,7 +998,7 @@ pub(crate) mod tests {
     use crate::maintenance::MaintenanceMode;
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_plan::expr::Expr;
-    use pdsm_storage::ColumnDef;
+    use pdsm_storage::{ColumnDef, Value};
 
     pub(crate) fn demo_db() -> Database {
         let db = Database::new();
@@ -1148,6 +1101,46 @@ pub(crate) mod tests {
             .run_indexed(&missing, EngineKind::Volcano)
             .unwrap()
             .is_empty());
+
+        // A nullable string column: NULLs carry no key, every other row is
+        // keyed by its stored code — at the first build and again when a
+        // merge (fresh dictionary, renumbered rows) rebuilds the index.
+        db.create_table(
+            "notes",
+            Schema::new(vec![
+                ColumnDef::new("id", DataType::Int32),
+                ColumnDef::nullable("tag", DataType::Str),
+            ]),
+        )
+        .unwrap();
+        let tag = |i: i32| match i % 4 {
+            0 => Value::Null,
+            k => Value::Str(format!("tag-{k}")),
+        };
+        for i in 0..200 {
+            db.insert("notes", &[Value::Int32(i), tag(i)]).unwrap();
+        }
+        db.create_index("notes", "tag", IndexKind::Hash).unwrap();
+        let probes = ["tag-1", "tag-2", "tag-3", "tag-new", "tag-none"];
+        let check = |expect: [usize; 5]| {
+            for (key, n) in probes.iter().zip(expect) {
+                let plan = QueryBuilder::scan("notes")
+                    .filter(Expr::col(1).eq(Expr::lit(*key)))
+                    .build();
+                let indexed = db.run_indexed(&plan, EngineKind::Compiled).unwrap();
+                indexed.assert_same(&db.run(&plan, EngineKind::Compiled).unwrap(), key);
+                assert_eq!(indexed.len(), n, "{key}");
+            }
+        };
+        check([50, 50, 50, 0, 0]);
+        db.delete_where("notes", Some(&Expr::col(1).eq(Expr::lit("tag-2"))))
+            .unwrap();
+        db.insert("notes", &[Value::Int32(900), Value::from("tag-new")])
+            .unwrap();
+        db.insert("notes", &[Value::Int32(901), Value::Null])
+            .unwrap();
+        db.merge("notes").unwrap();
+        check([50, 0, 50, 1, 0]);
     }
 
     #[test]
@@ -1281,7 +1274,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn registered_table_is_durable_and_edit_main_persists() {
+    fn registered_table_is_durable() {
         let dir = durable_tmpdir("register");
         {
             let db = open_off(&dir);
@@ -1293,14 +1286,9 @@ pub(crate) mod tests {
                 t.insert(&[Value::Int32(i)]).unwrap();
             }
             db.register(t);
-            db.edit_main("orders", |main| {
-                main.insert(&[Value::Int32(99)]).map(|_| ())
-            })
-            .unwrap()
-            .unwrap();
         }
         let db = open_off(&dir);
-        assert_eq!(count_orders(&db), 11);
+        assert_eq!(count_orders(&db), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

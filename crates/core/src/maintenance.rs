@@ -18,7 +18,7 @@
 //! * the worker folds the cut into a fresh main store — consulting the
 //!   layout advisor on the observed workload first, so drifted tables
 //!   merge straight into an advised layout — then **applies the swap
-//!   itself** via [`pdsm_txn::SharedTable::finish_merge_then`] (replay
+//!   itself** via [`pdsm_txn::SharedTable::complete_merge`] (replay
 //!   post-cut ops + swap, O(ops since cut), short write lock) and rebuilds
 //!   the table's secondary indexes from the fresh main store. Catch-up no
 //!   longer rides the write path: writers never apply someone else's
@@ -52,13 +52,13 @@
 //! 65536). All knobs are read once, when the [`MaintenanceConfig`] is
 //! built from the environment (i.e. at `Database::new`).
 
-use crate::database::IndexSet;
+use crate::database::TableEntry;
 use pdsm_cost::Hierarchy;
 use pdsm_layout::bpi::{optimize_table, OptimizerConfig};
 use pdsm_layout::workload::Workload;
 use pdsm_plan::patterns::TableView;
 use pdsm_storage::Layout;
-use pdsm_txn::{MergeStats, MergeTicket, SharedTable};
+use pdsm_txn::{MergeStats, MergeTicket};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -169,17 +169,14 @@ pub(crate) struct TablePolicy {
     pub advise_on_merge: bool,
 }
 
-/// A build order for the worker: the pinned cut, the table and index
-/// handles to apply the finished build to, the layout to fold into unless
-/// the advisor overrides it, and the advisor's inputs.
+/// A build order for the worker: the pinned cut, the catalog entry to
+/// apply the finished build to (the worker finishes the merge through its
+/// table handle and rebuilds its index set from the fresh main), and the
+/// advisor's inputs.
 pub(crate) struct BuildJob {
     pub table: String,
-    /// Cloned shared handle — the worker finishes the merge through it.
-    pub handle: SharedTable,
-    /// The table's index set — rebuilt from the fresh main after the swap.
-    pub indexes: Arc<RwLock<IndexSet>>,
+    pub entry: TableEntry,
     pub ticket: MergeTicket,
-    pub layout: Layout,
     pub advise: Option<AdviseInputs>,
 }
 
@@ -235,12 +232,6 @@ pub struct MaintenanceScheduler {
     shared: Arc<SchedShared>,
 }
 
-impl Default for MaintenanceScheduler {
-    fn default() -> Self {
-        Self::new(MaintenanceConfig::default())
-    }
-}
-
 impl MaintenanceScheduler {
     pub fn new(cfg: MaintenanceConfig) -> Self {
         MaintenanceScheduler {
@@ -256,12 +247,6 @@ impl MaintenanceScheduler {
                 done: Condvar::new(),
             }),
         }
-    }
-
-    /// Scheduler built from the process environment (`PDSM_MERGE`,
-    /// `PDSM_MERGE_THRESHOLD`).
-    pub fn from_env() -> Self {
-        Self::new(MaintenanceConfig::from_env())
     }
 
     /// A copy of the active policy. (The scheduler is shared across
@@ -299,11 +284,6 @@ impl MaintenanceScheduler {
 
     pub fn stats(&self) -> MaintenanceStats {
         self.shared.lock().stats
-    }
-
-    /// Background builds currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.shared.lock().in_flight.len()
     }
 
     /// Atomically claim the launch slot for `table`: returns false when a
@@ -364,7 +344,7 @@ impl MaintenanceScheduler {
                 st.tx = None;
                 st.handle = None; // already dead; dropping detaches it
                 drop(st);
-                job.handle.abort_merge_epoch(job.ticket.epoch());
+                job.entry.table.abort_merge_epoch(job.ticket.epoch());
                 self.shared.done.notify_all();
             }
         }
@@ -401,56 +381,31 @@ impl Drop for MaintenanceScheduler {
     }
 }
 
-/// Process one build on the worker thread: advise the layout, fold the
-/// cut, apply the swap through the shared handle, rebuild the table's
+/// Process one build on the worker thread: advise the layout, complete the
+/// merge through the shared handle (fold, swap), rebuild the table's
 /// indexes from the fresh main store, record the outcome. Panics inside
 /// the fold are contained — the pending cut is aborted and the build
 /// counted as discarded, so a poisoned table never wedges the scheduler.
 fn run_build(job: BuildJob, shared: &SchedShared) {
     let table = job.table.clone();
-    let handle = job.handle.clone();
+    let handle = job.entry.table.clone();
     let epoch = job.ticket.epoch();
-    let hw = Hierarchy::nehalem();
-    let opt_cfg = OptimizerConfig::default();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (layout, advised) = choose_layout(
             &job.table,
-            job.layout.clone(),
+            job.ticket.snapshot().main().layout().clone(),
             job.advise.as_ref(),
-            &hw,
-            &opt_cfg,
+            &Hierarchy::nehalem(),
+            &OptimizerConfig::default(),
         );
-        match job.ticket.build(layout) {
-            Ok(built) => {
-                // Durable tables: serialize the checkpoint blob off-lock
-                // so finish_merge's checkpoint renames it instead of
-                // serializing under the write lock. A failed pre-persist
-                // (self-removed) just means inline fallback.
-                if let Some(d) = job.handle.durability() {
-                    let generation = job.ticket.snapshot().generation() + 1;
-                    let _ = d.pre_persist(built.table(), generation, epoch);
-                }
-                match job
-                    .handle
-                    .finish_merge_then(built, |vt| (vt.main_arc(), vt.generation()))
-                {
-                    Ok((stats, (main, generation))) => {
-                        // Index rebuild runs off every lock: the fresh main
-                        // is immutable, and the generation tag makes a
-                        // stale result harmless (probes fall back to scan).
-                        crate::database::rebuild_index_set(&job.indexes, &main, generation);
-                        Some((stats, advised))
-                    }
-                    // Stale: an explicit or backpressure merge preempted us.
-                    Err(_) => None,
-                }
-            }
-            Err(_) => {
-                // Build failed; clear our pending cut so merges can run.
-                job.handle.abort_merge_epoch(epoch);
-                None
-            }
-        }
+        // `None` twice over: a failed build (its cut already aborted) or a
+        // stale one — an explicit or backpressure merge preempted us.
+        let (stats, main) = handle.complete_merge(&job.ticket, layout).ok()??;
+        // Index rebuild runs off every lock: the fresh main is immutable,
+        // and the generation tag makes a stale result harmless (probes
+        // fall back to scan).
+        job.entry.reindex(&main, stats.generation);
+        Some((stats, advised))
     }));
     if outcome.is_err() {
         // A panic mid-fold: make sure our cut is not left pending.

@@ -82,14 +82,15 @@ fn stream_shape(plan: &LogicalPlan) -> Option<StreamShape<'_>> {
     matches!(inner, LogicalPlan::Scan { .. }).then_some(StreamShape { agg, project, pred })
 }
 
-/// Visit every extent of `cold` that `zps` cannot refute, in order, as a
-/// mini table plus its slice of the tombstone mask `dead`. The extent's
-/// pins drop when `visit` returns: the next extent may evict this one.
-fn for_each_extent(
+/// Visit every extent of `cold` that `zps` cannot refute, in order, as
+/// the row id of its first row, a mini table, and its slice of the
+/// tombstone mask `dead`. The extent's pins drop when `visit` returns:
+/// the next extent may evict this one.
+pub(crate) fn for_each_extent(
     cold: &ColdTable,
     zps: &[ZonePred],
     dead: &[bool],
-    mut visit: impl FnMut(&Table, &[bool]) -> Result<(), DbError>,
+    mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), DbError>,
 ) -> Result<(), DbError> {
     for e in 0..cold.n_extents() {
         if !zps.is_empty() && cold.extent_refuted(e, zps) {
@@ -101,7 +102,7 @@ fn for_each_extent(
         }
         let (lo, hi) = cold.header().extent_row_range(e);
         let (mini, _pins) = cold.extent_table(e)?;
-        visit(&mini, &dead[lo.min(dead.len())..hi.min(dead.len())])?;
+        visit(lo, &mini, &dead[lo.min(dead.len())..hi.min(dead.len())])?;
     }
     Ok(())
 }
@@ -155,7 +156,7 @@ pub(crate) fn run_cold_streaming(
             needed: &needed,
         };
         let mut state = AggState::new(&skeleton, spec, group_by, aggs);
-        for_each_extent(cold, &zps, dead, |mini, dead| {
+        for_each_extent(cold, &zps, dead, |_, mini, dead| {
             state.fold_range(&Scan::new(mini, spec), dead, 0..mini.len());
             Ok(())
         })?;
@@ -166,7 +167,7 @@ pub(crate) fn run_cold_streaming(
     } else {
         let eng = engine.engine();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for_each_extent(cold, &zps, dead, |mini, dead| {
+        for_each_extent(cold, &zps, dead, |_, mini, dead| {
             let provider = ExtentProvider {
                 name: table,
                 table: mini,

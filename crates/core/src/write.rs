@@ -1,13 +1,35 @@
 //! The write path of [`Database`]: row and predicate DML, the insert-path
-//! maintenance step, and explicit merges / relayouts / checkpoints.
+//! maintenance step, and explicit merges / relayouts / checkpoints. (The
+//! catalog, recovery, indexes and statistics live in [`crate::database`],
+//! the query path in [`crate::query`].)
 //!
-//! The catalog, open/recovery, index and statistics half of `Database`
-//! lives in [`crate::database`]; the query half in [`crate::query`].
+//! Every write appends to the written table's delta under that table's
+//! write lock; queries see main ∪ delta − tombstones through the engines'
+//! [`pdsm_exec::Overlay`] support. One implementation per job:
+//!
+//! * **finding rows** — `UPDATE`/`DELETE … WHERE` match with the query
+//!   path's scan loop (`match_rows`: [`pdsm_exec::pipeline::Scan`] into a
+//!   row-id sink, a cold main extent-at-a-time — an `UPDATE`'s old rows
+//!   are decoded there, while their extent is pinned), then apply every
+//!   write, all under one acquisition of the write lock: the statement is
+//!   atomic and its rows land at the end of the scan order in match order;
+//! * **merging** — `TableEntry::merge` (`merge_if` when a delta-op floor
+//!   gates it) is the one synchronous merge-and-reindex step behind
+//!   [`Database::merge`], [`Database::relayout`], [`Database::merge_all`],
+//!   [`Database::checkpoint_all`] and the threshold-triggered sync /
+//!   backpressure merge; the background worker (see
+//!   [`crate::maintenance`]) runs [`pdsm_txn::SharedTable::complete_merge`]
+//!   and the same index rebuild off the write path.
 
-use crate::database::{rebuild_index_set, Database, DbError, TableEntry};
-use crate::maintenance::{choose_layout, AdviseInputs, BuildJob, MaintenanceMode};
+use crate::database::{Database, DbError, TableEntry};
+use crate::maintenance::{choose_layout, AdviseInputs, BuildJob, MaintenanceMode, TablePolicy};
+use crate::streaming::for_each_extent;
+use pdsm_exec::engine::{tail_row_passes, Overlay};
+use pdsm_exec::pipeline::{Pipe, PipeSpec, Scan};
+use pdsm_exec::zone_preds;
 use pdsm_plan::expr::Expr;
-use pdsm_storage::{ColId, Layout, Value};
+use pdsm_storage::row::Row;
+use pdsm_storage::{ColId, Layout, Table, Value};
 use pdsm_txn::{MergeStats, RowId, VersionedTable};
 use std::sync::Arc;
 
@@ -62,10 +84,11 @@ impl Database {
 
     /// SQL `UPDATE table SET col = v, … [WHERE pred]`: overwrite the given
     /// columns of every visible row matching `pred` (all rows when `None`).
-    /// Returns the number of rows updated. The match and every write happen
+    /// Returns the number of rows updated. The match (`match_rows`: the
+    /// query path's scan loop into a row-id sink) and every write happen
     /// under one acquisition of the table's write lock, so the statement is
     /// atomic with respect to concurrent DML and background merge swaps.
-    /// `pred` is evaluated against full schema-order rows.
+    /// `pred` addresses columns in schema order.
     pub fn update_where(
         &self,
         table: &str,
@@ -73,23 +96,18 @@ impl Database {
         pred: Option<&Expr>,
     ) -> Result<usize, DbError> {
         let entry = self.entry(table)?;
-        Ok(entry.table.with_write(|vt| {
+        entry.table.with_write(|vt| {
             let cols: Vec<(ColId, Value)> = sets
                 .iter()
                 .map(|(name, v)| vt.schema().col_id(name).map(|c| (c, v.clone())))
-                .collect::<Result<_, _>>()?;
-            let ids = matching_ids(vt, pred)?;
-            let n = ids.len();
-            for id in ids {
-                // update() re-appends under a fresh id; chain multi-column
-                // sets through the returned id.
-                let mut cur = id;
-                for (c, v) in &cols {
-                    cur = vt.update(cur, *c, v)?;
-                }
+                .collect::<Result<_, pdsm_storage::Error>>()?;
+            let mut rows = Vec::new();
+            let ids = match_rows(vt, pred, Some(&mut rows))?;
+            for (&id, row) in ids.iter().zip(rows) {
+                vt.update_cells(id, row, &cols)?;
             }
-            Ok::<_, pdsm_storage::Error>(n)
-        })?)
+            Ok(ids.len())
+        })
     }
 
     /// SQL `DELETE FROM table [WHERE pred]`: tombstone every visible row
@@ -98,14 +116,13 @@ impl Database {
     /// like [`Database::update_where`].
     pub fn delete_where(&self, table: &str, pred: Option<&Expr>) -> Result<usize, DbError> {
         let entry = self.entry(table)?;
-        Ok(entry.table.with_write(|vt| {
-            let ids = matching_ids(vt, pred)?;
-            let n = ids.len();
-            for id in ids {
+        entry.table.with_write(|vt| {
+            let ids = match_rows(vt, pred, None)?;
+            for &id in &ids {
                 vt.delete(id)?;
             }
-            Ok::<_, pdsm_storage::Error>(n)
-        })?)
+            Ok(ids.len())
+        })
     }
 
     /// Fold `table`'s delta into a fresh main store (current layout) and
@@ -113,22 +130,13 @@ impl Database {
     /// is held for the fold; any in-flight background build turns stale
     /// and is discarded. Other tables are untouched.
     pub fn merge(&self, table: &str) -> Result<MergeStats, DbError> {
-        let entry = self.entry(table)?;
-        let (stats, main, generation) = entry.table.with_write(|vt| {
-            let stats = vt.merge()?;
-            Ok::<_, pdsm_storage::Error>((stats, vt.main_arc(), vt.generation()))
-        })?;
-        rebuild_index_set(&entry.indexes, &main, generation);
-        Ok(stats)
+        self.entry(table)?.merge(None)
     }
 
     /// Merge every table with a pending delta.
     pub fn merge_all(&self) -> Result<(), DbError> {
         for name in self.table_names() {
-            let entry = self.entry(&name)?;
-            if entry.table.has_delta() {
-                self.merge(&name)?;
-            }
+            self.entry(&name)?.merge_if(None, 1)?;
         }
         Ok(())
     }
@@ -144,12 +152,10 @@ impl Database {
     pub fn checkpoint_all(&self) -> Result<(), DbError> {
         for name in self.table_names() {
             let entry = self.entry(&name)?;
-            if entry.table.durability().is_none() {
+            let Some(d) = entry.table.durability() else {
                 continue;
-            }
-            if entry.table.has_delta() {
-                self.merge(&name)?;
-            } else if let Some(d) = entry.table.durability() {
+            };
+            if entry.merge_if(None, 1)?.is_none() {
                 d.sync()?;
             }
         }
@@ -162,12 +168,7 @@ impl Database {
     /// folded in and ids renumber. Indexes are rebuilt either way. Holds
     /// the table's write lock for the fold.
     pub fn relayout(&self, table: &str, layout: Layout) -> Result<(), DbError> {
-        let entry = self.entry(table)?;
-        let (_stats, (main, generation)) = entry
-            .table
-            .merge_with_layout_then(layout, |vt| (vt.main_arc(), vt.generation()))?;
-        rebuild_index_set(&entry.indexes, &main, generation);
-        Ok(())
+        self.entry(table)?.merge(Some(layout)).map(|_| ())
     }
 
     /// The maintenance step every *insert* runs before applying its op:
@@ -186,67 +187,43 @@ impl Database {
         if policy.mode == MaintenanceMode::Off {
             return Ok(());
         }
-        let threshold = policy.threshold;
         let (ops, pending) = entry
             .table
             .with_read(|vt| (vt.delta_ops(), vt.has_pending_merge()));
-        if ops < threshold {
+        if ops < policy.threshold {
             return Ok(());
         }
-        // Backpressure applies only when the builder cannot be (re)used:
-        // the delta outran it by max_lag thresholds AND either a cut is
-        // still pending or the launch slot is blocked (a stale build not
-        // yet reaped, or the worker busy). With the slot free, a lagging
+        if policy.mode == MaintenanceMode::Sync && !pending {
+            return self.sync_merge_entry(table, entry, &policy, false);
+        }
+        // Claim the launch slot, so concurrent writers of the same table
+        // race begin_merge at most once each. Backpressure applies only
+        // when the builder cannot be (re)used: the delta outran it by
+        // max_lag thresholds AND either a cut is still pending or the slot
+        // is blocked (a stale build not yet reaped, or the worker busy) —
+        // the blocked build turns stale. With the slot free, a lagging
         // table just launches a background build — no writer stall.
-        let lagging = policy.mode == MaintenanceMode::Background
-            && policy.max_lag > 0
-            && ops >= threshold.saturating_mul(policy.max_lag);
-        if pending {
+        if pending || !self.maintenance.try_reserve(table) {
+            let lagging = policy.mode == MaintenanceMode::Background
+                && policy.max_lag > 0
+                && ops >= policy.threshold.saturating_mul(policy.max_lag);
             if lagging {
                 return self.sync_merge_entry(table, entry, &policy, true);
             }
             return Ok(());
         }
-        match policy.mode {
-            MaintenanceMode::Sync => self.sync_merge_entry(table, entry, &policy, false),
-            MaintenanceMode::Background => {
-                // Claim the launch slot first so concurrent writers of the
-                // same table race begin_merge at most once each.
-                if !self.maintenance.try_reserve(table) {
-                    if lagging {
-                        // Slot blocked while the delta runs away — bound
-                        // it inline; the blocked build turns stale.
-                        return self.sync_merge_entry(table, entry, &policy, true);
-                    }
-                    return Ok(());
-                }
-                let advise = if policy.advise_on_merge {
-                    self.advise_inputs(table)
-                } else {
-                    None
-                };
-                match entry.table.begin_merge() {
-                    Ok(ticket) => {
-                        let layout = ticket.snapshot().main().layout().clone();
-                        self.maintenance.launch(BuildJob {
-                            table: table.to_string(),
-                            handle: entry.table.clone(),
-                            indexes: Arc::clone(&entry.indexes),
-                            ticket,
-                            layout,
-                            advise,
-                        });
-                        Ok(())
-                    }
-                    Err(_) => {
-                        // Raced an explicit begin on the shared handle.
-                        self.maintenance.unreserve(table);
-                        Ok(())
-                    }
-                }
-            }
-            MaintenanceMode::Off => Ok(()),
+        let advise = self.advise_inputs(table, &policy);
+        match entry.table.begin_merge() {
+            Ok(ticket) => self.maintenance.launch(BuildJob {
+                table: table.to_string(),
+                entry: entry.clone(),
+                ticket,
+                advise,
+            }),
+            // Raced an explicit begin on the shared handle.
+            Err(_) => self.maintenance.unreserve(table),
         }
+        Ok(())
     }
 
     /// One synchronous, advisor-consulted merge of `table` on the calling
@@ -255,14 +232,10 @@ impl Database {
         &self,
         table: &str,
         entry: &TableEntry,
-        policy: &crate::maintenance::TablePolicy,
+        policy: &TablePolicy,
         backpressure: bool,
     ) -> Result<(), DbError> {
-        let advise = if policy.advise_on_merge {
-            self.advise_inputs(table)
-        } else {
-            None
-        };
+        let advise = self.advise_inputs(table, policy);
         let current = entry.table.with_read(|vt| vt.main().layout().clone());
         let (layout, advised) = choose_layout(
             table,
@@ -271,28 +244,20 @@ impl Database {
             &self.planner.hierarchy,
             &pdsm_layout::bpi::OptimizerConfig::default(),
         );
-        let merged = entry.table.with_write(|vt| {
-            // Re-check under the write lock: concurrent writers of the
-            // same table may all have seen the threshold crossed before
-            // the first one merged — the latecomers must not each rerun
-            // the O(table) fold on a near-empty delta.
-            if vt.delta_ops() < policy.threshold.max(1) {
-                return Ok::<_, pdsm_storage::Error>(None);
-            }
-            vt.merge_with_layout(layout)?;
-            Ok(Some((vt.main_arc(), vt.generation())))
-        })?;
-        if let Some((main, generation)) = merged {
-            rebuild_index_set(&entry.indexes, &main, generation);
+        let merged = entry.merge_if(Some(layout), policy.threshold.max(1))?;
+        if merged.is_some() {
             self.maintenance.note_sync_merge(advised, backpressure);
         }
         Ok(())
     }
 
     /// The advisor inputs a merge of `table` ships to the worker: observed
-    /// workload + statistics-free table views. `None` when nothing
-    /// observed touches the table (callers gate on `advise_on_merge`).
-    fn advise_inputs(&self, table: &str) -> Option<AdviseInputs> {
+    /// workload + statistics-free table views. `None` when the policy does
+    /// not advise on merge or nothing observed touches the table.
+    fn advise_inputs(&self, table: &str, policy: &TablePolicy) -> Option<AdviseInputs> {
+        if !policy.advise_on_merge {
+            return None;
+        }
         let workload = self.observed_workload();
         if !workload
             .queries
@@ -306,22 +271,106 @@ impl Database {
     }
 }
 
+impl TableEntry {
+    /// The one synchronous merge: fold the delta into a fresh main store —
+    /// under `layout`, or the current one — holding the table's write lock
+    /// for the fold, then rebuild the stale indexes from the main store it
+    /// published.
+    pub(crate) fn merge(&self, layout: Option<Layout>) -> Result<MergeStats, DbError> {
+        let folded = self.table.with_write(|vt| fold(vt, layout))?;
+        Ok(self.reindexed(folded))
+    }
+
+    /// [`TableEntry::merge`] if the delta holds at least `min_ops`
+    /// operations — counted under the same write lock as the fold, so
+    /// writers that all saw a threshold crossed do not each rerun the
+    /// O(table) fold. `None`: below it, nothing happened.
+    pub(crate) fn merge_if(
+        &self,
+        layout: Option<Layout>,
+        min_ops: u64,
+    ) -> Result<Option<MergeStats>, DbError> {
+        let folded = self.table.with_write(|vt| {
+            (vt.delta_ops() >= min_ops)
+                .then(|| fold(vt, layout))
+                .transpose()
+        })?;
+        Ok(folded.map(|f| self.reindexed(f)))
+    }
+
+    fn reindexed(&self, (stats, main): (MergeStats, Arc<Table>)) -> MergeStats {
+        self.reindex(&main, stats.generation);
+        stats
+    }
+}
+
+/// Fold `vt`'s delta (caller holds its write lock) and capture the main
+/// store that fold published, for the index rebuild that follows off-lock.
+fn fold(
+    vt: &mut VersionedTable,
+    layout: Option<Layout>,
+) -> Result<(MergeStats, Arc<Table>), pdsm_storage::Error> {
+    let layout = layout.unwrap_or_else(|| vt.main().layout().clone());
+    let stats = vt.merge_with_layout(layout)?;
+    Ok((stats, vt.main_arc()))
+}
+
 /// Row ids of every visible row of `vt` matching `pred` (all visible rows
-/// when `None`), in scan order. Runs under the caller's table lock — the
-/// id set is only meaningful while that lock is held.
-fn matching_ids(
+/// when `None`), ascending — which is scan order — and, when `rows` is
+/// given, each match's decoded row pushed alongside (an `UPDATE` needs
+/// it, and reading it here, while its extent is pinned, is what keeps a
+/// cold table at one fault per extent rather than one per matched row).
+/// The predicate lowers once, as a query's `Select` over a `Scan` does
+/// ([`Pipe::select`]); main-store rows then run the pipeline core's
+/// survivor loop (zone refutation → tombstone mask → kernel block masks)
+/// into a row-id sink — a still-cold main extent-at-a-time, never
+/// hydrated — and the live tail is interpreted. The id set is only
+/// meaningful while the caller's table lock is held.
+fn match_rows(
     vt: &VersionedTable,
     pred: Option<&Expr>,
-) -> Result<Vec<RowId>, pdsm_storage::Error> {
-    let id_space = vt.main().len() + vt.delta_rows();
+    mut rows: Option<&mut Vec<Row>>,
+) -> Result<Vec<RowId>, DbError> {
+    let mut pipe = Pipe::scan(vt.name());
+    if let Some(pred) = pred {
+        pipe.select(pred);
+    }
+    let spec = PipeSpec {
+        preds: &pipe.preds,
+        steps: &[],
+        needed: &[],
+    };
+    let overlay = vt.overlay();
+    let dead = Overlay::dead_of(&overlay);
     let mut ids = Vec::new();
-    for id in 0..id_space {
-        if !vt.is_visible(id) {
-            continue;
+    // Survivors of `main` — the whole main store, or one extent of it
+    // whose first row has id `first`.
+    let mut scan = |first: usize, main: &Table, dead: &[bool]| {
+        let matched = ids.len();
+        Scan::new(main, spec).collect_ids(dead, 0..main.len(), first, &mut ids);
+        if let Some(rows) = rows.as_deref_mut() {
+            for &id in &ids[matched..] {
+                rows.push(main.row(id - first)?);
+            }
         }
-        let row = vt.get(id)?;
-        if pred.is_none_or(|p| p.eval_bool(row.values())) {
-            ids.push(id);
+        Ok(())
+    };
+    match vt.cold_main() {
+        Some(cold) => {
+            let zps = zone_preds(&cold.skeleton(), spec.preds);
+            for_each_extent(cold, &zps, dead, scan)?;
+        }
+        None => scan(0, vt.main(), dead)?,
+    }
+    if let Some(o) = &overlay {
+        let main_len = vt.main_len();
+        for (j, row) in o.live_tail_indexed() {
+            if tail_row_passes(spec.preds, row) {
+                ids.push(main_len + j);
+                if let Some(rows) = rows.as_deref_mut() {
+                    rows.push(row.clone());
+                }
+            }
         }
     }
     Ok(ids)
@@ -352,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn edit_main_implicit_merge_rebuilds_indexes() {
+    fn merge_rebuilds_stale_indexes() {
         let db = demo_db();
         db.create_index("orders", "id", IndexKind::Hash).unwrap();
         // tombstone one indexed row and append a replacement → pending delta
@@ -362,16 +411,15 @@ mod tests {
             &[Value::Int32(10_000), Value::from("cust-x"), Value::Int64(3)],
         )
         .unwrap();
-        // bulk-load access merges implicitly; the index must follow the
-        // renumbered rows
-        db.edit_main("orders", |_t| {}).unwrap();
+        // the merge renumbers rows; the index must follow them
+        db.merge("orders").unwrap();
         assert!(!db.with_table("orders", |vt| vt.has_delta()).unwrap());
         let new_row = QueryBuilder::scan("orders")
             .filter(Expr::col(0).eq(Expr::lit(10_000)))
             .build();
         let indexed = db.run_indexed(&new_row, EngineKind::Compiled).unwrap();
         let scanned = db.run(&new_row, EngineKind::Compiled).unwrap();
-        indexed.assert_same(&scanned, "index rebuilt by implicit merge");
+        indexed.assert_same(&scanned, "index rebuilt by the merge");
         assert_eq!(indexed.len(), 1);
         let gone = QueryBuilder::scan("orders")
             .filter(Expr::col(0).eq(Expr::lit(3)))

@@ -41,14 +41,18 @@ impl<'a> Overlay<'a> {
         self.dead.get(i).copied().unwrap_or(false)
     }
 
-    /// The live tail rows, in append order.
-    pub fn live_tail(&self) -> impl Iterator<Item = &'a Row> + 'a {
+    /// The live tail rows with their tail ordinals, in append order.
+    pub fn live_tail_indexed(&self) -> impl Iterator<Item = (usize, &'a Row)> + 'a {
         let alive = self.tail_alive;
         self.tail
             .iter()
             .enumerate()
             .filter(move |(k, _)| alive.is_empty() || alive[*k])
-            .map(|(_, r)| r)
+    }
+
+    /// The live tail rows, in append order.
+    pub fn live_tail(&self) -> impl Iterator<Item = &'a Row> + 'a {
+        self.live_tail_indexed().map(|(_, r)| r)
     }
 
     /// Number of live tail rows.

@@ -464,6 +464,22 @@ impl<'a> Scan<'a> {
         });
     }
 
+    /// Append `base + i` for every survivor `i` of main-store rows `range`,
+    /// ascending — the row-id sink predicate DML matches with. No column
+    /// is materialized; `base` is the row id of the table's first row
+    /// (nonzero when the table is one extent of a larger one).
+    pub fn collect_ids(
+        &self,
+        dead: &[bool],
+        range: Range<usize>,
+        base: usize,
+        out: &mut Vec<usize>,
+    ) {
+        let mut tally = Tally::default();
+        self.survivors(dead, range, &mut tally, |i| out.push(base + i));
+        tally.flush();
+    }
+
     /// Append every row the pipeline emits for main-store rows `range`.
     pub fn collect_range(&self, dead: &[bool], range: Range<usize>, out: &mut Vec<Vec<Value>>) {
         let mut tally = Tally::default();
@@ -1051,6 +1067,71 @@ mod tests {
             scan.survivors(&[], range, &mut tally, |i| survivors.push(i));
         }
         assert_eq!(survivors, (9_000..N).collect::<Vec<_>>());
+    }
+
+    /// The row-id sink predicate DML matches with: over ranges that split
+    /// a zone block it yields every unrefuted, untombstoned, passing row
+    /// exactly once, strictly ascending, offset by `base` — and the walk
+    /// underneath it enters only the blocks the zone map cannot refute.
+    #[test]
+    fn id_sink_is_ascending_honours_dead_and_skips_refuted_blocks() {
+        const N: usize = 10_000;
+        let t = table(N);
+        // 9000 <= a AND b = 3: only the last two blocks can hold matches.
+        let preds = [
+            Expr::col(0).ge(Expr::lit(9_000)),
+            Expr::col(1).eq(Expr::lit(3)),
+        ];
+        let scan = Scan::new(
+            &t,
+            PipeSpec {
+                preds: &preds,
+                steps: &[],
+                needed: &[],
+            },
+        );
+        let mut dead = vec![false; N];
+        let tombstoned = [9_005, 9_215, 9_216, N - 1];
+        for i in tombstoned {
+            dead[i] = true;
+        }
+        let expected: Vec<usize> = (9_000..N)
+            .filter(|i| i % 7 == 3 && !tombstoned.contains(i))
+            .collect();
+        assert!(tombstoned.iter().filter(|i| *i % 7 == 3).count() >= 2);
+
+        let ranges = [0..1_500, 1_500..9_100, 9_100..9_217, 9_217..N];
+        let mut tally = Tally::default();
+        let mut walked = Vec::new();
+        for range in ranges.clone() {
+            scan.survivors(&dead, range, &mut tally, |i| walked.push(i));
+        }
+        assert_eq!(walked, expected);
+        assert_eq!(
+            (tally.scanned, tally.pruned),
+            (2, N.div_ceil(ZONE_BLOCK_ROWS) as u64 - 2),
+            "refuted blocks are counted, never entered"
+        );
+
+        let mut ids = Vec::new();
+        for range in ranges {
+            scan.collect_ids(&dead, range, 50_000, &mut ids);
+        }
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        let offset: Vec<usize> = expected.iter().map(|i| i + 50_000).collect();
+        assert_eq!(ids, offset);
+        // No tombstones, no predicate: every row, once.
+        let all = Scan::new(
+            &t,
+            PipeSpec {
+                preds: &[],
+                steps: &[],
+                needed: &[],
+            },
+        );
+        let mut ids = Vec::new();
+        all.collect_ids(&[], 0..N, 0, &mut ids);
+        assert_eq!(ids, (0..N).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! The WAL therefore never outlives its main store's id space, and its
 //! length is always O(delta), not O(history).
 //!
-//! Recovery ([`TableDurability::recover`]) inverts this: load the
-//! manifest generation's main blob, decode the WAL up to the last whole
-//! checksum-valid record (a torn tail is the crash point, not an error),
-//! and hand the ops back for replay through the normal DML path.
+//! Recovery ([`TableDurability::recover`]) inverts this: load (or, with a
+//! buffer pool, mount cold) the manifest generation's main blob, decode
+//! the WAL up to the last whole checksum-valid record (a torn tail is the
+//! crash point, not an error), replay it through the normal DML path and
+//! hand back the finished table with its durability attached.
 
 use crate::table::VersionedTable;
 use pdsm_pool::{BufferPool, ColdTable};
@@ -53,31 +54,6 @@ pub struct DurabilityStats {
     pub last_recovery_replay_ops: u64,
     /// Completed WAL segments rolled over (`PDSM_WAL_SEGMENT_BYTES`).
     pub wal_segments_rotated: u64,
-}
-
-/// What [`TableDurability::recover`] found on disk: the checkpointed main
-/// store plus the WAL tail to replay through normal DML. Replay must run
-/// *before* the durability handle is attached to the table, so the
-/// replayed ops are not logged again.
-pub struct RecoveredTable {
-    /// The main store at the manifest's generation.
-    pub table: Table,
-    /// Whole, checksum-valid WAL records, in append order.
-    pub ops: Vec<WalOp>,
-    /// The handle to attach once replay is done (its WAL is already open
-    /// for appending at the end of the valid prefix).
-    pub durability: TableDurability,
-}
-
-/// Cold-path twin of [`RecoveredTable`]: the main store stays on disk as a
-/// header-only [`ColdTable`]; extents fault in through the buffer pool on
-/// first touch. WAL handling is identical.
-pub struct RecoveredColdTable {
-    /// The checkpointed main at the manifest's generation, unhydrated.
-    pub cold: Arc<ColdTable>,
-    /// Whole, checksum-valid WAL records, in append order.
-    pub ops: Vec<WalOp>,
-    pub durability: TableDurability,
 }
 
 /// One table's WAL + checkpoint + manifest glue. Shared as
@@ -160,6 +136,18 @@ fn pre_persist_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("main.tmp.{epoch}.tbl"))
 }
 
+/// Serialize `table` as generation `generation`'s main blob, atomically
+/// (temp file, fsync, rename).
+fn write_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
+    let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
+    write_atomic(
+        &main_path(dir, generation),
+        &dir.join(format!("main.{generation}.tbl.tmp")),
+        &bytes,
+    )
+    .map_err(|e| io_err("persist main store", e))
+}
+
 /// Parse `main.<G>.tbl` / `wal.<G>.log` / `wal.<G>.<n>.log` file names
 /// back to generations.
 fn parse_generation(name: &str) -> Option<u64> {
@@ -197,37 +185,30 @@ fn cleanup(dir: &Path, keep: u64) {
 
 impl TableDurability {
     /// Bootstrap durability for a table that exists only in memory:
-    /// persist its main store at `generation`, start an empty WAL, and
-    /// commit the manifest entry. The table's delta must be empty (the
-    /// caller attaches durability at creation or right after a merge).
+    /// persist its main store at its generation, start an empty WAL,
+    /// commit the manifest entry and attach the handle. The table's delta
+    /// must be empty (call this at creation or right after a merge).
     pub fn create(
         data_dir: &Path,
-        name: &str,
         manifest: Arc<Manifest>,
         fsync: FsyncMode,
-        table: &Table,
-        generation: u64,
-    ) -> Result<TableDurability> {
-        let dir = data_dir.join(sanitize_name(name));
+        table: &mut VersionedTable,
+    ) -> Result<()> {
+        let (name, generation) = (table.name().to_string(), table.generation());
+        let dir = data_dir.join(sanitize_name(&name));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create table dir", e))?;
-        let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
-        let dest = main_path(&dir, generation);
-        write_atomic(
-            &dest,
-            &dir.join(format!("main.{generation}.tbl.tmp")),
-            &bytes,
-        )
-        .map_err(|e| io_err("persist main store", e))?;
+        write_main(&dir, table.main(), generation)?;
         let wal =
             Wal::create(&wal_path(&dir, generation), fsync).map_err(|e| io_err("create wal", e))?;
         fsync_dir(&dir).map_err(|e| io_err("fsync table dir", e))?;
         manifest
-            .set(name, generation)
+            .set(&name, generation)
             .map_err(|e| io_err("commit manifest", e))?;
         cleanup(&dir, generation);
-        Ok(Self::handle(
-            dir, name, manifest, fsync, wal, 0, generation, 0,
-        ))
+        table.set_durability(Arc::new(Self::handle(
+            dir, &name, manifest, fsync, wal, 0, generation, 0,
+        )));
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -257,25 +238,40 @@ impl TableDurability {
         }
     }
 
-    /// Load the table's durable state at `generation` (the manifest
-    /// entry): the checkpointed main store, and the WAL decoded up to the
-    /// last whole checksum-valid record. A short or corrupt WAL *tail* is
-    /// the crash point and is truncated away; a corrupt *committed* blob
-    /// (main store, or a record before the tail) is a hard error.
+    /// Recover the table's durable state at `generation` (the manifest
+    /// entry): the checkpointed main store — read whole, or with `pool`
+    /// mounted as a header-only [`ColdTable`] whose extents fault in on
+    /// demand — with the WAL, decoded up to the last whole checksum-valid
+    /// record, replayed over it through the normal DML path. Durability is
+    /// attached last, so the replay is not logged again. A short or
+    /// corrupt WAL *tail* is the crash point and is truncated away; a
+    /// corrupt *committed* blob (main store, or a record before the tail)
+    /// is a hard error.
     pub fn recover(
         data_dir: &Path,
         name: &str,
         generation: u64,
         manifest: Arc<Manifest>,
         fsync: FsyncMode,
-    ) -> Result<RecoveredTable> {
+        pool: Option<Arc<BufferPool>>,
+    ) -> Result<VersionedTable> {
         let dir = data_dir.join(sanitize_name(name));
         // Temp files are crash artifacts of unfinished writes: scrub them
         // before they can be mistaken for real state.
         remove_temp_files(&dir);
-        let bytes =
-            std::fs::read(main_path(&dir, generation)).map_err(|e| io_err("read main store", e))?;
-        let (table, on_disk_gen) = persist::from_bytes(&bytes)?;
+        let path = main_path(&dir, generation);
+        let (main, cold, on_disk_gen) = match pool {
+            Some(pool) => {
+                let cold = ColdTable::open(&path, pool)?;
+                let on_disk_gen = cold.generation();
+                (None, Some(Arc::new(cold)), on_disk_gen)
+            }
+            None => {
+                let bytes = std::fs::read(&path).map_err(|e| io_err("read main store", e))?;
+                let (table, on_disk_gen) = persist::from_bytes(&bytes)?;
+                (Some(Arc::new(table)), None, on_disk_gen)
+            }
+        };
         if on_disk_gen != generation {
             return Err(Error::Io(format!(
                 "main store generation mismatch for table {name}: manifest says {generation}, \
@@ -284,43 +280,13 @@ impl TableDurability {
         }
         let (ops, wal, seg) = recover_wal_segments(&dir, generation, fsync)?;
         cleanup(&dir, generation);
+        let mut table = VersionedTable::at_generation(main, cold, generation);
+        replay(&mut table, &ops)?;
         let replayed = ops.len() as u64;
-        Ok(RecoveredTable {
-            table,
-            ops,
-            durability: Self::handle(dir, name, manifest, fsync, wal, seg, generation, replayed),
-        })
-    }
-
-    /// Like [`TableDurability::recover`], but the main store is *not*
-    /// read: a header-only [`ColdTable`] is mounted over the extent
-    /// checkpoint and row data faults in through `pool` on demand.
-    pub fn recover_cold(
-        data_dir: &Path,
-        name: &str,
-        generation: u64,
-        manifest: Arc<Manifest>,
-        fsync: FsyncMode,
-        pool: Arc<BufferPool>,
-    ) -> Result<RecoveredColdTable> {
-        let dir = data_dir.join(sanitize_name(name));
-        remove_temp_files(&dir);
-        let cold = ColdTable::open(&main_path(&dir, generation), pool)?;
-        if cold.generation() != generation {
-            return Err(Error::Io(format!(
-                "main store generation mismatch for table {name}: manifest says {generation}, \
-                 blob says {}",
-                cold.generation()
-            )));
-        }
-        let (ops, wal, seg) = recover_wal_segments(&dir, generation, fsync)?;
-        cleanup(&dir, generation);
-        let replayed = ops.len() as u64;
-        Ok(RecoveredColdTable {
-            cold: Arc::new(cold),
-            ops,
-            durability: Self::handle(dir, name, manifest, fsync, wal, seg, generation, replayed),
-        })
+        table.set_durability(Arc::new(Self::handle(
+            dir, name, manifest, fsync, wal, seg, generation, replayed,
+        )));
+        Ok(table)
     }
 
     fn wal_lock(&self) -> MutexGuard<'_, LiveWal> {
@@ -355,15 +321,20 @@ impl TableDurability {
         let wal = Wal::create(&wal_seg_path(&self.dir, generation, next), self.fsync)
             .map_err(|e| io_err("create wal segment", e))?;
         fsync_dir(&self.dir).map_err(|e| io_err("fsync table dir", e))?;
-        let old_stats = g.wal.stats();
+        self.swap_wal(g, wal, next);
+        self.segments_rotated.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Make `wal` (segment `seg`) the live WAL, folding the retired
+    /// handle's counters into the running totals.
+    fn swap_wal(&self, live: &mut LiveWal, wal: Wal, seg: u32) {
+        let retired = live.wal.stats();
         self.retired
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .merge(&old_stats);
-        g.wal = wal;
-        g.seg = next;
-        self.segments_rotated.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+            .merge(&retired);
+        *live = LiveWal { wal, seg };
     }
 
     /// Override the rotation threshold (0 disables). Mostly for tests and
@@ -437,14 +408,7 @@ impl TableDurability {
         if std::fs::rename(&pre, &dest).is_ok() {
             fsync_dir(&self.dir).map_err(|e| io_err("fsync table dir", e))?;
         } else {
-            let bytes =
-                persist::to_bytes_extents(main, generation, persist::extent_rows_from_env());
-            write_atomic(
-                &dest,
-                &self.dir.join(format!("main.{generation}.tbl.tmp")),
-                &bytes,
-            )
-            .map_err(|e| io_err("persist main store", e))?;
+            write_main(&self.dir, main, generation)?;
         }
         // (2) wal.<G>.log — rebuild the delta in the new id space:
         // deletes of tombstoned main rows, then one insert batch of every
@@ -480,18 +444,7 @@ impl TableDurability {
         // (4) swap the live WAL handle; fold the retired one's counters.
         let new_wal = Wal::open_append(&wal_dest, buf.len() as u64, self.fsync)
             .map_err(|e| io_err("reopen checkpoint wal", e))?;
-        {
-            let mut g = self.wal_lock();
-            let old_stats = g.wal.stats();
-            self.retired
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .merge(&old_stats);
-            *g = LiveWal {
-                wal: new_wal,
-                seg: 0,
-            };
-        }
+        self.swap_wal(&mut self.wal_lock(), new_wal, 0);
         self.generation.store(generation, Ordering::Relaxed);
         // (5) previous generations are now unreachable: the old main blob
         // and every fully-checkpointed WAL segment die on a background
@@ -512,20 +465,6 @@ impl TableDurability {
         }
     }
 
-    /// Atomically replace the main blob for the *current* generation —
-    /// the hook for direct `main_mut` bulk edits, which are only legal
-    /// while the delta (and therefore the live WAL) is empty, so the blob
-    /// swap alone keeps disk and memory consistent.
-    pub fn persist_main(&self, table: &Table, generation: u64) -> Result<()> {
-        let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
-        write_atomic(
-            &main_path(&self.dir, generation),
-            &self.dir.join(format!("main.{generation}.tbl.tmp")),
-            &bytes,
-        )
-        .map_err(|e| io_err("persist main store", e))
-    }
-
     /// Current counters (live WAL + everything retired by checkpoints).
     pub fn stats(&self) -> DurabilityStats {
         let g = self.wal_lock();
@@ -538,16 +477,6 @@ impl TableDurability {
             last_recovery_replay_ops: self.last_recovery_replay_ops.load(Ordering::Relaxed),
             wal_segments_rotated: self.segments_rotated.load(Ordering::Relaxed),
         }
-    }
-
-    /// The fsync discipline this table runs under.
-    pub fn fsync_mode(&self) -> FsyncMode {
-        self.fsync
-    }
-
-    /// The table's directory inside the data dir.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -605,9 +534,8 @@ fn recover_wal_segments(
 }
 
 /// Replay recovered WAL ops through the normal DML path. The table must
-/// not have durability attached yet (replay must not be re-logged);
-/// attach it after this returns.
-pub fn replay(table: &mut VersionedTable, ops: &[WalOp]) -> Result<()> {
+/// not have durability attached yet (replay must not be re-logged).
+fn replay(table: &mut VersionedTable, ops: &[WalOp]) -> Result<()> {
     debug_assert!(table.durability().is_none(), "replay would be re-logged");
     for op in ops {
         match op {
@@ -648,30 +576,15 @@ mod tests {
     fn durable_table(dir: &Path, name: &str) -> (VersionedTable, Arc<Manifest>) {
         let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
         let mut t = VersionedTable::new(name, schema());
-        let d = TableDurability::create(
-            dir,
-            name,
-            Arc::clone(&manifest),
-            FsyncMode::Off,
-            t.main(),
-            t.generation(),
-        )
-        .unwrap();
-        t.set_durability(Arc::new(d));
+        TableDurability::create(dir, Arc::clone(&manifest), FsyncMode::Off, &mut t).unwrap();
         (t, manifest)
     }
 
-    /// A fresh process would do exactly this: reload the manifest, load
-    /// the blob, replay the WAL, then attach durability.
+    /// What a fresh process does: reload the manifest, recover the table.
     fn reopen(dir: &Path, name: &str) -> VersionedTable {
         let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
         let generation = manifest.get(name).unwrap();
-        let rec =
-            TableDurability::recover(dir, name, generation, manifest, FsyncMode::Off).unwrap();
-        let mut t = VersionedTable::from_recovered(rec.table, generation);
-        replay(&mut t, &rec.ops).unwrap();
-        t.set_durability(Arc::new(rec.durability));
-        t
+        TableDurability::recover(dir, name, generation, manifest, FsyncMode::Off, None).unwrap()
     }
 
     fn all_rows(t: &VersionedTable) -> Vec<Row> {
@@ -813,23 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn main_mut_edits_persist() {
-        let dir = tmpdir("mainmut");
-        let (mut t, _manifest) = durable_table(&dir, "t");
-        t.main_mut()
-            .unwrap()
-            .insert(&[Value::Int32(9), Value::Str("bulk".into()), Value::Null])
-            .unwrap();
-        t.persist_main().unwrap();
-        let before = all_rows(&t);
-        assert_eq!(before.len(), 1);
-        drop(t);
-        let r = reopen(&dir, "t");
-        assert_eq!(all_rows(&r), before);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_committed_main_blob_is_a_hard_error() {
         let dir = tmpdir("hard");
         let (t, _manifest) = durable_table(&dir, "t");
@@ -837,7 +733,7 @@ mod tests {
         let blob = main_path(&dir.join(sanitize_name("t")), 0);
         pdsm_store::flip_bit(&blob, 12).unwrap();
         let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
-        let res = TableDurability::recover(&dir, "t", 0, manifest, FsyncMode::Off);
+        let res = TableDurability::recover(&dir, "t", 0, manifest, FsyncMode::Off, None);
         assert!(res.is_err(), "bit rot in a committed blob must not pass");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -985,18 +881,15 @@ mod tests {
             let pool = pdsm_pool::BufferPool::new(16 << 20);
             let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
             let generation = manifest.get("t").unwrap();
-            let rec = TableDurability::recover_cold(
+            let t = TableDurability::recover(
                 &dir,
                 "t",
                 generation,
                 manifest,
                 FsyncMode::Off,
-                Arc::clone(&pool),
+                Some(Arc::clone(&pool)),
             )
             .unwrap();
-            let mut t = VersionedTable::from_cold(rec.cold, generation);
-            replay(&mut t, &rec.ops).unwrap();
-            t.set_durability(Arc::new(rec.durability));
             (t, pool)
         };
 

@@ -97,7 +97,7 @@ pub mod shared;
 pub mod table;
 pub mod version;
 
-pub use durability::{DurabilityStats, RecoveredColdTable, RecoveredTable, TableDurability};
+pub use durability::{DurabilityStats, TableDurability};
 pub use merge::{BuiltMain, MergeTicket};
 pub use registry::{VersionRegistry, VersionStats};
 pub use shared::SharedTable;

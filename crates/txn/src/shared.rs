@@ -2,17 +2,25 @@
 //! [`VersionedTable`].
 //!
 //! The lock discipline is deliberately coarse and short: writers take the
-//! write lock per operation (delta appends are O(1)); readers take the read
-//! lock only to clone a [`Snapshot`] and then run queries entirely outside
-//! the lock. A merge holds the write lock while it builds the new main
-//! store; readers that grabbed a snapshot before the merge keep their
-//! pinned `Arc`s and are never blocked mid-query or torn.
+//! write lock per operation (delta appends are O(1)) — or once per
+//! compound statement through [`SharedTable::with_write`], which is how
+//! predicate DML keeps its match and its writes atomic; readers take the
+//! read lock only to clone a [`Snapshot`] and then run queries entirely
+//! outside the lock. Merges come in two shapes. A synchronous
+//! [`SharedTable::merge`] holds the write lock for the whole fold. A
+//! background merge holds it twice, briefly: [`SharedTable::begin_merge`]
+//! pins the cut, then [`SharedTable::complete_merge`] — the one
+//! build → pre-persist → finish sequence, shared by
+//! [`SharedTable::background_merge`] and `pdsm-core`'s maintenance worker
+//! — folds off-lock and retakes the lock only to replay post-cut ops and
+//! swap. Either way, readers that grabbed a snapshot before the merge
+//! keep their pinned `Arc`s and are never blocked mid-query or torn.
 
 use crate::merge::{BuiltMain, MergeTicket};
 use crate::registry::VersionStats;
 use crate::table::{MergeStats, RowId, VersionedTable, WriteStats};
 use crate::version::Snapshot;
-use pdsm_storage::{ColId, Error, Layout, Result, Value};
+use pdsm_storage::{ColId, Error, Layout, Result, Table, Value};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cloneable handle to a concurrently usable versioned table.
@@ -88,40 +96,6 @@ impl SharedTable {
         self.write().finish_merge(built)
     }
 
-    /// [`SharedTable::finish_merge`], then run `f` under the *same* write
-    /// lock — the hook a maintenance scheduler uses to capture post-swap
-    /// state (the fresh main `Arc`, the new generation) atomically with the
-    /// swap, e.g. to rebuild secondary indexes off-lock afterwards. `f` is
-    /// not called when the build is stale.
-    pub fn finish_merge_then<R>(
-        &self,
-        built: BuiltMain,
-        f: impl FnOnce(&VersionedTable) -> R,
-    ) -> Result<(MergeStats, R)> {
-        let mut t = self.write();
-        let stats = t.finish_merge(built)?;
-        let r = f(&t);
-        Ok((stats, r))
-    }
-
-    /// Synchronous [`SharedTable::merge_with_layout`], then run `f` under
-    /// the same write lock (see [`SharedTable::finish_merge_then`]).
-    pub fn merge_with_layout_then<R>(
-        &self,
-        layout: Layout,
-        f: impl FnOnce(&VersionedTable) -> R,
-    ) -> Result<(MergeStats, R)> {
-        let mut t = self.write();
-        let stats = t.merge_with_layout(layout)?;
-        let r = f(&t);
-        Ok((stats, r))
-    }
-
-    /// Drop any pending merge build (its `finish_merge` turns stale).
-    pub fn abort_merge(&self) -> bool {
-        self.write().abort_merge()
-    }
-
     /// Drop the pending merge build only if `epoch` stamps it (the safe
     /// abort for a build owner that may have been preempted).
     pub fn abort_merge_epoch(&self, epoch: u64) -> bool {
@@ -147,13 +121,29 @@ impl SharedTable {
             Err(e) => return Err(e),
         };
         let layout = layout.unwrap_or_else(|| ticket.snapshot().main().layout().clone());
+        Ok(self
+            .complete_merge(&ticket, layout)?
+            .map(|(stats, _)| stats))
+    }
+
+    /// Phases 2 and 3 of a background merge, from any thread: fold
+    /// `ticket`'s cut into `layout` off-lock, then replay post-cut ops and
+    /// swap under a short write lock. Returns the merge's stats with the
+    /// main store it published (captured under the swap's lock, so index
+    /// rebuilds run over exactly that version), or `Ok(None)` — table
+    /// untouched — when the build turned stale: an explicit merge won.
+    /// A failed build aborts its own pending cut and nobody else's.
+    pub fn complete_merge(
+        &self,
+        ticket: &MergeTicket,
+        layout: Layout,
+    ) -> Result<Option<(MergeStats, Arc<Table>)>> {
         let built = match ticket.build(layout) {
             Ok(b) => b,
             Err(e) => {
-                // Epoch-guarded: abort only our own pending merge — a
-                // sync merge may have preempted us and someone else may
-                // have begun a newer one meanwhile.
-                self.write().abort_merge_epoch(ticket.epoch());
+                // Epoch-guarded: a sync merge may have preempted us and
+                // someone else may have begun a newer one meanwhile.
+                self.abort_merge_epoch(ticket.epoch());
                 return Err(e);
             }
         };
@@ -162,12 +152,13 @@ impl SharedTable {
         // rename it instead of serializing under the write lock. Errors
         // are ignored — a failed (and self-removed) pre-persist just
         // means the checkpoint falls back to inline serialization.
-        if let Some(d) = self.read().durability() {
+        if let Some(d) = self.durability() {
             let generation = ticket.snapshot().generation() + 1;
-            let _ = d.pre_persist(&built.table, generation, ticket.epoch());
+            let _ = d.pre_persist(built.table(), generation, ticket.epoch());
         }
-        match self.write().finish_merge(built) {
-            Ok(s) => Ok(Some(s)),
+        let mut t = self.write();
+        match t.finish_merge(built) {
+            Ok(stats) => Ok(Some((stats, t.main_arc()))),
             Err(Error::StaleMergeBuild) => Ok(None),
             Err(e) => Err(e),
         }
@@ -215,7 +206,7 @@ impl SharedTable {
     }
 
     /// Shared handle to the current main store.
-    pub fn main_arc(&self) -> std::sync::Arc<pdsm_storage::Table> {
+    pub fn main_arc(&self) -> Arc<Table> {
         self.read().main_arc()
     }
 
@@ -225,7 +216,7 @@ impl SharedTable {
     }
 
     /// The durability handle, if this table is durable.
-    pub fn durability(&self) -> Option<std::sync::Arc<crate::TableDurability>> {
+    pub fn durability(&self) -> Option<Arc<crate::TableDurability>> {
         self.read().durability()
     }
 
@@ -243,7 +234,7 @@ impl SharedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_storage::{ColumnDef, DataType, Schema, Table};
+    use pdsm_storage::{ColumnDef, DataType, Schema};
 
     #[test]
     fn shared_roundtrip() {

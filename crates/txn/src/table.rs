@@ -11,6 +11,7 @@ use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, DataType, Error, Layout, Result, Schema, Table, Value};
 use pdsm_store::WalOp;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Stable row address within one merge generation.
@@ -91,9 +92,9 @@ pub struct ColdScan {
 /// All write operations take `&mut self`; concurrent single-writer /
 /// multi-reader use goes through [`crate::SharedTable`].
 ///
-/// A table recovered through [`VersionedTable::from_cold`] keeps its main
-/// store on disk: `main` stays unset and reads fault extents through the
-/// buffer pool until something needs the whole table resident
+/// A table recovered through a buffer pool keeps its main store on disk:
+/// `main` stays unset and reads fault extents through the pool until
+/// something needs the whole table resident
 /// ([`VersionedTable::main_ref`] hydrates it once, lazily).
 #[derive(Debug)]
 pub struct VersionedTable {
@@ -134,16 +135,11 @@ pub struct VersionedTable {
 impl Clone for VersionedTable {
     fn clone(&self) -> Self {
         // The clone is an independent table: it gets its own registry
-        // (snapshots of the original keep counting against the original)
-        // and no pending merge (the in-flight build belongs to `self`).
-        let registry = Arc::new(VersionRegistry::default());
-        if let Some(m) = self.main.get() {
-            registry.publish(self.generation, m);
-        }
+        // (snapshots of the original keep counting against the original),
+        // no pending merge (the in-flight build belongs to `self`) and no
+        // durability — two tables sharing one log would corrupt each
+        // other's id space.
         VersionedTable {
-            main: self.main.clone(),
-            cold: self.cold.clone(),
-            generation: self.generation,
             dead_main: self.dead_main.clone(),
             dead_main_count: self.dead_main_count,
             tail: self.tail.clone(),
@@ -151,13 +147,8 @@ impl Clone for VersionedTable {
             tail_dead_count: self.tail_dead_count,
             n_ops: self.n_ops,
             stats: self.stats,
-            snap_cache: OnceLock::new(),
-            registry,
             merge_epoch: self.merge_epoch,
-            pending: None,
-            // The clone must not log to the original's WAL: two tables
-            // sharing one log would corrupt each other's id space.
-            durability: None,
+            ..Self::at_generation(self.main.get().cloned(), self.cold.clone(), self.generation)
         }
     }
 }
@@ -170,16 +161,25 @@ fn resident(main: Arc<Table>) -> OnceLock<Arc<Table>> {
 }
 
 impl VersionedTable {
-    /// Wrap an already-built table (e.g. from a workload generator) as the
-    /// generation-0 main store with an empty delta.
-    pub fn from_table(table: Table) -> Self {
-        let main = Arc::new(table);
+    /// An empty-delta table at `generation` over a resident `main` or a
+    /// still-on-disk `cold` checkpoint (recovery passes one or the other).
+    /// A cold main faults extents through its buffer pool; the first
+    /// operation that needs the whole main resident hydrates it,
+    /// bit-identical to a resident recovery. WAL replay never does:
+    /// `schema()`, `get()` and the tombstone masks work against the header.
+    pub(crate) fn at_generation(
+        main: Option<Arc<Table>>,
+        cold: Option<Arc<ColdTable>>,
+        generation: u64,
+    ) -> Self {
         let registry = Arc::new(VersionRegistry::default());
-        registry.publish(0, &main);
+        if let Some(m) = &main {
+            registry.publish(generation, m);
+        }
         VersionedTable {
-            main: resident(main),
-            cold: None,
-            generation: 0,
+            main: main.map(resident).unwrap_or_default(),
+            cold,
+            generation,
             dead_main: Vec::new(),
             dead_main_count: 0,
             tail: Vec::new(),
@@ -195,49 +195,16 @@ impl VersionedTable {
         }
     }
 
-    /// Wrap a main store loaded from a checkpoint, publishing it at the
-    /// recovered `generation` instead of 0. The WAL tail is then replayed
-    /// through the normal DML methods (see [`crate::durability::replay`])
-    /// and durability attached last, so replay is not re-logged.
-    pub fn from_recovered(table: Table, generation: u64) -> Self {
-        let mut t = Self::from_table(table);
-        t.generation = generation;
-        t.registry = Arc::new(VersionRegistry::default());
-        t.registry
-            .publish(generation, t.main.get().expect("set by from_table"));
-        t
-    }
-
-    /// Wrap a still-on-disk checkpoint as an unhydrated main store at the
-    /// recovered `generation`. Reads fault extents through the cold table's
-    /// buffer pool; the first operation that needs the whole main resident
-    /// hydrates it (bit-identical to a resident recovery). WAL replay runs
-    /// through the normal DML methods and never hydrates: `schema()`,
-    /// `get()` and the tombstone masks all work against the header.
-    pub fn from_cold(cold: Arc<ColdTable>, generation: u64) -> Self {
-        VersionedTable {
-            main: OnceLock::new(),
-            cold: Some(cold),
-            generation,
-            dead_main: Vec::new(),
-            dead_main_count: 0,
-            tail: Vec::new(),
-            tail_alive: Vec::new(),
-            tail_dead_count: 0,
-            n_ops: 0,
-            stats: WriteStats::default(),
-            snap_cache: OnceLock::new(),
-            registry: Arc::new(VersionRegistry::default()),
-            merge_epoch: 0,
-            pending: None,
-            durability: None,
-        }
+    /// Wrap an already-built table (e.g. from a workload generator) as the
+    /// generation-0 main store with an empty delta.
+    pub fn from_table(table: Table) -> Self {
+        Self::at_generation(Some(Arc::new(table)), None, 0)
     }
 
     /// Attach the WAL + checkpoint glue. From here on every committed DML
     /// op is logged before the caller gets control back, and every merge
     /// checkpoints.
-    pub fn set_durability(&mut self, durability: Arc<TableDurability>) {
+    pub(crate) fn set_durability(&mut self, durability: Arc<TableDurability>) {
         self.durability = Some(durability);
     }
 
@@ -261,22 +228,20 @@ impl VersionedTable {
     pub fn name(&self) -> &str {
         match self.main.get() {
             Some(m) => m.name(),
-            None => self.cold.as_ref().expect("unhydrated ⇒ cold").name(),
+            None => self.cold_only().name(),
         }
+    }
+
+    /// The on-disk main of a table that has no resident one yet.
+    fn cold_only(&self) -> &ColdTable {
+        self.cold.as_ref().expect("unhydrated ⇒ cold")
     }
 
     /// The schema. Never hydrates (WAL replay normalizes against it).
     pub fn schema(&self) -> &Schema {
         match self.main.get() {
             Some(m) => m.schema(),
-            None => {
-                &self
-                    .cold
-                    .as_ref()
-                    .expect("unhydrated ⇒ cold")
-                    .header()
-                    .schema
-            }
+            None => &self.cold_only().header().schema,
         }
     }
 
@@ -289,9 +254,9 @@ impl VersionedTable {
     /// that appeared after recovery.
     pub fn main_ref(&self) -> &Arc<Table> {
         self.main.get_or_init(|| {
-            let cold = self.cold.as_ref().expect("unhydrated ⇒ cold");
             let table = Arc::new(
-                cold.hydrate()
+                self.cold_only()
+                    .hydrate()
                     .expect("cold main hydration: checkpoint payload unreadable"),
             );
             self.registry.publish(self.generation, &table);
@@ -303,7 +268,7 @@ impl VersionedTable {
     pub fn main_len(&self) -> usize {
         match self.main.get() {
             Some(m) => m.len(),
-            None => self.cold.as_ref().expect("unhydrated ⇒ cold").len(),
+            None => self.cold_only().len(),
         }
     }
 
@@ -338,38 +303,6 @@ impl VersionedTable {
     /// Shared handle to the main store. Hydrates a cold main.
     pub fn main_arc(&self) -> Arc<Table> {
         self.main_ref().clone()
-    }
-
-    /// Mutable access to the main store for bulk loading. Only valid while
-    /// the delta is empty — delta row ids are positions relative to the
-    /// main store, so growing it underneath them would corrupt addressing.
-    pub fn main_mut(&mut self) -> Result<&mut Table> {
-        if self.has_delta() {
-            return Err(Error::InvalidLayout(
-                "cannot mutate the main store with a pending delta; merge first".into(),
-            ));
-        }
-        // A direct main-store edit invalidates any in-flight merge build.
-        self.abort_merge();
-        self.snap_cache = OnceLock::new();
-        self.main_ref();
-        // The edit diverges from the checkpoint: drop the cold mount and
-        // its cached frames so nothing serves stale extents.
-        if let Some(c) = self.cold.take() {
-            c.retire();
-        }
-        Ok(Arc::make_mut(self.main.get_mut().expect("hydrated above")))
-    }
-
-    /// Re-persist the main store after [`VersionedTable::main_mut`] bulk
-    /// edits. A no-op for non-durable tables. Safe as a lone blob swap:
-    /// `main_mut` requires an empty delta, and an empty delta means the
-    /// live WAL is empty too, so the blob is the whole durable state.
-    pub fn persist_main(&self) -> Result<()> {
-        match &self.durability {
-            Some(d) => d.persist_main(self.main_ref(), self.generation),
-            None => Ok(()),
-        }
     }
 
     /// Merge generation (0 for a fresh table, +1 per merge).
@@ -470,89 +403,44 @@ impl VersionedTable {
     /// Append one row to the delta. Returns its [`RowId`].
     pub fn insert(&mut self, values: &[Value]) -> Result<RowId> {
         let row = self.normalize_row(values)?;
-        let logged = self
-            .durability
-            .as_ref()
-            .map(|_| WalOp::InsertBatch(vec![row.clone()]));
-        let id = self.id_space();
-        self.tail.push(row);
-        self.tail_alive.push(true);
-        self.stats.inserts += 1;
-        self.bump();
-        if let Some(op) = logged {
-            self.durability.as_ref().expect("mapped above").log(&op)?;
-        }
-        Ok(id)
+        Ok(self.insert_rows(vec![row])?.start)
     }
 
     /// Append many rows atomically: every row is validated before any is
     /// appended, so a bad row leaves the table unchanged.
     pub fn insert_batch(&mut self, rows: &[Vec<Value>]) -> Result<Vec<RowId>> {
-        let normalized: Vec<Row> = rows
+        let rows = rows
             .iter()
             .map(|r| self.normalize_row(r))
             .collect::<Result<_>>()?;
-        let logged = self
-            .durability
-            .as_ref()
-            .map(|_| WalOp::InsertBatch(normalized.clone()));
-        let base = self.id_space();
-        let ids = (base..base + normalized.len()).collect();
-        self.tail.extend(normalized);
-        self.tail_alive.resize(self.tail.len(), true);
-        self.stats.inserts += rows.len() as u64;
-        self.bump();
-        if let Some(op) = logged {
-            self.durability.as_ref().expect("mapped above").log(&op)?;
-        }
+        Ok(self.insert_rows(rows)?.collect())
+    }
+
+    /// One insert op over already-normalized rows: appended, counted, and
+    /// logged as a single batch record.
+    fn insert_rows(&mut self, rows: Vec<Row>) -> Result<Range<RowId>> {
+        let ids = self.append(rows);
+        self.stats.inserts += ids.len() as u64;
+        let first = ids.start - self.main_len();
+        self.log(|| WalOp::InsertBatch(self.tail[first..].to_vec()))?;
         Ok(ids)
     }
 
-    /// Is `id` in range and not tombstoned?
-    pub fn is_visible(&self, id: RowId) -> bool {
-        let main_len = self.main_len();
-        if id < main_len {
-            self.dead_main.get(id).map(|d| !d).unwrap_or(true)
-        } else {
-            self.tail_alive.get(id - main_len).copied().unwrap_or(false)
-        }
+    /// The one append: push normalized rows onto the tail, live, as one
+    /// delta op. Logs nothing and counts no statistic — the public op
+    /// that called it owns its WAL record and its counter.
+    fn append(&mut self, rows: Vec<Row>) -> Range<RowId> {
+        let base = self.id_space();
+        self.tail.extend(rows);
+        self.tail_alive.resize(self.tail.len(), true);
+        self.bump();
+        base..self.id_space()
     }
 
-    /// Read one visible row, decoded.
-    pub fn get(&self, id: RowId) -> Result<Row> {
-        if id >= self.id_space() {
-            return Err(Error::RowOutOfRange {
-                row: id,
-                len: self.id_space(),
-            });
-        }
-        if !self.is_visible(id) {
-            return Err(Error::RowDeleted { row: id });
-        }
-        let main_len = self.main_len();
-        if id < main_len {
-            // A cold main serves the point read from one faulted extent —
-            // WAL replay and stray gets must not hydrate the whole table.
-            match self.main.get() {
-                Some(m) => m.row(id),
-                None => self.cold.as_ref().expect("unhydrated ⇒ cold").row(id),
-            }
-        } else {
-            Ok(self.tail[id - main_len].clone())
-        }
-    }
-
-    /// Tombstone one visible row.
-    pub fn delete(&mut self, id: RowId) -> Result<()> {
-        if id >= self.id_space() {
-            return Err(Error::RowOutOfRange {
-                row: id,
-                len: self.id_space(),
-            });
-        }
-        if !self.is_visible(id) {
-            return Err(Error::RowDeleted { row: id });
-        }
+    /// The one tombstone: mark a visible row dead, as one delta op. Like
+    /// [`VersionedTable::append`], logs and counts nothing.
+    fn tombstone(&mut self, id: RowId) -> Result<()> {
+        self.check_visible(id)?;
         let main_len = self.main_len();
         if id < main_len {
             if self.dead_main.is_empty() {
@@ -572,45 +460,98 @@ impl VersionedTable {
                 p.replay_deletes.push(id);
             }
         }
-        self.stats.deletes += 1;
         self.bump();
-        if let Some(d) = &self.durability {
-            d.log(&WalOp::Delete { row: id as u64 })?;
+        Ok(())
+    }
+
+    /// Append the committed op to the WAL, if this table has one.
+    fn log(&self, op: impl FnOnce() -> WalOp) -> Result<()> {
+        match &self.durability {
+            Some(d) => d.log(&op()),
+            None => Ok(()),
+        }
+    }
+
+    /// Is `id` in range and not tombstoned?
+    pub fn is_visible(&self, id: RowId) -> bool {
+        let main_len = self.main_len();
+        if id < main_len {
+            self.dead_main.get(id).map(|d| !d).unwrap_or(true)
+        } else {
+            self.tail_alive.get(id - main_len).copied().unwrap_or(false)
+        }
+    }
+
+    /// `id` must be in range and not tombstoned.
+    fn check_visible(&self, id: RowId) -> Result<()> {
+        if id >= self.id_space() {
+            return Err(Error::RowOutOfRange {
+                row: id,
+                len: self.id_space(),
+            });
+        }
+        if !self.is_visible(id) {
+            return Err(Error::RowDeleted { row: id });
         }
         Ok(())
     }
 
+    /// Read one visible row, decoded.
+    pub fn get(&self, id: RowId) -> Result<Row> {
+        self.check_visible(id)?;
+        let main_len = self.main_len();
+        if id < main_len {
+            // A cold main serves the point read from one faulted extent —
+            // WAL replay and stray gets must not hydrate the whole table.
+            match self.main.get() {
+                Some(m) => m.row(id),
+                None => self.cold_only().row(id),
+            }
+        } else {
+            Ok(self.tail[id - main_len].clone())
+        }
+    }
+
+    /// Tombstone one visible row.
+    pub fn delete(&mut self, id: RowId) -> Result<()> {
+        self.tombstone(id)?;
+        self.stats.deletes += 1;
+        self.log(|| WalOp::Delete { row: id as u64 })
+    }
+
     /// Overwrite one cell of a visible row. Implemented as tombstone +
-    /// re-append (the delta is append-only), so the row moves to the end of
-    /// the scan order and gets a fresh id, which is returned.
+    /// re-append (the delta is append-only, so this is two delta ops), so
+    /// the row moves to the end of the scan order and gets a fresh id,
+    /// which is returned. The WAL carries it as one `Update` record.
     pub fn update(&mut self, id: RowId, c: ColId, v: &Value) -> Result<RowId> {
-        if c >= self.schema().len() {
-            return Err(Error::UnknownColumn(c));
+        let row = self.get(id)?;
+        self.update_cells(id, row, &[(c, v.clone())])
+    }
+
+    /// [`VersionedTable::update`], once per `(column, value)` of `sets`
+    /// and chained through the fresh ids (the last is returned), for a
+    /// caller that already holds `id`'s decoded `cells` — the scan that
+    /// matched it — so that a cold main is not faulted a second time per
+    /// row. `cells` must be what [`VersionedTable::get`] returns for `id`.
+    pub fn update_cells(
+        &mut self,
+        mut id: RowId,
+        mut cells: Row,
+        sets: &[(ColId, Value)],
+    ) -> Result<RowId> {
+        for &(c, ref v) in sets {
+            if c >= self.schema().len() {
+                return Err(Error::UnknownColumn(c));
+            }
+            let value = self.normalize(c, v)?;
+            self.tombstone(id)?;
+            cells.0[c] = value.clone();
+            let (row, col) = (id as u64, c as u32);
+            id = self.append(vec![cells.clone()]).start;
+            self.stats.updates += 1;
+            self.log(|| WalOp::Update { row, col, value })?;
         }
-        let normalized = self.normalize(c, v)?;
-        let mut row = self.get(id)?;
-        row.0[c] = normalized.clone();
-        // The WAL carries update as one op, not its tombstone + re-append
-        // decomposition: detach durability around the internal delete so
-        // it is not logged separately.
-        let durability = self.durability.take();
-        self.delete(id).expect("visible: just read");
-        self.durability = durability;
-        let new_id = self.id_space();
-        self.tail.push(row);
-        self.tail_alive.push(true);
-        // delete() and this append are one logical operation
-        self.stats.deletes -= 1;
-        self.stats.updates += 1;
-        self.bump();
-        if let Some(d) = &self.durability {
-            d.log(&WalOp::Update {
-                row: id as u64,
-                col: c as u32,
-                value: normalized,
-            })?;
-        }
-        Ok(new_id)
+        Ok(id)
     }
 
     /// The engine-facing overlay of the current state, or `None` when the
@@ -1222,16 +1163,5 @@ mod tests {
         assert_eq!(s.pinned_versions, 0);
         assert_eq!(s.live_mains, 1, "only the current main remains");
         assert_eq!(s.pinned_bytes, 0);
-    }
-
-    #[test]
-    fn main_mut_requires_empty_delta() {
-        let mut t = seeded();
-        assert!(t.main_mut().is_ok());
-        t.insert(&[Value::Int32(1), Value::Str("x".into()), Value::Null])
-            .unwrap();
-        assert!(t.main_mut().is_err());
-        t.merge().unwrap();
-        assert!(t.main_mut().is_ok());
     }
 }

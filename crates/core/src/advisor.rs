@@ -62,22 +62,19 @@ impl LayoutAdvisor {
     /// the post-merge state: row counts (and, when enabled, statistics)
     /// cover the visible rows — main store plus any pending delta — since
     /// that is what the advised layout will hold once the merge folds the
-    /// delta in.
+    /// delta in. Statistics-free views are the planner's (`table_view`)
+    /// and read table headers only: a cold table stays cold. Only
+    /// `compute_stats` reads row data.
     pub fn views(&self, db: &Database) -> HashMap<String, TableView> {
         let mut views = HashMap::new();
-        for name in db.table_names() {
-            // Pin a snapshot (short lock) and do all the O(rows × cols)
-            // stats work lock-free against it — writers to the table are
-            // never stalled behind a stats pass. Tables can be
-            // dropped/replaced concurrently; skip ones that vanished
-            // between the listing and the lookup.
-            let Ok(snap) = db.table_snapshot(&name) else {
-                continue;
-            };
-            let t = snap.main();
-            let mut view = TableView::from_table(t);
-            view.n_rows = snap.len() as u64;
+        // Pin every table (short locks) and do all the O(rows × cols)
+        // stats work lock-free against the pin — writers to a table are
+        // never stalled behind a stats pass.
+        for (name, pinned) in &db.snapshot().tables {
+            let snap = &pinned.snapshot;
+            let mut view = crate::planner::table_view(snap);
             if self.compute_stats {
+                let t = snap.main();
                 let ncols = t.schema().len();
                 let mut stats = TableStatsView {
                     distinct: vec![None; ncols],
@@ -100,7 +97,7 @@ impl LayoutAdvisor {
                 }
                 view = view.with_stats(stats);
             }
-            views.insert(name.to_string(), view);
+            views.insert(name.clone(), view);
         }
         views
     }

@@ -10,8 +10,11 @@
 //! * writers to **different** tables proceed fully in parallel (each takes
 //!   only its own table's write lock, per operation),
 //! * writers to the **same** table serialize on that table's lock only,
-//! * readers never block writers: queries run over [`pdsm_txn::Snapshot`]s
-//!   pinned under a short read lock, entirely lock-free afterwards.
+//! * readers never block writers: a statement pins its view — one
+//!   [`pdsm_txn::Snapshot`] per referenced table, each under one short read
+//!   lock — and runs over it entirely lock-free afterwards (see
+//!   [`crate::query`]); not even the hydration of a cold main store
+//!   happens under a table lock.
 //!
 //! `Database` is `Send + Sync`; the multi-threaded entry point is
 //! `Arc<Database>` (clone the `Arc` per thread). `Database` is one type
@@ -329,21 +332,15 @@ struct ObservedTraffic {
 }
 
 /// One secondary index, tagged with the main-store generation it was built
-/// from. A probe uses it only when the tag matches the pinned snapshot's
-/// generation; anything stale falls back to the (always-correct) scan
-/// path until the next merge's rebuild catches the index up.
+/// from. A statement's pin takes it into its view only when the tag
+/// matches the pinned snapshot's generation; anything stale is invisible
+/// to planning and execution alike — the statement scans — until the next
+/// merge's rebuild catches the index up.
 #[derive(Clone)]
 pub(crate) struct IndexEntry {
     pub generation: u64,
     pub kind: IndexKind,
     pub index: Arc<Index>,
-}
-
-/// Every secondary index of one table, behind that table's index lock
-/// (taken *after* the table lock, never while holding it for a fold).
-#[derive(Default)]
-pub(crate) struct IndexSet {
-    pub by_col: HashMap<ColId, IndexEntry>,
 }
 
 /// One catalog slot: the shared table handle plus its index set. Cloning
@@ -352,14 +349,17 @@ pub(crate) struct IndexSet {
 #[derive(Clone)]
 pub(crate) struct TableEntry {
     pub(crate) table: SharedTable,
-    pub(crate) indexes: Arc<RwLock<IndexSet>>,
+    /// Every secondary index of the table by column, behind the table's
+    /// index lock (taken *after* the table lock, never while holding it
+    /// for a fold).
+    pub(crate) indexes: Arc<RwLock<HashMap<ColId, IndexEntry>>>,
 }
 
 impl TableEntry {
     fn new(table: VersionedTable) -> Self {
         TableEntry {
             table: SharedTable::new(table),
-            indexes: Arc::new(RwLock::new(IndexSet::default())),
+            indexes: Arc::default(),
         }
     }
 }
@@ -604,7 +604,8 @@ impl Database {
         let mut catalog = self.write_catalog();
         self.make_durable(&mut vt)?;
         catalog.insert(name, TableEntry::new(vt));
-        drop(catalog);
+        // Under the catalog lock, where a statement's pin reads it: the
+        // pin then sees the replaced table and the new epoch, or neither.
         self.bump_epoch();
         Ok(())
     }
@@ -624,7 +625,6 @@ impl Database {
         }
         self.make_durable(&mut t)?;
         catalog.insert(name.to_string(), TableEntry::new(t));
-        drop(catalog);
         self.bump_epoch();
         Ok(())
     }
@@ -671,9 +671,9 @@ impl Database {
     }
 
     /// The read-optimized main store of `name`, as an owned `Arc` (the
-    /// main store is immutable between merges). Excludes pending delta
-    /// rows — query through [`Database::run`] (or a snapshot) to see
-    /// those.
+    /// main store is immutable between merges), made resident if it was
+    /// still cold. Excludes pending delta rows — query through
+    /// [`Database::run`] (or a snapshot) to see those.
     pub fn get_table(&self, name: &str) -> Result<Arc<Table>, DbError> {
         Ok(self.entry(name)?.table.main_arc())
     }
@@ -794,7 +794,12 @@ impl Database {
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> Result<(), DbError> {
         let entry = self.entry(table)?;
         entry.merge_if(None, 1)?;
-        let (main, generation) = entry.table.with_read(|vt| (vt.main_arc(), vt.generation()));
+        // Pinned under the lock, made resident (if cold) outside it.
+        let current = || {
+            let pinned = entry.table.snapshot();
+            (pinned.store().table().clone(), pinned.generation())
+        };
+        let (main, generation) = current();
         let col = main.schema().col_id(column)?;
         let ty = main.schema().columns()[col].ty;
         if ty == DataType::Float64 {
@@ -808,7 +813,6 @@ impl Database {
             .indexes
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .by_col
             .insert(
                 col,
                 IndexEntry {
@@ -819,9 +823,10 @@ impl Database {
             );
         // A background merge may have swapped the main store while we were
         // building. One catch-up rebuild closes the common race; anything
-        // rarer is caught by the probe's generation check and healed by
-        // the next merge's rebuild.
-        let (main2, gen2) = entry.table.with_read(|vt| (vt.main_arc(), vt.generation()));
+        // rarer keeps the index out of statement views (whose pin admits
+        // only indexes of the pinned generation) until the next merge's
+        // rebuild heals it.
+        let (main2, gen2) = current();
         if gen2 != generation {
             entry.reindex(&main2, gen2);
         }
@@ -837,19 +842,9 @@ impl Database {
             .indexes
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .by_col
             .remove(&col);
         self.bump_epoch();
         Ok(())
-    }
-
-    /// The index on `(table, col)`, if any — an owned handle; it may be
-    /// one generation behind the main store right after a merge (probes
-    /// check, planners only price).
-    pub fn index(&self, table: &str, col: ColId) -> Option<Arc<Index>> {
-        let entry = self.read_catalog().get(table)?.clone();
-        let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
-        set.by_col.get(&col).map(|e| Arc::clone(&e.index))
     }
 
     /// Combined counters of the plan cache and the result cache.
@@ -909,14 +904,14 @@ impl Database {
         o.by_key.clear();
     }
 
-    /// Total bytes across all tables (main stores + pending deltas).
+    /// Total bytes across all tables (main stores + pending deltas). Makes
+    /// cold main stores resident to measure them — each outside its
+    /// table's lock.
     pub fn byte_size(&self) -> usize {
-        self.read_catalog()
-            .values()
-            .map(|e| {
-                e.table
-                    .with_read(|vt| vt.main().byte_size() + vt.delta_byte_size())
-            })
+        let entries: Vec<TableEntry> = self.read_catalog().values().cloned().collect();
+        entries
+            .iter()
+            .map(|e| e.table.main_arc().byte_size() + e.table.with_read(|vt| vt.delta_byte_size()))
             .sum()
     }
 }
@@ -931,8 +926,7 @@ impl TableEntry {
     pub(crate) fn reindex(&self, main: &Table, generation: u64) {
         let cols: Vec<(ColId, IndexKind)> = {
             let set = self.indexes.read().unwrap_or_else(|e| e.into_inner());
-            set.by_col
-                .iter()
+            set.iter()
                 .filter(|(_, e)| e.generation < generation)
                 .map(|(c, e)| (*c, e.kind))
                 .collect()
@@ -946,7 +940,7 @@ impl TableEntry {
             .collect();
         let mut set = self.indexes.write().unwrap_or_else(|e| e.into_inner());
         for (col, kind, index) in rebuilt {
-            if let Some(e) = set.by_col.get_mut(&col) {
+            if let Some(e) = set.get_mut(&col) {
                 if e.generation < generation {
                     *e = IndexEntry {
                         generation,

@@ -186,6 +186,10 @@ pub(crate) struct BuildJob {
 pub(crate) struct AdviseInputs {
     pub views: HashMap<String, TableView>,
     pub workload: Workload,
+    /// The database's hardware model — the planner's — travelling with
+    /// the inputs, so a table folds into the same layout whichever thread
+    /// prices the advice.
+    pub hierarchy: Hierarchy,
 }
 
 /// Mutable scheduler state, shared between the front (DML threads) and
@@ -393,10 +397,8 @@ fn run_build(job: BuildJob, shared: &SchedShared) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (layout, advised) = choose_layout(
             &job.table,
-            job.ticket.snapshot().main().layout().clone(),
+            job.ticket.snapshot().store().layout().clone(),
             job.advise.as_ref(),
-            &Hierarchy::nehalem(),
-            &OptimizerConfig::default(),
         );
         // `None` twice over: a failed build (its cut already aborted) or a
         // stale one — an explicit or backpressure merge preempted us.
@@ -438,8 +440,6 @@ pub(crate) fn choose_layout(
     table: &str,
     current: Layout,
     advise: Option<&AdviseInputs>,
-    hw: &Hierarchy,
-    cfg: &OptimizerConfig,
 ) -> (Layout, bool) {
     let Some(a) = advise else {
         return (current, false);
@@ -447,10 +447,71 @@ pub(crate) fn choose_layout(
     if a.workload.queries.is_empty() || !a.views.contains_key(table) {
         return (current, false);
     }
-    let opt = optimize_table(table, &a.views, &a.workload, hw, cfg);
+    let cfg = OptimizerConfig::default();
+    let opt = optimize_table(table, &a.views, &a.workload, &a.hierarchy, &cfg);
     if opt.layout != current {
         (opt.layout, true)
     } else {
         (current, false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Database;
+    use pdsm_plan::builder::QueryBuilder;
+    use pdsm_plan::expr::Expr;
+    use pdsm_plan::logical::{AggExpr, AggFunc};
+    use pdsm_storage::{ColumnDef, DataType, Schema, Value};
+
+    /// The layout a threshold merge in `mode` folds a 16-column table into
+    /// after narrow scan traffic was observed, on a database whose planner
+    /// prices against `hierarchy`.
+    fn advised_layout(mode: MaintenanceMode, hierarchy: Hierarchy) -> Layout {
+        let mut db = Database::with_maintenance(MaintenanceConfig {
+            mode,
+            merge_threshold: 200,
+            ..MaintenanceConfig::default()
+        });
+        db.planner.hierarchy = hierarchy;
+        let cols: Vec<ColumnDef> = (0..16)
+            .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int32))
+            .collect();
+        db.create_table("r", Schema::new(cols)).unwrap();
+        let insert = |n: i32| {
+            for i in 0..n {
+                let row: Vec<Value> = (0..16).map(|c| Value::Int32(i * 16 + c)).collect();
+                db.insert("r", &row).unwrap();
+            }
+            db.flush_maintenance().unwrap();
+        };
+        insert(2000);
+        let q = QueryBuilder::scan("r")
+            .filter_with_selectivity(Expr::col(0).eq(Expr::lit(3)), 0.05)
+            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
+            .build();
+        for _ in 0..5 {
+            db.execute(&q).unwrap();
+        }
+        insert(250);
+        db.get_table("r").unwrap().layout().clone()
+    }
+
+    /// One hardware model per database: the worker prices layout advice
+    /// against the hierarchy the planner and the sync path use, so a table
+    /// folds into the same layout in either mode.
+    #[test]
+    fn background_builds_advise_with_the_databases_hierarchy() {
+        // Every access free: no layout beats another, advice keeps rows.
+        let flat = Hierarchy::nehalem().with_latencies(&[0.0; 6]);
+        let sync = advised_layout(MaintenanceMode::Sync, flat.clone());
+        assert_eq!(advised_layout(MaintenanceMode::Background, flat), sync);
+        assert_ne!(
+            sync,
+            advised_layout(MaintenanceMode::Sync, Hierarchy::nehalem()),
+            "the model under test must disagree with Nehalem, or this test \
+             cannot tell which of the two the worker priced against"
+        );
     }
 }

@@ -1,10 +1,14 @@
 //! The cost-based physical planner: `LogicalPlan` → [`PhysicalPlan`].
 //!
-//! This module closes the paper's loop — *model predicts, system acts*. For
-//! every query the planner:
+//! This module closes the paper's loop — *model predicts, system acts*.
+//! Planning is a pure function of the statement's pinned view
+//! ([`DbSnapshot`]: one version of every referenced table, with that
+//! version's indexes) and the configured hardware model — never of the
+//! live catalog, so what it prices is what execution, handed the same
+//! view, scans. For every query the planner:
 //!
-//! 1. builds [`TableView`]s of the referenced tables (current layout, row
-//!    counts including the live delta, optional statistics),
+//! 1. builds [`TableView`]s of the pinned tables (layout, row counts
+//!    including the live delta) from header data — no fault when cold,
 //! 2. emits the query's access-pattern program (`pdsm_plan::emit_pattern`,
 //!    §IV-D) and prices it with the prefetch-aware cost function
 //!    [`pdsm_cost::cost::estimate`] (Eq. 5–6) — the memory half `T_Mem`,
@@ -26,16 +30,20 @@
 //! best full scan — that invariant is property-tested in
 //! `tests/planner.rs`.
 
-use crate::database::{Database, DbError};
+use crate::database::DbError;
+use crate::query::{DbSnapshot, PinnedTable};
 use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
 use pdsm_exec::zone_preds;
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp};
+use pdsm_plan::fingerprint::pipeline_fragment;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::patterns::{emit_pattern, TableView};
 use pdsm_plan::physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan, PipelinePlan};
 use pdsm_plan::selectivity::estimate_selectivity;
-use pdsm_storage::ColId;
+use pdsm_pool::ColdTable;
+use pdsm_storage::{ColId, ZonePred};
+use pdsm_txn::Snapshot;
 use std::collections::HashMap;
 
 /// Per-tuple CPU cycles of the compiled (fused-pipeline) model.
@@ -60,10 +68,10 @@ pub const CACHE_ADMIT_FACTOR: f64 = 4.0;
 /// store), so they always bypass — point index probes land here.
 pub const CACHE_MIN_REEXEC_CYCLES: f64 = 20_000.0;
 
-/// The cost-based planner. A [`Database`] builds one at construction
-/// (calibrated Nehalem hierarchy, the host's worker count) and plans every
-/// statement with it; tests build their own with `threads` pinned for
-/// deterministic plans.
+/// The cost-based planner. A [`crate::Database`] builds one at
+/// construction (calibrated Nehalem hierarchy, the host's worker count) and
+/// plans every statement with it; tests build their own with `threads`
+/// pinned for deterministic plans.
 pub struct Planner {
     /// Memory hierarchy the cost model prices against.
     pub hierarchy: Hierarchy,
@@ -81,46 +89,26 @@ struct WorkEst {
 }
 
 impl Planner {
-    /// Lower `logical` against `db`'s catalog: choose fan-out and access
-    /// path via the cost model and record every priced alternative.
-    pub fn plan(&self, db: &Database, logical: &LogicalPlan) -> Result<PhysicalPlan, DbError> {
-        let views = self.views_for(db, logical)?;
-        let idx = db.index_candidate(logical);
-        Ok(self.build(db, logical, views, idx))
-    }
-
-    /// [`TableView`]s of every table `logical` references: current main
-    /// layout, row count covering main ∪ live delta.
-    fn views_for(
-        &self,
-        db: &Database,
-        logical: &LogicalPlan,
-    ) -> Result<HashMap<String, TableView>, DbError> {
+    /// Lower `logical` over the pinned `view`: choose fan-out and access
+    /// path via the cost model and record every priced alternative. A
+    /// table `view` does not hold is [`DbError::UnknownTable`].
+    pub fn plan(&self, view: &DbSnapshot, logical: &LogicalPlan) -> Result<PhysicalPlan, DbError> {
+        let tables = logical.tables();
         let mut views = HashMap::new();
-        for name in logical.tables() {
-            if views.contains_key(name) {
-                continue;
+        for &name in &tables {
+            if !views.contains_key(name) {
+                views.insert(name.to_string(), table_view(&view.pinned(name)?.snapshot));
             }
-            // A still-cold table plans from its checkpoint header alone
-            // (schema, layout, row count) — hydrating it here would fault
-            // the whole table in before the planner even decides whether
-            // the scan can skip most of it.
-            let view = db.with_table(name, |vt| match vt.cold_main() {
-                Some(cold) => table_view(&cold.skeleton(), vt.len()),
-                None => table_view(vt.main(), vt.len()),
-            })?;
-            views.insert(name.to_string(), view);
         }
-        Ok(views)
-    }
-
-    fn build(
-        &self,
-        db: &Database,
-        logical: &LogicalPlan,
-        views: HashMap<String, TableView>,
-        idx: Option<(String, AccessPath)>,
-    ) -> PhysicalPlan {
+        let idx = view.index_candidate(logical);
+        // The scan the root selection drives, and that selection as the
+        // zone predicates engines prune with (none for joins: their
+        // selection's columns are not scan columns). A cold table's zone
+        // map and column types come from its header: nothing is faulted.
+        let root = view.pinned(tables[0])?.snapshot.store();
+        let zps = scan_selection(logical)
+            .map(|pred| zone_preds(root.skeleton(), std::slice::from_ref(pred)))
+            .unwrap_or_default();
         let emitted = emit_pattern(logical, &views);
         let mem = cost::estimate(&emitted.pattern, &self.hierarchy).total_cycles;
         let work = work_est(logical, &views);
@@ -129,8 +117,13 @@ impl Planner {
         // Blocks the main store's zone map refutes under the root selection
         // are never touched by the pipeline core's survivor loop, which
         // both fan-outs walk, so memory traffic and per-tuple work shrink
-        // linearly with the surviving fraction.
-        let (zone_blocks, zone_pruned) = zone_stats(db, logical);
+        // linearly with the surviving fraction. Priced from the same
+        // refutation execution does; `(0, 0)` — zone map not consulted —
+        // with no refutable conjunct or over an empty main store.
+        let (zone_blocks, zone_pruned) = match root.zones() {
+            Some(zones) if !zps.is_empty() => zones.prune_stats(&zps),
+            _ => (0, 0),
+        };
         let survived = pdsm_cost::survived_fraction(zone_blocks, zone_pruned);
 
         // --- disk tier: faulting cold checkpoint extents ---
@@ -139,7 +132,10 @@ impl Planner {
         // free), so the disk term is one constant added to every
         // alternative — it never flips a fan-out choice, it makes the
         // totals honest and prices scan-vs-index on equal footing.
-        let (extents_total, extents_resident, extents_pruned, disk) = cold_stats(db, logical);
+        let (extents_total, extents_resident, extents_pruned, disk) = match root.cold() {
+            Some(cold) if tables.len() == 1 => cold_stats(cold, &zps),
+            _ => (0, 0, 0, 0.0),
+        };
 
         // --- fan-out alternatives (both run the same full-scan pattern) ---
         let compiled = CostSummary {
@@ -178,24 +174,24 @@ impl Planner {
         // against it would make the cache's contents a function of `nproc`.
         let mut reexec_cycles = compiled.total();
         if let Some((table, access)) = idx {
-            if let Some((mut cost, hits)) = self.index_cost(db, logical, &table, &access, &views) {
-                cost.disk_cycles = disk;
-                alternatives.push(("index".to_string(), cost.total()));
-                reexec_cycles = reexec_cycles.min(cost.total());
-                if cost.total() < chosen_cost.total() {
-                    chosen_access = access;
-                    chosen_cost = cost;
-                    probe_rows = hits;
-                }
+            let (mut cost, hits) =
+                self.index_cost(view.pinned(&table)?, logical, &access, &views[&table]);
+            cost.disk_cycles = disk;
+            alternatives.push(("index".to_string(), cost.total()));
+            reexec_cycles = reexec_cycles.min(cost.total());
+            if cost.total() < chosen_cost.total() {
+                chosen_access = access;
+                chosen_cost = cost;
+                probe_rows = hits;
             }
         }
         alternatives.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
 
         // --- pipelines: one per base-table scan, in scan order ---
         let mut pipelines = Vec::new();
-        for (i, table) in logical.tables().into_iter().enumerate() {
-            let view = &views[table];
-            let delta_rows = db.with_table(table, |vt| vt.live_delta_rows()).unwrap_or(0);
+        for (i, table) in tables.into_iter().enumerate() {
+            let tv = &views[table];
+            let delta_rows = view.pinned(table)?.snapshot.live_delta_rows();
             let access = if i == 0 && chosen_access.is_indexed() {
                 chosen_access.clone()
             } else {
@@ -204,7 +200,7 @@ impl Planner {
             let est_rows = if access.is_indexed() {
                 probe_rows
             } else {
-                view.n_rows as f64
+                tv.n_rows as f64
             };
             // Zone stats belong to the scan the selection drives; an index
             // probe bypasses the scan and consults no zone map.
@@ -222,7 +218,7 @@ impl Planner {
                 table: table.to_string(),
                 access,
                 est_rows,
-                table_rows: view.n_rows,
+                table_rows: tv.n_rows,
                 delta_rows,
                 zone_blocks: zb,
                 zone_pruned: zp,
@@ -245,7 +241,7 @@ impl Planner {
         let cache_admit = reexec_cycles >= CACHE_MIN_REEXEC_CYCLES
             && reexec_cycles > CACHE_ADMIT_FACTOR * copy_out;
 
-        PhysicalPlan {
+        Ok(PhysicalPlan {
             logical: logical.clone(),
             engine: best_engine,
             pipelines,
@@ -254,30 +250,27 @@ impl Planner {
             est_out_rows: emitted.out_rows,
             cache_admit,
             copy_out_cycles: copy_out,
-        }
+        })
     }
 
-    /// Price the index path: probe the index structure, reconstruct each
-    /// surviving hit through every layout group, then sequentially scan
-    /// the live delta tail. Returns `(cost, estimated hits)`, or `None`
-    /// when the candidate's table vanished from the views.
+    /// Price the index path `access` — a candidate of `table`, so the
+    /// index is pinned with it: probe the index structure, reconstruct
+    /// each surviving hit through every layout group, then sequentially
+    /// scan the live delta tail. Returns `(cost, estimated hits)`.
     fn index_cost(
         &self,
-        db: &Database,
+        table: &PinnedTable,
         logical: &LogicalPlan,
-        table: &str,
         access: &AccessPath,
-        views: &HashMap<String, TableView>,
-    ) -> Option<(CostSummary, f64)> {
-        let view = views.get(table)?;
-        let col = access.column()?;
-        let (main_rows, live_delta) = db
-            .with_table(table, |vt| (vt.main().len(), vt.live_delta_rows()))
-            .ok()?;
-        let idx = db.index(table, col)?;
-        let n_main = main_rows.max(1) as u64;
+        view: &TableView,
+    ) -> (CostSummary, f64) {
+        let col = access.column().expect("an index candidate has a column");
+        let idx = table
+            .index_for(access)
+            .expect("a candidate's index is pinned with its table");
+        let n_main = table.snapshot.store().len().max(1) as u64;
         let keys = idx.key_count().max(1) as u64;
-        let delta = live_delta as u64;
+        let delta = table.snapshot.live_delta_rows() as u64;
 
         // Estimated main-store hits. The probe fetches every row matching
         // the *indexed conjunct alone* — residual conjuncts filter only
@@ -319,98 +312,42 @@ impl Planner {
         }
         let mem = cost::estimate(&Pattern::seq(atoms), &self.hierarchy).total_cycles;
         let cpu = CPU_INDEX_HIT * hits + CPU_TAIL_ROW * delta as f64;
-        Some((
+        (
             CostSummary {
                 mem_cycles: mem,
                 cpu_cycles: cpu,
                 disk_cycles: 0.0,
             },
             hits,
-        ))
+        )
     }
 }
 
-/// The planning view of one table: its main store's layout and widths
-/// with the visible row count (main ∪ live delta) superimposed.
-fn table_view(main: &pdsm_storage::Table, visible_rows: usize) -> TableView {
-    let mut view = TableView::from_table(main);
-    view.n_rows = visible_rows as u64;
+/// The statistics-free planning view of one pinned table: its main store's
+/// name, widths and layout — header data, a cold table is not faulted —
+/// with the visible row count (main ∪ live delta) superimposed. The
+/// planner's and the layout advisor's one view builder.
+pub(crate) fn table_view(snap: &Snapshot) -> TableView {
+    let mut view = TableView::from_table(snap.store().skeleton());
+    view.n_rows = snap.len() as u64;
     view
 }
 
-/// Zone blocks `(total, refuted)` of the root selection's main-store scan,
-/// from the same `zone_preds` translation the engines prune with — so the
-/// planner prices exactly the skipping that will happen. `(0, 0)` — zone
-/// map not consulted — for multi-table plans (the
-/// selection's columns would not be scan columns), with no refutable
-/// conjunct, or over an empty main store; execution prunes nothing in
-/// those cases either.
-fn zone_stats(db: &Database, logical: &LogicalPlan) -> (usize, usize) {
-    let Some(pred) = scan_selection(logical) else {
-        return (0, 0);
-    };
-    let tables = logical.tables();
-    let [table] = tables.as_slice() else {
-        return (0, 0);
-    };
-    db.with_table(table, |vt| {
-        // Cold tables carry their zone map in the checkpoint header —
-        // pruning stats come straight from it, no hydration. A zero-row
-        // skeleton suffices for predicate translation, which needs only
-        // column types.
-        if let Some(cold) = vt.cold_main() {
-            let h = cold.header();
-            let (Some(zones), false) = (&h.zones, h.len == 0) else {
-                return (0, 0);
-            };
-            let zp = zone_preds(&cold.skeleton(), std::slice::from_ref(pred));
-            if zp.is_empty() {
-                return (0, 0);
-            }
-            return zones.prune_stats(&zp);
-        }
-        let main = vt.main();
-        if main.is_empty() {
-            return (0, 0);
-        }
-        let zp = zone_preds(main, std::slice::from_ref(pred));
-        if zp.is_empty() {
-            return (0, 0);
-        }
-        main.zone_map().prune_stats(&zp)
-    })
-    .unwrap_or((0, 0))
-}
-
-/// Cold-extent residency of the root scan's table: `(extents_total,
-/// resident, pruned, disk_cycles)` — all zeros for resident tables (the
-/// common case) and multi-table plans. Pruned extents
-/// come from the same per-extent zone refutation the streaming executor
-/// skips with, so the disk term prices exactly the faults the scan will
-/// take: one request per layout group of each cold, non-refuted extent,
-/// plus its payload bytes through [`pdsm_cost::DiskTier`].
-fn cold_stats(db: &Database, logical: &LogicalPlan) -> (usize, usize, usize, f64) {
-    let tables = logical.tables();
-    let [table] = tables.as_slice() else {
-        return (0, 0, 0, 0.0);
-    };
-    let Some(cold) = db
-        .with_table(table, |vt| vt.cold_main().cloned())
-        .ok()
-        .flatten()
-    else {
-        return (0, 0, 0, 0.0);
-    };
-    let zp = scan_selection(logical)
-        .map(|pred| zone_preds(&cold.skeleton(), std::slice::from_ref(pred)))
-        .unwrap_or_default();
+/// Cold-extent residency of a single-table plan's still-cold table under
+/// the scan's zone predicates `zp`: `(extents_total, resident, pruned,
+/// disk_cycles)`. Pruned extents come from the same per-extent zone
+/// refutation the streaming executor skips with, so the disk term prices
+/// exactly the faults the scan will take: one request per layout group of
+/// each cold, non-refuted extent, plus its payload bytes through
+/// [`pdsm_cost::DiskTier`].
+fn cold_stats(cold: &ColdTable, zp: &[ZonePred]) -> (usize, usize, usize, f64) {
     let resident = cold.resident_extents();
     let h = cold.header();
     let (mut n_res, mut n_pruned, mut requests, mut bytes) = (0usize, 0usize, 0u64, 0u64);
     for (e, res) in resident.iter().enumerate() {
         if *res {
             n_res += 1;
-        } else if cold.extent_refuted(e, &zp) {
+        } else if cold.extent_refuted(e, zp) {
             n_pruned += 1;
         } else {
             requests += h.dir[e].len() as u64;
@@ -423,20 +360,10 @@ fn cold_stats(db: &Database, logical: &LogicalPlan) -> (usize, usize, usize, f64
 
 /// The predicate of the selection sitting *directly over the scan* —
 /// its columns are scan columns, which is what `zone_preds` requires.
-/// Descends through every single-input node; joins yield `None`.
+/// Reached through single-input nodes only; joins yield `None`.
 fn scan_selection(plan: &LogicalPlan) -> Option<&pdsm_plan::expr::Expr> {
-    match plan {
-        LogicalPlan::Select { input, pred, .. } => {
-            if matches!(input.as_ref(), LogicalPlan::Scan { .. }) {
-                Some(pred)
-            } else {
-                scan_selection(input)
-            }
-        }
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => scan_selection(input),
+    match pipeline_fragment(plan)? {
+        LogicalPlan::Select { pred, .. } => Some(pred),
         _ => None,
     }
 }
@@ -585,7 +512,7 @@ fn work_est(plan: &LogicalPlan, views: &HashMap<String, TableView>) -> WorkEst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::IndexKind;
+    use crate::database::{Database, IndexKind};
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_plan::expr::Expr;
     use pdsm_plan::logical::{AggExpr, AggFunc};
@@ -622,7 +549,7 @@ mod tests {
             .filter(Expr::col(0).gt(Expr::lit(10)))
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
             .build();
-        let phys = planner().plan(&db, &plan).unwrap();
+        let phys = planner().plan(&db.snapshot(), &plan).unwrap();
         assert_eq!(phys.engine, EngineChoice::Compiled);
         assert_eq!(*phys.access(), AccessPath::FullScan);
         // exactly the two fan-outs are priced — the Fig.-3 baselines are
@@ -637,7 +564,7 @@ mod tests {
         let plan = QueryBuilder::scan("r")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
             .build();
-        let phys = planner_with(16).plan(&db, &plan).unwrap();
+        let phys = planner_with(16).plan(&db.snapshot(), &plan).unwrap();
         assert_eq!(phys.engine, EngineChoice::Parallel);
     }
 
@@ -662,7 +589,12 @@ mod tests {
         for plan in &plans {
             let admits: Vec<bool> = [1, 2, 4, 16]
                 .into_iter()
-                .map(|threads| planner_with(threads).plan(&db, plan).unwrap().cache_admit)
+                .map(|threads| {
+                    planner_with(threads)
+                        .plan(&db.snapshot(), plan)
+                        .unwrap()
+                        .cache_admit
+                })
                 .collect();
             assert!(
                 admits.iter().all(|a| *a == admits[0]),
@@ -678,7 +610,7 @@ mod tests {
         let plan = QueryBuilder::scan("r")
             .filter(Expr::col(0).eq(Expr::lit(80)))
             .build();
-        let phys = planner().plan(&db, &plan).unwrap();
+        let phys = planner().plan(&db.snapshot(), &plan).unwrap();
         assert!(phys.access().is_indexed(), "{}", phys.explain());
         let scan = phys.best_scan_cost().unwrap();
         assert!(
@@ -688,12 +620,69 @@ mod tests {
         );
     }
 
+    /// Planning is a function of the pinned view and the hardware model —
+    /// nothing else: this test has no `Database`, only a table, its
+    /// snapshot and (for the second plan) an index built by hand.
+    #[test]
+    fn plans_from_a_hand_built_view() {
+        use crate::query::{DbSnapshot, PinnedTable};
+        use pdsm_index::HashIndex;
+        use std::sync::Arc;
+
+        let cols: Vec<ColumnDef> = (0..8)
+            .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int32))
+            .collect();
+        let mut main = pdsm_storage::Table::new("r", Schema::new(cols));
+        let mut index = Index::Hash(HashIndex::with_capacity(5_000));
+        for i in 0..5_000 {
+            let row: Vec<Value> = (0..8).map(|c| Value::Int32(i * 8 + c)).collect();
+            main.insert(&row).unwrap();
+            index.insert((i * 8) as i64, i as u32);
+        }
+        let mut table = pdsm_txn::VersionedTable::from_table(main);
+        table.insert(&vec![Value::Int32(-1); 8]).unwrap();
+        let view_with = |indexes| DbSnapshot {
+            tables: HashMap::from([(
+                "r".to_string(),
+                PinnedTable {
+                    snapshot: table.snapshot(),
+                    indexes,
+                },
+            )]),
+            epoch: 0,
+        };
+        let point = QueryBuilder::scan("r")
+            .filter(Expr::col(0).eq(Expr::lit(80)))
+            .build();
+
+        let scanned = planner().plan(&view_with(vec![]), &point).unwrap();
+        assert_eq!(*scanned.access(), AccessPath::FullScan);
+        assert_eq!(scanned.pipelines[0].table_rows, 5_001);
+        assert_eq!(scanned.pipelines[0].delta_rows, 1);
+        assert!(scanned.cost_of("index").is_none());
+
+        let probed = planner()
+            .plan(&view_with(vec![(0, Arc::new(index))]), &point)
+            .unwrap();
+        assert!(probed.access().is_indexed(), "{}", probed.explain());
+        assert_eq!(
+            probed.cost_of("scan/compiled"),
+            scanned.cost_of("scan/compiled")
+        );
+
+        let elsewhere = QueryBuilder::scan("s").build();
+        assert!(matches!(
+            planner().plan(&view_with(vec![]), &elsewhere),
+            Err(DbError::UnknownTable(_))
+        ));
+    }
+
     #[test]
     fn unknown_table_is_reported() {
         let db = Database::new();
         let plan = QueryBuilder::scan("nope").build();
         assert!(matches!(
-            planner().plan(&db, &plan),
+            planner().plan(&db.snapshot(), &plan),
             Err(DbError::UnknownTable(_))
         ));
     }
@@ -719,7 +708,7 @@ mod tests {
             .join(QueryBuilder::scan("s").build(), Expr::col(0), Expr::col(0))
             .aggregate(vec![], vec![AggExpr::count_star()])
             .build();
-        let phys = planner().plan(&db, &plan).unwrap();
+        let phys = planner().plan(&db.snapshot(), &plan).unwrap();
         assert_eq!(phys.pipelines.len(), 2);
         assert_eq!(phys.pipelines[0].table, "r");
         assert_eq!(phys.pipelines[1].table, "s");

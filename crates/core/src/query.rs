@@ -1,16 +1,30 @@
-//! The query path of [`Database`]: pinning snapshots, planning (plan
-//! cache), the result cache, engine dispatch and the index probe.
+//! The query path of [`Database`]: **pin once, then read only the pin**.
 //!
-//! Queries enter through [`Database::execute`]: the cost-based planner
-//! (`crate::planner`) lowers the logical plan to a [`PhysicalPlan`],
-//! caches it keyed on the tables' merge generations, and dispatches.
-//! [`Database::run`] remains as the forced-engine escape hatch benchmarks
-//! and differential tests use. The catalog, DML, maintenance and
-//! durability halves of `Database` live in [`crate::database`].
+//! Every statement entry point — `execute`, `plan_query`, `explain`,
+//! `execute_physical`, `run`, `run_indexed` — starts by pinning one
+//! [`DbSnapshot`] of the tables the plan references: one catalog read lock,
+//! under it the catalog epoch and, per table, one read lock that yields its
+//! [`pdsm_txn::Snapshot`] (main-store handle, frozen overlay, generation,
+//! `delta_ops`), then the indexes built from exactly that generation. The
+//! pin faults nothing; a cold main store becomes resident only if what runs
+//! needs it, on the running thread, after every lock is gone.
+//!
+//! Everything downstream is a function of that view: the validity tokens
+//! of the plan and result caches, the planner ([`crate::Planner::plan`]
+//! takes the view, not the database), the engine / extent-streaming /
+//! index-probe dispatch, the output names and the tag a result is admitted
+//! under. So the planner prices the version the engine scans, a plan that
+//! says `index` probes (an index lagging the pinned generation is not in
+//! the view, hence not a candidate), and a cached result carries the state
+//! it was computed from without a second look at the live tables.
+//!
+//! The catalog, DML, maintenance and durability halves of `Database` live
+//! in [`crate::database`] and [`crate::write`].
 
-use crate::database::{Database, DbError, EngineKind};
+use crate::database::{Database, DbError, EngineKind, TableEntry};
 use crate::result_cache::{DepTokens, FRAGMENT_TABLE};
-use pdsm_exec::engine::{Overlay, TableProvider};
+use crate::streaming::OneTable;
+use pdsm_exec::engine::{ExecError, Overlay, TableProvider};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
@@ -24,39 +38,42 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 impl Database {
-    /// A consistent provider for `plan`'s tables: each table pinned at its
-    /// current version (short read lock per table; missing tables are left
-    /// for the engine to report). Queries then run entirely lock-free.
-    fn provider_for(&self, plan: &LogicalPlan) -> DbSnapshot {
+    /// Pin the statement view of `plan` (see the module docs). Tables
+    /// missing from the catalog are left out: planning reports them as
+    /// [`DbError::UnknownTable`], a forced-engine run lets the engine.
+    fn pin(&self, plan: &LogicalPlan) -> DbSnapshot {
         let catalog = self.read_catalog();
         let mut tables = HashMap::new();
         for name in plan.tables() {
-            if tables.contains_key(name) {
-                continue;
-            }
-            if let Some(e) = catalog.get(name) {
-                tables.insert(name.to_string(), e.table.snapshot());
+            if let (false, Some(e)) = (tables.contains_key(name), catalog.get(name)) {
+                tables.insert(name.to_string(), e.pin());
             }
         }
-        DbSnapshot { tables }
+        DbSnapshot {
+            tables,
+            epoch: self.catalog_epoch.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Take an owned snapshot of every table, each pinned at its current
+    /// version — the statement view, catalog-wide. `Send + Sync` and
+    /// independent of later DML: the handle concurrent readers query while
+    /// writers keep appending. Each table's cut is internally consistent;
+    /// the cuts of different tables are taken in sequence under one
+    /// catalog read lock. Cold tables stay cold.
+    pub fn snapshot(&self) -> DbSnapshot {
+        let catalog = self.read_catalog();
+        DbSnapshot {
+            tables: catalog.iter().map(|(n, e)| (n.clone(), e.pin())).collect(),
+            epoch: self.catalog_epoch.load(Ordering::Relaxed),
+        }
     }
 
     /// Execute `plan` with the chosen engine, without index acceleration —
     /// the forced-engine escape hatch benchmarks and differential tests
-    /// use. Runs over snapshots pinned at call time (no lock held during
-    /// execution). Routine queries should go through [`Database::execute`].
+    /// use. Routine queries should go through [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
-        // A still-cold table streams extent-at-a-time through the buffer
-        // pool when the plan shape allows it — the scan then never holds
-        // more than one extent's frames pinned, so a table larger than
-        // the pool budget scans in bounded memory. Non-streamable shapes
-        // fall through and hydrate below.
-        if let Some(result) = crate::streaming::run_cold_streaming(self, plan, engine)? {
-            return Ok(result);
-        }
-        let provider = self.provider_for(plan);
-        let output = engine.engine().execute(plan, &provider)?;
-        Ok(QueryResult::new(provider.output_names(plan), output))
+        self.pin(plan).run(plan, engine)
     }
 
     /// Execute `plan` through the cost-based planner: lower it to a
@@ -69,9 +86,11 @@ impl Database {
         // workload dedup — it is the only per-plan string work on a
         // cache-hit execute.
         let key = format!("{plan:?}");
-        let (phys, deps, epoch) = self.plan_query_deps(plan, &key)?;
+        let view = self.pin(plan);
+        let deps = view.deps(plan)?;
+        let phys = self.plan_pinned(&view, &deps, plan, &key)?;
         self.record_observed(plan, key);
-        self.execute_physical_cached(&phys, Some((deps, epoch)))
+        self.execute_pinned(&view, deps, &phys)
     }
 
     /// Lower `plan` to its [`PhysicalPlan`] without executing it. Cached:
@@ -80,42 +99,28 @@ impl Database {
     /// the background worker), or the catalog changes shape (table
     /// registered, index created/dropped).
     pub fn plan_query(&self, plan: &LogicalPlan) -> Result<Arc<PhysicalPlan>, DbError> {
-        Ok(self.plan_query_deps(plan, &format!("{plan:?}"))?.0)
+        let view = self.pin(plan);
+        self.plan_pinned(&view, &view.deps(plan)?, plan, &format!("{plan:?}"))
     }
 
-    /// The per-table invalidation tokens of every table `plan` reads, plus
-    /// the catalog epoch — the shared validity fingerprint of the plan and
-    /// result caches.
-    fn deps_and_epoch(&self, plan: &LogicalPlan) -> Result<(DepTokens, u64), DbError> {
-        let mut deps: DepTokens = Vec::new();
-        for t in plan.tables() {
-            if deps.iter().any(|(n, _, _)| n == t) {
-                continue;
-            }
-            let (generation, delta_ops) =
-                self.with_table(t, |vt| (vt.generation(), vt.delta_ops()))?;
-            deps.push((t.to_string(), generation, delta_ops));
-        }
-        let epoch = self.catalog_epoch.load(Ordering::Relaxed);
-        Ok((deps, epoch))
-    }
-
-    /// Lower (or fetch the cached lowering of) `plan`, returning the
-    /// tokens it was validated against so callers can reuse them for the
-    /// result-cache probe without re-reading table locks.
-    fn plan_query_deps(
+    /// The cached lowering of `plan` if it was made from the state `view`
+    /// pins (`deps` are `view`'s tokens for `plan`) and `view` can still
+    /// run it, else a fresh one from `view`.
+    fn plan_pinned(
         &self,
+        view: &DbSnapshot,
+        deps: &DepTokens,
         plan: &LogicalPlan,
         key: &str,
-    ) -> Result<(Arc<PhysicalPlan>, DepTokens, u64), DbError> {
-        let (deps, epoch) = self.deps_and_epoch(plan)?;
-        if let Some(phys) = self.plan_cache.lookup(key, epoch, &deps) {
-            return Ok((phys, deps, epoch));
+    ) -> Result<Arc<PhysicalPlan>, DbError> {
+        let cached = self.plan_cache.lookup(key, view.epoch, deps);
+        if let Some(phys) = cached.filter(|phys| view.can_run(phys)) {
+            return Ok(phys);
         }
-        let phys = Arc::new(self.planner.plan(self, plan)?);
+        let phys = Arc::new(self.planner.plan(view, plan)?);
         self.plan_cache
-            .insert(key.to_string(), epoch, deps.clone(), phys.clone());
-        Ok((phys, deps, epoch))
+            .insert(key.to_string(), view.epoch, deps.clone(), phys.clone());
+        Ok(phys)
     }
 
     /// The `EXPLAIN` of `plan`: the physical plan's rendering — chosen
@@ -124,13 +129,14 @@ impl Database {
     /// (`bypass` when disabled or not admitted, otherwise a stat-silent
     /// peek answers `hit` or `miss`).
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, DbError> {
-        let key = format!("{plan:?}");
-        let (phys, deps, epoch) = self.plan_query_deps(plan, &key)?;
+        let view = self.pin(plan);
+        let deps = view.deps(plan)?;
+        let phys = self.plan_pinned(&view, &deps, plan, &format!("{plan:?}"))?;
         let status = if !self.result_cache.is_enabled() || !phys.cache_admit {
             "bypass"
         } else if self
             .result_cache
-            .probe(&plan_fingerprint(&phys.logical), epoch, &deps, false)
+            .probe(&plan_fingerprint(&phys.logical), view.epoch, &deps, false)
             .is_some()
         {
             "hit"
@@ -141,79 +147,58 @@ impl Database {
     }
 
     /// Execute an already-lowered plan, consulting the result cache the
-    /// same way [`Database::execute`] does.
+    /// same way [`Database::execute`] does. A plan the pinned view cannot
+    /// run as lowered — its index was dropped, or lags a merge, since it
+    /// was planned — is lowered again from the view first.
     pub fn execute_physical(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
-        self.execute_physical_cached(phys, None)
+        let view = self.pin(&phys.logical);
+        let deps = view.deps(&phys.logical)?;
+        if view.can_run(phys) {
+            self.execute_pinned(&view, deps, phys)
+        } else {
+            self.execute_pinned(&view, deps, &self.planner.plan(&view, &phys.logical)?)
+        }
     }
 
-    /// The cache-wrapped execution path. `deps_epoch` carries the tokens
-    /// `execute` already read for the plan cache; `None` (direct
-    /// `execute_physical` callers) reads them fresh.
-    fn execute_physical_cached(
+    /// The cache-wrapped execution of `phys` over `view`: probe, execution
+    /// and admission all carry `deps`, `view`'s tokens for the plan.
+    fn execute_pinned(
         &self,
+        view: &DbSnapshot,
+        deps: DepTokens,
         phys: &PhysicalPlan,
-        deps_epoch: Option<(DepTokens, u64)>,
     ) -> Result<QueryResult, DbError> {
         // The entire cache-off cost: one atomic load.
         if !self.result_cache.is_enabled() {
-            return self.execute_physical_uncached(phys);
+            return view.execute(phys);
         }
         if !phys.cache_admit {
             // The model priced this result as cheaper to recompute than
             // to copy in and out of a cache.
             self.result_cache.note_bypass();
-            return self.execute_physical_uncached(phys);
+            return view.execute(phys);
         }
-        let (deps, epoch) = match deps_epoch {
-            Some(d) => d,
-            None => self.deps_and_epoch(&phys.logical)?,
-        };
         let fp = plan_fingerprint(&phys.logical);
-        if let Some(hit) = self.result_cache.probe(&fp, epoch, &deps, true) {
+        if let Some(hit) = self.result_cache.probe(&fp, view.epoch, &deps, true) {
             return Ok((*hit.result).clone());
         }
         // Whole-result miss: a cached filtered-scan fragment may still
         // serve this plan (e.g. an aggregate over a previously-run
         // filter); otherwise execute for real.
-        let result = match self.fragment_result(&phys.logical, epoch, &deps)? {
+        let result = Arc::new(match self.fragment_result(view, &phys.logical, &deps)? {
             Some(r) => r,
-            None => self.execute_physical_uncached(phys)?,
-        };
-        // Admit only if no DML/merge/shape change raced the execution:
-        // the tokens are monotonic, so equality before and after brackets
-        // the pinned snapshot and proves the tag matches the rows. A
-        // vanished table just skips admission.
-        if let Ok((deps_after, epoch_after)) = self.deps_and_epoch(&phys.logical) {
-            if deps_after == deps && epoch_after == epoch {
-                let result = Arc::new(result);
-                let benefit = (phys.cost.total() - phys.copy_out_cycles).max(0.0);
-                self.result_cache.admit(
-                    fp,
-                    epoch,
-                    deps,
-                    Arc::clone(&result),
-                    benefit,
-                    self.fragment_schema(&phys.logical),
-                );
-                return Ok((*result).clone());
-            }
-        }
-        Ok(result)
-    }
-
-    /// Execute an already-lowered plan with no cache interaction: an
-    /// index-probe root pipeline runs the overlay-aware probe + delta-tail
-    /// union the plan recorded; everything else dispatches to the chosen
-    /// engine.
-    fn execute_physical_uncached(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
-        if let Some(pipe) = phys.pipelines.first().filter(|p| p.access.is_indexed()) {
-            if let Some(out) = self.run_index_candidate(&phys.logical, &pipe.table, &pipe.access)? {
-                return Ok(QueryResult::new(self.names_for(&phys.logical), out));
-            }
-            // Index dropped, or lagging the snapshot's generation, since
-            // planning — scan instead.
-        }
-        self.run(&phys.logical, phys.engine.into())
+            None => view.execute(phys)?,
+        });
+        let benefit = (phys.cost.total() - phys.copy_out_cycles).max(0.0);
+        self.result_cache.admit(
+            fp,
+            view.epoch,
+            deps,
+            Arc::clone(&result),
+            benefit,
+            view.fragment_schema(&phys.logical),
+        );
+        Ok((*result).clone())
     }
 
     /// Serve `plan` from a cached filtered-scan fragment: when `plan` is a
@@ -227,8 +212,8 @@ impl Database {
     /// is an engine-level degree of freedom this cache must not alter.
     fn fragment_result(
         &self,
+        view: &DbSnapshot,
         plan: &LogicalPlan,
-        epoch: u64,
         deps: &DepTokens,
     ) -> Result<Option<QueryResult>, DbError> {
         let LogicalPlan::Aggregate {
@@ -249,7 +234,7 @@ impl Database {
         let fp = plan_fingerprint(frag);
         // Single-table plans only (fragments never cross joins), so the
         // plan's tokens are exactly the fragment's tokens.
-        let Some(entry) = self.result_cache.probe(&fp, epoch, deps, false) else {
+        let Some(entry) = self.result_cache.probe(&fp, view.epoch, deps, false) else {
             return Ok(None);
         };
         let Some(table) = entry.fragment_table() else {
@@ -257,24 +242,17 @@ impl Database {
         };
         self.result_cache.note_fragment_hit(&entry);
         let rewritten = substitute_fragment(plan, FRAGMENT_TABLE);
-        let provider = FragProvider { table };
+        // No overlay: the fragment is fully materialized, its rows are
+        // the whole truth.
+        let provider = OneTable {
+            name: FRAGMENT_TABLE,
+            table: &table,
+            overlay: None,
+        };
         let output = EngineKind::Compiled
             .engine()
             .execute(&rewritten, &provider)?;
-        Ok(Some(QueryResult::new(self.names_for(plan), output)))
-    }
-
-    /// The base table's schema when `plan` is a full-schema filtered scan
-    /// (`Select` directly over `Scan`) — the shape whose cached result can
-    /// later serve as a fragment for other plans.
-    fn fragment_schema(&self, plan: &LogicalPlan) -> Option<Schema> {
-        let LogicalPlan::Select { input, .. } = plan else {
-            return None;
-        };
-        let LogicalPlan::Scan { table } = input.as_ref() else {
-            return None;
-        };
-        self.with_table(table, |vt| vt.schema().clone()).ok()
+        Ok(Some(QueryResult::new(view.output_names(plan), output)))
     }
 
     /// Execute `plan`, using an index for the outermost selection when one
@@ -286,32 +264,148 @@ impl Database {
         plan: &LogicalPlan,
         engine: EngineKind,
     ) -> Result<QueryResult, DbError> {
-        if let Some((table, access)) = self.index_candidate(plan) {
-            if let Some(out) = self.run_index_candidate(plan, &table, &access)? {
-                return Ok(QueryResult::new(self.names_for(plan), out));
-            }
+        let view = self.pin(plan);
+        match view.index_candidate(plan) {
+            Some((table, access)) => view.probe(plan, &table, &access),
+            None => view.run(plan, engine),
         }
-        self.run(plan, engine)
+    }
+}
+
+impl TableEntry {
+    /// Pin this table for one statement: its current version (one read
+    /// lock), then the indexes built from exactly that version's main
+    /// store — one a merge has left behind cannot be planned or probed.
+    fn pin(&self) -> PinnedTable {
+        let snapshot = self.table.snapshot();
+        let set = self.indexes.read().unwrap_or_else(|e| e.into_inner());
+        let indexes = set
+            .iter()
+            .filter(|(_, e)| e.generation == snapshot.generation())
+            .map(|(c, e)| (*c, Arc::clone(&e.index)))
+            .collect();
+        PinnedTable { snapshot, indexes }
+    }
+}
+
+/// One table of a [`DbSnapshot`]: the pinned version and the secondary
+/// indexes that cover its main store.
+#[derive(Clone)]
+pub(crate) struct PinnedTable {
+    pub(crate) snapshot: Snapshot,
+    pub(crate) indexes: Vec<(ColId, Arc<Index>)>,
+}
+
+impl PinnedTable {
+    /// The pinned index that can serve `access`: on its column, and an
+    /// ordered one when `access` is a range.
+    pub(crate) fn index_for(&self, access: &AccessPath) -> Option<&Arc<Index>> {
+        let col = access.column()?;
+        let (_, index) = self.indexes.iter().find(|(c, _)| *c == col)?;
+        let ordered = matches!(index.as_ref(), Index::RBTree(_));
+        (ordered || matches!(access, AccessPath::IndexPoint { .. })).then_some(index)
+    }
+}
+
+/// An owned multi-table snapshot — the view one statement runs over: every
+/// table pinned at one version with that version's indexes, plus the
+/// catalog epoch. A [`TableProvider`] any engine can run over, from any
+/// thread, while the database keeps moving.
+#[derive(Clone)]
+pub struct DbSnapshot {
+    pub(crate) tables: HashMap<String, PinnedTable>,
+    /// The catalog epoch the tables were pinned under.
+    pub(crate) epoch: u64,
+}
+
+impl DbSnapshot {
+    /// The pinned snapshot of `name`.
+    pub fn table_snapshot(&self, name: &str) -> Option<&Snapshot> {
+        self.tables.get(name).map(|t| &t.snapshot)
     }
 
-    /// Output column names of `plan` against the current catalog (short
-    /// read locks; see [`LogicalPlan::output_names`]).
-    pub(crate) fn names_for(&self, plan: &LogicalPlan) -> Vec<String> {
+    /// The pinned table `name`; its absence is the statement's
+    /// [`DbError::UnknownTable`].
+    pub(crate) fn pinned(&self, name: &str) -> Result<&PinnedTable, DbError> {
+        self.tables
+            .get(name)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
+    }
+
+    /// The `(table, generation, delta_ops)` token of every table `plan`
+    /// reads, in scan order: with the epoch, the validity fingerprint of
+    /// the plan and result caches — and the state this view computes from.
+    fn deps(&self, plan: &LogicalPlan) -> Result<DepTokens, DbError> {
+        let mut deps: DepTokens = Vec::new();
+        for t in plan.tables() {
+            if deps.iter().any(|(n, _, _)| n == t) {
+                continue;
+            }
+            let snap = &self.pinned(t)?.snapshot;
+            deps.push((t.to_string(), snap.generation(), snap.delta_ops()));
+        }
+        Ok(deps)
+    }
+
+    /// Output column names of `plan` against the pinned schemas.
+    pub(crate) fn output_names(&self, plan: &LogicalPlan) -> Vec<String> {
         plan.output_names(&|t| {
-            self.with_table(t, |vt| {
-                vt.schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect()
+            self.tables.get(t).map(|p| {
+                let schema = p.snapshot.store().schema();
+                schema.columns().iter().map(|c| c.name.clone()).collect()
             })
-            .ok()
         })
+    }
+
+    /// The base table's schema when `plan` is a full-schema filtered scan
+    /// (`Select` directly over `Scan`) — the shape whose cached result can
+    /// later serve as a fragment for other plans.
+    fn fragment_schema(&self, plan: &LogicalPlan) -> Option<Schema> {
+        pipeline_fragment(plan).filter(|frag| std::ptr::eq(*frag, plan))?;
+        let base = self.tables.get(plan.tables()[0])?;
+        Some(base.snapshot.store().schema().clone())
+    }
+
+    /// Execute `plan` against this snapshot with the chosen engine. A
+    /// still-cold table streams extent-at-a-time through the buffer pool
+    /// when the plan shape allows it (never more than one extent's frames
+    /// pinned); other shapes make it resident first. Snapshots carry no
+    /// plan or result cache — planned execution is [`Database::execute`].
+    pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
+        let output = match crate::streaming::run_cold_streaming(self, plan, engine)? {
+            Some(output) => output,
+            None => engine.engine().execute(plan, self)?,
+        };
+        Ok(QueryResult::new(self.output_names(plan), output))
+    }
+
+    /// Does this view hold the index an indexed root pipeline of `phys`
+    /// names? True of every plan lowered from it; a cached or caller-held
+    /// plan is checked before it runs.
+    fn can_run(&self, phys: &PhysicalPlan) -> bool {
+        phys.pipelines
+            .first()
+            .filter(|p| p.access.is_indexed())
+            .is_none_or(|p| {
+                self.tables
+                    .get(&p.table)
+                    .is_some_and(|t| t.index_for(&p.access).is_some())
+            })
+    }
+
+    /// Run `phys` the way it says: an index-probe root pipeline runs the
+    /// overlay-aware probe + delta-tail union it recorded, everything else
+    /// the chosen engine.
+    fn execute(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
+        match phys.pipelines.first().filter(|p| p.access.is_indexed()) {
+            Some(pipe) => self.probe(&phys.logical, &pipe.table, &pipe.access),
+            None => self.run(&phys.logical, phys.engine.into()),
+        }
     }
 
     /// Recognize `[Project] (Select (Scan))` plans whose predicate contains
     /// an indexed equality or range conjunct, and name the table and the
-    /// probe that serves it. Pure shape/catalog matching — no data access,
+    /// probe that serves it. Pure shape/view matching — no data access,
     /// so the planner prices the candidate before anything is fetched. A
     /// point probe (one key's bucket) is preferred over a range probe
     /// whatever the conjunct order.
@@ -326,20 +420,17 @@ impl Database {
         let LogicalPlan::Scan { table } = input.as_ref() else {
             return None;
         };
-        let entry = self.read_catalog().get(table)?.clone();
-        // Column types come from the versioned table's schema, never from
-        // the main store: planning a filtered scan must not hydrate a
-        // cold table.
-        let col_ty = |c: usize| entry.table.with_read(|vt| vt.schema().columns()[c].ty);
-        let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
+        let pinned = self.tables.get(table)?;
+        let columns = pinned.snapshot.store().schema().columns();
         let mut range_cand: Option<AccessPath> = None;
         for conj in conjuncts(pred) {
             let Some((col, op, lit)) = simple_cmp(conj) else {
                 continue;
             };
-            let Some(ie) = set.by_col.get(&col) else {
+            let Some((_, index)) = pinned.indexes.iter().find(|(c, _)| *c == col) else {
                 continue;
             };
+            let ty = columns[col].ty;
             match op {
                 CmpOp::Eq => {
                     // The probe keys integers by value and strings by
@@ -348,7 +439,6 @@ impl Database {
                     // e.g. Int32 column = Float64 literal) has no index
                     // key, so the probe would silently miss main-store
                     // hits — leave those shapes to the scan path.
-                    let ty = col_ty(col);
                     let keyable = matches!(
                         (ty, lit),
                         (
@@ -369,8 +459,8 @@ impl Database {
                 }
                 CmpOp::Le | CmpOp::Lt | CmpOp::Ge | CmpOp::Gt
                     if range_cand.is_none()
-                        && matches!(ie.index.as_ref(), Index::RBTree(_))
-                        && col_ty(col) != DataType::Str =>
+                        && matches!(index.as_ref(), Index::RBTree(_))
+                        && ty != DataType::Str =>
                 {
                     if let Some(k) = lit.as_i64() {
                         // Saturating strict bounds can over-include one
@@ -398,60 +488,45 @@ impl Database {
         range_cand.map(|access| (table.clone(), access))
     }
 
-    /// Evaluate `plan` via the index probe `access` on `table`: pin a
-    /// snapshot, probe the main-store index, drop tombstoned hits,
-    /// residual-filter and project
-    /// the survivors, then union the live delta tail (full predicate,
-    /// append order). Rows come out in scan order — main order then tail
-    /// order — exactly what an engine scan of the same plan produces.
-    /// Returns `Ok(None)` when the probe no longer matches the catalog
-    /// (index dropped since planning) or the index lags the snapshot's
-    /// generation (a merge swapped the main in between); the caller falls
-    /// back to the engine.
-    fn run_index_candidate(
+    /// Evaluate `plan` via the index probe `access` on `table`: probe the
+    /// pinned main-store index, drop tombstoned hits, residual-filter and
+    /// project the survivors, then union the live delta tail (full
+    /// predicate, append order). Rows come out in scan order — main order
+    /// then tail order — exactly what an engine scan of the same plan
+    /// produces. The index is the view's own, built from the pinned main
+    /// store: there is no staleness to check. `Unsupported` is for a
+    /// caller-built plan whose access path does not fit its logical plan.
+    fn probe(
         &self,
         plan: &LogicalPlan,
         table: &str,
         access: &AccessPath,
-    ) -> Result<Option<QueryOutput>, DbError> {
+    ) -> Result<QueryResult, DbError> {
+        let misfit = || ExecError::Unsupported(format!("{access:?} does not serve this plan"));
         let (project, inner) = match plan {
             LogicalPlan::Project { input, exprs } => (Some(exprs), input.as_ref()),
             other => (None, other),
         };
         let LogicalPlan::Select { pred, .. } = inner else {
-            return Ok(None);
+            return Err(misfit().into());
         };
-        let Some(col) = access.column() else {
-            return Ok(None);
+        let pinned = self.pinned(table)?;
+        let (Some(col), Some(index)) = (access.column(), pinned.index_for(access)) else {
+            return Err(misfit().into());
         };
-        let entry = self.entry(table)?;
-        // The snapshot pins (main, overlay, generation) atomically; the
-        // index is used only if it covers exactly that main store.
-        let snap = entry.table.snapshot();
-        let ie = {
-            let set = entry.indexes.read().unwrap_or_else(|e| e.into_inner());
-            match set.by_col.get(&col) {
-                Some(e) => e.clone(),
-                None => return Ok(None),
-            }
-        };
-        if ie.generation != snap.generation() {
-            return Ok(None); // index not yet rebuilt for this version
-        }
-        let t = snap.main();
+        let t = pinned.snapshot.main();
         let mut rows = match access {
             AccessPath::IndexPoint { key, .. } => match key_of_value(t, col, key) {
-                Some(k) => ie.index.lookup(k),
+                Some(k) => index.lookup(k),
                 None => Vec::new(), // value not in dictionary → no main hits
             },
-            AccessPath::IndexRange { lo, hi, .. } => match ie.index.lookup_range(*lo, *hi) {
-                Some(r) => r,
-                None => return Ok(None), // index lost range support
-            },
-            AccessPath::FullScan => return Ok(None),
+            AccessPath::IndexRange { lo, hi, .. } => {
+                index.lookup_range(*lo, *hi).ok_or_else(misfit)?
+            }
+            AccessPath::FullScan => return Err(misfit().into()),
         };
         rows.sort_unstable();
-        let overlay = snap.overlay();
+        let overlay = pinned.snapshot.overlay();
         let materialize = |values: &[Value]| -> Vec<Value> {
             match project {
                 Some(exprs) => exprs.iter().map(|e| e.eval(values)).collect(),
@@ -477,83 +552,17 @@ impl Database {
                 out.rows.push(materialize(row.values()));
             }
         }
-        Ok(Some(out))
-    }
-
-    /// Take an owned snapshot of every table, each pinned at its current
-    /// version. The snapshot is `Send + Sync` and independent of later DML
-    /// — the handle concurrent readers query while writers keep appending
-    /// (see `pdsm-txn`). Each table's cut is internally consistent; the
-    /// cuts of different tables are taken in sequence under one catalog
-    /// read lock.
-    pub fn snapshot(&self) -> DbSnapshot {
-        DbSnapshot {
-            tables: self
-                .read_catalog()
-                .iter()
-                .map(|(n, e)| (n.clone(), e.table.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// An owned multi-table snapshot: every table pinned at one version.
-/// Implements [`TableProvider`], so it can be handed to any engine — from
-/// any thread — while the database keeps moving.
-#[derive(Clone)]
-pub struct DbSnapshot {
-    tables: HashMap<String, Snapshot>,
-}
-
-impl DbSnapshot {
-    /// The pinned snapshot of `name`.
-    pub fn table_snapshot(&self, name: &str) -> Option<&Snapshot> {
-        self.tables.get(name)
-    }
-
-    /// Output column names of `plan` against the pinned schemas.
-    pub(crate) fn output_names(&self, plan: &LogicalPlan) -> Vec<String> {
-        plan.output_names(&|t| {
-            self.tables.get(t).map(|s| {
-                s.main()
-                    .schema()
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect()
-            })
-        })
-    }
-
-    /// Execute `plan` against this snapshot with the chosen engine.
-    /// Snapshots carry no plan cache, result cache or indexes — planned
-    /// execution is [`Database::execute`].
-    pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
-        let output = engine.engine().execute(plan, self)?;
-        Ok(QueryResult::new(self.output_names(plan), output))
+        Ok(QueryResult::new(self.output_names(plan), out))
     }
 }
 
 impl TableProvider for DbSnapshot {
     fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name).map(|s| s.main())
+        self.tables.get(name).map(|t| t.snapshot.main())
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
-        self.tables.get(name).and_then(|s| s.overlay())
-    }
-}
-
-/// Provider serving a single materialized fragment under
-/// [`FRAGMENT_TABLE`] — what a fragment-rewritten plan scans. No overlay:
-/// the fragment is fully materialized, its rows are the whole truth.
-struct FragProvider {
-    table: Arc<Table>,
-}
-
-impl TableProvider for FragProvider {
-    fn table(&self, name: &str) -> Option<&Table> {
-        (name == FRAGMENT_TABLE).then_some(&self.table)
+        self.tables.get(name).and_then(|t| t.snapshot.overlay())
     }
 }
 

@@ -4,9 +4,11 @@
 //! as checkpoint extents. Hydrating it wholesale would defeat the pool —
 //! a table 4× the budget would fault everything in just to answer one
 //! scan. Instead, single-table `[Aggregate] [Project] [Select] Scan` plans
-//! run over one extent at a time, each extent a self-contained mini table
-//! with the delta's tombstone slice overlaid, holding its pool frames
-//! pinned only while it is being scanned:
+//! over a pinned [`pdsm_txn::Snapshot`] whose main store is still cold
+//! run over one extent at a time
+//! ([`pdsm_txn::MainStore::for_each_extent`]), each extent a self-contained
+//! mini table with the delta's tombstone slice overlaid, holding its pool
+//! frames pinned only while it is being scanned:
 //!
 //! * **aggregates** (global or grouped, any function) are the third driver
 //!   of `pdsm_exec::pipeline`: **one** [`AggState`] is carried across the
@@ -21,28 +23,31 @@
 //! * zone-refuted extents are skipped without faulting a byte — refutation
 //!   proves no main row of the extent can pass the scan's predicate.
 //!
-//! Byte-identity with the resident path is the contract (the pooled twin
-//! proptest in `tests/pool_props.rs` enforces it). Joins, sorts and limits
-//! fall back to hydration.
+//! Everything here reads the statement's pinned view — the snapshot's
+//! main-store handle and frozen overlay — and nothing else: no catalog, no
+//! table lock. Byte-identity with the resident path is the contract (the
+//! pooled twin proptest in `tests/pool_props.rs` enforces it). Joins, sorts
+//! and limits fall back to hydration, which the engine triggers through
+//! the same handle (once per generation, on the running thread).
 
-use crate::database::{Database, DbError, EngineKind};
+use crate::database::{DbError, EngineKind};
+use crate::query::DbSnapshot;
 use pdsm_exec::engine::{Overlay, TableProvider};
 use pdsm_exec::pipeline::{needed_cols, AggState, Pipe, PipeSpec, Scan};
-use pdsm_exec::{zone_preds, QueryOutput, QueryResult};
+use pdsm_exec::{zone_preds, QueryOutput};
 use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
-use pdsm_pool::ColdTable;
 use pdsm_storage::{Table, Value, ZonePred};
-use pdsm_txn::ColdScan;
 
-/// One extent (or the tail) presented to an engine as a whole table.
-struct ExtentProvider<'a> {
-    name: &'a str,
-    table: &'a Table,
-    overlay: Option<Overlay<'a>>,
+/// One table presented to an engine under `name` as the whole database: an
+/// extent, the tail-only run, a materialized result-cache fragment.
+pub(crate) struct OneTable<'a> {
+    pub name: &'a str,
+    pub table: &'a Table,
+    pub overlay: Option<Overlay<'a>>,
 }
 
-impl TableProvider for ExtentProvider<'_> {
+impl TableProvider for OneTable<'_> {
     fn table(&self, name: &str) -> Option<&Table> {
         (name == self.name).then_some(self.table)
     }
@@ -82,40 +87,16 @@ fn stream_shape(plan: &LogicalPlan) -> Option<StreamShape<'_>> {
     matches!(inner, LogicalPlan::Scan { .. }).then_some(StreamShape { agg, project, pred })
 }
 
-/// Visit every extent of `cold` that `zps` cannot refute, in order, as
-/// the row id of its first row, a mini table, and its slice of the
-/// tombstone mask `dead`. The extent's pins drop when `visit` returns:
-/// the next extent may evict this one.
-pub(crate) fn for_each_extent(
-    cold: &ColdTable,
-    zps: &[ZonePred],
-    dead: &[bool],
-    mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), DbError>,
-) -> Result<(), DbError> {
-    for e in 0..cold.n_extents() {
-        if !zps.is_empty() && cold.extent_refuted(e, zps) {
-            // No main row of this extent can pass the predicate, and
-            // tombstones only remove rows — skipping is sound for every
-            // engine and every streamable shape.
-            cold.pool().note_skipped_fault();
-            continue;
-        }
-        let (lo, hi) = cold.header().extent_row_range(e);
-        let (mini, _pins) = cold.extent_table(e)?;
-        visit(lo, &mini, &dead[lo.min(dead.len())..hi.min(dead.len())])?;
-    }
-    Ok(())
-}
-
-/// Run `plan` extent-at-a-time over its (single, cold) table, or return
-/// `Ok(None)` when the plan is multi-table, the table is resident, or the
-/// shape is not streamable — the caller then takes the ordinary
-/// (hydrating) snapshot path.
+/// Run `plan` extent-at-a-time over its (single, cold) table as `view`
+/// pins it, or return `Ok(None)` when the plan is multi-table, the table is
+/// resident (or not in the view), or the shape is not streamable — the
+/// caller then hands the view to the engine, which makes the table
+/// resident.
 pub(crate) fn run_cold_streaming(
-    db: &Database,
+    view: &DbSnapshot,
     plan: &LogicalPlan,
     engine: EngineKind,
-) -> Result<Option<QueryResult>, DbError> {
+) -> Result<Option<QueryOutput>, DbError> {
     let tables = plan.tables();
     let [table] = tables.as_slice() else {
         return Ok(None);
@@ -123,22 +104,22 @@ pub(crate) fn run_cold_streaming(
     let Some(shape) = stream_shape(plan) else {
         return Ok(None);
     };
-    let Some(scan) = db.with_table(table, |vt| vt.cold_scan())? else {
+    let Some(snap) = view.table_snapshot(table) else {
         return Ok(None);
     };
-    let ColdScan { cold, overlay, .. } = &scan;
-    let skeleton = cold.skeleton();
+    let main = snap.store();
+    if main.cold().is_none() {
+        return Ok(None);
+    }
+    let skeleton = main.skeleton();
     let zps: Vec<ZonePred> = shape
         .pred
-        .map(|p| zone_preds(&skeleton, std::slice::from_ref(p)))
+        .map(|p| zone_preds(skeleton, std::slice::from_ref(p)))
         .unwrap_or_default();
-    let dead: &[bool] = overlay.as_ref().map(|o| o.dead.as_slice()).unwrap_or(&[]);
+    let overlay = snap.overlay();
+    let dead = Overlay::dead_of(&overlay);
     // The live delta tail, as the overlay of whatever runs last.
-    let tail = overlay.as_ref().map(|o| Overlay {
-        dead: &[],
-        tail: &o.tail,
-        tail_alive: &o.tail_alive,
-    });
+    let tail = overlay.map(|o| Overlay { dead: &[], ..o });
 
     let rows = if let Some((group_by, aggs)) = shape.agg {
         let mut pipe = Pipe::scan(table);
@@ -149,16 +130,16 @@ pub(crate) fn run_cold_streaming(
             pipe.project(exprs);
         }
         let required = plan.required_columns(&|_| skeleton.schema().len());
-        let needed = needed_cols(table, &skeleton, &required);
+        let needed = needed_cols(table, skeleton, &required);
         let spec = PipeSpec {
             preds: &pipe.preds,
             steps: &pipe.steps,
             needed: &needed,
         };
-        let mut state = AggState::new(&skeleton, spec, group_by, aggs);
-        for_each_extent(cold, &zps, dead, |_, mini, dead| {
+        let mut state = AggState::new(skeleton, spec, group_by, aggs);
+        main.for_each_extent(&zps, dead, |_, mini, dead| {
             state.fold_range(&Scan::new(mini, spec), dead, 0..mini.len());
-            Ok(())
+            Ok::<_, DbError>(())
         })?;
         if let Some(o) = &tail {
             state.fold_tail(o);
@@ -167,8 +148,8 @@ pub(crate) fn run_cold_streaming(
     } else {
         let eng = engine.engine();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for_each_extent(cold, &zps, dead, |_, mini, dead| {
-            let provider = ExtentProvider {
+        main.for_each_extent(&zps, dead, |_, mini, dead| {
+            let provider = OneTable {
                 name: table,
                 table: mini,
                 overlay: (!dead.is_empty()).then_some(Overlay {
@@ -178,21 +159,18 @@ pub(crate) fn run_cold_streaming(
                 }),
             };
             rows.extend(eng.execute(plan, &provider)?.rows);
-            Ok(())
+            Ok::<_, DbError>(())
         })?;
         // The delta tail, last — a zero-row main table carrying the tail
         // overlay reproduces the resident scan's main-order-then-tail
         // output.
-        let provider = ExtentProvider {
+        let provider = OneTable {
             name: table,
-            table: &skeleton,
+            table: skeleton,
             overlay: tail.filter(|o| !o.tail.is_empty()),
         };
         rows.extend(eng.execute(plan, &provider)?.rows);
         rows
     };
-    Ok(Some(QueryResult::new(
-        db.names_for(plan),
-        QueryOutput { rows },
-    )))
+    Ok(Some(QueryOutput { rows }))
 }

@@ -23,7 +23,6 @@
 
 use crate::database::{Database, DbError, TableEntry};
 use crate::maintenance::{choose_layout, AdviseInputs, BuildJob, MaintenanceMode, TablePolicy};
-use crate::streaming::for_each_extent;
 use pdsm_exec::engine::{tail_row_passes, Overlay};
 use pdsm_exec::pipeline::{Pipe, PipeSpec, Scan};
 use pdsm_exec::zone_preds;
@@ -236,14 +235,8 @@ impl Database {
         backpressure: bool,
     ) -> Result<(), DbError> {
         let advise = self.advise_inputs(table, policy);
-        let current = entry.table.with_read(|vt| vt.main().layout().clone());
-        let (layout, advised) = choose_layout(
-            table,
-            current,
-            advise.as_ref(),
-            &self.planner.hierarchy,
-            &pdsm_layout::bpi::OptimizerConfig::default(),
-        );
+        let current = entry.table.with_read(|vt| vt.store().layout().clone());
+        let (layout, advised) = choose_layout(table, current, advise.as_ref());
         let merged = entry.merge_if(Some(layout), policy.threshold.max(1))?;
         if merged.is_some() {
             self.maintenance.note_sync_merge(advised, backpressure);
@@ -267,7 +260,11 @@ impl Database {
             return None;
         }
         let views = crate::LayoutAdvisor::default().views(self);
-        Some(AdviseInputs { views, workload })
+        Some(AdviseInputs {
+            views,
+            workload,
+            hierarchy: self.planner.hierarchy.clone(),
+        })
     }
 }
 
@@ -310,9 +307,9 @@ fn fold(
     vt: &mut VersionedTable,
     layout: Option<Layout>,
 ) -> Result<(MergeStats, Arc<Table>), pdsm_storage::Error> {
-    let layout = layout.unwrap_or_else(|| vt.main().layout().clone());
+    let layout = layout.unwrap_or_else(|| vt.store().layout().clone());
     let stats = vt.merge_with_layout(layout)?;
-    Ok((stats, vt.main_arc()))
+    Ok((stats, vt.store().table().clone()))
 }
 
 /// Row ids of every visible row of `vt` matching `pred` (all visible rows
@@ -323,9 +320,10 @@ fn fold(
 /// The predicate lowers once, as a query's `Select` over a `Scan` does
 /// ([`Pipe::select`]); main-store rows then run the pipeline core's
 /// survivor loop (zone refutation → tombstone mask → kernel block masks)
-/// into a row-id sink — a still-cold main extent-at-a-time, never
-/// hydrated — and the live tail is interpreted. The id set is only
-/// meaningful while the caller's table lock is held.
+/// into a row-id sink — through [`pdsm_txn::MainStore::for_each_extent`],
+/// so a still-cold main goes extent-at-a-time and is never hydrated — and
+/// the live tail is interpreted. The id set is only meaningful while the
+/// caller's table lock is held.
 fn match_rows(
     vt: &VersionedTable,
     pred: Option<&Expr>,
@@ -343,25 +341,20 @@ fn match_rows(
     let overlay = vt.overlay();
     let dead = Overlay::dead_of(&overlay);
     let mut ids = Vec::new();
+    let zps = zone_preds(vt.store().skeleton(), spec.preds);
     // Survivors of `main` — the whole main store, or one extent of it
     // whose first row has id `first`.
-    let mut scan = |first: usize, main: &Table, dead: &[bool]| {
-        let matched = ids.len();
-        Scan::new(main, spec).collect_ids(dead, 0..main.len(), first, &mut ids);
-        if let Some(rows) = rows.as_deref_mut() {
-            for &id in &ids[matched..] {
-                rows.push(main.row(id - first)?);
+    vt.store()
+        .for_each_extent(&zps, dead, |first, main: &Table, dead| {
+            let matched = ids.len();
+            Scan::new(main, spec).collect_ids(dead, 0..main.len(), first, &mut ids);
+            if let Some(rows) = rows.as_deref_mut() {
+                for &id in &ids[matched..] {
+                    rows.push(main.row(id - first)?);
+                }
             }
-        }
-        Ok(())
-    };
-    match vt.cold_main() {
-        Some(cold) => {
-            let zps = zone_preds(&cold.skeleton(), spec.preds);
-            for_each_extent(cold, &zps, dead, scan)?;
-        }
-        None => scan(0, vt.main(), dead)?,
-    }
+            Ok::<_, DbError>(())
+        })?;
     if let Some(o) = &overlay {
         let main_len = vt.main_len();
         for (j, row) in o.live_tail_indexed() {

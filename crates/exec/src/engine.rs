@@ -54,15 +54,6 @@ impl<'a> Overlay<'a> {
     pub fn live_tail(&self) -> impl Iterator<Item = &'a Row> + 'a {
         self.live_tail_indexed().map(|(_, r)| r)
     }
-
-    /// Number of live tail rows.
-    pub fn live_tail_len(&self) -> usize {
-        if self.tail_alive.is_empty() {
-            self.tail.len()
-        } else {
-            self.tail_alive.iter().filter(|a| **a).count()
-        }
-    }
 }
 
 /// Evaluate a scan's predicate conjuncts against a decoded tail row.

@@ -64,10 +64,6 @@ impl ColdTable {
         &self.pool
     }
 
-    pub fn name(&self) -> &str {
-        &self.header.name
-    }
-
     pub fn generation(&self) -> u64 {
         self.header.generation
     }

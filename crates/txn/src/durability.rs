@@ -895,23 +895,36 @@ mod tests {
 
         let (t, pool) = reopen_cold();
         assert!(
-            t.cold_main().is_some(),
+            t.store().cold().is_some(),
             "WAL replay must not hydrate the cold main"
         );
-        let scan = t.cold_scan().expect("cold scan available while unhydrated");
-        assert_eq!(scan.generation, 1);
+        assert_eq!(t.snapshot().generation(), 1);
+        assert!(
+            t.store().cold().is_some(),
+            "pinning a snapshot faults nothing"
+        );
         assert_eq!(t.len(), before.len());
         assert_eq!(t.schema(), &schema());
         // Full scan hydrates once and matches the resident replay exactly.
         assert_eq!(all_rows(&t), before);
-        assert!(t.cold_main().is_none(), "scan should have hydrated");
+        assert!(t.store().cold().is_none(), "scan should have hydrated");
         assert!(pool.stats().misses > 0, "hydration faults through the pool");
         drop(t);
 
         // A merge over a still-cold main retires the old generation's
         // frames; nothing stays pinned at quiesce.
         let (mut t, pool) = reopen_cold();
-        t.merge().unwrap();
+        // Pinning the merge's cut reads nothing; the fold is what hydrates.
+        let recovered = pool.stats();
+        let ticket = t.begin_merge().unwrap();
+        assert_eq!(pool.stats(), recovered, "begin_merge touched the pool");
+        assert!(t.store().cold().is_some(), "begin_merge hydrated the main");
+        let built = ticket.build(t.store().layout().clone()).unwrap();
+        assert!(
+            t.store().cold().is_none(),
+            "the build folds a resident main"
+        );
+        t.finish_merge(built).unwrap();
         assert_eq!(t.generation(), 2);
         assert_eq!(all_rows(&t), before);
         assert_eq!(pool.resident_frames("t", 1), 0, "gen-1 frames retired");

@@ -22,9 +22,11 @@
 //!
 //! ## Snapshots
 //!
-//! Readers take [`Snapshot`] handles: a snapshot pins the main store `Arc`
-//! plus a frozen copy of the delta overlay, so queries running on a
-//! snapshot see a consistent version no matter what writers do afterwards.
+//! Readers take [`Snapshot`] handles: a snapshot pins the generation's
+//! [`MainStore`] handle — resident, or still on disk behind the buffer
+//! pool; pinning faults nothing either way (module [`version`]) — plus a
+//! frozen copy of the delta overlay, so queries running on a snapshot see
+//! a consistent version no matter what writers do afterwards.
 //! Snapshots of an unchanged version share one overlay allocation (the
 //! per-version cache in [`VersionedTable::snapshot`]), making repeat
 //! snapshot acquisition O(1).
@@ -101,5 +103,5 @@ pub use durability::{DurabilityStats, TableDurability};
 pub use merge::{BuiltMain, MergeTicket};
 pub use registry::{VersionRegistry, VersionStats};
 pub use shared::SharedTable;
-pub use table::{ColdScan, MergeStats, RowId, VersionedTable, WriteStats};
-pub use version::{OverlayData, Snapshot};
+pub use table::{MergeStats, RowId, VersionedTable, WriteStats};
+pub use version::{MainStore, OverlayData, Snapshot};

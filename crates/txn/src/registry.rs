@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, Weak};
 
 /// One generation's record: how many readers pin it, and a weak handle to
 /// its main store that tells whether the allocation is still alive.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct VersionEntry {
     readers: usize,
     main: Weak<Table>,
@@ -56,38 +56,22 @@ pub struct VersionRegistry {
 
 impl VersionRegistry {
     /// Record a newly published main store for `generation` (table
-    /// creation and every merge call this). Entries whose version is both
+    /// creation, every merge and the hydration of a cold main call this). Entries whose version is both
     /// reader-free and deallocated are pruned on the way.
     pub(crate) fn publish(&self, generation: u64, main: &Arc<Table>) {
         let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         m.retain(|_, e| e.readers > 0 || e.main.strong_count() > 0);
-        let weak = Arc::downgrade(main);
-        match m.entry(generation) {
-            std::collections::hash_map::Entry::Occupied(mut o) => o.get_mut().main = weak,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(VersionEntry {
-                    readers: 0,
-                    main: weak,
-                });
-            }
-        }
+        m.entry(generation).or_default().main = Arc::downgrade(main);
     }
 
     /// Register one reader of `generation`, returning the ticket whose
-    /// drop releases it. `main` backfills the weak handle when the version
-    /// was published before the registry existed (clones).
-    pub(crate) fn register(
-        self: &Arc<Self>,
-        generation: u64,
-        main: &Arc<Table>,
-    ) -> Arc<VersionTicket> {
+    /// drop releases it. A generation whose main store is still cold has
+    /// no published main yet; its entry starts without one and the
+    /// hydration's `publish` fills it in.
+    pub(crate) fn register(self: &Arc<Self>, generation: u64) -> Arc<VersionTicket> {
         {
             let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let e = m.entry(generation).or_insert_with(|| VersionEntry {
-                readers: 0,
-                main: Arc::downgrade(main),
-            });
-            e.readers += 1;
+            m.entry(generation).or_default().readers += 1;
         }
         Arc::new(VersionTicket {
             registry: self.clone(),
@@ -158,9 +142,9 @@ mod tests {
         let reg = Arc::new(VersionRegistry::default());
         let t0 = table();
         reg.publish(0, &t0);
-        let a = reg.register(0, &t0);
+        let a = reg.register(0);
         let b = a.clone(); // clone of the same snapshot: same ticket
-        let c = reg.register(0, &t0); // a distinct snapshot
+        let c = reg.register(0); // a distinct snapshot
         assert_eq!(reg.stats(0).registered_readers, 2);
         drop(b);
         assert_eq!(reg.stats(0).registered_readers, 2, "clone shares ticket");
@@ -177,7 +161,7 @@ mod tests {
         let reg = Arc::new(VersionRegistry::default());
         let t0 = table();
         reg.publish(0, &t0);
-        let pin = reg.register(0, &t0);
+        let pin = reg.register(0);
         let t1 = table();
         reg.publish(1, &t1);
         drop(t0); // table swapped its Arc; only `pin`'s... nothing pins it

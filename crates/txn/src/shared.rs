@@ -6,7 +6,9 @@
 //! compound statement through [`SharedTable::with_write`], which is how
 //! predicate DML keeps its match and its writes atomic; readers take the
 //! read lock only to clone a [`Snapshot`] and then run queries entirely
-//! outside the lock. Merges come in two shapes. A synchronous
+//! outside the lock — including the hydration of a still-cold main store,
+//! which no [`SharedTable`] method performs under either guard. Merges
+//! come in two shapes. A synchronous
 //! [`SharedTable::merge`] holds the write lock for the whole fold. A
 //! background merge holds it twice, briefly: [`SharedTable::begin_merge`]
 //! pins the cut, then [`SharedTable::complete_merge`] — the one
@@ -120,7 +122,7 @@ impl SharedTable {
             Err(Error::MergeInProgress) => return Ok(None),
             Err(e) => return Err(e),
         };
-        let layout = layout.unwrap_or_else(|| ticket.snapshot().main().layout().clone());
+        let layout = layout.unwrap_or_else(|| ticket.snapshot().store().layout().clone());
         Ok(self
             .complete_merge(&ticket, layout)?
             .map(|(stats, _)| stats))
@@ -158,7 +160,7 @@ impl SharedTable {
         }
         let mut t = self.write();
         match t.finish_merge(built) {
-            Ok(stats) => Ok(Some((stats, t.main_arc()))),
+            Ok(stats) => Ok(Some((stats, t.store().table().clone()))),
             Err(Error::StaleMergeBuild) => Ok(None),
             Err(e) => Err(e),
         }
@@ -205,9 +207,12 @@ impl SharedTable {
         self.read().has_pending_merge()
     }
 
-    /// Shared handle to the current main store.
+    /// Shared handle to the current main store, resident. A cold main is
+    /// hydrated here — after the read lock is released, so writers never
+    /// wait behind the faults.
     pub fn main_arc(&self) -> Arc<Table> {
-        self.read().main_arc()
+        let store = Arc::clone(self.read().store());
+        store.table().clone()
     }
 
     /// Cumulative write counters.

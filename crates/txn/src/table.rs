@@ -5,7 +5,7 @@
 use crate::durability::TableDurability;
 use crate::merge::{BuiltMain, MergeTicket};
 use crate::registry::{VersionRegistry, VersionStats};
-use crate::version::{OverlayData, Snapshot};
+use crate::version::{MainStore, OverlayData, Snapshot};
 use pdsm_exec::{Overlay, TableProvider};
 use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
@@ -71,21 +71,6 @@ struct PendingMerge {
     replay_deletes: Vec<RowId>,
 }
 
-/// Everything a streaming executor needs to scan a still-cold main store
-/// extent-at-a-time without hydrating it: the header-only [`ColdTable`]
-/// plus the frozen delta overlay of the current version. Returned by
-/// [`VersionedTable::cold_scan`] only while the main is unhydrated.
-#[derive(Debug, Clone)]
-pub struct ColdScan {
-    /// The checkpointed main, faulting through the buffer pool.
-    pub cold: Arc<ColdTable>,
-    /// Frozen overlay (tombstones over the cold main + the delta tail), or
-    /// `None` when the delta is empty.
-    pub overlay: Option<Arc<OverlayData>>,
-    /// The version this scan observes.
-    pub generation: u64,
-}
-
 /// A versioned table: immutable partitioned main + append-only row-format
 /// delta with tombstones. See the crate docs for the design.
 ///
@@ -93,17 +78,14 @@ pub struct ColdScan {
 /// multi-reader use goes through [`crate::SharedTable`].
 ///
 /// A table recovered through a buffer pool keeps its main store on disk:
-/// `main` stays unset and reads fault extents through the pool until
-/// something needs the whole table resident
-/// ([`VersionedTable::main_ref`] hydrates it once, lazily).
+/// the [`MainStore`] handle answers from the checkpoint header and faults
+/// extents through the pool until something needs the whole table
+/// resident ([`MainStore::table`] hydrates it once, lazily).
 #[derive(Debug)]
 pub struct VersionedTable {
-    /// The resident main store. Unset only for a cold-recovered table that
-    /// has not been hydrated yet; set exactly once thereafter.
-    main: OnceLock<Arc<Table>>,
-    /// The on-disk main this table was recovered over, if any. Retired
-    /// (frames dropped) by the first merge that supersedes it.
-    cold: Option<Arc<ColdTable>>,
+    /// This generation's main store, shared with every snapshot of it.
+    /// Replaced (never mutated) by a merge.
+    main: Arc<MainStore>,
     generation: u64,
     /// Tombstone mask over the main store. Empty until the first main-row
     /// delete, then sized `main.len()`.
@@ -139,6 +121,7 @@ impl Clone for VersionedTable {
         // no pending merge (the in-flight build belongs to `self`) and no
         // durability — two tables sharing one log would corrupt each
         // other's id space.
+        let (table, cold) = (self.main.table.get().cloned(), self.main.cold.clone());
         VersionedTable {
             dead_main: self.dead_main.clone(),
             dead_main_count: self.dead_main_count,
@@ -148,37 +131,24 @@ impl Clone for VersionedTable {
             n_ops: self.n_ops,
             stats: self.stats,
             merge_epoch: self.merge_epoch,
-            ..Self::at_generation(self.main.get().cloned(), self.cold.clone(), self.generation)
+            ..Self::at_generation(table, cold, self.generation)
         }
     }
-}
-
-/// A pre-initialized slot for a main store that is resident from birth.
-fn resident(main: Arc<Table>) -> OnceLock<Arc<Table>> {
-    let slot = OnceLock::new();
-    let _ = slot.set(main);
-    slot
 }
 
 impl VersionedTable {
     /// An empty-delta table at `generation` over a resident `main` or a
     /// still-on-disk `cold` checkpoint (recovery passes one or the other).
-    /// A cold main faults extents through its buffer pool; the first
-    /// operation that needs the whole main resident hydrates it,
-    /// bit-identical to a resident recovery. WAL replay never does:
-    /// `schema()`, `get()` and the tombstone masks work against the header.
+    /// WAL replay never hydrates a cold main: `schema()`, `get()` and the
+    /// tombstone masks work against the header and single extents.
     pub(crate) fn at_generation(
         main: Option<Arc<Table>>,
         cold: Option<Arc<ColdTable>>,
         generation: u64,
     ) -> Self {
         let registry = Arc::new(VersionRegistry::default());
-        if let Some(m) = &main {
-            registry.publish(generation, m);
-        }
         VersionedTable {
-            main: main.map(resident).unwrap_or_default(),
-            cold,
+            main: Arc::new(MainStore::new(main, cold, generation, registry.clone())),
             generation,
             dead_main: Vec::new(),
             dead_main_count: 0,
@@ -223,86 +193,33 @@ impl VersionedTable {
         Ok(Self::from_table(Table::with_layout(name, schema, layout)?))
     }
 
-    /// Table name. Never hydrates: reads the cold header when the main
-    /// store is still on disk.
+    /// Table name. Never hydrates a cold main.
     pub fn name(&self) -> &str {
-        match self.main.get() {
-            Some(m) => m.name(),
-            None => self.cold_only().name(),
-        }
-    }
-
-    /// The on-disk main of a table that has no resident one yet.
-    fn cold_only(&self) -> &ColdTable {
-        self.cold.as_ref().expect("unhydrated ⇒ cold")
+        self.main.skeleton().name()
     }
 
     /// The schema. Never hydrates (WAL replay normalizes against it).
     pub fn schema(&self) -> &Schema {
-        match self.main.get() {
-            Some(m) => m.schema(),
-            None => &self.cold_only().header().schema,
-        }
+        self.main.schema()
     }
 
-    /// The resident main store, hydrating a cold one on first demand.
-    ///
-    /// Hydration faults every extent through the buffer pool and
-    /// reassembles a table bit-identical to a resident recovery; it happens
-    /// at most once. Panics if the checkpoint payload fails its CRC —
-    /// the header was validated at open, so this is on-disk corruption
-    /// that appeared after recovery.
-    pub fn main_ref(&self) -> &Arc<Table> {
-        self.main.get_or_init(|| {
-            let table = Arc::new(
-                self.cold_only()
-                    .hydrate()
-                    .expect("cold main hydration: checkpoint payload unreadable"),
-            );
-            self.registry.publish(self.generation, &table);
-            table
-        })
+    /// This generation's main-store handle: clone it out of a lock to
+    /// read — or hydrate — the main without holding the lock.
+    pub fn store(&self) -> &Arc<MainStore> {
+        &self.main
     }
 
     /// Main-store row count without hydrating a cold main.
     pub fn main_len(&self) -> usize {
-        match self.main.get() {
-            Some(m) => m.len(),
-            None => self.cold_only().len(),
-        }
-    }
-
-    /// The unhydrated cold main, if this table still has one. `None` once
-    /// hydration or a merge made the main resident.
-    pub fn cold_main(&self) -> Option<&Arc<ColdTable>> {
-        if self.main.get().is_some() {
-            return None;
-        }
-        self.cold.as_ref()
-    }
-
-    /// A streaming view over the cold main plus the frozen overlay of the
-    /// current version — `Some` only while the main is unhydrated. The
-    /// overlay freeze shares [`VersionedTable::snapshot`]'s per-version
-    /// cache, so taking both costs one freeze.
-    pub fn cold_scan(&self) -> Option<ColdScan> {
-        let cold = self.cold_main()?.clone();
-        Some(ColdScan {
-            cold,
-            overlay: self.frozen_overlay(),
-            generation: self.generation,
-        })
+        self.main.len()
     }
 
     /// The read-optimized main store (excludes pending delta rows).
-    /// Hydrates a cold main.
+    /// Hydrates a cold main — under whatever lock the caller reached
+    /// `self` through; concurrent code goes through
+    /// [`VersionedTable::store`] or a [`Snapshot`] instead.
     pub fn main(&self) -> &Table {
-        self.main_ref()
-    }
-
-    /// Shared handle to the main store. Hydrates a cold main.
-    pub fn main_arc(&self) -> Arc<Table> {
-        self.main_ref().clone()
+        self.main.table()
     }
 
     /// Merge generation (0 for a fresh table, +1 per merge).
@@ -501,12 +418,7 @@ impl VersionedTable {
         self.check_visible(id)?;
         let main_len = self.main_len();
         if id < main_len {
-            // A cold main serves the point read from one faulted extent —
-            // WAL replay and stray gets must not hydrate the whole table.
-            match self.main.get() {
-                Some(m) => m.row(id),
-                None => self.cold_only().row(id),
-            }
+            self.main.row(id)
         } else {
             Ok(self.tail[id - main_len].clone())
         }
@@ -573,18 +485,8 @@ impl VersionedTable {
 
     /// All visible rows in scan order (main order, then tail append order).
     /// Hydrates a cold main.
-    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        let main = self.main_ref();
-        let main_live = (0..main.len())
-            .filter(move |&i| self.dead_main.get(i).map(|d| !d).unwrap_or(true))
-            .map(move |i| main.row(i).expect("in-range"));
-        let tail_live = self
-            .tail
-            .iter()
-            .zip(self.tail_alive.iter())
-            .filter(|(_, alive)| **alive)
-            .map(|(r, _)| r.clone());
-        main_live.chain(tail_live)
+    pub fn rows(&self) -> impl Iterator<Item = Row> {
+        self.snapshot().rows().into_iter()
     }
 
     /// The frozen overlay of the current version (shared per-version via
@@ -612,16 +514,17 @@ impl VersionedTable {
 
     /// Take a consistent snapshot of the current version. O(1) when this
     /// version has already been snapshotted; otherwise the overlay is
-    /// frozen once (O(delta + tombstone mask)) and shared. Hydrates a cold
-    /// main — streaming readers use [`VersionedTable::cold_scan`] instead.
+    /// frozen once (O(delta + tombstone mask)) and shared. Never touches
+    /// main-store rows: a cold main stays cold until a holder of the
+    /// snapshot asks for [`Snapshot::main`].
     pub fn snapshot(&self) -> Snapshot {
-        let overlay = self.frozen_overlay();
-        let main = self.main_ref();
         Snapshot {
-            main: main.clone(),
-            overlay,
-            generation: self.generation,
-            _ticket: Some(self.registry.register(self.generation, main)),
+            main: Arc::clone(&self.main),
+            overlay: self.frozen_overlay(),
+            delta_ops: self.n_ops,
+            len: self.len(),
+            live_delta_rows: self.live_delta_rows(),
+            _ticket: self.registry.register(self.generation),
         }
     }
 
@@ -632,7 +535,7 @@ impl VersionedTable {
     /// in-flight build's `finish_merge` will fail `StaleMergeBuild` and
     /// be discarded by its owner).
     pub fn merge(&mut self) -> Result<MergeStats> {
-        self.merge_with_layout(self.main_ref().layout().clone())
+        self.merge_with_layout(self.main.layout().clone())
     }
 
     /// Fold the delta into a fresh main store under `layout` — the
@@ -659,8 +562,9 @@ impl VersionedTable {
 
     /// Phase 1 of a background merge: pin the current version as the
     /// build's *cut* and start recording post-cut tombstones for replay.
-    /// O(delta) to freeze the overlay; the heavy fold belongs to
-    /// [`MergeTicket::build`], which runs on any thread.
+    /// O(delta) to freeze the overlay and not one main-store row read;
+    /// the heavy fold — and with it the hydration of a still-cold main —
+    /// belongs to [`MergeTicket::build`], which runs on any thread.
     ///
     /// Errors with [`Error::MergeInProgress`] if a build is already
     /// pending ([`VersionedTable::abort_merge`] clears it).
@@ -726,14 +630,21 @@ impl VersionedTable {
         };
         let build_epoch = built.epoch;
         let new_main = Arc::new(built.table);
-        self.main = resident(new_main.clone());
-        // The merge supersedes the checkpoint the cold mount was serving:
+        self.generation += 1;
+        let superseded = std::mem::replace(
+            &mut self.main,
+            Arc::new(MainStore::new(
+                Some(new_main.clone()),
+                None,
+                self.generation,
+                self.registry.clone(),
+            )),
+        );
+        // The merge supersedes the checkpoint a cold mount was serving:
         // retire its frames so the pool does not cache a dead generation.
-        if let Some(c) = self.cold.take() {
+        if let Some(c) = &superseded.cold {
             c.retire();
         }
-        self.generation += 1;
-        self.registry.publish(self.generation, &new_main);
         self.dead_main = dead_main;
         self.dead_main_count = dead_main_count;
         self.tail = tail;
@@ -817,7 +728,7 @@ impl VersionedTable {
 /// this safe without snapshotting: no write can happen during the borrow.)
 impl TableProvider for VersionedTable {
     fn table(&self, name: &str) -> Option<&Table> {
-        (name == self.name()).then(|| self.main_ref().as_ref())
+        (name == self.name()).then(|| self.main())
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {

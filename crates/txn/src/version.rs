@@ -1,11 +1,175 @@
-//! Frozen version state: the overlay data snapshots pin, and the
-//! [`Snapshot`] handle itself.
+//! What one table version is made of: the [`MainStore`] handle of its
+//! generation, the frozen [`OverlayData`] of its delta, and the
+//! [`Snapshot`] that pins both.
+//!
+//! A generation's main store is **one handle** behind one `Arc`, held by
+//! the [`crate::VersionedTable`] and by every [`Snapshot`] of that
+//! generation — resident from birth, or mounted over a checkpoint whose
+//! extents are still on disk. Callers do not tell the two apart: name,
+//! schema, layout, row count, zone map and a zero-row skeleton come from
+//! the header and never fault; [`MainStore::for_each_extent`] walks the
+//! rows as one resident table or, while cold, one pinned extent at a time;
+//! [`MainStore::table`] is the only door that makes a cold store resident
+//! — once per generation, on the calling thread, which reached it through
+//! a handle it cloned out of the table and so holds no table lock.
+//! Taking a snapshot therefore pins and does not load: O(1) for an
+//! already-frozen version, not a byte faulted.
 
-use crate::registry::VersionTicket;
+use crate::registry::{VersionRegistry, VersionTicket};
 use pdsm_exec::{Overlay, TableProvider};
+use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
-use pdsm_storage::Table;
-use std::sync::Arc;
+use pdsm_storage::{Error, Layout, Schema, Table, ZoneMap, ZonePred};
+use std::sync::{Arc, OnceLock};
+
+/// The main store of one merge generation: a resident [`Table`], or a
+/// checkpoint mounted header-only through the buffer pool that becomes one
+/// on first demand. See the module docs.
+#[derive(Debug)]
+pub struct MainStore {
+    /// Zero rows under this store's name, schema and layout.
+    skeleton: Table,
+    len: usize,
+    generation: u64,
+    /// Set at construction for a resident store, by the one hydration for
+    /// a cold one.
+    pub(crate) table: OnceLock<Arc<Table>>,
+    /// The checkpoint this store was mounted over, if any (kept after
+    /// hydration: the merge that supersedes it retires its frames).
+    pub(crate) cold: Option<Arc<ColdTable>>,
+    /// Where a hydrated table is published as this generation's main.
+    registry: Arc<VersionRegistry>,
+}
+
+impl MainStore {
+    /// The store of `generation` over a resident `table` or a still-on-disk
+    /// `cold` checkpoint (one or the other), accounted in `registry`.
+    pub(crate) fn new(
+        table: Option<Arc<Table>>,
+        cold: Option<Arc<ColdTable>>,
+        generation: u64,
+        registry: Arc<VersionRegistry>,
+    ) -> Self {
+        let (skeleton, len) = match (&table, &cold) {
+            (Some(t), _) => (
+                Table::with_layout(t.name(), t.schema().clone(), t.layout().clone())
+                    .expect("a table's own layout is valid"),
+                t.len(),
+            ),
+            (None, Some(c)) => (c.skeleton(), c.len()),
+            (None, None) => unreachable!("a main store is resident or mounted"),
+        };
+        if let Some(t) = &table {
+            registry.publish(generation, t);
+        }
+        MainStore {
+            skeleton,
+            len,
+            generation,
+            table: table.map(OnceLock::from).unwrap_or_default(),
+            cold,
+            registry,
+        }
+    }
+
+    /// Main-store rows (tombstoned ones included).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// A zero-row table with this store's name, schema and layout — what
+    /// column metadata is read from, what predicates are translated
+    /// against, and the main of a streamed scan's tail-only run.
+    pub fn skeleton(&self) -> &Table {
+        &self.skeleton
+    }
+
+    pub fn schema(&self) -> &Schema {
+        self.skeleton.schema()
+    }
+
+    pub fn layout(&self) -> &Layout {
+        self.skeleton.layout()
+    }
+
+    /// The per-block min/max summaries of the rows: the resident table's
+    /// (built on first use) or the checkpoint header's. `None` for an
+    /// empty store or a checkpoint written without one.
+    pub fn zones(&self) -> Option<&ZoneMap> {
+        if self.len == 0 {
+            return None;
+        }
+        match self.table.get() {
+            Some(t) => Some(t.zone_map()),
+            None => self.cold.as_ref()?.header().zones.as_ref(),
+        }
+    }
+
+    /// The mounted checkpoint while — and only while — its rows are still
+    /// on disk.
+    pub fn cold(&self) -> Option<&Arc<ColdTable>> {
+        self.cold.as_ref().filter(|_| self.table.get().is_none())
+    }
+
+    /// The resident table, hydrating a cold store on first demand:
+    /// every extent faults through the buffer pool into a table
+    /// bit-identical to a resident recovery, at most once (concurrent
+    /// callers wait for the one that runs). Panics if the checkpoint
+    /// payload fails its CRC — the header was validated at open, so this
+    /// is on-disk corruption that appeared after recovery.
+    pub fn table(&self) -> &Arc<Table> {
+        self.table.get_or_init(|| {
+            let cold = self.cold.as_ref().expect("unhydrated ⇒ mounted");
+            let table = Arc::new(
+                cold.hydrate()
+                    .expect("cold main hydration: checkpoint payload unreadable"),
+            );
+            self.registry.publish(self.generation, &table);
+            table
+        })
+    }
+
+    /// Main-store row `id`, decoded — through the one extent it lives in
+    /// while cold (WAL replay and stray point reads must not hydrate).
+    pub fn row(&self, id: usize) -> Result<Row, Error> {
+        match self.cold() {
+            Some(cold) => cold.row(id),
+            None => self.table().row(id),
+        }
+    }
+
+    /// Visit the rows in order as `(first row id, table, that range's
+    /// slice of the tombstone mask `dead`)`: the resident table in one
+    /// visit, or — while cold — every extent `zps` cannot refute as a
+    /// self-contained mini table, pinned only while `visit` runs (the next
+    /// extent may evict it). Skipping a refuted extent is sound for every
+    /// scan whose predicate implies `zps`: no main row of it can pass, and
+    /// tombstones only remove rows.
+    pub fn for_each_extent<E: From<Error>>(
+        &self,
+        zps: &[ZonePred],
+        dead: &[bool],
+        mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Some(cold) = self.cold() else {
+            return visit(0, self.table(), dead);
+        };
+        for e in 0..cold.n_extents() {
+            if !zps.is_empty() && cold.extent_refuted(e, zps) {
+                cold.pool().note_skipped_fault();
+                continue;
+            }
+            let (lo, hi) = cold.header().extent_row_range(e);
+            let (mini, _pins) = cold.extent_table(e)?;
+            visit(lo, &mini, &dead[lo.min(dead.len())..hi.min(dead.len())])?;
+        }
+        Ok(())
+    }
+}
 
 /// An owned, immutable copy of one version's delta overlay: which main rows
 /// are tombstoned and which decoded rows follow the main store. Shared by
@@ -29,39 +193,39 @@ impl OverlayData {
             tail_alive: &self.tail_alive,
         }
     }
-
-    /// Number of live tail rows.
-    pub fn live_tail_len(&self) -> usize {
-        self.as_overlay().live_tail_len()
-    }
-
-    /// Number of tombstoned main rows.
-    pub fn dead_main_len(&self) -> usize {
-        self.dead.iter().filter(|d| **d).count()
-    }
 }
 
-/// A consistent, immutable view of one table version: the pinned main store
-/// plus (when the version has pending writes) a frozen overlay.
+/// A consistent, immutable view of one table version: the generation's
+/// [`MainStore`] handle plus (when the version has pending writes) a frozen
+/// overlay, with the counters that identify and size the version.
 ///
-/// Snapshots are cheap to clone, `Send + Sync`, and independent of the
-/// writer: queries against a snapshot are wait-free. A snapshot is also a
-/// single-table [`TableProvider`], so it can be handed directly to any
-/// engine.
+/// Snapshots are cheap to take and to clone, `Send + Sync`, and
+/// independent of the writer: queries against a snapshot are wait-free. A
+/// snapshot is also a single-table [`TableProvider`], so it can be handed
+/// directly to any engine (which then makes a cold main resident).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    pub(crate) main: Arc<Table>,
+    pub(crate) main: Arc<MainStore>,
     pub(crate) overlay: Option<Arc<OverlayData>>,
-    pub(crate) generation: u64,
+    pub(crate) delta_ops: u64,
+    /// Visible rows: main − tombstones + live tail.
+    pub(crate) len: usize,
+    pub(crate) live_delta_rows: usize,
     /// Reader registration in the table's version registry; released
     /// (decrementing this generation's reader count) when the last clone
     /// of this snapshot drops.
-    pub(crate) _ticket: Option<Arc<VersionTicket>>,
+    pub(crate) _ticket: Arc<VersionTicket>,
 }
 
 impl Snapshot {
-    /// The pinned read-optimized main store.
+    /// The pinned main store, resident: hydrates a cold one (once per
+    /// generation, on this thread, no table lock involved).
     pub fn main(&self) -> &Table {
+        self.main.table()
+    }
+
+    /// The pinned main-store handle.
+    pub fn store(&self) -> &Arc<MainStore> {
         &self.main
     }
 
@@ -73,32 +237,43 @@ impl Snapshot {
 
     /// Merge generation this snapshot pins (bumped by every merge).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.main.generation
+    }
+
+    /// Write operations the pinned version carries on top of its
+    /// generation's main; with [`Snapshot::generation`] it names the
+    /// version exactly (both only grow).
+    pub fn delta_ops(&self) -> u64 {
+        self.delta_ops
     }
 
     /// Number of rows visible to this snapshot.
     pub fn len(&self) -> usize {
-        match &self.overlay {
-            None => self.main.len(),
-            Some(o) => self.main.len() - o.dead_main_len() + o.live_tail_len(),
-        }
+        self.len
     }
 
     /// True iff no rows are visible.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
+    }
+
+    /// Live (non-tombstoned) delta-tail rows — what an index probe's
+    /// delta-union scan must visit.
+    pub fn live_delta_rows(&self) -> usize {
+        self.live_delta_rows
     }
 
     /// All visible rows in scan order (main-store order, then tail append
     /// order), decoded. Intended for tests and verification, not hot paths.
     pub fn rows(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.len());
-        let overlay = self.overlay.as_ref().map(|o| o.as_overlay());
-        for i in 0..self.main.len() {
-            if overlay.as_ref().map(|o| o.is_dead(i)).unwrap_or(false) {
+        let main = self.main();
+        let overlay = self.overlay();
+        let mut out = Vec::with_capacity(self.len);
+        for i in 0..main.len() {
+            if overlay.as_ref().is_some_and(|o| o.is_dead(i)) {
                 continue;
             }
-            out.push(self.main.row(i).expect("in-range"));
+            out.push(main.row(i).expect("in-range"));
         }
         if let Some(o) = overlay {
             out.extend(o.live_tail().cloned());
@@ -109,14 +284,10 @@ impl Snapshot {
 
 impl TableProvider for Snapshot {
     fn table(&self, name: &str) -> Option<&Table> {
-        (name == self.main.name()).then_some(&*self.main)
+        (name == self.main.skeleton.name()).then(|| self.main())
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
-        if name == self.main.name() {
-            self.overlay.as_ref().map(|o| o.as_overlay())
-        } else {
-            None
-        }
+        self.overlay().filter(|_| name == self.main.skeleton.name())
     }
 }

@@ -180,6 +180,123 @@ fn disjoint_table_writers_match_serial_schedule() {
     }
 }
 
+/// Writers doing insert / `UPDATE … WHERE` / `DELETE … WHERE` / merge on
+/// one table while readers `execute` an admitted aggregate with the result
+/// cache on. Every row has `one = 1` and `a + b = 0`, and a statement's
+/// writes are atomic, so every reply — computed or served from the cache —
+/// must say `count(*) = sum(one)` and `sum(a) + sum(b) = 0`. A result is
+/// tagged with the versions its statement pinned, never with what the
+/// tables had become by the time it finished: once the writers stop, the
+/// cached reply is byte for byte the uncached one.
+#[test]
+fn cached_aggregate_is_consistent_under_dml_and_merges() {
+    const PRELOAD: i32 = 30_000;
+    const STEPS: i32 = 300;
+    let db = Arc::new(Database::with_maintenance(bg_cfg(128)));
+    db.set_result_cache(ResultCacheConfig::default());
+    let mut base = Table::new(
+        "inv",
+        Schema::new(vec![
+            ColumnDef::new("k", DataType::Int32),
+            ColumnDef::new("one", DataType::Int64),
+            ColumnDef::new("a", DataType::Int64),
+            ColumnDef::new("b", DataType::Int64),
+        ]),
+    );
+    let row = |k: i32| {
+        let v = (k % 97) as i64;
+        vec![V::Int32(k), V::Int64(1), V::Int64(v), V::Int64(-v)]
+    };
+    for k in 0..PRELOAD {
+        base.insert(&row(k)).unwrap();
+    }
+    db.register(base);
+    let agg = QueryBuilder::scan("inv")
+        .aggregate(
+            vec![],
+            vec![
+                AggExpr::count_star(),
+                AggExpr::new(AggFunc::Sum, Expr::col(1)),
+                AggExpr::new(AggFunc::Sum, Expr::col(2)),
+                AggExpr::new(AggFunc::Sum, Expr::col(3)),
+            ],
+        )
+        .build();
+    assert!(
+        db.plan_query(&agg).unwrap().cache_admit,
+        "the aggregate must be one the result cache admits"
+    );
+    let check = |out: &QueryResult| {
+        let v = |i: usize| out.rows[0][i].as_i64().unwrap();
+        assert_eq!(v(0), v(1), "count(*) != sum(one): {:?}", out.rows);
+        assert_eq!(v(2) + v(3), 0, "sum(a) + sum(b) != 0: {:?}", out.rows);
+    };
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2i32)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                s.spawn(move || {
+                    let key = |k: i32| Expr::col(0).eq(Expr::lit(k));
+                    for step in 0..STEPS {
+                        let k = (step * 37 + w) % PRELOAD;
+                        match step % 8 {
+                            0..=2 => {
+                                db.insert("inv", &row(PRELOAD + step * 2 + w)).unwrap();
+                            }
+                            3 | 4 => {
+                                let v = step as i64;
+                                let sets = [
+                                    ("a".to_string(), V::Int64(v)),
+                                    ("b".to_string(), V::Int64(-v)),
+                                ];
+                                db.update_where("inv", &sets, Some(&key(k))).unwrap();
+                            }
+                            5 | 6 => {
+                                db.delete_where("inv", Some(&key(k))).unwrap();
+                            }
+                            _ => {
+                                db.merge("inv").unwrap();
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..2 {
+            let (db, stop, agg, check) = (&db, &stop, &agg, &check);
+            s.spawn(move || {
+                let mut iters = 0usize;
+                while !stop.load(Ordering::Acquire) || iters < 10 {
+                    check(&db.execute(agg).unwrap());
+                    iters += 1;
+                }
+            });
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+    });
+    db.flush_maintenance().unwrap();
+
+    // Quiesced: whatever the cache now holds for the final version is
+    // what a cache-less execution computes.
+    let cached = db.execute(&agg).unwrap();
+    let again = db.execute(&agg).unwrap();
+    assert!(db.cache_stats().result.hits >= 1, "the cache never served");
+    db.set_result_cache(ResultCacheConfig {
+        enabled: false,
+        ..ResultCacheConfig::default()
+    });
+    let uncached = db.execute(&agg).unwrap();
+    check(&uncached);
+    assert_eq!(cached, uncached, "a stale result was served from the cache");
+    assert_eq!(again, uncached);
+    assert_eq!(uncached, db.run(&agg, EngineKind::Volcano).unwrap());
+}
+
 /// Two writers on the *same* table: appends serialize on the table lock —
 /// every insert_batch is atomic (balanced pairs), nothing is lost, and
 /// the interleaving is some permutation of the two programs.

@@ -373,7 +373,7 @@ fn cold_multi_row_update_pins_each_extent_once() {
     .unwrap();
     let frames = db
         .with_table("R", |vt| {
-            let cold = vt.cold_main().expect("opened through a pool");
+            let cold = vt.store().cold().expect("opened through a pool");
             cold.n_extents() * cold.header().n_groups()
         })
         .unwrap();
@@ -386,6 +386,8 @@ fn cold_multi_row_update_pins_each_extent_once() {
     let stats = db.pool_stats().expect("pooled");
     assert_eq!((stats.hits + stats.misses) as usize, frames);
     assert_eq!(stats.pinned_frames, 0);
-    assert!(db.with_table("R", |vt| vt.cold_main().is_some()).unwrap());
+    assert!(db
+        .with_table("R", |vt| vt.store().cold().is_some())
+        .unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -126,6 +126,47 @@ fn indexed_selects_stay_indexed_under_write_load() {
     assert_execute_matches_engines(&db, &plan, "indexed-under-write-load");
 }
 
+/// A plan says `index` only when it will probe: an index a merge left a
+/// generation behind is not in the statement's view, so the plan — and
+/// `EXPLAIN` — say scan until the rebuild, and a physical plan lowered
+/// before the swap is lowered again rather than probing a stale index.
+#[test]
+fn an_index_lagging_the_pinned_generation_is_not_planned() {
+    let db = Database::new();
+    db.register(microbench::generate(3_000, 0.01, Layout::row(16), 5));
+    db.create_index("R", "B", IndexKind::Hash).unwrap();
+    churn(&db, "R");
+    let probed = db.get_table("R").unwrap().get(100, 1).unwrap();
+    let plan = QueryBuilder::scan("R")
+        .filter(Expr::col(1).eq(Expr::lit(probed.as_i64().unwrap() as i32)))
+        .build();
+    let before_swap = db.plan_query(&plan).unwrap();
+    assert!(before_swap.access().is_indexed());
+
+    // The table-level merge swaps the main store in and renumbers its
+    // rows; the catalog's reindex does not run.
+    db.shared("R").unwrap().merge().unwrap();
+    let explain = db.explain(&plan).unwrap();
+    assert!(
+        explain.contains("via full scan") && !explain.contains("index"),
+        "{explain}"
+    );
+    let phys = db.plan_query(&plan).unwrap();
+    assert!(!phys.access().is_indexed(), "{}", phys.explain());
+    assert!(phys.alternatives.iter().all(|(label, _)| label != "index"));
+    let want = db.run(&plan, EngineKind::Volcano).unwrap();
+    assert!(!want.is_empty());
+    assert_eq!(db.execute(&plan).unwrap(), want);
+    assert_eq!(db.execute_physical(&before_swap).unwrap(), want);
+    assert_eq!(db.run_indexed(&plan, EngineKind::Compiled).unwrap(), want);
+
+    // The catalog's merge rebuilds the index for the generation it makes.
+    db.merge("R").unwrap();
+    let phys = db.plan_query(&plan).unwrap();
+    assert!(phys.access().is_indexed(), "{}", phys.explain());
+    assert_eq!(db.execute(&plan).unwrap(), want);
+}
+
 #[test]
 fn coerced_literals_never_probe_the_index() {
     // Int32 column, Float64 literal: the engines coerce the comparison
@@ -285,7 +326,7 @@ fn explain_snapshot() {
         hierarchy: Hierarchy::nehalem(),
         threads: 4,
     };
-    let phys = planner.plan(&db, &plan).unwrap();
+    let phys = planner.plan(&db.snapshot(), &plan).unwrap();
     let expected = "\
 physical plan
   engine: compiled
@@ -530,8 +571,9 @@ fn decision_table() -> String {
                             }
                         }
                     }
+                    let view = db.snapshot();
                     for (qname, plan) in &plans {
-                        let phys = planner.plan(&db, plan).unwrap();
+                        let phys = planner.plan(&view, plan).unwrap();
                         let ctx = format!(
                             "{wname}/{lname}/index={with_index}/delta={with_delta}/{qname}"
                         );

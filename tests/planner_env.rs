@@ -32,5 +32,8 @@ fn changing_pdsm_threads_after_construction_does_not_move_plans() {
         hierarchy: Hierarchy::nehalem(),
         threads: 1,
     };
-    assert_eq!(p1.explain(), pinned.plan(&one, &plan).unwrap().explain());
+    assert_eq!(
+        p1.explain(),
+        pinned.plan(&one.snapshot(), &plan).unwrap().explain()
+    );
 }

@@ -289,7 +289,7 @@ fn predicate_dml_on_a_cold_table_streams_instead_of_hydrating() {
 
     let still_cold = || {
         pooled
-            .with_table("R", |vt| vt.cold_main().is_some())
+            .with_table("R", |vt| vt.store().cold().is_some())
             .unwrap()
     };
     assert!(still_cold(), "predicate DML hydrated the table");
@@ -302,6 +302,87 @@ fn predicate_dml_on_a_cold_table_streams_instead_of_hydrating() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// A cold main is made resident only by whoever needs its rows, on that
+/// thread, holding no table lock: pinning a merge cut or a statement view
+/// faults nothing, and a join hydrates the table while *another* thread
+/// holds the table's write lock — which then inserts without having
+/// waited behind a single fault.
+#[test]
+fn a_cold_main_is_never_hydrated_under_the_table_lock() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    small_extents();
+    let dir = case_dir("off-lock");
+    seed_twin(&dir, 6000, microbench::pdsm_layout(), 5, 16);
+    let pool = BufferPool::new(64 << 20);
+    let db = std::sync::Arc::new(open(&dir, Some(std::sync::Arc::clone(&pool))));
+    let cold = || {
+        db.with_table("R", |vt| vt.store().cold().is_some())
+            .unwrap()
+    };
+
+    // Phase 1 of a merge pins the cut; the fold (phase 2) is what reads.
+    let shared = db.shared("R").unwrap();
+    let before = pool.stats();
+    let ticket = shared.begin_merge().unwrap();
+    assert_eq!(pool.stats(), before, "begin_merge touched the pool");
+    assert!(cold(), "begin_merge hydrated the table");
+    assert!(shared.abort_merge_epoch(ticket.epoch()));
+    drop(ticket);
+
+    // A join cannot stream extent-at-a-time: it needs R resident.
+    let join = QueryBuilder::scan("R")
+        .filter(Expr::col(0).eq(Expr::lit(0)))
+        .join(QueryBuilder::scan("R").build(), Expr::col(0), Expr::col(0))
+        .aggregate(vec![], vec![AggExpr::count_star()])
+        .build();
+    let (pinned_tx, pinned_rx) = channel();
+    let (locked_tx, locked_rx) = channel();
+    let (joined_tx, joined_rx) = channel();
+    let reader = {
+        let (db, join) = (std::sync::Arc::clone(&db), join.clone());
+        std::thread::spawn(move || {
+            let view = db.snapshot();
+            pinned_tx.send(()).unwrap();
+            locked_rx.recv().unwrap();
+            let out = view.run(&join, EngineKind::Compiled).unwrap();
+            joined_tx.send(()).unwrap();
+            (view, out)
+        })
+    };
+    pinned_rx.recv().unwrap();
+    assert_eq!(pool.stats(), before, "pinning a view touched the pool");
+    assert!(cold(), "pinning a view hydrated the table");
+    let row: Vec<Value> = (0..N_COLS).map(|c| Value::Int32(c as i32)).collect();
+    db.with_table_write("R", |vt| {
+        // The writer owns the table lock from here to the insert.
+        locked_tx.send(()).unwrap();
+        joined_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the join's hydration waited for the table lock");
+        assert!(vt.store().cold().is_none(), "the join ran without R");
+        vt.insert(&row).unwrap();
+    })
+    .unwrap();
+    let (view, out) = reader.join().unwrap();
+    assert!(pool.stats().misses > before.misses, "nothing was faulted");
+    assert_eq!(out, view.run(&join, EngineKind::Volcano).unwrap());
+    // The view predates the insert; the live table has it.
+    let count = |r: QueryResult| match r.rows[0][0] {
+        Value::Int64(n) => n,
+        ref v => panic!("count returned {v:?}"),
+    };
+    let all = QueryBuilder::scan("R")
+        .aggregate(vec![], vec![AggExpr::count_star()])
+        .build();
+    assert_eq!(
+        count(db.run(&all, EngineKind::Compiled).unwrap()),
+        count(view.run(&all, EngineKind::Compiled).unwrap()) + 1
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -329,12 +410,19 @@ proptest! {
         let pooled = open(&dir_a, Some(std::sync::Arc::clone(&pool)));
         let resident = open(&dir_b, None);
 
+        // Pinning every table of a cold database faults nothing.
+        let opened = pool.stats();
+        let pinned = pooled.snapshot();
+        prop_assert_eq!(pool.stats(), opened, "pinning a DbSnapshot touched the pool");
+        prop_assert!(pinned.table_snapshot("R").unwrap().store().cold().is_some());
+        drop(pinned);
+
         // Phase 1 — the cold battery. Every streamable plan runs
         // extent-at-a-time on the pooled twin, faulting and evicting
         // under the tiny budget.
         assert_twins_agree(&pooled, &resident, &streamable_plans(n));
         prop_assert!(
-            pooled.with_table("R", |vt| vt.cold_main().is_some()).unwrap(),
+            pooled.with_table("R", |vt| vt.store().cold().is_some()).unwrap(),
             "a streamable plan hydrated the table"
         );
         let stats = pool.stats();

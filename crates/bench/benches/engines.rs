@@ -3,7 +3,8 @@
 //! `fig3_storage_models`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
+use pdsm_bench::BulkEngine;
+use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
 use pdsm_storage::Table;
 use pdsm_workloads::microbench;
 use std::collections::HashMap;

@@ -4,8 +4,8 @@
 //! interpretation costs) and full materialization (size n ≈ bulk).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine};
-use pdsm_exec::VectorizedEngine;
+use pdsm_bench::{BulkEngine, VectorizedEngine};
+use pdsm_exec::engine::{CompiledEngine, Engine};
 use pdsm_workloads::microbench;
 use std::collections::HashMap;
 

@@ -11,9 +11,8 @@
 //! Usage: `cargo run -p pdsm-bench --release --bin fig3_storage_models
 //!         [--rows 500000] [--reps 3] [--full]`
 
-use pdsm_bench::{fmt_num, measure, print_table, Args};
-use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
-use pdsm_exec::VectorizedEngine;
+use pdsm_bench::{fmt_num, measure, print_table, Args, BulkEngine, VectorizedEngine};
+use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
 use pdsm_storage::Table;
 use pdsm_workloads::microbench;
 use std::collections::HashMap;

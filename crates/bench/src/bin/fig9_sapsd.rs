@@ -10,16 +10,18 @@
 //! Usage: `cargo run -p pdsm-bench --release --bin fig9_sapsd
 //!         [--scale 20000] [--reps 3]`
 
-use pdsm_bench::{fmt_num, measure, print_table, Args};
+use pdsm_bench::{fmt_num, measure, print_table, Args, BulkEngine};
 
 use pdsm_core::LayoutAdvisor;
 use pdsm_core::{Database, EngineKind};
+use pdsm_exec::Engine;
 use pdsm_layout::workload::{Workload, WorkloadQuery};
-use pdsm_storage::Layout;
+use pdsm_storage::{Layout, Table};
 use pdsm_workloads::sapsd;
 use pdsm_workloads::QueryKind;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 fn build_db(scale: usize, layouts: Option<&[(String, Layout)]>) -> Database {
     let db = Database::new();
@@ -82,22 +84,22 @@ fn main() {
         ("column", build_db(scale, Some(&col_layouts))),
         ("hybrid", build_db(scale, Some(&hybrid))),
     ];
+    // The bulk baseline reads plain tables: the freshly loaded main stores.
+    let plain: Vec<_> = dbs.iter().map(|(_, db)| plain_tables(db)).collect();
 
     // HyPer = compiled; HYRISE-style = bulk (partition-at-a-time with
     // per-attribute calls); volcano for reference.
-    let engines = [
-        ("hyper", EngineKind::Compiled),
-        ("hyrise", EngineKind::Bulk),
-        ("volcano", EngineKind::Volcano),
-    ];
-
     let mut rows = Vec::new();
     for q in &queries {
         match &q.kind {
             QueryKind::Plan(plan) => {
-                for (lname, db) in &dbs {
-                    for (ename, kind) in &engines {
-                        let (cyc, _) = measure(reps, || db.run(plan, *kind).expect("query"));
+                for ((lname, db), tables) in dbs.iter().zip(&plain) {
+                    let run = |kind| db.run(plan, kind).expect("query");
+                    let (hyper, _) = measure(reps, || run(EngineKind::Compiled));
+                    let (hyrise, _) = measure(reps, || BulkEngine.execute(plan, tables).unwrap());
+                    let (volcano, _) = measure(reps, || run(EngineKind::Volcano));
+                    for (ename, cyc) in [("hyper", hyper), ("hyrise", hyrise), ("volcano", volcano)]
+                    {
                         rows.push(vec![
                             q.name.clone(),
                             lname.to_string(),
@@ -138,10 +140,21 @@ fn main() {
     println!("with a bounded penalty (~60%) for decomposed layouts.");
 }
 
+/// The main stores of `db`, as plain tables by name.
+fn plain_tables(db: &Database) -> HashMap<String, Table> {
+    db.table_names()
+        .into_iter()
+        .map(|name| {
+            let t = db.get_table(&name).unwrap().as_ref().clone();
+            (name, t)
+        })
+        .collect()
+}
+
 fn clone_db(db: &Database) -> Database {
     let out = Database::new();
-    for name in db.table_names() {
-        out.register(db.get_table(&name).unwrap().as_ref().clone());
+    for t in plain_tables(db).into_values() {
+        out.register(t);
     }
     out
 }

@@ -17,8 +17,8 @@ use pdsm_bench::{fmt_num, measure, print_table, Args};
 use pdsm_core::{Database, EngineKind, IndexKind};
 use pdsm_workloads::{microbench, sapsd};
 
-/// Median cycles of planner-routed execution plus each fixed engine that
-/// supports the plan; returns `(planner, per-engine)` rows.
+/// Median cycles of planner-routed execution plus each fixed engine;
+/// returns `(planner, per-engine)` rows.
 fn race(
     db: &Database,
     plan: &pdsm_plan::logical::LogicalPlan,
@@ -27,9 +27,6 @@ fn race(
     let (planner_cyc, _) = measure(reps, || db.execute(plan).expect("planner run"));
     let mut fixed = Vec::new();
     for kind in EngineKind::all() {
-        if !kind.supports(plan) {
-            continue;
-        }
         let (cyc, _) = measure(reps, || db.run(plan, kind).expect("fixed run"));
         fixed.push((kind, cyc));
     }

@@ -12,21 +12,39 @@
 //! After that, each of the columns B to E are scanned and all the matching
 //! positions materialized. Finally, each of the materialized buffers are
 //! aggregated."
+//!
+//! A Fig.-3 / Fig.-9 comparator, not a serving engine: it reads plain
+//! resident [`Table`]s only and answers a provider with a pending delta
+//! (an overlay) with [`ExecError::Unsupported`].
 
-use crate::engine::{Accumulator, Engine, ExecError, Overlay, TableProvider};
-use crate::keys::GroupKey;
-use crate::result::QueryOutput;
+use pdsm_exec::engine::{Accumulator, Engine, ExecError, TableProvider};
+use pdsm_exec::keys::GroupKey;
+use pdsm_exec::QueryOutput;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
-use pdsm_storage::row::Row;
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{ColId, DataType, Table, Value};
 use std::collections::HashMap;
 
+/// `Unsupported` when any table `plan` reads has a visibility overlay. The
+/// baselines scan the main store only; running them over pending deltas
+/// would silently drop inserts and resurrect deletes.
+pub(crate) fn plain_tables_only(
+    plan: &LogicalPlan,
+    db: &dyn TableProvider,
+) -> Result<(), ExecError> {
+    match plan.tables().into_iter().find(|t| db.overlay(t).is_some()) {
+        Some(t) => Err(ExecError::Unsupported(format!(
+            "table {t:?} has pending changes; the Fig.-3 baselines read plain tables only"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// A materialized column buffer — the currency between primitives.
 #[derive(Debug, Clone)]
-pub enum ColBuf {
+enum ColBuf {
     I32(Vec<i32>),
     I64(Vec<i64>),
     F64(Vec<f64>),
@@ -41,22 +59,6 @@ pub enum ColBuf {
 }
 
 impl ColBuf {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            ColBuf::I32(v) => v.len(),
-            ColBuf::I64(v) => v.len(),
-            ColBuf::F64(v) => v.len(),
-            ColBuf::Code { codes, .. } => codes.len(),
-            ColBuf::Val(v) => v.len(),
-        }
-    }
-
-    /// True iff the buffer has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Decode entry `i` to a [`Value`].
     fn value(&self, i: usize, db: &dyn TableProvider) -> Value {
         match self {
@@ -74,9 +76,9 @@ impl ColBuf {
 
 /// A materialized intermediate relation: one buffer per output column.
 #[derive(Debug, Clone)]
-pub struct Chunk {
-    pub cols: Vec<ColBuf>,
-    pub len: usize,
+struct Chunk {
+    cols: Vec<ColBuf>,
+    len: usize,
 }
 
 impl Chunk {
@@ -99,6 +101,7 @@ impl Engine for BulkEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
+        plain_tables_only(plan, db)?;
         let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
         let chunk = exec(plan, db, &required)?;
@@ -346,13 +349,7 @@ fn exec(
             let t = db
                 .table(table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            let overlay = db.overlay(table);
-            let positions = live_positions(t, overlay.as_ref());
-            let tail: Vec<&Row> = overlay
-                .as_ref()
-                .map(|o| o.live_tail().collect())
-                .unwrap_or_default();
-            Ok(materialize_scan(t, table, positions, &tail, required))
+            Ok(materialize_scan(t, table, None, required))
         }
         LogicalPlan::Select { input, pred, .. } => {
             // Fuse select-over-scan into selection primitives on base data.
@@ -360,25 +357,11 @@ fn exec(
                 let t = db
                     .table(table)
                     .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-                let overlay = db.overlay(table);
-                // Tombstoned rows seed the candidate list so every selection
-                // primitive only ever sees visible positions.
-                let mut positions: Option<Vec<u32>> = live_positions(t, overlay.as_ref());
+                let mut positions: Option<Vec<u32>> = None;
                 for conj in conjuncts(pred) {
                     positions = Some(select_conjunct(t, conj, positions));
                 }
-                let positions = positions.unwrap_or_else(|| (0..t.len() as u32).collect());
-                // The tail is filtered row-at-a-time: tail rows are decoded,
-                // so typed selection primitives do not apply to them.
-                let tail: Vec<&Row> = overlay
-                    .as_ref()
-                    .map(|o| {
-                        o.live_tail()
-                            .filter(|r| pred.eval_bool(r.values()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                return Ok(materialize_scan(t, table, Some(positions), &tail, required));
+                return Ok(materialize_scan(t, table, positions.as_deref(), required));
             }
             // Generic: filter a materialized chunk row-at-a-time.
             let chunk = exec(input, db, required)?;
@@ -389,7 +372,7 @@ fn exec(
                     keep.push(i as u32);
                 }
             }
-            Ok(gather_chunk(&chunk, &keep, db))
+            Ok(gather_chunk(&chunk, &keep))
         }
         LogicalPlan::Project { input, exprs } => {
             let chunk = exec(input, db, required)?;
@@ -452,42 +435,23 @@ fn exec(
                 }
                 std::cmp::Ordering::Equal
             });
-            Ok(gather_chunk(&chunk, &idx, db))
+            Ok(gather_chunk(&chunk, &idx))
         }
         LogicalPlan::Limit { input, n } => {
             let chunk = exec(input, db, required)?;
             let keep: Vec<u32> = (0..chunk.len.min(*n) as u32).collect();
-            Ok(gather_chunk(&chunk, &keep, db))
+            Ok(gather_chunk(&chunk, &keep))
         }
     }
 }
 
-/// The visible main-store positions under `overlay`, or `None` when every
-/// main row is visible (no tombstones) and the caller can keep the cheaper
-/// "all rows" representation.
-fn live_positions(t: &Table, overlay: Option<&Overlay<'_>>) -> Option<Vec<u32>> {
-    let o = overlay?;
-    if o.dead.iter().all(|d| !d) {
-        return None;
-    }
-    Some(
-        (0..t.len() as u32)
-            .filter(|&i| !o.is_dead(i as usize))
-            .collect(),
-    )
-}
-
-/// Materialize the required columns of `t` at `positions` into a chunk whose
-/// column space matches the table schema (unused columns become empty NULL
-/// buffers so positional indexing stays valid). `tail` rows (already
-/// visibility- and predicate-filtered) are appended after the main rows;
-/// string buffers fall back to decoded values in that case because tail
-/// strings may not be interned in the main dictionaries.
+/// Materialize the required columns of `t` at `positions` (None = all rows)
+/// into a chunk whose column space matches the table schema (unused columns
+/// become NULL buffers so positional indexing stays valid).
 fn materialize_scan(
     t: &Table,
     name: &str,
-    positions: Option<Vec<u32>>,
-    tail: &[&Row],
+    positions: Option<&[u32]>,
     required: &[(String, Vec<ColId>)],
 ) -> Chunk {
     let needed: Vec<ColId> = required
@@ -495,56 +459,21 @@ fn materialize_scan(
         .find(|(n, _)| n == name)
         .map(|(_, c)| c.clone())
         .unwrap_or_else(|| (0..t.schema().len()).collect());
-    let main_len = positions.as_ref().map(|p| p.len()).unwrap_or(t.len());
-    let len = main_len + tail.len();
-    let mut cols: Vec<ColBuf> = (0..t.schema().len())
-        .map(|_| ColBuf::Val(Vec::new()))
+    let len = positions.map(|p| p.len()).unwrap_or(t.len());
+    let cols = (0..t.schema().len())
+        .map(|c| {
+            if needed.contains(&c) {
+                fetch(t, name, c, positions)
+            } else {
+                ColBuf::Val(vec![Value::Null; len])
+            }
+        })
         .collect();
-    for &c in &needed {
-        let mut buf = fetch(t, name, c, positions.as_deref());
-        if !tail.is_empty() {
-            if let ColBuf::Code { codes, col, .. } = &buf {
-                let dict = t.dict(*col).expect("str col");
-                buf = ColBuf::Val(
-                    codes
-                        .iter()
-                        .map(|&code| Value::Str(dict.decode(code).to_owned()))
-                        .collect(),
-                );
-            }
-            for row in tail {
-                push_tail_value(&mut buf, &row.values()[c]);
-            }
-        }
-        cols[c] = buf;
-    }
-    // pad unused columns with NULLs (cheap: one shared behaviour)
-    for (c, buf) in cols.iter_mut().enumerate() {
-        if !needed.contains(&c) {
-            *buf = ColBuf::Val(vec![Value::Null; len]);
-        }
-    }
     Chunk { cols, len }
 }
 
-/// Append one decoded tail value to a materialized column buffer. Typed
-/// buffers stay typed: tail values are normalized to the column type at
-/// write time, so the conversions here cannot fail on visible data.
-fn push_tail_value(buf: &mut ColBuf, v: &Value) {
-    match buf {
-        ColBuf::I32(out) => match v {
-            Value::Int32(x) => out.push(*x),
-            other => out.push(other.as_i64().expect("normalized tail value") as i32),
-        },
-        ColBuf::I64(out) => out.push(v.as_i64().expect("normalized tail value")),
-        ColBuf::F64(out) => out.push(v.as_f64().expect("normalized tail value")),
-        ColBuf::Code { .. } => unreachable!("Code buffers decode before tail append"),
-        ColBuf::Val(out) => out.push(v.clone()),
-    }
-}
-
 /// Positional gather over every buffer of a chunk.
-fn gather_chunk(chunk: &Chunk, idx: &[u32], db: &dyn TableProvider) -> Chunk {
+fn gather_chunk(chunk: &Chunk, idx: &[u32]) -> Chunk {
     let cols = chunk
         .cols
         .iter()
@@ -560,7 +489,6 @@ fn gather_chunk(chunk: &Chunk, idx: &[u32], db: &dyn TableProvider) -> Chunk {
             ColBuf::Val(v) => ColBuf::Val(idx.iter().map(|&i| v[i as usize].clone()).collect()),
         })
         .collect();
-    let _ = db;
     Chunk {
         cols,
         len: idx.len(),
@@ -670,9 +598,9 @@ fn hash_join(
             }
         }
     }
-    let l = gather_chunk(lc, &lpos, db);
+    let l = gather_chunk(lc, &lpos);
     let mut cols = l.cols;
-    let r = gather_chunk(rc, &rpos, db);
+    let r = gather_chunk(rc, &rpos);
     cols.extend(r.cols);
     Chunk {
         cols,
@@ -788,7 +716,7 @@ mod tests {
 
     #[test]
     fn join_matches_volcano() {
-        use crate::volcano::VolcanoEngine;
+        use pdsm_exec::VolcanoEngine;
         let plan = QueryBuilder::scan("t")
             .filter(Expr::col(1).eq(Expr::lit(5)))
             .join(QueryBuilder::scan("t").build(), Expr::col(0), Expr::col(0))
@@ -803,7 +731,7 @@ mod tests {
 
     #[test]
     fn sort_and_limit_match_volcano() {
-        use crate::volcano::VolcanoEngine;
+        use pdsm_exec::VolcanoEngine;
         let plan = QueryBuilder::scan("t")
             .project(vec![Expr::col(1), Expr::col(0)])
             .sort(vec![(Expr::col(0), true), (Expr::col(1), false)])

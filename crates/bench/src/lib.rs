@@ -2,7 +2,17 @@
 //!
 //! The benchmark harness: one binary per figure/table of the paper's
 //! evaluation (see DESIGN.md §3 for the full index) plus Criterion
-//! micro-benchmarks. This library holds the shared measurement utilities.
+//! micro-benchmarks. This library holds the shared measurement utilities
+//! and the two processing models the paper only *compares against* —
+//! [`BulkEngine`] (MonetDB column-at-a-time, Fig. 3 and the HYRISE-style
+//! leg of Fig. 9) and [`VectorizedEngine`] (X100 block-at-a-time, an
+//! ablation). Neither serves queries: both read plain resident tables only.
+
+pub mod bulk;
+pub mod vectorized;
+
+pub use bulk::BulkEngine;
+pub use vectorized::VectorizedEngine;
 
 use std::time::Instant;
 

@@ -13,14 +13,16 @@
 //! scan-filter-aggregate/project pipelines, which is what this engine
 //! implements (the Fig. 3 query family and the single-table benchmark
 //! queries). Joins and sorts return [`ExecError::Unsupported`]; the paper's
-//! comparisons involving those operators use the other three engines.
+//! comparisons involving those operators use the other engines.
+//!
+//! An ablation beside Fig. 3, not a serving engine: like
+//! [`crate::BulkEngine`] it reads plain resident [`Table`]s only and answers
+//! a provider with a pending delta with [`ExecError::Unsupported`].
 
-use crate::compiled::{compile_pred, PredKernel};
-use crate::engine::{
-    masked_tail_row, tail_row_passes, Accumulator, Engine, ExecError, TableProvider,
-};
-use crate::keys::GroupKey;
-use crate::result::QueryOutput;
+use crate::bulk::plain_tables_only;
+use pdsm_exec::engine::{Accumulator, Engine, ExecError, TableProvider};
+use pdsm_exec::keys::GroupKey;
+use pdsm_exec::{compile_pred, PredKernel, QueryOutput};
 use pdsm_plan::expr::{conjuncts, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::{ColId, Table, Value};
@@ -52,8 +54,8 @@ impl VectorizedEngine {
     /// Can this engine run `plan`? True exactly for the single-table
     /// `[Limit]([Project|Aggregate](Select*(Scan)))` pipelines the
     /// vectorized model implements; joins and sorts are not vectorized.
-    /// Planners and differential-test drivers consult this instead of
-    /// probing for [`ExecError::Unsupported`] at run time.
+    /// Differential-test drivers consult this instead of probing for
+    /// [`ExecError::Unsupported`] at run time.
     pub fn supports(plan: &LogicalPlan) -> bool {
         recognize(plan).is_ok()
     }
@@ -69,6 +71,7 @@ impl Engine for VectorizedEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
+        plain_tables_only(plan, db)?;
         let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
         let shape = recognize(plan)?;
@@ -82,22 +85,31 @@ impl Engine for VectorizedEngine {
             .unwrap_or_else(|| (0..t.schema().len()).collect());
         let kernels: Vec<PredKernel<'_>> = shape.preds.iter().map(|p| compile_pred(t, p)).collect();
 
-        let overlay = db.overlay(shape.table);
         let mut out = QueryOutput::new();
         let mut agg_state: HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)> = HashMap::new();
         let n = t.len();
         let vs = self.vector_size;
-        let feed =
-            |row: Vec<Value>,
-             out: &mut QueryOutput,
-             agg_state: &mut HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>| {
+        // reusable, cache-resident selection vector
+        let mut sel: Vec<u32> = Vec::with_capacity(vs);
+        let mut start = 0usize;
+        while start < n {
+            let end = (start + vs).min(n);
+            sel.clear();
+            sel.extend(start as u32..end as u32);
+            // one primitive call per kernel per vector
+            for k in &kernels {
+                filter_vector(k, &mut sel);
+                if sel.is_empty() {
+                    break;
+                }
+            }
+            for &i in &sel {
+                let row = materialize(t, i as usize, &needed);
                 match &shape.sink {
-                    VecSink::Collect(exprs) => {
-                        out.rows.push(match exprs {
-                            Some(es) => es.iter().map(|e| e.eval(&row)).collect(),
-                            None => row,
-                        });
-                    }
+                    VecSink::Collect(exprs) => out.rows.push(match exprs {
+                        Some(es) => es.iter().map(|e| e.eval(&row)).collect(),
+                        None => row,
+                    }),
                     VecSink::Aggregate { group_by, aggs } => {
                         let key_vals: Vec<Value> = group_by.iter().map(|g| g.eval(&row)).collect();
                         let entry = agg_state.entry(GroupKey::of(&key_vals)).or_insert_with(|| {
@@ -114,44 +126,8 @@ impl Engine for VectorizedEngine {
                         }
                     }
                 }
-            };
-        // reusable, cache-resident selection vector
-        let mut sel: Vec<u32> = Vec::with_capacity(vs);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + vs).min(n);
-            sel.clear();
-            match &overlay {
-                // Tombstones filter the fresh selection vector like a
-                // zeroth primitive.
-                Some(o) if !o.dead.is_empty() => {
-                    sel.extend((start as u32..end as u32).filter(|&i| !o.is_dead(i as usize)))
-                }
-                _ => sel.extend(start as u32..end as u32),
-            }
-            // one primitive call per kernel per vector
-            for k in &kernels {
-                filter_vector(k, &mut sel);
-                if sel.is_empty() {
-                    break;
-                }
-            }
-            for &i in &sel {
-                let row = materialize(t, i as usize, &needed);
-                feed(row, &mut out, &mut agg_state);
             }
             start = end;
-        }
-        // The delta tail: decoded rows appended after the main store, with
-        // the predicates interpreted per row (no dictionary codes to test).
-        if let Some(o) = &overlay {
-            let width = t.schema().len();
-            for r in o.live_tail() {
-                if !tail_row_passes(&shape.preds, r) {
-                    continue;
-                }
-                feed(masked_tail_row(r, &needed, width), &mut out, &mut agg_state);
-            }
         }
         if let VecSink::Aggregate { group_by, aggs } = &shape.sink {
             if agg_state.is_empty() && group_by.is_empty() {
@@ -257,7 +233,7 @@ fn recognize(plan: &LogicalPlan) -> Result<VecShape<'_>, ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompiledEngine;
+    use pdsm_exec::CompiledEngine;
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_plan::logical::AggFunc;
     use pdsm_storage::{ColumnDef, DataType, Schema};

@@ -54,8 +54,7 @@
 use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use crate::planner::Planner;
 use crate::result_cache::{CacheStats, PlanCache, ResultCache, ResultCacheConfig};
-use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, ExecError, VolcanoEngine};
-use pdsm_exec::VectorizedEngine;
+use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, VolcanoEngine};
 use pdsm_index::{HashIndex, Index, RBTree};
 use pdsm_layout::workload::{Workload, WorkloadQuery};
 use pdsm_par::ParallelEngine;
@@ -70,19 +69,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Which execution engine to use.
+/// Which execution engine runs a statement: the two the planner chooses
+/// between, plus the Volcano oracle every differential test compares
+/// against. (The Fig.-3 bulk and vectorized baselines live in
+/// `pdsm-bench` and read plain tables only.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Tuple-at-a-time iterators (the paper's CPU-inefficient baseline).
+    /// Tuple-at-a-time iterators: the paper's CPU-inefficient baseline and,
+    /// being the simplest correct thing, the differential oracle.
     Volcano,
-    /// Column-at-a-time primitives with full materialization.
-    Bulk,
     /// Data-centric fused pipelines (the paper's model).
     Compiled,
-    /// Block-at-a-time processing with cache-resident selection vectors
-    /// (MonetDB/X100 model). Supports single-table scan pipelines only —
-    /// check [`EngineKind::supports`] before dispatching joins or sorts.
-    Vectorized,
     /// Morsel-driven parallel execution of the compiled pipelines
     /// (`pdsm-par`). Thread count comes from `PDSM_THREADS` or the
     /// machine; use [`pdsm_par::ParallelEngine::with_threads`] directly to
@@ -92,44 +89,25 @@ pub enum EngineKind {
 
 /// The default parallel engine instance (automatic thread resolution).
 static PARALLEL: ParallelEngine = ParallelEngine::new();
-/// The default vectorized engine instance (X100's ~1k vector sweet spot).
-static VECTORIZED: VectorizedEngine = VectorizedEngine { vector_size: 1024 };
 
 impl EngineKind {
     /// The engine object.
     pub fn engine(&self) -> &'static dyn Engine {
         match self {
             EngineKind::Volcano => &VolcanoEngine,
-            EngineKind::Bulk => &BulkEngine,
             EngineKind::Compiled => &CompiledEngine,
-            EngineKind::Vectorized => &VECTORIZED,
             EngineKind::Parallel => &PARALLEL,
         }
     }
 
-    /// All engines, for differential testing. Test helpers should iterate
-    /// this rather than naming engines, so new engines are covered
-    /// everywhere automatically.
-    pub fn all() -> [EngineKind; 5] {
+    /// All engines, oracle first, for differential testing. Test helpers
+    /// iterate this and compare against [`EngineKind::Volcano`] by name.
+    pub fn all() -> [EngineKind; 3] {
         [
             EngineKind::Volcano,
-            EngineKind::Bulk,
             EngineKind::Compiled,
-            EngineKind::Vectorized,
             EngineKind::Parallel,
         ]
-    }
-
-    /// Can this engine execute `plan`? Everything but the vectorized
-    /// engine handles the full operator vocabulary; the vectorized engine
-    /// is limited to single-table scan pipelines. Differential drivers
-    /// iterate [`EngineKind::all`] and skip unsupported combinations; the
-    /// planner never selects an engine that cannot run the plan.
-    pub fn supports(&self, plan: &LogicalPlan) -> bool {
-        match self {
-            EngineKind::Vectorized => VectorizedEngine::supports(plan),
-            _ => true,
-        }
     }
 }
 
@@ -137,53 +115,27 @@ impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EngineKind::Volcano => "volcano",
-            EngineKind::Bulk => "bulk",
             EngineKind::Compiled => "compiled",
-            EngineKind::Vectorized => "vectorized",
             EngineKind::Parallel => "parallel",
         })
     }
 }
 
-impl std::str::FromStr for EngineKind {
-    type Err = String;
+/// The engine a [`pdsm_plan::PhysicalPlan`] names. The planner only emits
+/// `Compiled` or `Parallel`; a caller-built plan naming a `pdsm-bench`
+/// baseline (`Bulk`, `Vectorized`) is refused with
+/// [`ExecError::Unsupported`].
+impl TryFrom<EngineChoice> for EngineKind {
+    type Error = ExecError;
 
-    /// Parse the [`std::fmt::Display`] names (case-insensitive) — the
-    /// names `EXPLAIN` and the bench tables print.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "volcano" => Ok(EngineKind::Volcano),
-            "bulk" => Ok(EngineKind::Bulk),
-            "compiled" => Ok(EngineKind::Compiled),
-            "vectorized" => Ok(EngineKind::Vectorized),
-            "parallel" => Ok(EngineKind::Parallel),
-            other => Err(format!(
-                "unknown engine {other:?} (expected volcano|bulk|compiled|vectorized|parallel)"
-            )),
-        }
-    }
-}
-
-impl From<EngineChoice> for EngineKind {
-    fn from(c: EngineChoice) -> Self {
+    fn try_from(c: EngineChoice) -> Result<Self, ExecError> {
         match c {
-            EngineChoice::Volcano => EngineKind::Volcano,
-            EngineChoice::Bulk => EngineKind::Bulk,
-            EngineChoice::Vectorized => EngineKind::Vectorized,
-            EngineChoice::Compiled => EngineKind::Compiled,
-            EngineChoice::Parallel => EngineKind::Parallel,
-        }
-    }
-}
-
-impl From<EngineKind> for EngineChoice {
-    fn from(k: EngineKind) -> Self {
-        match k {
-            EngineKind::Volcano => EngineChoice::Volcano,
-            EngineKind::Bulk => EngineChoice::Bulk,
-            EngineKind::Vectorized => EngineChoice::Vectorized,
-            EngineKind::Compiled => EngineChoice::Compiled,
-            EngineKind::Parallel => EngineChoice::Parallel,
+            EngineChoice::Volcano => Ok(EngineKind::Volcano),
+            EngineChoice::Compiled => Ok(EngineKind::Compiled),
+            EngineChoice::Parallel => Ok(EngineKind::Parallel),
+            EngineChoice::Bulk | EngineChoice::Vectorized => Err(ExecError::Unsupported(format!(
+                "the {c} engine is a Fig.-3 baseline in pdsm-bench, not a serving engine"
+            ))),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! `pdsm_cost::estimate` — and the [`advisor`] that drives the
 //! cost-model-based layout optimizer (§V). Queries enter through
 //! [`Database::execute`] (the [`query`] path); [`Database::run`] forces
-//! any of the five engines, the Fig.-3 baselines included.
+//! one of the three [`EngineKind`]s, the Volcano oracle included.
 //!
 //! ```
 //! use pdsm_core::{Database, EngineKind};

@@ -23,8 +23,9 @@
 //! Those are the only two decisions the serving path makes. Volcano, bulk
 //! and vectorized processing are the paper's Fig.-3 comparators: they pay
 //! the same memory traffic unscaled by zone pruning at 4–60× the CPU
-//! constant, so they can never be the minimum and are not priced. They
-//! stay reachable through `Database::run(plan, engine)`.
+//! constant, so they can never be the minimum and are not priced. Volcano
+//! stays reachable through `Database::run(plan, EngineKind::Volcano)` as
+//! the differential oracle; bulk and vectorized live in `pdsm-bench`.
 //!
 //! The planner never picks an index path the model scores worse than the
 //! best full scan — that invariant is property-tested in

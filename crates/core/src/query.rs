@@ -395,11 +395,11 @@ impl DbSnapshot {
 
     /// Run `phys` the way it says: an index-probe root pipeline runs the
     /// overlay-aware probe + delta-tail union it recorded, everything else
-    /// the chosen engine.
+    /// the chosen engine — `Unsupported` if that is not a serving engine.
     fn execute(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
         match phys.pipelines.first().filter(|p| p.access.is_indexed()) {
             Some(pipe) => self.probe(&phys.logical, &pipe.table, &pipe.access),
-            None => self.run(&phys.logical, phys.engine.into()),
+            None => self.run(&phys.logical, EngineKind::try_from(phys.engine)?),
         }
     }
 

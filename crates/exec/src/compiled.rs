@@ -596,7 +596,6 @@ impl<'t> PredKernel<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bulk::BulkEngine;
     use crate::volcano::VolcanoEngine;
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_plan::logical::AggFunc;
@@ -701,9 +700,7 @@ mod tests {
         let d = db();
         let a = CompiledEngine.execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
-        let c = BulkEngine.execute(&plan, &d).unwrap();
         a.assert_same(&b, "compiled vs volcano");
-        a.assert_same(&c, "compiled vs bulk");
     }
 
     #[test]

@@ -121,7 +121,8 @@ impl std::error::Error for ExecError {}
 
 /// A query execution engine.
 pub trait Engine {
-    /// Engine name for reports ("volcano", "bulk", "compiled").
+    /// Engine name for reports ("volcano", "compiled", "parallel"; the
+    /// `pdsm-bench` baselines add "bulk" and "vectorized").
     fn name(&self) -> &'static str;
 
     /// Execute `plan` against `db`, materializing the full result.
@@ -129,7 +130,6 @@ pub trait Engine {
         -> Result<QueryOutput, ExecError>;
 }
 
-pub use crate::bulk::BulkEngine;
 pub use crate::compiled::CompiledEngine;
 pub use crate::volcano::VolcanoEngine;
 

@@ -15,7 +15,7 @@
 //! Only integer comparisons and integer sums go wide: integer addition is
 //! associative, so chunk-reordered accumulation is exactly the scalar
 //! result. Float aggregation, tombstoned regions, and the decoded delta
-//! tail keep the scalar path — that is what keeps all five engines
+//! tail keep the scalar path — that is what keeps every engine
 //! byte-identical (the same reasoning `pdsm-par` applies to
 //! float-sensitive aggregates).
 //!

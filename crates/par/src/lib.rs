@@ -58,11 +58,11 @@
 //!      │
 //! pdsm-plan ───── logical plans, expressions
 //!      │
-//! pdsm-exec ───── Volcano / bulk / vectorized / compiled engines,
+//! pdsm-exec ───── the Volcano oracle, the compiled engine,
 //!      │          the pipeline core (lowering, survivor loop, AggState)
 //! pdsm-par ────── morsels, worker pool, the morsel driver    ← you are here
 //!      │
-//! pdsm-core ───── Database catalog, EngineKind::{Volcano,Bulk,Compiled,Parallel}
+//! pdsm-core ───── Database catalog, EngineKind::{Volcano,Compiled,Parallel}
 //! ```
 //!
 //! The scaling story is measured by `pdsm-bench`'s `parallel` criterion

@@ -3,7 +3,7 @@
 //! A [`PhysicalPlan`] is a [`LogicalPlan`] annotated with the decisions the
 //! cost-based planner made for it: which execution engine runs the query
 //! ([`EngineChoice`] — the planner picks between `Compiled` and
-//! `Parallel`; the other variants name the forced-engine baselines),
+//! `Parallel`; the other variants are the oracle and two labels),
 //! which access path feeds each pipeline
 //! ([`AccessPath`] — a full scan through the engine, or a main-store index
 //! probe unioned with a scan of the live delta tail), and what the
@@ -18,17 +18,21 @@
 use crate::logical::LogicalPlan;
 use pdsm_storage::{ColId, Value};
 
-/// Which engine the planner selected. Mirrors `pdsm-core`'s `EngineKind`
-/// (which adds the engine objects themselves); the planner layer only needs
-/// the name, so the enum lives here where `pdsm-exec` is not a dependency.
+/// Which engine a physical plan runs on. The planner emits only `Compiled`
+/// and `Parallel`; `Volcano` is the differential oracle, runnable through
+/// `pdsm-core`'s `EngineKind`. `Bulk` and `Vectorized` name the Fig.-3
+/// baselines that live in `pdsm-bench` and cannot serve a plan — they stay
+/// because `pdsm-bench` counts engine shares by this enum's labels, in
+/// this order. The planner layer only needs the name, so the enum lives
+/// here where `pdsm-exec` is not a dependency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineChoice {
     /// Tuple-at-a-time iterators (high per-tuple interpretation cost).
     Volcano,
-    /// Column-at-a-time primitives with full materialization.
+    /// Column-at-a-time primitives with full materialization (a label only).
     Bulk,
-    /// Block-at-a-time processing with cache-resident selection vectors.
-    /// Only eligible for single-table scan pipelines.
+    /// Block-at-a-time processing with cache-resident selection vectors (a
+    /// label only).
     Vectorized,
     /// Data-centric fused pipelines (the paper's model).
     Compiled,

@@ -519,7 +519,7 @@ pub fn queries() -> Vec<BenchQuery> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
+    use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
     use std::collections::HashMap;
 
     fn db(w: usize) -> HashMap<String, Table> {
@@ -550,9 +550,7 @@ mod tests {
             let plan = q.as_plan().unwrap();
             let c = CompiledEngine.execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
-            let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
-            c.assert_same(&b, &format!("{} compiled vs bulk", q.name));
         }
     }
 

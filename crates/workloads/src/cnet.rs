@@ -161,7 +161,7 @@ pub fn queries(category: &str, price_bucket: i64, product_id: i32) -> Vec<BenchQ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
+    use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
     use std::collections::HashMap;
 
     fn db(n: usize, attrs: usize) -> HashMap<String, Table> {
@@ -196,9 +196,7 @@ mod tests {
             let plan = q.as_plan().unwrap();
             let c = CompiledEngine.execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
-            let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
-            c.assert_same(&b, &format!("{} compiled vs bulk", q.name));
         }
     }
 

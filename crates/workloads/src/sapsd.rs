@@ -503,7 +503,7 @@ pub fn queries(scale: usize) -> Vec<BenchQuery> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
+    use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
     use std::collections::HashMap;
 
     fn db(scale: usize) -> HashMap<String, Table> {
@@ -531,9 +531,7 @@ mod tests {
             let Some(plan) = q.as_plan() else { continue };
             let c = CompiledEngine.execute(plan, &d).unwrap();
             let v = VolcanoEngine.execute(plan, &d).unwrap();
-            let b = BulkEngine.execute(plan, &d).unwrap();
             c.assert_same(&v, &format!("{} compiled vs volcano", q.name));
-            c.assert_same(&b, &format!("{} compiled vs bulk", q.name));
         }
     }
 

@@ -28,7 +28,7 @@ pub mod prelude {
         MaintenanceConfig, MaintenanceMode, MaintenanceStats, PlanCacheStats, QueryOutput,
         QueryResult, ResultCacheConfig, ResultCacheStats, ScanCounters, SimdMode, StorageStats,
     };
-    pub use pdsm_exec::engine::{BulkEngine, CompiledEngine, Engine, VolcanoEngine};
+    pub use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
     pub use pdsm_layout::workload::{Workload, WorkloadQuery};
     pub use pdsm_par::ParallelEngine;
     pub use pdsm_plan::builder::QueryBuilder;

@@ -3,30 +3,26 @@
 use mrdb::exec::TableProvider;
 use mrdb::prelude::*;
 
-/// Run `plan` on every engine `EngineKind::all()` lists, assert they all
-/// agree (up to row order), and return one output for content assertions.
-/// Iterating `all()` means a newly registered engine is covered by every
-/// suite that calls this, without editing any test. Engines that cannot
-/// run the plan shape (`EngineKind::supports` — the vectorized engine has
-/// no joins or sorts) are skipped.
+/// Run `plan` on every engine `EngineKind::all()` lists, assert each agrees
+/// with the [`EngineKind::Volcano`] oracle (up to row order), and return
+/// the oracle's output for content assertions. Iterating `all()` means a
+/// newly registered engine is covered by every suite that calls this,
+/// without editing any test.
 pub fn assert_engines_agree(
     plan: &LogicalPlan,
     provider: &dyn TableProvider,
     ctx: &str,
 ) -> QueryOutput {
-    let mut reference: Option<(EngineKind, QueryOutput)> = None;
-    for kind in EngineKind::all() {
-        if !kind.supports(plan) {
-            continue;
-        }
-        let out = kind
-            .engine()
+    let run = |kind: EngineKind| {
+        kind.engine()
             .execute(plan, provider)
-            .unwrap_or_else(|e| panic!("{ctx}: {kind:?} failed: {e}"));
-        match &reference {
-            None => reference = Some((kind, out)),
-            Some((k0, base)) => base.assert_same(&out, &format!("{ctx}: {k0:?} vs {kind:?}")),
+            .unwrap_or_else(|e| panic!("{ctx}: {kind:?} failed: {e}"))
+    };
+    let oracle = run(EngineKind::Volcano);
+    for kind in EngineKind::all() {
+        if kind != EngineKind::Volcano {
+            oracle.assert_same(&run(kind), &format!("{ctx}: Volcano vs {kind:?}"));
         }
     }
-    reference.expect("EngineKind::all() is non-empty").1
+    oracle
 }

@@ -4,9 +4,11 @@
 //! performance comparison in the benchmark harness — if the engines
 //! disagree, the figures are meaningless.
 //!
-//! Engines are enumerated through `EngineKind::all()`, so a newly
-//! registered engine (e.g. the morsel-driven parallel one) is covered here
-//! without editing any test.
+//! Engines are enumerated through `EngineKind::all()` and compared against
+//! the `EngineKind::Volcano` oracle, so a newly registered engine (e.g. the
+//! morsel-driven parallel one) is covered here without editing any test.
+//! The Fig.-3 bulk and vectorized baselines are checked the same way in
+//! `crates/bench/tests/baselines.rs`.
 
 use mrdb::prelude::*;
 use proptest::prelude::*;
@@ -151,15 +153,12 @@ proptest! {
             .sort(vec![(Expr::col(0), false), (Expr::col(1), true)])
             .limit(k)
             .build();
-        // sorted output with a unique tiebreak column must match exactly —
-        // row-for-row, across every registered engine that can sort
-        let reference = EngineKind::all()[0].engine().execute(&plan, &db).unwrap();
-        for kind in &EngineKind::all()[1..] {
-            if !kind.supports(&plan) {
-                continue;
-            }
+        // sorted output with a unique tiebreak column must match the
+        // Volcano oracle exactly — row-for-row, on every registered engine
+        let oracle = EngineKind::Volcano.engine().execute(&plan, &db).unwrap();
+        for kind in EngineKind::all() {
             let out = kind.engine().execute(&plan, &db).unwrap();
-            prop_assert_eq!(&reference.rows, &out.rows, "{:?}", kind);
+            prop_assert_eq!(&oracle.rows, &out.rows, "{:?}", kind);
         }
     }
 

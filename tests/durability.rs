@@ -95,9 +95,6 @@ fn probes() -> Vec<LogicalPlan> {
 fn assert_identical(recovered: &Database, replica: &Database, ctx: &str) {
     for (i, plan) in probes().iter().enumerate() {
         for kind in EngineKind::all() {
-            if !kind.supports(plan) {
-                continue;
-            }
             let a = recovered
                 .run(plan, kind)
                 .unwrap_or_else(|e| panic!("{ctx}: probe {i} on recovered/{kind:?}: {e}"));

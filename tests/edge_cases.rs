@@ -173,19 +173,6 @@ fn empty_string_and_unicode_dictionary_entries() {
 }
 
 #[test]
-fn vectorized_agrees_on_supported_subset() {
-    use mrdb::exec::VectorizedEngine;
-    let db = single_col_db(&(0..1000).collect::<Vec<i64>>());
-    let plan = QueryBuilder::scan("t")
-        .filter(Expr::col(0).ge(Expr::lit(500i64)))
-        .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(0))])
-        .build();
-    let v = VectorizedEngine::default().execute(&plan, &db).unwrap();
-    let c = CompiledEngine.execute(&plan, &db).unwrap();
-    v.assert_same(&c, "vectorized subset");
-}
-
-#[test]
 fn storage_dml_errors_never_panic() {
     use mrdb::storage::Error;
     let mut t = Table::new(

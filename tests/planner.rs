@@ -9,8 +9,9 @@
 //! and covers the observed-workload capture and the generation-keyed plan
 //! cache.
 
-use mrdb::core::{EngineChoice, Planner};
+use mrdb::core::{DbError, EngineChoice, Planner};
 use mrdb::cost::Hierarchy;
+use mrdb::exec::ExecError;
 use mrdb::prelude::*;
 use mrdb::workloads::microbench;
 use proptest::prelude::*;
@@ -36,16 +37,13 @@ fn churn(db: &Database, table: &str) {
     assert!(db.with_table(table, |vt| vt.has_delta()).unwrap());
 }
 
-/// `execute` must agree with every fixed engine (skipping shapes an engine
-/// cannot run), and bare scans must agree row-for-row in order.
+/// `execute` must agree with every fixed engine, and bare scans must agree
+/// row-for-row in order.
 fn assert_execute_matches_engines(db: &Database, plan: &LogicalPlan, ctx: &str) {
     let routed = db
         .execute(plan)
         .unwrap_or_else(|e| panic!("{ctx}: execute failed: {e}"));
     for kind in EngineKind::all() {
-        if !kind.supports(plan) {
-            continue;
-        }
         let fixed = db
             .run(plan, kind)
             .unwrap_or_else(|e| panic!("{ctx}: {kind:?} failed: {e}"));
@@ -92,6 +90,26 @@ fn execute_matches_every_engine_across_layouts_and_deltas() {
             assert_eq!(routed.rows, fixed.rows, "{ctx}: scan order");
         }
     }
+}
+
+/// A caller-built physical plan naming a `pdsm-bench` baseline is refused
+/// with an error — never a panic, never a silent substitute engine.
+#[test]
+fn a_plan_naming_a_baseline_engine_is_refused() {
+    let db = Database::new();
+    db.register(microbench::generate(500, 0.1, Layout::row(16), 2));
+    let mut phys = (*db.plan_query(&microbench::query(0.1)).unwrap()).clone();
+    for engine in [EngineChoice::Bulk, EngineChoice::Vectorized] {
+        phys.engine = engine;
+        let err = db.execute_physical(&phys).unwrap_err();
+        assert!(
+            matches!(err, DbError::Exec(ExecError::Unsupported(_))),
+            "{engine}: {err}"
+        );
+    }
+    phys.engine = EngineChoice::Volcano;
+    let oracle = db.execute_physical(&phys).unwrap();
+    oracle.assert_same(&db.execute(&phys.logical).unwrap(), "volcano plan");
 }
 
 #[test]

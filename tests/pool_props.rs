@@ -147,9 +147,6 @@ fn order_insensitive(plan: &LogicalPlan) -> bool {
 fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPlan]) {
     for (i, plan) in plans.iter().enumerate() {
         for engine in EngineKind::all() {
-            if !engine.supports(plan) {
-                continue;
-            }
             let a = pooled.run(plan, engine).unwrap();
             let b = resident.run(plan, engine).unwrap();
             prop_assert_eq!(

@@ -159,7 +159,7 @@ fn disabling_the_cache_disables_everything_but_nothing_breaks() {
     let a = db.execute(&plan).unwrap();
     let b = db.execute(&plan).unwrap();
     assert_eq!(a.rows, b.rows);
-    assert_eq!(a.rows, db.run(&plan, EngineKind::Bulk).unwrap().rows);
+    assert_eq!(a.rows, db.run(&plan, EngineKind::Volcano).unwrap().rows);
     let s = db.cache_stats().result;
     assert!(!s.enabled);
     assert_eq!((s.hits, s.insertions, s.entries), (0, 0, 0), "{s:?}");

@@ -128,9 +128,6 @@ fn sapsd_q6_mix_delta_matches_merged_on_all_queries() {
     for q in sapsd::queries(150) {
         let Some(plan) = q.as_plan() else { continue };
         for kind in EngineKind::all() {
-            if !kind.supports(plan) {
-                continue;
-            }
             let a = live.run(plan, kind).unwrap();
             let b = merged.run(plan, kind).unwrap();
             a.assert_same(&b, &format!("{}/{kind:?} delta vs merged", q.name));

@@ -452,11 +452,11 @@ impl Database {
         });
         db.pool = pool;
         // Recover every manifest table: newest committed main + WAL tail
-        // replayed through the normal DML path (so engines, overlays and
-        // row ids come out exactly as they were at the last durable op).
-        // With a buffer pool configured the main store stays *cold* —
-        // header only, extents fault in on demand — because WAL replay
-        // never reads main-store row data.
+        // replayed through the table's commit step (so engines, overlays
+        // and row ids come out exactly as they were at the last durable
+        // statement). With a buffer pool configured the main store stays
+        // *cold* — header only, extents fault in on demand — because WAL
+        // replay never reads main-store row data.
         let d = db.durability.as_ref().expect("just set");
         for (name, generation) in manifest.tables() {
             let vt = TableDurability::recover(

@@ -10,9 +10,12 @@
 //! * **finding rows** — `UPDATE`/`DELETE … WHERE` match with the query
 //!   path's scan loop (`match_rows`: [`pdsm_exec::pipeline::Scan`] into a
 //!   row-id sink, a cold main extent-at-a-time — an `UPDATE`'s old rows
-//!   are decoded there, while their extent is pinned), then apply every
-//!   write, all under one acquisition of the write lock: the statement is
-//!   atomic and its rows land at the end of the scan order in match order;
+//!   are decoded there, while their extent is pinned), then apply them as
+//!   one commit — one tombstone and, for an `UPDATE`, one append per row,
+//!   however many columns it sets — all under one acquisition of the
+//!   write lock: the statement is atomic, in memory and as its one WAL
+//!   record, and its rows land at the end of the scan order in match
+//!   order;
 //! * **merging** — `TableEntry::merge` (`merge_if` when a delta-op floor
 //!   gates it) is the one synchronous merge-and-reindex step behind
 //!   [`Database::merge`], [`Database::relayout`], [`Database::merge_all`],
@@ -78,16 +81,17 @@ impl Database {
     /// operation). Like [`Database::update`], never runs the maintenance
     /// step (the id argument must stay valid).
     pub fn delete(&self, table: &str, row: RowId) -> Result<(), DbError> {
-        Ok(self.entry(table)?.table.delete(row)?)
+        Ok(self.entry(table)?.table.with_write(|vt| vt.delete(row))?)
     }
 
     /// SQL `UPDATE table SET col = v, … [WHERE pred]`: overwrite the given
     /// columns of every visible row matching `pred` (all rows when `None`).
     /// Returns the number of rows updated. The match (`match_rows`: the
-    /// query path's scan loop into a row-id sink) and every write happen
-    /// under one acquisition of the table's write lock, so the statement is
-    /// atomic with respect to concurrent DML and background merge swaps.
-    /// `pred` addresses columns in schema order.
+    /// query path's scan loop into a row-id sink) and the one commit that
+    /// rewrites every matched row happen under one acquisition of the
+    /// table's write lock, so the statement is atomic with respect to
+    /// concurrent DML, background merge swaps and a crash (it is one WAL
+    /// record). `pred` addresses columns in schema order.
     pub fn update_where(
         &self,
         table: &str,
@@ -102,24 +106,20 @@ impl Database {
                 .collect::<Result<_, pdsm_storage::Error>>()?;
             let mut rows = Vec::new();
             let ids = match_rows(vt, pred, Some(&mut rows))?;
-            for (&id, row) in ids.iter().zip(rows) {
-                vt.update_cells(id, row, &cols)?;
-            }
+            vt.update_rows(&ids, rows, &cols)?;
             Ok(ids.len())
         })
     }
 
     /// SQL `DELETE FROM table [WHERE pred]`: tombstone every visible row
     /// matching `pred` (all rows when `None`). Returns the number of rows
-    /// deleted. Atomic under one acquisition of the table's write lock,
-    /// like [`Database::update_where`].
+    /// deleted. One commit under one acquisition of the table's write
+    /// lock, like [`Database::update_where`].
     pub fn delete_where(&self, table: &str, pred: Option<&Expr>) -> Result<usize, DbError> {
         let entry = self.entry(table)?;
         entry.table.with_write(|vt| {
             let ids = match_rows(vt, pred, None)?;
-            for &id in &ids {
-                vt.delete(id)?;
-            }
+            vt.delete_rows(&ids)?;
             Ok(ids.len())
         })
     }

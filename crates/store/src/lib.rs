@@ -6,11 +6,12 @@
 //! must replay. This crate supplies the missing on-disk pieces, all
 //! dependency-free:
 //!
-//! * [`record`] — length-prefixed, CRC32-checksummed WAL records with a
-//!   torn-tail-tolerant decoder (a half-written tail is the crash point,
-//!   not an error);
+//! * [`record`] — one length-prefixed, CRC32-checksummed WAL record per
+//!   committed statement (appends, then tombstones), with a decoder that
+//!   tolerates a torn tail (a half-written tail is the crash point, not
+//!   an error) and refuses a whole record it cannot parse;
 //! * [`wal`] — the append-only log with group commit
-//!   (`PDSM_FSYNC=always|batch|off`);
+//!   (`PDSM_FSYNC=always|batch|group|off`), one file per generation;
 //! * [`blob`] — write-temp-then-rename atomic blob I/O for checkpointed
 //!   main stores;
 //! * [`manifest`] — the atomically-replaced table → generation map whose
@@ -33,5 +34,5 @@ pub use blob::{fsync_dir, remove_temp_files, sanitize_name, write_atomic};
 pub use failpoint::{flip_bit, truncate_at, FailpointFile};
 pub use manifest::Manifest;
 pub use pdsm_storage::crc32;
-pub use record::{decode_stream, WalOp};
+pub use record::{decode_stream, WalRecord};
 pub use wal::{FsyncMode, Wal, WalStats};

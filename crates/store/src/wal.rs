@@ -333,7 +333,14 @@ fn flusher_loop(shared: &WalShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{decode_stream, WalOp};
+    use crate::record::{decode_stream, WalRecord};
+
+    fn tombstone(row: u64) -> WalRecord {
+        WalRecord {
+            appends: Vec::new(),
+            tombstones: vec![row],
+        }
+    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("pdsm-wal-{}-{tag}", std::process::id()));
@@ -346,11 +353,11 @@ mod tests {
     fn append_then_reopen_replays_everything() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal.log");
-        let ops: Vec<WalOp> = (0..100).map(|i| WalOp::Delete { row: i }).collect();
+        let records: Vec<WalRecord> = (0..100).map(tombstone).collect();
         {
             let wal = Wal::create(&path, FsyncMode::Batch).unwrap();
-            for op in &ops {
-                wal.append(&op.encode_record()).unwrap();
+            for rec in &records {
+                wal.append(&rec.encode()).unwrap();
             }
             wal.sync().unwrap();
             let stats = wal.stats();
@@ -359,9 +366,9 @@ mod tests {
             assert!(stats.max_group >= 1);
         }
         let bytes = std::fs::read(&path).unwrap();
-        let (decoded, valid) = decode_stream(&bytes);
+        let (decoded, valid) = decode_stream(&bytes).unwrap();
         assert_eq!(valid, bytes.len());
-        assert_eq!(decoded, ops);
+        assert_eq!(decoded, records);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -369,8 +376,7 @@ mod tests {
     fn open_append_truncates_the_torn_tail() {
         let dir = tmpdir("truncate");
         let path = dir.join("wal.log");
-        let op = WalOp::Delete { row: 1 };
-        let rec = op.encode_record();
+        let rec = tombstone(1).encode();
         {
             let wal = Wal::create(&path, FsyncMode::Off).unwrap();
             wal.append(&rec).unwrap();
@@ -383,15 +389,15 @@ mod tests {
             f.set_len(torn_len).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
-        let (ops, valid) = decode_stream(&bytes);
-        assert_eq!(ops.len(), 1);
+        let (decoded, valid) = decode_stream(&bytes).unwrap();
+        assert_eq!(decoded.len(), 1);
         assert_eq!(valid as u64, rec.len() as u64);
         let wal = Wal::open_append(&path, valid as u64, FsyncMode::Always).unwrap();
         wal.append(&rec).unwrap();
         drop(wal);
         let bytes = std::fs::read(&path).unwrap();
-        let (ops, valid) = decode_stream(&bytes);
-        assert_eq!(ops.len(), 2);
+        let (decoded, valid) = decode_stream(&bytes).unwrap();
+        assert_eq!(decoded.len(), 2);
         assert_eq!(valid, bytes.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -406,8 +412,7 @@ mod tests {
                 let wal = std::sync::Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..50u64 {
-                        let op = WalOp::Delete { row: t * 1000 + i };
-                        wal.append(&op.encode_record()).unwrap();
+                        wal.append(&tombstone(t * 1000 + i).encode()).unwrap();
                     }
                 })
             })
@@ -425,8 +430,8 @@ mod tests {
         assert!(stats.max_group > 1, "no coalescing happened");
         drop(wal);
         let bytes = std::fs::read(&path).unwrap();
-        let (ops, valid) = decode_stream(&bytes);
-        assert_eq!(ops.len(), 200);
+        let (decoded, valid) = decode_stream(&bytes).unwrap();
+        assert_eq!(decoded.len(), 200);
         assert_eq!(valid, bytes.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -441,8 +446,7 @@ mod tests {
                 let wal = std::sync::Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..250u64 {
-                        let op = WalOp::Delete { row: t * 1000 + i };
-                        wal.append(&op.encode_record()).unwrap();
+                        wal.append(&tombstone(t * 1000 + i).encode()).unwrap();
                     }
                 })
             })
@@ -457,8 +461,8 @@ mod tests {
         assert!(stats.fsyncs < 1000, "fsyncs = {}", stats.fsyncs);
         drop(wal);
         let bytes = std::fs::read(&path).unwrap();
-        let (ops, valid) = decode_stream(&bytes);
-        assert_eq!(ops.len(), 1000);
+        let (decoded, valid) = decode_stream(&bytes).unwrap();
+        assert_eq!(decoded.len(), 1000);
         assert_eq!(valid, bytes.len());
         let _ = std::fs::remove_dir_all(&dir);
     }

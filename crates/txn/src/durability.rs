@@ -10,21 +10,21 @@
 //! <data_dir>/MANIFEST               table -> current generation (shared)
 //! ```
 //!
-//! Every committed DML batch is appended to the live WAL *before the
-//! table's write lock is released* ([`TableDurability::log`], called from
-//! the `VersionedTable` DML methods). A merge checkpoint
-//! ([`TableDurability::checkpoint`], called from `finish_merge` after the
-//! swap) persists the fresh main, rewrites the WAL **in the new id
-//! space** as delta-reconstruction ops — deletes of tombstoned main rows,
-//! one batch insert of the live tail, deletes of tombstoned tail rows —
-//! and flips the manifest entry, which is the single atomic commit point.
-//! The WAL therefore never outlives its main store's id space, and its
-//! length is always O(delta), not O(history).
+//! Every commit — one per DML statement — is one [`WalRecord`] (appends,
+//! then tombstones), appended by the `VersionedTable` commit step
+//! ([`TableDurability::log`]) under the table's write lock, before the
+//! commit applies: a crash keeps or loses a whole statement. A merge
+//! checkpoint ([`TableDurability::checkpoint`], from `finish_merge` after
+//! the swap) persists the fresh main, rewrites the WAL **in the new id
+//! space** as one record of the delta, and flips the manifest entry — the
+//! single atomic commit point — so the WAL never outlives its main store's
+//! id space and stays O(delta), not O(history).
 //!
 //! Recovery ([`TableDurability::recover`]) inverts this: load (or, with a
 //! buffer pool, mount cold) the manifest generation's main blob, decode
 //! the WAL up to the last whole checksum-valid record (a torn tail is the
-//! crash point, not an error), replay it through the normal DML path and
+//! crash point, not an error), apply each record through the same commit
+//! step — which reads no main-store row, so a cold main stays cold — and
 //! hand back the finished table with its durability attached.
 
 use crate::table::VersionedTable;
@@ -32,7 +32,7 @@ use pdsm_pool::{BufferPool, ColdTable};
 use pdsm_storage::{persist, Error, Result, Row, Table};
 use pdsm_store::{
     decode_stream, fsync_dir, remove_temp_files, sanitize_name, write_atomic, FsyncMode, Manifest,
-    Wal, WalOp, WalStats,
+    Wal, WalRecord, WalStats,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -52,8 +52,6 @@ pub struct DurabilityStats {
     pub checkpoints: u64,
     /// WAL records replayed by the most recent recovery.
     pub last_recovery_replay_ops: u64,
-    /// Completed WAL segments rolled over (`PDSM_WAL_SEGMENT_BYTES`).
-    pub wal_segments_rotated: u64,
 }
 
 /// One table's WAL + checkpoint + manifest glue. Shared as
@@ -64,37 +62,16 @@ pub struct TableDurability {
     name: String,
     manifest: Arc<Manifest>,
     fsync: FsyncMode,
-    /// The live WAL segment (for generation `G` = the manifest entry).
-    /// Replaced at every checkpoint and rotation; the mutex also covers
-    /// the swaps.
-    wal: Mutex<LiveWal>,
-    /// Counters folded in from WALs retired by checkpoints/rotations.
+    /// The live WAL (of generation `G` = the manifest entry). Replaced at
+    /// every checkpoint; the mutex also covers the swap.
+    wal: Mutex<Wal>,
+    /// Counters folded in from WALs retired by checkpoints.
     retired: Mutex<WalStats>,
-    /// Roll the live segment when it reaches this many bytes (0 = never).
-    /// Seeded from `PDSM_WAL_SEGMENT_BYTES`.
-    segment_bytes: AtomicU64,
-    /// The generation the live WAL belongs to (names rotated segments).
-    generation: AtomicU64,
     checkpoints: AtomicU64,
-    segments_rotated: AtomicU64,
     last_recovery_replay_ops: AtomicU64,
     /// The in-flight background deletion pass, if any (old generations
     /// are scrubbed off the checkpoint path).
     cleaner: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-/// The appendable WAL segment plus its index within the generation.
-struct LiveWal {
-    wal: Wal,
-    seg: u32,
-}
-
-/// `PDSM_WAL_SEGMENT_BYTES` (0 / unset = no rotation).
-fn wal_segment_bytes_from_env() -> u64 {
-    std::env::var("PDSM_WAL_SEGMENT_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 impl std::fmt::Debug for TableDurability {
@@ -119,16 +96,6 @@ fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal.{generation}.log"))
 }
 
-/// Segment `seg` of generation `generation`'s WAL. Segment 0 keeps the
-/// classic `wal.<G>.log` name; rotation appends `wal.<G>.<n>.log`.
-fn wal_seg_path(dir: &Path, generation: u64, seg: u32) -> PathBuf {
-    if seg == 0 {
-        wal_path(dir, generation)
-    } else {
-        dir.join(format!("wal.{generation}.{seg}.log"))
-    }
-}
-
 /// The pre-persisted build blob for merge epoch `epoch` (see
 /// [`TableDurability::pre_persist`]). Contains `.tmp`, so crash leftovers
 /// are scrubbed by [`remove_temp_files`].
@@ -148,23 +115,13 @@ fn write_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
     .map_err(|e| io_err("persist main store", e))
 }
 
-/// Parse `main.<G>.tbl` / `wal.<G>.log` / `wal.<G>.<n>.log` file names
-/// back to generations.
+/// Parse `main.<G>.tbl` / `wal.<G>.log` file names back to generations.
 fn parse_generation(name: &str) -> Option<u64> {
-    if let Some(rest) = name
-        .strip_prefix("main.")
+    name.strip_prefix("main.")
         .and_then(|r| r.strip_suffix(".tbl"))
-    {
-        return rest.parse().ok();
-    }
-    let mid = name.strip_prefix("wal.")?.strip_suffix(".log")?;
-    match mid.split_once('.') {
-        None => mid.parse().ok(),
-        Some((g, seg)) => {
-            seg.parse::<u32>().ok()?;
-            g.parse().ok()
-        }
-    }
+        .or_else(|| name.strip_prefix("wal.")?.strip_suffix(".log"))?
+        .parse()
+        .ok()
 }
 
 /// Drop every generation-stamped file except generation `keep`, plus any
@@ -205,21 +162,16 @@ impl TableDurability {
             .set(&name, generation)
             .map_err(|e| io_err("commit manifest", e))?;
         cleanup(&dir, generation);
-        table.set_durability(Arc::new(Self::handle(
-            dir, &name, manifest, fsync, wal, 0, generation, 0,
-        )));
+        table.set_durability(Arc::new(Self::handle(dir, &name, manifest, fsync, wal, 0)));
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle(
         dir: PathBuf,
         name: &str,
         manifest: Arc<Manifest>,
         fsync: FsyncMode,
         wal: Wal,
-        seg: u32,
-        generation: u64,
         replayed: u64,
     ) -> TableDurability {
         TableDurability {
@@ -227,12 +179,9 @@ impl TableDurability {
             name: name.to_string(),
             manifest,
             fsync,
-            wal: Mutex::new(LiveWal { wal, seg }),
+            wal: Mutex::new(wal),
             retired: Mutex::new(WalStats::default()),
-            segment_bytes: AtomicU64::new(wal_segment_bytes_from_env()),
-            generation: AtomicU64::new(generation),
             checkpoints: AtomicU64::new(0),
-            segments_rotated: AtomicU64::new(0),
             last_recovery_replay_ops: AtomicU64::new(replayed),
             cleaner: Mutex::new(None),
         }
@@ -242,10 +191,11 @@ impl TableDurability {
     /// entry): the checkpointed main store — read whole, or with `pool`
     /// mounted as a header-only [`ColdTable`] whose extents fault in on
     /// demand — with the WAL, decoded up to the last whole checksum-valid
-    /// record, replayed over it through the normal DML path. Durability is
-    /// attached last, so the replay is not logged again. A short or
-    /// corrupt WAL *tail* is the crash point and is truncated away; a
-    /// corrupt *committed* blob (main store, or a record before the tail)
+    /// record, replayed over it through the table's commit step.
+    /// Durability is attached last, so the replay is not logged again. A
+    /// short or corrupt WAL *tail* is the crash point and is truncated
+    /// away; a corrupt *committed* main blob, or a whole WAL record that
+    /// does not decode (`unsupported WAL record …`, file left untouched),
     /// is a hard error.
     pub fn recover(
         data_dir: &Path,
@@ -278,78 +228,35 @@ impl TableDurability {
                  blob says {on_disk_gen}"
             )));
         }
-        let (ops, wal, seg) = recover_wal_segments(&dir, generation, fsync)?;
+        let (records, wal) = recover_wal(&wal_path(&dir, generation), fsync)?;
         cleanup(&dir, generation);
         let mut table = VersionedTable::at_generation(main, cold, generation);
-        replay(&mut table, &ops)?;
-        let replayed = ops.len() as u64;
+        let replayed = records.len() as u64;
+        replay(&mut table, records)?;
         table.set_durability(Arc::new(Self::handle(
-            dir, name, manifest, fsync, wal, seg, generation, replayed,
+            dir, name, manifest, fsync, wal, replayed,
         )));
         Ok(table)
     }
 
-    fn wal_lock(&self) -> MutexGuard<'_, LiveWal> {
+    fn wal_lock(&self) -> MutexGuard<'_, Wal> {
         self.wal.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append one committed op to the live WAL. Called from the
-    /// `VersionedTable` DML methods while the table write lock is held,
-    /// after the in-memory apply succeeded. Rolls the segment over when it
-    /// reaches `PDSM_WAL_SEGMENT_BYTES`.
-    pub fn log(&self, op: &WalOp) -> Result<()> {
-        let mut g = self.wal_lock();
-        g.wal
-            .append(&op.encode_record())
-            .map_err(|e| io_err("wal append", e))?;
-        let limit = self.segment_bytes.load(Ordering::Relaxed);
-        if limit > 0 && g.wal.len() >= limit {
-            self.rotate_segment(&mut g)?;
-        }
-        Ok(())
-    }
-
-    /// Roll the live WAL to the next numbered segment. The completed
-    /// segment is fsynced first (it is now immutable history), so replay
-    /// order — segment 0, 1, 2, … — can never see a torn middle.
-    fn rotate_segment(&self, g: &mut LiveWal) -> Result<()> {
-        g.wal
-            .sync()
-            .map_err(|e| io_err("sync full wal segment", e))?;
-        let generation = self.generation.load(Ordering::Relaxed);
-        let next = g.seg + 1;
-        let wal = Wal::create(&wal_seg_path(&self.dir, generation, next), self.fsync)
-            .map_err(|e| io_err("create wal segment", e))?;
-        fsync_dir(&self.dir).map_err(|e| io_err("fsync table dir", e))?;
-        self.swap_wal(g, wal, next);
-        self.segments_rotated.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Make `wal` (segment `seg`) the live WAL, folding the retired
-    /// handle's counters into the running totals.
-    fn swap_wal(&self, live: &mut LiveWal, wal: Wal, seg: u32) {
-        let retired = live.wal.stats();
-        self.retired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(&retired);
-        *live = LiveWal { wal, seg };
-    }
-
-    /// Override the rotation threshold (0 disables). Mostly for tests and
-    /// benchmarks; production reads `PDSM_WAL_SEGMENT_BYTES` at open.
-    pub fn set_wal_segment_bytes(&self, bytes: u64) {
-        self.segment_bytes.store(bytes, Ordering::Relaxed);
+    /// Append one commit's record to the live WAL. Called only from the
+    /// `VersionedTable` commit step, with the table write lock held,
+    /// before the commit applies.
+    pub fn log(&self, record: &WalRecord) -> Result<()> {
+        let bytes = record.encode();
+        self.wal_lock()
+            .append(&bytes)
+            .map_err(|e| io_err("wal append", e))
     }
 
     /// Force the live WAL to disk regardless of fsync mode (clean
     /// shutdown, checkpoint barriers).
     pub fn sync(&self) -> Result<()> {
-        self.wal_lock()
-            .wal
-            .sync()
-            .map_err(|e| io_err("wal sync", e))
+        self.wal_lock().sync().map_err(|e| io_err("wal sync", e))
     }
 
     /// Serialize a freshly built main store to the epoch-stamped temp
@@ -382,9 +289,9 @@ impl TableDurability {
     /// Steps, in crash-safe order: (1) the main blob lands under its
     /// generation-stamped name — by renaming the pre-persisted build of
     /// `build_epoch` when present, else by serializing inline; (2) the
-    /// WAL for the new generation is written as reconstruction ops in the
-    /// new id space; (3) the manifest entry flips — the commit point;
-    /// (4) the live WAL handle moves to the new file; (5) stale
+    /// WAL for the new generation is written as one record of the delta
+    /// in the new id space; (3) the manifest entry flips — the commit
+    /// point; (4) the live WAL handle moves to the new file; (5) stale
     /// generations are scrubbed. A crash anywhere before (3) recovers
     /// from the previous generation, whose main + WAL are an equivalent
     /// un-merged description of the same rows.
@@ -410,26 +317,24 @@ impl TableDurability {
         } else {
             write_main(&self.dir, main, generation)?;
         }
-        // (2) wal.<G>.log — rebuild the delta in the new id space:
-        // deletes of tombstoned main rows, then one insert batch of every
-        // tail row, then deletes of the tombstoned tail rows. Replaying
-        // these through normal DML reproduces the overlay exactly, with
-        // the same row ids, so later records keep addressing correctly.
-        let mut buf = Vec::new();
-        for (i, dead) in dead_main.iter().enumerate() {
-            if *dead {
-                buf.extend_from_slice(&WalOp::Delete { row: i as u64 }.encode_record());
-            }
-        }
-        if !tail.is_empty() {
-            buf.extend_from_slice(&WalOp::InsertBatch(tail.to_vec()).encode_record());
-        }
-        for (j, alive) in tail_alive.iter().enumerate() {
-            if !*alive {
-                let row = (main.len() + j) as u64;
-                buf.extend_from_slice(&WalOp::Delete { row }.encode_record());
-            }
-        }
+        // (2) wal.<G>.log — the delta in the new id space as one record:
+        // every tail row appended (dead ones too, so tail ids stay put),
+        // then the tombstoned main and tail rows. Replayed through the
+        // commit step it reproduces the overlay exactly, with the same
+        // row ids, so later records keep addressing correctly.
+        let dead_tail = tail_alive.iter().map(|alive| !alive).enumerate();
+        let record = WalRecord {
+            appends: tail.to_vec(),
+            tombstones: (dead_main.iter().copied().enumerate())
+                .chain(dead_tail.map(|(j, dead)| (main.len() + j, dead)))
+                .filter_map(|(id, dead)| dead.then_some(id as u64))
+                .collect(),
+        };
+        let buf = if record.is_empty() {
+            Vec::new()
+        } else {
+            record.encode()
+        };
         let wal_dest = wal_path(&self.dir, generation);
         write_atomic(
             &wal_dest,
@@ -441,14 +346,19 @@ impl TableDurability {
         self.manifest
             .set(&self.name, generation)
             .map_err(|e| io_err("commit manifest", e))?;
-        // (4) swap the live WAL handle; fold the retired one's counters.
+        // (4) swap the live WAL handle and, still under its lock (so
+        // `stats` never misses them), fold the retired one's counters.
         let new_wal = Wal::open_append(&wal_dest, buf.len() as u64, self.fsync)
             .map_err(|e| io_err("reopen checkpoint wal", e))?;
-        self.swap_wal(&mut self.wal_lock(), new_wal, 0);
-        self.generation.store(generation, Ordering::Relaxed);
+        let mut live = self.wal_lock();
+        let retired = std::mem::replace(&mut *live, new_wal);
+        self.retired
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .merge(&retired.stats());
         // (5) previous generations are now unreachable: the old main blob
-        // and every fully-checkpointed WAL segment die on a background
-        // thread, off the merge-swap critical path.
+        // and WAL die on a background thread, off the merge-swap critical
+        // path.
         let dir = self.dir.clone();
         *self.cleaner.lock().unwrap_or_else(|e| e.into_inner()) =
             Some(std::thread::spawn(move || cleanup(&dir, generation)));
@@ -467,15 +377,14 @@ impl TableDurability {
 
     /// Current counters (live WAL + everything retired by checkpoints).
     pub fn stats(&self) -> DurabilityStats {
-        let g = self.wal_lock();
+        let wal = self.wal_lock();
         let mut merged = *self.retired.lock().unwrap_or_else(|e| e.into_inner());
-        merged.merge(&g.wal.stats());
+        merged.merge(&wal.stats());
         DurabilityStats {
             wal: merged,
-            wal_len: g.wal.len(),
+            wal_len: wal.len(),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             last_recovery_replay_ops: self.last_recovery_replay_ops.load(Ordering::Relaxed),
-            wal_segments_rotated: self.segments_rotated.load(Ordering::Relaxed),
         }
     }
 }
@@ -486,69 +395,33 @@ impl Drop for TableDurability {
     }
 }
 
-/// Decode generation `generation`'s WAL segments in order (0, 1, 2, …),
-/// concatenating their ops. Replay stops at the first torn record — that
-/// segment is reopened (truncated) as the live WAL, and any later
-/// segments are dropped (rotation fsyncs a segment *before* creating its
-/// successor, so bytes past a tear were never acknowledged).
-fn recover_wal_segments(
-    dir: &Path,
-    generation: u64,
-    fsync: FsyncMode,
-) -> Result<(Vec<WalOp>, Wal, u32)> {
-    let mut ops = Vec::new();
-    let mut seg: u32 = 0;
-    loop {
-        let path = wal_seg_path(dir, generation, seg);
-        match std::fs::read(&path) {
-            Ok(bytes) => {
-                let (mut seg_ops, valid) = decode_stream(&bytes);
-                ops.append(&mut seg_ops);
-                let torn = valid < bytes.len();
-                let next = wal_seg_path(dir, generation, seg + 1);
-                if torn || !next.exists() {
-                    let mut k = seg + 1;
-                    loop {
-                        let p = wal_seg_path(dir, generation, k);
-                        if !p.exists() || std::fs::remove_file(&p).is_err() {
-                            break;
-                        }
-                        k += 1;
-                    }
-                    let wal = Wal::open_append(&path, valid as u64, fsync)
-                        .map_err(|e| io_err("reopen wal", e))?;
-                    return Ok((ops, wal, seg));
-                }
-                seg += 1;
-            }
-            // The WAL is written before the manifest flips, so a missing
-            // segment 0 should be impossible — but an empty log is the
-            // safe reading, and starting one keeps the invariant.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && seg == 0 => {
-                let wal = Wal::create(&path, fsync).map_err(|e| io_err("create wal", e))?;
-                return Ok((ops, wal, 0));
-            }
-            Err(e) => return Err(io_err("read wal", e)),
+/// Decode the WAL at `path` and reopen it for appending, truncated to its
+/// last whole record; a whole record that does not decode fails before
+/// anything touches the file.
+fn recover_wal(path: &Path, fsync: FsyncMode) -> Result<(Vec<WalRecord>, Wal)> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        // The WAL is written before the manifest flips, so this should be
+        // impossible — but an empty log is the safe reading.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            let wal = Wal::create(path, fsync).map_err(|e| io_err("create wal", e))?;
+            return Ok((Vec::new(), wal));
         }
-    }
+        Err(e) => return Err(io_err("read wal", e)),
+    };
+    let (records, valid) =
+        decode_stream(&bytes).map_err(|e| Error::Io(format!("{e} in {}", path.display())))?;
+    let wal = Wal::open_append(path, valid as u64, fsync).map_err(|e| io_err("reopen wal", e))?;
+    Ok((records, wal))
 }
 
-/// Replay recovered WAL ops through the normal DML path. The table must
-/// not have durability attached yet (replay must not be re-logged).
-fn replay(table: &mut VersionedTable, ops: &[WalOp]) -> Result<()> {
+/// Replay recovered records through the table's commit step, exactly as
+/// they were committed. The table must not have durability attached yet
+/// (replay must not be re-logged).
+fn replay(table: &mut VersionedTable, records: Vec<WalRecord>) -> Result<()> {
     debug_assert!(table.durability().is_none(), "replay would be re-logged");
-    for op in ops {
-        match op {
-            WalOp::InsertBatch(rows) => {
-                let rows: Vec<Vec<pdsm_storage::Value>> =
-                    rows.iter().map(|r| r.values().to_vec()).collect();
-                table.insert_batch(&rows)?;
-            }
-            WalOp::Update { row, col, value } => {
-                table.update(*row as usize, *col as usize, value)?;
-            }
-            WalOp::Delete { row } => table.delete(*row as usize)?,
-        }
+    for record in records {
+        table.commit(record)?;
     }
     Ok(())
 }
@@ -663,6 +536,8 @@ mod tests {
         let r = reopen(&dir, "t");
         assert_eq!(r.generation(), 1);
         assert_eq!(all_rows(&r), before);
+        // The checkpoint rewrote the post-cut delta as one record.
+        assert_eq!(r.durability().unwrap().stats().last_recovery_replay_ops, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -769,91 +644,6 @@ mod tests {
         let before = all_rows(&t);
         drop(t);
         assert_eq!(all_rows(&reopen(&dir, "t")), before);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wal_rotation_splits_segments_and_replays_in_order() {
-        let dir = tmpdir("rotate");
-        let (mut t, _manifest) = durable_table(&dir, "t");
-        // Tiny threshold: every few appends roll a new segment.
-        t.durability().unwrap().set_wal_segment_bytes(256);
-        for i in 0..200 {
-            t.insert(&[Value::Int32(i), Value::Str(format!("r{i}")), Value::Null])
-                .unwrap();
-        }
-        t.update(7, 1, &Value::Str("seven".into())).unwrap();
-        t.delete(3).unwrap();
-        let stats = t.durability().unwrap().stats();
-        assert!(
-            stats.wal_segments_rotated >= 2,
-            "rotated: {}",
-            stats.wal_segments_rotated
-        );
-        let tdir = dir.join(sanitize_name("t"));
-        assert!(wal_seg_path(&tdir, 0, 1).exists(), "segment 1 on disk");
-        // Rotation must not lose the retired segments' counters.
-        assert_eq!(stats.wal.appends, 202);
-        let before = all_rows(&t);
-        drop(t);
-        let r = reopen(&dir, "t");
-        assert_eq!(all_rows(&r), before);
-        assert_eq!(
-            r.durability().unwrap().stats().last_recovery_replay_ops,
-            202
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_scrubs_rotated_segments() {
-        let dir = tmpdir("rotscrub");
-        let (mut t, _manifest) = durable_table(&dir, "t");
-        t.durability().unwrap().set_wal_segment_bytes(128);
-        for i in 0..100 {
-            t.insert(&[Value::Int32(i), Value::Str("x".into()), Value::Null])
-                .unwrap();
-        }
-        let tdir = dir.join(sanitize_name("t"));
-        assert!(wal_seg_path(&tdir, 0, 1).exists());
-        t.merge().unwrap();
-        t.durability().unwrap().wait_cleanup();
-        // All generation-0 segments are fully checkpointed — gone.
-        for seg in 0..5 {
-            assert!(
-                !wal_seg_path(&tdir, 0, seg).exists(),
-                "gen-0 segment {seg} survived the checkpoint"
-            );
-        }
-        assert!(wal_path(&tdir, 1).exists(), "fresh gen-1 wal");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_middle_segment_stops_replay_at_the_tear() {
-        let dir = tmpdir("torn-seg");
-        let (mut t, _manifest) = durable_table(&dir, "t");
-        t.durability().unwrap().set_wal_segment_bytes(256);
-        for i in 0..60 {
-            t.insert(&[Value::Int32(i), Value::Str(format!("r{i}")), Value::Null])
-                .unwrap();
-        }
-        let tdir = dir.join(sanitize_name("t"));
-        assert!(wal_seg_path(&tdir, 0, 1).exists());
-        drop(t);
-        // Tear the *first* segment: replay must stop there and drop the
-        // later segments instead of replaying across the gap.
-        let seg0 = wal_seg_path(&tdir, 0, 0);
-        let len = std::fs::metadata(&seg0).unwrap().len();
-        pdsm_store::truncate_at(&seg0, len - 3).unwrap();
-        let r = reopen(&dir, "t");
-        let replayed = r.durability().unwrap().stats().last_recovery_replay_ops;
-        assert!(replayed < 60, "replayed {replayed} past the tear");
-        assert!(
-            !wal_seg_path(&tdir, 0, 1).exists(),
-            "post-tear segment kept"
-        );
-        assert_eq!(all_rows(&r).len(), replayed as usize);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

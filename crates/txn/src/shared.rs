@@ -4,7 +4,7 @@
 //! The lock discipline is deliberately coarse and short: writers take the
 //! write lock per operation (delta appends are O(1)) — or once per
 //! compound statement through [`SharedTable::with_write`], which is how
-//! predicate DML keeps its match and its writes atomic; readers take the
+//! predicate DML keeps its match and its one commit atomic; readers take the
 //! read lock only to clone a [`Snapshot`] and then run queries entirely
 //! outside the lock — including the hydration of a still-cold main store,
 //! which no [`SharedTable`] method performs under either guard. Merges
@@ -22,7 +22,7 @@ use crate::merge::{BuiltMain, MergeTicket};
 use crate::registry::VersionStats;
 use crate::table::{MergeStats, RowId, VersionedTable, WriteStats};
 use crate::version::Snapshot;
-use pdsm_storage::{ColId, Error, Layout, Result, Table, Value};
+use pdsm_storage::{Error, Layout, Result, Table, Value};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cloneable handle to a concurrently usable versioned table.
@@ -61,16 +61,6 @@ impl SharedTable {
     /// Append many rows as one atomic operation (readers see all or none).
     pub fn insert_batch(&self, rows: &[Vec<Value>]) -> Result<Vec<RowId>> {
         self.write().insert_batch(rows)
-    }
-
-    /// Overwrite one cell (tombstone + re-append); returns the new row id.
-    pub fn update(&self, id: RowId, c: ColId, v: &Value) -> Result<RowId> {
-        self.write().update(id, c, v)
-    }
-
-    /// Tombstone one row.
-    pub fn delete(&self, id: RowId) -> Result<()> {
-        self.write().delete(id)
     }
 
     /// Fold the delta into a fresh main store (current layout),

@@ -10,7 +10,7 @@ use pdsm_exec::{Overlay, TableProvider};
 use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, DataType, Error, Layout, Result, Schema, Table, Value};
-use pdsm_store::WalOp;
+use pdsm_store::WalRecord;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -38,10 +38,12 @@ pub struct MergeStats {
     pub rows_after: usize,
 }
 
-/// Cumulative write-path counters (reset never; survives merges).
+/// Cumulative write-path counters (reset never; survives merges; WAL
+/// replay counts nothing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteStats {
     pub inserts: u64,
+    /// Rows updated — one per row, however many columns its `SET` names.
     pub updates: u64,
     pub deletes: u64,
     pub merges: u64,
@@ -96,7 +98,7 @@ pub struct VersionedTable {
     /// Liveness of each tail row.
     tail_alive: Vec<bool>,
     tail_dead_count: usize,
-    /// Write operations applied since the last merge.
+    /// [`VersionedTable::delta_ops`]: delta ops since the last merge.
     n_ops: u64,
     stats: WriteStats,
     /// Frozen overlay of the *current* state, shared by snapshots; reset by
@@ -139,8 +141,8 @@ impl Clone for VersionedTable {
 impl VersionedTable {
     /// An empty-delta table at `generation` over a resident `main` or a
     /// still-on-disk `cold` checkpoint (recovery passes one or the other).
-    /// WAL replay never hydrates a cold main: `schema()`, `get()` and the
-    /// tombstone masks work against the header and single extents.
+    /// WAL replay never reads a cold main's rows: it commits against the
+    /// header's row count and the tombstone masks.
     pub(crate) fn at_generation(
         main: Option<Arc<Table>>,
         cold: Option<Arc<ColdTable>>,
@@ -171,8 +173,8 @@ impl VersionedTable {
         Self::at_generation(Some(Arc::new(table)), None, 0)
     }
 
-    /// Attach the WAL + checkpoint glue. From here on every committed DML
-    /// op is logged before the caller gets control back, and every merge
+    /// Attach the WAL + checkpoint glue. From here on every commit is
+    /// logged, as one record, before it applies, and every merge
     /// checkpoints.
     pub(crate) fn set_durability(&mut self, durability: Arc<TableDurability>) {
         self.durability = Some(durability);
@@ -242,7 +244,11 @@ impl VersionedTable {
         self.len() == 0
     }
 
-    /// Write operations applied since the last merge.
+    /// Delta operations applied since the last merge — the merge-threshold
+    /// metric, counted per commit: each tombstoned row is one op, and the
+    /// commit's appends together are one more. An insert batch therefore
+    /// counts 1, a delete of n rows n, and an update of n rows n + 1
+    /// however many columns it sets.
     pub fn delta_ops(&self) -> u64 {
         self.n_ops
     }
@@ -268,11 +274,6 @@ impl VersionedTable {
     /// The id space upper bound (main rows + delta ordinals).
     fn id_space(&self) -> usize {
         self.main_len() + self.tail.len()
-    }
-
-    fn bump(&mut self) {
-        self.n_ops += 1;
-        self.snap_cache = OnceLock::new();
     }
 
     /// Normalize `v` for column `c`: exactly the type checking and widening
@@ -333,31 +334,69 @@ impl VersionedTable {
         Ok(self.insert_rows(rows)?.collect())
     }
 
-    /// One insert op over already-normalized rows: appended, counted, and
-    /// logged as a single batch record.
+    /// One insert commit over already-normalized rows.
     fn insert_rows(&mut self, rows: Vec<Row>) -> Result<Range<RowId>> {
-        let ids = self.append(rows);
+        let ids = self.commit(WalRecord {
+            appends: rows,
+            tombstones: Vec::new(),
+        })?;
         self.stats.inserts += ids.len() as u64;
-        let first = ids.start - self.main_len();
-        self.log(|| WalOp::InsertBatch(self.tail[first..].to_vec()))?;
         Ok(ids)
     }
 
-    /// The one append: push normalized rows onto the tail, live, as one
-    /// delta op. Logs nothing and counts no statistic — the public op
-    /// that called it owns its WAL record and its counter.
+    /// The one commit step, and the only place this table reaches its WAL:
+    /// check `record`, log it, then apply it through
+    /// [`VersionedTable::append`] and [`VersionedTable::tombstone`] as one
+    /// new version. Every write, and WAL replay (which so reads no
+    /// main-store row), goes through here; a failed check or WAL append
+    /// changes nothing. Returns the ids the appended rows took.
+    pub(crate) fn commit(&mut self, record: WalRecord) -> Result<Range<RowId>> {
+        let base = self.id_space();
+        self.check_tombstones(&record.tombstones, base + record.appends.len())?;
+        if record.is_empty() {
+            return Ok(base..base);
+        }
+        if let Some(d) = &self.durability {
+            d.log(&record)?;
+        }
+        let ids = self.append(record.appends);
+        for &id in &record.tombstones {
+            self.tombstone(id as RowId);
+        }
+        self.n_ops += record.tombstones.len() as u64 + u64::from(!ids.is_empty());
+        self.snap_cache = OnceLock::new();
+        Ok(ids)
+    }
+
+    /// Each tombstone must address a row visible now or one the commit
+    /// appends (ids below `end`), and none may repeat.
+    fn check_tombstones(&self, ids: &[u64], end: usize) -> Result<()> {
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        for (i, &id) in sorted.iter().enumerate() {
+            let id = id as RowId;
+            if id >= end {
+                return Err(Error::RowOutOfRange { row: id, len: end });
+            }
+            let repeated = i > 0 && sorted[i - 1] == sorted[i];
+            if repeated || (id < self.id_space() && !self.is_visible(id)) {
+                return Err(Error::RowDeleted { row: id });
+            }
+        }
+        Ok(())
+    }
+
+    /// The one append: push normalized rows onto the tail, live.
     fn append(&mut self, rows: Vec<Row>) -> Range<RowId> {
         let base = self.id_space();
         self.tail.extend(rows);
         self.tail_alive.resize(self.tail.len(), true);
-        self.bump();
         base..self.id_space()
     }
 
-    /// The one tombstone: mark a visible row dead, as one delta op. Like
-    /// [`VersionedTable::append`], logs and counts nothing.
-    fn tombstone(&mut self, id: RowId) -> Result<()> {
-        self.check_visible(id)?;
+    /// The one tombstone: mark dead a row [`VersionedTable::commit`]
+    /// checked.
+    fn tombstone(&mut self, id: RowId) {
         let main_len = self.main_len();
         if id < main_len {
             if self.dead_main.is_empty() {
@@ -376,16 +415,6 @@ impl VersionedTable {
             if id < main_len + p.cut_tail {
                 p.replay_deletes.push(id);
             }
-        }
-        self.bump();
-        Ok(())
-    }
-
-    /// Append the committed op to the WAL, if this table has one.
-    fn log(&self, op: impl FnOnce() -> WalOp) -> Result<()> {
-        match &self.durability {
-            Some(d) => d.log(&op()),
-            None => Ok(()),
         }
     }
 
@@ -426,44 +455,60 @@ impl VersionedTable {
 
     /// Tombstone one visible row.
     pub fn delete(&mut self, id: RowId) -> Result<()> {
-        self.tombstone(id)?;
-        self.stats.deletes += 1;
-        self.log(|| WalOp::Delete { row: id as u64 })
+        self.delete_rows(&[id])
     }
 
-    /// Overwrite one cell of a visible row. Implemented as tombstone +
-    /// re-append (the delta is append-only, so this is two delta ops), so
-    /// the row moves to the end of the scan order and gets a fresh id,
-    /// which is returned. The WAL carries it as one `Update` record.
+    /// Tombstone the visible, distinct rows `ids` as one commit: all of
+    /// them or, on an error, none.
+    pub fn delete_rows(&mut self, ids: &[RowId]) -> Result<()> {
+        self.commit(WalRecord {
+            appends: Vec::new(),
+            tombstones: ids.iter().map(|&id| id as u64).collect(),
+        })?;
+        self.stats.deletes += ids.len() as u64;
+        Ok(())
+    }
+
+    /// Overwrite one cell of a visible row: [`VersionedTable::update_rows`]
+    /// of that row, so one commit (one WAL record) that tombstones it and
+    /// appends its new version — which moves to the end of the scan order
+    /// under a fresh id, returned.
     pub fn update(&mut self, id: RowId, c: ColId, v: &Value) -> Result<RowId> {
         let row = self.get(id)?;
-        self.update_cells(id, row, &[(c, v.clone())])
+        Ok(self.update_rows(&[id], vec![row], &[(c, v.clone())])?.start)
     }
 
-    /// [`VersionedTable::update`], once per `(column, value)` of `sets`
-    /// and chained through the fresh ids (the last is returned), for a
-    /// caller that already holds `id`'s decoded `cells` — the scan that
-    /// matched it — so that a cold main is not faulted a second time per
-    /// row. `cells` must be what [`VersionedTable::get`] returns for `id`.
-    pub fn update_cells(
+    /// Overwrite `sets` in every row of `ids` (visible, distinct) as one
+    /// commit: one tombstone and one append per row, in `ids` order,
+    /// however many columns `sets` names. `rows[i]` must be what
+    /// [`VersionedTable::get`] returns for `ids[i]` — predicate DML decodes
+    /// it in the scan that matched, so a cold main is not faulted again per
+    /// row. Returns the new ids; an empty `ids` checks and changes nothing.
+    pub fn update_rows(
         &mut self,
-        mut id: RowId,
-        mut cells: Row,
+        ids: &[RowId],
+        mut rows: Vec<Row>,
         sets: &[(ColId, Value)],
-    ) -> Result<RowId> {
+    ) -> Result<Range<RowId>> {
+        assert_eq!(ids.len(), rows.len(), "one decoded row per updated id");
+        if ids.is_empty() {
+            return Ok(self.id_space()..self.id_space());
+        }
         for &(c, ref v) in sets {
             if c >= self.schema().len() {
                 return Err(Error::UnknownColumn(c));
             }
             let value = self.normalize(c, v)?;
-            self.tombstone(id)?;
-            cells.0[c] = value.clone();
-            let (row, col) = (id as u64, c as u32);
-            id = self.append(vec![cells.clone()]).start;
-            self.stats.updates += 1;
-            self.log(|| WalOp::Update { row, col, value })?;
+            for row in &mut rows {
+                row.0[c] = value.clone();
+            }
         }
-        Ok(id)
+        let new_ids = self.commit(WalRecord {
+            appends: rows,
+            tombstones: ids.iter().map(|&id| id as u64).collect(),
+        })?;
+        self.stats.updates += ids.len() as u64;
+        Ok(new_ids)
     }
 
     /// The engine-facing overlay of the current state, or `None` when the
@@ -834,6 +879,68 @@ mod tests {
         ];
         assert_eq!(t.insert_batch(&good).unwrap(), vec![10, 11]);
         assert_eq!(t.len(), 12);
+    }
+
+    /// A multi-column `SET` over n rows is one tombstone and one append per
+    /// row: n delta rows and n + 1 delta ops, not one of each per column.
+    #[test]
+    fn update_rows_appends_each_row_once() {
+        let mut t = seeded();
+        let ids = [1, 4, 5, 8];
+        let rows: Vec<Row> = ids.iter().map(|&id| t.get(id).unwrap()).collect();
+        let sets = [
+            (0, Value::Int32(-1)),
+            (1, Value::Str("set".into())),
+            (2, Value::Int32(7)), // widened to Float64
+        ];
+        let new_ids = t.update_rows(&ids, rows, &sets).unwrap();
+        assert_eq!(new_ids, 10..14);
+        assert_eq!(t.delta_rows(), ids.len());
+        assert_eq!(t.delta_ops(), ids.len() as u64 + 1);
+        assert_eq!(t.write_stats().updates, ids.len() as u64);
+        assert_eq!(t.len(), 10);
+        for (&old, new) in ids.iter().zip(new_ids) {
+            assert!(!t.is_visible(old));
+            let row = t.get(new).unwrap();
+            assert_eq!(
+                row.0,
+                vec![
+                    Value::Int32(-1),
+                    Value::Str("set".into()),
+                    Value::Float64(7.0)
+                ]
+            );
+        }
+    }
+
+    /// A commit that fails its checks changes nothing, even when only its
+    /// last id is bad.
+    #[test]
+    fn bad_multi_row_commits_change_nothing() {
+        let mut t = seeded();
+        let row = |t: &VersionedTable, id| t.get(id).unwrap();
+        let rows = vec![row(&t, 2), row(&t, 2)];
+        assert!(matches!(
+            t.update_rows(&[2, 2], rows, &[(0, Value::Int32(0))]),
+            Err(Error::RowDeleted { row: 2 })
+        ));
+        assert!(matches!(
+            t.delete_rows(&[0, 3, 10]),
+            Err(Error::RowOutOfRange { row: 10, len: 10 })
+        ));
+        t.delete(5).unwrap();
+        assert!(matches!(
+            t.delete_rows(&[1, 5]),
+            Err(Error::RowDeleted { row: 5 })
+        ));
+        assert_eq!(t.len(), 9);
+        assert_eq!(t.delta_ops(), 1);
+        // Matching nothing checks nothing, as a per-row update would.
+        let none = t
+            .update_rows(&[], Vec::new(), &[(99, Value::Null)])
+            .unwrap();
+        assert!(none.is_empty());
+        assert_eq!(t.delta_ops(), 1);
     }
 
     #[test]

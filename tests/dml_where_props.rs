@@ -220,14 +220,12 @@ impl Model {
             Op::Update(sets, pred) => {
                 let ids = self.matching(pred.as_ref());
                 for &id in &ids {
-                    // every SET column is its own tombstone + re-append
-                    let mut cur = id;
+                    // one tombstone + re-append per row, whatever it sets
+                    let mut row = self.slots[id].take().expect("visible");
                     for (c, v) in sets {
-                        let mut row = self.slots[cur].take().expect("visible");
                         row[*c] = v.clone();
-                        cur = self.slots.len();
-                        self.slots.push(Some(row));
                     }
+                    self.slots.push(Some(row));
                 }
                 Some(ids.len())
             }

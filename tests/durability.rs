@@ -298,3 +298,137 @@ fn recovered_row_ids_match_pre_crash_ids() {
     assert_eq!(post.rows, vec![vec![Value::Int64(77)]]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One statement is one WAL record. Cut the log at every byte offset
+/// inside what a three-column `UPDATE … WHERE` and then a `DELETE …
+/// WHERE` wrote: the reopened table holds each statement whole or not at
+/// all, and equals an in-memory twin that ran exactly the statements
+/// whose record survived.
+#[test]
+fn a_crash_keeps_or_loses_each_predicate_statement_whole() {
+    let dir = tmpdir("stmt-atomic");
+    let mut base = Table::new(
+        "R",
+        Schema::new(vec![
+            ColumnDef::new("k", DataType::Int32),
+            ColumnDef::new("a", DataType::Int64),
+            ColumnDef::new("b", DataType::Int64),
+            ColumnDef::new("s", DataType::Str),
+        ]),
+    );
+    for i in 0..12 {
+        base.insert(&[
+            Value::Int32(i),
+            Value::Int64(i as i64),
+            Value::Int64(-(i as i64)),
+            Value::Str(format!("r{i}")),
+        ])
+        .unwrap();
+    }
+    let n = 5;
+    let sets = [
+        ("a".to_string(), Value::Int64(100)),
+        ("b".to_string(), Value::Int64(200)),
+        ("s".to_string(), Value::from("upd")),
+    ];
+    let updated = Expr::col(0).lt(Expr::lit(5));
+    let deleted = Expr::col(0).ge(Expr::lit(7));
+    let statement = |db: &Database, i: usize| {
+        let hit = match i {
+            0 => db.update_where("R", &sets, Some(&updated)),
+            _ => db.delete_where("R", Some(&deleted)),
+        };
+        assert_eq!(hit.unwrap(), n, "statement {i}");
+    };
+    let count = |db: &Database, pred: Expr| {
+        let plan = QueryBuilder::scan("R")
+            .filter(pred)
+            .aggregate(vec![], vec![AggExpr::count_star()])
+            .build();
+        match db.run(&plan, EngineKind::Compiled).unwrap().rows[0][0] {
+            Value::Int64(c) => c as usize,
+            ref v => panic!("count returned {v:?}"),
+        }
+    };
+
+    let wal = dir.join("R").join("wal.0.log");
+    let mut ends = Vec::new();
+    {
+        let db = open_durable(&dir);
+        db.register(base.clone());
+        for i in 0..2 {
+            statement(&db, i);
+            ends.push(std::fs::metadata(&wal).unwrap().len());
+        }
+    }
+    let full = std::fs::read(&wal).unwrap();
+    assert_eq!(ends[1], full.len() as u64);
+    for cut in 0..=full.len() {
+        std::fs::write(&wal, &full[..cut]).unwrap();
+        let recovered = open_durable(&dir);
+        let survived = ends.iter().filter(|&&end| end <= cut as u64).count();
+        let twin = memory_db();
+        twin.register(base.clone());
+        for i in 0..survived {
+            statement(&twin, i);
+        }
+        let ctx = format!("cut at byte {cut} of {}", full.len());
+        let rewritten = count(&recovered, Expr::col(1).eq(Expr::lit(100i64)));
+        assert!(
+            rewritten == 0 || rewritten == n,
+            "{ctx}: {rewritten} rows updated"
+        );
+        let doomed = count(&recovered, Expr::col(0).ge(Expr::lit(7)));
+        assert!(doomed == 0 || doomed == n, "{ctx}: {doomed} rows left");
+        let scan = QueryBuilder::scan("R").build();
+        for kind in EngineKind::all() {
+            let a = recovered.run(&scan, kind).unwrap();
+            a.assert_same(&twin.run(&scan, kind).unwrap(), &format!("{ctx}, {kind:?}"));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A whole, checksum-valid WAL record the decoder cannot parse — here the
+/// earlier format's per-cell update (tag 2) — is not a torn tail: the
+/// open fails, naming it, and leaves the file as it was.
+#[test]
+fn an_undecodable_wal_record_fails_the_open_and_keeps_the_file() {
+    let dir = tmpdir("undecodable");
+    {
+        let db = open_durable(&dir);
+        db.create_table("R", Schema::new(vec![ColumnDef::new("a", DataType::Int32)]))
+            .unwrap();
+        db.insert("R", &[Value::Int32(1)]).unwrap();
+    }
+    let wal = dir.join("R").join("wal.0.log");
+    // Tag 2, row 0, column 0, value Int32(7).
+    let payload = [
+        &[2u8][..],
+        &0u64.to_le_bytes(),
+        &0u32.to_le_bytes(),
+        &[1],
+        &7i32.to_le_bytes(),
+    ]
+    .concat();
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&mrdb::store::crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(&wal, &bytes).unwrap();
+    let err = match Database::open_with(
+        DurabilityConfig::new(&dir).with_fsync(FsyncMode::Off),
+        MaintenanceConfig::default(),
+    ) {
+        Ok(_) => panic!("an undecodable record was accepted"),
+        Err(e) => e,
+    };
+    match err {
+        mrdb::core::DbError::Storage(mrdb::storage::Error::Io(msg)) => {
+            assert!(msg.starts_with("unsupported WAL record"), "{msg}")
+        }
+        e => panic!("unexpected error {e}"),
+    }
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the WAL was rewritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -301,6 +301,43 @@ fn predicate_dml_on_a_cold_table_streams_instead_of_hydrating() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
+/// WAL replay reads no main-store row: after a many-row, multi-column
+/// `UPDATE … WHERE` and no checkpoint, a reopen through a pool a quarter
+/// of the data's size faults nothing and leaves the main cold — the
+/// update's record carries whole new rows — and scans then match a
+/// resident twin.
+#[test]
+fn replaying_a_predicate_update_faults_nothing() {
+    small_extents();
+    let n = 6000usize;
+    let dir_a = case_dir("replay-pooled");
+    let dir_b = case_dir("replay-resident");
+    let sets = [
+        ("B".to_string(), Value::Int32(4242)),
+        ("C".to_string(), Value::Int32(-1)),
+    ];
+    // `A` is 0 on 5 % of the rows, spread over every extent.
+    let pred = Expr::col(0).eq(Expr::lit(0));
+    for dir in [&dir_a, &dir_b] {
+        let db = open(dir, None);
+        db.register(microbench::generate(n, 0.05, microbench::pdsm_layout(), 31));
+        let hit = db.update_where("R", &sets, Some(&pred)).unwrap();
+        assert!(hit > n / 40, "the update must span the table");
+    }
+    let resident = open(&dir_b, None);
+    let pool = BufferPool::new(resident.byte_size() / 4);
+    let pooled = open(&dir_a, Some(std::sync::Arc::clone(&pool)));
+    assert_eq!(pool.stats().misses, 0, "replay faulted the main");
+    assert!(pooled
+        .with_table("R", |vt| vt.store().cold().is_some())
+        .unwrap());
+    assert_eq!(pooled.storage_stats().recovery_replay_ops, 1);
+    assert_twins_agree(&pooled, &resident, &streamable_plans(n));
+    assert_eq!(pool.stats().pinned_frames, 0);
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
 /// A cold main is made resident only by whoever needs its rows, on that
 /// thread, holding no table lock: pinning a merge cut or a statement view
 /// faults nothing, and a join hydrates the table while *another* thread

@@ -338,8 +338,8 @@ pub(crate) fn table_view(snap: &Snapshot) -> TableView {
 /// the scan's zone predicates `zp`: `(extents_total, resident, pruned,
 /// disk_cycles)`. Pruned extents come from the same per-extent zone
 /// refutation the streaming executor skips with, so the disk term prices
-/// exactly the faults the scan will take: one request per layout group of
-/// each cold, non-refuted extent, plus its payload bytes through
+/// exactly the faults the scan will take: one request per cold,
+/// non-refuted extent, plus its payload bytes through
 /// [`pdsm_cost::DiskTier`].
 fn cold_stats(cold: &ColdTable, zp: &[ZonePred]) -> (usize, usize, usize, f64) {
     let resident = cold.resident_extents();
@@ -351,8 +351,9 @@ fn cold_stats(cold: &ColdTable, zp: &[ZonePred]) -> (usize, usize, usize, f64) {
         } else if cold.extent_refuted(e, zp) {
             n_pruned += 1;
         } else {
-            requests += h.dir[e].len() as u64;
-            bytes += h.dir[e].iter().map(|&(_, plen)| plen).sum::<u64>();
+            let (start, end) = h.extent_span(e);
+            requests += 1;
+            bytes += end - start;
         }
     }
     let disk = pdsm_cost::DiskTier::default().fault_cycles(requests, bytes);

@@ -4,9 +4,10 @@
 //! `execute_physical`, `run`, `run_indexed` — starts by pinning one
 //! [`DbSnapshot`] of the tables the plan references: one catalog read lock,
 //! under it the catalog epoch and, per table, one read lock that yields its
-//! [`pdsm_txn::Snapshot`] (main-store handle, frozen overlay, generation,
-//! `delta_ops`), then the indexes built from exactly that generation. The
-//! pin faults nothing; a cold main store becomes resident only if what runs
+//! [`pdsm_txn::Snapshot`] (main-store handle, the delta it shares with the
+//! writer, generation, `delta_ops`), then the indexes built from exactly
+//! that generation. The pin faults and copies nothing; a cold main store
+//! becomes resident only if what runs
 //! needs it, on the running thread, after every lock is gone.
 //!
 //! Everything downstream is a function of that view: the validity tokens

@@ -6,9 +6,9 @@
 //! scan. Instead, single-table `[Aggregate] [Project] [Select] Scan` plans
 //! over a pinned [`pdsm_txn::Snapshot`] whose main store is still cold
 //! run over one extent at a time
-//! ([`pdsm_txn::MainStore::for_each_extent`]), each extent a self-contained
-//! mini table with the delta's tombstone slice overlaid, holding its pool
-//! frames pinned only while it is being scanned:
+//! ([`pdsm_txn::MainStore::for_each_extent`]), each extent the pool frame's
+//! own scan-ready mini table, read in place with the delta's tombstone
+//! slice overlaid and pinned only while it is being scanned:
 //!
 //! * **aggregates** (global or grouped, any function) are the third driver
 //!   of `pdsm_exec::pipeline`: **one** [`AggState`] is carried across the
@@ -24,7 +24,7 @@
 //!   proves no main row of the extent can pass the scan's predicate.
 //!
 //! Everything here reads the statement's pinned view — the snapshot's
-//! main-store handle and frozen overlay — and nothing else: no catalog, no
+//! main-store handle and delta — and nothing else: no catalog, no
 //! table lock. Byte-identity with the resident path is the contract (the
 //! pooled twin proptest in `tests/pool_props.rs` enforces it). Joins, sorts
 //! and limits fall back to hydration, which the engine triggers through

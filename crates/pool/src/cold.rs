@@ -1,8 +1,10 @@
 //! [`ColdTable`]: a checkpointed main store opened *header-only*. Row data
 //! stays on disk until a query pins the extents it scans (or the table is
-//! hydrated wholesale). The open file handle is kept for the table's
-//! lifetime, so a later checkpoint unlinking this generation's file cannot
-//! invalidate in-flight faults (POSIX keeps the inode alive).
+//! hydrated wholesale); each extent is one pool frame, faulted by one read
+//! and decoded once into the mini table scans borrow. The open file handle
+//! is kept for the table's lifetime, so a later checkpoint unlinking this
+//! generation's file cannot invalidate in-flight faults (POSIX keeps the
+//! inode alive).
 
 use std::fs::File;
 use std::io;
@@ -11,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use pdsm_storage::persist::{self, ExtentData, TableHeader};
+use pdsm_storage::persist::{self, TableHeader};
 use pdsm_storage::{Error, Result, Row, Table, ZonePred};
 
 use crate::pool::{BufferPool, FrameKey, PinnedFrame};
@@ -109,61 +111,37 @@ impl ColdTable {
         .expect("checkpoint header carries a valid layout")
     }
 
-    /// Which extents are fully resident right now (every layout group has
-    /// a Ready frame in the pool)? Indexed by extent, length
+    /// Which extents are resident right now? Indexed by extent, length
     /// [`ColdTable::n_extents`]. Advisory: residency can change as soon as
     /// the pool lock drops — used only for planner pricing and `explain`.
     pub fn resident_extents(&self) -> Vec<bool> {
-        let ready = self
-            .pool
-            .ready_groups(&self.header.name, self.header.generation);
-        let ng = self.header.n_groups();
+        let h = &self.header;
+        let ready = self.pool.ready_extents(&h.name, h.generation);
         (0..self.n_extents())
-            .map(|e| ready.get(&(e as u32)).copied().unwrap_or(0) == ng)
+            .map(|e| ready.contains(&(e as u32)))
             .collect()
     }
 
-    fn frame_key(&self, e: usize, g: usize) -> FrameKey {
-        FrameKey {
+    /// Pin extent `e`: on a miss, one read of its directory range, decoded
+    /// into the frame's scan-ready table. Scans read that table in place
+    /// for exactly the time they hold the pin.
+    pub fn pin(&self, e: usize) -> Result<PinnedFrame> {
+        let key = FrameKey {
             table: self.header.name.clone(),
             generation: self.header.generation,
             extent: e as u32,
-            group: g as u32,
-        }
-    }
-
-    /// Pin every layout group of extent `e`. All groups are pinned (not
-    /// just the scanned columns) because the engines' typed readers assume
-    /// a fully materialized mini table — a partial arena would be UB.
-    pub fn pin_extent(&self, e: usize) -> Result<Vec<PinnedFrame>> {
-        (0..self.header.n_groups())
-            .map(|g| {
-                let key = self.frame_key(e, g);
-                let (off, plen) = self.header.dir[e][g];
-                let header = Arc::clone(&self.header);
-                let file = Arc::clone(&self.file);
-                self.pool
-                    .pin(&key, move || {
-                        let (bytes, ns) = read_timed(&file, off, plen as usize)?;
-                        let data =
-                            persist::decode_extent(&header, e, g, &bytes).map_err(|err| {
-                                io::Error::new(io::ErrorKind::InvalidData, err.to_string())
-                            })?;
-                        Ok((data, ns))
-                    })
-                    .map_err(io_err)
+        };
+        let header = Arc::clone(&self.header);
+        let file = Arc::clone(&self.file);
+        self.pool
+            .pin(&key, move || {
+                let (start, end) = header.extent_span(e);
+                let (bytes, ns) = read_timed(&file, start, end.saturating_sub(start) as usize)?;
+                let table = persist::decode_extent(&header, e, start, &bytes)
+                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
+                Ok((table, header.extent_bytes(e), ns))
             })
-            .collect()
-    }
-
-    /// Materialize extent `e` as a self-contained mini [`Table`] plus the
-    /// pins keeping its frames resident. Scans hold the pins for exactly
-    /// the time they spend on the extent.
-    pub fn extent_table(&self, e: usize) -> Result<(Table, Vec<PinnedFrame>)> {
-        let pins = self.pin_extent(e)?;
-        let datas: Vec<Arc<ExtentData>> = pins.iter().map(|p| Arc::clone(p.data())).collect();
-        let t = persist::extent_table(&self.header, e, &datas)?;
-        Ok((t, pins))
+            .map_err(io_err)
     }
 
     /// Fault in the whole table and reassemble the resident main store —
@@ -171,18 +149,10 @@ impl ColdTable {
     /// through the pool (so budgets, stats, and eviction apply), but the
     /// assembled table itself is owned by the caller.
     pub fn hydrate(&self) -> Result<Table> {
-        let mut exts = Vec::with_capacity(self.n_extents());
-        for e in 0..self.n_extents() {
-            let pins = self.pin_extent(e)?;
-            exts.push(
-                pins.iter()
-                    .map(|p| Arc::clone(p.data()))
-                    .collect::<Vec<_>>(),
-            );
-            // Pins drop here: the Arc'd payloads stay alive for assembly
-            // even if the pool evicts the frames immediately.
-        }
-        persist::assemble_table(&self.header, &exts)
+        // Each pin drops at once: its table's `Arc` outlives an eviction
+        // until the assembly has copied it.
+        let extents = (0..self.n_extents()).map(|e| Ok(Arc::clone(self.pin(e)?.table())));
+        persist::assemble_table(&self.header, extents)
     }
 
     /// Point read of main-store row `id` — faults only the one extent the
@@ -196,12 +166,11 @@ impl ColdTable {
         }
         let e = id / self.header.extent_rows;
         let (lo, _) = self.header.extent_row_range(e);
-        let (mini, _pins) = self.extent_table(e)?;
-        mini.row(id - lo)
+        self.pin(e)?.table().row(id - lo)
     }
 
-    /// Drop this generation's unpinned frames from the pool (merge retired
-    /// the checkpoint).
+    /// Drop this generation's frames from the pool (merge retired the
+    /// checkpoint).
     pub fn retire(&self) {
         self.pool.retire(&self.header.name, self.header.generation);
     }

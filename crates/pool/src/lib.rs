@@ -1,20 +1,20 @@
 //! # pdsm-pool
 //!
-//! Partition-granular buffer pool over the v3 extent checkpoints written
-//! by `pdsm-store`/`pdsm-txn` — the "larger than memory" layer. The
+//! Extent-granular buffer pool over the v3 extent checkpoints written by
+//! `pdsm-store`/`pdsm-txn` — the "larger than memory" layer. The
 //! decomposition is the classical one (frame table + replacer): a
-//! [`BufferPool`] with a `PDSM_POOL_BYTES` budget hands out pinned frames
-//! holding decoded `(extent, layout group)` payloads, an LRU-K replacer
-//! picks eviction victims among unpinned frames, and the faulting thread
-//! reads its extent itself (`Loading` slots keep two scans from faulting
-//! the same frame twice).
+//! [`BufferPool`] with a `PDSM_POOL_BYTES` budget hands out pinned frames,
+//! each one whole extent decoded once at fault time into a scan-ready mini
+//! table; an LRU-K replacer picks eviction victims among unpinned frames,
+//! and the faulting thread reads its extent itself with one `pread`
+//! (`Loading` slots keep two scans from faulting the same frame twice).
 //!
 //! [`ColdTable`] is the integration point: a checkpoint opened header-only
 //! whose extents fault in on first touch. `pdsm-txn` mounts one as the
 //! unhydrated main store of a recovered table; `pdsm-core` streams scans
-//! over it extent-at-a-time (skipping zone-refuted extents without
-//! faulting them) and the planner prices the cold fraction via the disk
-//! tier in `pdsm-cost`.
+//! over it extent-at-a-time, each reading its pinned frame in place
+//! (skipping zone-refuted extents without faulting them), and the planner
+//! prices the cold fraction via the disk tier in `pdsm-cost`.
 
 pub mod cold;
 pub mod lru_k;

@@ -1,31 +1,31 @@
 //! The buffer pool proper: a frame table over decoded checkpoint extents,
 //! pin counts, an LRU-K replacer, and a byte budget (`PDSM_POOL_BYTES`).
 //!
-//! A *frame* holds one decoded `(extent, layout group)` payload of a
-//! checkpointed main store. Queries pin the frames they scan and unpin on
-//! pipeline exit (RAII — [`PinnedFrame`]); the pool evicts unpinned frames
-//! in LRU-K order whenever resident bytes exceed the budget. If every
-//! frame is pinned the pool *overcommits* rather than deadlocks — the
-//! budget is a target, correctness never depends on it.
+//! A *frame* holds one extent of a checkpointed main store, every layout
+//! group of it, decoded once at fault time into the scan-ready mini
+//! [`Table`] a scan reads in place. Queries pin the frames they scan and
+//! unpin on pipeline exit (RAII — [`PinnedFrame`]); the pool evicts
+//! unpinned frames in LRU-K order whenever resident bytes exceed the
+//! budget. If every frame is pinned the pool *overcommits* rather than
+//! deadlocks — the budget is a target, correctness never depends on it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 
-use pdsm_storage::persist::ExtentData;
+use pdsm_storage::Table;
 
 use crate::lru_k::LruKReplacer;
 
-/// Identity of one pool frame: a single layout group of a single extent of
-/// a generation-stamped checkpoint. Generations are immutable, so a frame
-/// never needs invalidation — stale generations are dropped wholesale by
+/// Identity of one pool frame: a single extent of a generation-stamped
+/// checkpoint. Generations are immutable, so a frame never needs
+/// invalidation — stale generations are dropped wholesale by
 /// [`BufferPool::retire`] after a merge publishes a fresh checkpoint.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct FrameKey {
     pub table: String,
     pub generation: u64,
     pub extent: u32,
-    pub group: u32,
 }
 
 /// Counters exposed through `Database::pool_stats()` and SQL `STATS`.
@@ -48,7 +48,7 @@ pub struct PoolStats {
 }
 
 struct Frame {
-    data: Arc<ExtentData>,
+    table: Arc<Table>,
     bytes: usize,
     pins: u32,
 }
@@ -117,26 +117,26 @@ impl BufferPool {
     /// Pin the frame for `key`, faulting it in via `load` on a miss.
     /// `load` runs on the calling thread without the pool lock held (the
     /// `Loading` slot makes concurrent pins of the same key wait instead of
-    /// faulting twice) and returns the decoded payload plus the observed
-    /// fault latency in nanoseconds.
+    /// faulting twice) and returns the decoded extent, the bytes to charge
+    /// for it, and the observed fault latency in nanoseconds.
     pub fn pin(
         self: &Arc<Self>,
         key: &FrameKey,
-        load: impl FnOnce() -> io::Result<(ExtentData, u64)>,
+        load: impl FnOnce() -> io::Result<(Table, usize, u64)>,
     ) -> io::Result<PinnedFrame> {
         let mut g = self.inner.lock().unwrap();
         loop {
             match g.frames.get_mut(key) {
                 Some(Slot::Ready(f)) => {
                     f.pins += 1;
-                    let data = Arc::clone(&f.data);
+                    let table = Arc::clone(&f.table);
                     g.replacer.record_access(key);
                     g.replacer.set_evictable(key, false);
                     g.stats.hits += 1;
                     return Ok(PinnedFrame {
                         pool: Arc::clone(self),
                         key: key.clone(),
-                        data,
+                        table,
                     });
                 }
                 Some(Slot::Loading) => g = self.cond.wait(g).unwrap(),
@@ -154,15 +154,14 @@ impl BufferPool {
                 self.cond.notify_all();
                 Err(e)
             }
-            Ok((data, fault_ns)) => {
+            Ok((table, bytes, fault_ns)) => {
                 g.stats.fault_ns_total += fault_ns;
                 g.stats.fault_ns_max = g.stats.fault_ns_max.max(fault_ns);
-                let bytes = data.byte_size();
-                let data = Arc::new(data);
+                let table = Arc::new(table);
                 g.frames.insert(
                     key.clone(),
                     Slot::Ready(Frame {
-                        data: Arc::clone(&data),
+                        table: Arc::clone(&table),
                         bytes,
                         pins: 1,
                     }),
@@ -180,15 +179,21 @@ impl BufferPool {
                 Ok(PinnedFrame {
                     pool: Arc::clone(self),
                     key: key.clone(),
-                    data,
+                    table,
                 })
             }
         }
     }
 
-    fn unpin(&self, key: &FrameKey) {
+    /// Release one pin of `key`'s frame — only if that frame still holds
+    /// `table`: a retired frame is gone, and one faulted again since is
+    /// not the pin's.
+    fn unpin(&self, key: &FrameKey, table: &Arc<Table>) {
         let mut g = self.inner.lock().unwrap();
         if let Some(Slot::Ready(f)) = g.frames.get_mut(key) {
+            if !Arc::ptr_eq(&f.table, table) {
+                return;
+            }
             debug_assert!(f.pins > 0, "unpin without pin");
             f.pins -= 1;
             if f.pins == 0 {
@@ -224,20 +229,13 @@ impl BufferPool {
         self.inner.lock().unwrap().stats.skipped_faults += 1;
     }
 
-    /// Drop every unpinned frame of `(table, generation)` — called when a
-    /// merge retires a checkpoint generation.
+    /// Drop every resident frame of `(table, generation)`, pinned or not —
+    /// called when a merge retires a checkpoint generation. A scan still
+    /// holding a pin keeps reading its extent through the pin's `Arc`; the
+    /// pool stops charging for it now.
     pub fn retire(&self, table: &str, generation: u64) {
         let mut g = self.inner.lock().unwrap();
-        let victims: Vec<FrameKey> = g
-            .frames
-            .iter()
-            .filter(|(k, slot)| {
-                k.table == table
-                    && k.generation == generation
-                    && matches!(slot, Slot::Ready(f) if f.pins == 0)
-            })
-            .map(|(k, _)| k.clone())
-            .collect();
+        let victims: Vec<FrameKey> = Self::ready(&g, table, generation).cloned().collect();
         for k in victims {
             if let Some(Slot::Ready(f)) = g.frames.remove(&k) {
                 g.resident -= f.bytes;
@@ -246,19 +244,27 @@ impl BufferPool {
         }
     }
 
-    /// Count of Ready (decoded, resident) frames per extent of
-    /// `(table, generation)`. An extent is fully resident when its count
-    /// equals the layout group count. Advisory — residency can change the
-    /// moment the lock drops — used by the planner's disk pricing.
-    pub fn ready_groups(&self, table: &str, generation: u64) -> HashMap<u32, usize> {
+    /// The extents of `(table, generation)` with a Ready (decoded,
+    /// resident) frame. Advisory — residency can change the moment the
+    /// lock drops — used by the planner's disk pricing.
+    pub fn ready_extents(&self, table: &str, generation: u64) -> HashSet<u32> {
         let g = self.inner.lock().unwrap();
-        let mut m = HashMap::new();
-        for (k, slot) in &g.frames {
-            if k.table == table && k.generation == generation && matches!(slot, Slot::Ready(_)) {
-                *m.entry(k.extent).or_insert(0) += 1;
-            }
-        }
-        m
+        Self::ready(&g, table, generation)
+            .map(|k| k.extent)
+            .collect()
+    }
+
+    /// The keys of `(table, generation)`'s Ready frames.
+    fn ready<'a>(
+        g: &'a Inner,
+        table: &'a str,
+        generation: u64,
+    ) -> impl Iterator<Item = &'a FrameKey> + 'a {
+        (g.frames.iter())
+            .filter(move |(k, slot)| {
+                k.table == table && k.generation == generation && matches!(slot, Slot::Ready(_))
+            })
+            .map(|(k, _)| k)
     }
 
     /// Resident frame count for `(table, generation)` — the planner's
@@ -313,26 +319,23 @@ fn parse_bytes(raw: &str) -> Option<usize> {
 
 /// RAII pin on one pool frame. While alive the frame cannot be evicted;
 /// dropping it unpins (and may trigger eviction if the pool is over
-/// budget). The payload `Arc` stays valid even across eviction.
+/// budget). The table `Arc` stays valid even across eviction.
 pub struct PinnedFrame {
     pool: Arc<BufferPool>,
     key: FrameKey,
-    data: Arc<ExtentData>,
+    table: Arc<Table>,
 }
 
 impl PinnedFrame {
-    pub fn data(&self) -> &Arc<ExtentData> {
-        &self.data
-    }
-
-    pub fn key(&self) -> &FrameKey {
-        &self.key
+    /// The extent, scan-ready: borrowed straight from the frame.
+    pub fn table(&self) -> &Arc<Table> {
+        &self.table
     }
 }
 
 impl Drop for PinnedFrame {
     fn drop(&mut self) {
-        self.pool.unpin(&self.key);
+        self.pool.unpin(&self.key, &self.table);
     }
 }
 
@@ -340,27 +343,33 @@ impl Drop for PinnedFrame {
 mod tests {
     use super::*;
 
+    use pdsm_storage::{ColumnDef, DataType, Schema, Value};
+
     fn key(e: u32) -> FrameKey {
         FrameKey {
             table: "t".into(),
             generation: 1,
             extent: e,
-            group: 0,
         }
     }
 
-    fn payload(bytes: usize) -> ExtentData {
-        ExtentData {
-            arena: vec![0xAB; bytes],
-            validity: vec![],
+    /// A fault of a one-column `Int64` extent of `bytes / 8` rows, charged
+    /// its arena, after `ns` nanoseconds.
+    fn payload(bytes: usize, ns: u64) -> io::Result<(Table, usize, u64)> {
+        let schema = Schema::new(vec![ColumnDef::new("x", DataType::Int64)]);
+        let mut t = Table::new("t", schema);
+        for i in 0..bytes / 8 {
+            t.insert(&[Value::Int64(i as i64)]).unwrap();
         }
+        let charge = t.byte_size();
+        Ok((t, charge, ns))
     }
 
     #[test]
     fn eviction_keeps_resident_within_budget_once_unpinned() {
         let pool = BufferPool::new(250);
         for e in 0..5 {
-            let f = pool.pin(&key(e), || Ok((payload(100), 5))).unwrap();
+            let f = pool.pin(&key(e), || payload(100, 5)).unwrap();
             drop(f);
         }
         let s = pool.stats();
@@ -381,10 +390,10 @@ mod tests {
     #[test]
     fn pinned_frames_overcommit_instead_of_deadlocking() {
         let pool = BufferPool::new(150);
-        let a = pool.pin(&key(0), || Ok((payload(100), 0))).unwrap();
-        let b = pool.pin(&key(1), || Ok((payload(100), 0))).unwrap();
+        let a = pool.pin(&key(0), || payload(96, 0)).unwrap();
+        let b = pool.pin(&key(1), || payload(96, 0)).unwrap();
         let s = pool.stats();
-        assert_eq!(s.resident_bytes, 200); // over budget, both pinned
+        assert_eq!(s.resident_bytes, 192); // over budget, both pinned
         assert!(s.overcommits >= 1);
         drop(a);
         drop(b);
@@ -392,13 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn repinning_is_a_hit_and_returns_the_same_payload() {
+    fn repinning_is_a_hit_and_returns_the_same_table() {
         let pool = BufferPool::new(1 << 20);
-        let a = pool.pin(&key(3), || Ok((payload(64), 0))).unwrap();
-        let p1 = Arc::as_ptr(a.data());
+        let a = pool.pin(&key(3), || payload(64, 0)).unwrap();
+        let first = Arc::clone(a.table());
         drop(a);
         let b = pool.pin(&key(3), || panic!("must not refault")).unwrap();
-        assert_eq!(Arc::as_ptr(b.data()), p1);
+        assert!(Arc::ptr_eq(b.table(), &first));
         let s = pool.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -406,12 +415,43 @@ mod tests {
     #[test]
     fn retire_drops_a_generation() {
         let pool = BufferPool::new(1 << 20);
-        drop(pool.pin(&key(0), || Ok((payload(10), 0))).unwrap());
-        drop(pool.pin(&key(1), || Ok((payload(10), 0))).unwrap());
+        drop(pool.pin(&key(0), || payload(16, 0)).unwrap());
+        drop(pool.pin(&key(1), || payload(16, 0)).unwrap());
         assert_eq!(pool.resident_frames("t", 1), 2);
         pool.retire("t", 1);
         assert_eq!(pool.resident_frames("t", 1), 0);
         assert_eq!(pool.stats().resident_bytes, 0);
+    }
+
+    /// A frame a scan still pins when its generation retires leaves the
+    /// pool at once; the scan keeps its table, and its unpin — like a
+    /// later pin of the same key faulting a fresh frame — is not
+    /// confused by the frame being gone.
+    #[test]
+    fn retire_drops_pinned_frames_too() {
+        let pool = BufferPool::new(1 << 20);
+        let gone = |pool: &BufferPool| {
+            assert_eq!(pool.resident_frames("t", 1), 0);
+            assert_eq!(pool.stats().resident_bytes, 0);
+        };
+        let pinned = pool.pin(&key(0), || payload(16, 0)).unwrap();
+        pool.retire("t", 1);
+        gone(&pool);
+        assert_eq!(pinned.table().len(), 2);
+        drop(pinned);
+        gone(&pool);
+
+        let pinned = pool.pin(&key(0), || payload(16, 0)).unwrap();
+        pool.retire("t", 1);
+        let refaulted = pool.pin(&key(0), || payload(16, 0)).unwrap();
+        drop(pinned);
+        assert_eq!(
+            pool.stats().pinned_frames,
+            1,
+            "the old pin released the new frame"
+        );
+        drop(refaulted);
+        assert_eq!(pool.stats().pinned_frames, 0);
     }
 
     #[test]
@@ -420,8 +460,8 @@ mod tests {
         let err = pool.pin(&key(9), || Err(io::Error::other("boom")));
         assert!(err.is_err());
         // A retry faults cleanly instead of waiting forever on Loading.
-        let ok = pool.pin(&key(9), || Ok((payload(8), 0))).unwrap();
-        assert_eq!(ok.data().arena.len(), 8);
+        let ok = pool.pin(&key(9), || payload(8, 0)).unwrap();
+        assert_eq!(ok.table().len(), 1);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! There is one format, the *extent* format (version 3): a CRC'd header
 //! with an (extent × layout group) directory followed by independently
-//! CRC'd payloads, so a buffer pool can fault single partition extents
-//! without reading the whole blob. All integers little-endian:
+//! CRC'd payloads, an extent's groups adjacent, so a buffer pool can fault
+//! one extent with one read and decode it into a mini table
+//! ([`decode_extent`]) without touching the rest of the blob. All integers
+//! little-endian:
 //!
 //! ```text
 //! "PDSMTBL1"  magic
@@ -54,6 +56,8 @@ use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::types::DataType;
 use crate::zonemap::{ColZone, ZoneBlock, ZoneMap, ZONE_BLOCK_ROWS};
+use std::borrow::Borrow;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"PDSMTBL1";
 /// The extent format — the only version written or accepted.
@@ -205,7 +209,8 @@ pub struct TableHeader {
     pub name: String,
     pub schema: Schema,
     pub layout: Layout,
-    pub dicts: Vec<Option<Dictionary>>,
+    /// Shared by every table decoded from this header.
+    pub dicts: Arc<Vec<Option<Dictionary>>>,
     pub zones: Option<ZoneMap>,
     pub len: usize,
     pub extent_rows: usize,
@@ -235,46 +240,30 @@ impl TableHeader {
         (lo, ((e + 1) * self.extent_rows).min(self.len))
     }
 
-    /// Decoded in-memory size of one (extent, group) payload — what the
-    /// buffer pool charges against its budget for a resident frame.
-    pub fn extent_bytes(&self, e: usize, g: usize) -> usize {
+    /// Decoded in-memory size of extent `e`, every layout group's arena
+    /// slice and validity words — what the buffer pool charges against its
+    /// budget for a resident frame.
+    pub fn extent_bytes(&self, e: usize) -> usize {
         let (lo, hi) = self.extent_row_range(e);
         let rows = hi - lo;
-        let words: usize = self.slot_validity[g]
-            .iter()
-            .map(|&has| if has { rows.div_ceil(64) * 8 } else { 0 })
-            .sum();
-        rows * self.strides[g] + words
-    }
-
-    /// Total decoded bytes of the whole table (all extents, all groups).
-    pub fn total_bytes(&self) -> usize {
-        (0..self.n_extents())
-            .map(|e| {
-                (0..self.n_groups())
-                    .map(|g| self.extent_bytes(e, g))
-                    .sum::<usize>()
+        (self.strides.iter().zip(&self.slot_validity))
+            .map(|(stride, slots)| {
+                let nullable = slots.iter().filter(|&&has| has).count();
+                rows * stride + nullable * rows.div_ceil(64) * 8
             })
             .sum()
     }
-}
 
-/// One decoded (extent, group) payload: an arena slice plus the validity
-/// words for the extent's row range. This is the unit a pool frame holds.
-#[derive(Debug, Clone)]
-pub struct ExtentData {
-    pub arena: Vec<u8>,
-    pub validity: Vec<Option<Vec<u64>>>,
-}
-
-impl ExtentData {
-    pub fn byte_size(&self) -> usize {
-        self.arena.len()
-            + self
-                .validity
-                .iter()
-                .map(|v| v.as_ref().map_or(0, |w| w.len() * 8))
-                .sum::<usize>()
+    /// The file range `[start, end)` holding extent `e`'s payloads — its
+    /// directory entries are adjacent, so one read faults the whole extent.
+    pub fn extent_span(&self, e: usize) -> (u64, u64) {
+        let entries = &self.dir[e];
+        let start = entries.iter().map(|&(off, _)| off).min().unwrap_or(0);
+        let end = (entries.iter())
+            .map(|&(off, plen)| off.saturating_add(plen))
+            .max()
+            .unwrap_or(start);
+        (start, end)
     }
 }
 
@@ -459,6 +448,7 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
         }
         dicts.push(Some(Dictionary::from_strings(strings)));
     }
+    let dicts = Arc::new(dicts);
     let len = r.u64()? as usize;
     let n_blocks = len.div_ceil(ZONE_BLOCK_ROWS);
     let mut zone_cols = Vec::with_capacity(ncols);
@@ -536,123 +526,101 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     })
 }
 
-/// Decode one (extent, group) payload — the exact byte range named by the
-/// header directory. Verifies the payload CRC and all geometry.
-pub fn decode_extent(h: &TableHeader, e: usize, g: usize, payload: &[u8]) -> Result<ExtentData> {
+/// Decode extent `e` from `bytes`, the file range
+/// [`TableHeader::extent_span`] names (`bytes[0]` sits at file offset
+/// `start`), into a self-contained mini [`Table`] holding exactly the
+/// extent's rows. Every group's payload must lie inside `bytes` and pass
+/// its CRC and geometry checks. The header's dictionaries are shared and
+/// the extent's slice of the zone map is installed, so engines scan it
+/// exactly as they would the corresponding rows of the resident table.
+pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Result<Table> {
     let (lo, hi) = h.extent_row_range(e);
     let rows = hi - lo;
-    if payload.len() < 4 {
-        return Err(corrupt("extent payload too short"));
-    }
-    let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != want {
-        return Err(corrupt("extent checksum mismatch"));
-    }
-    let mut r = Reader { buf: body, pos: 0 };
-    let arena = r.take(rows * h.strides[g])?.to_vec();
-    let mut validity = Vec::with_capacity(h.slot_validity[g].len());
-    for &slot_has in &h.slot_validity[g] {
-        let has = r.u8()? != 0;
-        if has != slot_has {
-            return Err(corrupt("validity presence does not match schema"));
-        }
-        if !has {
-            validity.push(None);
-            continue;
-        }
-        let nwords = rows.div_ceil(64);
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(r.u64()?);
-        }
-        validity.push(Some(words));
-    }
-    if r.pos != body.len() {
-        return Err(corrupt("trailing extent bytes"));
-    }
-    Ok(ExtentData { arena, validity })
-}
-
-/// Build a self-contained mini [`Table`] holding exactly the rows of
-/// extent `e` (`exts` = one decoded payload per layout group, group
-/// order). Dictionaries are shared with the full table, and the extent's
-/// slice of the zone map is installed, so engines scan it exactly as they
-/// would the corresponding rows of the resident table.
-pub fn extent_table(
-    h: &TableHeader,
-    e: usize,
-    exts: &[std::sync::Arc<ExtentData>],
-) -> Result<Table> {
-    let (lo, hi) = h.extent_row_range(e);
-    let rows = hi - lo;
-    if exts.len() != h.n_groups() {
-        return Err(corrupt("extent group arity mismatch"));
-    }
     let mut t = Table::with_layout(h.name.clone(), h.schema.clone(), h.layout.clone())?;
-    for (g, ext) in exts.iter().enumerate() {
-        if ext.arena.len() != rows * h.strides[g] {
-            return Err(corrupt("extent arena size mismatch"));
+    for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
+        let payload = (off.checked_sub(start))
+            .and_then(|from| Some(from as usize..from.checked_add(plen)? as usize))
+            .and_then(|range| bytes.get(range))
+            .ok_or_else(|| corrupt("extent directory out of range"))?;
+        if payload.len() < 4 {
+            return Err(corrupt("extent payload too short"));
         }
-        let validity: Vec<Option<Bitmap>> = ext
-            .validity
-            .iter()
-            .map(|v| v.as_ref().map(|w| Bitmap::from_words(w.clone(), rows)))
-            .collect();
-        t.partitions_mut()[g].restore(ext.arena.clone(), rows, validity);
+        let (body, crc_bytes) = payload.split_at(payload.len() - 4);
+        if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+            return Err(corrupt("extent checksum mismatch"));
+        }
+        let mut r = Reader { buf: body, pos: 0 };
+        let arena = r.take(rows * h.strides[g])?.to_vec();
+        let mut validity = Vec::with_capacity(h.slot_validity[g].len());
+        for &slot_has in &h.slot_validity[g] {
+            let has = r.u8()? != 0;
+            if has != slot_has {
+                return Err(corrupt("validity presence does not match schema"));
+            }
+            validity.push(if has {
+                let words = (0..rows.div_ceil(64))
+                    .map(|_| r.u64())
+                    .collect::<Result<_>>()?;
+                Some(Bitmap::from_words(words, rows))
+            } else {
+                None
+            });
+        }
+        if r.pos != body.len() {
+            return Err(corrupt("trailing extent bytes"));
+        }
+        t.partitions_mut()[g].restore(arena, rows, validity);
     }
-    t.restore_meta(h.dicts.clone(), rows);
+    t.restore_meta(Arc::clone(&h.dicts), rows);
     if let Some(z) = &h.zones {
         t.install_zones(z.slice_rows(lo, hi));
     }
     Ok(t)
 }
 
-/// Reassemble the full resident [`Table`] from every decoded extent
-/// (`exts[extent][group]`): the concatenated extent slices are the
-/// checkpointed table's arenas and bitmaps, bit for bit.
-pub fn assemble_table(h: &TableHeader, exts: &[Vec<std::sync::Arc<ExtentData>>]) -> Result<Table> {
-    let len = h.len;
-    let n_extents = h.n_extents();
-    if exts.len() != n_extents {
-        return Err(corrupt("extent count mismatch"));
-    }
-    let mut t = Table::with_layout(h.name.clone(), h.schema.clone(), h.layout.clone())?;
-    for g in 0..h.n_groups() {
-        let mut arena = Vec::with_capacity(len * h.strides[g]);
-        let mut words: Vec<Option<Vec<u64>>> = h.slot_validity[g]
-            .iter()
-            .map(|&has| {
-                if has {
-                    Some(Vec::with_capacity(len.div_ceil(64)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (e, row) in exts.iter().enumerate() {
-            if row.len() != h.n_groups() {
-                return Err(corrupt("extent group arity mismatch"));
-            }
-            let ext = &row[g];
-            let (lo, hi) = h.extent_row_range(e);
-            if ext.arena.len() != (hi - lo) * h.strides[g] {
-                return Err(corrupt("extent arena size mismatch"));
-            }
-            arena.extend_from_slice(&ext.arena);
-            for (acc, w) in words.iter_mut().zip(&ext.validity) {
-                if let (Some(acc), Some(w)) = (acc.as_mut(), w.as_ref()) {
-                    acc.extend_from_slice(w);
+/// Reassemble the full resident [`Table`] from its decoded extents, in
+/// extent order: the concatenated extent slices are the checkpointed
+/// table's arenas and bitmaps, bit for bit. Each extent is read once and
+/// may be dropped as soon as the next one is asked for.
+pub fn assemble_table<T: Borrow<Table>>(
+    h: &TableHeader,
+    extents: impl IntoIterator<Item = Result<T>>,
+) -> Result<Table> {
+    let mut arenas: Vec<Vec<u8>> = (h.strides.iter())
+        .map(|stride| Vec::with_capacity(h.len * stride))
+        .collect();
+    let mut words: Vec<Vec<Option<Vec<u64>>>> = (h.slot_validity.iter())
+        .map(|slots| {
+            (slots.iter())
+                .map(|&has| has.then(|| Vec::with_capacity(h.len.div_ceil(64))))
+                .collect()
+        })
+        .collect();
+    let mut rows = 0;
+    for extent in extents {
+        let extent = extent?;
+        let extent: &Table = extent.borrow();
+        for (g, p) in extent.partitions().iter().enumerate() {
+            arenas[g].extend_from_slice(p.raw_bytes());
+            for (slot, acc) in words[g].iter_mut().enumerate() {
+                if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
+                    acc.extend_from_slice(bm.words());
                 }
             }
         }
-        let validity: Vec<Option<Bitmap>> = words
-            .into_iter()
-            .map(|w| w.map(|w| Bitmap::from_words(w, len)))
-            .collect();
-        t.partitions_mut()[g].restore(arena, len, validity);
+        rows += extent.len();
     }
-    t.restore_meta(h.dicts.clone(), len);
+    if rows != h.len {
+        return Err(corrupt("extents do not cover the table"));
+    }
+    let mut t = Table::with_layout(h.name.clone(), h.schema.clone(), h.layout.clone())?;
+    for (g, (arena, words)) in arenas.into_iter().zip(words).enumerate() {
+        let validity = (words.into_iter())
+            .map(|w| w.map(|w| Bitmap::from_words(w, h.len)))
+            .collect();
+        t.partitions_mut()[g].restore(arena, h.len, validity);
+    }
+    t.restore_meta(Arc::clone(&h.dicts), h.len);
     if let Some(z) = &h.zones {
         t.install_zones(z.clone());
     }
@@ -660,30 +628,23 @@ pub fn assemble_table(h: &TableHeader, exts: &[Vec<std::sync::Arc<ExtentData>>])
 }
 
 /// Deserialize a whole checkpoint blob back into `(table, generation)`:
-/// header, every payload, reassembly. Any framing, checksum, version or
-/// invariant violation is a hard [`Error::Io`].
+/// header, every extent decoded as a pool fault decodes it, reassembly.
+/// Any framing, checksum, version or invariant violation is a hard
+/// [`Error::Io`].
 pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
     let h = read_header(bytes)?;
     let mut end = h.header_len as u64;
-    let mut exts = Vec::with_capacity(h.n_extents());
-    for e in 0..h.n_extents() {
-        let mut row = Vec::with_capacity(h.n_groups());
-        for g in 0..h.n_groups() {
-            let (off, plen) = h.dir[e][g];
-            let payload = off
-                .checked_add(plen)
-                .filter(|&e2| e2 <= bytes.len() as u64)
-                .map(|e2| &bytes[off as usize..e2 as usize])
-                .ok_or_else(|| corrupt("extent directory out of range"))?;
-            end = end.max(off + plen);
-            row.push(std::sync::Arc::new(decode_extent(&h, e, g, payload)?));
-        }
-        exts.push(row);
-    }
+    let extents = (0..h.n_extents()).map(|e| {
+        let (start, stop) = h.extent_span(e);
+        end = end.max(stop);
+        let span = (bytes.get(start as usize..stop as usize))
+            .ok_or_else(|| corrupt("extent directory out of range"))?;
+        decode_extent(&h, e, start, span)
+    });
+    let t = assemble_table(&h, extents)?;
     if end != bytes.len() as u64 {
         return Err(corrupt("trailing bytes"));
     }
-    let t = assemble_table(&h, &exts)?;
     Ok((t, h.generation))
 }
 
@@ -792,19 +753,30 @@ mod tests {
         assert_eq!(h.len, 2500);
         let mut seen = 0usize;
         for e in 0..h.n_extents() {
-            let exts: Vec<_> = (0..h.n_groups())
-                .map(|g| {
-                    let (off, plen) = h.dir[e][g];
-                    let payload = &blob[off as usize..(off + plen) as usize];
-                    std::sync::Arc::new(decode_extent(&h, e, g, payload).unwrap())
-                })
-                .collect();
-            let mini = extent_table(&h, e, &exts).unwrap();
+            let (start, end) = h.extent_span(e);
+            let span = &blob[start as usize..end as usize];
+            let mini = decode_extent(&h, e, start, span).unwrap();
             let (lo, hi) = h.extent_row_range(e);
             assert_eq!(mini.len(), hi - lo);
             for r in 0..mini.len() {
                 assert_eq!(mini.row(r).unwrap(), t.row(lo + r).unwrap());
             }
+            // The charge is the decoded arenas plus validity words.
+            let words: usize = (mini.partitions().iter())
+                .flat_map(|p| (0..p.cols().len()).filter_map(|s| p.validity(s)))
+                .map(|bm| bm.words().len() * 8)
+                .sum();
+            assert_eq!(h.extent_bytes(e), mini.byte_size() + words);
+            assert!(std::ptr::eq(
+                mini.dict(1).unwrap(),
+                h.dicts[1].as_ref().unwrap()
+            ));
+            assert_eq!(
+                **mini.zone_map(),
+                h.zones.as_ref().unwrap().slice_rows(lo, hi)
+            );
+            // A read that stops short of the last group is refused.
+            assert!(decode_extent(&h, e, start, &span[..span.len() - 1]).is_err());
             seen += mini.len();
         }
         assert_eq!(seen, t.len());

@@ -13,7 +13,8 @@ use std::sync::{Arc, OnceLock};
 
 /// A memory-resident table stored according to a vertical-partitioning
 /// [`Layout`]. Dictionaries for `Str` columns live at the table level so that
-/// relayouting never re-encodes strings.
+/// relayouting never re-encodes strings, behind one `Arc` copied on write:
+/// a relayout, and every extent of a checkpoint, shares them.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -23,7 +24,7 @@ pub struct Table {
     /// `col_loc[c] = (partition index, slot within partition)`.
     col_loc: Vec<(usize, usize)>,
     /// One dictionary per `Str` column (index = ColId), `None` otherwise.
-    dicts: Vec<Option<Dictionary>>,
+    dicts: Arc<Vec<Option<Dictionary>>>,
     len: usize,
     /// Lazily built zone map (see [`crate::zonemap`]). Every `&mut` path
     /// that can change stored values clears it; cloning a table with a
@@ -60,17 +61,13 @@ impl Table {
             }
             partitions.push(Partition::new(group.clone(), types, nullable));
         }
-        let dicts = schema
-            .columns()
-            .iter()
-            .map(|c| {
-                if c.ty == DataType::Str {
-                    Some(Dictionary::new())
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let dicts = Arc::new(
+            schema
+                .columns()
+                .iter()
+                .map(|c| (c.ty == DataType::Str).then(Dictionary::new))
+                .collect(),
+        );
         Ok(Table {
             name: name.into(),
             schema,
@@ -158,7 +155,9 @@ impl Table {
             (Value::Float64(x), DataType::Float64) => Ok(RawVal::F64(*x)),
             (Value::Int32(x), DataType::Float64) => Ok(RawVal::F64(*x as f64)),
             (Value::Str(s), DataType::Str) => {
-                let dict = self.dicts[c].as_mut().expect("Str column has dictionary");
+                let dict = Arc::make_mut(&mut self.dicts)[c]
+                    .as_mut()
+                    .expect("Str column has dictionary");
                 Ok(RawVal::U32(dict.intern(s)))
             }
             (v, ty) => Err(Error::TypeMismatch {
@@ -280,8 +279,8 @@ impl Table {
     }
 
     /// Rebuild this table's data under a different layout. Dictionaries are
-    /// shared (cloned), so codes remain stable across layouts — a property
-    /// the differential tests rely on.
+    /// shared, so codes remain stable across layouts — a property the
+    /// differential tests rely on.
     pub fn relayout(&self, layout: Layout) -> Result<Table> {
         if layout.n_cols() != self.schema.len() {
             return Err(Error::InvalidLayout(format!(
@@ -291,7 +290,7 @@ impl Table {
             )));
         }
         let mut out = Table::with_layout(self.name.clone(), self.schema.clone(), layout)?;
-        out.dicts = self.dicts.clone();
+        out.dicts = Arc::clone(&self.dicts);
         out.reserve(self.len);
         for p_out in &mut out.partitions {
             let srcs: Vec<(usize, usize)> = p_out.cols().iter().map(|&c| self.col_loc[c]).collect();
@@ -370,7 +369,7 @@ impl Table {
 
     /// Overwrite dictionaries and row count from persisted state
     /// (persistence only; partitions are restored separately).
-    pub(crate) fn restore_meta(&mut self, dicts: Vec<Option<Dictionary>>, len: usize) {
+    pub(crate) fn restore_meta(&mut self, dicts: Arc<Vec<Option<Dictionary>>>, len: usize) {
         assert_eq!(dicts.len(), self.schema.len(), "dictionary arity mismatch");
         self.dicts = dicts;
         self.len = len;

@@ -28,8 +28,9 @@
 //! hand back the finished table with its durability attached.
 
 use crate::table::VersionedTable;
+use crate::version::OverlayData;
 use pdsm_pool::{BufferPool, ColdTable};
-use pdsm_storage::{persist, Error, Result, Row, Table};
+use pdsm_storage::{persist, Error, Result, Table};
 use pdsm_store::{
     decode_stream, fsync_dir, remove_temp_files, sanitize_name, write_atomic, FsyncMode, Manifest,
     Wal, WalRecord, WalStats,
@@ -283,8 +284,7 @@ impl TableDurability {
 
     /// Checkpoint the post-merge state. Called from `finish_merge` with
     /// the table write lock held, *after* the swap: `main` is the fresh
-    /// main store at `generation`, and `dead_main`/`tail`/`tail_alive`
-    /// are the new (post-cut) delta.
+    /// main store at `generation`, and `delta` the new (post-cut) one.
     ///
     /// Steps, in crash-safe order: (1) the main blob lands under its
     /// generation-stamped name — by renaming the pre-persisted build of
@@ -300,9 +300,7 @@ impl TableDurability {
         main: &Table,
         generation: u64,
         build_epoch: u64,
-        dead_main: &[bool],
-        tail: &[Row],
-        tail_alive: &[bool],
+        delta: &OverlayData,
     ) -> Result<()> {
         // The previous checkpoint's deletion pass scrubs temp files and
         // every generation but its own: it must be done before this
@@ -322,10 +320,10 @@ impl TableDurability {
         // then the tombstoned main and tail rows. Replayed through the
         // commit step it reproduces the overlay exactly, with the same
         // row ids, so later records keep addressing correctly.
-        let dead_tail = tail_alive.iter().map(|alive| !alive).enumerate();
+        let dead_tail = delta.tail_alive.iter().map(|alive| !alive).enumerate();
         let record = WalRecord {
-            appends: tail.to_vec(),
-            tombstones: (dead_main.iter().copied().enumerate())
+            appends: delta.tail.clone(),
+            tombstones: (delta.dead.iter().copied().enumerate())
                 .chain(dead_tail.map(|(j, dead)| (main.len() + j, dead)))
                 .filter_map(|(id, dead)| dead.then_some(id as u64))
                 .collect(),
@@ -429,7 +427,7 @@ fn replay(table: &mut VersionedTable, records: Vec<WalRecord>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_storage::{ColumnDef, DataType, Layout, Schema, Value};
+    use pdsm_storage::{ColumnDef, DataType, Layout, Row, Schema, Value};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pdsm-dur-{}-{tag}", std::process::id()));

@@ -12,8 +12,8 @@
 //!   a reader;
 //! * an **append-only delta** — decoded rows ([`pdsm_storage::Row`])
 //!   appended after the main store, plus tombstone masks over both the main
-//!   store and the delta itself. Updates are delete + re-insert, so the
-//!   delta never mutates in place;
+//!   store and the delta itself. Updates are delete + re-insert, so a row
+//!   once appended never changes, only its liveness;
 //! * a **merge** operation ([`VersionedTable::merge`] /
 //!   [`VersionedTable::merge_with_layout`]) that folds the delta into a
 //!   fresh main store — optionally under a different layout, which is how
@@ -24,12 +24,13 @@
 //!
 //! Readers take [`Snapshot`] handles: a snapshot pins the generation's
 //! [`MainStore`] handle — resident, or still on disk behind the buffer
-//! pool; pinning faults nothing either way (module [`version`]) — plus a
-//! frozen copy of the delta overlay, so queries running on a snapshot see
-//! a consistent version no matter what writers do afterwards.
-//! Snapshots of an unchanged version share one overlay allocation (the
-//! per-version cache in [`VersionedTable::snapshot`]), making repeat
-//! snapshot acquisition O(1).
+//! pool; pinning faults nothing either way (module [`version`]) — plus the
+//! table's live delta ([`OverlayData`]), shared by `Arc`. Writes go
+//! through `Arc::make_mut`: the first write after a snapshot that is still
+//! alive copies the delta away from it, so queries running on a snapshot
+//! see a consistent version no matter what writers do afterwards. Taking
+//! a snapshot is therefore O(1) and copies nothing; a write copies at most
+//! once per version that a live snapshot pins.
 //!
 //! Engines never learn about versioning: a snapshot (or a live
 //! `VersionedTable` behind `&self`) presents itself through

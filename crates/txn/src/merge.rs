@@ -6,7 +6,7 @@
 //!
 //! 1. **begin** ([`crate::VersionedTable::begin_merge`]) — pin a snapshot
 //!    of the current version (the *cut*) and start recording post-cut
-//!    tombstones in a replay log. O(delta) to freeze the overlay.
+//!    tombstones in a replay log. O(1): the cut shares the live delta.
 //! 2. **build** ([`MergeTicket::build`]) — fold the pinned snapshot into a
 //!    fresh main store under any layout, recording a remap from cut row
 //!    ids to fresh positions. Lock-free: runs on any thread, off the

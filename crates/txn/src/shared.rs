@@ -77,7 +77,7 @@ impl SharedTable {
     }
 
     /// Phase 1 of a background merge: pin the cut and start the replay
-    /// log. The write lock is held only for the O(delta) overlay freeze.
+    /// log. The write lock is held only to take one snapshot — O(1).
     pub fn begin_merge(&self) -> Result<MergeTicket> {
         self.write().begin_merge()
     }

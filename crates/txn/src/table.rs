@@ -12,7 +12,7 @@ use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, DataType, Error, Layout, Result, Schema, Table, Value};
 use pdsm_store::WalRecord;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Stable row address within one merge generation.
 ///
@@ -89,21 +89,14 @@ pub struct VersionedTable {
     /// Replaced (never mutated) by a merge.
     main: Arc<MainStore>,
     generation: u64,
-    /// Tombstone mask over the main store. Empty until the first main-row
-    /// delete, then sized `main.len()`.
-    dead_main: Vec<bool>,
-    dead_main_count: usize,
-    /// Delta rows in append order (normalized, decoded values).
-    tail: Vec<Row>,
-    /// Liveness of each tail row.
-    tail_alive: Vec<bool>,
-    tail_dead_count: usize,
+    /// The delta since the last merge, shared with every snapshot of the
+    /// current version. A write goes through `Arc::make_mut`, so it copies
+    /// the delta only while such a snapshot is still alive — at most once
+    /// per snapshotted version.
+    delta: Arc<OverlayData>,
     /// [`VersionedTable::delta_ops`]: delta ops since the last merge.
     n_ops: u64,
     stats: WriteStats,
-    /// Frozen overlay of the *current* state, shared by snapshots; reset by
-    /// every write so each version is computed at most once.
-    snap_cache: OnceLock<Arc<OverlayData>>,
     /// Reader/version bookkeeping shared with every snapshot.
     registry: Arc<VersionRegistry>,
     /// Monotonic counter of merge builds begun; stamps tickets so stale
@@ -122,14 +115,10 @@ impl Clone for VersionedTable {
         // (snapshots of the original keep counting against the original),
         // no pending merge (the in-flight build belongs to `self`) and no
         // durability — two tables sharing one log would corrupt each
-        // other's id space.
+        // other's id space. The delta is shared until either side writes.
         let (table, cold) = (self.main.table.get().cloned(), self.main.cold.clone());
         VersionedTable {
-            dead_main: self.dead_main.clone(),
-            dead_main_count: self.dead_main_count,
-            tail: self.tail.clone(),
-            tail_alive: self.tail_alive.clone(),
-            tail_dead_count: self.tail_dead_count,
+            delta: Arc::clone(&self.delta),
             n_ops: self.n_ops,
             stats: self.stats,
             merge_epoch: self.merge_epoch,
@@ -152,14 +141,9 @@ impl VersionedTable {
         VersionedTable {
             main: Arc::new(MainStore::new(main, cold, generation, registry.clone())),
             generation,
-            dead_main: Vec::new(),
-            dead_main_count: 0,
-            tail: Vec::new(),
-            tail_alive: Vec::new(),
-            tail_dead_count: 0,
+            delta: Arc::default(),
             n_ops: 0,
             stats: WriteStats::default(),
-            snap_cache: OnceLock::new(),
             registry,
             merge_epoch: 0,
             pending: None,
@@ -236,7 +220,7 @@ impl VersionedTable {
 
     /// Number of visible rows (main − tombstones + live delta).
     pub fn len(&self) -> usize {
-        self.main_len() - self.dead_main_count + self.tail.len() - self.tail_dead_count
+        self.main_len() - self.delta.dead_count + self.live_delta_rows()
     }
 
     /// True iff no rows are visible.
@@ -256,14 +240,14 @@ impl VersionedTable {
     /// Delta rows appended since the last merge (live or tombstoned) —
     /// the natural merge-threshold metric: it is what scans pay for.
     pub fn delta_rows(&self) -> usize {
-        self.tail.len()
+        self.delta.tail.len()
     }
 
     /// Live (non-tombstoned) delta-tail rows — what an index probe's
     /// delta-union scan must visit, and therefore the delta term of the
     /// planner's access-path cost.
     pub fn live_delta_rows(&self) -> usize {
-        self.tail.len() - self.tail_dead_count
+        self.delta.tail.len() - self.delta.tail_dead_count
     }
 
     /// True iff any write happened since the last merge.
@@ -273,7 +257,7 @@ impl VersionedTable {
 
     /// The id space upper bound (main rows + delta ordinals).
     fn id_space(&self) -> usize {
-        self.main_len() + self.tail.len()
+        self.main_len() + self.delta.tail.len()
     }
 
     /// Normalize `v` for column `c`: exactly the type checking and widening
@@ -364,7 +348,6 @@ impl VersionedTable {
             self.tombstone(id as RowId);
         }
         self.n_ops += record.tombstones.len() as u64 + u64::from(!ids.is_empty());
-        self.snap_cache = OnceLock::new();
         Ok(ids)
     }
 
@@ -389,8 +372,9 @@ impl VersionedTable {
     /// The one append: push normalized rows onto the tail, live.
     fn append(&mut self, rows: Vec<Row>) -> Range<RowId> {
         let base = self.id_space();
-        self.tail.extend(rows);
-        self.tail_alive.resize(self.tail.len(), true);
+        let delta = Arc::make_mut(&mut self.delta);
+        delta.tail.extend(rows);
+        delta.tail_alive.resize(delta.tail.len(), true);
         base..self.id_space()
     }
 
@@ -398,15 +382,16 @@ impl VersionedTable {
     /// checked.
     fn tombstone(&mut self, id: RowId) {
         let main_len = self.main_len();
+        let delta = Arc::make_mut(&mut self.delta);
         if id < main_len {
-            if self.dead_main.is_empty() {
-                self.dead_main = vec![false; main_len];
+            if delta.dead.is_empty() {
+                delta.dead = vec![false; main_len];
             }
-            self.dead_main[id] = true;
-            self.dead_main_count += 1;
+            delta.dead[id] = true;
+            delta.dead_count += 1;
         } else {
-            self.tail_alive[id - main_len] = false;
-            self.tail_dead_count += 1;
+            delta.tail_alive[id - main_len] = false;
+            delta.tail_dead_count += 1;
         }
         // Tombstones of rows that existed at a pending build's cut must be
         // replayed through the remap at swap time; rows appended after the
@@ -420,11 +405,15 @@ impl VersionedTable {
 
     /// Is `id` in range and not tombstoned?
     pub fn is_visible(&self, id: RowId) -> bool {
-        let main_len = self.main_len();
+        let (main_len, delta) = (self.main_len(), &self.delta);
         if id < main_len {
-            self.dead_main.get(id).map(|d| !d).unwrap_or(true)
+            delta.dead.get(id).map(|d| !d).unwrap_or(true)
         } else {
-            self.tail_alive.get(id - main_len).copied().unwrap_or(false)
+            delta
+                .tail_alive
+                .get(id - main_len)
+                .copied()
+                .unwrap_or(false)
         }
     }
 
@@ -449,7 +438,7 @@ impl VersionedTable {
         if id < main_len {
             self.main.row(id)
         } else {
-            Ok(self.tail[id - main_len].clone())
+            Ok(self.delta.tail[id - main_len].clone())
         }
     }
 
@@ -514,18 +503,7 @@ impl VersionedTable {
     /// The engine-facing overlay of the current state, or `None` when the
     /// delta is empty.
     pub fn overlay(&self) -> Option<Overlay<'_>> {
-        if !self.has_delta() {
-            return None;
-        }
-        Some(Overlay {
-            dead: &self.dead_main,
-            tail: &self.tail,
-            tail_alive: if self.tail_dead_count > 0 {
-                &self.tail_alive
-            } else {
-                &[]
-            },
-        })
+        self.has_delta().then(|| self.delta.as_overlay())
     }
 
     /// All visible rows in scan order (main order, then tail append order).
@@ -534,38 +512,15 @@ impl VersionedTable {
         self.snapshot().rows().into_iter()
     }
 
-    /// The frozen overlay of the current version (shared per-version via
-    /// the snapshot cache), or `None` when the delta is empty.
-    fn frozen_overlay(&self) -> Option<Arc<OverlayData>> {
-        if !self.has_delta() {
-            return None;
-        }
-        Some(
-            self.snap_cache
-                .get_or_init(|| {
-                    Arc::new(OverlayData {
-                        dead: self.dead_main.clone(),
-                        tail: self.tail.clone(),
-                        tail_alive: if self.tail_dead_count > 0 {
-                            self.tail_alive.clone()
-                        } else {
-                            Vec::new()
-                        },
-                    })
-                })
-                .clone(),
-        )
-    }
-
-    /// Take a consistent snapshot of the current version. O(1) when this
-    /// version has already been snapshotted; otherwise the overlay is
-    /// frozen once (O(delta + tombstone mask)) and shared. Never touches
-    /// main-store rows: a cold main stays cold until a holder of the
-    /// snapshot asks for [`Snapshot::main`].
+    /// Take a consistent snapshot of the current version. O(1): the
+    /// snapshot shares the live delta, which the next write copies first
+    /// if the snapshot is still alive then. Never touches main-store rows:
+    /// a cold main stays cold until a holder of the snapshot asks for
+    /// [`Snapshot::main`].
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             main: Arc::clone(&self.main),
-            overlay: self.frozen_overlay(),
+            overlay: self.has_delta().then(|| Arc::clone(&self.delta)),
             delta_ops: self.n_ops,
             len: self.len(),
             live_delta_rows: self.live_delta_rows(),
@@ -607,8 +562,8 @@ impl VersionedTable {
 
     /// Phase 1 of a background merge: pin the current version as the
     /// build's *cut* and start recording post-cut tombstones for replay.
-    /// O(delta) to freeze the overlay and not one main-store row read;
-    /// the heavy fold — and with it the hydration of a still-cold main —
+    /// O(1) — the cut is a snapshot — and not one main-store row read; the
+    /// heavy fold — and with it the hydration of a still-cold main —
     /// belongs to [`MergeTicket::build`], which runs on any thread.
     ///
     /// Errors with [`Error::MergeInProgress`] if a build is already
@@ -620,7 +575,7 @@ impl VersionedTable {
         self.merge_epoch += 1;
         self.pending = Some(PendingMerge {
             epoch: self.merge_epoch,
-            cut_tail: self.tail.len(),
+            cut_tail: self.delta.tail.len(),
             cut_ops: self.n_ops,
             replay_deletes: Vec::new(),
         });
@@ -647,25 +602,24 @@ impl VersionedTable {
         }
         let pending = self.pending.take().expect("matched above");
         // Replay post-cut tombstones of cut-time rows onto the fresh main.
-        let mut dead_main = Vec::new();
-        let mut dead_main_count = 0usize;
+        let mut delta = OverlayData::default();
         for &id in &pending.replay_deletes {
             let Some(p) = built.remap[id] else {
                 continue; // defensive: dead at cut, nothing to replay
             };
-            if dead_main.is_empty() {
-                dead_main = vec![false; built.table.len()];
+            if delta.dead.is_empty() {
+                delta.dead = vec![false; built.table.len()];
             }
-            if !dead_main[p as usize] {
-                dead_main[p as usize] = true;
-                dead_main_count += 1;
+            if !delta.dead[p as usize] {
+                delta.dead[p as usize] = true;
+                delta.dead_count += 1;
             }
         }
         // Rows appended after the cut become the next version's delta,
         // liveness carried verbatim.
-        let tail: Vec<Row> = self.tail.split_off(pending.cut_tail);
-        let tail_alive: Vec<bool> = self.tail_alive.split_off(pending.cut_tail);
-        let tail_dead_count = tail_alive.iter().filter(|a| !**a).count();
+        delta.tail = self.delta.tail[pending.cut_tail..].to_vec();
+        delta.tail_alive = self.delta.tail_alive[pending.cut_tail..].to_vec();
+        delta.tail_dead_count = delta.tail_alive.iter().filter(|a| !**a).count();
         let stats = MergeStats {
             generation: self.generation + 1,
             main_rows_before: built.cut_main_rows,
@@ -690,28 +644,16 @@ impl VersionedTable {
         if let Some(c) = &superseded.cold {
             c.retire();
         }
-        self.dead_main = dead_main;
-        self.dead_main_count = dead_main_count;
-        self.tail = tail;
-        self.tail_alive = tail_alive;
-        self.tail_dead_count = tail_dead_count;
+        self.delta = Arc::new(delta);
         self.n_ops -= pending.cut_ops;
         self.stats.merges += 1;
-        self.snap_cache = OnceLock::new();
         // Checkpoint-on-merge: persist the fresh main and rewrite the WAL
         // in the new id space, still under the caller's write lock, so no
         // op can land between the swap and its durable record. An I/O
         // error here leaves the in-memory merge applied (readers are
         // fine) but reports the broken durable state to the caller.
         if let Some(d) = self.durability.clone() {
-            d.checkpoint(
-                &new_main,
-                self.generation,
-                build_epoch,
-                &self.dead_main,
-                &self.tail,
-                &self.tail_alive,
-            )?;
+            d.checkpoint(&new_main, self.generation, build_epoch, &self.delta)?;
         }
         Ok(stats)
     }
@@ -751,9 +693,7 @@ impl VersionedTable {
 
     /// Approximate bytes held by the delta (tail rows + masks).
     pub fn delta_byte_size(&self) -> usize {
-        let row_bytes: usize = self
-            .tail
-            .iter()
+        let row_bytes: usize = (self.delta.tail.iter())
             .map(|r| {
                 r.values()
                     .iter()
@@ -764,7 +704,7 @@ impl VersionedTable {
                     .sum::<usize>()
             })
             .sum();
-        row_bytes + self.dead_main.len() + self.tail_alive.len()
+        row_bytes + self.delta.dead.len() + self.delta.tail_alive.len()
     }
 }
 
@@ -962,6 +902,47 @@ mod tests {
         assert_eq!(s2.len(), 10);
         assert_eq!(t.len(), 10);
         assert_eq!(t.generation(), 1);
+    }
+
+    /// With no pin alive a write lands in place, and the next snapshot
+    /// shares the live delta instead of copying it.
+    #[test]
+    fn pins_share_the_live_delta() {
+        let mut t = seeded();
+        t.insert(&[Value::Int32(100), Value::Str("x".into()), Value::Null])
+            .unwrap();
+        drop(t.snapshot());
+        let live = Arc::as_ptr(&t.delta);
+        t.insert(&[Value::Int32(101), Value::Str("y".into()), Value::Null])
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&t.delta), live, "no pin alive: no copy");
+        let s = t.snapshot();
+        assert!(Arc::ptr_eq(s.overlay.as_ref().unwrap(), &t.delta));
+    }
+
+    /// A pin held across two writes costs one copy: the first write copies
+    /// the delta away from the pin, the second writes the copy in place.
+    #[test]
+    fn a_held_pin_costs_one_copy() {
+        let mut t = seeded();
+        t.insert(&[Value::Int32(100), Value::Str("x".into()), Value::Null])
+            .unwrap();
+        let held = t.snapshot();
+        let pinned_rows = held.rows();
+        t.delete(0).unwrap();
+        let held_overlay = held.overlay.as_ref().unwrap();
+        assert!(
+            !Arc::ptr_eq(held_overlay, &t.delta),
+            "the first write copies"
+        );
+        let copy = Arc::as_ptr(&t.delta);
+        t.insert(&[Value::Int32(101), Value::Str("y".into()), Value::Null])
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&t.delta), copy, "the second write does not");
+        assert_eq!(held.len(), 11);
+        assert_eq!(held.rows(), pinned_rows);
+        assert_eq!((held_overlay.tail.len(), held_overlay.dead_count), (1, 0));
+        assert_eq!(t.len(), 11);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! What one table version is made of: the [`MainStore`] handle of its
-//! generation, the frozen [`OverlayData`] of its delta, and the
-//! [`Snapshot`] that pins both.
+//! generation, the shared, copy-on-write [`OverlayData`] of its delta, and
+//! the [`Snapshot`] that pins both.
 //!
 //! A generation's main store is **one handle** behind one `Arc`, held by
 //! the [`crate::VersionedTable`] and by every [`Snapshot`] of that
@@ -12,8 +12,8 @@
 //! [`MainStore::table`] is the only door that makes a cold store resident
 //! — once per generation, on the calling thread, which reached it through
 //! a handle it cloned out of the table and so holds no table lock.
-//! Taking a snapshot therefore pins and does not load: O(1) for an
-//! already-frozen version, not a byte faulted.
+//! Taking a snapshot therefore pins and does not load or copy: two `Arc`
+//! clones, not a byte faulted.
 
 use crate::registry::{VersionRegistry, VersionTicket};
 use pdsm_exec::{Overlay, TableProvider};
@@ -144,11 +144,11 @@ impl MainStore {
 
     /// Visit the rows in order as `(first row id, table, that range's
     /// slice of the tombstone mask `dead`)`: the resident table in one
-    /// visit, or — while cold — every extent `zps` cannot refute as a
-    /// self-contained mini table, pinned only while `visit` runs (the next
-    /// extent may evict it). Skipping a refuted extent is sound for every
-    /// scan whose predicate implies `zps`: no main row of it can pass, and
-    /// tombstones only remove rows.
+    /// visit, or — while cold — every extent `zps` cannot refute, as the
+    /// pool frame's own mini table, borrowed and pinned only while `visit`
+    /// runs (the next extent may evict it). Skipping a refuted extent is
+    /// sound for every scan whose predicate implies `zps`: no main row of
+    /// it can pass, and tombstones only remove rows.
     pub fn for_each_extent<E: From<Error>>(
         &self,
         zps: &[ZonePred],
@@ -164,24 +164,31 @@ impl MainStore {
                 continue;
             }
             let (lo, hi) = cold.header().extent_row_range(e);
-            let (mini, _pins) = cold.extent_table(e)?;
-            visit(lo, &mini, &dead[lo.min(dead.len())..hi.min(dead.len())])?;
+            let frame = cold.pin(e)?;
+            let extent_dead = &dead[lo.min(dead.len())..hi.min(dead.len())];
+            visit(lo, frame.table(), extent_dead)?;
         }
         Ok(())
     }
 }
 
-/// An owned, immutable copy of one version's delta overlay: which main rows
-/// are tombstoned and which decoded rows follow the main store. Shared by
-/// every snapshot of the same version via `Arc`.
+/// One version's delta: which main rows are tombstoned and which decoded
+/// rows follow the main store. The [`crate::VersionedTable`] and every
+/// [`Snapshot`] of its current version hold the same allocation; a write
+/// copies it first only while a snapshot still shares it. The fields are
+/// private to the crate: the counts must agree with the masks.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayData {
     /// `dead[i]` → main row `i` is invisible. Empty = no tombstones.
-    pub dead: Vec<bool>,
+    pub(crate) dead: Vec<bool>,
+    /// Main rows tombstoned.
+    pub(crate) dead_count: usize,
     /// Rows appended after the main store (decoded, full schema width).
-    pub tail: Vec<Row>,
-    /// Liveness of tail rows. Empty = all live.
-    pub tail_alive: Vec<bool>,
+    pub(crate) tail: Vec<Row>,
+    /// Liveness of each tail row.
+    pub(crate) tail_alive: Vec<bool>,
+    /// Tail rows tombstoned.
+    pub(crate) tail_dead_count: usize,
 }
 
 impl OverlayData {
@@ -190,14 +197,19 @@ impl OverlayData {
         Overlay {
             dead: &self.dead,
             tail: &self.tail,
-            tail_alive: &self.tail_alive,
+            tail_alive: if self.tail_dead_count > 0 {
+                &self.tail_alive
+            } else {
+                &[]
+            },
         }
     }
 }
 
 /// A consistent, immutable view of one table version: the generation's
-/// [`MainStore`] handle plus (when the version has pending writes) a frozen
-/// overlay, with the counters that identify and size the version.
+/// [`MainStore`] handle plus (when the version has pending writes) the
+/// delta it shares with the writer, with the counters that identify and
+/// size the version.
 ///
 /// Snapshots are cheap to take and to clone, `Send + Sync`, and
 /// independent of the writer: queries against a snapshot are wait-free. A

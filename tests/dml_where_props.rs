@@ -352,9 +352,9 @@ fn clustered_delete_where_prunes_zone_blocks() {
 /// A multi-row `UPDATE` on a pooled table reads each matched row while the
 /// match has its extent pinned: at the default 64K-row extents and a
 /// quarter of the data's size in pool budget, the statement pins every
-/// extent × layout group exactly once however many rows match. (Reading
-/// the rows back one `get` at a time materialized a whole extent per
-/// matched row — 23× slower than hydrating the table.)
+/// extent — one frame each, all layout groups — exactly once however many
+/// rows match. (Reading the rows back one `get` at a time materialized a
+/// whole extent per matched row — 23× slower than hydrating the table.)
 #[test]
 fn cold_multi_row_update_pins_each_extent_once() {
     use mrdb::core::BufferPool;
@@ -372,7 +372,7 @@ fn cold_multi_row_update_pins_each_extent_once() {
     let frames = db
         .with_table("R", |vt| {
             let cold = vt.store().cold().expect("opened through a pool");
-            cold.n_extents() * cold.header().n_groups()
+            cold.n_extents()
         })
         .unwrap();
     assert!(frames > 1, "one extent would hide a per-row fault");

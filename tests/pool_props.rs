@@ -8,11 +8,13 @@
 
 use mrdb::core::BufferPool;
 use mrdb::prelude::*;
+use mrdb::txn::MainStore;
 use mrdb::workloads::microbench::{self, N_COLS};
 use mrdb::workloads::mixed::{microbench_mix, MixedOp};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::sync::Once;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -416,6 +418,145 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
         count(db.run(&all, EngineKind::Compiled).unwrap()),
         count(view.run(&all, EngineKind::Compiled).unwrap()) + 1
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `n` rows of `(id, name, qty)` in column layout: three layout groups,
+/// one of them a dictionary-coded string column.
+fn three_group_table(n: i64) -> Table {
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int64),
+        ColumnDef::new("name", DataType::Str),
+        ColumnDef::new("qty", DataType::Int64),
+    ]);
+    let mut t = Table::with_layout("S", schema, Layout::column(3)).unwrap();
+    for i in 0..n {
+        let row = [
+            Value::Int64(i),
+            Value::Str(format!("n{}", i % 7)),
+            Value::Int64(3 * i),
+        ];
+        t.insert(&row).unwrap();
+    }
+    t
+}
+
+/// A checkpoint of [`three_group_table`] in `dir`, reopened cold through a
+/// fresh pool that could hold it whole.
+fn cold_three_groups(tag: &str, n: i64) -> (PathBuf, Database, Arc<BufferPool>) {
+    small_extents();
+    let dir = case_dir(tag);
+    open(&dir, None).register(three_group_table(n));
+    let pool = BufferPool::new(64 << 20);
+    let db = open(&dir, Some(Arc::clone(&pool)));
+    (dir, db, pool)
+}
+
+/// The main-store handle of `S`, mounted cold.
+fn store_of(db: &Database) -> Arc<MainStore> {
+    let store = db.with_table("S", |vt| Arc::clone(vt.store())).unwrap();
+    assert!(store.cold().is_some());
+    store
+}
+
+fn sum_qty() -> LogicalPlan {
+    QueryBuilder::scan("S")
+        .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(2))])
+        .build()
+}
+
+/// A pool frame is one extent with all its layout groups, and scans read
+/// it in place: a streamed aggregate over three groups and E cold extents
+/// takes E misses and charges exactly the extents' decoded bytes, a
+/// re-pin of a resident extent returns the frame's own table, and every
+/// frame — and the main hydrated from them — shares one dictionary.
+#[test]
+fn a_frame_is_one_extent_read_in_place() {
+    let n = 5000;
+    let (dir, db, pool) = cold_three_groups("frames", n);
+    let store = store_of(&db);
+    let cold = store.cold().unwrap();
+    let extents = cold.n_extents();
+    assert_eq!((extents, cold.header().n_groups()), (5, 3));
+
+    let out = db.run(&sum_qty(), EngineKind::Compiled).unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Int64(3 * n * (n - 1) / 2)]]);
+    let stats = pool.stats();
+    assert_eq!((stats.misses, stats.hits), (extents as u64, 0));
+    let charged: usize = (0..extents).map(|e| cold.header().extent_bytes(e)).sum();
+    assert_eq!(stats.resident_bytes, charged);
+
+    let (a, b) = (cold.pin(0).unwrap(), cold.pin(0).unwrap());
+    assert!(
+        Arc::ptr_eq(a.table(), b.table()),
+        "a hit re-reads the frame"
+    );
+    let other = cold.pin(4).unwrap();
+    assert!(std::ptr::eq(
+        a.table().dict(1).unwrap(),
+        other.table().dict(1).unwrap()
+    ));
+    assert!(std::ptr::eq(
+        store.table().dict(1).unwrap(),
+        a.table().dict(1).unwrap()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpoint file a table's cold main was mounted from.
+fn checkpoint_file(dir: &Path, table: &str) -> PathBuf {
+    let mains: Vec<PathBuf> = std::fs::read_dir(dir.join(mrdb::store::sanitize_name(table)))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy();
+            name.starts_with("main.") && name.ends_with(".tbl") && !name.contains("tmp")
+        })
+        .collect();
+    assert_eq!(mains.len(), 1, "{mains:?}");
+    mains[0].clone()
+}
+
+/// Damage to the checkpoint under a cold mount surfaces as a storage error
+/// from the extent fault — never a panic, wrong rows, a leaked pin or a
+/// fault slot left `Loading`: a flipped payload byte fails its checksum
+/// (on every retry), a file cut inside the last extent is a short read.
+#[test]
+fn damaged_extents_fail_the_scan_cleanly() {
+    use mrdb::core::DbError;
+    use mrdb::store::{flip_bit, truncate_at};
+
+    let storage_err = |db: &Database| match db.run(&sum_qty(), EngineKind::Compiled) {
+        Err(DbError::Storage(e)) => e.to_string(),
+        other => panic!("expected a storage error, got {other:?}"),
+    };
+
+    let (dir, db, pool) = cold_three_groups("flip", 5000);
+    let (start, end) = store_of(&db).cold().unwrap().header().extent_span(2);
+    flip_bit(&checkpoint_file(&dir, "S"), (start + end) / 2).unwrap();
+    for attempt in 0..2 {
+        let err = storage_err(&db);
+        assert!(err.contains("checksum"), "attempt {attempt}: {err}");
+        let stats = pool.stats();
+        assert_eq!(stats.pinned_frames, 0, "attempt {attempt}");
+        assert_eq!(stats.frames, 2, "only the sound extents stay resident");
+    }
+    assert_eq!(
+        pool.stats().misses,
+        4,
+        "a retry faults the bad extent again"
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (dir, db, pool) = cold_three_groups("cut", 5000);
+    let store = store_of(&db);
+    let cold = store.cold().unwrap();
+    let (start, _) = cold.header().extent_span(cold.n_extents() - 1);
+    truncate_at(&checkpoint_file(&dir, "S"), start + 8).unwrap();
+    let err = storage_err(&db);
+    assert!(err.contains("fill whole buffer"), "{err}");
+    assert_eq!(pool.stats().pinned_frames, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

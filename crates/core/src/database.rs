@@ -28,7 +28,7 @@
 //! * [`crate::write`] — row and predicate DML, the insert-path
 //!   maintenance step, [`Database::merge`] / [`Database::relayout`] /
 //!   [`Database::checkpoint_all`];
-//! * [`crate::query`] — [`Database::execute`], the plan and result caches,
+//! * [`crate::query`] — [`Database::execute`], the one statement-cache probe,
 //!   engine dispatch, the index probe, [`Database::run`].
 //!
 //! ## Migration notes (from the single-writer `&mut self` API)
@@ -53,7 +53,7 @@
 
 use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use crate::planner::Planner;
-use crate::result_cache::{CacheStats, PlanCache, ResultCache, ResultCacheConfig};
+use crate::result_cache::{CacheStats, ResultCacheConfig, StatementCache};
 use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, VolcanoEngine};
 use pdsm_index::{HashIndex, Index, RBTree};
 use pdsm_layout::workload::{Workload, WorkloadQuery};
@@ -267,9 +267,6 @@ pub struct StorageStats {
     pub recovery_replay_ops: u64,
 }
 
-/// Upper bound on cached physical plans, across the cache's shards
-/// (per-shard LRU eviction past it — see [`crate::result_cache::PlanCache`]).
-const PLAN_CACHE_CAP: usize = 256;
 /// Upper bound on *distinct* plans the observed workload records;
 /// frequencies of already-recorded plans keep counting past it.
 const OBSERVED_CAP: usize = 512;
@@ -336,23 +333,19 @@ pub struct Database {
     /// beyond a read-lock acquisition.
     catalog: RwLock<HashMap<String, TableEntry>>,
     /// Bumped by every catalog-shape change (table created/registered,
-    /// index created/dropped); part of the plan-cache validity key.
+    /// index created/dropped); part of the statement-cache validity key.
     pub(crate) catalog_epoch: AtomicU64,
-    /// Physical plans keyed by the logical plan's rendering, validated
-    /// against the referenced tables' live `(generation, delta_ops)`
-    /// tokens on every lookup. Sharded + LRU-bounded; repeat executes of
-    /// the same plan take only a shard read lock.
-    pub(crate) plan_cache: PlanCache,
-    /// The planner every plan-cache miss lowers with, built once here: the
+    /// The statement cache (see [`crate::result_cache`]): one entry per
+    /// logical plan's rendering, holding its physical plan and, for an
+    /// admitted plan, its result, valid while the catalog epoch and the
+    /// referenced tables' `(generation, delta_ops)` tokens hold. Every
+    /// statement probes it once; a repeat takes only its read lock.
+    pub(crate) cache: StatementCache,
+    /// The planner every cache miss lowers with, built once here: the
     /// hierarchy it prices against and the worker count (`PDSM_THREADS` or
     /// the host's, read at construction) are fixed for this database's
     /// lifetime, so its plans do not move when the environment does.
     pub(crate) planner: Planner,
-    /// Materialized results keyed by [`pdsm_plan::plan_fingerprint`] plus
-    /// the same per-table tokens — see [`crate::result_cache`]. Consulted
-    /// by [`Database::execute`] for admitted plans; serves whole results
-    /// and filtered-scan fragments.
-    pub(crate) result_cache: ResultCache,
     /// Every plan routed through [`Database::execute`], deduplicated with
     /// frequencies — the observed traffic `relayout`/merge re-advise from.
     observed: Mutex<ObservedTraffic>,
@@ -390,12 +383,11 @@ impl Database {
         Database {
             catalog: RwLock::new(HashMap::new()),
             catalog_epoch: AtomicU64::new(0),
-            plan_cache: PlanCache::new(PLAN_CACHE_CAP),
+            cache: StatementCache::new(ResultCacheConfig::from_env()),
             planner: Planner {
                 hierarchy: pdsm_cost::Hierarchy::nehalem(),
                 threads: pdsm_par::default_threads(),
             },
-            result_cache: ResultCache::new(ResultCacheConfig::from_env()),
             observed: Mutex::new(ObservedTraffic::default()),
             maintenance: MaintenanceScheduler::new(cfg),
             durability: None,
@@ -799,32 +791,29 @@ impl Database {
         Ok(())
     }
 
-    /// Combined counters of the plan cache and the result cache.
+    /// The statement cache's counters, plan half and result half.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            plan: self.plan_cache.stats(),
-            result: self.result_cache.stats(),
-        }
+        self.cache.stats()
     }
 
-    /// Reconfigure the result cache (tests, embedders, benchmarks that
-    /// must not depend on the process environment). Drops every cached
-    /// result; counters keep accumulating.
+    /// Reconfigure result caching (tests, embedders, benchmarks that
+    /// must not depend on the process environment). Drops every cache
+    /// entry; counters keep accumulating.
     pub fn set_result_cache(&self, cfg: ResultCacheConfig) {
-        self.result_cache.set_config(cfg);
+        self.cache.set_config(cfg);
     }
 
     /// The result cache's active configuration.
     pub fn result_cache_config(&self) -> ResultCacheConfig {
-        self.result_cache.config()
+        self.cache.config()
     }
 
     /// Record one executed plan into the observed workload (deduplicated;
     /// repeats bump the frequency). `key` is the plan's rendering, shared
-    /// with the plan cache so `execute` formats it once.
-    pub(crate) fn record_observed(&self, plan: &LogicalPlan, key: String) {
+    /// with the statement cache so `execute` formats it once.
+    pub(crate) fn record_observed(&self, plan: &LogicalPlan, key: &str) {
         let mut o = self.observed.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&i) = o.by_key.get(&key) {
+        if let Some(&i) = o.by_key.get(key) {
             o.workload.queries[i].frequency += 1.0;
             return;
         }
@@ -834,7 +823,7 @@ impl Database {
         }
         let name = format!("observed-{i}");
         o.workload.push(WorkloadQuery::new(name, plan.clone()));
-        o.by_key.insert(key, i);
+        o.by_key.insert(key.to_string(), i);
     }
 
     /// The traffic [`Database::execute`] has routed so far, as a

@@ -37,8 +37,7 @@ use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
 use pdsm_exec::zone_preds;
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp};
-use pdsm_plan::fingerprint::pipeline_fragment;
-use pdsm_plan::logical::LogicalPlan;
+use pdsm_plan::logical::{pipeline_fragment, LogicalPlan};
 use pdsm_plan::patterns::{emit_pattern, TableView};
 use pdsm_plan::physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan, PipelinePlan};
 use pdsm_plan::selectivity::estimate_selectivity;
@@ -65,7 +64,7 @@ pub const CPU_TAIL_ROW: f64 = 60.0;
 /// budget and eviction work that the model does not price.
 pub const CACHE_ADMIT_FACTOR: f64 = 4.0;
 /// Result-cache admission floor: plans predicted cheaper than this
-/// re-execute faster than the cache's own bookkeeping (fingerprint, probe,
+/// re-execute faster than the cache's own bookkeeping (probe, copy,
 /// store), so they always bypass — point index probes land here.
 pub const CACHE_MIN_REEXEC_CYCLES: f64 = 20_000.0;
 
@@ -579,7 +578,7 @@ mod tests {
             QueryBuilder::scan("r")
                 .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(1))])
                 .build(),
-            // full-schema fragment: the shape the result-cache test reuses
+            // full-schema filtered scan
             QueryBuilder::scan("r")
                 .filter(Expr::col(1).gt(Expr::lit(100)))
                 .build(),

@@ -11,28 +11,32 @@
 //! needs it, on the running thread, after every lock is gone.
 //!
 //! Everything downstream is a function of that view: the validity tokens
-//! of the plan and result caches, the planner ([`crate::Planner::plan`]
-//! takes the view, not the database), the engine / extent-streaming /
-//! index-probe dispatch, the output names and the tag a result is admitted
-//! under. So the planner prices the version the engine scans, a plan that
-//! says `index` probes (an index lagging the pinned generation is not in
-//! the view, hence not a candidate), and a cached result carries the state
-//! it was computed from without a second look at the live tables.
+//! of the statement cache ([`crate::result_cache`]), the planner
+//! ([`crate::Planner::plan`] takes the view, not the database), the
+//! engine / extent-streaming / index-probe dispatch, the output names and
+//! the tag an entry is stored under. So the planner prices the version the
+//! engine scans, a plan that says `index` probes (an index lagging the
+//! pinned generation is not in the view, hence not a candidate), and a
+//! cached plan and result carry the state they were computed from without
+//! a second look at the live tables.
+//!
+//! A statement renders its plan once and probes the statement cache once:
+//! a valid entry yields the lowering and, for an admitted plan, the
+//! result; a miss lowers the plan from the view, runs it, and stores the
+//! lowering and the admitted result in one entry.
 //!
 //! The catalog, DML, maintenance and durability halves of `Database` live
 //! in [`crate::database`] and [`crate::write`].
 
 use crate::database::{Database, DbError, EngineKind, TableEntry};
-use crate::result_cache::{DepTokens, FRAGMENT_TABLE};
-use crate::streaming::OneTable;
+use crate::result_cache::{DepTokens, Entry, Probe};
 use pdsm_exec::engine::{ExecError, Overlay, TableProvider};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
-use pdsm_plan::fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
-use pdsm_storage::{ColId, DataType, Schema, Table, Value};
+use pdsm_storage::{ColId, DataType, Table, Value};
 use pdsm_txn::Snapshot;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -77,21 +81,21 @@ impl Database {
         self.pin(plan).run(plan, engine)
     }
 
-    /// Execute `plan` through the cost-based planner: lower it to a
-    /// [`PhysicalPlan`] (cached per catalog/generation fingerprint), record
-    /// it in the observed workload, consult the result cache for admitted
-    /// plans, and dispatch to the chosen engine or index probe. Results
-    /// are byte-identical to every fixed engine — cached or not.
+    /// Execute `plan` through the cost-based planner: one probe of the
+    /// statement cache yields its lowering and, for an admitted plan, its
+    /// result; a miss lowers the plan from the pinned view, runs it on the
+    /// chosen engine or index probe, and stores both. The plan is recorded
+    /// in the observed workload. Results are byte-identical to every fixed
+    /// engine — cached or not.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<QueryResult, DbError> {
-        // One rendering serves both the plan cache and the observed-
-        // workload dedup — it is the only per-plan string work on a
-        // cache-hit execute.
+        // One rendering serves the cache key and the observed-workload
+        // dedup — the only per-plan string work on a cache hit.
         let key = format!("{plan:?}");
         let view = self.pin(plan);
         let deps = view.deps(plan)?;
-        let phys = self.plan_pinned(&view, &deps, plan, &key)?;
-        self.record_observed(plan, key);
-        self.execute_pinned(&view, deps, &phys)
+        let entry = self.cache.probe(&key, view.epoch, &deps, Probe::Plan);
+        self.record_observed(plan, &key);
+        self.serve(&view, plan, key, deps, entry, None)
     }
 
     /// Lower `plan` to its [`PhysicalPlan`] without executing it. Cached:
@@ -100,46 +104,19 @@ impl Database {
     /// the background worker), or the catalog changes shape (table
     /// registered, index created/dropped).
     pub fn plan_query(&self, plan: &LogicalPlan) -> Result<Arc<PhysicalPlan>, DbError> {
-        let view = self.pin(plan);
-        self.plan_pinned(&view, &view.deps(plan)?, plan, &format!("{plan:?}"))
-    }
-
-    /// The cached lowering of `plan` if it was made from the state `view`
-    /// pins (`deps` are `view`'s tokens for `plan`) and `view` can still
-    /// run it, else a fresh one from `view`.
-    fn plan_pinned(
-        &self,
-        view: &DbSnapshot,
-        deps: &DepTokens,
-        plan: &LogicalPlan,
-        key: &str,
-    ) -> Result<Arc<PhysicalPlan>, DbError> {
-        let cached = self.plan_cache.lookup(key, view.epoch, deps);
-        if let Some(phys) = cached.filter(|phys| view.can_run(phys)) {
-            return Ok(phys);
-        }
-        let phys = Arc::new(self.planner.plan(view, plan)?);
-        self.plan_cache
-            .insert(key.to_string(), view.epoch, deps.clone(), phys.clone());
-        Ok(phys)
+        Ok(self.lowering(plan, Probe::Plan)?.0)
     }
 
     /// The `EXPLAIN` of `plan`: the physical plan's rendering — chosen
     /// engine, per-pipeline access path, model cost, all priced
-    /// alternatives — plus the result cache's live status for this plan
-    /// (`bypass` when disabled or not admitted, otherwise a stat-silent
-    /// peek answers `hit` or `miss`).
+    /// alternatives — plus the cache's live status for this plan
+    /// (`bypass` when result caching is off or the plan is not admitted,
+    /// otherwise `hit` or `miss`). The probe moves no counter.
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, DbError> {
-        let view = self.pin(plan);
-        let deps = view.deps(plan)?;
-        let phys = self.plan_pinned(&view, &deps, plan, &format!("{plan:?}"))?;
-        let status = if !self.result_cache.is_enabled() || !phys.cache_admit {
+        let (phys, entry) = self.lowering(plan, Probe::Silent)?;
+        let status = if !self.cache.config().enabled || !phys.cache_admit {
             "bypass"
-        } else if self
-            .result_cache
-            .probe(&plan_fingerprint(&phys.logical), view.epoch, &deps, false)
-            .is_some()
-        {
+        } else if entry.is_some_and(|e| e.has_result()) {
             "hit"
         } else {
             "miss"
@@ -147,113 +124,74 @@ impl Database {
         Ok(phys.explain_with(Some(status)))
     }
 
-    /// Execute an already-lowered plan, consulting the result cache the
-    /// same way [`Database::execute`] does. A plan the pinned view cannot
-    /// run as lowered — its index was dropped, or lags a merge, since it
-    /// was planned — is lowered again from the view first.
-    pub fn execute_physical(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
-        let view = self.pin(&phys.logical);
-        let deps = view.deps(&phys.logical)?;
-        if view.can_run(phys) {
-            self.execute_pinned(&view, deps, phys)
-        } else {
-            self.execute_pinned(&view, deps, &self.planner.plan(&view, &phys.logical)?)
-        }
-    }
-
-    /// The cache-wrapped execution of `phys` over `view`: probe, execution
-    /// and admission all carry `deps`, `view`'s tokens for the plan.
-    fn execute_pinned(
+    /// `plan`'s lowering after one `probe`: the cached entry's, when the
+    /// pinned view can run it, else a fresh one from the view, stored.
+    fn lowering(
         &self,
-        view: &DbSnapshot,
-        deps: DepTokens,
-        phys: &PhysicalPlan,
-    ) -> Result<QueryResult, DbError> {
-        // The entire cache-off cost: one atomic load.
-        if !self.result_cache.is_enabled() {
-            return view.execute(phys);
+        plan: &LogicalPlan,
+        probe: Probe,
+    ) -> Result<(Arc<PhysicalPlan>, Option<Arc<Entry>>), DbError> {
+        let key = format!("{plan:?}");
+        let view = self.pin(plan);
+        let deps = view.deps(plan)?;
+        let entry = self.cache.probe(&key, view.epoch, &deps, probe);
+        if let Some(e) = entry.filter(|e| view.can_run(&e.phys)) {
+            return Ok((Arc::clone(&e.phys), Some(e)));
         }
-        if !phys.cache_admit {
-            // The model priced this result as cheaper to recompute than
-            // to copy in and out of a cache.
-            self.result_cache.note_bypass();
-            return view.execute(phys);
-        }
-        let fp = plan_fingerprint(&phys.logical);
-        if let Some(hit) = self.result_cache.probe(&fp, view.epoch, &deps, true) {
-            return Ok((*hit.result).clone());
-        }
-        // Whole-result miss: a cached filtered-scan fragment may still
-        // serve this plan (e.g. an aggregate over a previously-run
-        // filter); otherwise execute for real.
-        let result = Arc::new(match self.fragment_result(view, &phys.logical, &deps)? {
-            Some(r) => r,
-            None => view.execute(phys)?,
-        });
-        let benefit = (phys.cost.total() - phys.copy_out_cycles).max(0.0);
-        self.result_cache.admit(
-            fp,
-            view.epoch,
-            deps,
-            Arc::clone(&result),
-            benefit,
-            view.fragment_schema(&phys.logical),
-        );
-        Ok((*result).clone())
+        let phys = Arc::new(self.planner.plan(&view, plan)?);
+        self.cache
+            .insert(key, view.epoch, deps, Arc::clone(&phys), None);
+        Ok((phys, None))
     }
 
-    /// Serve `plan` from a cached filtered-scan fragment: when `plan` is a
-    /// **global aggregate** directly over a cached-and-current
-    /// `Select(Scan)` fragment, the fragment's rows are rebuilt into a
-    /// synthetic table once and the aggregate runs over them on the
-    /// compiled engine. Restricted to empty-`group_by` aggregates because
-    /// their single-row output is independent of both row order and the
-    /// engine that computes it — grouped or row-returning consumers would
-    /// tie the output's row *order* to the serving engine, and group order
-    /// is an engine-level degree of freedom this cache must not alter.
-    fn fragment_result(
+    /// Execute an already-lowered plan through the statement cache the
+    /// way [`Database::execute`] does, without moving plan counters. A
+    /// plan the pinned view cannot run as lowered — its index was dropped,
+    /// or lags a merge, since it was planned — gives way to the view's own
+    /// lowering.
+    pub fn execute_physical(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
+        let plan = &phys.logical;
+        let key = format!("{plan:?}");
+        let view = self.pin(plan);
+        let deps = view.deps(plan)?;
+        let entry = self.cache.probe(&key, view.epoch, &deps, Probe::Run);
+        self.serve(&view, plan, key, deps, entry, Some(phys))
+    }
+
+    /// Finish a statement whose one probe found `entry`: run `held` (a
+    /// caller's lowering) when `view` can run it, else the entry's, else
+    /// a fresh one from `view`. An admitted plan is answered from the
+    /// entry's result; a miss stores the view's lowering and the admitted
+    /// result in one entry under `key`.
+    fn serve(
         &self,
         view: &DbSnapshot,
         plan: &LogicalPlan,
-        deps: &DepTokens,
-    ) -> Result<Option<QueryResult>, DbError> {
-        let LogicalPlan::Aggregate {
-            input, group_by, ..
-        } = plan
-        else {
-            return Ok(None);
+        key: String,
+        deps: DepTokens,
+        entry: Option<Arc<Entry>>,
+        held: Option<&PhysicalPlan>,
+    ) -> Result<QueryResult, DbError> {
+        let entry = entry.filter(|e| view.can_run(&e.phys));
+        let lowered = match &entry {
+            Some(e) => Arc::clone(&e.phys),
+            None => Arc::new(self.planner.plan(view, plan)?),
         };
-        if !group_by.is_empty() {
-            return Ok(None);
+        let phys = held.filter(|p| view.can_run(p)).unwrap_or(&lowered);
+        if !self.cache.admits(phys) {
+            let result = view.execute(phys);
+            if entry.is_none() {
+                self.cache.insert(key, view.epoch, deps, lowered, None);
+            }
+            return result;
         }
-        let Some(frag) = pipeline_fragment(plan) else {
-            return Ok(None);
-        };
-        if !std::ptr::eq(frag, input.as_ref()) {
-            return Ok(None);
+        if let Some(hit) = self.cache.result(entry.as_deref()) {
+            return Ok(hit);
         }
-        let fp = plan_fingerprint(frag);
-        // Single-table plans only (fragments never cross joins), so the
-        // plan's tokens are exactly the fragment's tokens.
-        let Some(entry) = self.result_cache.probe(&fp, view.epoch, deps, false) else {
-            return Ok(None);
-        };
-        let Some(table) = entry.fragment_table() else {
-            return Ok(None);
-        };
-        self.result_cache.note_fragment_hit(&entry);
-        let rewritten = substitute_fragment(plan, FRAGMENT_TABLE);
-        // No overlay: the fragment is fully materialized, its rows are
-        // the whole truth.
-        let provider = OneTable {
-            name: FRAGMENT_TABLE,
-            table: &table,
-            overlay: None,
-        };
-        let output = EngineKind::Compiled
-            .engine()
-            .execute(&rewritten, &provider)?;
-        Ok(Some(QueryResult::new(view.output_names(plan), output)))
+        let result = view.execute(phys)?;
+        self.cache
+            .insert(key, view.epoch, deps, lowered, Some(result.clone()));
+        Ok(result)
     }
 
     /// Execute `plan`, using an index for the outermost selection when one
@@ -334,8 +272,8 @@ impl DbSnapshot {
     }
 
     /// The `(table, generation, delta_ops)` token of every table `plan`
-    /// reads, in scan order: with the epoch, the validity fingerprint of
-    /// the plan and result caches — and the state this view computes from.
+    /// reads, in scan order: with the epoch, the validity tag of a
+    /// statement-cache entry — and the state this view computes from.
     fn deps(&self, plan: &LogicalPlan) -> Result<DepTokens, DbError> {
         let mut deps: DepTokens = Vec::new();
         for t in plan.tables() {
@@ -358,20 +296,11 @@ impl DbSnapshot {
         })
     }
 
-    /// The base table's schema when `plan` is a full-schema filtered scan
-    /// (`Select` directly over `Scan`) — the shape whose cached result can
-    /// later serve as a fragment for other plans.
-    fn fragment_schema(&self, plan: &LogicalPlan) -> Option<Schema> {
-        pipeline_fragment(plan).filter(|frag| std::ptr::eq(*frag, plan))?;
-        let base = self.tables.get(plan.tables()[0])?;
-        Some(base.snapshot.store().schema().clone())
-    }
-
     /// Execute `plan` against this snapshot with the chosen engine. A
     /// still-cold table streams extent-at-a-time through the buffer pool
     /// when the plan shape allows it (never more than one extent's frames
     /// pinned); other shapes make it resident first. Snapshots carry no
-    /// plan or result cache — planned execution is [`Database::execute`].
+    /// statement cache — planned execution is [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
         let output = match crate::streaming::run_cold_streaming(self, plan, engine)? {
             Some(output) => output,

@@ -1,58 +1,61 @@
-//! The mid-query result cache (and the bounded plan cache living beside
-//! it): materialized pipeline results keyed by canonical plan fingerprints
-//! plus each input table's `(generation, delta_ops)` token.
+//! The statement cache: one entry per logical plan, holding its physical
+//! plan and — once an admitted plan has run — its materialized result,
+//! both tagged with the catalog epoch and each input table's
+//! `(generation, delta_ops)` token.
 //!
-//! The cheapest scan is the one never re-run. [`ResultCache`] stores the
-//! [`QueryResult`] of an admitted plan under
-//! [`pdsm_plan::plan_fingerprint`], tagged with the catalog epoch and the
-//! token `(generation, delta_ops)` of every input table — exactly the
-//! invalidation fingerprint the plan cache already re-reads on every
-//! lookup. Both components of the token are monotonic (a merge bumps the
+//! The key is the plan's `Debug` rendering (`format!("{plan:?}")`), the
+//! string the observed workload dedups on too, so a statement renders its
+//! plan once and probes one map once. An entry's plan and its result were
+//! both computed from the view whose `(epoch, deps)` the entry carries.
+//! Both components of a token are monotonic (a merge bumps the
 //! generation, DML bumps `delta_ops` within one), so a merge or any DML
-//! batch invalidates entries *for free*: the next probe re-reads the live
-//! tokens, sees a mismatch, and drops the entry. A stale entry can never
-//! re-validate, which makes a cached hit provably equal to re-execution at
-//! that fingerprint. Replaced tables can reset tokens, so the catalog
-//! epoch (bumped by every shape change) is part of validity too.
+//! batch invalidates entries *for free*: the next probe reads the tokens
+//! of the view it pinned, sees a mismatch, and drops the entry. A stale
+//! entry can never re-validate, which makes a cached hit provably equal
+//! to re-execution over that view. Replaced tables can reset tokens, so
+//! the catalog epoch (bumped by every shape change) is part of validity
+//! too. A repeated statement takes only the read lock.
 //!
 //! Admission is the planner's job ([`PhysicalPlan`]`::cache_admit`): a
-//! plan is cacheable only when its predicted re-execution cost exceeds the
+//! result is kept only when its predicted re-execution cost exceeds the
 //! priced copy-out (`pdsm_cost::copy_out_cycles`) by
-//! `crate::planner::CACHE_ADMIT_FACTOR`. Eviction is byte-budgeted LRU
-//! with cost-weighted benefit: when over budget, the entry with the lowest
-//! `benefit-density × observed-reuse / recency` score goes first.
+//! `crate::planner::CACHE_ADMIT_FACTOR`. Two bounds apply:
 //!
-//! Entries whose plan was a full-schema filtered scan (`Select(Scan)`)
-//! additionally serve *fragment reuse*: a later aggregate over the same
-//! filtered scan executes against the materialized rows (lazily rebuilt
-//! into a [`Table`] once) instead of rescanning the base table — reuse of
-//! pipeline results, not just whole answers.
+//! * entries with a result charge their rows against the byte budget;
+//!   over it, the entry with the lowest
+//!   `benefit-density × observed-reuse / recency` score goes, plan and all;
+//! * entries without one are at most [`PLAN_ONLY_CAP`]; at the bound the
+//!   least recently used of them go, a few per scan — this bound never
+//!   drops a result.
 //!
-//! Knobs: `PDSM_RESULT_CACHE=off|on` (default on) and
-//! `PDSM_RESULT_CACHE_BYTES=<bytes>` (default 64 MiB).
+//! Knobs: `PDSM_RESULT_CACHE=off|on` (default on; off still caches plans)
+//! and `PDSM_RESULT_CACHE_BYTES=<bytes>` (default 64 MiB).
 
 use pdsm_exec::QueryResult;
 use pdsm_plan::physical::PhysicalPlan;
-use pdsm_storage::{Schema, Table, Value};
+use pdsm_storage::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Per-table invalidation tokens: `(table, generation, delta_ops)` of
 /// every table a plan reads, in first-reference order.
 pub type DepTokens = Vec<(String, u64, u64)>;
 
-/// Synthetic table name cached fragments are scanned under when a
-/// consuming plan is rewritten over a materialized fragment.
-pub const FRAGMENT_TABLE: &str = "#cached-fragment";
+/// Upper bound on entries that hold a plan but no result.
+pub const PLAN_ONLY_CAP: usize = 256;
+
+/// Plan-only entries the LRU bound drops per scan of the map, so that one
+/// scan pays for this many inserts.
+const LRU_BATCH: usize = 8;
 
 /// Result-cache configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResultCacheConfig {
-    /// Master switch (`PDSM_RESULT_CACHE`). When off, `execute` pays a
-    /// single atomic load and nothing else.
+    /// Master switch (`PDSM_RESULT_CACHE`). When off, entries keep plans
+    /// only and a statement pays one atomic load for the result half.
     pub enabled: bool,
-    /// Byte budget across all entries (`PDSM_RESULT_CACHE_BYTES`). A
+    /// Byte budget across all results (`PDSM_RESULT_CACHE_BYTES`). A
     /// single result larger than a quarter of the budget is never
     /// admitted (it would evict everything for one entry).
     pub budget_bytes: usize,
@@ -87,77 +90,44 @@ impl ResultCacheConfig {
     }
 }
 
-/// One cached result: the materialized rows plus everything needed to
-/// prove them current (`epoch`, `deps`) and to rank them for eviction
-/// (`bytes`, `benefit`, recency, observed reuse).
-pub struct CachedResult {
-    /// Catalog epoch at execution.
-    pub epoch: u64,
-    /// Input-table tokens at execution (validated against live tokens on
-    /// every probe).
-    pub deps: DepTokens,
-    /// The materialized result.
-    pub result: Arc<QueryResult>,
-    /// Estimated resident bytes (rows + column names).
-    pub bytes: usize,
-    /// Model-predicted cycles one hit saves (re-execution minus copy-out).
-    pub benefit: f64,
-    /// Base-table schema when the plan was a full-schema `Select(Scan)` —
-    /// the shape eligible for fragment reuse.
-    frag_schema: Option<Schema>,
-    /// The fragment rows rebuilt as a scannable [`Table`], built at most
-    /// once, on first fragment reuse (`None` inside = a row failed to
-    /// insert; give up on fragment service, whole-result hits still work).
-    frag_table: OnceLock<Option<Arc<Table>>>,
-    /// Logical-clock tick of the last hit (LRU recency).
-    last_used: AtomicU64,
-    /// Hits served (whole-result or fragment) — the reuse weight.
-    hits: AtomicU64,
+/// Point-in-time counters of the plan half of the cache.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Plan probes that found a still-valid lowering.
+    pub hits: u64,
+    /// Plan probes that found nothing current (the caller re-planned).
+    pub misses: u64,
+    /// Plan-only entries displaced by the [`PLAN_ONLY_CAP`] LRU bound.
+    pub evictions: u64,
+    /// Entries dropped because their tokens had moved.
+    pub invalidations: u64,
+    /// Entries currently cached (every entry holds a plan).
+    pub entries: usize,
 }
 
-impl CachedResult {
-    /// The fragment rows as a scannable table named [`FRAGMENT_TABLE`],
-    /// when this entry is fragment-eligible. Built once, lazily.
-    pub fn fragment_table(&self) -> Option<Arc<Table>> {
-        let schema = self.frag_schema.as_ref()?;
-        self.frag_table
-            .get_or_init(|| {
-                let mut t = Table::new(FRAGMENT_TABLE, schema.clone());
-                for row in &self.result.rows {
-                    if t.insert(row).is_err() {
-                        return None;
-                    }
-                }
-                Some(Arc::new(t))
-            })
-            .clone()
-    }
-}
-
-/// Point-in-time counters of the result cache layer.
+/// Point-in-time counters of the result half of the cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResultCacheStats {
-    /// Whether the cache is currently enabled.
+    /// Whether result caching is currently enabled.
     pub enabled: bool,
     /// Configured byte budget.
     pub budget_bytes: usize,
     /// Estimated bytes currently resident.
     pub bytes: usize,
-    /// Entries currently resident.
+    /// Entries currently holding a result.
     pub entries: usize,
     /// Whole-result hits (the probe returned a materialized answer).
     pub hits: u64,
-    /// Fragment hits: a cached filtered-scan served a *different* plan
-    /// over the same fragment (these also count one whole-result miss).
+    /// Always 0; read by pdsm-bench's trace.
     pub fragment_hits: u64,
-    /// Probes that found nothing current.
+    /// Admitted executions that found no current result.
     pub misses: u64,
-    /// Executions that skipped the cache: planner admission said the
-    /// result is cheaper to recompute than to copy, or caching is off.
+    /// Executions that skipped the cache because planner admission said
+    /// the result is cheaper to recompute than to copy.
     pub bypasses: u64,
     /// Entries dropped by the byte-budget eviction.
     pub evictions: u64,
-    /// Entries dropped because a probe saw moved tokens (DML/merge/shape).
+    /// Result-bearing entries dropped because a probe saw moved tokens.
     pub invalidations: u64,
     /// Results admitted since creation.
     pub insertions: u64,
@@ -175,18 +145,89 @@ impl ResultCacheStats {
     }
 }
 
-/// The bounded, concurrent result cache. All methods take `&self`; lookups
-/// touch the map under a read lock only.
-pub struct ResultCache {
-    map: RwLock<HashMap<String, Arc<CachedResult>>>,
+/// Both halves' counters — `Database::cache_stats()`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CacheStats {
+    pub plan: PlanCacheStats,
+    pub result: ResultCacheStats,
+}
+
+/// Who probes, and so which counters the probe moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// `execute`, `plan_query`: a plan hit or miss; a stale entry is
+    /// dropped and counted.
+    Plan,
+    /// `execute_physical`, which brings its own plan: a stale entry is
+    /// dropped and counted, no plan counter moves.
+    Run,
+    /// `EXPLAIN`: nothing moves and nothing is dropped.
+    Silent,
+}
+
+/// A materialized result and what ranks it for eviction.
+struct CachedResult {
+    rows: QueryResult,
+    /// Estimated resident bytes (rows + column names).
+    bytes: usize,
+    /// Model-predicted cycles one hit saves (re-execution minus copy-out).
+    benefit: f64,
+}
+
+/// One statement's entry: the plan's lowering and, for an admitted plan
+/// that has run, its result — both computed from the view whose
+/// `(epoch, deps)` it carries.
+pub(crate) struct Entry {
+    epoch: u64,
+    deps: DepTokens,
+    pub(crate) phys: Arc<PhysicalPlan>,
+    result: Option<CachedResult>,
+    /// Logical-clock tick of the last counted probe (recency).
+    last_used: AtomicU64,
+    /// Result hits served — the reuse weight.
+    hits: AtomicU64,
+}
+
+impl Entry {
+    /// Whether this entry holds a result (`EXPLAIN`'s `hit`).
+    pub(crate) fn has_result(&self) -> bool {
+        self.result.is_some()
+    }
+}
+
+#[derive(Default)]
+struct Entries {
+    map: HashMap<String, Arc<Entry>>,
+    /// Σ result bytes of the entries in `map`.
+    bytes: usize,
+    /// Entries in `map` that hold a result.
+    results: usize,
+}
+
+impl Entries {
+    fn remove(&mut self, key: &str) -> Option<Arc<Entry>> {
+        let e = self.map.remove(key)?;
+        if let Some(r) = &e.result {
+            self.bytes -= r.bytes;
+            self.results -= 1;
+        }
+        Some(e)
+    }
+}
+
+/// The bounded, concurrent statement cache. All methods take `&self`; a
+/// valid probe touches the map under the read lock only.
+pub(crate) struct StatementCache {
+    entries: RwLock<Entries>,
     enabled: AtomicBool,
     budget: AtomicUsize,
-    /// Estimated resident bytes; mutated only under the map's write lock.
-    bytes: AtomicUsize,
-    /// Logical clock: one tick per probe, for LRU recency.
+    /// Logical clock: one tick per probe that is not silent, for recency.
     clock: AtomicU64,
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
+    plan_evictions: AtomicU64,
+    plan_invalidations: AtomicU64,
     hits: AtomicU64,
-    fragment_hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
     evictions: AtomicU64,
@@ -194,27 +235,28 @@ pub struct ResultCache {
     insertions: AtomicU64,
 }
 
-impl ResultCache {
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+impl StatementCache {
     pub fn new(cfg: ResultCacheConfig) -> Self {
-        ResultCache {
-            map: RwLock::new(HashMap::new()),
+        StatementCache {
+            entries: RwLock::default(),
             enabled: AtomicBool::new(cfg.enabled),
             budget: AtomicUsize::new(cfg.budget_bytes),
-            bytes: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
+            plan_hits: AtomicU64::new(0),
+            plan_misses: AtomicU64::new(0),
+            plan_evictions: AtomicU64::new(0),
+            plan_invalidations: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            fragment_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
         }
-    }
-
-    /// The one check the cache-off fast path pays.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Current configuration.
@@ -228,172 +270,212 @@ impl ResultCache {
     /// Reconfigure (tests, embedders). Drops every entry; counters keep
     /// accumulating.
     pub fn set_config(&self, cfg: ResultCacheConfig) {
-        let mut m = self.write_map();
-        m.clear();
-        self.bytes.store(0, Ordering::Relaxed);
+        *self.write() = Entries::default();
         self.enabled.store(cfg.enabled, Ordering::Relaxed);
         self.budget.store(cfg.budget_bytes, Ordering::Relaxed);
     }
 
-    fn read_map(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<CachedResult>>> {
-        self.map.read().unwrap_or_else(|e| e.into_inner())
+    fn read(&self) -> RwLockReadGuard<'_, Entries> {
+        self.entries.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_map(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<CachedResult>>> {
-        self.map.write().unwrap_or_else(|e| e.into_inner())
+    fn write(&self) -> RwLockWriteGuard<'_, Entries> {
+        self.entries.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Record one execution that never consulted the cache (admission said
-    /// recompute, or the cache is off for this probe).
-    pub fn note_bypass(&self) {
-        self.bypasses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A validated entry for `key`, or `None`. `count` selects the
-    /// stats-bearing probe (`execute`) vs. the silent peek (`explain`).
-    /// A stale entry (tokens moved) is removed — and counted as an
-    /// invalidation — on the counting path.
+    /// The entry for `key` if it was made from a view with `epoch` and
+    /// `deps`, else `None`. A stale entry is removed unless `probe` is
+    /// [`Probe::Silent`].
     pub fn probe(
         &self,
         key: &str,
         epoch: u64,
         deps: &DepTokens,
-        count: bool,
-    ) -> Option<Arc<CachedResult>> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = self.read_map().get(key).cloned();
-        match entry {
+        probe: Probe,
+    ) -> Option<Arc<Entry>> {
+        let counted = probe != Probe::Silent;
+        let tick = if counted {
+            self.clock.fetch_add(1, Ordering::Relaxed) + 1
+        } else {
+            0
+        };
+        let entry = self.read().map.get(key).cloned();
+        let plan_counter = match &entry {
             Some(e) if e.epoch == epoch && e.deps == *deps => {
-                if count {
+                if counted {
                     e.last_used.store(tick, Ordering::Relaxed);
-                    e.hits.fetch_add(1, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
                 }
-                Some(e)
+                &self.plan_hits
             }
             Some(stale) => {
-                if count {
-                    let mut m = self.write_map();
+                if counted {
+                    let mut m = self.write();
                     // Only remove the entry we validated: a racing insert
                     // may have refreshed the key in between.
-                    if let Some(cur) = m.get(key) {
-                        if Arc::ptr_eq(cur, &stale) {
-                            self.bytes.fetch_sub(cur.bytes, Ordering::Relaxed);
-                            m.remove(key);
-                            self.invalidations.fetch_add(1, Ordering::Relaxed);
+                    if m.map.get(key).is_some_and(|cur| Arc::ptr_eq(cur, stale)) {
+                        m.remove(key);
+                        bump(&self.plan_invalidations);
+                        if stale.has_result() {
+                            bump(&self.invalidations);
                         }
                     }
-                    self.misses.fetch_add(1, Ordering::Relaxed);
                 }
-                None
+                &self.plan_misses
+            }
+            None => &self.plan_misses,
+        };
+        if probe == Probe::Plan {
+            bump(plan_counter);
+        }
+        entry.filter(|e| e.epoch == epoch && e.deps == *deps)
+    }
+
+    /// Whether `phys`'s result goes through the cache: result caching is
+    /// on and the planner admitted the plan. A refused admission counts
+    /// as a bypass.
+    pub fn admits(&self, phys: &PhysicalPlan) -> bool {
+        if !self.enabled.load(Ordering::Relaxed) {
+            return false;
+        }
+        if !phys.cache_admit {
+            bump(&self.bypasses);
+        }
+        phys.cache_admit
+    }
+
+    /// The result `entry` holds, counted as a hit — or `None`, counted as
+    /// a miss. Call only for a plan [`StatementCache::admits`].
+    pub fn result(&self, entry: Option<&Entry>) -> Option<QueryResult> {
+        match entry.and_then(|e| e.result.as_ref().map(|r| (e, r))) {
+            Some((e, r)) => {
+                bump(&e.hits);
+                bump(&self.hits);
+                Some(r.rows.clone())
             }
             None => {
-                if count {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
+                bump(&self.misses);
                 None
             }
         }
     }
 
-    /// Count one fragment-served execution against entry `e` (the probe
-    /// that missed the whole result already counted the miss), bumping the
-    /// entry's recency and reuse weight so fragment service keeps it warm.
-    pub fn note_fragment_hit(&self, e: &CachedResult) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        e.last_used.store(tick, Ordering::Relaxed);
-        e.hits.fetch_add(1, Ordering::Relaxed);
-        self.fragment_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admit one materialized result. `frag_schema` marks full-schema
-    /// `Select(Scan)` results as fragment-eligible. The caller must have
-    /// re-validated `deps` against the live tables *after* executing —
-    /// monotonic tokens then guarantee the rows match the tag. Oversized
-    /// results (> budget/4) are not admitted.
-    pub fn admit(
+    /// Store `phys`, and `result` when given, as the entry for `key`,
+    /// made from the view with `epoch` and `deps`. A result larger than a
+    /// quarter of the budget is left out; the plan is still stored.
+    pub fn insert(
         &self,
         key: String,
         epoch: u64,
         deps: DepTokens,
-        result: Arc<QueryResult>,
-        benefit: f64,
-        frag_schema: Option<Schema>,
+        phys: Arc<PhysicalPlan>,
+        result: Option<QueryResult>,
     ) {
-        let bytes = result_bytes(&result);
         let budget = self.budget.load(Ordering::Relaxed);
-        if bytes > budget / 4 {
-            return;
-        }
+        let benefit = (phys.cost.total() - phys.copy_out_cycles).max(0.0);
+        let result = result
+            .map(|rows| CachedResult {
+                bytes: result_bytes(&rows),
+                rows,
+                benefit,
+            })
+            .filter(|r| r.bytes <= budget / 4);
         let tick = self.clock.load(Ordering::Relaxed);
-        let entry = Arc::new(CachedResult {
-            epoch,
-            deps,
-            result,
-            bytes,
-            benefit,
-            frag_schema,
-            frag_table: OnceLock::new(),
-            last_used: AtomicU64::new(tick),
-            hits: AtomicU64::new(0),
-        });
-        let mut m = self.write_map();
-        if let Some(old) = m.insert(key, entry) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+        let mut m = self.write();
+        m.remove(&key);
+        if let Some(r) = &result {
+            m.bytes += r.bytes;
+            m.results += 1;
+            bump(&self.insertions);
+        } else if m.map.len() - m.results >= PLAN_ONLY_CAP {
+            self.evict_lru_plans(&mut m);
         }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.evict_over_budget(&mut m, budget, tick);
+        let stored = result.is_some();
+        m.map.insert(
+            key,
+            Arc::new(Entry {
+                epoch,
+                deps,
+                phys,
+                result,
+                last_used: AtomicU64::new(tick),
+                hits: AtomicU64::new(0),
+            }),
+        );
+        if stored {
+            self.evict_over_budget(&mut m, budget, tick);
+        }
+    }
+
+    /// Drop the [`LRU_BATCH`] least recently used entries that hold no
+    /// result.
+    fn evict_lru_plans(&self, m: &mut Entries) {
+        let mut plans: Vec<(u64, &String)> = m
+            .map
+            .iter()
+            .filter(|(_, e)| !e.has_result())
+            .map(|(k, e)| (e.last_used.load(Ordering::Relaxed), k))
+            .collect();
+        if plans.len() > LRU_BATCH {
+            plans.select_nth_unstable(LRU_BATCH);
+            plans.truncate(LRU_BATCH);
+        }
+        let victims: Vec<String> = plans.into_iter().map(|(_, k)| k.clone()).collect();
+        for k in victims {
+            m.remove(&k);
+            bump(&self.plan_evictions);
+        }
     }
 
     /// Byte-budgeted eviction with cost-weighted benefit: while over
-    /// budget, drop the entry with the lowest
+    /// budget, drop the result-bearing entry with the lowest
     /// `benefit/byte × (1 + hits) / (1 + age)` score — low predicted
     /// savings, little observed reuse and long idleness all push an entry
     /// toward the door.
-    fn evict_over_budget(
-        &self,
-        m: &mut HashMap<String, Arc<CachedResult>>,
-        budget: usize,
-        now: u64,
-    ) {
-        while self.bytes.load(Ordering::Relaxed) > budget && !m.is_empty() {
+    fn evict_over_budget(&self, m: &mut Entries, budget: usize, now: u64) {
+        while m.bytes > budget {
             let victim = m
+                .map
                 .iter()
-                .map(|(k, e)| {
-                    let density = e.benefit / e.bytes.max(1) as f64;
+                .filter_map(|(k, e)| {
+                    let r = e.result.as_ref()?;
+                    let density = r.benefit / r.bytes.max(1) as f64;
                     let reuse = 1.0 + e.hits.load(Ordering::Relaxed) as f64;
                     let age = 1.0 + now.saturating_sub(e.last_used.load(Ordering::Relaxed)) as f64;
-                    (k.clone(), density * reuse / age)
+                    Some((k, density * reuse / age))
                 })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(k, _)| k);
-            match victim {
-                Some(k) => {
-                    if let Some(e) = m.remove(&k) {
-                        self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(k, _)| k.clone());
+            let Some(k) = victim else { break };
+            m.remove(&k);
+            bump(&self.evictions);
         }
     }
 
     /// Current counters.
-    pub fn stats(&self) -> ResultCacheStats {
-        ResultCacheStats {
-            enabled: self.enabled.load(Ordering::Relaxed),
-            budget_bytes: self.budget.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            entries: self.read_map().len(),
-            hits: self.hits.load(Ordering::Relaxed),
-            fragment_hits: self.fragment_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
+    pub fn stats(&self) -> CacheStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let m = self.read();
+        CacheStats {
+            plan: PlanCacheStats {
+                hits: load(&self.plan_hits),
+                misses: load(&self.plan_misses),
+                evictions: load(&self.plan_evictions),
+                invalidations: load(&self.plan_invalidations),
+                entries: m.map.len(),
+            },
+            result: ResultCacheStats {
+                enabled: self.enabled.load(Ordering::Relaxed),
+                budget_bytes: self.budget.load(Ordering::Relaxed),
+                bytes: m.bytes,
+                entries: m.results,
+                hits: load(&self.hits),
+                fragment_hits: 0,
+                misses: load(&self.misses),
+                bypasses: load(&self.bypasses),
+                evictions: load(&self.evictions),
+                invalidations: load(&self.invalidations),
+                insertions: load(&self.insertions),
+            },
         }
     }
 }
@@ -414,203 +496,91 @@ fn result_bytes(r: &QueryResult) -> usize {
     b
 }
 
-// ---------------------------------------------------------------------------
-// Plan cache: bounded, sharded, LRU.
-// ---------------------------------------------------------------------------
-
-/// Point-in-time counters of the plan cache layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups that returned a still-valid lowering.
-    pub hits: u64,
-    /// Lookups that found nothing current (the caller re-planned).
-    pub misses: u64,
-    /// Entries displaced by the per-shard LRU capacity bound.
-    pub evictions: u64,
-    /// Entries dropped because their tokens had moved.
-    pub invalidations: u64,
-    /// Plans currently cached.
-    pub entries: usize,
-}
-
-/// Combined [`PlanCacheStats`] + [`ResultCacheStats`] —
-/// `Database::cache_stats()`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheStats {
-    pub plan: PlanCacheStats,
-    pub result: ResultCacheStats,
-}
-
-struct PlanEntry {
-    epoch: u64,
-    deps: DepTokens,
-    phys: Arc<PhysicalPlan>,
-    last_used: AtomicU64,
-}
-
-/// Cached physical plans behind sharded `RwLock`s: concurrent executes of
-/// *different* plans take different shards, repeat executes of the *same*
-/// plan take only a read lock — the de-serialized fast path the old
-/// whole-cache `Mutex` could not give. Each shard holds at most
-/// `cap / SHARDS` entries; inserting past that evicts the shard's
-/// least-recently-used entry (no more wholesale clears).
-pub(crate) struct PlanCache {
-    shards: Vec<RwLock<HashMap<String, PlanEntry>>>,
-    cap_per_shard: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-const PLAN_CACHE_SHARDS: usize = 8;
-
-impl PlanCache {
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            shards: (0..PLAN_CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            cap_per_shard: capacity.div_ceil(PLAN_CACHE_SHARDS).max(1),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &str) -> &RwLock<HashMap<String, PlanEntry>> {
-        // FNV-1a over the key bytes picks the shard.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h % PLAN_CACHE_SHARDS as u64) as usize]
-    }
-
-    /// A still-valid lowering for `key`, bumping its recency — or `None`
-    /// (stale entries are removed and counted).
-    pub fn lookup(&self, key: &str, epoch: u64, deps: &DepTokens) -> Option<Arc<PhysicalPlan>> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let shard = self.shard(key);
-        {
-            let m = shard.read().unwrap_or_else(|e| e.into_inner());
-            match m.get(key) {
-                Some(e) if e.epoch == epoch && e.deps == *deps => {
-                    e.last_used.store(tick, Ordering::Relaxed);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(e.phys.clone());
-                }
-                Some(_) => {}
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
-        }
-        // Stale under the read lock; re-check and remove under the write
-        // lock (a racing execute may have refreshed it meanwhile).
-        let mut m = shard.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = m.get(key) {
-            if e.epoch == epoch && e.deps == *deps {
-                e.last_used.store(tick, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(e.phys.clone());
-            }
-            m.remove(key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Insert a fresh lowering, LRU-evicting within the shard at capacity.
-    pub fn insert(&self, key: String, epoch: u64, deps: DepTokens, phys: Arc<PhysicalPlan>) {
-        let tick = self.clock.load(Ordering::Relaxed);
-        let shard = self.shard(&key);
-        let mut m = shard.write().unwrap_or_else(|e| e.into_inner());
-        if !m.contains_key(&key) && m.len() >= self.cap_per_shard {
-            let lru = m
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            if let Some(k) = lru {
-                m.remove(&k);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        m.insert(
-            key,
-            PlanEntry {
-                epoch,
-                deps,
-                phys,
-                last_used: AtomicU64::new(tick),
-            },
-        );
-    }
-
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-                .sum(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdsm_exec::QueryOutput;
 
-    fn result(rows: usize) -> Arc<QueryResult> {
+    fn result(rows: usize) -> QueryResult {
         let mut out = QueryOutput::new();
         for i in 0..rows {
             out.rows.push(vec![Value::Int64(i as i64)]);
         }
-        Arc::new(QueryResult::new(vec!["c".into()], out))
+        QueryResult::new(vec!["c".into()], out)
     }
 
     fn deps(generation: u64, ops: u64) -> DepTokens {
         vec![("t".to_string(), generation, ops)]
     }
 
+    fn phys(cache_admit: bool) -> Arc<PhysicalPlan> {
+        Arc::new(PhysicalPlan {
+            logical: pdsm_plan::builder::QueryBuilder::scan("t").build(),
+            engine: pdsm_plan::physical::EngineChoice::Compiled,
+            pipelines: vec![],
+            cost: pdsm_plan::physical::CostSummary {
+                mem_cycles: 1e6,
+                ..Default::default()
+            },
+            alternatives: vec![],
+            est_out_rows: 0.0,
+            cache_admit,
+            copy_out_cycles: 0.0,
+        })
+    }
+
+    /// A result-bearing entry under `key`.
+    fn admit(c: &StatementCache, key: &str, epoch: u64, d: DepTokens, rows: usize) {
+        c.insert(key.into(), epoch, d, phys(true), Some(result(rows)));
+    }
+
+    /// Probe as `execute` does for an admitted plan: the result, if any.
+    fn served(c: &StatementCache, key: &str, epoch: u64, d: &DepTokens) -> bool {
+        let e = c.probe(key, epoch, d, Probe::Run);
+        assert!(c.admits(&phys(true)));
+        c.result(e.as_deref()).is_some()
+    }
+
     #[test]
     fn probe_validates_tokens_and_epoch() {
-        let c = ResultCache::new(ResultCacheConfig::default());
-        c.admit("k".into(), 1, deps(0, 5), result(3), 1e6, None);
-        assert!(c.probe("k", 1, &deps(0, 5), true).is_some());
+        let c = StatementCache::new(ResultCacheConfig::default());
+        admit(&c, "k", 1, deps(0, 5), 3);
+        assert!(served(&c, "k", 1, &deps(0, 5)));
         // delta advanced → invalidated
-        assert!(c.probe("k", 1, &deps(0, 6), true).is_none());
+        assert!(!served(&c, "k", 1, &deps(0, 6)));
         // entry is gone now, even for the original tokens
-        assert!(c.probe("k", 1, &deps(0, 5), true).is_none());
-        let s = c.stats();
+        assert!(!served(&c, "k", 1, &deps(0, 5)));
+        let s = c.stats().result;
         assert_eq!(s.hits, 1);
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.misses, 2);
+        assert_eq!((s.entries, s.bytes), (0, 0));
         // epoch mismatch invalidates too (replaced tables reset tokens)
-        c.admit("k".into(), 1, deps(0, 5), result(3), 1e6, None);
-        assert!(c.probe("k", 2, &deps(0, 5), true).is_none());
+        admit(&c, "k", 1, deps(0, 5), 3);
+        assert!(!served(&c, "k", 2, &deps(0, 5)));
+        assert_eq!(c.stats().result.invalidations, 2);
     }
 
     #[test]
     fn silent_peek_counts_nothing() {
-        let c = ResultCache::new(ResultCacheConfig::default());
-        c.admit("k".into(), 0, deps(0, 0), result(1), 1e6, None);
-        assert!(c.probe("k", 0, &deps(0, 0), false).is_some());
-        assert!(c.probe("absent", 0, &deps(0, 0), false).is_none());
+        let c = StatementCache::new(ResultCacheConfig::default());
+        admit(&c, "k", 0, deps(0, 0), 1);
+        assert!(c.probe("k", 0, &deps(0, 0), Probe::Silent).is_some());
+        assert!(c.probe("absent", 0, &deps(0, 0), Probe::Silent).is_none());
+        // a stale entry survives a silent peek
+        assert!(c.probe("k", 0, &deps(0, 1), Probe::Silent).is_none());
         let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
+        assert_eq!(
+            (s.result.hits, s.result.misses, s.result.entries),
+            (0, 0, 1)
+        );
+        assert_eq!(
+            s.plan,
+            PlanCacheStats {
+                entries: 1,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
@@ -619,57 +589,60 @@ mod tests {
             enabled: true,
             budget_bytes: 4096,
         };
-        let c = ResultCache::new(small);
+        let c = StatementCache::new(small);
         for i in 0..64 {
-            c.admit(format!("k{i}"), 0, deps(0, 0), result(8), 1e6, None);
+            admit(&c, &format!("k{i}"), 0, deps(0, 0), 8);
         }
         let s = c.stats();
-        assert!(s.evictions > 0, "{s:?}");
-        assert!(s.bytes <= 4096, "{s:?}");
-        assert!(s.entries < 64);
+        assert!(s.result.evictions > 0, "{s:?}");
+        assert!(s.result.bytes <= 4096, "{s:?}");
+        assert!(s.result.entries < 64);
+        // an evicted result takes its plan with it
+        assert_eq!(s.plan.entries, s.result.entries, "{s:?}");
     }
 
     #[test]
     fn oversized_results_never_admitted() {
-        let c = ResultCache::new(ResultCacheConfig {
+        let c = StatementCache::new(ResultCacheConfig {
             enabled: true,
             budget_bytes: 1024,
         });
-        c.admit("big".into(), 0, deps(0, 0), result(1000), 1e6, None);
-        assert_eq!(c.stats().entries, 0);
+        admit(&c, "big", 0, deps(0, 0), 1000);
+        let s = c.stats();
+        assert_eq!((s.result.entries, s.result.insertions), (0, 0));
+        // the plan is kept
+        assert_eq!(s.plan.entries, 1);
     }
 
     #[test]
-    fn plan_cache_bounds_and_counts() {
-        let pc = PlanCache::new(16);
-        let phys = || {
-            Arc::new(PhysicalPlan {
-                logical: pdsm_plan::builder::QueryBuilder::scan("t").build(),
-                engine: pdsm_plan::physical::EngineChoice::Compiled,
-                pipelines: vec![],
-                cost: Default::default(),
-                alternatives: vec![],
-                est_out_rows: 0.0,
-                cache_admit: false,
-                copy_out_cycles: 0.0,
-            })
-        };
-        for i in 0..100 {
+    fn plan_only_entries_are_lru_bounded_and_counted() {
+        let c = StatementCache::new(ResultCacheConfig::default());
+        admit(&c, "result", 0, deps(0, 0), 1);
+        let n = PLAN_ONLY_CAP + 100;
+        for i in 0..n {
             let key = format!("plan-{i}");
-            assert!(pc.lookup(&key, 0, &deps(0, 0)).is_none());
-            pc.insert(key, 0, deps(0, 0), phys());
+            assert!(c.probe(&key, 0, &deps(0, 0), Probe::Plan).is_none());
+            c.insert(key, 0, deps(0, 0), phys(false), None);
         }
-        let s = pc.stats();
-        assert!(s.entries <= 16 + PLAN_CACHE_SHARDS, "{s:?}");
-        assert!(
-            s.evictions >= 100 - (16 + PLAN_CACHE_SHARDS) as u64,
-            "{s:?}"
-        );
+        let s = c.stats();
+        assert!(s.plan.entries <= PLAN_ONLY_CAP + 1, "{s:?}");
+        assert!(s.plan.evictions >= 100, "{s:?}");
+        // every plan-only entry is either resident or counted out
+        assert_eq!(s.plan.entries - 1 + s.plan.evictions as usize, n, "{s:?}");
+        assert_eq!(s.plan.misses, n as u64);
+        // the oldest plans went, the result-bearing entry stayed
+        assert!(c.probe("plan-0", 0, &deps(0, 0), Probe::Silent).is_none());
+        assert!(served(&c, "result", 0, &deps(0, 0)));
         // hit, then invalidate
-        assert!(pc.lookup("plan-99", 0, &deps(0, 0)).is_some());
-        assert!(pc.lookup("plan-99", 0, &deps(1, 0)).is_none());
-        let s = pc.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.invalidations, 1);
+        let last = format!("plan-{}", n - 1);
+        assert!(c.probe(&last, 0, &deps(0, 0), Probe::Plan).is_some());
+        assert!(c.probe(&last, 0, &deps(1, 0), Probe::Plan).is_none());
+        let s = c.stats();
+        assert_eq!(s.plan.hits, 1);
+        assert_eq!(s.plan.invalidations, 1);
+        assert_eq!(
+            s.result.invalidations, 0,
+            "a plan-only entry held no result"
+        );
     }
 }

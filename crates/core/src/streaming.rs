@@ -40,7 +40,7 @@ use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::{Table, Value, ZonePred};
 
 /// One table presented to an engine under `name` as the whole database: an
-/// extent, the tail-only run, a materialized result-cache fragment.
+/// extent or the tail-only run.
 pub(crate) struct OneTable<'a> {
     pub name: &'a str,
     pub table: &'a Table,

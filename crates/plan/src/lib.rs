@@ -6,7 +6,8 @@
 //!   boolean connectives) with an interpreter used by the Volcano engine and
 //!   the test oracles.
 //! * [`logical`] — relational plans: scan, select, project, aggregate,
-//!   hash-join, sort, limit.
+//!   hash-join, sort, limit; [`pipeline_fragment`] finds the
+//!   `Select(Scan)` a single-table pipeline starts from.
 //! * [`builder`] — fluent construction of plans.
 //! * [`selectivity`] — cardinality heuristics plus per-query hints.
 //! * [`patterns`] — §IV-D: pre-order traversal of the plan emitting the
@@ -22,7 +23,6 @@
 
 pub mod builder;
 pub mod expr;
-pub mod fingerprint;
 pub mod logical;
 pub mod names;
 pub mod patterns;
@@ -31,8 +31,7 @@ pub mod selectivity;
 
 pub use builder::QueryBuilder;
 pub use expr::{conjuncts, simple_cmp, ArithOp, CmpOp, Expr};
-pub use fingerprint::{pipeline_fragment, plan_fingerprint, substitute_fragment};
-pub use logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
+pub use logical::{pipeline_fragment, AggExpr, AggFunc, LogicalPlan, SortKey};
 pub use names::{render_agg, render_expr, sql_literal};
 pub use patterns::{emit_pattern, AccessGroup, AccessKind, TableView};
 pub use physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan, PipelinePlan};

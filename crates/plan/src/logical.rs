@@ -245,6 +245,28 @@ impl LogicalPlan {
     }
 }
 
+/// The plan's *filtered-scan fragment*: the `Select(Scan)` subtree feeding
+/// every operator above it, reached through single-input operators only.
+/// `None` for joins (two pipelines, no single fragment), for bare scans
+/// and for plans with no selection. The returned node may be the plan
+/// itself.
+pub fn pipeline_fragment(plan: &LogicalPlan) -> Option<&LogicalPlan> {
+    match plan {
+        LogicalPlan::Select { input, .. } => {
+            if matches!(input.as_ref(), LogicalPlan::Scan { .. }) {
+                Some(plan)
+            } else {
+                pipeline_fragment(input)
+            }
+        }
+        LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => pipeline_fragment(input),
+        LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,5 +329,27 @@ mod tests {
         let s = req.iter().find(|(t, _)| t == "S").unwrap();
         assert_eq!(r.1, vec![2]);
         assert_eq!(s.1, vec![1, 3]);
+    }
+
+    #[test]
+    fn fragment_found_through_consumers() {
+        let frag = QueryBuilder::scan("t")
+            .filter(Expr::col(0).eq(Expr::lit(7)))
+            .build();
+        let agg = QueryBuilder::scan("t")
+            .filter(Expr::col(0).eq(Expr::lit(7)))
+            .aggregate(vec![], vec![AggExpr::count_star()])
+            .build();
+        let found = pipeline_fragment(&agg).expect("fragment under aggregate");
+        assert_eq!(found, &frag);
+        // the fragment of a bare Select(Scan) is the plan itself
+        let this = pipeline_fragment(&frag).unwrap();
+        assert!(std::ptr::eq(this, &frag));
+        // bare scans and joins have none
+        assert!(pipeline_fragment(&QueryBuilder::scan("t").build()).is_none());
+        let join = QueryBuilder::scan("R")
+            .join(frag.clone(), Expr::col(0), Expr::col(0))
+            .build();
+        assert!(pipeline_fragment(&join).is_none());
     }
 }

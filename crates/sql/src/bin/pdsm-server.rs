@@ -121,11 +121,10 @@ fn main() {
     }
     let s = db.cache_stats();
     eprintln!(
-        "pdsm-server cache summary: result hits={} fragment_hits={} misses={} \
+        "pdsm-server cache summary: result hits={} misses={} \
          bypasses={} hit_rate={:.1}% bytes={} evictions={} invalidations={} | \
          plan hits={} misses={} evictions={}",
         s.result.hits,
-        s.result.fragment_hits,
         s.result.misses,
         s.result.bypasses,
         s.result.hit_rate() * 100.0,

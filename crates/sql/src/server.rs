@@ -143,16 +143,18 @@ fn serve_connection(
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     // Short read timeouts let the session poll the shutdown flag while
-    // idle; partially read lines accumulate in `buf` across timeouts.
+    // idle. `read_until` keeps the bytes of a partial line in `buf`
+    // across timeouts, even half a UTF-8 character; the line is decoded
+    // once it is complete.
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     writeln!(writer, "HELLO pdsm-sql 1")?;
     writer.flush()?;
     let session = Session::new(Arc::clone(&db));
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        match reader.read_line(&mut buf) {
+        match reader.read_until(b'\n', &mut buf) {
             Ok(0) => return Ok(()), // client hung up
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -163,7 +165,12 @@ fn serve_connection(
             }
             Err(e) => return Err(e),
         }
-        let line = std::mem::take(&mut buf);
+        let bytes = std::mem::take(&mut buf);
+        let Ok(line) = std::str::from_utf8(&bytes) else {
+            let err = Response::Error("statement is not valid UTF-8".into());
+            write_response(&mut writer, &err)?;
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() || line.starts_with("--") {
             continue;
@@ -204,7 +211,6 @@ fn stats_response(db: &Database) -> Response {
         ("result_cache_bytes", s.result.bytes as i64),
         ("result_cache_entries", s.result.entries as i64),
         ("result_cache_hits", s.result.hits as i64),
-        ("result_cache_fragment_hits", s.result.fragment_hits as i64),
         ("result_cache_misses", s.result.misses as i64),
         ("result_cache_bypasses", s.result.bypasses as i64),
         ("result_cache_evictions", s.result.evictions as i64),
@@ -403,5 +409,46 @@ mod tests {
                 matches!(r.read_line(&mut line), Ok(0) | Err(_))
             }
         );
+    }
+
+    #[test]
+    fn a_character_split_across_reads_survives() {
+        let srv = server();
+        let mut c = Client::connect(srv.local_addr());
+        // 'ü' is 0xC3 0xBC: send the first byte, outwait several read
+        // timeouts, then send the rest of the line.
+        c.writer
+            .write_all(b"INSERT INTO t VALUES (1, 'M\xC3")
+            .unwrap();
+        c.writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        c.writer.write_all(b"\xBCller')\n").unwrap();
+        c.writer.flush().unwrap();
+        assert_eq!(
+            read_response(&mut c.reader).unwrap(),
+            WireResponse::Count(1)
+        );
+        match c.send("SELECT s FROM t WHERE a = 1") {
+            WireResponse::Rows { data, .. } => assert_eq!(data, vec!["Müller"]),
+            other => panic!("unexpected {other:?}"),
+        }
+        srv.shutdown();
+    }
+
+    #[test]
+    fn an_invalid_utf8_line_is_an_error_not_a_hangup() {
+        let srv = server();
+        let mut c = Client::connect(srv.local_addr());
+        c.writer.write_all(b"SELECT '\xFF'\n").unwrap();
+        c.writer.flush().unwrap();
+        match read_response(&mut c.reader).unwrap() {
+            WireResponse::Error(msg) => assert!(msg.contains("UTF-8"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(
+            c.send("INSERT INTO t VALUES (2, 'y')"),
+            WireResponse::Count(1)
+        );
+        srv.shutdown();
     }
 }

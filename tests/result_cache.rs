@@ -1,9 +1,9 @@
-//! The mid-query result cache, end to end: repeat executes hit, DML and
-//! merges invalidate through the `(generation, delta_ops)` tokens, cached
-//! filtered-scan fragments serve later aggregates, the cost model's
-//! admission test bypasses cheap plans, `EXPLAIN` reports the live cache
-//! status, eviction respects the byte budget, and `DbSnapshot` execution
-//! never sees a post-DML cached result.
+//! The statement cache, end to end: repeat executes hit, DML and merges
+//! invalidate through the `(generation, delta_ops)` tokens, the cost
+//! model's admission test bypasses cheap plans, `EXPLAIN` reports the live
+//! cache status without counting, eviction respects the byte budget, the
+//! plan bound never drops a result, and `DbSnapshot` execution never sees
+//! a post-DML cached result.
 
 use mrdb::prelude::*;
 use mrdb::workloads::microbench;
@@ -84,36 +84,6 @@ fn dml_and_merge_invalidate_through_tokens() {
 }
 
 #[test]
-fn cached_fragment_serves_a_later_aggregate() {
-    let db = big_db();
-    let pred = Expr::col(0).eq(Expr::lit(0));
-    // 1. run (and cache) the filtered scan — a full-schema Select(Scan)
-    let frag = QueryBuilder::scan("R").filter(pred.clone()).build();
-    let frag_rows = db.execute(&frag).unwrap();
-    assert!(db.cache_stats().result.insertions >= 1);
-    // 2. an aggregate over the same fragment is served from it
-    let consumer = QueryBuilder::scan("R")
-        .filter(pred)
-        .aggregate(
-            vec![],
-            (1..=4)
-                .map(|c| AggExpr::new(AggFunc::Sum, Expr::col(c)))
-                .collect(),
-        )
-        .build();
-    let out = db.execute(&consumer).unwrap();
-    let s = db.cache_stats().result;
-    assert!(s.fragment_hits >= 1, "fragment not reused: {s:?}");
-    // byte-identical to computing from scratch
-    assert_eq!(
-        out.rows,
-        db.run(&consumer, EngineKind::Compiled).unwrap().rows
-    );
-    // sanity: the fragment itself had the expected selectivity
-    assert_eq!(frag_rows.rows.len(), (BIG as f64 * 0.01) as usize);
-}
-
-#[test]
 fn cheap_plans_bypass_the_cache() {
     let db = Database::new();
     db.register(microbench::generate(200, 0.05, Layout::row(16), 3));
@@ -136,6 +106,16 @@ fn explain_reports_live_cache_status_without_counting() {
     let plan = agg(0);
     let miss = db.explain(&plan).unwrap();
     assert!(miss.contains("cache: miss"), "{miss}");
+    let again = db.explain(&plan).unwrap();
+    assert!(again.contains("cache: miss"), "{again}");
+    // neither half of the cache counted the two peeks
+    let s = db.cache_stats();
+    assert_eq!(
+        (s.plan.hits, s.plan.misses, s.plan.invalidations),
+        (0, 0, 0),
+        "{s:?}"
+    );
+    assert_eq!((s.result.hits, s.result.misses), (0, 0), "{s:?}");
     db.execute(&plan).unwrap();
     let hits_before = db.cache_stats().result.hits;
     let hit = db.explain(&plan).unwrap();
@@ -229,4 +209,10 @@ fn plan_cache_is_bounded_and_counted() {
     let s = db.cache_stats().plan;
     assert!(s.entries <= 256 + 8, "unbounded plan cache: {s:?}");
     assert!(s.evictions > 0, "{s:?}");
+    // the plan bound never drops a result-bearing entry
+    let hits = db.cache_stats().result.hits;
+    db.execute(&plan).unwrap();
+    let s = db.cache_stats();
+    assert_eq!(s.result.hits, hits + 1, "{s:?}");
+    assert!(s.result.entries <= s.plan.entries, "{s:?}");
 }

@@ -1,23 +1,43 @@
-//! Property tests for the result cache's one contract: with caching on,
-//! every `execute` answer is byte-identical to the cache-off answer — and
-//! to every engine's forced fresh run — under random interleavings of
-//! queries, DML, and merges, across layouts. A `DbSnapshot` pinned before
-//! the churn must keep answering from its cut, never from a newer cached
-//! result.
+//! Property tests for the statement cache's one contract: with caching
+//! on, every answer — through `execute`, through `plan_query` then
+//! `execute_physical`, or through `execute_physical` of a plan held across
+//! DML and merges — is byte-identical to the cache-off answer and to every
+//! engine's forced fresh run, under random interleavings of queries, DML,
+//! and merges, across layouts; and `EXPLAIN`'s `hit`/`miss`/`bypass` is
+//! what the next execution finds. A `DbSnapshot` pinned before the churn
+//! must keep answering from its cut, never from a newer cached result.
 
+use mrdb::plan::PhysicalPlan;
 use mrdb::prelude::*;
 use mrdb::workloads::microbench;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Base-table size: big enough that repeated aggregates clear the
 /// planner's admission floor, small enough to keep the suite quick.
 const BASE_ROWS: usize = 20_000;
 
+/// How the cache-on database answers a query step.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `execute`.
+    Execute,
+    /// `plan_query`, then `execute_physical` of the returned plan — the
+    /// traced benchmark's split path. The plan is kept for `Held`.
+    Split,
+    /// `execute_physical` of the plan the last `Split` of this query
+    /// returned, held across whatever DML and merges came since.
+    Held,
+    /// `explain`, then `execute`: the reported cache status must be what
+    /// the execution finds.
+    Explain,
+}
+
 /// One random step of the interleaving.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Execute query `idx % POOL` on both databases and compare.
-    Query { idx: usize },
+    /// Answer query `idx % POOL` on both databases and compare.
+    Query { idx: usize, path: Path },
     /// Insert a row (`a` selects whether it matches the `A = 0` family).
     Insert { a: i32, v: i32 },
     /// Delete a live row (hint indexes the live set modulo its size).
@@ -28,7 +48,12 @@ enum Op {
 
 fn arb_op() -> BoxedStrategy<Op> {
     union(vec![
-        (0usize..64).prop_map(|idx| Op::Query { idx }).boxed(),
+        (0usize..64, 0usize..4)
+            .prop_map(|(idx, p)| Op::Query {
+                idx,
+                path: [Path::Execute, Path::Split, Path::Held, Path::Explain][p],
+            })
+            .boxed(),
         (0i32..4, 0i32..1000)
             .prop_map(|(a, v)| Op::Insert { a: -a, v })
             .boxed(),
@@ -37,8 +62,8 @@ fn arb_op() -> BoxedStrategy<Op> {
     ])
 }
 
-/// The query pool: filtered aggregates and filtered scans over `R`, all
-/// single-table so fragment reuse can engage on repeats. The `bool` says
+/// The query pool: filtered aggregates and filtered scans over `R`, so
+/// repeats are admitted and served from the cache. The `bool` says
 /// whether the query's output row order is deterministic (scans, global
 /// aggregates) — grouped aggregates may legitimately emit groups in any
 /// order (hash iteration, parallel partition merge), so those compare
@@ -97,6 +122,46 @@ fn norm(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
     v
 }
 
+/// Answer `plan` on the cache-on database the way `path` says; `held`
+/// is this query's slot for plans kept by `Split`.
+fn answer(
+    db: &Database,
+    plan: &LogicalPlan,
+    path: Path,
+    held: &mut Option<Arc<PhysicalPlan>>,
+) -> QueryResult {
+    match path {
+        Path::Execute => db.execute(plan).unwrap(),
+        Path::Split => {
+            let phys = db.plan_query(plan).unwrap();
+            let out = db.execute_physical(&phys).unwrap();
+            *held = Some(phys);
+            out
+        }
+        Path::Held => match held {
+            Some(phys) => db.execute_physical(phys).unwrap(),
+            None => db.execute(plan).unwrap(),
+        },
+        Path::Explain => {
+            let status = db.explain(plan).unwrap();
+            let before = db.cache_stats().result;
+            let out = db.execute(plan).unwrap();
+            let after = db.cache_stats().result;
+            let moved = (after.hits - before.hits, after.misses - before.misses);
+            let want = if status.contains("cache: hit") {
+                (1, 0)
+            } else if status.contains("cache: miss") {
+                (0, 1)
+            } else {
+                assert!(status.contains("cache: bypass"), "{status}");
+                (0, 0)
+            };
+            assert_eq!(moved, want, "EXPLAIN said otherwise:\n{status}");
+            out
+        }
+    }
+}
+
 fn delete_one(db: &Database, hint: usize) {
     // Resolve against the live set under the table's write lock, exactly
     // like the concurrent-DML suite does.
@@ -131,12 +196,14 @@ proptest! {
             off.register(microbench::generate(BASE_ROWS, 0.01, layout.clone(), 11));
             off.set_result_cache(ResultCacheConfig { enabled: false, ..Default::default() });
             let queries = pool();
+            let mut held = vec![None; queries.len()];
 
             for op in &ops {
                 match op {
-                    Op::Query { idx } => {
-                        let (plan, ordered) = &queries[idx % queries.len()];
-                        let a = on.execute(plan).unwrap();
+                    Op::Query { idx, path } => {
+                        let i = idx % queries.len();
+                        let (plan, ordered) = &queries[i];
+                        let a = answer(&on, plan, *path, &mut held[i]);
                         let b = off.execute(plan).unwrap();
                         if *ordered {
                             prop_assert_eq!(&a.rows, &b.rows, "{}: cache-on vs cache-off", name);
@@ -192,7 +259,7 @@ proptest! {
         // Churn the live database — every step re-caches fresh results.
         for op in &ops {
             match op {
-                Op::Query { idx } => {
+                Op::Query { idx, .. } => {
                     db.execute(&queries[idx % queries.len()].0).unwrap();
                 }
                 Op::Insert { a, v } => insert_row(&db, *a, *v),

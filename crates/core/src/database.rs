@@ -25,7 +25,7 @@
 //!   [`TableDurability::recover`] per manifest entry, cold when a buffer
 //!   pool is configured), index creation and the post-merge rebuild
 //!   (`TableEntry::reindex`), and every `*_stats` accessor;
-//! * [`crate::write`] — row and predicate DML, the insert-path
+//! * [`crate::write`] — row and predicate DML, the write-path
 //!   maintenance step, [`Database::merge`] / [`Database::relayout`] /
 //!   [`Database::checkpoint_all`];
 //! * [`crate::query`] — [`Database::execute`], the one statement-cache probe,
@@ -49,7 +49,7 @@
 //!   Resolve-then-mutate sequences that must be atomic belong in one
 //!   [`Database::with_table_write`] closure; ids crossing statements are
 //!   only stable in `Sync`/`Off` modes, where merges happen exclusively
-//!   inside insert-path calls.
+//!   inside inserts and predicate DML (`UPDATE`/`DELETE … WHERE`).
 
 use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use crate::planner::Planner;
@@ -211,7 +211,7 @@ pub struct DurabilityConfig {
     /// Root directory: one subdirectory per table (main blobs + WAL) plus
     /// the shared `MANIFEST`.
     pub data_dir: PathBuf,
-    /// WAL fsync policy (`always` | `batch` | `off`).
+    /// WAL fsync policy (`always` | `batch` | `group` | `off`).
     pub fsync: FsyncMode,
 }
 
@@ -319,8 +319,10 @@ impl TableEntry {
 /// Locking granularity, coarsest to finest:
 /// * **catalog lock** (`RwLock`) — held only to look a table handle up or
 ///   to change the catalog's shape (create/register/drop);
+/// * **per-table merge mutex** (inside [`SharedTable`]) — merges of one
+///   table run one at a time; never taken while holding the table lock;
 /// * **per-table lock** (inside [`SharedTable`]) — writers take it per
-///   DML op; merges hold it only for the begin/finish phases (the fold
+///   DML op; a merge holds it only for its begin/finish phases (the fold
 ///   runs off-lock);
 /// * **per-table index lock** — swapped-in rebuilds and probes.
 ///
@@ -350,7 +352,7 @@ pub struct Database {
     /// frequencies — the observed traffic `relayout`/merge re-advise from.
     observed: Mutex<ObservedTraffic>,
     /// The background merge scheduler (see [`crate::maintenance`]): every
-    /// insert-path call consults it; its worker holds [`SharedTable`]
+    /// insert and predicate DML call consults it; its worker holds [`SharedTable`]
     /// clones and applies finished builds itself.
     pub(crate) maintenance: MaintenanceScheduler,
     /// `Some` iff this database was opened with a data directory
@@ -575,7 +577,7 @@ impl Database {
 
     /// An owned handle to `name`'s [`SharedTable`] — the per-table
     /// concurrency primitive itself, for callers that want to drive a
-    /// single table directly (snapshot/DML/three-phase merge) without
+    /// single table directly (snapshot/DML/merge) without
     /// going back through the catalog.
     pub fn shared(&self, name: &str) -> Result<SharedTable, DbError> {
         Ok(self.entry(name)?.table)
@@ -724,7 +726,8 @@ impl Database {
         });
     }
 
-    /// Version-chain statistics for `table` (see `pdsm_txn::registry`):
+    /// Version-chain statistics for `table` (see
+    /// [`VersionedTable::version_stats`]):
     /// live main stores, pinned generations, bytes held by superseded
     /// versions.
     pub fn version_stats(&self, table: &str) -> Result<VersionStats, DbError> {
@@ -737,7 +740,7 @@ impl Database {
     /// index lock.
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> Result<(), DbError> {
         let entry = self.entry(table)?;
-        entry.merge_if(None, 1)?;
+        entry.merge(1, crate::write::keep_layout)?;
         // Pinned under the lock, made resident (if cold) outside it.
         let current = || {
             let pinned = entry.table.snapshot();

@@ -1,6 +1,5 @@
 //! Background maintenance: the scheduler that takes merges off the write
-//! path — and, since the shared-handle redesign, applies them off the
-//! write path too.
+//! path.
 //!
 //! Every DML call used to be the only thing that could pay for a merge —
 //! an O(table) fold on the writer's thread, a throughput cliff on
@@ -10,32 +9,28 @@
 //!
 //! * it watches every table's `delta_ops` against a configurable
 //!   threshold (global default + per-table overrides);
-//! * when a table crosses it, the write path runs only
-//!   [`pdsm_txn::SharedTable::begin_merge`] (pin the cut, O(delta), short
-//!   write lock) and hands the [`pdsm_txn::MergeTicket`] — together with
-//!   clones of the table's [`pdsm_txn::SharedTable`] handle and its index
-//!   set — to a background worker thread;
-//! * the worker folds the cut into a fresh main store — consulting the
-//!   layout advisor on the observed workload first, so drifted tables
-//!   merge straight into an advised layout — then **applies the swap
-//!   itself** via [`pdsm_txn::SharedTable::complete_merge`] (replay
-//!   post-cut ops + swap, O(ops since cut), short write lock) and rebuilds
-//!   the table's secondary indexes from the fresh main store. Catch-up no
-//!   longer rides the write path: writers never apply someone else's
-//!   merge.
+//! * when a table crosses it, the writer only queues a build — clones of
+//!   the table's [`pdsm_txn::SharedTable`] handle and its index set, plus
+//!   the layout advisor's inputs — for a background worker thread, at
+//!   most one per table;
+//! * the worker runs the table's one merge, [`pdsm_txn::SharedTable::merge`]
+//!   — pin the cut when it starts, consult the advisor on the observed
+//!   workload so drifted tables merge straight into an advised layout,
+//!   fold off the table lock, replay post-cut ops and swap under a short
+//!   write lock — and rebuilds the table's secondary indexes from the
+//!   fresh main store. Writers never apply someone else's merge.
 //!
 //! ## Backpressure
 //!
-//! A fast writer can outrun the builder: while one build is in flight the
-//! delta keeps growing, and scans pay for every pending row. When a
-//! table's `delta_ops` exceeds `max_lag ×` its merge threshold and the
-//! builder cannot absorb it — a cut is still pending, or the launch slot
-//! is blocked by a not-yet-reaped build — the writing thread falls back
-//! to a *synchronous* merge (staling the in-flight build, which is
-//! discarded harmlessly). With the slot free, a lagging table just
-//! launches a background build: writers never stall when the worker is
-//! available. [`MaintenanceConfig::max_lag`] is the factor (8; `0`
-//! disables backpressure).
+//! A fast writer can outrun the builder: while one build is queued or
+//! running the delta keeps growing, and scans pay for every pending row.
+//! When a table's `delta_ops` exceeds `max_lag ×` its merge threshold and
+//! a build is already queued or running, the writing thread waits for the
+//! table's merge (merges of one table run one at a time) and then merges
+//! what is still over the threshold itself, off the table lock. With no
+//! build in flight, a lagging table just queues one: writers never stall
+//! when the worker is available. [`MaintenanceConfig::max_lag`] is the
+//! factor (8; `0` disables backpressure).
 //!
 //! ## Modes (`PDSM_MERGE`)
 //!
@@ -44,7 +39,7 @@
 //! * `sync` — threshold crossings merge inline on the writer's thread:
 //!   deterministic, single-threaded, what 1-core CI and differential tests
 //!   want. Results are byte-identical to the background path (both run the
-//!   same three-phase pipeline; see `pdsm_txn::merge`).
+//!   same merge; see `pdsm_txn::merge`).
 //! * `off` — the scheduler never merges; only explicit
 //!   [`crate::Database::merge`] calls do.
 //!
@@ -52,13 +47,13 @@
 //! 65536). All knobs are read once, when the [`MaintenanceConfig`] is
 //! built from the environment (i.e. at `Database::new`).
 
-use crate::database::TableEntry;
+use crate::database::{DbError, TableEntry};
 use pdsm_cost::Hierarchy;
 use pdsm_layout::bpi::{optimize_table, OptimizerConfig};
 use pdsm_layout::workload::Workload;
 use pdsm_plan::patterns::TableView;
 use pdsm_storage::Layout;
-use pdsm_txn::{MergeStats, MergeTicket};
+use pdsm_txn::MergeStats;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -91,10 +86,10 @@ pub struct MaintenanceConfig {
     /// time, so tables whose observed workload drifted merge into an
     /// advised layout automatically.
     pub advise_on_merge: bool,
-    /// Backpressure factor: once `delta_ops ≥ max_lag × threshold` and the
-    /// background builder cannot absorb it (a build is in flight or its
-    /// slot is blocked), the writing thread merges synchronously instead
-    /// of letting the delta grow without bound. `0` disables backpressure.
+    /// Backpressure factor: once `delta_ops ≥ max_lag × threshold` while
+    /// a build of the table is queued or running, the writing thread waits
+    /// for it and merges what is still over the threshold, instead of
+    /// letting the delta grow without bound. `0` disables backpressure.
     pub max_lag: u64,
 }
 
@@ -146,13 +141,16 @@ pub struct MaintenanceStats {
     /// Background builds the worker applied (replay + swap + index
     /// rebuild).
     pub builds_applied: u64,
-    /// Background builds discarded (stale — an explicit or backpressure
-    /// merge won the race — or failed).
+    /// Background builds that merged nothing: an explicit or backpressure
+    /// merge had already folded the delta below the threshold when the
+    /// worker started, or the build failed.
     pub builds_discarded: u64,
-    /// Inline merges run in [`MaintenanceMode::Sync`].
+    /// Merges run on the writer's thread: in [`MaintenanceMode::Sync`],
+    /// and by backpressure.
     pub sync_merges: u64,
-    /// Inline merges forced by backpressure: the delta outran an in-flight
-    /// build by more than [`MaintenanceConfig::max_lag`] thresholds.
+    /// Writer-thread merges forced by backpressure: the delta outran a
+    /// queued or running build by [`MaintenanceConfig::max_lag`]
+    /// thresholds.
     pub backpressure_merges: u64,
     /// Merges (any path) that folded into an advisor-chosen layout
     /// differing from the table's previous one.
@@ -169,14 +167,14 @@ pub(crate) struct TablePolicy {
     pub advise_on_merge: bool,
 }
 
-/// A build order for the worker: the pinned cut, the catalog entry to
-/// apply the finished build to (the worker finishes the merge through its
-/// table handle and rebuilds its index set from the fresh main), and the
-/// advisor's inputs.
+/// A build order for the worker: the catalog entry to merge (the worker
+/// pins its cut when it starts, merges through the table handle and
+/// rebuilds the index set from the fresh main), the delta-op floor below
+/// which the build merges nothing, and the advisor's inputs.
 pub(crate) struct BuildJob {
     pub table: String,
     pub entry: TableEntry,
-    pub ticket: MergeTicket,
+    pub min_ops: u64,
     pub advise: Option<AdviseInputs>,
 }
 
@@ -199,7 +197,7 @@ struct SchedState {
     /// Job channel to the worker; `None` until the first background build.
     tx: Option<Sender<BuildJob>>,
     handle: Option<JoinHandle<()>>,
-    /// Tables with a build in flight (suppresses re-triggering).
+    /// Tables with a build queued or running (suppresses re-triggering).
     in_flight: HashSet<String>,
     /// Merges the worker applied since the last drain.
     applied: Vec<(String, MergeStats)>,
@@ -228,7 +226,7 @@ impl SchedShared {
 }
 
 /// The per-database maintenance engine. `Database` consults it on every
-/// insert-path call; it owns the worker thread (spawned lazily on the
+/// insert and predicate DML call; it owns the worker thread (spawned lazily on the
 /// first background build, so `sync`/`off` databases never start one).
 /// All entry points take `&self` — the scheduler is interior-mutable, the
 /// shape the shared `Database` handle requires.
@@ -259,7 +257,7 @@ impl MaintenanceScheduler {
         (*self.shared.cfg()).clone()
     }
 
-    /// The scalar policy applying to one table — what the insert-path
+    /// The scalar policy applying to one table — what the write-path
     /// maintenance check needs. A shared read lock + `Arc` bump, then the
     /// fields are read lock-free: no exclusive lock and no allocation on
     /// the write hot path.
@@ -290,22 +288,6 @@ impl MaintenanceScheduler {
         self.shared.lock().stats
     }
 
-    /// Atomically claim the launch slot for `table`: returns false when a
-    /// build for it is already in flight. A successful reservation must be
-    /// followed by [`MaintenanceScheduler::launch`] or
-    /// [`MaintenanceScheduler::unreserve`].
-    pub(crate) fn try_reserve(&self, table: &str) -> bool {
-        self.shared.lock().in_flight.insert(table.to_string())
-    }
-
-    /// Release a reservation whose `begin_merge` lost a race.
-    pub(crate) fn unreserve(&self, table: &str) {
-        let mut st = self.shared.lock();
-        st.in_flight.remove(table);
-        drop(st);
-        self.shared.done.notify_all();
-    }
-
     pub(crate) fn note_sync_merge(&self, advised: bool, backpressure: bool) {
         let mut st = self.shared.lock();
         st.stats.sync_merges += 1;
@@ -317,8 +299,16 @@ impl MaintenanceScheduler {
         }
     }
 
-    /// Hand a reserved build to the worker (spawning it on first use).
-    pub(crate) fn launch(&self, job: BuildJob) {
+    /// Queue the build `job` makes for `table` on the worker (spawning it
+    /// on first use), unless one is already queued or running. Returns
+    /// whether it queued one.
+    pub(crate) fn launch(&self, table: &str, job: impl FnOnce() -> BuildJob) -> bool {
+        if !self.shared.lock().in_flight.insert(table.to_string()) {
+            return false;
+        }
+        // Built outside the scheduler lock: the advisor inputs read the
+        // catalog.
+        let job = job();
         let mut st = self.shared.lock();
         st.stats.builds_started += 1;
         if st.tx.is_none() {
@@ -336,22 +326,19 @@ impl MaintenanceScheduler {
             st.handle = Some(handle);
         }
         // A send fails only if the worker thread died (a panic outside
-        // run_build's contained region). Reclaim fully: release the slot,
-        // abort the orphaned cut, and drop the dead worker so the next
-        // launch respawns a fresh one — a lost build never disables
-        // automatic merging and never wedges flush().
-        match st.tx.as_ref().expect("installed above").send(job) {
-            Ok(()) => {}
-            Err(std::sync::mpsc::SendError(job)) => {
-                st.stats.builds_discarded += 1;
-                st.in_flight.remove(&job.table);
-                st.tx = None;
-                st.handle = None; // already dead; dropping detaches it
-                drop(st);
-                job.entry.table.abort_merge_epoch(job.ticket.epoch());
-                self.shared.done.notify_all();
-            }
+        // run_build's contained region). Release the slot and drop the
+        // dead worker so the next launch respawns a fresh one — a lost
+        // build never disables automatic merging and never wedges flush().
+        let sent = st.tx.as_ref().expect("installed above").send(job).is_ok();
+        if !sent {
+            st.stats.builds_discarded += 1;
+            st.in_flight.remove(table);
+            st.tx = None;
+            st.handle = None; // already dead; dropping detaches it
+            drop(st);
+            self.shared.done.notify_all();
         }
+        sent
     }
 
     /// Merges the worker has applied since the last drain, without
@@ -385,42 +372,25 @@ impl Drop for MaintenanceScheduler {
     }
 }
 
-/// Process one build on the worker thread: advise the layout, complete the
-/// merge through the shared handle (fold, swap), rebuild the table's
-/// indexes from the fresh main store, record the outcome. Panics inside
-/// the fold are contained — the pending cut is aborted and the build
+/// Process one build on the worker thread: the table's advised merge
+/// (which pins its cut now, then folds and swaps) and the index rebuild,
+/// then record the outcome. Panics inside are contained and the build
 /// counted as discarded, so a poisoned table never wedges the scheduler.
 fn run_build(job: BuildJob, shared: &SchedShared) {
-    let table = job.table.clone();
-    let handle = job.entry.table.clone();
-    let epoch = job.ticket.epoch();
+    let BuildJob {
+        table,
+        entry,
+        min_ops,
+        advise,
+    } = job;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let (layout, advised) = choose_layout(
-            &job.table,
-            job.ticket.snapshot().store().layout().clone(),
-            job.advise.as_ref(),
-        );
-        // `None` twice over: a failed build (its cut already aborted) or a
-        // stale one — an explicit or backpressure merge preempted us.
-        let (stats, main) = handle.complete_merge(&job.ticket, layout).ok()??;
-        // Index rebuild runs off every lock: the fresh main is immutable,
-        // and the generation tag makes a stale result harmless (probes
-        // fall back to scan).
-        job.entry.reindex(&main, stats.generation);
-        Some((stats, advised))
+        advised_merge(&entry, &table, min_ops, advise.as_ref())
     }));
-    if outcome.is_err() {
-        // A panic mid-fold: make sure our cut is not left pending.
-        handle.abort_merge_epoch(epoch);
-    }
-    // Release the job — and with it the ticket's pinned cut snapshot —
-    // *before* reporting completion: a thread woken by flush() must never
-    // observe this build still pinning a superseded version.
-    drop(job);
+    drop(entry);
     let mut st = shared.lock();
     st.in_flight.remove(&table);
     match outcome {
-        Ok(Some((stats, advised))) => {
+        Ok(Ok(Some((stats, advised)))) => {
             st.stats.builds_applied += 1;
             if advised {
                 st.stats.advised_relayouts += 1;
@@ -433,27 +403,38 @@ fn run_build(job: BuildJob, shared: &SchedShared) {
     shared.done.notify_all();
 }
 
-/// Pick the layout a merge of `table` should fold into: the advisor's
-/// choice over the observed workload when it differs from `current`,
-/// otherwise `current`. Returns `(layout, advised)`.
-pub(crate) fn choose_layout(
+/// [`TableEntry::merge`] of `table` into the layout the advisor picks
+/// from `advise` for the cut: its choice over the observed workload when
+/// it differs from the cut's layout, otherwise the cut's. With the merge's
+/// stats, returns whether the advice changed the layout.
+pub(crate) fn advised_merge(
+    entry: &TableEntry,
     table: &str,
-    current: Layout,
+    min_ops: u64,
     advise: Option<&AdviseInputs>,
-) -> (Layout, bool) {
-    let Some(a) = advise else {
-        return (current, false);
-    };
+) -> Result<Option<(MergeStats, bool)>, DbError> {
+    let mut advised = false;
+    let merged = entry.merge(min_ops, |cut| {
+        let current = cut.store().layout().clone();
+        match advise.and_then(|a| advised_layout(table, a)) {
+            Some(layout) if layout != current => {
+                advised = true;
+                layout
+            }
+            _ => current,
+        }
+    })?;
+    Ok(merged.map(|stats| (stats, advised)))
+}
+
+/// The advisor's layout for `table` over the observed workload, if it has
+/// inputs to advise from.
+fn advised_layout(table: &str, a: &AdviseInputs) -> Option<Layout> {
     if a.workload.queries.is_empty() || !a.views.contains_key(table) {
-        return (current, false);
+        return None;
     }
     let cfg = OptimizerConfig::default();
-    let opt = optimize_table(table, &a.views, &a.workload, &a.hierarchy, &cfg);
-    if opt.layout != current {
-        (opt.layout, true)
-    } else {
-        (current, false)
-    }
+    Some(optimize_table(table, &a.views, &a.workload, &a.hierarchy, &cfg).layout)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The write path of [`Database`]: row and predicate DML, the insert-path
+//! The write path of [`Database`]: row and predicate DML, the write-path
 //! maintenance step, and explicit merges / relayouts / checkpoints. (The
 //! catalog, recovery, indexes and statistics live in [`crate::database`],
 //! the query path in [`crate::query`].)
@@ -16,24 +16,23 @@
 //!   write lock: the statement is atomic, in memory and as its one WAL
 //!   record, and its rows land at the end of the scan order in match
 //!   order;
-//! * **merging** — `TableEntry::merge` (`merge_if` when a delta-op floor
-//!   gates it) is the one synchronous merge-and-reindex step behind
-//!   [`Database::merge`], [`Database::relayout`], [`Database::merge_all`],
-//!   [`Database::checkpoint_all`] and the threshold-triggered sync /
-//!   backpressure merge; the background worker (see
-//!   [`crate::maintenance`]) runs [`pdsm_txn::SharedTable::complete_merge`]
-//!   and the same index rebuild off the write path.
+//! * **merging** — `TableEntry::merge` is the one merge-and-reindex step:
+//!   [`pdsm_txn::SharedTable::merge`] (one per table at a time, the fold
+//!   off the table lock), then the index rebuild. [`Database::merge`],
+//!   [`Database::relayout`], [`Database::merge_all`],
+//!   [`Database::checkpoint_all`], [`Database::create_index`], the
+//!   threshold-triggered sync and backpressure merges and the background
+//!   worker (see [`crate::maintenance`]) all run it.
 
 use crate::database::{Database, DbError, TableEntry};
-use crate::maintenance::{choose_layout, AdviseInputs, BuildJob, MaintenanceMode, TablePolicy};
+use crate::maintenance::{advised_merge, AdviseInputs, BuildJob, MaintenanceMode, TablePolicy};
 use pdsm_exec::engine::{tail_row_passes, Overlay};
 use pdsm_exec::pipeline::{Pipe, PipeSpec, Scan};
 use pdsm_exec::zone_preds;
 use pdsm_plan::expr::Expr;
 use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, Layout, Table, Value};
-use pdsm_txn::{MergeStats, RowId, VersionedTable};
-use std::sync::Arc;
+use pdsm_txn::{MergeStats, RowId, Snapshot, VersionedTable};
 
 impl Database {
     /// Append a row to `table`'s delta. Returns its row id (stable until
@@ -62,7 +61,7 @@ impl Database {
     ///
     /// Never runs the maintenance step: `row` is a caller-held id, and a
     /// merge inside the call would renumber it out from under the caller
-    /// (see [`Database::insert`] for where maintenance runs).
+    /// (inserts and predicate DML run it).
     pub fn update(
         &self,
         table: &str,
@@ -91,7 +90,8 @@ impl Database {
     /// rewrites every matched row happen under one acquisition of the
     /// table's write lock, so the statement is atomic with respect to
     /// concurrent DML, background merge swaps and a crash (it is one WAL
-    /// record). `pred` addresses columns in schema order.
+    /// record). `pred` addresses columns in schema order. Runs the
+    /// maintenance step first, as an insert does.
     pub fn update_where(
         &self,
         table: &str,
@@ -99,6 +99,7 @@ impl Database {
         pred: Option<&Expr>,
     ) -> Result<usize, DbError> {
         let entry = self.entry(table)?;
+        self.maintain(table, &entry)?;
         entry.table.with_write(|vt| {
             let cols: Vec<(ColId, Value)> = sets
                 .iter()
@@ -114,9 +115,11 @@ impl Database {
     /// SQL `DELETE FROM table [WHERE pred]`: tombstone every visible row
     /// matching `pred` (all rows when `None`). Returns the number of rows
     /// deleted. One commit under one acquisition of the table's write
-    /// lock, like [`Database::update_where`].
+    /// lock, and after the maintenance step, like
+    /// [`Database::update_where`].
     pub fn delete_where(&self, table: &str, pred: Option<&Expr>) -> Result<usize, DbError> {
         let entry = self.entry(table)?;
+        self.maintain(table, &entry)?;
         entry.table.with_write(|vt| {
             let ids = match_rows(vt, pred, None)?;
             vt.delete_rows(&ids)?;
@@ -125,17 +128,18 @@ impl Database {
     }
 
     /// Fold `table`'s delta into a fresh main store (current layout) and
-    /// rebuild its secondary indexes. Synchronous: the table's write lock
-    /// is held for the fold; any in-flight background build turns stale
-    /// and is discarded. Other tables are untouched.
+    /// rebuild its secondary indexes. Waits for a merge of the table
+    /// already running, then folds everything written before the call;
+    /// the fold runs off the table lock. Other tables are untouched.
     pub fn merge(&self, table: &str) -> Result<MergeStats, DbError> {
-        self.entry(table)?.merge(None)
+        let merged = self.entry(table)?.merge(0, keep_layout)?;
+        Ok(merged.expect("a merge without an op floor always folds"))
     }
 
     /// Merge every table with a pending delta.
     pub fn merge_all(&self) -> Result<(), DbError> {
         for name in self.table_names() {
-            self.entry(&name)?.merge_if(None, 1)?;
+            self.entry(&name)?.merge(1, keep_layout)?;
         }
         Ok(())
     }
@@ -154,7 +158,7 @@ impl Database {
             let Some(d) = entry.table.durability() else {
                 continue;
             };
-            if entry.merge_if(None, 1)?.is_none() {
+            if entry.merge(1, keep_layout)?.is_none() {
                 d.sync()?;
             }
         }
@@ -164,81 +168,52 @@ impl Database {
     /// Rebuild `table` under `layout`: a merge into the new layout. With an
     /// empty delta this is a pure relayout and row ids are stable (the
     /// property the index tests rely on); with a pending delta the delta is
-    /// folded in and ids renumber. Indexes are rebuilt either way. Holds
-    /// the table's write lock for the fold.
+    /// folded in and ids renumber. Indexes are rebuilt either way. Like
+    /// [`Database::merge`], the fold holds no table lock.
     pub fn relayout(&self, table: &str, layout: Layout) -> Result<(), DbError> {
-        self.entry(table)?.merge(Some(layout)).map(|_| ())
+        self.entry(table)?.merge(0, |_| layout).map(|_| ())
     }
 
-    /// The maintenance step every *insert* runs before applying its op:
-    /// check the written table against its merge threshold — crossing it
-    /// either merges inline ([`MaintenanceMode::Sync`]) or pins a cut and
-    /// hands the O(table) fold to the background worker, which applies the
-    /// swap itself (catch-up no longer rides the write path).
+    /// The maintenance step inserts and predicate DML run before applying
+    /// their op: check the written table against its merge threshold.
+    /// Crossing it merges on this thread ([`MaintenanceMode::Sync`]) or
+    /// queues a build for the background worker, which pins its cut when
+    /// it starts and applies the swap itself.
     ///
-    /// Backpressure: if a build is in flight and the delta has outrun it
-    /// by `max_lag ×` the threshold, this writer merges synchronously (the
-    /// stale build is discarded), bounding what scans pay for.
+    /// Backpressure: if a build is already queued or running and the delta
+    /// has outrun it by `max_lag ×` the threshold, this writer waits for
+    /// the table's merge and then merges what is still over the threshold,
+    /// bounding what scans pay for.
     fn maintain(&self, table: &str, entry: &TableEntry) -> Result<(), DbError> {
         // Scalar policy only — extracted under the scheduler lock without
-        // cloning the config (this runs on every insert).
+        // cloning the config (this runs on every write).
         let policy = self.maintenance.policy_for(table);
         if policy.mode == MaintenanceMode::Off {
             return Ok(());
         }
-        let (ops, pending) = entry
-            .table
-            .with_read(|vt| (vt.delta_ops(), vt.has_pending_merge()));
+        let ops = entry.table.delta_ops();
         if ops < policy.threshold {
             return Ok(());
         }
-        if policy.mode == MaintenanceMode::Sync && !pending {
-            return self.sync_merge_entry(table, entry, &policy, false);
-        }
-        // Claim the launch slot, so concurrent writers of the same table
-        // race begin_merge at most once each. Backpressure applies only
-        // when the builder cannot be (re)used: the delta outran it by
-        // max_lag thresholds AND either a cut is still pending or the slot
-        // is blocked (a stale build not yet reaped, or the worker busy) —
-        // the blocked build turns stale. With the slot free, a lagging
-        // table just launches a background build — no writer stall.
-        if pending || !self.maintenance.try_reserve(table) {
-            let lagging = policy.mode == MaintenanceMode::Background
-                && policy.max_lag > 0
-                && ops >= policy.threshold.saturating_mul(policy.max_lag);
-            if lagging {
-                return self.sync_merge_entry(table, entry, &policy, true);
-            }
-            return Ok(());
-        }
-        let advise = self.advise_inputs(table, &policy);
-        match entry.table.begin_merge() {
-            Ok(ticket) => self.maintenance.launch(BuildJob {
+        let backpressure = policy.mode == MaintenanceMode::Background;
+        if backpressure {
+            let queued = self.maintenance.launch(table, || BuildJob {
                 table: table.to_string(),
                 entry: entry.clone(),
-                ticket,
-                advise,
-            }),
-            // Raced an explicit begin on the shared handle.
-            Err(_) => self.maintenance.unreserve(table),
+                min_ops: policy.threshold.max(1),
+                advise: self.advise_inputs(table, &policy),
+            });
+            let lagging =
+                policy.max_lag > 0 && ops >= policy.threshold.saturating_mul(policy.max_lag);
+            if queued || !lagging {
+                return Ok(());
+            }
         }
-        Ok(())
-    }
-
-    /// One synchronous, advisor-consulted merge of `table` on the calling
-    /// thread (the sync-mode and backpressure path).
-    fn sync_merge_entry(
-        &self,
-        table: &str,
-        entry: &TableEntry,
-        policy: &TablePolicy,
-        backpressure: bool,
-    ) -> Result<(), DbError> {
-        let advise = self.advise_inputs(table, policy);
-        let current = entry.table.with_read(|vt| vt.store().layout().clone());
-        let (layout, advised) = choose_layout(table, current, advise.as_ref());
-        let merged = entry.merge_if(Some(layout), policy.threshold.max(1))?;
-        if merged.is_some() {
+        // Sync mode, or backpressure: wait for the table's merge, then
+        // merge what is still over the threshold.
+        let advise = self.advise_inputs(table, &policy);
+        let min_ops = policy.threshold.max(1);
+        if let Some((_, advised)) = advised_merge(entry, table, min_ops, advise.as_ref())? {
             self.maintenance.note_sync_merge(advised, backpressure);
         }
         Ok(())
@@ -269,47 +244,26 @@ impl Database {
 }
 
 impl TableEntry {
-    /// The one synchronous merge: fold the delta into a fresh main store —
-    /// under `layout`, or the current one — holding the table's write lock
-    /// for the fold, then rebuild the stale indexes from the main store it
-    /// published.
-    pub(crate) fn merge(&self, layout: Option<Layout>) -> Result<MergeStats, DbError> {
-        let folded = self.table.with_write(|vt| fold(vt, layout))?;
-        Ok(self.reindexed(folded))
-    }
-
-    /// [`TableEntry::merge`] if the delta holds at least `min_ops`
-    /// operations — counted under the same write lock as the fold, so
-    /// writers that all saw a threshold crossed do not each rerun the
-    /// O(table) fold. `None`: below it, nothing happened.
-    pub(crate) fn merge_if(
+    /// The one merge: [`pdsm_txn::SharedTable::merge`] of at least
+    /// `min_ops` delta ops into the layout `layout` picks from the cut,
+    /// then the rebuild of the stale indexes from the main store it
+    /// published. `None`: below `min_ops`, nothing happened.
+    pub(crate) fn merge(
         &self,
-        layout: Option<Layout>,
         min_ops: u64,
+        layout: impl FnOnce(&Snapshot) -> Layout,
     ) -> Result<Option<MergeStats>, DbError> {
-        let folded = self.table.with_write(|vt| {
-            (vt.delta_ops() >= min_ops)
-                .then(|| fold(vt, layout))
-                .transpose()
-        })?;
-        Ok(folded.map(|f| self.reindexed(f)))
-    }
-
-    fn reindexed(&self, (stats, main): (MergeStats, Arc<Table>)) -> MergeStats {
+        let Some((stats, main)) = self.table.merge(min_ops, layout)? else {
+            return Ok(None);
+        };
         self.reindex(&main, stats.generation);
-        stats
+        Ok(Some(stats))
     }
 }
 
-/// Fold `vt`'s delta (caller holds its write lock) and capture the main
-/// store that fold published, for the index rebuild that follows off-lock.
-fn fold(
-    vt: &mut VersionedTable,
-    layout: Option<Layout>,
-) -> Result<(MergeStats, Arc<Table>), pdsm_storage::Error> {
-    let layout = layout.unwrap_or_else(|| vt.store().layout().clone());
-    let stats = vt.merge_with_layout(layout)?;
-    Ok((stats, vt.store().table().clone()))
+/// The layout a merge keeps when nothing asks for another: the cut's.
+pub(crate) fn keep_layout(cut: &Snapshot) -> Layout {
+    cut.store().layout().clone()
 }
 
 /// Row ids of every visible row of `vt` matching `pred` (all visible rows
@@ -501,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn background_merge_checkpoints_durably() {
+    fn worker_merge_checkpoints_durably() {
         let dir = durable_tmpdir("bg-merge");
         {
             let db = Database::open_with(

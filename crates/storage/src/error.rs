@@ -26,12 +26,6 @@ pub enum Error {
     ArityMismatch { expected: usize, got: usize },
     /// A layout did not form a disjoint cover of the schema's columns.
     InvalidLayout(String),
-    /// A merge build was begun on a versioned table that already has one
-    /// pending.
-    MergeInProgress,
-    /// A merge build was finished against a table whose merge state moved
-    /// on (another merge completed, or the pending build was aborted).
-    StaleMergeBuild,
     /// Durability I/O failed (WAL append, checkpoint write, recovery
     /// read). Carries the rendered `std::io::Error` so this enum stays
     /// `Clone + Eq`.
@@ -63,12 +57,6 @@ impl fmt::Display for Error {
                 )
             }
             Error::InvalidLayout(msg) => write!(f, "invalid layout: {msg}"),
-            Error::MergeInProgress => {
-                write!(f, "a merge build is already pending on this table")
-            }
-            Error::StaleMergeBuild => {
-                write!(f, "merge build is stale: the table's merge state moved on")
-            }
             Error::Io(msg) => write!(f, "durability I/O error: {msg}"),
         }
     }

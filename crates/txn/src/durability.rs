@@ -13,12 +13,14 @@
 //! Every commit — one per DML statement — is one [`WalRecord`] (appends,
 //! then tombstones), appended by the `VersionedTable` commit step
 //! ([`TableDurability::log`]) under the table's write lock, before the
-//! commit applies: a crash keeps or loses a whole statement. A merge
-//! checkpoint ([`TableDurability::checkpoint`], from `finish_merge` after
-//! the swap) persists the fresh main, rewrites the WAL **in the new id
-//! space** as one record of the delta, and flips the manifest entry — the
-//! single atomic commit point — so the WAL never outlives its main store's
-//! id space and stays O(delta), not O(history).
+//! commit applies: a crash keeps or loses a whole statement. A merge's
+//! build serializes the fresh main off the table lock
+//! ([`TableDurability::pre_persist`]); its checkpoint
+//! ([`TableDurability::checkpoint`], from `finish_merge` after the swap)
+//! renames that blob into place, rewrites the WAL **in the new id space**
+//! as one record of the delta, and flips the manifest entry — the single
+//! atomic commit point — so the WAL never outlives its main store's id
+//! space and stays O(delta), not O(history).
 //!
 //! Recovery ([`TableDurability::recover`]) inverts this: load (or, with a
 //! buffer pool, mount cold) the manifest generation's main blob, decode
@@ -97,23 +99,35 @@ fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal.{generation}.log"))
 }
 
-/// The pre-persisted build blob for merge epoch `epoch` (see
-/// [`TableDurability::pre_persist`]). Contains `.tmp`, so crash leftovers
-/// are scrubbed by [`remove_temp_files`].
-fn pre_persist_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("main.tmp.{epoch}.tbl"))
+/// Generation `generation`'s main blob before it is committed under
+/// [`main_path`]. Contains `.tmp`, so crash leftovers are scrubbed by
+/// [`remove_temp_files`].
+fn temp_main_path(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("main.{generation}.tbl.tmp"))
 }
 
-/// Serialize `table` as generation `generation`'s main blob, atomically
-/// (temp file, fsync, rename).
-fn write_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
+/// Serialize `table` as generation `generation`'s main blob to its temp
+/// name, fsynced. On any error the partial file is removed: a
+/// half-written blob must never be renamed into a committed name.
+fn write_temp_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
+    let path = temp_main_path(dir, generation);
     let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
-    write_atomic(
-        &main_path(dir, generation),
-        &dir.join(format!("main.{generation}.tbl.tmp")),
-        &bytes,
-    )
-    .map_err(|e| io_err("persist main store", e))
+    let res = (|| -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&path)?;
+        f.write_all(&bytes)?;
+        f.sync_data()
+    })();
+    if res.is_err() {
+        let _ = std::fs::remove_file(&path);
+    }
+    res.map_err(|e| io_err("persist main store", e))
+}
+
+/// Commit generation `generation`'s temp blob under its final name.
+fn commit_main(dir: &Path, generation: u64) -> Result<()> {
+    std::fs::rename(temp_main_path(dir, generation), main_path(dir, generation))
+        .and_then(|()| fsync_dir(dir))
+        .map_err(|e| io_err("commit main store", e))
 }
 
 /// Parse `main.<G>.tbl` / `wal.<G>.log` file names back to generations.
@@ -155,7 +169,8 @@ impl TableDurability {
         let (name, generation) = (table.name().to_string(), table.generation());
         let dir = data_dir.join(sanitize_name(&name));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create table dir", e))?;
-        write_main(&dir, table.main(), generation)?;
+        write_temp_main(&dir, table.main(), generation)?;
+        commit_main(&dir, generation)?;
         let wal =
             Wal::create(&wal_path(&dir, generation), fsync).map_err(|e| io_err("create wal", e))?;
         fsync_dir(&dir).map_err(|e| io_err("fsync table dir", e))?;
@@ -260,61 +275,35 @@ impl TableDurability {
         self.wal_lock().sync().map_err(|e| io_err("wal sync", e))
     }
 
-    /// Serialize a freshly built main store to the epoch-stamped temp
-    /// blob, off the table lock, so the checkpoint inside `finish_merge`
-    /// can rename it instead of serializing under the write lock. On any
-    /// error the partial file is removed — a half-written blob must never
-    /// be renamed into a committed name — and the checkpoint falls back
-    /// to inline serialization.
-    pub fn pre_persist(&self, table: &Table, generation: u64, epoch: u64) -> Result<()> {
+    /// Serialize a merge's freshly built main store as generation
+    /// `generation`'s temp blob — from the build, off the table lock — for
+    /// the checkpoint inside `finish_merge` to rename. Merges of one table
+    /// run one at a time, so no other build writes that name meanwhile.
+    pub fn pre_persist(&self, table: &Table, generation: u64) -> Result<()> {
         // The previous checkpoint's deletion pass would scrub this blob.
         self.wait_cleanup();
-        let path = pre_persist_path(&self.dir, epoch);
-        let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
-        let res = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(&bytes)?;
-            f.sync_data()
-        })();
-        if res.is_err() {
-            let _ = std::fs::remove_file(&path);
-        }
-        res.map_err(|e| io_err("pre-persist built main", e))
+        write_temp_main(&self.dir, table, generation)
     }
 
     /// Checkpoint the post-merge state. Called from `finish_merge` with
     /// the table write lock held, *after* the swap: `main` is the fresh
-    /// main store at `generation`, and `delta` the new (post-cut) one.
+    /// main store at `generation`, whose blob the build pre-persisted, and
+    /// `delta` the new (post-cut) one.
     ///
-    /// Steps, in crash-safe order: (1) the main blob lands under its
-    /// generation-stamped name — by renaming the pre-persisted build of
-    /// `build_epoch` when present, else by serializing inline; (2) the
-    /// WAL for the new generation is written as one record of the delta
-    /// in the new id space; (3) the manifest entry flips — the commit
-    /// point; (4) the live WAL handle moves to the new file; (5) stale
-    /// generations are scrubbed. A crash anywhere before (3) recovers
-    /// from the previous generation, whose main + WAL are an equivalent
-    /// un-merged description of the same rows.
-    pub fn checkpoint(
-        &self,
-        main: &Table,
-        generation: u64,
-        build_epoch: u64,
-        delta: &OverlayData,
-    ) -> Result<()> {
-        // The previous checkpoint's deletion pass scrubs temp files and
-        // every generation but its own: it must be done before this
-        // generation's files start to appear.
-        self.wait_cleanup();
-        // (1) main.<G>.tbl — rename the pre-persisted build if the
-        // background path left one (already fsynced), else serialize now.
-        let dest = main_path(&self.dir, generation);
-        let pre = pre_persist_path(&self.dir, build_epoch);
-        if std::fs::rename(&pre, &dest).is_ok() {
-            fsync_dir(&self.dir).map_err(|e| io_err("fsync table dir", e))?;
-        } else {
-            write_main(&self.dir, main, generation)?;
-        }
+    /// Steps, in crash-safe order: (1) the pre-persisted blob is renamed
+    /// to its generation-stamped name; (2) the WAL for the new generation
+    /// is written as one record of the delta in the new id space; (3) the
+    /// manifest entry flips — the commit point; (4) the live WAL handle
+    /// moves to the new file; (5) stale generations are scrubbed. A crash
+    /// anywhere before (3) recovers from the previous generation, whose
+    /// main + WAL are an equivalent un-merged description of the same
+    /// rows.
+    pub fn checkpoint(&self, main: &Table, generation: u64, delta: &OverlayData) -> Result<()> {
+        // (1) main.<G>.tbl — the build already wrote and fsynced it, after
+        // the previous checkpoint's deletion pass had finished (no other
+        // checkpoint of this table can run in between), so this
+        // generation's files are safe from that pass.
+        commit_main(&self.dir, generation)?;
         // (2) wal.<G>.log — the delta in the new id space as one record:
         // every tail row appended (dead ones too, so tail ids stay put),
         // then the tombstoned main and tail rows. Replayed through the
@@ -513,14 +502,14 @@ mod tests {
     }
 
     #[test]
-    fn background_merge_checkpoint_carries_post_cut_delta() {
+    fn three_phase_merge_checkpoint_carries_post_cut_delta() {
         let dir = tmpdir("bg");
         let (mut t, _manifest) = durable_table(&dir, "t");
         for i in 0..10 {
             t.insert(&[Value::Int32(i), Value::Str("x".into()), Value::Null])
                 .unwrap();
         }
-        let ticket = t.begin_merge().unwrap();
+        let ticket = t.begin_merge();
         // ops landing during the build: a delete of a cut row, an insert,
         // and an update — all must survive the checkpointed swap.
         t.delete(2).unwrap();
@@ -587,14 +576,14 @@ mod tests {
                 .unwrap();
         }
         // Simulate a crash that left a torn pre-persist temp file from an
-        // abandoned build epoch: recovery must scrub it, not read it.
+        // unfinished merge: recovery must scrub it, not read it.
         let tdir = dir.join(sanitize_name("t"));
-        std::fs::write(pre_persist_path(&tdir, 7), b"torn garbage").unwrap();
+        std::fs::write(temp_main_path(&tdir, 1), b"torn garbage").unwrap();
         let before = all_rows(&t);
         drop(t);
         let r = reopen(&dir, "t");
         assert_eq!(all_rows(&r), before);
-        assert!(!pre_persist_path(&tdir, 7).exists());
+        assert!(!temp_main_path(&tdir, 1).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -704,7 +693,7 @@ mod tests {
         let (mut t, pool) = reopen_cold();
         // Pinning the merge's cut reads nothing; the fold is what hydrates.
         let recovered = pool.stats();
-        let ticket = t.begin_merge().unwrap();
+        let ticket = t.begin_merge();
         assert_eq!(pool.stats(), recovered, "begin_merge touched the pool");
         assert!(t.store().cold().is_some(), "begin_merge hydrated the main");
         let built = ticket.build(t.store().layout().clone()).unwrap();

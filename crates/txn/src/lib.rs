@@ -40,38 +40,35 @@
 //! tail yields exactly the rows — in exactly the order — of a
 //! merged-then-scanned table.
 //!
-//! ## Background merges
+//! ## Merges
 //!
-//! A synchronous [`VersionedTable::merge`] pays the whole O(table) fold on
-//! the caller's thread. The three-phase pipeline (module [`merge`])
-//! decouples that: [`VersionedTable::begin_merge`] pins a snapshot *cut*
-//! and starts a replay log, [`MergeTicket::build`] folds the cut into a
-//! fresh main store on any thread, and [`VersionedTable::finish_merge`]
-//! replays the ops that landed meanwhile (O(ops since cut)) and swaps the
-//! new main in. The synchronous `merge` is itself implemented as the three
-//! phases back-to-back, so both paths are byte-identical by construction.
-//! An epoch stamped on each ticket makes stale builds fail harmlessly if
-//! an explicit merge preempts them.
+//! A merge is three phases (module [`merge`]):
+//! [`VersionedTable::begin_merge`] pins a snapshot *cut* and starts a
+//! replay log, [`MergeTicket::build`] folds the cut into a fresh main store
+//! on any thread — and, for a durable table, writes it as the next
+//! generation's blob — and [`VersionedTable::finish_merge`] replays the
+//! ops that landed meanwhile (O(ops since cut)), swaps the new main in and
+//! checkpoints by renaming the blob. [`VersionedTable::merge`] runs the
+//! three back-to-back for a single owner.
 //!
 //! ## Version reclamation
 //!
-//! Each table owns a [`VersionRegistry`] (module [`registry`]): every
-//! published main store is tracked by generation, every snapshot registers
-//! as a reader of its generation until its last clone drops. Superseded
-//! main stores are reclaimed as soon as their last reader releases them,
-//! so a long-lived snapshot across N merges pins exactly one old version —
-//! [`VersionedTable::version_stats`] is the witness (live main stores,
-//! pinned generations, bytes held by superseded versions), asserted by the
-//! test suites.
+//! A snapshot pins its generation's main store by `Arc`, so a superseded
+//! main is freed as soon as its last snapshot drops, and a long-lived
+//! snapshot across N merges pins exactly one old version.
+//! [`VersionedTable::version_stats`] is the witness — live main stores,
+//! pinned generations, bytes held by superseded versions — read off weak
+//! handles to the superseded mains, with no per-snapshot bookkeeping, and
+//! asserted by the test suites.
 //!
 //! ## Concurrency
 //!
 //! [`SharedTable`] wraps a `VersionedTable` in an `RwLock`: writers take
 //! the write lock per operation (appends are O(1)); readers take the read
 //! lock only long enough to clone a snapshot and then query entirely
-//! lock-free. A synchronous merge holds the write lock for the fold;
-//! [`SharedTable::background_merge`] holds it only for the begin and
-//! finish phases, folding off-lock while writers and readers proceed.
+//! lock-free. [`SharedTable::merge`] is the one concurrent merge: one per
+//! table at a time, holding the write lock only for the begin and finish
+//! phases, folding off-lock while writers and readers proceed.
 //!
 //! ```
 //! use pdsm_txn::VersionedTable;
@@ -95,14 +92,12 @@
 
 pub mod durability;
 pub mod merge;
-pub mod registry;
 pub mod shared;
 pub mod table;
 pub mod version;
 
 pub use durability::{DurabilityStats, TableDurability};
 pub use merge::{BuiltMain, MergeTicket};
-pub use registry::{VersionRegistry, VersionStats};
 pub use shared::SharedTable;
-pub use table::{MergeStats, RowId, VersionedTable, WriteStats};
+pub use table::{MergeStats, RowId, VersionStats, VersionedTable};
 pub use version::{MainStore, OverlayData, Snapshot};

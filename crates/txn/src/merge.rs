@@ -1,35 +1,38 @@
-//! The decoupled merge pipeline: build-from-snapshot off the write path.
+//! The merge pipeline: build-from-snapshot off the write path.
 //!
-//! [`VersionedTable::merge`](crate::VersionedTable::merge) used to do all
-//! its work — an O(table) fold — on the writer's thread. The three-phase
-//! pipeline splits that so only O(1)-ish work stays on the write path:
+//! A merge folds the delta into a fresh main store — an O(table) job. The
+//! three phases keep only O(1)-ish work under the table lock:
 //!
 //! 1. **begin** ([`crate::VersionedTable::begin_merge`]) — pin a snapshot
 //!    of the current version (the *cut*) and start recording post-cut
 //!    tombstones in a replay log. O(1): the cut shares the live delta.
 //! 2. **build** ([`MergeTicket::build`]) — fold the pinned snapshot into a
 //!    fresh main store under any layout, recording a remap from cut row
-//!    ids to fresh positions. Lock-free: runs on any thread, off the
-//!    writer's critical path, while writes keep landing in the delta.
+//!    ids to fresh positions, and — for a durable table — serialize it to
+//!    the next generation's temp blob. Lock-free: runs on any thread, off
+//!    the writer's critical path, while writes keep landing in the delta.
 //! 3. **finish** ([`crate::VersionedTable::finish_merge`]) — replay the
 //!    ops that arrived during the build (tombstones re-applied through the
-//!    remap; post-cut tail rows carried into the new delta) and swap the
-//!    fresh main in. O(ops since cut), *not* O(table).
+//!    remap; post-cut tail rows carried into the new delta), swap the
+//!    fresh main in and checkpoint by renaming the blob. O(ops since cut),
+//!    *not* O(table).
 //!
-//! The epoch stamped on the ticket guards the swap: if another merge
-//! completed (or the pending build was aborted) in between, `finish_merge`
-//! fails with [`pdsm_storage::Error::StaleMergeBuild`] and the table is
-//! untouched — the caller just discards the build.
+//! A table has at most one cut at a time: [`crate::SharedTable::merge`]
+//! runs the three phases under the table's merge mutex, so a build always
+//! finishes against the cut it was begun from.
 
+use crate::durability::TableDurability;
 use crate::version::Snapshot;
 use pdsm_storage::{Layout, Result, Table};
+use std::sync::Arc;
 
-/// Phase-1 output: the pinned cut plus the epoch that must still be
-/// current at swap time. `Send + Sync`, cheap to move to a worker thread.
+/// Phase-1 output: the pinned cut, plus the table's durability handle
+/// when the build must also persist its blob. `Send + Sync`, cheap to
+/// move to a worker thread.
 #[derive(Debug, Clone)]
 pub struct MergeTicket {
     pub(crate) snapshot: Snapshot,
-    pub(crate) epoch: u64,
+    pub(crate) durability: Option<Arc<TableDurability>>,
 }
 
 impl MergeTicket {
@@ -38,16 +41,10 @@ impl MergeTicket {
         &self.snapshot
     }
 
-    /// The merge epoch this ticket belongs to (what
-    /// [`crate::VersionedTable::finish_merge`] checks, and what
-    /// [`crate::VersionedTable::abort_merge_epoch`] takes so an owner
-    /// aborts only its *own* pending merge).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Phase 2: fold the cut into a fresh main store under `layout`.
-    /// Lock-free — touches only the pinned snapshot.
+    /// Phase 2: fold the cut into a fresh main store under `layout` and,
+    /// for a durable table, write it as the next generation's temp blob
+    /// (see [`TableDurability::pre_persist`]). Lock-free — touches only
+    /// the pinned snapshot; an error leaves the table as it was.
     pub fn build(&self, layout: Layout) -> Result<BuiltMain> {
         let main = self.snapshot.main();
         let overlay = self.snapshot.overlay();
@@ -82,16 +79,20 @@ impl MergeTicket {
             }
         }
         // Warm the zone map here, off the writer lock: the fold above
-        // already touched every value, and the checkpoint taken by
-        // `finish_merge` persists the zones alongside the partitions. (A
-        // post-cut replay invalidates them; they then rebuild lazily.)
+        // already touched every value, and the blob persists the zones
+        // alongside the partitions. (A post-cut replay invalidates them;
+        // they then rebuild lazily.)
         fresh.zone_map();
+        let generation = self.snapshot.generation();
+        if let Some(d) = &self.durability {
+            d.pre_persist(&fresh, generation + 1)?;
+        }
         Ok(BuiltMain {
-            epoch: self.epoch,
+            generation,
+            cut_ops: self.snapshot.delta_ops(),
             table: fresh,
             remap,
             cut_main_rows: main.len(),
-            cut_tail,
             dead_at_cut,
             tail_folded,
         })
@@ -102,31 +103,13 @@ impl MergeTicket {
 /// needs to replay post-cut ops onto it.
 #[derive(Debug)]
 pub struct BuiltMain {
-    pub(crate) epoch: u64,
+    /// The cut's generation and delta ops: which cut this build folds.
+    pub(crate) generation: u64,
+    pub(crate) cut_ops: u64,
     pub(crate) table: Table,
     /// Cut-space row id → position in `table`; `None` = dead at the cut.
     pub(crate) remap: Vec<Option<u32>>,
     pub(crate) cut_main_rows: usize,
-    pub(crate) cut_tail: usize,
     pub(crate) dead_at_cut: usize,
     pub(crate) tail_folded: usize,
-}
-
-impl BuiltMain {
-    /// The freshly built main store (what `finish_merge` will swap in).
-    /// Build owners use this to pre-serialize the checkpoint blob off the
-    /// table lock (see `TableDurability::pre_persist`).
-    pub fn table(&self) -> &Table {
-        &self.table
-    }
-
-    /// Rows in the fresh main store.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True iff the fresh main store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.table.len() == 0
-    }
 }

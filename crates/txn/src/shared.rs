@@ -7,28 +7,28 @@
 //! predicate DML keeps its match and its one commit atomic; readers take the
 //! read lock only to clone a [`Snapshot`] and then run queries entirely
 //! outside the lock — including the hydration of a still-cold main store,
-//! which no [`SharedTable`] method performs under either guard. Merges
-//! come in two shapes. A synchronous
-//! [`SharedTable::merge`] holds the write lock for the whole fold. A
-//! background merge holds it twice, briefly: [`SharedTable::begin_merge`]
-//! pins the cut, then [`SharedTable::complete_merge`] — the one
-//! build → pre-persist → finish sequence, shared by
-//! [`SharedTable::background_merge`] and `pdsm-core`'s maintenance worker
-//! — folds off-lock and retakes the lock only to replay post-cut ops and
-//! swap. Either way, readers that grabbed a snapshot before the merge
-//! keep their pinned `Arc`s and are never blocked mid-query or torn.
+//! which no [`SharedTable`] method performs under either guard.
+//!
+//! A merge has one shape, [`SharedTable::merge`]: under the table's merge
+//! mutex — so merges of one table run one at a time, and a build always
+//! finishes against its own cut — it holds the write lock twice, briefly:
+//! once to pin the cut, once to replay post-cut ops and swap. The layout
+//! choice, the O(table) fold and the checkpoint blob's serialization run
+//! between the two, off-lock. Readers that grabbed a snapshot before the
+//! merge keep their pinned `Arc`s and are never blocked mid-query or torn.
 
-use crate::merge::{BuiltMain, MergeTicket};
-use crate::registry::VersionStats;
-use crate::table::{MergeStats, RowId, VersionedTable, WriteStats};
+use crate::table::{MergeStats, RowId, VersionStats, VersionedTable};
 use crate::version::Snapshot;
-use pdsm_storage::{Error, Layout, Result, Table, Value};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use pdsm_storage::{Layout, Result, Table, Value};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cloneable handle to a concurrently usable versioned table.
 #[derive(Debug, Clone)]
 pub struct SharedTable {
     inner: Arc<RwLock<VersionedTable>>,
+    /// Held for the whole of one [`SharedTable::merge`]. Never taken while
+    /// holding the table lock.
+    merging: Arc<Mutex<()>>,
 }
 
 impl SharedTable {
@@ -36,6 +36,7 @@ impl SharedTable {
     pub fn new(table: VersionedTable) -> Self {
         SharedTable {
             inner: Arc::new(RwLock::new(table)),
+            merging: Arc::default(),
         }
     }
 
@@ -63,97 +64,43 @@ impl SharedTable {
         self.write().insert_batch(rows)
     }
 
-    /// Fold the delta into a fresh main store (current layout),
-    /// synchronously: the write lock is held for the whole fold. Prefer
-    /// [`SharedTable::background_merge`] when writers must not stall.
-    pub fn merge(&self) -> Result<MergeStats> {
-        self.write().merge()
-    }
-
-    /// Fold the delta into a fresh main store under `layout` (write lock
-    /// held for the whole fold).
-    pub fn merge_with_layout(&self, layout: Layout) -> Result<MergeStats> {
-        self.write().merge_with_layout(layout)
-    }
-
-    /// Phase 1 of a background merge: pin the cut and start the replay
-    /// log. The write lock is held only to take one snapshot — O(1).
-    pub fn begin_merge(&self) -> Result<MergeTicket> {
-        self.write().begin_merge()
-    }
-
-    /// Phase 3 of a background merge: replay post-cut ops and swap. The
-    /// write lock is held only for the O(ops since cut) replay.
-    pub fn finish_merge(&self, built: BuiltMain) -> Result<MergeStats> {
-        self.write().finish_merge(built)
-    }
-
-    /// Drop the pending merge build only if `epoch` stamps it (the safe
-    /// abort for a build owner that may have been preempted).
-    pub fn abort_merge_epoch(&self, epoch: u64) -> bool {
-        self.write().abort_merge_epoch(epoch)
-    }
-
-    /// Run one full background merge from this thread: begin (short write
-    /// lock) → build off-lock, writers and readers proceed → finish (short
-    /// write lock). This is the maintenance-thread entry point.
+    /// The one merge: fold the delta into a fresh main store under the
+    /// layout `layout` picks from the cut, if the delta holds at least
+    /// `min_ops` operations (`0`: always). Waits for a merge of this table
+    /// already running, then pins its cut under a short write lock; the
+    /// layout choice, the fold and — for a durable table — the blob's
+    /// serialization run off-lock; a second short write lock replays the
+    /// ops written meanwhile and swaps. Those ops stay as the next delta.
     ///
-    /// Returns `Ok(None)` without touching the table when a build is
-    /// already pending or the swap lost to a concurrent explicit merge.
-    pub fn background_merge(&self) -> Result<Option<MergeStats>> {
-        self.background_merge_with(None)
-    }
-
-    /// [`SharedTable::background_merge`], folding into `layout` (e.g. the
-    /// layout advisor's pick) instead of the current one.
-    pub fn background_merge_with(&self, layout: Option<Layout>) -> Result<Option<MergeStats>> {
-        let ticket = match self.write().begin_merge() {
-            Ok(t) => t,
-            Err(Error::MergeInProgress) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let layout = layout.unwrap_or_else(|| ticket.snapshot().store().layout().clone());
-        Ok(self
-            .complete_merge(&ticket, layout)?
-            .map(|(stats, _)| stats))
-    }
-
-    /// Phases 2 and 3 of a background merge, from any thread: fold
-    /// `ticket`'s cut into `layout` off-lock, then replay post-cut ops and
-    /// swap under a short write lock. Returns the merge's stats with the
-    /// main store it published (captured under the swap's lock, so index
-    /// rebuilds run over exactly that version), or `Ok(None)` — table
-    /// untouched — when the build turned stale: an explicit merge won.
-    /// A failed build aborts its own pending cut and nobody else's.
-    pub fn complete_merge(
+    /// Returns the merge's stats with the main store it published (taken
+    /// under the swap's lock, so index rebuilds run over exactly that
+    /// version), or `Ok(None)` — table untouched — below `min_ops`. A
+    /// failed build (a failed blob write among them) leaves the table
+    /// untouched too.
+    pub fn merge(
         &self,
-        ticket: &MergeTicket,
-        layout: Layout,
+        min_ops: u64,
+        layout: impl FnOnce(&Snapshot) -> Layout,
     ) -> Result<Option<(MergeStats, Arc<Table>)>> {
-        let built = match ticket.build(layout) {
-            Ok(b) => b,
+        let _one_at_a_time = self.merging.lock().unwrap_or_else(|e| e.into_inner());
+        let ticket = {
+            let mut t = self.write();
+            if t.delta_ops() < min_ops {
+                return Ok(None);
+            }
+            t.begin_merge()
+        };
+        let built = ticket.build(layout(ticket.snapshot()));
+        drop(ticket);
+        let mut t = self.write();
+        let stats = match built {
+            Ok(built) => t.finish_merge(built)?,
             Err(e) => {
-                // Epoch-guarded: a sync merge may have preempted us and
-                // someone else may have begun a newer one meanwhile.
-                self.abort_merge_epoch(ticket.epoch());
+                t.abort_merge();
                 return Err(e);
             }
         };
-        // Durable tables: serialize the built main to its epoch-stamped
-        // temp blob off-lock, so the checkpoint inside finish_merge can
-        // rename it instead of serializing under the write lock. Errors
-        // are ignored — a failed (and self-removed) pre-persist just
-        // means the checkpoint falls back to inline serialization.
-        if let Some(d) = self.durability() {
-            let generation = ticket.snapshot().generation() + 1;
-            let _ = d.pre_persist(built.table(), generation, ticket.epoch());
-        }
-        let mut t = self.write();
-        match t.finish_merge(built) {
-            Ok(stats) => Ok(Some((stats, t.store().table().clone()))),
-            Err(Error::StaleMergeBuild) => Ok(None),
-            Err(e) => Err(e),
-        }
+        Ok(Some((stats, t.store().table().clone())))
     }
 
     /// Merge generation right now.
@@ -161,7 +108,8 @@ impl SharedTable {
         self.read().generation()
     }
 
-    /// Version-chain statistics right now (see [`crate::registry`]).
+    /// Version-chain statistics right now (see
+    /// [`VersionedTable::version_stats`]).
     pub fn version_stats(&self) -> VersionStats {
         self.read().version_stats()
     }
@@ -192,22 +140,12 @@ impl SharedTable {
         self.read().has_delta()
     }
 
-    /// True iff a background merge build is in flight.
-    pub fn has_pending_merge(&self) -> bool {
-        self.read().has_pending_merge()
-    }
-
     /// Shared handle to the current main store, resident. A cold main is
     /// hydrated here — after the read lock is released, so writers never
     /// wait behind the faults.
     pub fn main_arc(&self) -> Arc<Table> {
         let store = Arc::clone(self.read().store());
         store.table().clone()
-    }
-
-    /// Cumulative write counters.
-    pub fn write_stats(&self) -> WriteStats {
-        self.read().write_stats()
     }
 
     /// The durability handle, if this table is durable.
@@ -220,7 +158,8 @@ impl SharedTable {
         f(&self.read())
     }
 
-    /// Run `f` under the write lock (compound write operations).
+    /// Run `f` under the write lock (compound write operations). `f` must
+    /// not merge: merges go through [`SharedTable::merge`], one at a time.
     pub fn with_write<R>(&self, f: impl FnOnce(&mut VersionedTable) -> R) -> R {
         f(&mut self.write())
     }
@@ -230,22 +169,74 @@ impl SharedTable {
 mod tests {
     use super::*;
     use pdsm_storage::{ColumnDef, DataType, Schema};
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    fn shared_x() -> SharedTable {
+        SharedTable::new(VersionedTable::from_table(Table::new(
+            "s",
+            Schema::new(vec![ColumnDef::new("x", DataType::Int64)]),
+        )))
+    }
+
+    fn keep_layout(cut: &Snapshot) -> Layout {
+        cut.store().layout().clone()
+    }
 
     #[test]
     fn shared_roundtrip() {
-        let t = VersionedTable::from_table(Table::new(
-            "s",
-            Schema::new(vec![ColumnDef::new("x", DataType::Int64)]),
-        ));
-        let shared = SharedTable::new(t);
+        let shared = shared_x();
         let writer = shared.clone();
         writer.insert(&[Value::Int64(1)]).unwrap();
         let snap = shared.snapshot();
         writer.insert(&[Value::Int64(2)]).unwrap();
         assert_eq!(snap.len(), 1);
         assert_eq!(shared.len(), 2);
-        writer.merge().unwrap();
+        assert!(
+            writer.merge(3, keep_layout).unwrap().is_none(),
+            "below min_ops"
+        );
+        assert_eq!(shared.generation(), 0);
+        writer.merge(2, keep_layout).unwrap().expect("at min_ops");
         assert_eq!(shared.delta_rows(), 0);
         assert_eq!(snap.len(), 1, "snapshot outlives the merge");
+    }
+
+    /// A merge parked inside its layout choice holds no table lock: an
+    /// insert, a snapshot and a scan of the same table complete while it
+    /// waits. Released, it folds only its cut, and the row written
+    /// meanwhile stays as the next delta.
+    #[test]
+    fn a_parked_merge_blocks_no_reader_or_writer() {
+        let shared = shared_x();
+        for i in 0..10 {
+            shared.insert(&[Value::Int64(i)]).unwrap();
+        }
+        let (parked_tx, parked_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        let shared = &shared;
+        std::thread::scope(|s| {
+            let merger = s.spawn(move || {
+                shared.merge(0, |cut| {
+                    parked_tx.send(cut.len()).unwrap();
+                    release_rx.recv().unwrap();
+                    keep_layout(cut)
+                })
+            });
+            assert_eq!(parked_rx.recv().unwrap(), 10, "the cut holds the ten rows");
+            s.spawn(move || {
+                shared.insert(&[Value::Int64(100)]).unwrap();
+                let scanned = shared.snapshot().rows();
+                done_tx.send(scanned.len()).unwrap();
+            });
+            let done = done_rx.recv_timeout(Duration::from_secs(30));
+            release_tx.send(()).unwrap();
+            assert_eq!(done.expect("blocked behind the parked merge"), 11);
+            let (stats, main) = merger.join().unwrap().unwrap().expect("min_ops 0 merges");
+            assert_eq!((stats.delta_rows_folded, main.len()), (10, 10));
+        });
+        assert_eq!(shared.generation(), 1);
+        assert_eq!((shared.delta_rows(), shared.len()), (1, 11));
     }
 }

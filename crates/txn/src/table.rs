@@ -1,10 +1,9 @@
 //! [`VersionedTable`]: an immutable main store plus an append-only delta
-//! with tombstones, merged on demand — synchronously or through the
-//! three-phase background pipeline (see [`crate::merge`]).
+//! with tombstones, merged on demand through the three-phase pipeline (see
+//! [`crate::merge`]).
 
 use crate::durability::TableDurability;
 use crate::merge::{BuiltMain, MergeTicket};
-use crate::registry::{VersionRegistry, VersionStats};
 use crate::version::{MainStore, OverlayData, Snapshot};
 use pdsm_exec::{Overlay, TableProvider};
 use pdsm_pool::ColdTable;
@@ -12,7 +11,7 @@ use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, DataType, Error, Layout, Result, Schema, Table, Value};
 use pdsm_store::WalRecord;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Stable row address within one merge generation.
 ///
@@ -38,19 +37,25 @@ pub struct MergeStats {
     pub rows_after: usize,
 }
 
-/// Cumulative write-path counters (reset never; survives merges; WAL
-/// replay counts nothing).
+/// A table's version chain right now (see
+/// [`VersionedTable::version_stats`]). Snapshots pin their generation's
+/// main store by `Arc`, so a superseded main lives exactly as long as the
+/// last snapshot of it; the test suites assert the bound this gives —
+/// live mains never exceed *pinned generations + 1*, however many merges
+/// a long-lived snapshot spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteStats {
-    pub inserts: u64,
-    /// Rows updated — one per row, however many columns its `SET` names.
-    pub updates: u64,
-    pub deletes: u64,
-    pub merges: u64,
+pub struct VersionStats {
+    /// Distinct generations some snapshot (or merge cut) still pins.
+    pub pinned_versions: usize,
+    /// Distinct main stores still allocated, including the current one.
+    pub live_mains: usize,
+    /// Resident bytes held by *superseded* main stores that are still
+    /// allocated (the current generation's main is not garbage).
+    pub pinned_bytes: usize,
 }
 
-/// The replay log a pending background merge maintains: enough to carry
-/// every op that lands between the build's snapshot cut and the swap.
+/// The replay log a pending merge maintains: enough to carry every op
+/// that lands between the build's snapshot cut and the swap.
 ///
 /// Inserts need no explicit log — tail rows past `cut_tail` *are* the
 /// post-cut inserts, carried verbatim into the new delta. Only tombstones
@@ -59,8 +64,6 @@ pub struct WriteStats {
 /// two cases).
 #[derive(Debug)]
 struct PendingMerge {
-    /// Must match the finishing build's epoch.
-    epoch: u64,
     /// Tail length at the cut; rows past it belong to the next version's
     /// delta.
     cut_tail: usize,
@@ -96,13 +99,11 @@ pub struct VersionedTable {
     delta: Arc<OverlayData>,
     /// [`VersionedTable::delta_ops`]: delta ops since the last merge.
     n_ops: u64,
-    stats: WriteStats,
-    /// Reader/version bookkeeping shared with every snapshot.
-    registry: Arc<VersionRegistry>,
-    /// Monotonic counter of merge builds begun; stamps tickets so stale
-    /// builds can never swap in.
-    merge_epoch: u64,
-    /// The in-flight background merge, if any.
+    /// The main stores merges replaced, while a snapshot may still hold
+    /// them: the witness [`VersionedTable::version_stats`] reads. Pruned
+    /// of dropped ones at every swap.
+    superseded: Vec<Weak<MainStore>>,
+    /// The in-flight merge's replay log, if a cut is pinned.
     pending: Option<PendingMerge>,
     /// WAL + checkpoint glue, if this table is durable. `None` costs the
     /// write path nothing.
@@ -111,17 +112,16 @@ pub struct VersionedTable {
 
 impl Clone for VersionedTable {
     fn clone(&self) -> Self {
-        // The clone is an independent table: it gets its own registry
-        // (snapshots of the original keep counting against the original),
-        // no pending merge (the in-flight build belongs to `self`) and no
-        // durability — two tables sharing one log would corrupt each
-        // other's id space. The delta is shared until either side writes.
+        // The clone is an independent table: it gets its own main-store
+        // handle (snapshots of the original keep counting against the
+        // original), no pending merge (the in-flight build belongs to
+        // `self`) and no durability — two tables sharing one log would
+        // corrupt each other's id space. The delta is shared until either
+        // side writes.
         let (table, cold) = (self.main.table.get().cloned(), self.main.cold.clone());
         VersionedTable {
             delta: Arc::clone(&self.delta),
             n_ops: self.n_ops,
-            stats: self.stats,
-            merge_epoch: self.merge_epoch,
             ..Self::at_generation(table, cold, self.generation)
         }
     }
@@ -137,15 +137,12 @@ impl VersionedTable {
         cold: Option<Arc<ColdTable>>,
         generation: u64,
     ) -> Self {
-        let registry = Arc::new(VersionRegistry::default());
         VersionedTable {
-            main: Arc::new(MainStore::new(main, cold, generation, registry.clone())),
+            main: Arc::new(MainStore::new(main, cold, generation)),
             generation,
             delta: Arc::default(),
             n_ops: 0,
-            stats: WriteStats::default(),
-            registry,
-            merge_epoch: 0,
+            superseded: Vec::new(),
             pending: None,
             durability: None,
         }
@@ -211,11 +208,6 @@ impl VersionedTable {
     /// Merge generation (0 for a fresh table, +1 per merge).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Cumulative write counters.
-    pub fn write_stats(&self) -> WriteStats {
-        self.stats
     }
 
     /// Number of visible rows (main − tombstones + live delta).
@@ -320,12 +312,10 @@ impl VersionedTable {
 
     /// One insert commit over already-normalized rows.
     fn insert_rows(&mut self, rows: Vec<Row>) -> Result<Range<RowId>> {
-        let ids = self.commit(WalRecord {
+        self.commit(WalRecord {
             appends: rows,
             tombstones: Vec::new(),
-        })?;
-        self.stats.inserts += ids.len() as u64;
-        Ok(ids)
+        })
     }
 
     /// The one commit step, and the only place this table reaches its WAL:
@@ -393,7 +383,7 @@ impl VersionedTable {
             delta.tail_alive[id - main_len] = false;
             delta.tail_dead_count += 1;
         }
-        // Tombstones of rows that existed at a pending build's cut must be
+        // Tombstones of rows that existed at a pending merge's cut must be
         // replayed through the remap at swap time; rows appended after the
         // cut carry their own liveness into the next delta.
         if let Some(p) = self.pending.as_mut() {
@@ -454,7 +444,6 @@ impl VersionedTable {
             appends: Vec::new(),
             tombstones: ids.iter().map(|&id| id as u64).collect(),
         })?;
-        self.stats.deletes += ids.len() as u64;
         Ok(())
     }
 
@@ -492,12 +481,10 @@ impl VersionedTable {
                 row.0[c] = value.clone();
             }
         }
-        let new_ids = self.commit(WalRecord {
+        self.commit(WalRecord {
             appends: rows,
             tombstones: ids.iter().map(|&id| id as u64).collect(),
-        })?;
-        self.stats.updates += ids.len() as u64;
-        Ok(new_ids)
+        })
     }
 
     /// The engine-facing overlay of the current state, or `None` when the
@@ -524,16 +511,11 @@ impl VersionedTable {
             delta_ops: self.n_ops,
             len: self.len(),
             live_delta_rows: self.live_delta_rows(),
-            _ticket: self.registry.register(self.generation),
         }
     }
 
-    /// Fold the delta into a fresh main store under the current layout.
-    ///
-    /// Synchronous: the fold runs on the caller's thread. Aborts any
-    /// pending background build first (the explicit merge wins; the
-    /// in-flight build's `finish_merge` will fail `StaleMergeBuild` and
-    /// be discarded by its owner).
+    /// Fold the delta into a fresh main store under the current layout,
+    /// on the caller's thread.
     pub fn merge(&mut self) -> Result<MergeStats> {
         self.merge_with_layout(self.main.layout().clone())
     }
@@ -544,63 +526,54 @@ impl VersionedTable {
     /// are renumbered; with an empty delta this is a pure relayout and ids
     /// are stable.
     ///
-    /// Implemented as the three-phase pipeline run back-to-back (begin →
-    /// build → finish) so the synchronous and background paths share one
-    /// fold and stay byte-identical by construction.
+    /// The three phases back-to-back (begin → build → finish), so a
+    /// single-owner merge and [`crate::SharedTable::merge`] share one fold.
     pub fn merge_with_layout(&mut self, layout: Layout) -> Result<MergeStats> {
-        self.abort_merge();
-        let ticket = self.begin_merge()?;
-        let built = match ticket.build(layout) {
-            Ok(b) => b,
+        let built = self.begin_merge().build(layout);
+        match built {
+            Ok(built) => self.finish_merge(built),
             Err(e) => {
                 self.abort_merge();
-                return Err(e);
+                Err(e)
             }
-        };
-        self.finish_merge(built)
+        }
     }
 
-    /// Phase 1 of a background merge: pin the current version as the
-    /// build's *cut* and start recording post-cut tombstones for replay.
-    /// O(1) — the cut is a snapshot — and not one main-store row read; the
-    /// heavy fold — and with it the hydration of a still-cold main —
-    /// belongs to [`MergeTicket::build`], which runs on any thread.
+    /// Phase 1 of a merge: pin the current version as the build's *cut*
+    /// and start recording post-cut tombstones for replay. O(1) — the cut
+    /// is a snapshot — and not one main-store row read; the heavy fold —
+    /// and with it the hydration of a still-cold main — belongs to
+    /// [`MergeTicket::build`], which runs on any thread.
     ///
-    /// Errors with [`Error::MergeInProgress`] if a build is already
-    /// pending ([`VersionedTable::abort_merge`] clears it).
-    pub fn begin_merge(&mut self) -> Result<MergeTicket> {
-        if self.pending.is_some() {
-            return Err(Error::MergeInProgress);
-        }
-        self.merge_epoch += 1;
+    /// A table has one cut at a time: this replaces any cut whose build
+    /// never finished.
+    pub fn begin_merge(&mut self) -> MergeTicket {
         self.pending = Some(PendingMerge {
-            epoch: self.merge_epoch,
             cut_tail: self.delta.tail.len(),
             cut_ops: self.n_ops,
             replay_deletes: Vec::new(),
         });
-        Ok(MergeTicket {
+        MergeTicket {
             snapshot: self.snapshot(),
-            epoch: self.merge_epoch,
-        })
+            durability: self.durability.clone(),
+        }
     }
 
-    /// Phase 3 of a background merge: replay the ops that landed since the
-    /// build's cut and swap the fresh main store in. O(ops since cut) —
-    /// the write path never pays the O(table) fold.
+    /// Phase 3 of a merge: replay the ops that landed since the build's
+    /// cut, swap the fresh main store in and, for a durable table,
+    /// checkpoint. O(ops since cut) — the write path never pays the
+    /// O(table) fold, and the checkpoint only renames the blob the build
+    /// wrote.
     ///
-    /// Errors with [`Error::StaleMergeBuild`] (table untouched) when the
-    /// merge state moved on since the build began: another merge
-    /// completed, the build was aborted, or the main store was edited.
+    /// # Panics
+    ///
+    /// If `built` was not folded from the pending cut (one was begun
+    /// since, or none is pending).
     pub fn finish_merge(&mut self, built: BuiltMain) -> Result<MergeStats> {
-        match &self.pending {
-            Some(p)
-                if p.epoch == built.epoch
-                    && built.cut_main_rows == self.main_len()
-                    && built.cut_tail == p.cut_tail => {}
-            _ => return Err(Error::StaleMergeBuild),
-        }
-        let pending = self.pending.take().expect("matched above");
+        let pending = match self.pending.take() {
+            Some(p) if p.cut_ops == built.cut_ops && built.generation == self.generation => p,
+            _ => panic!("finish_merge: the build is not of the pending cut"),
+        };
         // Replay post-cut tombstones of cut-time rows onto the fresh main.
         let mut delta = OverlayData::default();
         for &id in &pending.replay_deletes {
@@ -627,7 +600,6 @@ impl VersionedTable {
             delta_rows_folded: built.tail_folded,
             rows_after: built.table.len(),
         };
-        let build_epoch = built.epoch;
         let new_main = Arc::new(built.table);
         self.generation += 1;
         let superseded = std::mem::replace(
@@ -636,7 +608,6 @@ impl VersionedTable {
                 Some(new_main.clone()),
                 None,
                 self.generation,
-                self.registry.clone(),
             )),
         );
         // The merge supersedes the checkpoint a cold mount was serving:
@@ -644,51 +615,41 @@ impl VersionedTable {
         if let Some(c) = &superseded.cold {
             c.retire();
         }
+        self.superseded.retain(|m| m.strong_count() > 0);
+        self.superseded.push(Arc::downgrade(&superseded));
         self.delta = Arc::new(delta);
         self.n_ops -= pending.cut_ops;
-        self.stats.merges += 1;
-        // Checkpoint-on-merge: persist the fresh main and rewrite the WAL
-        // in the new id space, still under the caller's write lock, so no
-        // op can land between the swap and its durable record. An I/O
-        // error here leaves the in-memory merge applied (readers are
-        // fine) but reports the broken durable state to the caller.
+        // Checkpoint-on-merge: commit the blob the build wrote and rewrite
+        // the WAL in the new id space, still under the caller's write
+        // lock, so no op can land between the swap and its durable record.
+        // An I/O error here leaves the in-memory merge applied (readers
+        // are fine) but reports the broken durable state to the caller.
         if let Some(d) = self.durability.clone() {
-            d.checkpoint(&new_main, self.generation, build_epoch, &self.delta)?;
+            d.checkpoint(&new_main, self.generation, &self.delta)?;
         }
         Ok(stats)
     }
 
-    /// Drop any pending merge build. Its `finish_merge` will fail with
-    /// [`Error::StaleMergeBuild`]. Returns whether a build was pending.
+    /// Drop the pending cut, if any (its build failed). Returns whether
+    /// one was pending.
     pub fn abort_merge(&mut self) -> bool {
         self.pending.take().is_some()
     }
 
-    /// Drop the pending merge build only if it is the one `epoch` stamps
-    /// (see [`crate::MergeTicket::epoch`]) — the safe abort for an owner
-    /// that may have been preempted: a newer pending merge begun by
-    /// someone else is left alone. Returns whether an abort happened.
-    pub fn abort_merge_epoch(&mut self, epoch: u64) -> bool {
-        match &self.pending {
-            Some(p) if p.epoch == epoch => {
-                self.pending = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// True iff a background merge build is in flight (begun, not yet
-    /// finished or aborted).
-    pub fn has_pending_merge(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Version-chain statistics: how many main stores are still allocated,
-    /// how many readers pin which generations, and the bytes superseded
-    /// versions hold. See [`crate::registry`].
+    /// The version chain right now: main stores still allocated, the
+    /// generations snapshots pin, and the bytes superseded versions hold.
+    /// Read off the superseded mains' weak handles and the current main's
+    /// `Arc` count — a snapshot costs no bookkeeping.
     pub fn version_stats(&self) -> VersionStats {
-        self.registry.stats(self.generation)
+        let old: Vec<Arc<MainStore>> = self.superseded.iter().filter_map(Weak::upgrade).collect();
+        VersionStats {
+            pinned_versions: old.len() + usize::from(Arc::strong_count(&self.main) > 1),
+            live_mains: old.len() + 1,
+            pinned_bytes: (old.iter())
+                .filter_map(|m| m.table.get())
+                .map(|t| t.byte_size())
+                .sum(),
+        }
     }
 
     /// Approximate bytes held by the delta (tail rows + masks).
@@ -837,7 +798,6 @@ mod tests {
         assert_eq!(new_ids, 10..14);
         assert_eq!(t.delta_rows(), ids.len());
         assert_eq!(t.delta_ops(), ids.len() as u64 + 1);
-        assert_eq!(t.write_stats().updates, ids.len() as u64);
         assert_eq!(t.len(), 10);
         for (&old, new) in ids.iter().zip(new_ids) {
             assert!(!t.is_visible(old));
@@ -1020,7 +980,7 @@ mod tests {
         write_ops: impl Fn(&mut VersionedTable),
     ) {
         let mut live = t.clone();
-        let ticket = t.begin_merge().unwrap();
+        let ticket = t.begin_merge();
         write_ops(&mut t);
         write_ops(&mut live);
         let built = ticket.build(layout).unwrap();
@@ -1036,7 +996,7 @@ mod tests {
     }
 
     #[test]
-    fn background_merge_replays_interleaved_ops() {
+    fn three_phase_merge_replays_interleaved_ops() {
         background_vs_live(seeded(), Layout::column(3), |t| {
             // inserts after the cut
             t.insert(&[Value::Int32(100), Value::Str("post".into()), Value::Null])
@@ -1054,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn background_merge_replays_cut_tail_tombstones() {
+    fn three_phase_merge_replays_cut_tail_tombstones() {
         // Seed a delta before the cut so the replay must remap tail
         // ordinals, not just main positions.
         let mut t = seeded();
@@ -1070,13 +1030,13 @@ mod tests {
     }
 
     #[test]
-    fn background_merge_with_quiet_window_matches_sync() {
+    fn three_phase_merge_with_quiet_window_matches_merge() {
         let mut t = seeded();
         t.delete(0).unwrap();
         t.insert(&[Value::Int32(70), Value::Str("x".into()), Value::Null])
             .unwrap();
         let mut sync = t.clone();
-        let ticket = t.begin_merge().unwrap();
+        let ticket = t.begin_merge();
         let built = ticket.build(Layout::column(3)).unwrap();
         let a = t.finish_merge(built).unwrap();
         let b = sync.merge_with_layout(Layout::column(3)).unwrap();
@@ -1088,45 +1048,9 @@ mod tests {
     }
 
     #[test]
-    fn stale_build_is_rejected_and_table_untouched() {
-        let mut t = seeded();
-        t.insert(&[Value::Int32(60), Value::Str("d".into()), Value::Null])
-            .unwrap();
-        let ticket = t.begin_merge().unwrap();
-        assert!(matches!(t.begin_merge(), Err(Error::MergeInProgress)));
-        let built = ticket.build(Layout::row(3)).unwrap();
-        // an explicit merge intervenes: the build is now stale
-        t.merge().unwrap();
-        let gen = t.generation();
-        let rows: Vec<Row> = t.rows().collect();
-        assert!(matches!(t.finish_merge(built), Err(Error::StaleMergeBuild)));
-        assert_eq!(t.generation(), gen);
-        assert_eq!(t.rows().collect::<Vec<_>>(), rows);
-        // aborting with nothing pending is a no-op
-        assert!(!t.abort_merge());
-    }
-
-    #[test]
-    fn abort_merge_epoch_only_aborts_its_own() {
-        let mut t = seeded();
-        t.insert(&[Value::Int32(61), Value::Str("e".into()), Value::Null])
-            .unwrap();
-        let stale_epoch = t.begin_merge().unwrap().epoch();
-        t.merge().unwrap(); // preempts the pending build and completes
-        let ticket2 = t.begin_merge().unwrap();
-        assert!(
-            !t.abort_merge_epoch(stale_epoch),
-            "a preempted owner must not abort someone else's newer merge"
-        );
-        assert!(t.has_pending_merge());
-        assert!(t.abort_merge_epoch(ticket2.epoch()));
-        assert!(!t.has_pending_merge());
-    }
-
-    #[test]
     fn post_cut_ops_remain_as_delta_after_swap() {
         let mut t = seeded();
-        let ticket = t.begin_merge().unwrap();
+        let ticket = t.begin_merge();
         t.insert(&[Value::Int32(80), Value::Str("a".into()), Value::Null])
             .unwrap();
         t.delete(1).unwrap();

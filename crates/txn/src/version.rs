@@ -15,7 +15,6 @@
 //! Taking a snapshot therefore pins and does not load or copy: two `Arc`
 //! clones, not a byte faulted.
 
-use crate::registry::{VersionRegistry, VersionTicket};
 use pdsm_exec::{Overlay, TableProvider};
 use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
@@ -37,18 +36,15 @@ pub struct MainStore {
     /// The checkpoint this store was mounted over, if any (kept after
     /// hydration: the merge that supersedes it retires its frames).
     pub(crate) cold: Option<Arc<ColdTable>>,
-    /// Where a hydrated table is published as this generation's main.
-    registry: Arc<VersionRegistry>,
 }
 
 impl MainStore {
     /// The store of `generation` over a resident `table` or a still-on-disk
-    /// `cold` checkpoint (one or the other), accounted in `registry`.
+    /// `cold` checkpoint (one or the other).
     pub(crate) fn new(
         table: Option<Arc<Table>>,
         cold: Option<Arc<ColdTable>>,
         generation: u64,
-        registry: Arc<VersionRegistry>,
     ) -> Self {
         let (skeleton, len) = match (&table, &cold) {
             (Some(t), _) => (
@@ -59,16 +55,12 @@ impl MainStore {
             (None, Some(c)) => (c.skeleton(), c.len()),
             (None, None) => unreachable!("a main store is resident or mounted"),
         };
-        if let Some(t) = &table {
-            registry.publish(generation, t);
-        }
         MainStore {
             skeleton,
             len,
             generation,
             table: table.map(OnceLock::from).unwrap_or_default(),
             cold,
-            registry,
         }
     }
 
@@ -124,12 +116,10 @@ impl MainStore {
     pub fn table(&self) -> &Arc<Table> {
         self.table.get_or_init(|| {
             let cold = self.cold.as_ref().expect("unhydrated ⇒ mounted");
-            let table = Arc::new(
+            Arc::new(
                 cold.hydrate()
                     .expect("cold main hydration: checkpoint payload unreadable"),
-            );
-            self.registry.publish(self.generation, &table);
-            table
+            )
         })
     }
 
@@ -223,10 +213,6 @@ pub struct Snapshot {
     /// Visible rows: main − tombstones + live tail.
     pub(crate) len: usize,
     pub(crate) live_delta_rows: usize,
-    /// Reader registration in the table's version registry; released
-    /// (decrementing this generation's reader count) when the last clone
-    /// of this snapshot drops.
-    pub(crate) _ticket: Arc<VersionTicket>,
 }
 
 impl Snapshot {

@@ -1,6 +1,8 @@
 //! The maintenance scheduler end-to-end: background merges stay
 //! byte-identical to synchronous ones, the worker applies its own builds
-//! (catch-up never rides the write path), backpressure bounds the delta,
+//! (catch-up never rides the write path), an explicit merge waits for a
+//! running one instead of preempting it, backpressure bounds the delta,
+//! predicate DML runs the maintenance step,
 //! the advisor loop re-layouts drifted tables at merge time, plan caches
 //! survive background generation bumps, and version chains stay bounded.
 
@@ -8,6 +10,8 @@ use mrdb::prelude::*;
 use mrdb::storage::Value as V;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::channel;
+use std::time::Duration;
 
 fn cfg(mode: MaintenanceMode, threshold: u64) -> MaintenanceConfig {
     MaintenanceConfig {
@@ -169,18 +173,18 @@ fn background_and_sync_paths_are_byte_identical() {
 }
 
 #[test]
-fn explicit_merge_wins_over_in_flight_build() {
+fn explicit_merge_waits_for_a_parked_merge() {
     let db = Database::with_maintenance(cfg(MaintenanceMode::Background, 32));
     make_table(&db);
-    // the 33rd insert's entry check crosses the threshold and launches a
-    // build; the worker may apply it at any moment now
+    // the 33rd insert's entry check crosses the threshold and queues a
+    // build; the worker may run it at any moment now
     for i in 0..33i32 {
         db.insert("t", &[V::Int32(i), V::Int64(0), V::Str("x".into())])
             .unwrap();
     }
-    // An explicit merge always wins whatever the race: if the build is
-    // still pending it turns stale and the worker discards it; if the
-    // worker already applied it, this just merges the (empty) delta.
+    // Whichever runs first, the explicit merge or the build, the other
+    // finds what is left: the build merges nothing if the explicit merge
+    // folded the delta below the threshold before the worker started.
     db.merge("t").unwrap();
     db.flush_maintenance().unwrap();
     let stats = db.maintenance_stats();
@@ -193,28 +197,55 @@ fn explicit_merge_wins_over_in_flight_build() {
     );
     assert_eq!(scan_rows(&db).len(), 33);
 
-    // Deterministic preemption, at the shared-handle level: pin a cut,
-    // build it, preempt with an explicit merge — the late swap must fail
-    // stale and leave the table untouched.
-    db.insert("t", &[V::Int32(100), V::Int64(1), V::Str("y".into())])
-        .unwrap();
+    // Deterministically, at the shared-handle level: park a merge inside
+    // its layout choice, write while it is parked, then merge explicitly.
+    // The explicit merge waits for the parked one instead of preempting
+    // it, then folds everything written before the call.
+    for i in 100..110i32 {
+        db.insert("t", &[V::Int32(i), V::Int64(1), V::Str("y".into())])
+            .unwrap();
+    }
     let shared = db.shared("t").unwrap();
-    let ticket = shared.begin_merge().unwrap();
-    let layout = ticket.snapshot().main().layout().clone();
-    let built = ticket.build(layout).unwrap();
-    db.merge("t").unwrap(); // aborts the pending cut
-    let rows = scan_rows(&db);
-    assert!(matches!(
-        shared.finish_merge(built),
-        Err(mrdb::storage::Error::StaleMergeBuild)
-    ));
-    assert_eq!(scan_rows(&db), rows, "stale swap must not touch the table");
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    let (merged_tx, merged_rx) = channel();
+    let db = &db;
+    std::thread::scope(|s| {
+        let parked = s.spawn(move || {
+            let merged = shared.merge(0, |cut| {
+                parked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                cut.store().layout().clone()
+            });
+            merged.unwrap().expect("min_ops 0 merges").0
+        });
+        parked_rx.recv().unwrap();
+        for i in 200..205i32 {
+            db.insert("t", &[V::Int32(i), V::Int64(2), V::Str("z".into())])
+                .unwrap();
+        }
+        s.spawn(move || merged_tx.send(db.merge("t").unwrap()).unwrap());
+        let early = merged_rx.recv_timeout(Duration::from_millis(200));
+        release_tx.send(()).unwrap();
+        assert!(early.is_err(), "the explicit merge must wait, not preempt");
+        let first = parked.join().unwrap();
+        assert_eq!(
+            first.delta_rows_folded, 10,
+            "the parked merge folds its cut"
+        );
+        let second = merged_rx.recv().unwrap();
+        assert_eq!(second.generation, first.generation + 1);
+        assert_eq!(second.delta_rows_folded, 5, "then the rows written before");
+    });
+    assert!(!db.with_table("t", |vt| vt.has_delta()).unwrap());
+    assert_eq!(scan_rows(db).len(), 48);
 }
 
 #[test]
 fn backpressure_falls_back_to_inline_merges() {
-    // A tiny threshold with a manually pinned cut simulates a builder that
-    // never catches up: the delta outruns the in-flight "build" and the
+    // A builder that never catches up: the single worker waits behind a
+    // merge of table `u` parked inside its layout choice, so the build
+    // queued for `t` never starts. The delta of `t` outruns it, and its
     // writer must merge inline once the lag factor is exceeded.
     let db = Database::with_maintenance(MaintenanceConfig {
         mode: MaintenanceMode::Background,
@@ -224,32 +255,74 @@ fn backpressure_falls_back_to_inline_merges() {
         ..Default::default()
     });
     make_table(&db);
-    let shared = db.shared("t").unwrap();
-    // Pin a cut directly on the handle: the scheduler sees a pending merge
-    // and will not launch its own build — exactly the "builder stuck"
-    // regime.
-    let ticket = shared.begin_merge().unwrap();
-    for i in 0..200i32 {
-        db.insert("t", &[V::Int32(i), V::Int64(0), V::Str("x".into())])
-            .unwrap();
+    db.create_table("u", Schema::new(vec![ColumnDef::new("k", DataType::Int32)]))
+        .unwrap();
+    let u = db.shared("u").unwrap();
+    let (parked_tx, parked_rx) = channel();
+    let (release_tx, release_rx) = channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            u.merge(0, |cut| {
+                parked_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                cut.store().layout().clone()
+            })
+            .unwrap()
+        });
+        parked_rx.recv().unwrap();
+        // `u` crosses its threshold: its build takes the worker, which
+        // then waits for the parked merge.
+        for i in 0..17i32 {
+            db.insert("u", &[V::Int32(i)]).unwrap();
+        }
+        for i in 0..200i32 {
+            db.insert("t", &[V::Int32(i), V::Int64(0), V::Str("x".into())])
+                .unwrap();
+            assert!(
+                db.with_table("t", |vt| vt.delta_ops()).unwrap() <= 64,
+                "backpressure must bound the delta at max_lag × threshold"
+            );
+        }
+        let stats = db.maintenance_stats();
         assert!(
-            db.with_table("t", |vt| vt.delta_ops()).unwrap() <= 64,
-            "backpressure must bound the delta at max_lag × threshold"
+            stats.backpressure_merges >= 1,
+            "inline fallback engaged: {stats:?}"
         );
-    }
+        release_tx.send(()).unwrap();
+    });
+    db.flush_maintenance().unwrap();
     let stats = db.maintenance_stats();
-    assert!(
-        stats.backpressure_merges >= 1,
-        "inline fallback engaged: {stats:?}"
+    assert_eq!(
+        stats.builds_applied + stats.builds_discarded,
+        stats.builds_started,
+        "every queued build ran once the worker was free: {stats:?}"
     );
     assert_eq!(scan_rows(&db).len(), 200);
-    // The stuck build is long stale.
-    let layout = ticket.snapshot().main().layout().clone();
-    let built = ticket.build(layout).unwrap();
-    assert!(matches!(
-        shared.finish_merge(built),
-        Err(mrdb::storage::Error::StaleMergeBuild)
-    ));
+}
+
+/// Predicate DML runs the maintenance step, as inserts do: traffic that
+/// only updates still merges at the threshold.
+#[test]
+fn update_where_runs_the_maintenance_step() {
+    let db = Database::with_maintenance(cfg(MaintenanceMode::Sync, 16));
+    make_table(&db);
+    let rows: Vec<Vec<Value>> = (0..10i32)
+        .map(|i| vec![V::Int32(i), V::Int64(0), V::Str("x".into())])
+        .collect();
+    db.insert_batch("t", &rows).unwrap(); // one delta op
+    for i in 0..20i32 {
+        let matched = db
+            .update_where(
+                "t",
+                &[("v".to_string(), V::Int64(i as i64))],
+                Some(&Expr::col(0).eq(Expr::lit(i % 10))),
+            )
+            .unwrap();
+        assert_eq!(matched, 1);
+    }
+    assert!(db.with_table("t", |vt| vt.generation()).unwrap() >= 1);
+    assert!(db.maintenance_stats().sync_merges >= 1);
+    assert_eq!(scan_rows(&db).len(), 10);
 }
 
 /// ROADMAP's "layout advice as policy" loop: tables whose observed

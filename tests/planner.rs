@@ -163,7 +163,8 @@ fn an_index_lagging_the_pinned_generation_is_not_planned() {
 
     // The table-level merge swaps the main store in and renumbers its
     // rows; the catalog's reindex does not run.
-    db.shared("R").unwrap().merge().unwrap();
+    let shared = db.shared("R").unwrap();
+    shared.merge(0, |cut| cut.store().layout().clone()).unwrap();
     let explain = db.explain(&plan).unwrap();
     assert!(
         explain.contains("via full scan") && !explain.contains("index"),

@@ -363,10 +363,10 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     // Phase 1 of a merge pins the cut; the fold (phase 2) is what reads.
     let shared = db.shared("R").unwrap();
     let before = pool.stats();
-    let ticket = shared.begin_merge().unwrap();
+    let ticket = shared.with_write(|t| t.begin_merge());
     assert_eq!(pool.stats(), before, "begin_merge touched the pool");
     assert!(cold(), "begin_merge hydrated the table");
-    assert!(shared.abort_merge_epoch(ticket.epoch()));
+    assert!(shared.with_write(|t| t.abort_merge()));
     drop(ticket);
 
     // A join cannot stream extent-at-a-time: it needs R resident.

@@ -149,24 +149,25 @@ fn apply_versioned(t: &mut VersionedTable, build: &mut Option<mrdb::txn::BuiltMa
             t.delete(live[hint % live.len()]).expect("delete live row");
         }
         Op::Merge => {
+            // One cut at a time: a pending build finishes before the next
+            // merge begins.
+            if let Some(b) = build.take() {
+                t.finish_merge(b).expect("finish_merge");
+            }
             t.merge().expect("merge");
         }
         Op::BeginMerge => {
-            if build.is_some() || t.has_pending_merge() {
+            if build.is_some() {
                 return;
             }
-            let ticket = t.begin_merge().expect("begin");
+            let ticket = t.begin_merge();
             let layout = ticket.snapshot().main().layout().clone();
             // build immediately; every op until FinishMerge is replayed
             *build = Some(ticket.build(layout).expect("build"));
         }
         Op::FinishMerge => {
             if let Some(b) = build.take() {
-                match t.finish_merge(b) {
-                    Ok(_) => {}
-                    Err(mrdb::storage::Error::StaleMergeBuild) => {} // a sync merge won
-                    Err(e) => panic!("finish_merge: {e}"),
-                }
+                t.finish_merge(b).expect("finish_merge");
             }
         }
     }

@@ -192,9 +192,14 @@ impl From<pdsm_storage::Error> for DbError {
     }
 }
 
+/// An extent fault inside a scan is the storage error it would be
+/// anywhere else.
 impl From<ExecError> for DbError {
     fn from(e: ExecError) -> Self {
-        DbError::Exec(e)
+        match e {
+            ExecError::Storage(e) => DbError::Storage(e),
+            e => DbError::Exec(e),
+        }
     }
 }
 
@@ -744,9 +749,10 @@ impl Database {
         // Pinned under the lock, made resident (if cold) outside it.
         let current = || {
             let pinned = entry.table.snapshot();
-            (pinned.store().table().clone(), pinned.generation())
+            let main = pinned.store().table().cloned();
+            main.map(|m| (m, pinned.generation()))
         };
-        let (main, generation) = current();
+        let (main, generation) = current()?;
         let col = main.schema().col_id(column)?;
         let ty = main.schema().columns()[col].ty;
         if ty == DataType::Float64 {
@@ -773,7 +779,7 @@ impl Database {
         // rarer keeps the index out of statement views (whose pin admits
         // only indexes of the pinned generation) until the next merge's
         // rebuild heals it.
-        let (main2, gen2) = current();
+        let (main2, gen2) = current()?;
         if gen2 != generation {
             entry.reindex(&main2, gen2);
         }

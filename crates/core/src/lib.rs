@@ -44,7 +44,6 @@ pub mod maintenance;
 pub mod planner;
 pub mod query;
 pub mod result_cache;
-pub mod streaming;
 pub mod write;
 
 pub use advisor::{AdvisorReport, LayoutAdvisor};

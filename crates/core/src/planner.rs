@@ -127,11 +127,13 @@ impl Planner {
         let survived = pdsm_cost::survived_fraction(zone_blocks, zone_pruned);
 
         // --- disk tier: faulting cold checkpoint extents ---
-        // Either fan-out streams a cold table's extents through the buffer
-        // pool the same way (zone-refuted extents skipped, resident ones
-        // free), so the disk term is one constant added to every
-        // alternative — it never flips a fan-out choice, it makes the
-        // totals honest and prices scan-vs-index on equal footing.
+        // Either fan-out walks a cold table one pinned extent at a time
+        // (zone-refuted extents skipped, resident ones free) and spreads
+        // each extent over its workers, so the disk term is one constant
+        // added to every alternative — it never flips a fan-out choice, it
+        // makes the totals honest and prices scan-vs-index on equal
+        // footing. Multi-table plans walk their cold tables the same way
+        // but are not priced for it yet.
         let (extents_total, extents_resident, extents_pruned, disk) = match root.cold() {
             Some(cold) if tables.len() == 1 => cold_stats(cold, &zps),
             _ => (0, 0, 0, 0.0),
@@ -336,7 +338,7 @@ pub(crate) fn table_view(snap: &Snapshot) -> TableView {
 /// Cold-extent residency of a single-table plan's still-cold table under
 /// the scan's zone predicates `zp`: `(extents_total, resident, pruned,
 /// disk_cycles)`. Pruned extents come from the same per-extent zone
-/// refutation the streaming executor skips with, so the disk term prices
+/// refutation the scan's extent walk skips with, so the disk term prices
 /// exactly the faults the scan will take: one request per cold,
 /// non-refuted extent, plus its payload bytes through
 /// [`pdsm_cost::DiskTier`].

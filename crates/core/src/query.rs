@@ -6,14 +6,16 @@
 //! under it the catalog epoch and, per table, one read lock that yields its
 //! [`pdsm_txn::Snapshot`] (main-store handle, the delta it shares with the
 //! writer, generation, `delta_ops`), then the indexes built from exactly
-//! that generation. The pin faults and copies nothing; a cold main store
-//! becomes resident only if what runs
-//! needs it, on the running thread, after every lock is gone.
+//! that generation. The pin faults and copies nothing. A compiled or
+//! parallel run walks a cold main store one pinned extent at a time
+//! through the view ([`TableProvider::for_each_piece`]); only the Volcano
+//! oracle makes it resident, on the running thread, after every lock is
+//! gone.
 //!
 //! Everything downstream is a function of that view: the validity tokens
 //! of the statement cache ([`crate::result_cache`]), the planner
 //! ([`crate::Planner::plan`] takes the view, not the database), the
-//! engine / extent-streaming / index-probe dispatch, the output names and
+//! engine / index-probe dispatch, the output names and
 //! the tag an entry is stored under. So the planner prices the version the
 //! engine scans, a plan that says `index` probes (an index lagging the
 //! pinned generation is not in the view, hence not a candidate), and a
@@ -30,13 +32,13 @@
 
 use crate::database::{Database, DbError, EngineKind, TableEntry};
 use crate::result_cache::{DepTokens, Entry, Probe};
-use pdsm_exec::engine::{ExecError, Overlay, TableProvider};
+use pdsm_exec::engine::{ExecError, Overlay, PieceVisitor, TableProvider};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
-use pdsm_storage::{ColId, DataType, Table, Value};
+use pdsm_storage::{ColId, DataType, Table, Value, ZonePred};
 use pdsm_txn::Snapshot;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -296,16 +298,13 @@ impl DbSnapshot {
         })
     }
 
-    /// Execute `plan` against this snapshot with the chosen engine. A
-    /// still-cold table streams extent-at-a-time through the buffer pool
-    /// when the plan shape allows it (never more than one extent's frames
-    /// pinned); other shapes make it resident first. Snapshots carry no
+    /// Execute `plan` against this snapshot with the chosen engine. The
+    /// compiled and parallel engines read a still-cold table one pinned
+    /// extent at a time through the buffer pool, whatever the plan's
+    /// shape; the Volcano oracle makes it resident. Snapshots carry no
     /// statement cache — planned execution is [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
-        let output = match crate::streaming::run_cold_streaming(self, plan, engine)? {
-            Some(output) => output,
-            None => engine.engine().execute(plan, self)?,
-        };
+        let output = engine.engine().execute(plan, self)?;
         Ok(QueryResult::new(self.output_names(plan), output))
     }
 
@@ -444,7 +443,7 @@ impl DbSnapshot {
         let (Some(col), Some(index)) = (access.column(), pinned.index_for(access)) else {
             return Err(misfit().into());
         };
-        let t = pinned.snapshot.main();
+        let t = pinned.snapshot.store().table()?;
         let mut rows = match access {
             AccessPath::IndexPoint { key, .. } => match key_of_value(t, col, key) {
                 Some(k) => index.lookup(k),
@@ -486,6 +485,8 @@ impl DbSnapshot {
     }
 }
 
+/// Every table is its pinned [`Snapshot`]'s: the pipeline core reads its
+/// skeleton and walks its extents, the Volcano oracle hydrates it.
 impl TableProvider for DbSnapshot {
     fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name).map(|t| t.snapshot.main())
@@ -493,6 +494,22 @@ impl TableProvider for DbSnapshot {
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.tables.get(name).and_then(|t| t.snapshot.overlay())
+    }
+
+    fn shape(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name).map(|t| t.snapshot.store().skeleton())
+    }
+
+    fn for_each_piece(
+        &self,
+        name: &str,
+        zps: &[ZonePred],
+        visit: &mut PieceVisitor<'_>,
+    ) -> Result<(), ExecError> {
+        match self.tables.get(name) {
+            Some(t) => t.snapshot.for_each_piece(name, zps, visit),
+            None => Err(ExecError::UnknownTable(name.to_string())),
+        }
     }
 }
 

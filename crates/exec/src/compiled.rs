@@ -21,18 +21,18 @@
 //! property the paper contrasts against Volcano's function pointers.
 //!
 //! This file holds the kernels (predicate compilation, 64-row block masks,
-//! zone-predicate extraction). The lowering, the survivor loop and the
-//! aggregate state live in [`crate::pipeline`], shared with the parallel
-//! and cold-streaming drivers; the compiled engine is that core walked
-//! sequentially — one state (or one output buffer) over `0..n`, then the
-//! delta tail.
+//! zone-predicate extraction). The lowering, the survivor loop, the walk
+//! over main-store pieces and the aggregate state live in
+//! [`crate::pipeline`], shared with the parallel driver; the compiled
+//! engine is that core walked sequentially — each piece's `0..n` into one
+//! state (or one output buffer).
 
-use crate::engine::{Engine, ExecError, Overlay, TableProvider};
+use crate::engine::{Engine, ExecError, TableProvider};
 use crate::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
 use crate::result::QueryOutput;
 use crate::simd;
 use pdsm_plan::expr::{conjuncts, CmpOp, Expr};
-use pdsm_plan::logical::{AggExpr, LogicalPlan};
+use pdsm_plan::logical::LogicalPlan;
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
 use pdsm_storage::{ColId, DataType, Table, Value, ZoneOp, ZonePred};
@@ -56,41 +56,18 @@ impl Engine for CompiledEngine {
     }
 }
 
-/// The sequential driver: surviving zone blocks fold in row order into one
-/// state (or one output buffer), then the delta tail.
+/// The sequential driver: a piece's surviving zone blocks fold in row
+/// order into the carried state (or append to one output buffer).
 struct Sequential;
 
 impl PipeDriver for Sequential {
-    fn collect(
-        &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-    ) -> Vec<Vec<Value>> {
-        let dead = Overlay::dead_of(&overlay);
-        let mut out = Vec::new();
-        Scan::new(table, spec).collect_range(dead, 0..table.len(), &mut out);
-        if let Some(o) = &overlay {
-            pipeline::tail_rows(o, spec, table.schema().len(), |r| out.push(r));
-        }
-        out
+    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
+        Scan::new(table, spec).collect_range(dead, 0..table.len(), out);
     }
 
-    fn aggregate(
-        &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-    ) -> Vec<Vec<Value>> {
-        let dead = Overlay::dead_of(&overlay);
-        let mut state = AggState::new(table, spec, group_by, aggs);
-        state.fold_range(&Scan::new(table, spec), dead, 0..table.len());
-        if let Some(o) = &overlay {
-            state.fold_tail(o);
-        }
-        state.finish()
+    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
+        let scan = Scan::new(table, state.parts().0);
+        state.fold_range(&scan, dead, 0..table.len());
     }
 }
 
@@ -598,7 +575,7 @@ mod tests {
     use super::*;
     use crate::volcano::VolcanoEngine;
     use pdsm_plan::builder::QueryBuilder;
-    use pdsm_plan::logical::AggFunc;
+    use pdsm_plan::logical::{AggExpr, AggFunc};
     use pdsm_storage::{ColumnDef, Schema};
     use std::collections::HashMap;
 

@@ -5,7 +5,7 @@ use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggFunc, LogicalPlan};
 use pdsm_storage::row::Row;
 use pdsm_storage::types::cmp_values;
-use pdsm_storage::{ColId, Table, Value};
+use pdsm_storage::{ColId, Table, Value, ZonePred};
 
 /// A snapshot visibility overlay over one table: tombstones on the
 /// read-optimized main store plus an append-only tail of decoded rows.
@@ -78,10 +78,17 @@ pub fn masked_tail_row(row: &Row, needed: &[ColId], width: usize) -> Vec<Value> 
     out
 }
 
-/// Resolves table names to storage. Implemented by `pdsm-core`'s `Database`
-/// and by plain maps in tests.
+/// What [`TableProvider::for_each_piece`] calls on each main-store piece,
+/// with the piece's slice of the tombstone mask.
+pub type PieceVisitor<'v> = dyn FnMut(&Table, &[bool]) -> Result<(), ExecError> + 'v;
+
+/// Resolves table names to storage. Implemented by `pdsm-core`'s
+/// statement view, by `pdsm-txn`'s snapshots and by plain maps in tests.
 pub trait TableProvider {
-    /// The table called `name`, if present.
+    /// The table called `name`, if present, resident: a provider over a
+    /// cold main store makes it resident here. The Volcano oracle and the
+    /// `pdsm-bench` baselines read tables this way; the pipeline core
+    /// reads [`TableProvider::shape`] and [`TableProvider::for_each_piece`].
     fn table(&self, name: &str) -> Option<&Table>;
 
     /// The visibility overlay of `name`, if the provider is versioned and
@@ -90,6 +97,34 @@ pub trait TableProvider {
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         let _ = name;
         None
+    }
+
+    /// A table carrying `name`'s name, schema, layout and dictionaries,
+    /// for reading column metadata without touching a row. The default is
+    /// [`TableProvider::table`]; a provider over cold mains returns a
+    /// zero-row skeleton.
+    fn shape(&self, name: &str) -> Option<&Table> {
+        self.table(name)
+    }
+
+    /// Visit `name`'s main store in row order as `(table, dead)` pieces,
+    /// `dead` being that piece's slice of the overlay's tombstone mask
+    /// (empty = none). A piece the zone predicates `zps` refute may be
+    /// skipped: callers pass only conjuncts of the scan's own predicate.
+    /// The default visits [`TableProvider::table`] once; a provider over
+    /// cold mains visits one pinned extent at a time, and a fault that
+    /// cannot read an extent is [`ExecError::Storage`].
+    fn for_each_piece(
+        &self,
+        name: &str,
+        zps: &[ZonePred],
+        visit: &mut PieceVisitor<'_>,
+    ) -> Result<(), ExecError> {
+        let _ = zps;
+        let t = self
+            .table(name)
+            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
+        visit(t, Overlay::dead_of(&self.overlay(name)))
     }
 }
 
@@ -106,6 +141,14 @@ pub enum ExecError {
     UnknownTable(String),
     /// Plan feature not supported by this engine.
     Unsupported(String),
+    /// A main-store piece could not be read (an extent fault failed).
+    Storage(pdsm_storage::Error),
+}
+
+impl From<pdsm_storage::Error> for ExecError {
+    fn from(e: pdsm_storage::Error) -> Self {
+        ExecError::Storage(e)
+    }
 }
 
 impl std::fmt::Display for ExecError {
@@ -113,6 +156,7 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::UnknownTable(t) => write!(f, "unknown table {t:?}"),
             ExecError::Unsupported(m) => write!(f, "unsupported plan: {m}"),
+            ExecError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
 }
@@ -260,7 +304,8 @@ impl Accumulator {
     /// Merging partials built over a partitioning of the input in partition
     /// order is equivalent to the sequential fold for count/sum(int)/min/max;
     /// float sums may differ in the last ulps (addition is reassociated),
-    /// which is why `pdsm-par` keeps float aggregation single-threaded.
+    /// which is why `pdsm-par` runs float-sensitive aggregates as an
+    /// ordered collect folded in scan order instead of merging partials.
     pub fn merge(&mut self, other: &Accumulator) {
         debug_assert_eq!(self.func, other.func, "merging mismatched aggregates");
         self.count += other.count;

@@ -17,12 +17,14 @@
 //!   per-tuple indirect calls or allocation. LLVM JiT is substituted by
 //!   ahead-of-time monomorphized kernels — see DESIGN.md §2.
 //!
-//! [`pipeline`] owns the one lowering and survivor loop (zone refutation →
-//! tombstone mask → block mask → survivors); its three drivers are the
-//! compiled engine, `pdsm-par`'s parallel engine and `pdsm-core`'s cold
-//! extent streaming. A storage feature is therefore implemented twice:
-//! once there, once in Volcano. The Fig.-3 bulk and vectorized baselines
-//! live in `pdsm-bench`, over plain tables.
+//! [`pipeline`] owns the one lowering, the one walk over a main store's
+//! pieces (a resident table, or a cold one extent by extent) and the one
+//! survivor loop (zone refutation → tombstone mask → block mask →
+//! survivors); its two drivers are the compiled engine and `pdsm-par`'s
+//! parallel engine. A storage feature is therefore implemented twice:
+//! once there, once in Volcano, which reads a cold main by making it
+//! resident. The Fig.-3 bulk and vectorized baselines live in
+//! `pdsm-bench`, over plain tables.
 
 pub mod compiled;
 pub mod engine;

@@ -7,19 +7,24 @@
 //! owns everything that does not depend on the walk:
 //!
 //! * [`execute`] lowers a plan into open scan pipelines ([`Pipe`]: kernel
-//!   conjuncts plus a [`Step`] chain) and materializes pipeline breakers;
+//!   conjuncts plus a [`Step`] chain), materializes pipeline breakers and
+//!   walks every open pipeline over its table's main store **piece by
+//!   piece** ([`TableProvider::for_each_piece`]: a resident table is one
+//!   piece, a cold one is one pinned extent per piece, zone-refuted
+//!   extents skipped), then over the delta tail — once, here;
 //! * [`Scan`] is the survivor loop — zone refutation → tombstone mask →
 //!   [`PredKernel::block_mask`] → survivors — over an arbitrary row range
 //!   of one bound table;
-//! * [`AggState`] is the partial aggregate: `fold_range`, `fold_tail`,
-//!   `merge`, `finish`.
+//! * [`AggState`] is the partial aggregate: `fold_range`, `fold_rows`,
+//!   `fold_tail`, `merge`, `finish`. One state is carried across the
+//!   pieces, so running sums, not finished values, cross extent
+//!   boundaries and a cold scan is bit-identical to a resident one.
 //!
-//! Three drivers walk ranges. The compiled engine folds `0..n` into one
-//! state; `pdsm-par` hands every worker its own state (or per-morsel row
-//! buffer) and merges in worker order; `pdsm-core`'s cold streaming
-//! carries one state across checkpoint extents. Drivers are called per
-//! block, morsel or extent — never per row; the per-row loops below are
-//! monomorphic.
+//! Two [`PipeDriver`]s walk one piece. The compiled engine folds `0..n`
+//! into the carried state; `pdsm-par` hands every worker its own state (or
+//! per-morsel row buffer) and merges in worker order. Drivers are called
+//! per block, morsel or piece — never per row; the per-row loops below
+//! are monomorphic.
 
 use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
@@ -99,7 +104,7 @@ enum Fragment {
 }
 
 /// What a driver needs to run a [`Pipe`] over its (resolved) table.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct PipeSpec<'a> {
     /// Scan conjuncts, compiled to kernels per bound table.
     pub preds: &'a [Expr],
@@ -109,37 +114,32 @@ pub struct PipeSpec<'a> {
     pub needed: &'a [ColId],
 }
 
-/// How an open pipeline is walked. The two operations are the two sinks a
-/// pipeline can end in; everything else about a query is driver-agnostic.
+/// How an open pipeline is walked over one main-store piece — a resident
+/// table, or one pinned extent of a cold one. The two operations are the
+/// two sinks a pipeline can end in; the walk over the pieces and the delta
+/// tail belong to [`execute`], and everything else about a query is
+/// driver-agnostic.
 pub trait PipeDriver {
-    /// Every row the pipeline emits, in scan order: main-store survivors
-    /// in row order, then the overlay's live tail.
-    fn collect(
-        &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-    ) -> Vec<Vec<Value>>;
+    /// Append the rows the pipeline emits for `table`'s rows minus `dead`,
+    /// in row order.
+    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>);
 
-    /// The pipeline folded into `group_by` / `aggs`, finished.
-    fn aggregate(
+    /// The state an aggregate over the pipeline carries across the
+    /// pieces; `shape` supplies the schema. The default is
+    /// [`AggState::new`].
+    fn open<'a>(
         &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-    ) -> Vec<Vec<Value>>;
-}
+        shape: &Table,
+        spec: PipeSpec<'a>,
+        group_by: &'a [Expr],
+        aggs: &'a [AggExpr],
+    ) -> AggState<'a> {
+        AggState::new(shape, spec, group_by, aggs)
+    }
 
-/// The columns of `name` the plan reads (all of them when the plan does
-/// not say).
-pub fn needed_cols(name: &str, t: &Table, required: &[(String, Vec<ColId>)]) -> Vec<ColId> {
-    required
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.clone())
-        .unwrap_or_else(|| (0..t.schema().len()).collect())
+    /// Fold `table`'s rows minus `dead` into `state`, after every row
+    /// folded before.
+    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>);
 }
 
 /// Execute `plan` with `driver` walking its pipelines.
@@ -148,7 +148,7 @@ pub fn execute(
     db: &dyn TableProvider,
     driver: &dyn PipeDriver,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
-    let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
+    let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
     let required = plan.required_columns(&width);
     materialize(plan, db, &required, driver)
 }
@@ -159,29 +159,63 @@ fn materialize(
     required: &[(String, Vec<ColId>)],
     driver: &dyn PipeDriver,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
-    Ok(match lower(plan, db, required, driver)? {
-        Fragment::Rows(rows) => rows,
-        Fragment::Pipe(pipe) => {
-            let (t, needed) = resolve(&pipe, db, required)?;
-            let spec = PipeSpec {
-                preds: &pipe.preds,
-                steps: &pipe.steps,
-                needed: &needed,
-            };
-            driver.collect(t, db.overlay(&pipe.table), spec)
-        }
-    })
+    match lower(plan, db, required, driver)? {
+        Fragment::Rows(rows) => Ok(rows),
+        Fragment::Pipe(pipe) => run(&pipe, db, required, driver, None),
+    }
 }
 
-fn resolve<'d>(
+/// Walk `pipe` over every main-store piece of its table the scan's zone
+/// predicates cannot refute, in row order, then over the live delta tail:
+/// collected when `agg` is `None`, else folded into one carried state and
+/// finished.
+fn run(
     pipe: &Pipe,
-    db: &'d dyn TableProvider,
+    db: &dyn TableProvider,
     required: &[(String, Vec<ColId>)],
-) -> Result<(&'d Table, Vec<ColId>), ExecError> {
-    let t = db
-        .table(&pipe.table)
-        .ok_or_else(|| ExecError::UnknownTable(pipe.table.clone()))?;
-    Ok((t, needed_cols(&pipe.table, t, required)))
+    driver: &dyn PipeDriver,
+    agg: Option<(&[Expr], &[AggExpr])>,
+) -> Result<Vec<Vec<Value>>, ExecError> {
+    let name = pipe.table.as_str();
+    let shape = db
+        .shape(name)
+        .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
+    let needed = required
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, c)| c.clone())
+        .unwrap_or_else(|| (0..shape.schema().len()).collect());
+    let spec = PipeSpec {
+        preds: &pipe.preds,
+        steps: &pipe.steps,
+        needed: &needed,
+    };
+    let zps = zone_preds(shape, spec.preds);
+    let overlay = db.overlay(name);
+    match agg {
+        None => {
+            let mut out = Vec::new();
+            db.for_each_piece(name, &zps, &mut |t, dead| {
+                driver.collect(t, dead, spec, &mut out);
+                Ok(())
+            })?;
+            if let Some(o) = &overlay {
+                tail_rows(o, spec, |r| out.push(r));
+            }
+            Ok(out)
+        }
+        Some((group_by, aggs)) => {
+            let mut state = driver.open(shape, spec, group_by, aggs);
+            db.for_each_piece(name, &zps, &mut |t, dead| {
+                driver.fold(t, dead, &mut state);
+                Ok(())
+            })?;
+            if let Some(o) = &overlay {
+                state.fold_tail(o);
+            }
+            Ok(state.finish())
+        }
+    }
 }
 
 /// Lower a plan into a fragment, executing pipeline breakers on the way.
@@ -193,7 +227,7 @@ fn lower(
 ) -> Result<Fragment, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
-            db.table(table)
+            db.shape(table)
                 .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
             Ok(Fragment::Pipe(Pipe::scan(table)))
         }
@@ -225,16 +259,12 @@ fn lower(
             aggs,
         } => {
             let rows = match lower(input, db, required, driver)? {
-                Fragment::Pipe(pipe) => {
-                    let (t, needed) = resolve(&pipe, db, required)?;
-                    let spec = PipeSpec {
-                        preds: &pipe.preds,
-                        steps: &pipe.steps,
-                        needed: &needed,
-                    };
-                    driver.aggregate(t, db.overlay(&pipe.table), spec, group_by, aggs)
+                Fragment::Pipe(pipe) => run(&pipe, db, required, driver, Some((group_by, aggs)))?,
+                Fragment::Rows(rows) => {
+                    let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
+                    state.fold_rows(rows);
+                    state.finish()
                 }
-                Fragment::Rows(rows) => aggregate_rows(rows, group_by, aggs),
             };
             Ok(Fragment::Rows(rows))
         }
@@ -490,20 +520,12 @@ impl<'a> Scan<'a> {
 
 /// Push the overlay's live tail rows that pass `spec.preds` through the
 /// steps into `emit`. Predicates are interpreted: tail rows are decoded,
-/// not dictionary-coded. `width` is the table's schema width.
-pub fn tail_rows(
-    overlay: &Overlay<'_>,
-    spec: PipeSpec<'_>,
-    width: usize,
-    mut emit: impl FnMut(Vec<Value>),
-) {
+/// not dictionary-coded, and full schema width.
+fn tail_rows(overlay: &Overlay<'_>, spec: PipeSpec<'_>, mut emit: impl FnMut(Vec<Value>)) {
     for r in overlay.live_tail() {
         if tail_row_passes(spec.preds, r) {
-            push_row(
-                masked_tail_row(r, spec.needed, width),
-                spec.steps,
-                &mut emit,
-            );
+            let row = masked_tail_row(r, spec.needed, r.values().len());
+            push_row(row, spec.steps, &mut emit);
         }
     }
 }
@@ -644,20 +666,21 @@ enum Repr {
     Keyed(KeyedGroups),
 }
 
-/// The partial aggregate of one pipeline — the unit the compiled, parallel
-/// and cold-streaming drivers share. A state folded over `a..b` and then
-/// `b..c` equals one folded over `a..c`; two states folded over adjacent
-/// ranges and [`merge`](AggState::merge)d in range order equal it too for
-/// counts, integer sums and min/max. Float sums and `avg` accumulate in
-/// fold order, so they stay bit-identical to a sequential scan only when
-/// one state is carried across the ranges in order — which is what the
-/// compiled and cold drivers do, and why `pdsm-par` sends float-sensitive
-/// aggregates through an ordered collect + [`aggregate_rows`] instead.
+/// The partial aggregate of one pipeline — the unit both drivers share,
+/// and the one state [`execute`] carries across a main store's pieces. A
+/// state folded over `a..b` and then `b..c` equals one folded over
+/// `a..c`; two states folded over adjacent ranges and
+/// [`merge`](AggState::merge)d in range order equal it too for counts,
+/// integer sums and min/max. Float sums and `avg` accumulate in fold
+/// order, so they stay bit-identical to a sequential scan only when one
+/// state is carried across the ranges in order — which is why `pdsm-par`
+/// folds float-sensitive aggregates as an ordered collect into a
+/// [`keyed`](AggState::keyed) state ([`AggState::fold_rows`]) instead of
+/// merging per-worker partials.
 pub struct AggState<'a> {
     spec: PipeSpec<'a>,
     group_by: &'a [Expr],
     aggs: &'a [AggExpr],
-    width: usize,
     repr: Repr,
 }
 
@@ -695,6 +718,10 @@ fn merge_groups<K: Hash + Eq, V>(
     into: &mut HashMap<K, (V, Vec<Accumulator>)>,
     from: HashMap<K, (V, Vec<Accumulator>)>,
 ) {
+    if into.is_empty() {
+        *into = from;
+        return;
+    }
     for (key, (label, accs)) in from {
         match into.entry(key) {
             Entry::Vacant(v) => {
@@ -739,33 +766,44 @@ impl<'a> AggState<'a> {
         group_by: &'a [Expr],
         aggs: &'a [AggExpr],
     ) -> Self {
-        let typed = spec.steps.is_empty() && open_readers(table, aggs).is_some();
-        let repr = if !typed {
-            Repr::Keyed(HashMap::new())
-        } else if !group_by.is_empty() {
-            match (KeyReader::open(table, group_by), group_by) {
-                (Some(_), [Expr::Col(key_col)]) => Repr::Raw {
+        let mut state = Self::keyed(spec, group_by, aggs);
+        if !spec.steps.is_empty() || open_readers(table, aggs).is_none() {
+            return state;
+        }
+        if !group_by.is_empty() {
+            if let (Some(_), [Expr::Col(key_col)]) = (KeyReader::open(table, group_by), group_by) {
+                state.repr = Repr::Raw {
                     key_col: *key_col,
                     groups: HashMap::new(),
-                },
-                _ => Repr::Keyed(HashMap::new()),
+                };
             }
         } else if let Some(cols) = fig2c_cols(table, spec.preds, aggs) {
-            Repr::Fig2c {
+            state.repr = Repr::Fig2c {
                 hits: 0,
                 sums: vec![0; cols.len()],
                 cols,
-            }
+            };
         } else {
-            Repr::Scalar(fresh(aggs))
-        };
+            state.repr = Repr::Scalar(fresh(aggs));
+        }
+        state
+    }
+
+    /// Empty state that groups by evaluated key expressions — the one that
+    /// also folds materialized rows ([`AggState::fold_rows`]).
+    pub fn keyed(spec: PipeSpec<'a>, group_by: &'a [Expr], aggs: &'a [AggExpr]) -> Self {
         AggState {
             spec,
             group_by,
             aggs,
-            width: table.schema().len(),
-            repr,
+            repr: Repr::Keyed(HashMap::new()),
         }
+    }
+
+    /// The pipeline and aggregates this state folds: what a driver opens
+    /// per-worker partials of the same pipeline from.
+    pub fn parts(&self) -> (PipeSpec<'a>, &'a [Expr], &'a [AggExpr]) {
+        (self.spec, self.group_by, self.aggs)
     }
 
     /// Fold main-store rows `range` of `scan`'s table, minus the `dead`
@@ -891,10 +929,21 @@ impl<'a> AggState<'a> {
             }
             Repr::Keyed(groups) => {
                 let group_by = self.group_by;
-                tail_rows(overlay, spec, self.width, |row| {
-                    consume(groups, group_by, aggs, &row)
-                });
+                tail_rows(overlay, spec, |row| consume(groups, group_by, aggs, &row));
             }
+        }
+    }
+
+    /// Fold materialized (post-step) rows in order, after every row folded
+    /// before: the sink of an aggregate over a pipeline breaker and of
+    /// `pdsm-par`'s ordered collect. Only a [`keyed`](AggState::keyed)
+    /// state takes rows.
+    pub fn fold_rows(&mut self, rows: Vec<Vec<Value>>) {
+        let Repr::Keyed(groups) = &mut self.repr else {
+            unreachable!("materialized rows fold into a keyed state");
+        };
+        for row in rows {
+            consume(groups, self.group_by, self.aggs, &row);
         }
     }
 
@@ -960,21 +1009,6 @@ fn finish_keyed(groups: KeyedGroups, group_by: &[Expr], aggs: &[AggExpr]) -> Vec
             key
         })
         .collect()
-}
-
-/// Aggregate already-materialized rows sequentially, in order — the sink
-/// of an aggregate over a pipeline breaker, and of `pdsm-par`'s ordered
-/// collect for float-sensitive and stepped aggregates.
-pub fn aggregate_rows(
-    rows: Vec<Vec<Value>>,
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-) -> Vec<Vec<Value>> {
-    let mut groups = KeyedGroups::new();
-    for row in rows {
-        consume(&mut groups, group_by, aggs, &row);
-    }
-    finish_keyed(groups, group_by, aggs)
 }
 
 /// The row-at-a-time Fig.-2c loop, for strided columns and tombstoned

@@ -1,24 +1,26 @@
 //! `ParallelEngine`: the shared pipeline core walked by morsel-claiming
 //! workers.
 //!
-//! Lowering, the survivor loop and the aggregate state are
-//! `pdsm_exec::pipeline`'s — the same code the compiled engine runs. This
-//! driver only decides *how an open pipeline's row range is walked*:
+//! Lowering, the walk over a main store's pieces, the survivor loop and
+//! the aggregate state are `pdsm_exec::pipeline`'s — the same code the
+//! compiled engine runs. This driver only decides *how one piece's row
+//! range is walked* (a resident table, or one pinned extent of a cold
+//! one: every piece fans out over the workers):
 //!
 //! * **collect pipelines** run on the worker pool with per-morsel output
 //!   buffers stitched in morsel order — byte-identical to sequential;
 //! * **bare-scan aggregations** with merge-exact aggregates (counts,
 //!   integer sums, min/max) give every worker its own [`AggState`], merged
-//!   in worker order at the barrier;
+//!   in worker order into the carried state at the barrier;
 //! * **float-sensitive or stepped aggregations** parallelize the scan and
-//!   probe work via an ordered collect, then fold sequentially, keeping
-//!   float accumulation order — and therefore every output bit — identical
-//!   to the compiled engine.
+//!   probe work via an ordered collect, folded in order into a carried
+//!   keyed state, keeping float accumulation order — and therefore every
+//!   output bit — identical to the compiled engine.
 
 use crate::morsel::MorselQueue;
 use crate::pool::{default_threads, run_workers};
-use pdsm_exec::engine::{Engine, ExecError, Overlay, TableProvider};
-use pdsm_exec::pipeline::{self, aggregate_rows, AggState, PipeDriver, PipeSpec, Scan};
+use pdsm_exec::engine::{Engine, ExecError, TableProvider};
+use pdsm_exec::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
 use pdsm_exec::QueryOutput;
 use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
@@ -90,15 +92,8 @@ impl Workers {
 impl PipeDriver for Workers {
     /// Per-morsel buffers stitched by morsel index, so the rows come back
     /// in *exactly* the sequential scan order regardless of worker count
-    /// or claim interleaving; the delta tail is appended by one sequential
-    /// pass after the stitch.
-    fn collect(
-        &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-    ) -> Vec<Vec<Value>> {
-        let dead = Overlay::dead_of(&overlay);
+    /// or claim interleaving.
+    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
         let per_worker = self.run(table, |queue| {
             let scan = Scan::new(table, spec);
             let mut chunks: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
@@ -113,48 +108,56 @@ impl PipeDriver for Workers {
         });
         let mut tagged: Vec<(usize, Vec<Vec<Value>>)> = per_worker.into_iter().flatten().collect();
         tagged.sort_unstable_by_key(|(idx, _)| *idx);
-        let mut out: Vec<Vec<Value>> = tagged.into_iter().flat_map(|(_, rows)| rows).collect();
-        if let Some(o) = &overlay {
-            pipeline::tail_rows(o, spec, table.schema().len(), |r| out.push(r));
-        }
-        out
+        out.extend(tagged.into_iter().flat_map(|(_, rows)| rows));
     }
 
-    fn aggregate(
+    /// A keyed state for the ordered-collect aggregates, which fold rows;
+    /// the typed one for the rest, which merge per-worker partials.
+    fn open<'a>(
         &self,
-        table: &Table,
-        overlay: Option<Overlay<'_>>,
-        spec: PipeSpec<'_>,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-    ) -> Vec<Vec<Value>> {
-        if !spec.steps.is_empty() || aggs.iter().any(|a| float_sensitive(table, a)) {
+        shape: &Table,
+        spec: PipeSpec<'a>,
+        group_by: &'a [Expr],
+        aggs: &'a [AggExpr],
+    ) -> AggState<'a> {
+        if ordered(shape, spec, aggs) {
+            AggState::keyed(spec, group_by, aggs)
+        } else {
+            AggState::new(shape, spec, group_by, aggs)
+        }
+    }
+
+    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
+        let (spec, group_by, aggs) = state.parts();
+        if ordered(table, spec, aggs) {
             // Ordered collect keeps the sequential accumulation order, so
             // float sums stay bit-identical.
-            return aggregate_rows(self.collect(table, overlay, spec), group_by, aggs);
+            let mut rows = Vec::new();
+            self.collect(table, dead, spec, &mut rows);
+            state.fold_rows(rows);
+            return;
         }
-        let dead = Overlay::dead_of(&overlay);
-        let mut partials = self
-            .run(table, |queue| {
-                let scan = Scan::new(table, spec);
-                let mut state = AggState::new(table, spec, group_by, aggs);
-                while let Some(m) = queue.claim() {
-                    state.fold_range(&scan, dead, m.start..m.end);
-                }
-                state
-            })
-            .into_iter();
-        let mut merged = partials.next().expect("at least one worker");
+        let partials = self.run(table, |queue| {
+            let scan = Scan::new(table, spec);
+            let mut partial = AggState::new(table, spec, group_by, aggs);
+            while let Some(m) = queue.claim() {
+                partial.fold_range(&scan, dead, m.start..m.end);
+            }
+            partial
+        });
+        // Only merge-exact aggregates reach here, so merging in worker
+        // order — and folding the tail after the last piece — matches the
+        // sequential fold.
         for partial in partials {
-            merged.merge(partial);
+            state.merge(partial);
         }
-        // Only merge-exact aggregates reach this path, so folding the tail
-        // after the barrier matches the sequential main-then-tail fold.
-        if let Some(o) = &overlay {
-            merged.fold_tail(o);
-        }
-        merged.finish()
     }
+}
+
+/// Does an aggregate over this pipeline take the ordered collect? Stepped
+/// pipelines and float-sensitive aggregates do (see the module docs).
+fn ordered(table: &Table, spec: PipeSpec<'_>, aggs: &[AggExpr]) -> bool {
+    !spec.steps.is_empty() || aggs.iter().any(|a| float_sensitive(table, a))
 }
 
 /// True when merging partials of `agg` could reassociate float addition
@@ -194,7 +197,7 @@ fn contains_float_lit(e: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_exec::engine::{CompiledEngine, VolcanoEngine};
+    use pdsm_exec::engine::{CompiledEngine, Overlay, VolcanoEngine};
     use pdsm_exec::pipeline::Step;
     use pdsm_plan::builder::QueryBuilder;
     use pdsm_storage::{ColumnDef, Row, Schema};
@@ -384,13 +387,34 @@ mod tests {
         }
     }
 
+    /// `t` as one piece through `threads` workers' collect.
+    fn collect(threads: usize, t: &Table, spec: PipeSpec<'_>) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        Workers { threads }.collect(t, &[], spec, &mut out);
+        out
+    }
+
+    /// `t` as one piece through `threads` workers' open + fold + finish.
+    fn aggregate(
+        threads: usize,
+        t: &Table,
+        spec: PipeSpec<'_>,
+        group_by: &[Expr],
+        aggs: &[AggExpr],
+    ) -> Vec<Vec<Value>> {
+        let workers = Workers { threads };
+        let mut state = workers.open(t, spec, group_by, aggs);
+        workers.fold(t, &[], &mut state);
+        state.finish()
+    }
+
     #[test]
     fn parallel_collect_preserves_scan_order() {
         let t = kvf(20_000);
         let preds = [Expr::col(0).eq(Expr::lit(3))];
-        let sequential = Workers { threads: 1 }.collect(&t, None, spec(&preds, &[]));
+        let sequential = collect(1, &t, spec(&preds, &[]));
         for threads in [2, 4, 8] {
-            let parallel = Workers { threads }.collect(&t, None, spec(&preds, &[]));
+            let parallel = collect(threads, &t, spec(&preds, &[]));
             assert_eq!(sequential, parallel, "threads={threads}");
         }
         assert_eq!(sequential.len(), 4_000);
@@ -401,9 +425,25 @@ mod tests {
         let t = kvf(5_000);
         let preds = [Expr::col(1).lt(Expr::lit(100))];
         let steps = [Step::Project(vec![Expr::col(1).mul(Expr::lit(2))])];
-        let out = Workers { threads: 4 }.collect(&t, None, spec(&preds, &steps));
+        let out = collect(4, &t, spec(&preds, &steps));
         assert_eq!(out.len(), 100);
         assert_eq!(out[7], vec![Value::Int64(14)]);
+    }
+
+    /// `t` with a tombstone mask and a delta tail.
+    struct Versioned<'a> {
+        t: &'a Table,
+        overlay: Overlay<'a>,
+    }
+
+    impl TableProvider for Versioned<'_> {
+        fn table(&self, name: &str) -> Option<&Table> {
+            (name == "t").then_some(self.t)
+        }
+
+        fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
+            (name == "t").then_some(self.overlay)
+        }
     }
 
     #[test]
@@ -416,15 +456,26 @@ mod tests {
             Row(vec![Value::Int32(3), Value::Int64(5000), Value::Null]),
             Row(vec![Value::Int32(4), Value::Int64(5001), Value::Null]),
         ];
-        let overlay = Overlay {
-            dead: &dead,
-            tail: &tail,
-            tail_alive: &[],
+        let db = Versioned {
+            t: &t,
+            overlay: Overlay {
+                dead: &dead,
+                tail: &tail,
+                tail_alive: &[],
+            },
         };
-        let preds = [Expr::col(0).eq(Expr::lit(3))];
-        let one = Workers { threads: 1 }.collect(&t, Some(overlay), spec(&preds, &[]));
+        let plan = QueryBuilder::scan("t")
+            .filter(Expr::col(0).eq(Expr::lit(3)))
+            .build();
+        let run = |threads| {
+            ParallelEngine::with_threads(threads)
+                .execute(&plan, &db)
+                .unwrap()
+                .rows
+        };
+        let one = run(1);
         for threads in [2, 4] {
-            let many = Workers { threads }.collect(&t, Some(overlay), spec(&preds, &[]));
+            let many = run(threads);
             assert_eq!(one, many, "threads={threads}");
         }
         // row 3 (k==3) is tombstoned; tail row 5000 matches and comes last
@@ -442,9 +493,9 @@ mod tests {
             AggExpr::new(AggFunc::Max, Expr::col(1)),
         ];
         let preds = [Expr::col(0).eq(Expr::lit(2))];
-        let one = Workers { threads: 1 }.aggregate(&t, None, spec(&preds, &[]), &[], &aggs);
+        let one = aggregate(1, &t, spec(&preds, &[]), &[], &aggs);
         for threads in [2, 4, 8] {
-            let many = Workers { threads }.aggregate(&t, None, spec(&preds, &[]), &[], &aggs);
+            let many = aggregate(threads, &t, spec(&preds, &[]), &[], &aggs);
             assert_eq!(one, many, "threads={threads}");
         }
         assert_eq!(one[0][0], Value::Int64(6_000));
@@ -459,12 +510,11 @@ mod tests {
         ];
         // raw-u64-keyed groups, then GroupKey-keyed ones
         for group in [vec![Expr::col(0)], vec![Expr::col(0), Expr::col(0)]] {
-            let mut one = Workers { threads: 1 }.aggregate(&t, None, spec(&[], &[]), &group, &aggs);
+            let mut one = aggregate(1, &t, spec(&[], &[]), &group, &aggs);
             one.sort_by_key(|r| format!("{r:?}"));
             assert_eq!(one.len(), 5);
             for threads in [2, 4] {
-                let mut many =
-                    Workers { threads }.aggregate(&t, None, spec(&[], &[]), &group, &aggs);
+                let mut many = aggregate(threads, &t, spec(&[], &[]), &group, &aggs);
                 many.sort_by_key(|r| format!("{r:?}"));
                 assert_eq!(one, many, "threads={threads}");
             }
@@ -478,7 +528,7 @@ mod tests {
             AggExpr::count_star(),
             AggExpr::new(AggFunc::Sum, Expr::col(1)),
         ];
-        let out = Workers { threads: 4 }.aggregate(&t, None, spec(&[], &[]), &[], &aggs);
+        let out = aggregate(4, &t, spec(&[], &[]), &[], &aggs);
         assert_eq!(out, vec![vec![Value::Int64(0), Value::Null]]);
     }
 

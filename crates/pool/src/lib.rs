@@ -11,10 +11,11 @@
 //!
 //! [`ColdTable`] is the integration point: a checkpoint opened header-only
 //! whose extents fault in on first touch. `pdsm-txn` mounts one as the
-//! unhydrated main store of a recovered table; `pdsm-core` streams scans
-//! over it extent-at-a-time, each reading its pinned frame in place
-//! (skipping zone-refuted extents without faulting them), and the planner
-//! prices the cold fraction via the disk tier in `pdsm-cost`.
+//! unhydrated main store of a recovered table; the compiled and parallel
+//! engines walk every scan of it extent-at-a-time, each reading its
+//! pinned frame in place (skipping zone-refuted extents without faulting
+//! them), and the planner prices the cold fraction via the disk tier in
+//! `pdsm-cost`.
 
 pub mod cold;
 pub mod lru_k;

@@ -54,7 +54,7 @@ pub use dictionary::Dictionary;
 pub use error::{Error, Result};
 pub use layout::{Layout, LayoutKind};
 pub use partition::{F64Col, I32Col, I64Col, Partition, U32Col};
-pub use persist::crc32;
+pub use persist::{crc32, ByteReader};
 pub use row::Row;
 pub use schema::{ColId, ColumnDef, Schema};
 pub use stats::ColumnStats;

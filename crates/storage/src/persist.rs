@@ -123,13 +123,28 @@ fn zone_flags(has_null: bool, has_value: bool) -> u8 {
     (has_null as u8) | ((has_value as u8) << 1)
 }
 
-struct Reader<'a> {
+/// The one bounds-checked little-endian reader behind every binary
+/// decoder: checkpoint blobs here, WAL records and the manifest in
+/// `pdsm-store`. A forward-only cursor; a `take` past the end is an error
+/// and leaves the cursor where it was.
+pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+impl<'a> ByteReader<'a> {
+    /// A reader over `buf`, positioned at `pos`.
+    pub fn new(buf: &'a [u8], pos: usize) -> Self {
+        ByteReader { buf, pos }
+    }
+
+    /// Bytes consumed so far, counted from the start of the buffer.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
@@ -140,19 +155,20 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// A `u32`-length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
     }
@@ -163,7 +179,7 @@ fn corrupt(why: &str) -> Error {
 }
 
 fn read_zone_blocks<T: Copy>(
-    r: &mut Reader<'_>,
+    r: &mut ByteReader<'_>,
     n_blocks: usize,
     make: impl Fn([u8; 8], [u8; 8]) -> ZoneBlock<T>,
 ) -> Result<Vec<ZoneBlock<T>>> {
@@ -403,7 +419,7 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     if crc32(body) != want {
         return Err(corrupt("header checksum mismatch"));
     }
-    let mut r = Reader { buf: body, pos: 16 };
+    let mut r = ByteReader::new(body, 16);
     let generation = r.u64()?;
     let name = r.str()?;
     let ncols = r.u32()? as usize;
@@ -549,7 +565,7 @@ pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Res
         if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
             return Err(corrupt("extent checksum mismatch"));
         }
-        let mut r = Reader { buf: body, pos: 0 };
+        let mut r = ByteReader::new(body, 0);
         let arena = r.take(rows * h.strides[g])?.to_vec();
         let mut validity = Vec::with_capacity(h.slot_validity[g].len());
         for &slot_has in &h.slot_validity[g] {

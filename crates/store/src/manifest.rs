@@ -5,7 +5,7 @@
 //! — a crash on either side of the rename recovers a consistent state.
 
 use crate::blob::write_atomic;
-use pdsm_storage::crc32;
+use pdsm_storage::{crc32, ByteReader};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -103,21 +103,14 @@ fn decode(bytes: &[u8]) -> Option<BTreeMap<String, u64>> {
     if crc32(body) != want {
         return None;
     }
-    let mut pos = MAGIC.len();
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = body.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(s)
-    };
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
+    let mut r = ByteReader::new(body, MAGIC.len());
+    let count = r.u32().ok()?;
     let mut entries = BTreeMap::new();
     for _ in 0..count {
-        let nlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        let name = String::from_utf8(take(&mut pos, nlen)?.to_vec()).ok()?;
-        let gen = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        entries.insert(name, gen);
+        let name = r.str().ok()?;
+        entries.insert(name, r.u64().ok()?);
     }
-    (pos == body.len()).then_some(entries)
+    (r.pos() == body.len()).then_some(entries)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! does not parse was written whole in a format this decoder does not
 //! speak; truncating it would drop acknowledged writes, so it is an error.
 
-use pdsm_storage::crc32;
+use pdsm_storage::{crc32, ByteReader};
 use pdsm_storage::{Row, Value};
 
 /// One committed statement: `appends` take the next row ids in order,
@@ -93,54 +93,21 @@ impl WalRecord {
     }
 }
 
-/// A forward-only byte cursor; every read returns `None` past the end.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-}
-
-fn get_value(c: &mut Cursor) -> Option<Value> {
-    Some(match c.u8()? {
+fn get_value(c: &mut ByteReader) -> Option<Value> {
+    Some(match c.u8().ok()? {
         VAL_NULL => Value::Null,
-        VAL_I32 => Value::Int32(c.u32()? as i32),
-        VAL_I64 => Value::Int64(c.u64()? as i64),
-        VAL_F64 => Value::Float64(f64::from_bits(c.u64()?)),
-        VAL_STR => {
-            let n = c.u32()? as usize;
-            Value::Str(String::from_utf8(c.take(n)?.to_vec()).ok()?)
-        }
+        VAL_I32 => Value::Int32(c.u32().ok()? as i32),
+        VAL_I64 => Value::Int64(c.u64().ok()? as i64),
+        VAL_F64 => Value::Float64(f64::from_bits(c.u64().ok()?)),
+        VAL_STR => Value::Str(c.str().ok()?),
         _ => return None,
     })
 }
 
 /// `n` items read by `get`, into a vector sized up front (capped, so a
 /// corrupt count cannot reserve unbounded memory).
-fn get_n<T>(c: &mut Cursor, get: impl Fn(&mut Cursor) -> Option<T>) -> Option<Vec<T>> {
-    let n = c.u32()? as usize;
+fn get_n<T>(c: &mut ByteReader, get: impl Fn(&mut ByteReader) -> Option<T>) -> Option<Vec<T>> {
+    let n = c.u32().ok()? as usize;
     let mut items = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         items.push(get(c)?);
@@ -149,16 +116,13 @@ fn get_n<T>(c: &mut Cursor, get: impl Fn(&mut Cursor) -> Option<T>) -> Option<Ve
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    if c.u8()? != TAG_COMMIT {
+    let mut c = ByteReader::new(payload, 0);
+    if c.u8().ok()? != TAG_COMMIT {
         return None;
     }
     let appends = get_n(&mut c, |c| get_n(c, get_value).map(Row))?;
-    let tombstones = get_n(&mut c, |c| c.u64())?;
-    (c.pos == payload.len()).then_some(WalRecord {
+    let tombstones = get_n(&mut c, |c| c.u64().ok())?;
+    (c.pos() == payload.len()).then_some(WalRecord {
         appends,
         tombstones,
     })

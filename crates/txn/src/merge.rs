@@ -44,9 +44,10 @@ impl MergeTicket {
     /// Phase 2: fold the cut into a fresh main store under `layout` and,
     /// for a durable table, write it as the next generation's temp blob
     /// (see [`TableDurability::pre_persist`]). Lock-free — touches only
-    /// the pinned snapshot; an error leaves the table as it was.
+    /// the pinned snapshot, making a cold main resident; an error (an
+    /// unreadable extent among them) leaves the table as it was.
     pub fn build(&self, layout: Layout) -> Result<BuiltMain> {
-        let main = self.snapshot.main();
+        let main = self.snapshot.store().table()?;
         let overlay = self.snapshot.overlay();
         let mut fresh = Table::with_layout(main.name().to_string(), main.schema().clone(), layout)?;
         fresh.reserve(self.snapshot.len());

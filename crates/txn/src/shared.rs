@@ -100,7 +100,7 @@ impl SharedTable {
                 return Err(e);
             }
         };
-        Ok(Some((stats, t.store().table().clone())))
+        Ok(Some((stats, t.store().table()?.clone())))
     }
 
     /// Merge generation right now.
@@ -145,7 +145,7 @@ impl SharedTable {
     /// wait behind the faults.
     pub fn main_arc(&self) -> Arc<Table> {
         let store = Arc::clone(self.read().store());
-        store.table().clone()
+        store.resident().clone()
     }
 
     /// The durability handle, if this table is durable.

@@ -202,7 +202,7 @@ impl VersionedTable {
     /// `self` through; concurrent code goes through
     /// [`VersionedTable::store`] or a [`Snapshot`] instead.
     pub fn main(&self) -> &Table {
-        self.main.table()
+        self.main.resident()
     }
 
     /// Merge generation (0 for a fresh table, +1 per merge).

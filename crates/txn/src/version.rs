@@ -8,18 +8,22 @@
 //! extents are still on disk. Callers do not tell the two apart: name,
 //! schema, layout, row count, zone map and a zero-row skeleton come from
 //! the header and never fault; [`MainStore::for_each_extent`] walks the
-//! rows as one resident table or, while cold, one pinned extent at a time;
+//! rows as one resident table or, while cold, one pinned extent at a time
+//! — every compiled and parallel scan reads a cold main that way, through
+//! [`Snapshot`]'s [`TableProvider::for_each_piece`];
 //! [`MainStore::table`] is the only door that makes a cold store resident
 //! — once per generation, on the calling thread, which reached it through
-//! a handle it cloned out of the table and so holds no table lock.
-//! Taking a snapshot therefore pins and does not load or copy: two `Arc`
-//! clones, not a byte faulted.
+//! a handle it cloned out of the table and so holds no table lock. The
+//! Volcano oracle, the merge fold, index builds and advisor statistics go
+//! through it. Taking a snapshot therefore pins and does not load or copy:
+//! two `Arc` clones, not a byte faulted.
 
-use pdsm_exec::{Overlay, TableProvider};
+use pdsm_exec::engine::PieceVisitor;
+use pdsm_exec::{ExecError, Overlay, TableProvider};
 use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
 use pdsm_storage::{Error, Layout, Schema, Table, ZoneMap, ZonePred};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The main store of one merge generation: a resident [`Table`], or a
 /// checkpoint mounted header-only through the buffer pool that becomes one
@@ -33,6 +37,9 @@ pub struct MainStore {
     /// Set at construction for a resident store, by the one hydration for
     /// a cold one.
     pub(crate) table: OnceLock<Arc<Table>>,
+    /// Held by a running hydration: concurrent callers wait for it rather
+    /// than fault the checkpoint a second time.
+    hydrating: Mutex<()>,
     /// The checkpoint this store was mounted over, if any (kept after
     /// hydration: the merge that supersedes it retires its frames).
     pub(crate) cold: Option<Arc<ColdTable>>,
@@ -60,6 +67,7 @@ impl MainStore {
             len,
             generation,
             table: table.map(OnceLock::from).unwrap_or_default(),
+            hydrating: Mutex::new(()),
             cold,
         }
     }
@@ -74,8 +82,8 @@ impl MainStore {
     }
 
     /// A zero-row table with this store's name, schema and layout — what
-    /// column metadata is read from, what predicates are translated
-    /// against, and the main of a streamed scan's tail-only run.
+    /// column metadata is read from and what predicates and aggregate
+    /// states are translated against.
     pub fn skeleton(&self) -> &Table {
         &self.skeleton
     }
@@ -110,17 +118,27 @@ impl MainStore {
     /// The resident table, hydrating a cold store on first demand:
     /// every extent faults through the buffer pool into a table
     /// bit-identical to a resident recovery, at most once (concurrent
-    /// callers wait for the one that runs). Panics if the checkpoint
-    /// payload fails its CRC — the header was validated at open, so this
-    /// is on-disk corruption that appeared after recovery.
-    pub fn table(&self) -> &Arc<Table> {
-        self.table.get_or_init(|| {
-            let cold = self.cold.as_ref().expect("unhydrated ⇒ mounted");
-            Arc::new(
-                cold.hydrate()
-                    .expect("cold main hydration: checkpoint payload unreadable"),
-            )
-        })
+    /// callers wait for the one that runs). An extent that cannot be read
+    /// — the header was validated at open, so on-disk damage that appeared
+    /// after recovery — is the error, and leaves the store cold.
+    pub fn table(&self) -> Result<&Arc<Table>, Error> {
+        if let Some(t) = self.table.get() {
+            return Ok(t);
+        }
+        let _one = self.hydrating.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(t) = self.table.get() {
+            return Ok(t);
+        }
+        let cold = self.cold.as_ref().expect("unhydrated ⇒ mounted");
+        let table = Arc::new(cold.hydrate()?);
+        Ok(self.table.get_or_init(|| table))
+    }
+
+    /// [`MainStore::table`] for callers with no error path — the Volcano
+    /// oracle, tests and size accounting: panics on an unreadable extent.
+    pub fn resident(&self) -> &Arc<Table> {
+        self.table()
+            .expect("cold main hydration: checkpoint payload unreadable")
     }
 
     /// Main-store row `id`, decoded — through the one extent it lives in
@@ -128,7 +146,7 @@ impl MainStore {
     pub fn row(&self, id: usize) -> Result<Row, Error> {
         match self.cold() {
             Some(cold) => cold.row(id),
-            None => self.table().row(id),
+            None => self.table()?.row(id),
         }
     }
 
@@ -146,7 +164,7 @@ impl MainStore {
         mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), E>,
     ) -> Result<(), E> {
         let Some(cold) = self.cold() else {
-            return visit(0, self.table(), dead);
+            return visit(0, self.table()?, dead);
         };
         for e in 0..cold.n_extents() {
             if !zps.is_empty() && cold.extent_refuted(e, zps) {
@@ -204,7 +222,8 @@ impl OverlayData {
 /// Snapshots are cheap to take and to clone, `Send + Sync`, and
 /// independent of the writer: queries against a snapshot are wait-free. A
 /// snapshot is also a single-table [`TableProvider`], so it can be handed
-/// directly to any engine (which then makes a cold main resident).
+/// directly to any engine: the compiled and parallel engines walk a cold
+/// main extent by extent, the Volcano oracle makes it resident.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) main: Arc<MainStore>,
@@ -217,9 +236,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The pinned main store, resident: hydrates a cold one (once per
-    /// generation, on this thread, no table lock involved).
+    /// generation, on this thread, no table lock involved; see
+    /// [`MainStore::resident`]).
     pub fn main(&self) -> &Table {
-        self.main.table()
+        self.main.resident()
     }
 
     /// The pinned main-store handle.
@@ -282,10 +302,29 @@ impl Snapshot {
 
 impl TableProvider for Snapshot {
     fn table(&self, name: &str) -> Option<&Table> {
-        (name == self.main.skeleton.name()).then(|| self.main())
+        self.shape(name).map(|_| self.main())
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.overlay().filter(|_| name == self.main.skeleton.name())
+    }
+
+    fn shape(&self, name: &str) -> Option<&Table> {
+        Some(&self.main.skeleton).filter(|s| s.name() == name)
+    }
+
+    fn for_each_piece(
+        &self,
+        name: &str,
+        zps: &[ZonePred],
+        visit: &mut PieceVisitor<'_>,
+    ) -> Result<(), ExecError> {
+        if self.shape(name).is_none() {
+            return Err(ExecError::UnknownTable(name.to_string()));
+        }
+        let overlay = self.overlay();
+        let dead = Overlay::dead_of(&overlay);
+        self.main
+            .for_each_extent(zps, dead, |_, t, dead| visit(t, dead))
     }
 }

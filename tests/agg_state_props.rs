@@ -1,6 +1,6 @@
 //! Properties of the shared partial-aggregate state
-//! (`pdsm_exec::pipeline::AggState`) that the compiled, parallel and
-//! cold-streaming drivers all rest on:
+//! (`pdsm_exec::pipeline::AggState`) that the compiled and parallel
+//! drivers, on resident and cold mains alike, rest on:
 //!
 //! * folding `0..n` in one go ≡ folding the pieces of any cut of `0..n`
 //!   into separate states and merging them in order — for counts, integer
@@ -9,7 +9,10 @@
 //!   `GroupKey`-keyed groups);
 //! * folding `0..n` in one go ≡ carrying **one** state across the pieces,
 //!   bit for bit, for float sums and `avg` as well — which is what lets
-//!   cold extents stream them.
+//!   cold extents stream them;
+//! * folding `0..n` in one go ≡ collecting each piece's rows in order and
+//!   folding them into **one** carried keyed state — the parallel
+//!   driver's ordered collect for float-sensitive aggregates.
 
 use mrdb::exec::pipeline::{AggState, PipeSpec, Scan};
 use mrdb::exec::Overlay;
@@ -181,6 +184,15 @@ proptest! {
             }
             carried.fold_tail(&overlay);
             prop_assert_eq!(&whole, &canon(carried.finish()), "{}: carried state", name);
+
+            let mut ordered = AggState::keyed(spec, &group_by, &aggs);
+            for w in bounds.windows(2) {
+                let mut rows = Vec::new();
+                scan.collect_range(&dead, w[0]..w[1], &mut rows);
+                ordered.fold_rows(rows);
+            }
+            ordered.fold_tail(&overlay);
+            prop_assert_eq!(&whole, &canon(ordered.finish()), "{}: ordered fold", name);
 
             if merge_exact {
                 let mut merged = fresh();

@@ -2,11 +2,13 @@
 //! through a *tiny* pool (constant eviction, overcommit, zone-skipped
 //! faults) must stay byte-identical to a fully-resident twin under random
 //! DML / merge / query interleavings, for every engine and every layout.
-//! At quiesce the pool must hold no pinned frames (pin-leak check) and
-//! must actually have faulted (the test would be vacuous if the cold path
-//! never ran).
+//! The compiled and parallel engines and the planner walk a cold main one
+//! extent at a time whatever the plan's shape; only the Volcano oracle
+//! makes it resident. At quiesce the pool must hold no pinned frames
+//! (pin-leak check) and must actually have faulted (the test would be
+//! vacuous if the cold path never ran).
 
-use mrdb::core::BufferPool;
+use mrdb::core::{BufferPool, PoolStats};
 use mrdb::prelude::*;
 use mrdb::txn::MainStore;
 use mrdb::workloads::microbench::{self, N_COLS};
@@ -62,11 +64,11 @@ fn layout_for(sel: usize) -> Layout {
     }
 }
 
-/// Queries the streaming executor runs extent-at-a-time: row scans (full,
-/// equality-filtered, clustered range, zone-refuted-everywhere) and
-/// aggregates of every kind — one partial state is carried across the
-/// extents, so `avg`, float sums and grouped shapes stream too.
-fn streamable_plans(n: usize) -> Vec<LogicalPlan> {
+/// Single-pipeline queries: row scans (full, equality-filtered, clustered
+/// range, zone-refuted-everywhere) and aggregates of every kind — one
+/// partial state is carried across the extents, so `avg`, float sums and
+/// grouped shapes stay bit-identical too.
+fn scan_plans(n: usize) -> Vec<LogicalPlan> {
     vec![
         QueryBuilder::scan("R").build(),
         QueryBuilder::scan("R")
@@ -126,14 +128,55 @@ fn streamable_plans(n: usize) -> Vec<LogicalPlan> {
     ]
 }
 
-/// Partition-crossing shapes the streaming executor refuses: they fall
-/// back to whole-table hydration, which must of course agree too.
-fn hydrating_plans() -> Vec<LogicalPlan> {
-    vec![QueryBuilder::scan("R")
-        .filter(Expr::col(0).eq(Expr::lit(0)))
-        .sort(vec![(Expr::col(1), true), (Expr::col(2), true)])
-        .limit(10)
-        .build()]
+/// Pipeline breakers over `n` rows: a sort + limit, a self-join aggregate
+/// and a join feeding a group-by. Both sides of a join walk the extents
+/// like any other scan.
+fn breaker_plans(n: usize) -> Vec<LogicalPlan> {
+    let self_join = |build: Expr| {
+        QueryBuilder::scan("R").filter(build).join(
+            QueryBuilder::scan("R").build(),
+            Expr::col(0),
+            Expr::col(0),
+        )
+    };
+    vec![
+        QueryBuilder::scan("R")
+            .filter(Expr::col(0).eq(Expr::lit(0)))
+            .sort(vec![(Expr::col(1), true), (Expr::col(2), true)])
+            .limit(10)
+            .build(),
+        // Every `A = 0` row joins every other: a fan-out probe.
+        self_join(Expr::col(0).eq(Expr::lit(0)))
+            .aggregate(
+                vec![],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(N_COLS + 1)),
+                ],
+            )
+            .build(),
+        // A clustered-suffix build side: zone maps refute its early extents.
+        self_join(Expr::col(0).lt(Expr::lit(-(n as i32) + 64)))
+            .aggregate(
+                vec![Expr::col(N_COLS + 5)],
+                vec![
+                    AggExpr::new(AggFunc::Count, Expr::col(N_COLS + 2)),
+                    AggExpr::new(AggFunc::Avg, Expr::col(1)),
+                ],
+            )
+            .build(),
+    ]
+}
+
+/// [`scan_plans`] and [`breaker_plans`]: the whole battery.
+fn all_plans(n: usize) -> Vec<LogicalPlan> {
+    [scan_plans(n), breaker_plans(n)].concat()
+}
+
+/// Is `R`'s live main still on disk?
+fn r_is_cold(db: &Database) -> bool {
+    db.with_table("R", |vt| vt.store().cold().is_some())
+        .unwrap()
 }
 
 /// Grouped aggregates hash their groups, so their output *order* is not
@@ -145,10 +188,35 @@ fn order_insensitive(plan: &LogicalPlan) -> bool {
 }
 
 /// Run `plans` on both twins across every engine (plus the cost-based
-/// planner path) and require byte-identical `QueryResult`s.
+/// planner path) and require byte-identical `QueryResult`s. A cold `R`
+/// must stay cold through the compiled, parallel and planned runs; the
+/// Volcano oracle runs last, since it makes `R` resident.
 fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPlan]) {
+    let was_cold = r_is_cold(pooled);
+    let misses = || pooled.pool_stats().map_or(0, |s| s.misses);
+    let misses_before = misses();
+    let serving: Vec<EngineKind> = EngineKind::all()
+        .into_iter()
+        .filter(|e| *e != EngineKind::Volcano)
+        .collect();
+    twins_agree_under(pooled, resident, plans, &serving, true);
+    if was_cold {
+        prop_assert!(r_is_cold(pooled), "a serving engine hydrated R");
+        prop_assert!(misses() > misses_before, "the serving runs never faulted");
+    }
+    twins_agree_under(pooled, resident, plans, &[EngineKind::Volcano], false);
+}
+
+/// [`assert_twins_agree`] for `engines`, then (if `planned`) the planner.
+fn twins_agree_under(
+    pooled: &Database,
+    resident: &Database,
+    plans: &[LogicalPlan],
+    engines: &[EngineKind],
+    planned: bool,
+) {
     for (i, plan) in plans.iter().enumerate() {
-        for engine in EngineKind::all() {
+        for &engine in engines {
             let a = pooled.run(plan, engine).unwrap();
             let b = resident.run(plan, engine).unwrap();
             prop_assert_eq!(
@@ -169,6 +237,9 @@ fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPl
             } else {
                 prop_assert_eq!(a, b, "plan {} diverged under {:?}", i, engine);
             }
+        }
+        if !planned {
+            continue;
         }
         let a = pooled.execute(plan).unwrap();
         let b = resident.execute(plan).unwrap();
@@ -296,8 +367,7 @@ fn predicate_dml_on_a_cold_table_streams_instead_of_hydrating() {
     assert_eq!(stats.pinned_frames, 0, "pin leak after predicate DML");
     assert!(stats.misses > 0, "the match never faulted an extent");
     assert!(stats.skipped_faults > 0, "no extent was zone-refuted");
-    assert_twins_agree(&pooled, &resident, &streamable_plans(n));
-    assert!(still_cold());
+    assert_twins_agree(&pooled, &resident, &all_plans(n));
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
@@ -334,17 +404,18 @@ fn replaying_a_predicate_update_faults_nothing() {
         .with_table("R", |vt| vt.store().cold().is_some())
         .unwrap());
     assert_eq!(pooled.storage_stats().recovery_replay_ops, 1);
-    assert_twins_agree(&pooled, &resident, &streamable_plans(n));
+    assert_twins_agree(&pooled, &resident, &all_plans(n));
     assert_eq!(pool.stats().pinned_frames, 0);
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-/// A cold main is made resident only by whoever needs its rows, on that
+/// A cold main is made resident only by whoever needs it whole, on that
 /// thread, holding no table lock: pinning a merge cut or a statement view
-/// faults nothing, and a join hydrates the table while *another* thread
-/// holds the table's write lock — which then inserts without having
-/// waited behind a single fault.
+/// faults nothing, a compiled join walks the extents and leaves the table
+/// cold, and the Volcano oracle's run of the same join hydrates the table
+/// while *another* thread holds the table's write lock — which then
+/// inserts without having waited behind a single fault.
 #[test]
 fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     use std::sync::mpsc::channel;
@@ -369,12 +440,18 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     assert!(shared.with_write(|t| t.abort_merge()));
     drop(ticket);
 
-    // A join cannot stream extent-at-a-time: it needs R resident.
+    // A compiled join reads R extent by extent; the Volcano oracle needs
+    // R resident.
     let join = QueryBuilder::scan("R")
         .filter(Expr::col(0).eq(Expr::lit(0)))
         .join(QueryBuilder::scan("R").build(), Expr::col(0), Expr::col(0))
         .aggregate(vec![], vec![AggExpr::count_star()])
         .build();
+    let compiled = db.run(&join, EngineKind::Compiled).unwrap();
+    assert!(cold(), "a compiled join hydrated the table");
+    assert_eq!(pool.stats().pinned_frames, 0);
+    let before = pool.stats();
+    let reads = |s: PoolStats| s.hits + s.misses;
     let (pinned_tx, pinned_rx) = channel();
     let (locked_tx, locked_rx) = channel();
     let (joined_tx, joined_rx) = channel();
@@ -384,7 +461,7 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
             let view = db.snapshot();
             pinned_tx.send(()).unwrap();
             locked_rx.recv().unwrap();
-            let out = view.run(&join, EngineKind::Compiled).unwrap();
+            let out = view.run(&join, EngineKind::Volcano).unwrap();
             joined_tx.send(()).unwrap();
             (view, out)
         })
@@ -404,8 +481,11 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     })
     .unwrap();
     let (view, out) = reader.join().unwrap();
-    assert!(pool.stats().misses > before.misses, "nothing was faulted");
-    assert_eq!(out, view.run(&join, EngineKind::Volcano).unwrap());
+    assert!(
+        reads(pool.stats()) > reads(before),
+        "the hydration never read through the pool"
+    );
+    assert_eq!(out, compiled);
     // The view predates the insert; the live table has it.
     let count = |r: QueryResult| match r.rows[0][0] {
         Value::Int64(n) => n,
@@ -497,7 +577,7 @@ fn a_frame_is_one_extent_read_in_place() {
         other.table().dict(1).unwrap()
     ));
     assert!(std::ptr::eq(
-        store.table().dict(1).unwrap(),
+        store.table().unwrap().dict(1).unwrap(),
         a.table().dict(1).unwrap()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -517,35 +597,89 @@ fn checkpoint_file(dir: &Path, table: &str) -> PathBuf {
     mains[0].clone()
 }
 
+/// The storage error's message of a run expected to fail with one.
+fn storage_err<T: std::fmt::Debug>(result: Result<T, mrdb::core::DbError>) -> String {
+    match result {
+        Err(mrdb::core::DbError::Storage(e)) => e.to_string(),
+        other => panic!("expected a storage error, got {other:?}"),
+    }
+}
+
 /// Damage to the checkpoint under a cold mount surfaces as a storage error
 /// from the extent fault — never a panic, wrong rows, a leaked pin or a
-/// fault slot left `Loading`: a flipped payload byte fails its checksum
-/// (on every retry), a file cut inside the last extent is a short read.
+/// fault slot left `Loading` — for an aggregate, a self-join aggregate
+/// and a sort + limit alike, on both serving engines, and for the jobs
+/// that make a cold main resident, an index build and the merge fold: a
+/// flipped payload byte fails its checksum (on every retry), a file cut
+/// inside the last extent is a short read. A failed merge aborts its cut
+/// and leaves the table as it was: same generation, the pending row still
+/// visible.
 #[test]
 fn damaged_extents_fail_the_scan_cleanly() {
-    use mrdb::core::DbError;
     use mrdb::store::{flip_bit, truncate_at};
 
-    let storage_err = |db: &Database| match db.run(&sum_qty(), EngineKind::Compiled) {
-        Err(DbError::Storage(e)) => e.to_string(),
-        other => panic!("expected a storage error, got {other:?}"),
-    };
+    let plans = [
+        sum_qty(),
+        QueryBuilder::scan("S")
+            .join(QueryBuilder::scan("S").build(), Expr::col(0), Expr::col(0))
+            .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(5))])
+            .build(),
+        QueryBuilder::scan("S")
+            .sort(vec![(Expr::col(2), false)])
+            .limit(3)
+            .build(),
+    ];
+    let engines = [EngineKind::Compiled, EngineKind::Parallel];
 
     let (dir, db, pool) = cold_three_groups("flip", 5000);
     let (start, end) = store_of(&db).cold().unwrap().header().extent_span(2);
     flip_bit(&checkpoint_file(&dir, "S"), (start + end) / 2).unwrap();
+    let mut runs = 0;
     for attempt in 0..2 {
-        let err = storage_err(&db);
-        assert!(err.contains("checksum"), "attempt {attempt}: {err}");
-        let stats = pool.stats();
-        assert_eq!(stats.pinned_frames, 0, "attempt {attempt}");
-        assert_eq!(stats.frames, 2, "only the sound extents stay resident");
+        for (i, plan) in plans.iter().enumerate() {
+            for engine in engines {
+                let err = storage_err(db.run(plan, engine));
+                runs += 1;
+                let ctx = format!("attempt {attempt}, plan {i}, {engine:?}");
+                assert!(err.contains("checksum"), "{ctx}: {err}");
+                let stats = pool.stats();
+                assert_eq!(stats.pinned_frames, 0, "{ctx}");
+                assert_eq!(
+                    stats.frames, 2,
+                    "{ctx}: only the sound extents stay resident"
+                );
+            }
+        }
     }
     assert_eq!(
         pool.stats().misses,
-        4,
-        "a retry faults the bad extent again"
+        2 + runs,
+        "every retry faults the bad extent again"
     );
+
+    let generation = || db.with_table("S", |vt| vt.generation()).unwrap();
+    let before = generation();
+    let err = storage_err(db.create_index("S", "id", IndexKind::Hash));
+    assert!(err.contains("checksum"), "index build: {err}");
+    let row = vec![Value::Int64(5000), Value::from("new"), Value::Int64(-1)];
+    db.insert("S", &row).unwrap();
+    let err = storage_err(db.merge("S"));
+    assert!(err.contains("checksum"), "merge: {err}");
+    let err = storage_err(db.create_index("S", "id", IndexKind::Hash));
+    assert!(err.contains("checksum"), "the index build's merge: {err}");
+    assert_eq!(generation(), before, "a failed merge moved the generation");
+    assert!(store_of(&db).cold().is_some());
+    let stats = pool.stats();
+    assert_eq!((stats.pinned_frames, stats.frames), (0, 2));
+    // `id >= 5000` is refuted by every extent's zones: the delta answers.
+    let pending = QueryBuilder::scan("S")
+        .filter(Expr::col(0).ge(Expr::lit(5000i64)))
+        .build();
+    for engine in engines {
+        assert_eq!(db.run(&pending, engine).unwrap().rows, vec![row.clone()]);
+    }
+    assert_eq!(db.execute(&pending).unwrap().rows, vec![row]);
+    assert_eq!(pool.stats().pinned_frames, 0);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -554,9 +688,16 @@ fn damaged_extents_fail_the_scan_cleanly() {
     let cold = store.cold().unwrap();
     let (start, _) = cold.header().extent_span(cold.n_extents() - 1);
     truncate_at(&checkpoint_file(&dir, "S"), start + 8).unwrap();
-    let err = storage_err(&db);
-    assert!(err.contains("fill whole buffer"), "{err}");
-    assert_eq!(pool.stats().pinned_frames, 0);
+    for plan in &plans {
+        for engine in engines {
+            let err = storage_err(db.run(plan, engine));
+            assert!(
+                err.contains("fill whole buffer"),
+                "{plan:?} {engine:?}: {err}"
+            );
+            assert_eq!(pool.stats().pinned_frames, 0);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -592,14 +733,12 @@ proptest! {
         prop_assert!(pinned.table_snapshot("R").unwrap().store().cold().is_some());
         drop(pinned);
 
-        // Phase 1 — the cold battery. Every streamable plan runs
+        // Phase 1 — the cold battery. Every plan, breakers included, runs
         // extent-at-a-time on the pooled twin, faulting and evicting
-        // under the tiny budget.
-        assert_twins_agree(&pooled, &resident, &streamable_plans(n));
-        prop_assert!(
-            pooled.with_table("R", |vt| vt.store().cold().is_some()).unwrap(),
-            "a streamable plan hydrated the table"
-        );
+        // under the tiny budget; `assert_twins_agree` checks R stays cold
+        // until the Volcano oracle runs last.
+        prop_assert!(r_is_cold(&pooled));
+        assert_twins_agree(&pooled, &resident, &all_plans(n));
         let stats = pool.stats();
         prop_assert_eq!(stats.pinned_frames, 0, "pin leak at quiesce");
         prop_assert!(stats.misses > 0, "cold battery never faulted");
@@ -608,9 +747,8 @@ proptest! {
             "resident accounting went backwards"
         );
 
-        // Phase 2 — hydrating shapes (planner fallback), then identical
-        // DML + merge on both twins, then the full battery again.
-        assert_twins_agree(&pooled, &resident, &hydrating_plans());
+        // Phase 2 — identical DML + merge on both twins, then the full
+        // battery again.
         let tail = microbench_mix(n_ops, 0.0, 0.05, seed ^ 0x5EED);
         let mut live_a = live_a;
         let mut live_b = live_b;
@@ -620,8 +758,7 @@ proptest! {
         }
         pooled.merge("R").unwrap();
         resident.merge("R").unwrap();
-        assert_twins_agree(&pooled, &resident, &streamable_plans(n));
-        assert_twins_agree(&pooled, &resident, &hydrating_plans());
+        assert_twins_agree(&pooled, &resident, &all_plans(n));
 
         // Phase 3 — close and recover both twins again (cold recovery
         // now replays the post-merge WAL over pooled extents) and
@@ -631,7 +768,8 @@ proptest! {
         let pool = BufferPool::new(budget);
         let pooled = open(&dir_a, Some(std::sync::Arc::clone(&pool)));
         let resident = open(&dir_b, None);
-        assert_twins_agree(&pooled, &resident, &streamable_plans(n));
+        prop_assert!(r_is_cold(&pooled));
+        assert_twins_agree(&pooled, &resident, &all_plans(n));
         let stats = pool.stats();
         prop_assert_eq!(stats.pinned_frames, 0, "pin leak after recovery battery");
         prop_assert!(stats.misses > 0, "recovered battery never faulted");

@@ -6,6 +6,7 @@ use pdsm_plan::logical::{AggFunc, LogicalPlan};
 use pdsm_storage::row::Row;
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{ColId, Table, Value, ZonePred};
+use std::sync::Arc;
 
 /// A snapshot visibility overlay over one table: tombstones on the
 /// read-optimized main store plus an append-only tail of decoded rows.
@@ -16,14 +17,15 @@ use pdsm_storage::{ColId, Table, Value, ZonePred};
 /// append order) — exactly the rows a merged-then-scanned table would yield,
 /// in the same order. Tail rows hold *decoded* values (strings, not
 /// dictionary codes), because delta strings may not be interned in the main
-/// store's dictionaries until merge.
+/// store's dictionaries until merge. Each sits behind its own `Arc`, so a
+/// delta copied for a writer shares its rows with every reader's pin.
 #[derive(Clone, Copy)]
 pub struct Overlay<'a> {
     /// `dead[i] == true` → main row `i` is tombstoned (deleted or
     /// superseded). An empty slice means no main row is tombstoned.
     pub dead: &'a [bool],
     /// Rows appended after the main store, full schema width, decoded.
-    pub tail: &'a [Row],
+    pub tail: &'a [Arc<Row>],
     /// Liveness of tail rows (tail rows can themselves be tombstoned by a
     /// later delete). An empty slice means every tail row is live.
     pub tail_alive: &'a [bool],
@@ -48,6 +50,7 @@ impl<'a> Overlay<'a> {
             .iter()
             .enumerate()
             .filter(move |(k, _)| alive.is_empty() || alive[*k])
+            .map(|(k, r)| (k, &**r))
     }
 
     /// The live tail rows, in append order.
@@ -183,12 +186,21 @@ pub use crate::volcano::VolcanoEngine;
 /// `avg → Float64`, `min/max(int) → Int64`, `min/max` of floats and strings
 /// keep the input type; NULL inputs are skipped;
 /// empty input yields NULL for everything but count.
+///
+/// The state is **order-free**: whatever order the inputs arrive in, and
+/// however they are split into partials and [`merge`](Accumulator::merge)d,
+/// [`finish`](Accumulator::finish) returns the same bits. `sum` and `avg`
+/// add exactly — integers into an `i128`, floats into an `ExactSum` —
+/// and round once at the end: a float `sum` is the correctly rounded exact
+/// sum (an exact zero is `+0.0`; NaN and ±inf are what IEEE gives for the
+/// exact sum), and `avg` is that rounded sum divided by the count. Float
+/// `min`/`max` order by [`f64::total_cmp`], so no two distinct inputs tie.
 #[derive(Debug, Clone)]
 pub struct Accumulator {
     func: AggFunc,
     count: i64,
-    sum_i: i64,
-    sum_f: f64,
+    sum_i: i128,
+    sum_f: ExactSum,
     saw_float: bool,
     extreme: Option<Value>,
 }
@@ -200,7 +212,7 @@ impl Accumulator {
             func,
             count: 0,
             sum_i: 0,
-            sum_f: 0.0,
+            sum_f: ExactSum::default(),
             saw_float: false,
             extreme: None,
         }
@@ -208,32 +220,19 @@ impl Accumulator {
 
     /// Fold one input value (use `Value::Int32(1)` per row for `count(*)`).
     pub fn update(&mut self, v: &Value) {
-        if v.is_null() {
-            return;
-        }
-        self.count += 1;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match v {
-                Value::Float64(f) => {
-                    self.saw_float = true;
-                    self.sum_f += f;
-                }
-                _ => {
-                    let x = v.as_i64().unwrap_or(0);
-                    self.sum_i += x;
-                    self.sum_f += x as f64;
-                }
-            },
+        match v {
+            Value::Null => {}
+            Value::Float64(f) => self.update_f64(*f),
             // Integers widen to Int64 exactly as the typed fast paths do,
             // so an extreme's type never depends on which engine, path or
             // partial (main rows vs. decoded tail) happened to supply it.
-            AggFunc::Min | AggFunc::Max => match v {
-                Value::Int32(_) | Value::Int64(_) => {
-                    self.update_extreme_i64(v.as_i64().expect("integer"))
+            Value::Int32(_) | Value::Int64(_) => self.update_i64(v.as_i64().expect("integer")),
+            Value::Str(_) => {
+                self.count += 1;
+                if matches!(self.func, AggFunc::Min | AggFunc::Max) {
+                    self.update_extreme(v.clone());
                 }
-                _ => self.update_extreme(v.clone()),
-            },
+            }
         }
     }
 
@@ -244,10 +243,7 @@ impl Accumulator {
         self.count += 1;
         match self.func {
             AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => {
-                self.sum_i += x;
-                self.sum_f += x as f64;
-            }
+            AggFunc::Sum | AggFunc::Avg => self.sum_i += x as i128,
             AggFunc::Min | AggFunc::Max => self.update_extreme_i64(x),
         }
     }
@@ -260,19 +256,28 @@ impl Accumulator {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => {
                 self.saw_float = true;
-                self.sum_f += x;
+                self.sum_f.add(x);
             }
             AggFunc::Min | AggFunc::Max => self.update_extreme(Value::Float64(x)),
         }
     }
 
-    /// Keep `v` if it strictly beats the current extreme (earlier inputs
-    /// keep ties).
+    /// Keep `v` if it strictly beats the current extreme. Floats compare
+    /// by [`f64::total_cmp`], so only identical inputs tie.
     fn update_extreme(&mut self, v: Value) {
         let replace = match &self.extreme {
             None => true,
-            Some(m) if self.func == AggFunc::Min => cmp_values(&v, m).is_lt(),
-            Some(m) => cmp_values(&v, m).is_gt(),
+            Some(m) => {
+                let ord = match (&v, m) {
+                    (Value::Float64(a), Value::Float64(b)) => a.total_cmp(b),
+                    _ => cmp_values(&v, m),
+                };
+                if self.func == AggFunc::Min {
+                    ord.is_lt()
+                } else {
+                    ord.is_gt()
+                }
+            }
         };
         if replace {
             self.extreme = Some(v);
@@ -297,15 +302,12 @@ impl Accumulator {
         }
     }
 
-    /// Fold another accumulator's state into this one, as if every input
-    /// `other` saw had been fed to `self` *after* `self`'s own inputs.
-    /// This is the merge step of parallel aggregation: workers accumulate
-    /// thread-locally and partials are merged at the pipeline barrier.
-    /// Merging partials built over a partitioning of the input in partition
-    /// order is equivalent to the sequential fold for count/sum(int)/min/max;
-    /// float sums may differ in the last ulps (addition is reassociated),
-    /// which is why `pdsm-par` runs float-sensitive aggregates as an
-    /// ordered collect folded in scan order instead of merging partials.
+    /// Fold another accumulator's state into this one. Merging is exact,
+    /// associative and commutative: partials built over any partitioning
+    /// of the input, merged in any order, finish to the same bits as one
+    /// sequential fold. This is the merge step of parallel aggregation:
+    /// workers accumulate thread-locally and partials are merged at the
+    /// pipeline barrier.
     pub fn merge(&mut self, other: &Accumulator) {
         debug_assert_eq!(self.func, other.func, "merging mismatched aggregates");
         self.count += other.count;
@@ -313,7 +315,7 @@ impl Accumulator {
             AggFunc::Count => {}
             AggFunc::Sum | AggFunc::Avg => {
                 self.sum_i += other.sum_i;
-                self.sum_f += other.sum_f;
+                self.sum_f.merge(&other.sum_f);
                 self.saw_float |= other.saw_float;
             }
             AggFunc::Min | AggFunc::Max => {
@@ -332,21 +334,198 @@ impl Accumulator {
                 if self.count == 0 {
                     Value::Null
                 } else if self.saw_float {
-                    Value::Float64(self.sum_f)
+                    Value::Float64(self.sum_f.round(self.sum_i))
                 } else {
-                    Value::Int64(self.sum_i)
+                    // Wraps like two's-complement `i64` addition would.
+                    Value::Int64(self.sum_i as i64)
                 }
             }
             AggFunc::Avg => {
                 if self.count == 0 {
                     Value::Null
                 } else {
-                    Value::Float64(self.sum_f / self.count as f64)
+                    Value::Float64(self.sum_f.round(self.sum_i) / self.count as f64)
                 }
             }
             AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
         }
     }
+}
+
+/// Limbs of an [`ExactSum`]: 32-bit digits covering every finite `f64`
+/// (multiples of 2^-1074 below 2^1024, 2098 bits), then a top limb that
+/// takes the carries of up to 2^63 inputs.
+const LIMBS: usize = 67;
+/// Adds between two carry passes: each add moves a limb by less than 2^32,
+/// so limbs stay below 2^61 in magnitude between passes and a merge of two
+/// unnormalized states cannot overflow.
+const CARRY_EVERY: u32 = 1 << 28;
+/// Where `2^0` sits, in units of the smallest subnormal.
+const ONE_AT: u32 = 1074;
+
+/// The exact sum of a multiset of `f64`s, rounded once on demand — a
+/// small superaccumulator (R. M. Neal, "Fast exact summation using small
+/// and large superaccumulators", 2015). The sum is kept as an integer in
+/// units of 2^-1074, the smallest subnormal, of which every finite `f64`
+/// is a multiple: [`LIMBS`] signed limbs of 32-bit digits, each with 31
+/// bits of headroom so that an add touches three limbs and never ripples
+/// a carry. Addition is exact, so the state is independent of input order
+/// and [`ExactSum::merge`] is associative, and no intermediate overflows.
+/// NaN and infinities are kept apart as flags. The limbs are allocated on
+/// the first nonzero finite input.
+#[derive(Debug, Clone, Default)]
+struct ExactSum {
+    limbs: Option<Box<[i64; LIMBS]>>,
+    /// Adds since the last carry pass.
+    pending: u32,
+    nan: bool,
+    pos_inf: bool,
+    neg_inf: bool,
+}
+
+impl ExactSum {
+    /// Add `x` exactly.
+    #[inline]
+    fn add(&mut self, x: f64) {
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as u32;
+        let frac = bits & ((1 << 52) - 1);
+        let neg = bits >> 63 != 0;
+        match biased {
+            0x7ff if frac != 0 => self.nan = true,
+            0x7ff if neg => self.neg_inf = true,
+            0x7ff => self.pos_inf = true,
+            0 => self.add_scaled(frac, 0, neg),
+            _ => self.add_scaled(frac | 1 << 52, biased - 1, neg),
+        }
+    }
+
+    /// Add `±m · 2^p` units, `m < 2^53`, `p ≤ 2045`.
+    #[inline]
+    fn add_scaled(&mut self, m: u64, p: u32, neg: bool) {
+        if m == 0 {
+            return;
+        }
+        let limbs = self.limbs.get_or_insert_with(|| Box::new([0; LIMBS]));
+        let w = (m as u128) << (p % 32);
+        let k = (p / 32) as usize;
+        let parts = [w as u32 as i64, (w >> 32) as u32 as i64, (w >> 64) as i64];
+        for (limb, part) in limbs[k..k + 3].iter_mut().zip(parts) {
+            if neg {
+                *limb -= part;
+            } else {
+                *limb += part;
+            }
+        }
+        self.pending += 1;
+        if self.pending == CARRY_EVERY {
+            carry(limbs);
+            self.pending = 0;
+        }
+    }
+
+    /// Add every input `other` has seen, exactly.
+    fn merge(&mut self, other: &ExactSum) {
+        self.nan |= other.nan;
+        self.pos_inf |= other.pos_inf;
+        self.neg_inf |= other.neg_inf;
+        if let Some(theirs) = &other.limbs {
+            let limbs = self.limbs.get_or_insert_with(|| Box::new([0; LIMBS]));
+            for (mine, t) in limbs.iter_mut().zip(theirs.iter()) {
+                *mine += t;
+            }
+            carry(limbs);
+            self.pending = 0;
+        }
+    }
+
+    /// The exact sum plus the integer `plus`, rounded to nearest (ties to
+    /// even) once.
+    fn round(&self, plus: i128) -> f64 {
+        match (self.nan, self.pos_inf, self.neg_inf) {
+            (true, _, _) | (_, true, true) => return f64::NAN,
+            (_, true, _) => return f64::INFINITY,
+            (_, _, true) => return f64::NEG_INFINITY,
+            _ => {}
+        }
+        let Some(limbs) = &self.limbs else {
+            return plus as f64;
+        };
+        let mut exact = ExactSum {
+            limbs: Some(limbs.clone()),
+            ..ExactSum::default()
+        };
+        let mag = plus.unsigned_abs();
+        for j in 0..4 {
+            let digit = (mag >> (32 * j)) as u32 as u64;
+            exact.add_scaled(digit, ONE_AT + 32 * j, plus < 0);
+        }
+        let mut limbs = exact.limbs.expect("allocated above");
+        carry(&mut limbs);
+        let neg = limbs[LIMBS - 1] < 0;
+        if neg {
+            for limb in limbs.iter_mut() {
+                *limb = -*limb;
+            }
+            carry(&mut limbs);
+        }
+        let magnitude = round_units(&limbs);
+        if neg {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+}
+
+/// Move every limb's excess over its 32-bit digit into the next limb, so
+/// all limbs but the top one hold a digit in `0..2^32`.
+fn carry(limbs: &mut [i64; LIMBS]) {
+    for i in 0..LIMBS - 1 {
+        let c = limbs[i] >> 32;
+        limbs[i] -= c << 32;
+        limbs[i + 1] += c;
+    }
+}
+
+/// The `f64` nearest (ties to even) to the nonnegative carried integer
+/// `limbs`, in units of 2^-1074.
+fn round_units(limbs: &[i64; LIMBS]) -> f64 {
+    let Some(h) = limbs.iter().rposition(|&l| l != 0) else {
+        return 0.0;
+    };
+    // The top three limbs as one integer, `hi · 2^(32 · base)` units, and
+    // whether anything below them is nonzero.
+    let base = h.saturating_sub(2);
+    let hi = limbs[base..=h]
+        .iter()
+        .rev()
+        .fold(0u128, |acc, &l| (acc << 32) + l as u128);
+    let sticky = limbs[..base].iter().any(|&l| l != 0);
+    if hi < 1 << 53 {
+        // Below 2^53 units (base is 0): a subnormal, or a normal of the
+        // lowest binade, whose bit pattern is the unit count itself.
+        return f64::from_bits(hi as u64);
+    }
+    let len = 128 - hi.leading_zeros();
+    let shift = len - 53;
+    let mut mant = (hi >> shift) as u64;
+    let rem = hi & ((1u128 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    if rem > half || (rem == half && (sticky || mant & 1 == 1)) {
+        mant += 1;
+    }
+    // The most significant bit's position, in units.
+    let mut top = 32 * base as u32 + len - 1;
+    if mant == 1 << 53 {
+        mant >>= 1;
+        top += 1;
+    }
+    let biased = top - 51;
+    if biased >= 0x7ff {
+        return f64::INFINITY;
+    }
+    f64::from_bits((biased as u64) << 52 | (mant & ((1 << 52) - 1)))
 }
 
 #[cfg(test)]
@@ -407,5 +586,111 @@ mod tests {
             b.update_f64(x);
         }
         assert_eq!(a.finish(), b.finish());
+    }
+
+    fn sum_of(xs: &[f64]) -> f64 {
+        let mut s = ExactSum::default();
+        for &x in xs {
+            s.add(x);
+        }
+        s.round(0)
+    }
+
+    #[test]
+    fn exact_sum_rounds_once() {
+        assert_eq!(sum_of(&[1e100, 1.0, -1e100]), 1.0);
+        assert_eq!(sum_of(&[0.1; 10]), 1.0);
+        assert_eq!(sum_of(&[]), 0.0);
+        assert_eq!(sum_of(&[3.5, -3.5]).to_bits(), 0.0f64.to_bits());
+        // no intermediate overflow, but a true overflow is infinite
+        assert_eq!(sum_of(&[f64::MAX, f64::MAX, -f64::MAX]), f64::MAX);
+        assert_eq!(sum_of(&[f64::MAX, f64::MAX]), f64::INFINITY);
+        assert_eq!(sum_of(&[-f64::MAX, -f64::MAX]), f64::NEG_INFINITY);
+        // subnormals are exact multiples of the smallest one
+        let tiny = f64::from_bits(1);
+        assert_eq!(sum_of(&[tiny; 3]), f64::from_bits(3));
+        assert_eq!(
+            sum_of(&[f64::MIN_POSITIVE, -tiny]),
+            f64::from_bits((1 << 52) - 1)
+        );
+        // ties go to even, anything past the tie rounds up
+        let half_ulp = f64::EPSILON / 2.0;
+        assert_eq!(sum_of(&[1.0, half_ulp]), 1.0);
+        assert_eq!(sum_of(&[1.0, half_ulp, 1e-300]), 1.0 + f64::EPSILON);
+        assert_eq!(
+            sum_of(&[1.0 + f64::EPSILON, half_ulp]),
+            1.0 + 2.0 * f64::EPSILON
+        );
+        // specials are what IEEE gives for the exact sum
+        assert_eq!(sum_of(&[1.0, f64::INFINITY]), f64::INFINITY);
+        assert!(sum_of(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert!(sum_of(&[f64::NAN, 1.0]).is_nan());
+    }
+
+    #[test]
+    fn exact_sum_is_order_free_and_merges_exactly() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Random bit patterns: every magnitude, sign and subnormal.
+        let xs: Vec<f64> = (0..2_000)
+            .map(|_| f64::from_bits(next()))
+            .filter(|f| f.is_finite())
+            .collect();
+        let forward = sum_of(&xs);
+        let mut reversed = xs.clone();
+        reversed.reverse();
+        assert_eq!(forward.to_bits(), sum_of(&reversed).to_bits());
+        let (mut a, mut b) = (ExactSum::default(), ExactSum::default());
+        for (i, &v) in xs.iter().enumerate() {
+            if i % 3 == 0 {
+                a.add(v)
+            } else {
+                b.add(v)
+            }
+        }
+        b.merge(&a);
+        assert_eq!(forward.to_bits(), b.round(0).to_bits());
+    }
+
+    #[test]
+    fn avg_rounds_the_exact_sum_and_integers_stay_exact() {
+        let mut a = Accumulator::new(AggFunc::Avg);
+        a.update(&Value::Int64(i64::MAX));
+        a.update(&Value::Int64(i64::MAX));
+        a.update(&Value::Int64(-1));
+        // the exact sum 2^64 - 3 rounds once, to 2^64, then divides
+        assert_eq!(a.finish(), Value::Float64(18446744073709551616.0 / 3.0));
+        let mut s = Accumulator::new(AggFunc::Sum);
+        s.update(&Value::Int64(1 << 53));
+        s.update(&Value::Float64(1.0));
+        s.update(&Value::Int64(1));
+        // a sequential f64 fold would round 2^53 + 1 down, twice
+        assert_eq!(s.finish(), Value::Float64((1u64 << 53) as f64 + 2.0));
+    }
+
+    #[test]
+    fn float_extremes_use_the_total_order() {
+        for (func, xs, want) in [
+            (AggFunc::Min, [0.0, -0.0], -0.0f64),
+            (AggFunc::Min, [-0.0, 0.0], -0.0),
+            (AggFunc::Max, [-0.0, 0.0], 0.0),
+            (AggFunc::Max, [0.0, -0.0], 0.0),
+            (AggFunc::Max, [1.0, f64::NAN], f64::NAN),
+            (AggFunc::Min, [f64::NAN, 1.0], 1.0),
+        ] {
+            let mut m = Accumulator::new(func);
+            for x in xs {
+                m.update_f64(x);
+            }
+            let Value::Float64(got) = m.finish() else {
+                panic!("float extreme")
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{func:?} of {xs:?}");
+        }
     }
 }

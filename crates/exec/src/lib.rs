@@ -25,6 +25,14 @@
 //! once there, once in Volcano, which reads a cold main by making it
 //! resident. The Fig.-3 bulk and vectorized baselines live in
 //! `pdsm-bench`, over plain tables.
+//!
+//! Every engine aggregates through one [`Accumulator`], and it is
+//! order-free: integer sums add in `i128`, float sums in an exact
+//! superaccumulator rounded once at the end, and
+//! float `min`/`max` order by `f64::total_cmp`. Row order, piece
+//! boundaries and how partials are split and merged therefore never move
+//! an output bit, which is what lets `pdsm-par` merge per-worker partials
+//! for every aggregate.
 
 pub mod compiled;
 pub mod engine;

@@ -16,15 +16,16 @@
 //!   [`PredKernel::block_mask`] → survivors — over an arbitrary row range
 //!   of one bound table;
 //! * [`AggState`] is the partial aggregate: `fold_range`, `fold_rows`,
-//!   `fold_tail`, `merge`, `finish`. One state is carried across the
-//!   pieces, so running sums, not finished values, cross extent
-//!   boundaries and a cold scan is bit-identical to a resident one.
+//!   `fold_tail`, `merge`, `finish`. It is order-free — every sum adds
+//!   exactly ([`Accumulator`]) — so one state carried across the pieces,
+//!   or any set of partials merged in any order, finishes to the same
+//!   bits, and a cold scan is bit-identical to a resident one.
 //!
 //! Two [`PipeDriver`]s walk one piece. The compiled engine folds `0..n`
 //! into the carried state; `pdsm-par` hands every worker its own state (or
-//! per-morsel row buffer) and merges in worker order. Drivers are called
-//! per block, morsel or piece — never per row; the per-row loops below
-//! are monomorphic.
+//! per-morsel row buffer) and merges the states. Drivers are called per
+//! block, morsel or piece — never per row; the per-row loops below are
+//! monomorphic.
 
 use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
@@ -124,21 +125,7 @@ pub trait PipeDriver {
     /// in row order.
     fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>);
 
-    /// The state an aggregate over the pipeline carries across the
-    /// pieces; `shape` supplies the schema. The default is
-    /// [`AggState::new`].
-    fn open<'a>(
-        &self,
-        shape: &Table,
-        spec: PipeSpec<'a>,
-        group_by: &'a [Expr],
-        aggs: &'a [AggExpr],
-    ) -> AggState<'a> {
-        AggState::new(shape, spec, group_by, aggs)
-    }
-
-    /// Fold `table`'s rows minus `dead` into `state`, after every row
-    /// folded before.
+    /// Fold `table`'s rows minus `dead` into `state`.
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>);
 }
 
@@ -205,7 +192,7 @@ fn run(
             Ok(out)
         }
         Some((group_by, aggs)) => {
-            let mut state = driver.open(shape, spec, group_by, aggs);
+            let mut state = AggState::new(shape, spec, group_by, aggs);
             db.for_each_piece(name, &zps, &mut |t, dead| {
                 driver.fold(t, dead, &mut state);
                 Ok(())
@@ -667,16 +654,15 @@ enum Repr {
 }
 
 /// The partial aggregate of one pipeline — the unit both drivers share,
-/// and the one state [`execute`] carries across a main store's pieces. A
-/// state folded over `a..b` and then `b..c` equals one folded over
-/// `a..c`; two states folded over adjacent ranges and
-/// [`merge`](AggState::merge)d in range order equal it too for counts,
-/// integer sums and min/max. Float sums and `avg` accumulate in fold
-/// order, so they stay bit-identical to a sequential scan only when one
-/// state is carried across the ranges in order — which is why `pdsm-par`
-/// folds float-sensitive aggregates as an ordered collect into a
-/// [`keyed`](AggState::keyed) state ([`AggState::fold_rows`]) instead of
-/// merging per-worker partials.
+/// and the one state [`execute`] carries across a main store's pieces.
+///
+/// The state is order-free. Every [`Accumulator`] adds exactly and rounds
+/// only in [`finish`](AggState::finish), so a state folded over `a..c`
+/// equals one folded over `a..b` and then `b..c`, and equals states folded
+/// over any partition of `a..c` and [`merge`](AggState::merge)d in any
+/// order — bit for bit, float `sum` and `avg` included. `pdsm-par` relies
+/// on this: each worker folds the morsels it claims into its own state,
+/// stepped (join-probing) pipelines included, and the partials merge.
 pub struct AggState<'a> {
     spec: PipeSpec<'a>,
     group_by: &'a [Expr],
@@ -876,8 +862,9 @@ impl<'a> AggState<'a> {
     }
 
     /// Fold the overlay's live tail rows that pass the scan predicates.
-    /// The tail comes after every main-store row in scan order, so this is
-    /// the last fold — after every [`merge`](AggState::merge).
+    /// This is the last fold — after every [`merge`](AggState::merge): a
+    /// decoded string key finds its group among the groups the main rows
+    /// made.
     pub fn fold_tail(&mut self, overlay: &Overlay<'_>) {
         let (spec, aggs) = (self.spec, self.aggs);
         let passing = || {
@@ -934,10 +921,9 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// Fold materialized (post-step) rows in order, after every row folded
-    /// before: the sink of an aggregate over a pipeline breaker and of
-    /// `pdsm-par`'s ordered collect. Only a [`keyed`](AggState::keyed)
-    /// state takes rows.
+    /// Fold materialized (post-step) rows: the sink of an aggregate over a
+    /// pipeline breaker. Only a [`keyed`](AggState::keyed) state takes
+    /// rows.
     pub fn fold_rows(&mut self, rows: Vec<Vec<Value>>) {
         let Repr::Keyed(groups) = &mut self.repr else {
             unreachable!("materialized rows fold into a keyed state");
@@ -947,8 +933,9 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// Fold `other` — a partial over rows that come *after* this state's
-    /// in scan order — into `self`, via [`Accumulator::merge`].
+    /// Fold `other`, a partial of the same pipeline over other rows, into
+    /// `self` via [`Accumulator::merge`]. Which rows each side saw, and in
+    /// what order states merge, does not change the result.
     pub fn merge(&mut self, other: AggState<'_>) {
         match (&mut self.repr, other.repr) {
             (
@@ -1182,9 +1169,12 @@ mod tests {
                 .unwrap();
         }
         let tail = [
-            pdsm_storage::Row(vec![Value::from("k1"), Value::Int32(100)]),
-            pdsm_storage::Row(vec![Value::from("new"), Value::Int32(7)]),
-            pdsm_storage::Row(vec![Value::from("new"), Value::Int32(8)]),
+            Arc::new(pdsm_storage::Row(vec![
+                Value::from("k1"),
+                Value::Int32(100),
+            ])),
+            Arc::new(pdsm_storage::Row(vec![Value::from("new"), Value::Int32(7)])),
+            Arc::new(pdsm_storage::Row(vec![Value::from("new"), Value::Int32(8)])),
         ];
         let overlay = Overlay {
             dead: &[],

@@ -15,9 +15,7 @@
 //! Only integer comparisons and integer sums go wide: integer addition is
 //! associative, so chunk-reordered accumulation is exactly the scalar
 //! result. Float aggregation, tombstoned regions, and the decoded delta
-//! tail keep the scalar path — that is what keeps every engine
-//! byte-identical (the same reasoning `pdsm-par` applies to
-//! float-sensitive aggregates).
+//! tail keep the scalar path.
 //!
 //! The `PDSM_SIMD` knob selects the dispatch (`auto` | `scalar`); global
 //! counters record engaged SIMD vs scalar chunks and scanned vs

@@ -9,22 +9,20 @@
 //!
 //! * **collect pipelines** run on the worker pool with per-morsel output
 //!   buffers stitched in morsel order — byte-identical to sequential;
-//! * **bare-scan aggregations** with merge-exact aggregates (counts,
-//!   integer sums, min/max) give every worker its own [`AggState`], merged
-//!   in worker order into the carried state at the barrier;
-//! * **float-sensitive or stepped aggregations** parallelize the scan and
-//!   probe work via an ordered collect, folded in order into a carried
-//!   keyed state, keeping float accumulation order — and therefore every
-//!   output bit — identical to the compiled engine.
+//! * **aggregations**, stepped (join-probing) ones included, give every
+//!   worker its own [`AggState`] and merge the partials into the carried
+//!   state at the barrier. The state is order-free — float `sum` and `avg`
+//!   add exactly and round once — so every output bit matches the
+//!   compiled engine whatever the worker count and claim order, and no
+//!   survivor is materialized unless a step needs it.
 
 use crate::morsel::MorselQueue;
 use crate::pool::{default_threads, run_workers};
 use pdsm_exec::engine::{Engine, ExecError, TableProvider};
 use pdsm_exec::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
 use pdsm_exec::QueryOutput;
-use pdsm_plan::expr::Expr;
-use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
-use pdsm_storage::{DataType, Table, Value};
+use pdsm_plan::logical::LogicalPlan;
+use pdsm_storage::{Table, Value};
 
 /// The morsel-driven parallel engine.
 ///
@@ -111,32 +109,10 @@ impl PipeDriver for Workers {
         out.extend(tagged.into_iter().flat_map(|(_, rows)| rows));
     }
 
-    /// A keyed state for the ordered-collect aggregates, which fold rows;
-    /// the typed one for the rest, which merge per-worker partials.
-    fn open<'a>(
-        &self,
-        shape: &Table,
-        spec: PipeSpec<'a>,
-        group_by: &'a [Expr],
-        aggs: &'a [AggExpr],
-    ) -> AggState<'a> {
-        if ordered(shape, spec, aggs) {
-            AggState::keyed(spec, group_by, aggs)
-        } else {
-            AggState::new(shape, spec, group_by, aggs)
-        }
-    }
-
+    /// Every worker folds the morsels it claims into its own partial; the
+    /// partials merge into `state`.
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
         let (spec, group_by, aggs) = state.parts();
-        if ordered(table, spec, aggs) {
-            // Ordered collect keeps the sequential accumulation order, so
-            // float sums stay bit-identical.
-            let mut rows = Vec::new();
-            self.collect(table, dead, spec, &mut rows);
-            state.fold_rows(rows);
-            return;
-        }
         let partials = self.run(table, |queue| {
             let scan = Scan::new(table, spec);
             let mut partial = AggState::new(table, spec, group_by, aggs);
@@ -145,52 +121,9 @@ impl PipeDriver for Workers {
             }
             partial
         });
-        // Only merge-exact aggregates reach here, so merging in worker
-        // order — and folding the tail after the last piece — matches the
-        // sequential fold.
         for partial in partials {
             state.merge(partial);
         }
-    }
-}
-
-/// Does an aggregate over this pipeline take the ordered collect? Stepped
-/// pipelines and float-sensitive aggregates do (see the module docs).
-fn ordered(table: &Table, spec: PipeSpec<'_>, aggs: &[AggExpr]) -> bool {
-    !spec.steps.is_empty() || aggs.iter().any(|a| float_sensitive(table, a))
-}
-
-/// True when merging partials of `agg` could reassociate float addition
-/// and so break this engine's bit-identical-to-compiled guarantee: float
-/// inputs, or `avg` (which always finishes through the float running sum,
-/// where partial int sums beyond 2^53 round order-dependently). Such
-/// aggregates take the ordered collect+fold path instead. Count never
-/// inspects magnitudes and integer sums finish through the exact integer
-/// sum, so those merge freely.
-fn float_sensitive(table: &Table, agg: &AggExpr) -> bool {
-    if agg.func == AggFunc::Count {
-        return false;
-    }
-    if agg.func == AggFunc::Avg {
-        return true;
-    }
-    let Some(arg) = &agg.arg else { return false };
-    arg.columns()
-        .iter()
-        .any(|&c| table.schema().columns()[c].ty == DataType::Float64)
-        || contains_float_lit(arg)
-}
-
-fn contains_float_lit(e: &Expr) -> bool {
-    match e {
-        Expr::Lit(Value::Float64(_)) => true,
-        Expr::Lit(_) | Expr::Col(_) => false,
-        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-            contains_float_lit(left) || contains_float_lit(right)
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => contains_float_lit(a) || contains_float_lit(b),
-        Expr::Not(a) | Expr::IsNull(a) => contains_float_lit(a),
-        Expr::Like { expr, .. } => contains_float_lit(expr),
     }
 }
 
@@ -200,7 +133,9 @@ mod tests {
     use pdsm_exec::engine::{CompiledEngine, Overlay, VolcanoEngine};
     use pdsm_exec::pipeline::Step;
     use pdsm_plan::builder::QueryBuilder;
-    use pdsm_storage::{ColumnDef, Row, Schema};
+    use pdsm_plan::expr::Expr;
+    use pdsm_plan::logical::{AggExpr, AggFunc};
+    use pdsm_storage::{ColumnDef, DataType, Row, Schema};
     use std::collections::HashMap;
 
     fn db() -> HashMap<String, Table> {
@@ -286,9 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn float_aggregates_bit_identical_via_ordered_fold() {
+    fn float_aggregates_bit_identical_via_merged_partials() {
         let d = db();
-        let plan = QueryBuilder::scan("t")
+        let grouped = QueryBuilder::scan("t")
             .filter(Expr::col(1).lt(Expr::lit(8)))
             .aggregate(
                 vec![Expr::col(2)],
@@ -298,10 +233,29 @@ mod tests {
                 ],
             )
             .build();
-        let reference = CompiledEngine.execute(&plan, &d).unwrap();
-        for threads in [2, 8] {
+        // A join feeding the aggregate: every worker probes and folds its
+        // own partial.
+        let stepped = QueryBuilder::scan("t")
+            .filter(Expr::col(1).eq(Expr::lit(2)))
+            .join(QueryBuilder::scan("t").build(), Expr::col(0), Expr::col(0))
+            .aggregate(
+                vec![Expr::col(4 + 2)],
+                vec![
+                    AggExpr::new(AggFunc::Sum, Expr::col(4 + 3).mul(Expr::lit(0.1))),
+                    AggExpr::new(AggFunc::Avg, Expr::col(3)),
+                ],
+            )
+            .build();
+        for plan in [grouped, stepped] {
+            float_bits_match_compiled(&plan, &d);
+        }
+    }
+
+    fn float_bits_match_compiled(plan: &LogicalPlan, d: &HashMap<String, Table>) {
+        let reference = CompiledEngine.execute(plan, d).unwrap();
+        for threads in [1, 2, 4, 8] {
             let par = ParallelEngine::with_threads(threads)
-                .execute(&plan, &d)
+                .execute(plan, d)
                 .unwrap();
             // not just normalized: the float bits must match the sequential fold
             let mut a: Vec<String> = reference.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -402,9 +356,8 @@ mod tests {
         group_by: &[Expr],
         aggs: &[AggExpr],
     ) -> Vec<Vec<Value>> {
-        let workers = Workers { threads };
-        let mut state = workers.open(t, spec, group_by, aggs);
-        workers.fold(t, &[], &mut state);
+        let mut state = AggState::new(t, spec, group_by, aggs);
+        Workers { threads }.fold(t, &[], &mut state);
         state.finish()
     }
 
@@ -452,10 +405,11 @@ mod tests {
         let mut dead = vec![false; 1_000];
         dead[0] = true;
         dead[3] = true;
-        let tail = vec![
+        let tail = [
             Row(vec![Value::Int32(3), Value::Int64(5000), Value::Null]),
             Row(vec![Value::Int32(4), Value::Int64(5001), Value::Null]),
-        ];
+        ]
+        .map(std::sync::Arc::new);
         let db = Versioned {
             t: &t,
             overlay: Overlay {
@@ -530,22 +484,6 @@ mod tests {
         ];
         let out = aggregate(4, &t, spec(&[], &[]), &[], &aggs);
         assert_eq!(out, vec![vec![Value::Int64(0), Value::Null]]);
-    }
-
-    #[test]
-    fn float_sensitivity_detection() {
-        let t = kvf(1);
-        let sensitive = |a: AggExpr| float_sensitive(&t, &a);
-        assert!(sensitive(AggExpr::new(AggFunc::Sum, Expr::col(2))));
-        assert!(sensitive(AggExpr::new(
-            AggFunc::Sum,
-            Expr::col(1).mul(Expr::lit(0.5))
-        )));
-        assert!(!sensitive(AggExpr::new(AggFunc::Sum, Expr::col(1))));
-        assert!(!sensitive(AggExpr::new(AggFunc::Count, Expr::col(2))));
-        assert!(!sensitive(AggExpr::count_star()));
-        // avg always finishes through the float running sum, even over ints
-        assert!(sensitive(AggExpr::new(AggFunc::Avg, Expr::col(1))));
     }
 
     #[test]

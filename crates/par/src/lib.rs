@@ -17,14 +17,14 @@
 //!   survivor loop the compiled engine runs, SIMD block masks and zone
 //!   refutation included — and walks it morsel at a time.
 //! * **The driver** ([`engine`]) — this crate adds no lowering, no scan
-//!   loop and no aggregate of its own. Collect pipelines buffer output per
-//!   morsel and stitch buffers in morsel order, so parallel execution
-//!   returns rows in **exactly** the sequential scan order. Aggregations
-//!   give every worker a private `pdsm_exec::pipeline::AggState`, merged
-//!   in worker order at the barrier. Counts, integer sums and min/max
-//!   merge exactly; float-summing aggregates and `avg` instead take an
-//!   order-preserving collect + sequential fold so their accumulation
-//!   order — and therefore every output bit — matches the compiled engine.
+//!   loop and no aggregate of its own, and walks a pipeline one of two
+//!   ways. Collect pipelines buffer output per morsel and stitch buffers
+//!   in morsel order, so parallel execution returns rows in **exactly**
+//!   the sequential scan order. Aggregations, join-probing ones included,
+//!   give every worker a private `pdsm_exec::pipeline::AggState` and merge
+//!   the partials at the barrier. The state is order-free — float `sum`
+//!   and `avg` add exactly and round once — so every output bit matches
+//!   the compiled engine whatever the worker count.
 //!
 //! ## Using it
 //!

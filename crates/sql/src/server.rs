@@ -17,15 +17,32 @@
 //!
 //! Blank lines and `--` comment lines are ignored without a response, so
 //! clients can stream `.sql` files verbatim.
+//!
+//! Hostile clients are bounded on both sides. A request line longer than
+//! [`MAX_LINE_BYTES`] gets `ERR …` and the connection closes. A client
+//! that stops reading stalls only its own session, and only until the
+//! server shuts down or [`WRITE_STALL`] passes without the client taking
+//! a byte; then the session drops the connection.
 
 use crate::session::{write_response, Response, Session};
 use pdsm_core::Database;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The longest request line a session accepts, newline excluded: 1 MiB,
+/// far above any statement a client of this protocol sends.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a reply may wait on a client that reads none of it before the
+/// session drops the connection.
+pub const WRITE_STALL: Duration = Duration::from_secs(30);
+
+/// How often a blocked read or write wakes to look at the shutdown flag.
+const POLL: Duration = Duration::from_millis(50);
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -137,27 +154,74 @@ fn accept_loop(
     }
 }
 
+/// The socket a session writes its replies to. A write the client does not
+/// drain waits in [`POLL`] steps, and fails once the server shuts down or
+/// [`WRITE_STALL`] passes with no byte taken; every write after that fails
+/// at once, so the rest of a reply does not wait again.
+struct ReplySocket<'a> {
+    stream: TcpStream,
+    shutdown: &'a AtomicBool,
+    stalled: bool,
+}
+
+impl Write for ReplySocket<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let since = Instant::now();
+        while !self.stalled {
+            match self.stream.write(buf) {
+                Err(e) if is_timeout(&e) => {
+                    self.stalled =
+                        self.shutdown.load(Ordering::SeqCst) || since.elapsed() >= WRITE_STALL;
+                }
+                done => return done,
+            }
+        }
+        Err(ErrorKind::TimedOut.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
 fn serve_connection(
     stream: TcpStream,
     db: Arc<Database>,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
-    // Short read timeouts let the session poll the shutdown flag while
-    // idle. `read_until` keeps the bytes of a partial line in `buf`
-    // across timeouts, even half a UTF-8 character; the line is decoded
-    // once it is complete.
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut writer = stream.try_clone()?;
+    // Short timeouts let the session poll the shutdown flag while idle or
+    // while a client is not reading. `read_until` keeps the bytes of a
+    // partial line in `buf` across timeouts, even half a UTF-8 character;
+    // the line is decoded once it is complete.
+    stream.set_read_timeout(Some(POLL))?;
+    stream.set_write_timeout(Some(POLL))?;
+    let mut writer = ReplySocket {
+        stream: stream.try_clone()?,
+        shutdown,
+        stalled: false,
+    };
     let mut reader = BufReader::new(stream);
     writeln!(writer, "HELLO pdsm-sql 1")?;
     writer.flush()?;
     let session = Session::new(Arc::clone(&db));
     let mut buf = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut buf) {
+        // At most one byte past the cap, so an over-long line is caught
+        // without buffering more of it.
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => return Ok(()), // client hung up
+            Ok(_) if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') => {
+                let err = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                write_response(&mut writer, &Response::Error(err))?;
+                return Ok(());
+            }
             Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(e) if is_timeout(&e) => {
                 if shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
@@ -450,5 +514,57 @@ mod tests {
             WireResponse::Count(1)
         );
         srv.shutdown();
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_connection_closes() {
+        let srv = server();
+        let mut c = Client::connect(srv.local_addr());
+        // A line at the cap is served (a comment: no reply at all).
+        let mut line = vec![b'-'; MAX_LINE_BYTES];
+        line.push(b'\n');
+        c.writer.write_all(&line).unwrap();
+        assert_eq!(
+            c.send("INSERT INTO t VALUES (1, 'x')"),
+            WireResponse::Count(1)
+        );
+        // One byte more, and no newline in sight.
+        c.writer.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+        c.writer.flush().unwrap();
+        match read_response(&mut c.reader).unwrap() {
+            WireResponse::Error(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let mut rest = String::new();
+        assert_eq!(c.reader.read_line(&mut rest).unwrap(), 0, "{rest:?}");
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_does_not_hold_up_shutdown() {
+        let srv = server();
+        let mut c = Client::connect(srv.local_addr());
+        let wide = "w".repeat(1_000);
+        let values: Vec<String> = (0..200).map(|i| format!("({i}, '{wide}')")).collect();
+        let insert = format!("INSERT INTO t VALUES {}", values.join(", "));
+        assert_eq!(c.send(&insert), WireResponse::Count(200));
+        // ~200 KB per reply, 100 replies: far more than the socket buffers
+        // hold, and the client reads none of it.
+        for _ in 0..100 {
+            c.writer.write_all(b"SELECT a, s FROM t\n").unwrap();
+        }
+        c.writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            srv.shutdown();
+            let _ = done.send(());
+        });
+        assert!(
+            stopped.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown waited on a client that does not read"
+        );
+        stopper.join().unwrap();
+        drop(c);
     }
 }

@@ -76,13 +76,22 @@ impl WalRecord {
     /// Serialize the record as a complete frame (length, checksum,
     /// payload) ready to append to a WAL file.
     pub fn encode(&self) -> Vec<u8> {
+        Self::encode_rows(self.appends.iter(), &self.tombstones)
+    }
+
+    /// The bytes [`WalRecord::encode`] gives for a record of `appends` and
+    /// `tombstones`, without owning the rows.
+    pub fn encode_rows<'r>(
+        appends: impl ExactSizeIterator<Item = &'r Row>,
+        tombstones: &[u64],
+    ) -> Vec<u8> {
         let mut payload = vec![TAG_COMMIT];
-        payload.extend_from_slice(&(self.appends.len() as u32).to_le_bytes());
-        for r in &self.appends {
+        payload.extend_from_slice(&(appends.len() as u32).to_le_bytes());
+        for r in appends {
             put_row(&mut payload, r);
         }
-        payload.extend_from_slice(&(self.tombstones.len() as u32).to_le_bytes());
-        for id in &self.tombstones {
+        payload.extend_from_slice(&(tombstones.len() as u32).to_le_bytes());
+        for id in tombstones {
             payload.extend_from_slice(&id.to_le_bytes());
         }
         let mut rec = Vec::with_capacity(8 + payload.len());

@@ -310,17 +310,14 @@ impl TableDurability {
         // commit step it reproduces the overlay exactly, with the same
         // row ids, so later records keep addressing correctly.
         let dead_tail = delta.tail_alive.iter().map(|alive| !alive).enumerate();
-        let record = WalRecord {
-            appends: delta.tail.clone(),
-            tombstones: (delta.dead.iter().copied().enumerate())
-                .chain(dead_tail.map(|(j, dead)| (main.len() + j, dead)))
-                .filter_map(|(id, dead)| dead.then_some(id as u64))
-                .collect(),
-        };
-        let buf = if record.is_empty() {
+        let tombstones: Vec<u64> = (delta.dead.iter().copied().enumerate())
+            .chain(dead_tail.map(|(j, dead)| (main.len() + j, dead)))
+            .filter_map(|(id, dead)| dead.then_some(id as u64))
+            .collect();
+        let buf = if delta.tail.is_empty() && tombstones.is_empty() {
             Vec::new()
         } else {
-            record.encode()
+            WalRecord::encode_rows(delta.tail.iter().map(|r| &**r), &tombstones)
         };
         let wal_dest = wal_path(&self.dir, generation);
         write_atomic(

@@ -29,8 +29,10 @@
 //! through `Arc::make_mut`: the first write after a snapshot that is still
 //! alive copies the delta away from it, so queries running on a snapshot
 //! see a consistent version no matter what writers do afterwards. Taking
-//! a snapshot is therefore O(1) and copies nothing; a write copies at most
-//! once per version that a live snapshot pins.
+//! a snapshot is therefore O(1) and copies nothing; a write under a live
+//! snapshot copies pointers, not rows: every tail row sits behind its own
+//! `Arc`, so the copy clones the tombstone masks and one pointer per tail
+//! row, and no `Value`.
 //!
 //! Engines never learn about versioning: a snapshot (or a live
 //! `VersionedTable` behind `&self`) presents itself through

@@ -95,7 +95,8 @@ pub struct VersionedTable {
     /// The delta since the last merge, shared with every snapshot of the
     /// current version. A write goes through `Arc::make_mut`, so it copies
     /// the delta only while such a snapshot is still alive — at most once
-    /// per snapshotted version.
+    /// per snapshotted version, and then the masks and the tail's row
+    /// pointers, never a row.
     delta: Arc<OverlayData>,
     /// [`VersionedTable::delta_ops`]: delta ops since the last merge.
     n_ops: u64,
@@ -363,7 +364,7 @@ impl VersionedTable {
     fn append(&mut self, rows: Vec<Row>) -> Range<RowId> {
         let base = self.id_space();
         let delta = Arc::make_mut(&mut self.delta);
-        delta.tail.extend(rows);
+        delta.tail.extend(rows.into_iter().map(Arc::new));
         delta.tail_alive.resize(delta.tail.len(), true);
         base..self.id_space()
     }
@@ -428,7 +429,7 @@ impl VersionedTable {
         if id < main_len {
             self.main.row(id)
         } else {
-            Ok(self.delta.tail[id - main_len].clone())
+            Ok(Row::clone(&self.delta.tail[id - main_len]))
         }
     }
 
@@ -903,6 +904,26 @@ mod tests {
         assert_eq!(held.rows(), pinned_rows);
         assert_eq!((held_overlay.tail.len(), held_overlay.dead_count), (1, 0));
         assert_eq!(t.len(), 11);
+    }
+
+    /// The copy a write makes under a live pin copies pointers: the pinned
+    /// version and the live one share every tail row they both hold.
+    #[test]
+    fn a_copy_under_a_pin_shares_the_tail_rows() {
+        let mut t = seeded();
+        for i in 0..3 {
+            t.insert(&[Value::Int32(100 + i), Value::Str("x".into()), Value::Null])
+                .unwrap();
+        }
+        let held = t.snapshot();
+        t.insert(&[Value::Int32(200), Value::Str("y".into()), Value::Null])
+            .unwrap();
+        let (old, live) = (held.overlay().unwrap(), t.overlay().unwrap());
+        assert!(!Arc::ptr_eq(held.overlay.as_ref().unwrap(), &t.delta));
+        assert_eq!((old.tail.len(), live.tail.len()), (3, 4));
+        for (pinned, current) in old.tail.iter().zip(live.tail) {
+            assert!(Arc::ptr_eq(pinned, current));
+        }
     }
 
     #[test]

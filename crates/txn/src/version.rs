@@ -183,8 +183,10 @@ impl MainStore {
 /// One version's delta: which main rows are tombstoned and which decoded
 /// rows follow the main store. The [`crate::VersionedTable`] and every
 /// [`Snapshot`] of its current version hold the same allocation; a write
-/// copies it first only while a snapshot still shares it. The fields are
-/// private to the crate: the counts must agree with the masks.
+/// copies it first only while a snapshot still shares it, and that copy
+/// copies pointers: each tail row sits behind its own `Arc`, shared by
+/// every version that holds it. The fields are private to the crate: the
+/// counts must agree with the masks.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayData {
     /// `dead[i]` → main row `i` is invisible. Empty = no tombstones.
@@ -192,7 +194,7 @@ pub struct OverlayData {
     /// Main rows tombstoned.
     pub(crate) dead_count: usize,
     /// Rows appended after the main store (decoded, full schema width).
-    pub(crate) tail: Vec<Row>,
+    pub(crate) tail: Vec<Arc<Row>>,
     /// Liveness of each tail row.
     pub(crate) tail_alive: Vec<bool>,
     /// Tail rows tombstoned.

@@ -192,6 +192,124 @@ fn parallel_scan_scaling_asserted_on_multicore() {
     );
 }
 
+/// Adversarial floats — cancellation, magnitudes from subnormal to near
+/// `f64::MAX`, ±0.0, ±inf and NaN — through float `sum`/`avg`/`min`/`max`,
+/// over a plain aggregate and a join feeding one: every thread count and
+/// the Volcano oracle give the same bits, not just the same rounding.
+#[test]
+fn adversarial_float_aggregates_are_bit_identical_at_every_thread_count() {
+    use mrdb::plan::builder::QueryBuilder;
+    use mrdb::plan::expr::Expr;
+    let schema = Schema::new(vec![
+        ColumnDef::new("k", DataType::Int32),
+        ColumnDef::nullable("f", DataType::Float64),
+    ]);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut facts = Table::new("F", schema.clone());
+    let mut seen: Vec<f64> = Vec::new();
+    for i in 0..40_000 {
+        let f = match next() % 10 {
+            0 if !seen.is_empty() => -seen[(next() % seen.len() as u64) as usize],
+            1 => f64::from_bits(next() % (1 << 52)),
+            2 => [0.0, -0.0][(next() % 2) as usize],
+            3 => [f64::MAX, -f64::MAX, 1e300, -1e300, 1e-300][(next() % 5) as usize],
+            4 => (next() % 100_000) as f64 / 100.0,
+            _ => f64::from_bits(next() >> 2) * [1.0, -1.0][(next() % 2) as usize],
+        };
+        seen.push(f);
+        let v = if i % 13 == 0 {
+            Value::Null
+        } else {
+            Value::Float64(f)
+        };
+        facts
+            .insert(&[Value::Int32((next() % 8) as i32), v])
+            .unwrap();
+    }
+    // Specials sit in their own groups so the other groups stay finite.
+    for (k, f) in [
+        (8, f64::INFINITY),
+        (9, f64::NEG_INFINITY),
+        (9, f64::INFINITY),
+        (10, f64::NAN),
+    ] {
+        facts.insert(&[Value::Int32(k), Value::Float64(f)]).unwrap();
+    }
+    let mut dims = Table::new("D", schema);
+    for k in 0..11 {
+        for j in 0..2 {
+            dims.insert(&[Value::Int32(k), Value::Float64(k as f64 * 0.1 + j as f64)])
+                .unwrap();
+        }
+    }
+    let db = Database::new();
+    db.register(facts);
+    db.register(dims);
+    let float_aggs = |f: usize| {
+        vec![
+            AggExpr::new(AggFunc::Sum, Expr::col(f)),
+            AggExpr::new(AggFunc::Avg, Expr::col(f)),
+            AggExpr::new(AggFunc::Min, Expr::col(f)),
+            AggExpr::new(AggFunc::Max, Expr::col(f)),
+            AggExpr::new(AggFunc::Sum, Expr::col(f).mul(Expr::col(f))),
+        ]
+    };
+    let plans = [
+        QueryBuilder::scan("F")
+            .aggregate(vec![], float_aggs(1))
+            .build(),
+        QueryBuilder::scan("F")
+            .aggregate(vec![Expr::col(0)], float_aggs(1))
+            .build(),
+        // D ⋈ F on k: the probe side F is the pipeline; f is column 3.
+        QueryBuilder::scan("D")
+            .join(QueryBuilder::scan("F").build(), Expr::col(0), Expr::col(0))
+            .aggregate(vec![Expr::col(1)], float_aggs(3))
+            .build(),
+    ];
+    let bits = |rows: &[Vec<Value>]| {
+        let mut out: Vec<String> = rows
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .map(|v| match v {
+                        Value::Float64(f) => format!("f{:016x}", f.to_bits()),
+                        other => format!("{other:?}"),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let snap = db.snapshot();
+    for (i, plan) in plans.iter().enumerate() {
+        let run =
+            |engine: &dyn mrdb::exec::Engine| bits(&engine.execute(plan, &snap).unwrap().rows);
+        let oracle = run(EngineKind::Volcano.engine());
+        assert!(
+            oracle.iter().any(|r| r.contains('f')),
+            "plan {i} has floats"
+        );
+        assert_eq!(
+            oracle,
+            run(EngineKind::Compiled.engine()),
+            "plan {i}: compiled vs Volcano"
+        );
+        for threads in THREAD_COUNTS {
+            let parallel = run(&ParallelEngine::with_threads(threads));
+            assert_eq!(oracle, parallel, "plan {i}: parallel({threads}) vs Volcano");
+        }
+    }
+}
+
 #[test]
 fn thread_knob_resolution() {
     // Explicit setting wins; the automatic default is always at least one

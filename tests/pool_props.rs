@@ -100,7 +100,8 @@ fn scan_plans(n: usize) -> Vec<LogicalPlan> {
         QueryBuilder::scan("R")
             .aggregate(vec![], vec![AggExpr::new(AggFunc::Avg, Expr::col(1))])
             .build(),
-        // Float sum: accumulation order is observable in the low bits.
+        // Float sum: an inexact, order-dependent sum would show in the low
+        // bits.
         QueryBuilder::scan("R")
             .aggregate(
                 vec![],

@@ -1,20 +1,24 @@
 //! End-to-end TCP tests: a SAP-SD-seeded server driven over the wire
-//! protocol — queries, EXPLAIN, concurrent DML on disjoint tables, and
-//! graceful shutdown.
+//! protocol — queries, EXPLAIN, concurrent DML on disjoint tables,
+//! byte-exact replies, and graceful shutdown.
 
 use mrdb::prelude::*;
-use mrdb::sql::{read_response, WireResponse};
+use mrdb::sql::{read_response, write_response, WireResponse};
 use mrdb::workloads::sapsd;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn sapsd_server(scale: usize) -> SqlServer {
+fn sapsd_db(scale: usize) -> Arc<Database> {
     let db = Database::new();
     for t in sapsd::tables(scale, 42) {
         db.register(t);
     }
-    SqlServer::start(Arc::new(db), "127.0.0.1:0", ServerConfig::default()).unwrap()
+    Arc::new(db)
+}
+
+fn sapsd_server(scale: usize) -> SqlServer {
+    SqlServer::start(sapsd_db(scale), "127.0.0.1:0", ServerConfig::default()).unwrap()
 }
 
 struct Client {
@@ -165,4 +169,34 @@ fn shutdown_command_stops_the_server() {
         },
         "server must stop accepting after SHUTDOWN"
     );
+}
+
+/// A multi-row reply larger than one socket write arrives byte for byte
+/// as `write_response` renders it in process.
+#[test]
+fn a_multi_row_reply_arrives_byte_identical() {
+    let db = sapsd_db(200);
+    let server = SqlServer::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let sql = "SELECT * FROM VBAP ORDER BY 1, 2";
+    let mut expected = Vec::new();
+    write_response(&mut expected, &Session::new(db).statement(sql)).unwrap();
+    assert!(expected.len() > 32 * 1024, "{} bytes", expected.len());
+
+    let mut c = Client::connect(&server);
+    c.writer.write_all(format!("{sql}\n").as_bytes()).unwrap();
+    let mut got = Vec::new();
+    c.reader.read_until(b'\n', &mut got).unwrap();
+    let n: usize = std::str::from_utf8(&got[5..got.len() - 1])
+        .unwrap()
+        .parse()
+        .unwrap();
+    for _ in 0..=n {
+        c.reader.read_until(b'\n', &mut got).unwrap();
+    }
+    assert_eq!(got.len(), expected.len());
+    assert!(
+        got == expected,
+        "the reply differs from the in-process rendering"
+    );
+    server.shutdown();
 }

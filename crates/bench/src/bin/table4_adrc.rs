@@ -32,10 +32,7 @@ fn main() {
         }
     }
 
-    let advisor = LayoutAdvisor {
-        compute_stats: false,
-        ..Default::default()
-    };
+    let advisor = LayoutAdvisor::default();
     let views = advisor.views(&db);
     let names = sapsd::ADRC_COLS;
     let pretty = |cols: &[usize]| {

@@ -66,7 +66,7 @@ impl ColBuf {
             ColBuf::I64(v) => Value::Int64(v[i]),
             ColBuf::F64(v) => Value::Float64(v[i]),
             ColBuf::Code { codes, table, col } => {
-                let t = db.table(table).expect("table vanished mid-query");
+                let t = db.shape(table).expect("table vanished mid-query");
                 Value::Str(t.dict(*col).expect("str col").decode(codes[i]).to_owned())
             }
             ColBuf::Val(v) => v[i].clone(),
@@ -102,7 +102,7 @@ impl Engine for BulkEngine {
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
         plain_tables_only(plan, db)?;
-        let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
+        let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
         let chunk = exec(plan, db, &required)?;
         let mut out = QueryOutput::new();
@@ -346,22 +346,18 @@ fn exec(
 ) -> Result<Chunk, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
-            let t = db
-                .table(table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            Ok(materialize_scan(t, table, None, required))
+            let t = db.table(table)?;
+            Ok(materialize_scan(&t, table, None, required))
         }
         LogicalPlan::Select { input, pred, .. } => {
             // Fuse select-over-scan into selection primitives on base data.
             if let LogicalPlan::Scan { table } = input.as_ref() {
-                let t = db
-                    .table(table)
-                    .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
+                let t = db.table(table)?;
                 let mut positions: Option<Vec<u32>> = None;
                 for conj in conjuncts(pred) {
-                    positions = Some(select_conjunct(t, conj, positions));
+                    positions = Some(select_conjunct(&t, conj, positions));
                 }
-                return Ok(materialize_scan(t, table, positions.as_deref(), required));
+                return Ok(materialize_scan(&t, table, positions.as_deref(), required));
             }
             // Generic: filter a materialized chunk row-at-a-time.
             let chunk = exec(input, db, required)?;

@@ -72,18 +72,17 @@ impl Engine for VectorizedEngine {
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
         plain_tables_only(plan, db)?;
-        let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
+        let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
         let shape = recognize(plan)?;
-        let t = db
-            .table(shape.table)
-            .ok_or_else(|| ExecError::UnknownTable(shape.table.to_string()))?;
+        let t = db.table(shape.table)?;
         let needed: Vec<ColId> = required
             .iter()
             .find(|(n, _)| n == shape.table)
             .map(|(_, c)| c.clone())
             .unwrap_or_else(|| (0..t.schema().len()).collect());
-        let kernels: Vec<PredKernel<'_>> = shape.preds.iter().map(|p| compile_pred(t, p)).collect();
+        let kernels: Vec<PredKernel<'_>> =
+            shape.preds.iter().map(|p| compile_pred(&t, p)).collect();
 
         let mut out = QueryOutput::new();
         let mut agg_state: HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)> = HashMap::new();
@@ -104,7 +103,7 @@ impl Engine for VectorizedEngine {
                 }
             }
             for &i in &sel {
-                let row = materialize(t, i as usize, &needed);
+                let row = materialize(&t, i as usize, &needed);
                 match &shape.sink {
                     VecSink::Collect(exprs) => out.rows.push(match exprs {
                         Some(es) => es.iter().map(|e| e.eval(&row)).collect(),

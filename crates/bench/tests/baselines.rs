@@ -61,8 +61,8 @@ struct Pending<'a> {
 }
 
 impl TableProvider for Pending<'_> {
-    fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.table(name)
+    fn shape(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name)
     }
 
     fn overlay(&self, _name: &str) -> Option<Overlay<'_>> {

@@ -5,7 +5,6 @@ use pdsm_cost::Hierarchy;
 use pdsm_layout::bpi::{optimize_table, OptimizerConfig};
 use pdsm_layout::workload::Workload;
 use pdsm_plan::patterns::TableView;
-use pdsm_plan::selectivity::TableStatsView;
 use pdsm_storage::Layout;
 use std::collections::HashMap;
 
@@ -42,9 +41,6 @@ impl AdvisorReport {
 pub struct LayoutAdvisor {
     pub hierarchy: Hierarchy,
     pub config: OptimizerConfig,
-    /// Attach exact column statistics to the views (costs one pass per
-    /// column; improves selectivity estimates for un-hinted predicates).
-    pub compute_stats: bool,
 }
 
 impl Default for LayoutAdvisor {
@@ -52,54 +48,20 @@ impl Default for LayoutAdvisor {
         LayoutAdvisor {
             hierarchy: Hierarchy::nehalem(),
             config: OptimizerConfig::default(),
-            compute_stats: false,
         }
     }
 }
 
 impl LayoutAdvisor {
-    /// Build [`TableView`]s for every table in the database. Views model
-    /// the post-merge state: row counts (and, when enabled, statistics)
+    /// Build [`TableView`]s for every table in the database: the
+    /// planner's statistics-free views (`table_view`), whose row counts
     /// cover the visible rows — main store plus any pending delta — since
     /// that is what the advised layout will hold once the merge folds the
-    /// delta in. Statistics-free views are the planner's (`table_view`)
-    /// and read table headers only: a cold table stays cold. Only
-    /// `compute_stats` reads row data.
+    /// delta in. They read table headers only: a cold table stays cold.
     pub fn views(&self, db: &Database) -> HashMap<String, TableView> {
-        let mut views = HashMap::new();
-        // Pin every table (short locks) and do all the O(rows × cols)
-        // stats work lock-free against the pin — writers to a table are
-        // never stalled behind a stats pass.
-        for (name, pinned) in &db.snapshot().tables {
-            let snap = &pinned.snapshot;
-            let mut view = crate::planner::table_view(snap);
-            if self.compute_stats {
-                let t = snap.main();
-                let ncols = t.schema().len();
-                let mut stats = TableStatsView {
-                    distinct: vec![None; ncols],
-                    density: vec![None; ncols],
-                };
-                let has_delta = snap.overlay().is_some();
-                // Decode visible rows once, not once per column.
-                let visible: Vec<pdsm_storage::Row> =
-                    if has_delta { snap.rows() } else { Vec::new() };
-                for c in 0..ncols {
-                    let s = if has_delta {
-                        pdsm_storage::stats::ColumnStats::compute(
-                            visible.iter().map(|r| r.values()[c].clone()),
-                        )
-                    } else {
-                        t.col_stats(c)
-                    };
-                    stats.distinct[c] = Some(s.distinct_count);
-                    stats.density[c] = Some(s.density());
-                }
-                view = view.with_stats(stats);
-            }
-            views.insert(name.clone(), view);
-        }
-        views
+        (db.snapshot().tables.iter())
+            .map(|(name, pinned)| (name.clone(), crate::planner::table_view(&pinned.snapshot)))
+            .collect()
     }
 
     /// Recommend a layout for every table the workload touches.
@@ -218,18 +180,5 @@ mod tests {
         let after = db.run(&plan, crate::EngineKind::Compiled).unwrap();
         before.assert_same(&after, "advisor apply");
         assert!(db.get_table("r").unwrap().layout().n_groups() > 1);
-    }
-
-    #[test]
-    fn stats_views_populated() {
-        let db = wide_db(100);
-        let advisor = LayoutAdvisor {
-            compute_stats: true,
-            ..Default::default()
-        };
-        let views = advisor.views(&db);
-        let stats = views["r"].stats.as_ref().unwrap();
-        assert_eq!(stats.distinct[0], Some(100));
-        assert_eq!(stats.density[0], Some(1.0));
     }
 }

@@ -13,8 +13,8 @@
 //! * readers never block writers: a statement pins its view — one
 //!   [`pdsm_txn::Snapshot`] per referenced table, each under one short read
 //!   lock — and runs over it entirely lock-free afterwards (see
-//!   [`crate::query`]); not even the hydration of a cold main store
-//!   happens under a table lock.
+//!   [`crate::query`]); not even a cold main store's extent faults
+//!   happen under a table lock.
 //!
 //! `Database` is `Send + Sync`; the multi-threaded entry point is
 //! `Arc<Database>` (clone the `Arc` per thread). `Database` is one type
@@ -40,7 +40,7 @@
 //!   [`Database::table_snapshot`] (pinned version); to bulk load, build a
 //!   [`Table`] and [`Database::register`] it.
 //! * `get_table(name)` now returns an owned `Arc<Table>` of the main
-//!   store instead of `&Table`.
+//!   store instead of `&Table` (a copy, for a cold main).
 //! * `maintenance_config_mut()` is replaced by
 //!   [`Database::set_maintenance_config`] /
 //!   [`Database::update_maintenance_config`].
@@ -63,7 +63,10 @@ use pdsm_plan::physical::EngineChoice;
 use pdsm_pool::{BufferPool, PoolStats};
 use pdsm_storage::{ColId, DataType, Layout, Schema, Table};
 use pdsm_store::{FsyncMode, Manifest};
-use pdsm_txn::{MergeStats, SharedTable, Snapshot, TableDurability, VersionStats, VersionedTable};
+use pdsm_txn::{
+    Form, MainStore, MergeStats, SharedTable, Snapshot, TableDurability, VersionStats,
+    VersionedTable,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -487,16 +490,16 @@ impl Database {
     /// Attach a WAL + checkpoint lifecycle to a fresh table (no-op for an
     /// in-memory database). Called with the catalog write lock held, so a
     /// create/register race can never double-create one table's files.
-    fn make_durable(&self, vt: &mut VersionedTable) -> Result<(), DbError> {
-        if let Some(d) = &self.durability {
-            TableDurability::create(
+    fn make_durable(&self, table: Table) -> Result<VersionedTable, DbError> {
+        Ok(match &self.durability {
+            Some(d) => TableDurability::create(
                 &d.config.data_dir,
                 Arc::clone(&d.manifest),
                 d.config.fsync,
-                vt,
-            )?;
-        }
-        Ok(())
+                table,
+            )?,
+            None => VersionedTable::from_table(table),
+        })
     }
 
     pub(crate) fn read_catalog(
@@ -551,9 +554,8 @@ impl Database {
     /// of panicking. Infallible for an in-memory database.
     pub fn try_register(&self, table: Table) -> Result<(), DbError> {
         let name = table.name().to_string();
-        let mut vt = VersionedTable::from_table(table);
         let mut catalog = self.write_catalog();
-        self.make_durable(&mut vt)?;
+        let vt = self.make_durable(table)?;
         catalog.insert(name, TableEntry::new(vt));
         // Under the catalog lock, where a statement's pin reads it: the
         // pin then sees the replaced table and the new epoch, or neither.
@@ -569,13 +571,13 @@ impl Database {
         schema: Schema,
         layout: Layout,
     ) -> Result<(), DbError> {
-        let mut t = VersionedTable::with_layout(name, schema, layout)?;
+        let t = Table::with_layout(name, schema, layout)?;
         let mut catalog = self.write_catalog();
         if catalog.contains_key(name) {
             return Err(DbError::DuplicateTable(name.to_string()));
         }
-        self.make_durable(&mut t)?;
-        catalog.insert(name.to_string(), TableEntry::new(t));
+        let vt = self.make_durable(t)?;
+        catalog.insert(name.to_string(), TableEntry::new(vt));
         self.bump_epoch();
         Ok(())
     }
@@ -621,12 +623,17 @@ impl Database {
         Ok(self.entry(name)?.table.snapshot())
     }
 
-    /// The read-optimized main store of `name`, as an owned `Arc` (the
-    /// main store is immutable between merges), made resident if it was
-    /// still cold. Excludes pending delta rows — query through
+    /// The read-optimized main store of `name` as one table: the resident
+    /// one, shared (it is immutable between merges), or a cold one's copy
+    /// assembled off every lock for this call — cached nowhere, the table
+    /// stays cold. Excludes pending delta rows — query through
     /// [`Database::run`] (or a snapshot) to see those.
     pub fn get_table(&self, name: &str) -> Result<Arc<Table>, DbError> {
-        Ok(self.entry(name)?.table.main_arc())
+        let pinned = self.table_snapshot(name)?;
+        Ok(match pinned.store().form() {
+            Form::Resident(t) => Arc::clone(t),
+            Form::Cold(c) => Arc::new(c.hydrate()?),
+        })
     }
 
     /// Table names in the catalog, sorted.
@@ -746,13 +753,12 @@ impl Database {
     pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) -> Result<(), DbError> {
         let entry = self.entry(table)?;
         entry.merge(1, crate::write::keep_layout)?;
-        // Pinned under the lock, made resident (if cold) outside it.
+        // Pinned under the lock, read outside it.
         let current = || {
             let pinned = entry.table.snapshot();
-            let main = pinned.store().table().cloned();
-            main.map(|m| (m, pinned.generation()))
+            (Arc::clone(pinned.store()), pinned.generation())
         };
-        let (main, generation) = current()?;
+        let (main, generation) = current();
         let col = main.schema().col_id(column)?;
         let ty = main.schema().columns()[col].ty;
         if ty == DataType::Float64 {
@@ -761,7 +767,7 @@ impl Database {
                 column: column.to_string(),
             });
         }
-        let index = Arc::new(build_index(&main, col, kind));
+        let index = Arc::new(build_index(&main, col, kind)?);
         entry
             .indexes
             .write()
@@ -779,9 +785,9 @@ impl Database {
         // rarer keeps the index out of statement views (whose pin admits
         // only indexes of the pinned generation) until the next merge's
         // rebuild heals it.
-        let (main2, gen2) = current()?;
+        let (main2, gen2) = current();
         if gen2 != generation {
-            entry.reindex(&main2, gen2);
+            entry.reindex(&main2, gen2)?;
         }
         self.bump_epoch();
         Ok(())
@@ -854,14 +860,15 @@ impl Database {
         o.by_key.clear();
     }
 
-    /// Total bytes across all tables (main stores + pending deltas). Makes
-    /// cold main stores resident to measure them — each outside its
-    /// table's lock.
+    /// Total bytes across all tables: main-store arenas (a cold one's read
+    /// off its header, nothing faulted) plus pending deltas.
     pub fn byte_size(&self) -> usize {
         let entries: Vec<TableEntry> = self.read_catalog().values().cloned().collect();
-        entries
-            .iter()
-            .map(|e| e.table.main_arc().byte_size() + e.table.with_read(|vt| vt.delta_byte_size()))
+        (entries.iter())
+            .map(|e| {
+                e.table
+                    .with_read(|vt| vt.store().byte_size() + vt.delta_byte_size())
+            })
             .sum()
     }
 }
@@ -873,7 +880,7 @@ impl TableEntry {
     /// — the main store is immutable, and the per-index generation tag
     /// keeps racing rebuilds monotonic: an older build never overwrites a
     /// newer one, and columns dropped meanwhile stay dropped.
-    pub(crate) fn reindex(&self, main: &Table, generation: u64) {
+    pub(crate) fn reindex(&self, main: &MainStore, generation: u64) -> Result<(), DbError> {
         let cols: Vec<(ColId, IndexKind)> = {
             let set = self.indexes.read().unwrap_or_else(|e| e.into_inner());
             set.iter()
@@ -882,12 +889,11 @@ impl TableEntry {
                 .collect()
         };
         if cols.is_empty() {
-            return;
+            return Ok(());
         }
-        let rebuilt: Vec<(ColId, IndexKind, Arc<Index>)> = cols
-            .into_iter()
-            .map(|(c, k)| (c, k, Arc::new(build_index(main, c, k))))
-            .collect();
+        let rebuilt = (cols.into_iter())
+            .map(|(c, k)| Ok((c, k, Arc::new(build_index(main, c, k)?))))
+            .collect::<Result<Vec<_>, DbError>>()?;
         let mut set = self.indexes.write().unwrap_or_else(|e| e.into_inner());
         for (col, kind, index) in rebuilt {
             if let Some(e) = set.get_mut(&col) {
@@ -900,40 +906,46 @@ impl TableEntry {
                 }
             }
         }
+        Ok(())
     }
 }
 
-/// Build one secondary index over a main store. Keys are read in place
-/// through the column's typed reader: integers by value, strings by their
-/// stored dictionary code. NULLs are not indexed.
-fn build_index(t: &Table, col: ColId, kind: IndexKind) -> Index {
+/// Build one secondary index over a main store, walking it piece by piece
+/// (a cold one a pinned extent at a time). Keys are read in place through
+/// the column's typed reader: integers by value, strings by their stored
+/// dictionary code — global, since every extent shares the header's
+/// dictionaries. NULLs are not indexed.
+fn build_index(main: &MainStore, col: ColId, kind: IndexKind) -> Result<Index, DbError> {
     let mut idx = match kind {
-        IndexKind::Hash => Index::Hash(HashIndex::with_capacity(t.len())),
+        IndexKind::Hash => Index::Hash(HashIndex::with_capacity(main.len())),
         IndexKind::RBTree => Index::RBTree(RBTree::new()),
     };
-    let def = &t.schema().columns()[col];
-    let mut fill = |key: &dyn Fn(usize) -> i64| {
-        for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
-            idx.insert(key(row), row as u32);
+    let def = &main.schema().columns()[col];
+    main.for_each_extent(&[], &[], |first, t, _| {
+        let mut fill = |key: &dyn Fn(usize) -> i64| {
+            for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
+                idx.insert(key(row), (first + row) as u32);
+            }
+        };
+        match def.ty {
+            DataType::Int32 => {
+                let r = t.i32_reader(col);
+                fill(&|row| r.get(row) as i64)
+            }
+            DataType::Int64 => {
+                let r = t.i64_reader(col);
+                fill(&|row| r.get(row))
+            }
+            DataType::Str => {
+                let r = t.str_code_reader(col);
+                fill(&|row| r.get(row) as i64)
+            }
+            // Not indexable: `create_index` rejects float columns.
+            DataType::Float64 => {}
         }
-    };
-    match def.ty {
-        DataType::Int32 => {
-            let r = t.i32_reader(col);
-            fill(&|row| r.get(row) as i64)
-        }
-        DataType::Int64 => {
-            let r = t.i64_reader(col);
-            fill(&|row| r.get(row))
-        }
-        DataType::Str => {
-            let r = t.str_code_reader(col);
-            fill(&|row| r.get(row) as i64)
-        }
-        // Not indexable: `create_index` rejects float columns.
-        DataType::Float64 => {}
-    }
-    idx
+        Ok::<_, DbError>(())
+    })?;
+    Ok(idx)
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! writer, generation, `delta_ops`), then the indexes built from exactly
 //! that generation. The pin faults and copies nothing. A compiled or
 //! parallel run walks a cold main store one pinned extent at a time
-//! through the view ([`TableProvider::for_each_piece`]); only the Volcano
-//! oracle makes it resident, on the running thread, after every lock is
-//! gone.
+//! through the view ([`TableProvider::for_each_piece`]), and an index probe
+//! reads each hit through the one extent it lives in; only the Volcano
+//! oracle reads a whole-table copy, assembled on the running thread after
+//! every lock is gone and dropped with the run.
 //!
 //! Everything downstream is a function of that view: the validity tokens
 //! of the statement cache ([`crate::result_cache`]), the planner
@@ -40,6 +41,7 @@ use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
 use pdsm_storage::{ColId, DataType, Table, Value, ZonePred};
 use pdsm_txn::Snapshot;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -299,9 +301,9 @@ impl DbSnapshot {
     }
 
     /// Execute `plan` against this snapshot with the chosen engine. The
-    /// compiled and parallel engines read a still-cold table one pinned
-    /// extent at a time through the buffer pool, whatever the plan's
-    /// shape; the Volcano oracle makes it resident. Snapshots carry no
+    /// compiled and parallel engines read a cold table one pinned extent at
+    /// a time through the buffer pool, whatever the plan's shape; the
+    /// Volcano oracle reads a copy assembled for the run. Snapshots carry no
     /// statement cache — planned execution is [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
         let output = engine.engine().execute(plan, self)?;
@@ -443,9 +445,9 @@ impl DbSnapshot {
         let (Some(col), Some(index)) = (access.column(), pinned.index_for(access)) else {
             return Err(misfit().into());
         };
-        let t = pinned.snapshot.store().table()?;
+        let main = pinned.snapshot.store();
         let mut rows = match access {
-            AccessPath::IndexPoint { key, .. } => match key_of_value(t, col, key) {
+            AccessPath::IndexPoint { key, .. } => match key_of_value(main.skeleton(), col, key) {
                 Some(k) => index.lookup(k),
                 None => Vec::new(), // value not in dictionary → no main hits
             },
@@ -467,7 +469,7 @@ impl DbSnapshot {
             if overlay.as_ref().is_some_and(|o| o.is_dead(r as usize)) {
                 continue;
             }
-            let row = t.row(r as usize)?;
+            let row = main.row(r as usize)?;
             if !pred.eval_bool(row.values()) {
                 continue;
             }
@@ -486,18 +488,21 @@ impl DbSnapshot {
 }
 
 /// Every table is its pinned [`Snapshot`]'s: the pipeline core reads its
-/// skeleton and walks its extents, the Volcano oracle hydrates it.
+/// skeleton and walks its extents, the Volcano oracle reads it whole.
 impl TableProvider for DbSnapshot {
-    fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name).map(|t| t.snapshot.main())
+    fn shape(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name).map(|t| t.snapshot.store().skeleton())
+    }
+
+    fn table(&self, name: &str) -> Result<Cow<'_, Table>, ExecError> {
+        match self.tables.get(name) {
+            Some(t) => t.snapshot.table(name),
+            None => Err(ExecError::UnknownTable(name.to_string())),
+        }
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.tables.get(name).and_then(|t| t.snapshot.overlay())
-    }
-
-    fn shape(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name).map(|t| t.snapshot.store().skeleton())
     }
 
     fn for_each_piece(
@@ -513,7 +518,8 @@ impl TableProvider for DbSnapshot {
     }
 }
 
-/// Index key of a literal compared against `col`.
+/// Index key of a literal compared against `col` of a table shaped like
+/// `t` (its dictionaries resolve a string to its code).
 fn key_of_value(t: &Table, col: ColId, v: &Value) -> Option<i64> {
     match v {
         Value::Int32(x) => Some(*x as i64),

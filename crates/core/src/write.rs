@@ -256,7 +256,7 @@ impl TableEntry {
         let Some((stats, main)) = self.table.merge(min_ops, layout)? else {
             return Ok(None);
         };
-        self.reindex(&main, stats.generation);
+        self.reindex(&main, stats.generation)?;
         Ok(Some(stats))
     }
 }
@@ -275,8 +275,8 @@ pub(crate) fn keep_layout(cut: &Snapshot) -> Layout {
 /// ([`Pipe::select`]); main-store rows then run the pipeline core's
 /// survivor loop (zone refutation → tombstone mask → kernel block masks)
 /// into a row-id sink — through [`pdsm_txn::MainStore::for_each_extent`],
-/// so a still-cold main goes extent-at-a-time and is never hydrated — and
-/// the live tail is interpreted. The id set is only meaningful while the
+/// so a cold main goes extent-at-a-time — and the live tail is
+/// interpreted. The id set is only meaningful while the
 /// caller's table lock is held.
 fn match_rows(
     vt: &VersionedTable,

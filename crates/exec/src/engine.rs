@@ -6,6 +6,7 @@ use pdsm_plan::logical::{AggFunc, LogicalPlan};
 use pdsm_storage::row::Row;
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{ColId, Table, Value, ZonePred};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A snapshot visibility overlay over one table: tombstones on the
@@ -88,11 +89,11 @@ pub type PieceVisitor<'v> = dyn FnMut(&Table, &[bool]) -> Result<(), ExecError> 
 /// Resolves table names to storage. Implemented by `pdsm-core`'s
 /// statement view, by `pdsm-txn`'s snapshots and by plain maps in tests.
 pub trait TableProvider {
-    /// The table called `name`, if present, resident: a provider over a
-    /// cold main store makes it resident here. The Volcano oracle and the
-    /// `pdsm-bench` baselines read tables this way; the pipeline core
-    /// reads [`TableProvider::shape`] and [`TableProvider::for_each_piece`].
-    fn table(&self, name: &str) -> Option<&Table>;
+    /// A table carrying `name`'s name, schema, layout and dictionaries,
+    /// if present, for reading column metadata without touching a row: a
+    /// plain provider's whole table, or a zero-row skeleton of a versioned
+    /// main store.
+    fn shape(&self, name: &str) -> Option<&Table>;
 
     /// The visibility overlay of `name`, if the provider is versioned and
     /// the table has pending changes. The default (plain, unversioned
@@ -102,12 +103,16 @@ pub trait TableProvider {
         None
     }
 
-    /// A table carrying `name`'s name, schema, layout and dictionaries,
-    /// for reading column metadata without touching a row. The default is
-    /// [`TableProvider::table`]; a provider over cold mains returns a
-    /// zero-row skeleton.
-    fn shape(&self, name: &str) -> Option<&Table> {
-        self.table(name)
+    /// `name`'s main store as one whole table: borrowed where the provider
+    /// holds it resident, else assembled for this one call. Only the
+    /// Volcano oracle and the `pdsm-bench` baselines read tables this way;
+    /// the pipeline core reads [`TableProvider::shape`] and
+    /// [`TableProvider::for_each_piece`]. The default borrows
+    /// [`TableProvider::shape`], a plain provider's whole table.
+    fn table(&self, name: &str) -> Result<Cow<'_, Table>, ExecError> {
+        self.shape(name)
+            .map(Cow::Borrowed)
+            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))
     }
 
     /// Visit `name`'s main store in row order as `(table, dead)` pieces,
@@ -124,15 +129,12 @@ pub trait TableProvider {
         visit: &mut PieceVisitor<'_>,
     ) -> Result<(), ExecError> {
         let _ = zps;
-        let t = self
-            .table(name)
-            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
-        visit(t, Overlay::dead_of(&self.overlay(name)))
+        visit(&*self.table(name)?, Overlay::dead_of(&self.overlay(name)))
     }
 }
 
 impl TableProvider for std::collections::HashMap<String, Table> {
-    fn table(&self, name: &str) -> Option<&Table> {
+    fn shape(&self, name: &str) -> Option<&Table> {
         self.get(name)
     }
 }

@@ -22,9 +22,9 @@
 //! survivor loop (zone refutation → tombstone mask → block mask →
 //! survivors); its two drivers are the compiled engine and `pdsm-par`'s
 //! parallel engine. A storage feature is therefore implemented twice:
-//! once there, once in Volcano, which reads a cold main by making it
-//! resident. The Fig.-3 bulk and vectorized baselines live in
-//! `pdsm-bench`, over plain tables.
+//! once there, once in Volcano, which reads a cold main through a
+//! whole-table copy assembled for the run. The Fig.-3 bulk and vectorized
+//! baselines live in `pdsm-bench`, over plain tables.
 //!
 //! Every engine aggregates through one [`Accumulator`], and it is
 //! order-free: integer sums add in `i128`, float sums in an exact

@@ -14,6 +14,7 @@ use pdsm_plan::expr::Expr;
 use pdsm_plan::logical::{AggExpr, LogicalPlan, SortKey};
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{ColId, Table, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Tuple-at-a-time operator interface.
@@ -27,7 +28,7 @@ trait Operator {
 /// With a visibility [`Overlay`], tombstoned main rows are skipped and the
 /// live tail rows are emitted after the main store, in append order.
 struct ScanOp<'a> {
-    table: &'a Table,
+    table: Cow<'a, Table>,
     overlay: Option<Overlay<'a>>,
     needed: Vec<ColId>,
     width: usize,
@@ -270,7 +271,7 @@ impl Engine for VolcanoEngine {
     ) -> Result<QueryOutput, ExecError> {
         // Compute per-table required columns once, then let scans decode
         // only those.
-        let width = |t: &str| db.table(t).map(|tb| tb.schema().len()).unwrap_or(0);
+        let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
         let required = plan.required_columns(&width);
         let mut root = self.compile_with_pruning(plan, db, &required)?;
         let mut out = QueryOutput::new();
@@ -289,19 +290,18 @@ impl VolcanoEngine {
         required: &[(String, Vec<ColId>)],
     ) -> Result<Box<dyn Operator + 'a>, ExecError> {
         if let LogicalPlan::Scan { table } = plan {
-            let t = db
-                .table(table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
+            let t = db.table(table)?;
+            let width = t.schema().len();
             let needed = required
                 .iter()
                 .find(|(n, _)| n == table)
                 .map(|(_, c)| c.clone())
-                .unwrap_or_else(|| (0..t.schema().len()).collect());
+                .unwrap_or_else(|| (0..width).collect());
             return Ok(Box::new(ScanOp {
                 table: t,
                 overlay: db.overlay(table),
                 needed,
-                width: t.schema().len(),
+                width,
                 row: 0,
                 tail_row: 0,
             }));

@@ -390,7 +390,7 @@ mod tests {
     }
 
     impl TableProvider for Versioned<'_> {
-        fn table(&self, name: &str) -> Option<&Table> {
+        fn shape(&self, name: &str) -> Option<&Table> {
             (name == "t").then_some(self.t)
         }
 

@@ -1,10 +1,11 @@
 //! [`ColdTable`]: a checkpointed main store opened *header-only*. Row data
-//! stays on disk until a query pins the extents it scans (or the table is
-//! hydrated wholesale); each extent is one pool frame, faulted by one read
-//! and decoded once into the mini table scans borrow. The open file handle
-//! is kept for the table's lifetime, so a later checkpoint unlinking this
-//! generation's file cannot invalidate in-flight faults (POSIX keeps the
-//! inode alive).
+//! stays on disk until a reader pins the extents it walks; each extent is
+//! one pool frame, faulted by one read and decoded once into the mini
+//! table readers borrow. A caller that must have one whole table gets a
+//! copy assembled for it ([`ColdTable::hydrate`]); the mount stays cold.
+//! The open file handle is kept for the table's lifetime, so a later
+//! checkpoint unlinking this generation's file cannot invalidate in-flight
+//! faults (POSIX keeps the inode alive).
 
 use std::fs::File;
 use std::io;
@@ -99,18 +100,6 @@ impl ColdTable {
         (b0..b1).all(|b| zones.block_refuted(b, preds))
     }
 
-    /// Zero-row table carrying this checkpoint's name, schema and layout —
-    /// enough for code that only needs column metadata (zone-predicate
-    /// translation, planner views) without faulting a single byte.
-    pub fn skeleton(&self) -> Table {
-        Table::with_layout(
-            self.header.name.clone(),
-            self.header.schema.clone(),
-            self.header.layout.clone(),
-        )
-        .expect("checkpoint header carries a valid layout")
-    }
-
     /// Which extents are resident right now? Indexed by extent, length
     /// [`ColdTable::n_extents`]. Advisory: residency can change as soon as
     /// the pool lock drops — used only for planner pricing and `explain`.
@@ -144,10 +133,11 @@ impl ColdTable {
             .map_err(io_err)
     }
 
-    /// Fault in the whole table and reassemble the resident main store —
-    /// bit-identical to a `persist::from_bytes` load. Every extent still moves
-    /// through the pool (so budgets, stats, and eviction apply), but the
-    /// assembled table itself is owned by the caller.
+    /// Fault in the whole table and assemble a copy of it — bit-identical
+    /// to a `persist::from_bytes` load. Every extent still moves through
+    /// the pool (so budgets, stats, and eviction apply), but the assembled
+    /// table is the caller's alone: nothing caches it, and this mount stays
+    /// cold.
     pub fn hydrate(&self) -> Result<Table> {
         // Each pin drops at once: its table's `Arc` outlives an eviction
         // until the assembly has copied it.

@@ -11,11 +11,12 @@
 //!
 //! [`ColdTable`] is the integration point: a checkpoint opened header-only
 //! whose extents fault in on first touch. `pdsm-txn` mounts one as the
-//! unhydrated main store of a recovered table; the compiled and parallel
-//! engines walk every scan of it extent-at-a-time, each reading its
-//! pinned frame in place (skipping zone-refuted extents without faulting
-//! them), and the planner prices the cold fraction via the disk tier in
-//! `pdsm-cost`.
+//! cold main store of a recovered table, and it stays cold until a merge
+//! replaces it. Every whole-table reader — the compiled and parallel
+//! engines, the merge fold, index builds — walks it extent-at-a-time,
+//! reading each pinned frame in place (scans skip zone-refuted extents
+//! without faulting them), and the planner prices the cold fraction via
+//! the disk tier in `pdsm-cost`.
 
 pub mod cold;
 pub mod lru_k;

@@ -270,6 +270,16 @@ impl TableHeader {
             .sum()
     }
 
+    /// A zero-row table under this header's name, schema, layout and
+    /// dictionaries — a cold main's skeleton, and what extent decoding and
+    /// reassembly restore partitions into.
+    pub fn skeleton(&self) -> Result<Table> {
+        let mut t =
+            Table::with_layout(self.name.clone(), self.schema.clone(), self.layout.clone())?;
+        t.restore_dicts(Arc::clone(&self.dicts));
+        Ok(t)
+    }
+
     /// The file range `[start, end)` holding extent `e`'s payloads — its
     /// directory entries are adjacent, so one read faults the whole extent.
     pub fn extent_span(&self, e: usize) -> (u64, u64) {
@@ -552,7 +562,7 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
 pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Result<Table> {
     let (lo, hi) = h.extent_row_range(e);
     let rows = hi - lo;
-    let mut t = Table::with_layout(h.name.clone(), h.schema.clone(), h.layout.clone())?;
+    let mut t = h.skeleton()?;
     for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
         let payload = (off.checked_sub(start))
             .and_then(|from| Some(from as usize..from.checked_add(plen)? as usize))
@@ -587,7 +597,7 @@ pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Res
         }
         t.partitions_mut()[g].restore(arena, rows, validity);
     }
-    t.restore_meta(Arc::clone(&h.dicts), rows);
+    t.restore_len(rows);
     if let Some(z) = &h.zones {
         t.install_zones(z.slice_rows(lo, hi));
     }
@@ -629,14 +639,14 @@ pub fn assemble_table<T: Borrow<Table>>(
     if rows != h.len {
         return Err(corrupt("extents do not cover the table"));
     }
-    let mut t = Table::with_layout(h.name.clone(), h.schema.clone(), h.layout.clone())?;
+    let mut t = h.skeleton()?;
     for (g, (arena, words)) in arenas.into_iter().zip(words).enumerate() {
         let validity = (words.into_iter())
             .map(|w| w.map(|w| Bitmap::from_words(w, h.len)))
             .collect();
         t.partitions_mut()[g].restore(arena, h.len, validity);
     }
-    t.restore_meta(Arc::clone(&h.dicts), h.len);
+    t.restore_len(h.len);
     if let Some(z) = &h.zones {
         t.install_zones(z.clone());
     }

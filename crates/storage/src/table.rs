@@ -125,6 +125,15 @@ impl Table {
         self.dicts.get(c).and_then(|d| d.as_ref())
     }
 
+    /// A zero-row table with this table's name, schema, layout and
+    /// (shared) dictionaries.
+    pub fn skeleton(&self) -> Table {
+        let mut t = Table::with_layout(self.name.clone(), self.schema.clone(), self.layout.clone())
+            .expect("a table's own layout is valid");
+        t.dicts = Arc::clone(&self.dicts);
+        t
+    }
+
     /// Total bytes held by all partition arenas.
     pub fn byte_size(&self) -> usize {
         self.partitions.iter().map(|p| p.byte_size()).sum()
@@ -367,11 +376,14 @@ impl Table {
         &self.dicts
     }
 
-    /// Overwrite dictionaries and row count from persisted state
-    /// (persistence only; partitions are restored separately).
-    pub(crate) fn restore_meta(&mut self, dicts: Arc<Vec<Option<Dictionary>>>, len: usize) {
+    /// Install persisted dictionaries (persistence only).
+    pub(crate) fn restore_dicts(&mut self, dicts: Arc<Vec<Option<Dictionary>>>) {
         assert_eq!(dicts.len(), self.schema.len(), "dictionary arity mismatch");
         self.dicts = dicts;
+    }
+
+    /// Set the row count of restored partitions (persistence only).
+    pub(crate) fn restore_len(&mut self, len: usize) {
         self.len = len;
         self.invalidate_zones();
     }

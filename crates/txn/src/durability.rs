@@ -30,7 +30,7 @@
 //! hand back the finished table with its durability attached.
 
 use crate::table::VersionedTable;
-use crate::version::OverlayData;
+use crate::version::{Form, OverlayData};
 use pdsm_pool::{BufferPool, ColdTable};
 use pdsm_storage::{persist, Error, Result, Table};
 use pdsm_store::{
@@ -157,19 +157,19 @@ fn cleanup(dir: &Path, keep: u64) {
 
 impl TableDurability {
     /// Bootstrap durability for a table that exists only in memory:
-    /// persist its main store at its generation, start an empty WAL,
-    /// commit the manifest entry and attach the handle. The table's delta
-    /// must be empty (call this at creation or right after a merge).
+    /// persist `table` as its generation-0 main store, start an empty WAL,
+    /// commit the manifest entry, and return it as a versioned table with
+    /// the handle attached.
     pub fn create(
         data_dir: &Path,
         manifest: Arc<Manifest>,
         fsync: FsyncMode,
-        table: &mut VersionedTable,
-    ) -> Result<()> {
-        let (name, generation) = (table.name().to_string(), table.generation());
+        table: Table,
+    ) -> Result<VersionedTable> {
+        let (name, generation) = (table.name().to_string(), 0);
         let dir = data_dir.join(sanitize_name(&name));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create table dir", e))?;
-        write_temp_main(&dir, table.main(), generation)?;
+        write_temp_main(&dir, &table, generation)?;
         commit_main(&dir, generation)?;
         let wal =
             Wal::create(&wal_path(&dir, generation), fsync).map_err(|e| io_err("create wal", e))?;
@@ -178,8 +178,9 @@ impl TableDurability {
             .set(&name, generation)
             .map_err(|e| io_err("commit manifest", e))?;
         cleanup(&dir, generation);
+        let mut table = VersionedTable::from_table(table);
         table.set_durability(Arc::new(Self::handle(dir, &name, manifest, fsync, wal, 0)));
-        Ok(())
+        Ok(table)
     }
 
     fn handle(
@@ -226,16 +227,16 @@ impl TableDurability {
         // before they can be mistaken for real state.
         remove_temp_files(&dir);
         let path = main_path(&dir, generation);
-        let (main, cold, on_disk_gen) = match pool {
+        let (form, on_disk_gen) = match pool {
             Some(pool) => {
                 let cold = ColdTable::open(&path, pool)?;
                 let on_disk_gen = cold.generation();
-                (None, Some(Arc::new(cold)), on_disk_gen)
+                (Form::Cold(Arc::new(cold)), on_disk_gen)
             }
             None => {
                 let bytes = std::fs::read(&path).map_err(|e| io_err("read main store", e))?;
                 let (table, on_disk_gen) = persist::from_bytes(&bytes)?;
-                (Some(Arc::new(table)), None, on_disk_gen)
+                (Form::Resident(Arc::new(table)), on_disk_gen)
             }
         };
         if on_disk_gen != generation {
@@ -246,7 +247,7 @@ impl TableDurability {
         }
         let (records, wal) = recover_wal(&wal_path(&dir, generation), fsync)?;
         cleanup(&dir, generation);
-        let mut table = VersionedTable::at_generation(main, cold, generation);
+        let mut table = VersionedTable::at_generation(form, generation);
         let replayed = records.len() as u64;
         replay(&mut table, records)?;
         table.set_durability(Arc::new(Self::handle(
@@ -432,8 +433,8 @@ mod tests {
 
     fn durable_table(dir: &Path, name: &str) -> (VersionedTable, Arc<Manifest>) {
         let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
-        let mut t = VersionedTable::new(name, schema());
-        TableDurability::create(dir, Arc::clone(&manifest), FsyncMode::Off, &mut t).unwrap();
+        let table = Table::new(name, schema());
+        let t = TableDurability::create(dir, Arc::clone(&manifest), FsyncMode::Off, table).unwrap();
         (t, manifest)
     }
 
@@ -679,25 +680,25 @@ mod tests {
         );
         assert_eq!(t.len(), before.len());
         assert_eq!(t.schema(), &schema());
-        // Full scan hydrates once and matches the resident replay exactly.
+        // A full scan walks the extents, matches the resident replay
+        // exactly, and leaves the main cold.
         assert_eq!(all_rows(&t), before);
-        assert!(t.store().cold().is_none(), "scan should have hydrated");
-        assert!(pool.stats().misses > 0, "hydration faults through the pool");
+        assert!(t.store().cold().is_some(), "a scan converted the main");
+        assert!(pool.stats().misses > 0, "the scan faults through the pool");
         drop(t);
 
         // A merge over a still-cold main retires the old generation's
         // frames; nothing stays pinned at quiesce.
         let (mut t, pool) = reopen_cold();
-        // Pinning the merge's cut reads nothing; the fold is what hydrates.
+        // Pinning the merge's cut reads nothing; the fold walks the
+        // extents and leaves the main it folded cold.
         let recovered = pool.stats();
         let ticket = t.begin_merge();
         assert_eq!(pool.stats(), recovered, "begin_merge touched the pool");
-        assert!(t.store().cold().is_some(), "begin_merge hydrated the main");
+        assert!(t.store().cold().is_some(), "begin_merge converted the main");
         let built = ticket.build(t.store().layout().clone()).unwrap();
-        assert!(
-            t.store().cold().is_none(),
-            "the build folds a resident main"
-        );
+        assert!(t.store().cold().is_some(), "the build converted the main");
+        assert_eq!(pool.stats().pinned_frames, 0, "the fold leaked a pin");
         t.finish_merge(built).unwrap();
         assert_eq!(t.generation(), 2);
         assert_eq!(all_rows(&t), before);

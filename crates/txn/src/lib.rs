@@ -23,8 +23,9 @@
 //! ## Snapshots
 //!
 //! Readers take [`Snapshot`] handles: a snapshot pins the generation's
-//! [`MainStore`] handle — resident, or still on disk behind the buffer
-//! pool; pinning faults nothing either way (module [`version`]) — plus the
+//! [`MainStore`] handle — resident, or on disk behind the buffer pool, a
+//! [`Form`] that is never converted: readers walk a cold main an extent at
+//! a time, and pinning faults nothing (module [`version`]) — plus the
 //! table's live delta ([`OverlayData`]), shared by `Arc`. Writes go
 //! through `Arc::make_mut`: the first write after a snapshot that is still
 //! alive copies the delta away from it, so queries running on a snapshot
@@ -102,4 +103,4 @@ pub use durability::{DurabilityStats, TableDurability};
 pub use merge::{BuiltMain, MergeTicket};
 pub use shared::SharedTable;
 pub use table::{MergeStats, RowId, VersionStats, VersionedTable};
-pub use version::{MainStore, OverlayData, Snapshot};
+pub use version::{Form, MainStore, OverlayData, Snapshot};

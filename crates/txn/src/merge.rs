@@ -7,10 +7,13 @@
 //!    of the current version (the *cut*) and start recording post-cut
 //!    tombstones in a replay log. O(1): the cut shares the live delta.
 //! 2. **build** ([`MergeTicket::build`]) — fold the pinned snapshot into a
-//!    fresh main store under any layout, recording a remap from cut row
-//!    ids to fresh positions, and — for a durable table — serialize it to
-//!    the next generation's temp blob. Lock-free: runs on any thread, off
-//!    the writer's critical path, while writes keep landing in the delta.
+//!    fresh resident main store under any layout, recording a remap from
+//!    cut row ids to fresh positions, and — for a durable table —
+//!    serialize it to the next generation's temp blob. The fold walks the
+//!    cut's main extent by extent ([`crate::MainStore::for_each_extent`]),
+//!    so a cold main stays cold and holds one pinned extent at a time.
+//!    Lock-free: runs on any thread, off the writer's critical path, while
+//!    writes keep landing in the delta.
 //! 3. **finish** ([`crate::VersionedTable::finish_merge`]) — replay the
 //!    ops that arrived during the build (tombstones re-applied through the
 //!    remap; post-cut tail rows carried into the new delta), swap the
@@ -23,6 +26,7 @@
 
 use crate::durability::TableDurability;
 use crate::version::Snapshot;
+use pdsm_exec::Overlay;
 use pdsm_storage::{Layout, Result, Table};
 use std::sync::Arc;
 
@@ -44,12 +48,12 @@ impl MergeTicket {
     /// Phase 2: fold the cut into a fresh main store under `layout` and,
     /// for a durable table, write it as the next generation's temp blob
     /// (see [`TableDurability::pre_persist`]). Lock-free — touches only
-    /// the pinned snapshot, making a cold main resident; an error (an
-    /// unreadable extent among them) leaves the table as it was.
+    /// the pinned snapshot, a cold main one pinned extent at a time; an
+    /// error (an unreadable extent among them) leaves the table as it was.
     pub fn build(&self, layout: Layout) -> Result<BuiltMain> {
-        let main = self.snapshot.store().table()?;
+        let main = self.snapshot.store();
         let overlay = self.snapshot.overlay();
-        let mut fresh = Table::with_layout(main.name().to_string(), main.schema().clone(), layout)?;
+        let mut fresh = Table::with_layout(main.skeleton().name(), main.schema().clone(), layout)?;
         fresh.reserve(self.snapshot.len());
         // Remap cut-space row ids (main positions, then tail ordinals) to
         // positions in the fresh main; `None` = dead at the cut.
@@ -57,15 +61,18 @@ impl MergeTicket {
         let mut remap: Vec<Option<u32>> = vec![None; main.len() + cut_tail];
         let mut pos = 0u32;
         let mut dead_at_cut = 0usize;
-        for (i, slot) in remap.iter_mut().enumerate().take(main.len()) {
-            if overlay.as_ref().is_some_and(|o| o.is_dead(i)) {
-                dead_at_cut += 1;
-                continue;
+        main.for_each_extent(&[], Overlay::dead_of(&overlay), |first, t, dead| {
+            for i in 0..t.len() {
+                if dead.get(i).is_some_and(|d| *d) {
+                    dead_at_cut += 1;
+                    continue;
+                }
+                fresh.insert(t.row(i)?.values())?;
+                remap[first + i] = Some(pos);
+                pos += 1;
             }
-            fresh.insert(main.row(i)?.values())?;
-            *slot = Some(pos);
-            pos += 1;
-        }
+            Ok(())
+        })?;
         let mut tail_folded = 0usize;
         if let Some(o) = overlay {
             for (j, row) in o.tail.iter().enumerate() {

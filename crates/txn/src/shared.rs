@@ -6,8 +6,8 @@
 //! compound statement through [`SharedTable::with_write`], which is how
 //! predicate DML keeps its match and its one commit atomic; readers take the
 //! read lock only to clone a [`Snapshot`] and then run queries entirely
-//! outside the lock — including the hydration of a still-cold main store,
-//! which no [`SharedTable`] method performs under either guard.
+//! outside the lock — a still-cold main store's extents fault under no
+//! guard of this table.
 //!
 //! A merge has one shape, [`SharedTable::merge`]: under the table's merge
 //! mutex — so merges of one table run one at a time, and a build always
@@ -18,8 +18,8 @@
 //! merge keep their pinned `Arc`s and are never blocked mid-query or torn.
 
 use crate::table::{MergeStats, RowId, VersionStats, VersionedTable};
-use crate::version::Snapshot;
-use pdsm_storage::{Layout, Result, Table, Value};
+use crate::version::{MainStore, Snapshot};
+use pdsm_storage::{Layout, Result, Value};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A cloneable handle to a concurrently usable versioned table.
@@ -72,16 +72,16 @@ impl SharedTable {
     /// serialization run off-lock; a second short write lock replays the
     /// ops written meanwhile and swaps. Those ops stay as the next delta.
     ///
-    /// Returns the merge's stats with the main store it published (taken
-    /// under the swap's lock, so index rebuilds run over exactly that
-    /// version), or `Ok(None)` — table untouched — below `min_ops`. A
-    /// failed build (a failed blob write among them) leaves the table
-    /// untouched too.
+    /// Returns the merge's stats with the fresh main store it built and
+    /// published (its handle, cloned under the swap's lock, so index
+    /// rebuilds run over exactly that version), or `Ok(None)` — table
+    /// untouched — below `min_ops`. A failed build (a failed blob write
+    /// among them) leaves the table untouched too.
     pub fn merge(
         &self,
         min_ops: u64,
         layout: impl FnOnce(&Snapshot) -> Layout,
-    ) -> Result<Option<(MergeStats, Arc<Table>)>> {
+    ) -> Result<Option<(MergeStats, Arc<MainStore>)>> {
         let _one_at_a_time = self.merging.lock().unwrap_or_else(|e| e.into_inner());
         let ticket = {
             let mut t = self.write();
@@ -100,7 +100,7 @@ impl SharedTable {
                 return Err(e);
             }
         };
-        Ok(Some((stats, t.store().table()?.clone())))
+        Ok(Some((stats, Arc::clone(t.store()))))
     }
 
     /// Merge generation right now.
@@ -140,14 +140,6 @@ impl SharedTable {
         self.read().has_delta()
     }
 
-    /// Shared handle to the current main store, resident. A cold main is
-    /// hydrated here — after the read lock is released, so writers never
-    /// wait behind the faults.
-    pub fn main_arc(&self) -> Arc<Table> {
-        let store = Arc::clone(self.read().store());
-        store.resident().clone()
-    }
-
     /// The durability handle, if this table is durable.
     pub fn durability(&self) -> Option<Arc<crate::TableDurability>> {
         self.read().durability()
@@ -168,7 +160,7 @@ impl SharedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsm_storage::{ColumnDef, DataType, Schema};
+    use pdsm_storage::{ColumnDef, DataType, Schema, Table};
     use std::sync::mpsc::channel;
     use std::time::Duration;
 

@@ -4,9 +4,8 @@
 
 use crate::durability::TableDurability;
 use crate::merge::{BuiltMain, MergeTicket};
-use crate::version::{MainStore, OverlayData, Snapshot};
-use pdsm_exec::{Overlay, TableProvider};
-use pdsm_pool::ColdTable;
+use crate::version::{Form, MainStore, OverlayData, Snapshot};
+use pdsm_exec::Overlay;
 use pdsm_storage::row::Row;
 use pdsm_storage::{ColId, DataType, Error, Layout, Result, Schema, Table, Value};
 use pdsm_store::WalRecord;
@@ -49,8 +48,9 @@ pub struct VersionStats {
     pub pinned_versions: usize,
     /// Distinct main stores still allocated, including the current one.
     pub live_mains: usize,
-    /// Resident bytes held by *superseded* main stores that are still
-    /// allocated (the current generation's main is not garbage).
+    /// Bytes held by *superseded* resident main stores that are still
+    /// allocated (the current generation's main is not garbage; a cold
+    /// one holds only pool frames, which the pool's budget bounds).
     pub pinned_bytes: usize,
 }
 
@@ -82,10 +82,10 @@ struct PendingMerge {
 /// All write operations take `&mut self`; concurrent single-writer /
 /// multi-reader use goes through [`crate::SharedTable`].
 ///
-/// A table recovered through a buffer pool keeps its main store on disk:
-/// the [`MainStore`] handle answers from the checkpoint header and faults
-/// extents through the pool until something needs the whole table
-/// resident ([`MainStore::table`] hydrates it once, lazily).
+/// A table recovered through a buffer pool keeps its main store on disk
+/// until a merge replaces it: the [`MainStore`] handle answers from the
+/// checkpoint header, and every reader faults the extents it walks through
+/// the pool.
 #[derive(Debug)]
 pub struct VersionedTable {
     /// This generation's main store, shared with every snapshot of it.
@@ -119,27 +119,21 @@ impl Clone for VersionedTable {
         // `self`) and no durability — two tables sharing one log would
         // corrupt each other's id space. The delta is shared until either
         // side writes.
-        let (table, cold) = (self.main.table.get().cloned(), self.main.cold.clone());
         VersionedTable {
             delta: Arc::clone(&self.delta),
             n_ops: self.n_ops,
-            ..Self::at_generation(table, cold, self.generation)
+            ..Self::at_generation(self.main.form().clone(), self.generation)
         }
     }
 }
 
 impl VersionedTable {
-    /// An empty-delta table at `generation` over a resident `main` or a
-    /// still-on-disk `cold` checkpoint (recovery passes one or the other).
+    /// An empty-delta table at `generation` over a main store of `form`.
     /// WAL replay never reads a cold main's rows: it commits against the
     /// header's row count and the tombstone masks.
-    pub(crate) fn at_generation(
-        main: Option<Arc<Table>>,
-        cold: Option<Arc<ColdTable>>,
-        generation: u64,
-    ) -> Self {
+    pub(crate) fn at_generation(form: Form, generation: u64) -> Self {
         VersionedTable {
-            main: Arc::new(MainStore::new(main, cold, generation)),
+            main: Arc::new(MainStore::new(form, generation)),
             generation,
             delta: Arc::default(),
             n_ops: 0,
@@ -152,7 +146,7 @@ impl VersionedTable {
     /// Wrap an already-built table (e.g. from a workload generator) as the
     /// generation-0 main store with an empty delta.
     pub fn from_table(table: Table) -> Self {
-        Self::at_generation(Some(Arc::new(table)), None, 0)
+        Self::at_generation(Form::Resident(Arc::new(table)), 0)
     }
 
     /// Attach the WAL + checkpoint glue. From here on every commit is
@@ -177,33 +171,25 @@ impl VersionedTable {
         Ok(Self::from_table(Table::with_layout(name, schema, layout)?))
     }
 
-    /// Table name. Never hydrates a cold main.
+    /// Table name.
     pub fn name(&self) -> &str {
         self.main.skeleton().name()
     }
 
-    /// The schema. Never hydrates (WAL replay normalizes against it).
+    /// The schema (WAL replay normalizes against it).
     pub fn schema(&self) -> &Schema {
         self.main.schema()
     }
 
     /// This generation's main-store handle: clone it out of a lock to
-    /// read — or hydrate — the main without holding the lock.
+    /// read the main without holding the lock.
     pub fn store(&self) -> &Arc<MainStore> {
         &self.main
     }
 
-    /// Main-store row count without hydrating a cold main.
+    /// Main-store row count (excludes pending delta rows).
     pub fn main_len(&self) -> usize {
         self.main.len()
-    }
-
-    /// The read-optimized main store (excludes pending delta rows).
-    /// Hydrates a cold main — under whatever lock the caller reached
-    /// `self` through; concurrent code goes through
-    /// [`VersionedTable::store`] or a [`Snapshot`] instead.
-    pub fn main(&self) -> &Table {
-        self.main.resident()
     }
 
     /// Merge generation (0 for a fresh table, +1 per merge).
@@ -494,17 +480,15 @@ impl VersionedTable {
         self.has_delta().then(|| self.delta.as_overlay())
     }
 
-    /// All visible rows in scan order (main order, then tail append order).
-    /// Hydrates a cold main.
+    /// All visible rows in scan order (main order, then tail append order),
+    /// the main an extent at a time (see [`Snapshot::rows`]).
     pub fn rows(&self) -> impl Iterator<Item = Row> {
         self.snapshot().rows().into_iter()
     }
 
     /// Take a consistent snapshot of the current version. O(1): the
     /// snapshot shares the live delta, which the next write copies first
-    /// if the snapshot is still alive then. Never touches main-store rows:
-    /// a cold main stays cold until a holder of the snapshot asks for
-    /// [`Snapshot::main`].
+    /// if the snapshot is still alive then. Never touches main-store rows.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             main: Arc::clone(&self.main),
@@ -542,9 +526,8 @@ impl VersionedTable {
 
     /// Phase 1 of a merge: pin the current version as the build's *cut*
     /// and start recording post-cut tombstones for replay. O(1) — the cut
-    /// is a snapshot — and not one main-store row read; the heavy fold —
-    /// and with it the hydration of a still-cold main — belongs to
-    /// [`MergeTicket::build`], which runs on any thread.
+    /// is a snapshot — and not one main-store row read; the heavy fold
+    /// belongs to [`MergeTicket::build`], which runs on any thread.
     ///
     /// A table has one cut at a time: this replaces any cut whose build
     /// never finished.
@@ -606,14 +589,13 @@ impl VersionedTable {
         let superseded = std::mem::replace(
             &mut self.main,
             Arc::new(MainStore::new(
-                Some(new_main.clone()),
-                None,
+                Form::Resident(Arc::clone(&new_main)),
                 self.generation,
             )),
         );
         // The merge supersedes the checkpoint a cold mount was serving:
         // retire its frames so the pool does not cache a dead generation.
-        if let Some(c) = &superseded.cold {
+        if let Some(c) = superseded.cold() {
             c.retire();
         }
         self.superseded.retain(|m| m.strong_count() > 0);
@@ -638,7 +620,8 @@ impl VersionedTable {
     }
 
     /// The version chain right now: main stores still allocated, the
-    /// generations snapshots pin, and the bytes superseded versions hold.
+    /// generations snapshots pin, and the bytes superseded resident
+    /// versions hold.
     /// Read off the superseded mains' weak handles and the current main's
     /// `Arc` count — a snapshot costs no bookkeeping.
     pub fn version_stats(&self) -> VersionStats {
@@ -647,8 +630,8 @@ impl VersionedTable {
             pinned_versions: old.len() + usize::from(Arc::strong_count(&self.main) > 1),
             live_mains: old.len() + 1,
             pinned_bytes: (old.iter())
-                .filter_map(|m| m.table.get())
-                .map(|t| t.byte_size())
+                .filter(|m| m.cold().is_none())
+                .map(|m| m.byte_size())
                 .sum(),
         }
     }
@@ -667,23 +650,6 @@ impl VersionedTable {
             })
             .sum();
         row_bytes + self.delta.dead.len() + self.delta.tail_alive.len()
-    }
-}
-
-/// A live `VersionedTable` is itself a single-table provider: queries
-/// against `&self` see main ∪ delta − tombstones. (Rust's borrow rules make
-/// this safe without snapshotting: no write can happen during the borrow.)
-impl TableProvider for VersionedTable {
-    fn table(&self, name: &str) -> Option<&Table> {
-        (name == self.name()).then(|| self.main())
-    }
-
-    fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
-        if name == self.name() {
-            self.overlay()
-        } else {
-            None
-        }
     }
 }
 
@@ -951,7 +917,7 @@ mod tests {
         assert_eq!(stats.tombstones_dropped, 2);
         assert_eq!(stats.delta_rows_folded, 1);
         assert_eq!(stats.rows_after, 9);
-        assert_eq!(t.main().len(), 9);
+        assert_eq!(t.main_len(), 9);
         assert!(!t.has_delta());
         // scan order: surviving main rows, then the folded tail row
         assert_eq!(t.get(0).unwrap().0[0], Value::Int32(1));
@@ -968,7 +934,7 @@ mod tests {
         t.merge_with_layout(Layout::column(3)).unwrap();
         let after: Vec<Row> = t.rows().collect();
         assert_eq!(before, after);
-        assert_eq!(t.main().layout().n_groups(), 3);
+        assert_eq!(t.store().layout().n_groups(), 3);
     }
 
     #[test]

@@ -4,18 +4,20 @@
 //!
 //! A generation's main store is **one handle** behind one `Arc`, held by
 //! the [`crate::VersionedTable`] and by every [`Snapshot`] of that
-//! generation — resident from birth, or mounted over a checkpoint whose
-//! extents are still on disk. Callers do not tell the two apart: name,
-//! schema, layout, row count, zone map and a zero-row skeleton come from
-//! the header and never fault; [`MainStore::for_each_extent`] walks the
-//! rows as one resident table or, while cold, one pinned extent at a time
-//! — every compiled and parallel scan reads a cold main that way, through
-//! [`Snapshot`]'s [`TableProvider::for_each_piece`];
-//! [`MainStore::table`] is the only door that makes a cold store resident
-//! — once per generation, on the calling thread, which reached it through
-//! a handle it cloned out of the table and so holds no table lock. The
-//! Volcano oracle, the merge fold, index builds and advisor statistics go
-//! through it. Taking a snapshot therefore pins and does not load or copy:
+//! generation. It keeps one [`Form`] for its whole life — resident from
+//! birth, or mounted over a checkpoint whose extents stay on disk behind
+//! the buffer pool — and is never converted: a merge replaces it. Name,
+//! schema, layout, dictionaries, row count, zone map and a zero-row
+//! skeleton come from the table or the header and never fault. Every
+//! reader that needs every row walks [`MainStore::for_each_extent`] — the
+//! resident table in one piece, a cold one a pinned extent at a time:
+//! compiled and parallel scans (through [`Snapshot`]'s
+//! [`TableProvider::for_each_piece`]), the merge fold, index builds and
+//! [`Snapshot::rows`]; [`MainStore::row`] reads one row through the one
+//! extent it lives in. Only the Volcano oracle (through [`Snapshot`]'s
+//! [`TableProvider::table`]) and `Database::get_table` want one whole
+//! table, and get a cold store's copy assembled for that one call, cached
+//! nowhere. Taking a snapshot therefore pins and does not load or copy:
 //! two `Arc` clones, not a byte faulted.
 
 use pdsm_exec::engine::PieceVisitor;
@@ -23,52 +25,45 @@ use pdsm_exec::{ExecError, Overlay, TableProvider};
 use pdsm_pool::ColdTable;
 use pdsm_storage::row::Row;
 use pdsm_storage::{Error, Layout, Schema, Table, ZoneMap, ZonePred};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+/// Where a main store's rows live, for the store's whole life.
+#[derive(Debug, Clone)]
+pub enum Form {
+    /// In memory: a merge's output, or a table built in this process.
+    Resident(Arc<Table>),
+    /// A checkpoint mounted header-only through the buffer pool.
+    Cold(Arc<ColdTable>),
+}
 
 /// The main store of one merge generation: a resident [`Table`], or a
-/// checkpoint mounted header-only through the buffer pool that becomes one
-/// on first demand. See the module docs.
+/// checkpoint mounted header-only through the buffer pool. See the module
+/// docs.
 #[derive(Debug)]
 pub struct MainStore {
-    /// Zero rows under this store's name, schema and layout.
+    /// Zero rows under this store's name, schema, layout and dictionaries.
     skeleton: Table,
     len: usize,
     generation: u64,
-    /// Set at construction for a resident store, by the one hydration for
-    /// a cold one.
-    pub(crate) table: OnceLock<Arc<Table>>,
-    /// Held by a running hydration: concurrent callers wait for it rather
-    /// than fault the checkpoint a second time.
-    hydrating: Mutex<()>,
-    /// The checkpoint this store was mounted over, if any (kept after
-    /// hydration: the merge that supersedes it retires its frames).
-    pub(crate) cold: Option<Arc<ColdTable>>,
+    form: Form,
 }
 
 impl MainStore {
-    /// The store of `generation` over a resident `table` or a still-on-disk
-    /// `cold` checkpoint (one or the other).
-    pub(crate) fn new(
-        table: Option<Arc<Table>>,
-        cold: Option<Arc<ColdTable>>,
-        generation: u64,
-    ) -> Self {
-        let (skeleton, len) = match (&table, &cold) {
-            (Some(t), _) => (
-                Table::with_layout(t.name(), t.schema().clone(), t.layout().clone())
-                    .expect("a table's own layout is valid"),
-                t.len(),
-            ),
-            (None, Some(c)) => (c.skeleton(), c.len()),
-            (None, None) => unreachable!("a main store is resident or mounted"),
+    /// The store of `generation` over `form`.
+    pub(crate) fn new(form: Form, generation: u64) -> Self {
+        let (skeleton, len) = match &form {
+            Form::Resident(t) => (t.skeleton(), t.len()),
+            Form::Cold(c) => {
+                let skeleton = c.header().skeleton().expect("a mounted header is valid");
+                (skeleton, c.len())
+            }
         };
         MainStore {
             skeleton,
             len,
             generation,
-            table: table.map(OnceLock::from).unwrap_or_default(),
-            hydrating: Mutex::new(()),
-            cold,
+            form,
         }
     }
 
@@ -81,9 +76,9 @@ impl MainStore {
         self.len == 0
     }
 
-    /// A zero-row table with this store's name, schema and layout — what
-    /// column metadata is read from and what predicates and aggregate
-    /// states are translated against.
+    /// A zero-row table with this store's name, schema, layout and
+    /// dictionaries — what column metadata and string codes are read from
+    /// and what predicates and aggregate states are translated against.
     pub fn skeleton(&self) -> &Table {
         &self.skeleton
     }
@@ -96,6 +91,19 @@ impl MainStore {
         self.skeleton.layout()
     }
 
+    /// Where the rows live.
+    pub fn form(&self) -> &Form {
+        &self.form
+    }
+
+    /// The mounted checkpoint: `Some` exactly when this store is cold.
+    pub fn cold(&self) -> Option<&Arc<ColdTable>> {
+        match &self.form {
+            Form::Resident(_) => None,
+            Form::Cold(c) => Some(c),
+        }
+    }
+
     /// The per-block min/max summaries of the rows: the resident table's
     /// (built on first use) or the checkpoint header's. `None` for an
     /// empty store or a checkpoint written without one.
@@ -103,56 +111,34 @@ impl MainStore {
         if self.len == 0 {
             return None;
         }
-        match self.table.get() {
-            Some(t) => Some(t.zone_map()),
-            None => self.cold.as_ref()?.header().zones.as_ref(),
+        match &self.form {
+            Form::Resident(t) => Some(t.zone_map()),
+            Form::Cold(c) => c.header().zones.as_ref(),
         }
     }
 
-    /// The mounted checkpoint while — and only while — its rows are still
-    /// on disk.
-    pub fn cold(&self) -> Option<&Arc<ColdTable>> {
-        self.cold.as_ref().filter(|_| self.table.get().is_none())
-    }
-
-    /// The resident table, hydrating a cold store on first demand:
-    /// every extent faults through the buffer pool into a table
-    /// bit-identical to a resident recovery, at most once (concurrent
-    /// callers wait for the one that runs). An extent that cannot be read
-    /// — the header was validated at open, so on-disk damage that appeared
-    /// after recovery — is the error, and leaves the store cold.
-    pub fn table(&self) -> Result<&Arc<Table>, Error> {
-        if let Some(t) = self.table.get() {
-            return Ok(t);
+    /// Bytes of the rows' partition arenas ([`Table::byte_size`]): the
+    /// resident table's, or a cold store's, read off its header with
+    /// nothing faulted.
+    pub fn byte_size(&self) -> usize {
+        match &self.form {
+            Form::Resident(t) => t.byte_size(),
+            Form::Cold(c) => c.len() * c.header().strides.iter().sum::<usize>(),
         }
-        let _one = self.hydrating.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(t) = self.table.get() {
-            return Ok(t);
-        }
-        let cold = self.cold.as_ref().expect("unhydrated ⇒ mounted");
-        let table = Arc::new(cold.hydrate()?);
-        Ok(self.table.get_or_init(|| table))
-    }
-
-    /// [`MainStore::table`] for callers with no error path — the Volcano
-    /// oracle, tests and size accounting: panics on an unreadable extent.
-    pub fn resident(&self) -> &Arc<Table> {
-        self.table()
-            .expect("cold main hydration: checkpoint payload unreadable")
     }
 
     /// Main-store row `id`, decoded — through the one extent it lives in
-    /// while cold (WAL replay and stray point reads must not hydrate).
+    /// when cold.
     pub fn row(&self, id: usize) -> Result<Row, Error> {
-        match self.cold() {
-            Some(cold) => cold.row(id),
-            None => self.table()?.row(id),
+        match &self.form {
+            Form::Resident(t) => t.row(id),
+            Form::Cold(c) => c.row(id),
         }
     }
 
     /// Visit the rows in order as `(first row id, table, that range's
     /// slice of the tombstone mask `dead`)`: the resident table in one
-    /// visit, or — while cold — every extent `zps` cannot refute, as the
+    /// visit, or every extent of a cold store `zps` cannot refute, as the
     /// pool frame's own mini table, borrowed and pinned only while `visit`
     /// runs (the next extent may evict it). Skipping a refuted extent is
     /// sound for every scan whose predicate implies `zps`: no main row of
@@ -163,8 +149,9 @@ impl MainStore {
         dead: &[bool],
         mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let Some(cold) = self.cold() else {
-            return visit(0, self.table()?, dead);
+        let cold = match &self.form {
+            Form::Resident(t) => return visit(0, t, dead),
+            Form::Cold(c) => c,
         };
         for e in 0..cold.n_extents() {
             if !zps.is_empty() && cold.extent_refuted(e, zps) {
@@ -225,7 +212,7 @@ impl OverlayData {
 /// independent of the writer: queries against a snapshot are wait-free. A
 /// snapshot is also a single-table [`TableProvider`], so it can be handed
 /// directly to any engine: the compiled and parallel engines walk a cold
-/// main extent by extent, the Volcano oracle makes it resident.
+/// main extent by extent, the Volcano oracle reads an assembled copy.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) main: Arc<MainStore>,
@@ -237,13 +224,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The pinned main store, resident: hydrates a cold one (once per
-    /// generation, on this thread, no table lock involved; see
-    /// [`MainStore::resident`]).
-    pub fn main(&self) -> &Table {
-        self.main.resident()
-    }
-
     /// The pinned main-store handle.
     pub fn store(&self) -> &Arc<MainStore> {
         &self.main
@@ -284,17 +264,19 @@ impl Snapshot {
     }
 
     /// All visible rows in scan order (main-store order, then tail append
-    /// order), decoded. Intended for tests and verification, not hot paths.
+    /// order), decoded, the main an extent at a time. Intended for tests
+    /// and verification, not hot paths: panics on an unreadable extent.
     pub fn rows(&self) -> Vec<Row> {
-        let main = self.main();
         let overlay = self.overlay();
         let mut out = Vec::with_capacity(self.len);
-        for i in 0..main.len() {
-            if overlay.as_ref().is_some_and(|o| o.is_dead(i)) {
-                continue;
-            }
-            out.push(main.row(i).expect("in-range"));
-        }
+        (self.main)
+            .for_each_extent(&[], Overlay::dead_of(&overlay), |_, t, dead| {
+                for i in (0..t.len()).filter(|&i| !dead.get(i).is_some_and(|d| *d)) {
+                    out.push(t.row(i)?);
+                }
+                Ok::<_, Error>(())
+            })
+            .expect("main store unreadable");
         if let Some(o) = overlay {
             out.extend(o.live_tail().cloned());
         }
@@ -303,16 +285,24 @@ impl Snapshot {
 }
 
 impl TableProvider for Snapshot {
-    fn table(&self, name: &str) -> Option<&Table> {
-        self.shape(name).map(|_| self.main())
+    fn shape(&self, name: &str) -> Option<&Table> {
+        Some(&self.main.skeleton).filter(|s| s.name() == name)
+    }
+
+    /// The resident main, borrowed, or a cold one's copy assembled
+    /// through the pool for this one call — cached nowhere, the store
+    /// stays cold.
+    fn table(&self, name: &str) -> Result<Cow<'_, Table>, ExecError> {
+        self.shape(name)
+            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
+        Ok(match self.main.form() {
+            Form::Resident(t) => Cow::Borrowed(t),
+            Form::Cold(c) => Cow::Owned(c.hydrate()?),
+        })
     }
 
     fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
         self.overlay().filter(|_| name == self.main.skeleton.name())
-    }
-
-    fn shape(&self, name: &str) -> Option<&Table> {
-        Some(&self.main.skeleton).filter(|s| s.name() == name)
     }
 
     fn for_each_piece(

@@ -71,7 +71,7 @@ impl MixedWorkload {
 /// The live-id set a driver threads through [`apply_write`]: every
 /// currently visible row id (main store and delta tail alike).
 pub fn live_ids(t: &VersionedTable) -> Vec<RowId> {
-    (0..t.main().len() + t.delta_rows())
+    (0..t.main_len() + t.delta_rows())
         .filter(|&i| t.is_visible(i))
         .collect()
 }

@@ -65,7 +65,7 @@ fn apply_stream(db: &Database, table: &str, ops: usize, seed: u64) {
             7 | 8 => {
                 // resolve + update atomically under the table's write lock
                 db.with_table_write(table, |vt| {
-                    let live: Vec<usize> = (0..vt.main().len() + vt.delta_rows())
+                    let live: Vec<usize> = (0..vt.main_len() + vt.delta_rows())
                         .filter(|&i| vt.is_visible(i))
                         .collect();
                     if !live.is_empty() {
@@ -77,7 +77,7 @@ fn apply_stream(db: &Database, table: &str, ops: usize, seed: u64) {
             }
             _ => {
                 db.with_table_write(table, |vt| {
-                    let live: Vec<usize> = (0..vt.main().len() + vt.delta_rows())
+                    let live: Vec<usize> = (0..vt.main_len() + vt.delta_rows())
                         .filter(|&i| vt.is_visible(i))
                         .collect();
                     if !live.is_empty() {

@@ -62,7 +62,7 @@ fn apply_step(db: &Database, rng: &mut SmallRng) {
         .unwrap();
     } else if w < 8 {
         db.with_table_write("t", |vt| {
-            let live: Vec<usize> = (0..vt.main().len() + vt.delta_rows())
+            let live: Vec<usize> = (0..vt.main_len() + vt.delta_rows())
                 .filter(|&i| vt.is_visible(i))
                 .collect();
             if !live.is_empty() {
@@ -75,7 +75,7 @@ fn apply_step(db: &Database, rng: &mut SmallRng) {
         .unwrap();
     } else {
         db.with_table_write("t", |vt| {
-            let live: Vec<usize> = (0..vt.main().len() + vt.delta_rows())
+            let live: Vec<usize> = (0..vt.main_len() + vt.delta_rows())
                 .filter(|&i| vt.is_visible(i))
                 .collect();
             if !live.is_empty() {

@@ -4,9 +4,9 @@
 //! DML / merge / query interleavings, for every engine and every layout.
 //! The compiled and parallel engines and the planner walk a cold main one
 //! extent at a time whatever the plan's shape; only the Volcano oracle
-//! makes it resident. At quiesce the pool must hold no pinned frames
-//! (pin-leak check) and must actually have faulted (the test would be
-//! vacuous if the cold path never ran).
+//! reads a whole-table copy, and the main stays cold. At quiesce the pool
+//! must hold no pinned frames (pin-leak check) and must actually have
+//! faulted (the test would be vacuous if the cold path never ran).
 
 use mrdb::core::{BufferPool, PoolStats};
 use mrdb::prelude::*;
@@ -190,8 +190,8 @@ fn order_insensitive(plan: &LogicalPlan) -> bool {
 
 /// Run `plans` on both twins across every engine (plus the cost-based
 /// planner path) and require byte-identical `QueryResult`s. A cold `R`
-/// must stay cold through the compiled, parallel and planned runs; the
-/// Volcano oracle runs last, since it makes `R` resident.
+/// must stay cold through the compiled, parallel and planned runs, which
+/// must fault, and through the Volcano oracle's, which runs last.
 fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPlan]) {
     let was_cold = r_is_cold(pooled);
     let misses = || pooled.pool_stats().map_or(0, |s| s.misses);
@@ -206,6 +206,9 @@ fn assert_twins_agree(pooled: &Database, resident: &Database, plans: &[LogicalPl
         prop_assert!(misses() > misses_before, "the serving runs never faulted");
     }
     twins_agree_under(pooled, resident, plans, &[EngineKind::Volcano], false);
+    if was_cold {
+        prop_assert!(r_is_cold(pooled), "the Volcano oracle converted R");
+    }
 }
 
 /// [`assert_twins_agree`] for `engines`, then (if `planned`) the planner.
@@ -411,12 +414,13 @@ fn replaying_a_predicate_update_faults_nothing() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-/// A cold main is made resident only by whoever needs it whole, on that
+/// A cold main is read whole only by whoever needs it whole, on that
 /// thread, holding no table lock: pinning a merge cut or a statement view
 /// faults nothing, a compiled join walks the extents and leaves the table
-/// cold, and the Volcano oracle's run of the same join hydrates the table
-/// while *another* thread holds the table's write lock — which then
-/// inserts without having waited behind a single fault.
+/// cold, and the Volcano oracle's run of the same join assembles its own
+/// copy while *another* thread holds the table's write lock — which then
+/// inserts without having waited behind a single fault, the main still
+/// cold.
 #[test]
 fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     use std::sync::mpsc::channel;
@@ -442,7 +446,7 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
     drop(ticket);
 
     // A compiled join reads R extent by extent; the Volcano oracle needs
-    // R resident.
+    // R whole.
     let join = QueryBuilder::scan("R")
         .filter(Expr::col(0).eq(Expr::lit(0)))
         .join(QueryBuilder::scan("R").build(), Expr::col(0), Expr::col(0))
@@ -476,15 +480,15 @@ fn a_cold_main_is_never_hydrated_under_the_table_lock() {
         locked_tx.send(()).unwrap();
         joined_rx
             .recv_timeout(Duration::from_secs(120))
-            .expect("the join's hydration waited for the table lock");
-        assert!(vt.store().cold().is_none(), "the join ran without R");
+            .expect("the Volcano run waited for the table lock");
+        assert!(vt.store().cold().is_some(), "the Volcano run converted R");
         vt.insert(&row).unwrap();
     })
     .unwrap();
     let (view, out) = reader.join().unwrap();
     assert!(
         reads(pool.stats()) > reads(before),
-        "the hydration never read through the pool"
+        "the Volcano run never read through the pool"
     );
     assert_eq!(out, compiled);
     // The view predates the insert; the live table has it.
@@ -550,7 +554,8 @@ fn sum_qty() -> LogicalPlan {
 /// it in place: a streamed aggregate over three groups and E cold extents
 /// takes E misses and charges exactly the extents' decoded bytes, a
 /// re-pin of a resident extent returns the frame's own table, and every
-/// frame — and the main hydrated from them — shares one dictionary.
+/// frame — and the main's skeleton, and a whole copy assembled from the
+/// frames — shares one dictionary.
 #[test]
 fn a_frame_is_one_extent_read_in_place() {
     let n = 5000;
@@ -578,7 +583,11 @@ fn a_frame_is_one_extent_read_in_place() {
         other.table().dict(1).unwrap()
     ));
     assert!(std::ptr::eq(
-        store.table().unwrap().dict(1).unwrap(),
+        store.skeleton().dict(1).unwrap(),
+        a.table().dict(1).unwrap()
+    ));
+    assert!(std::ptr::eq(
+        db.get_table("S").unwrap().dict(1).unwrap(),
         a.table().dict(1).unwrap()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -610,7 +619,7 @@ fn storage_err<T: std::fmt::Debug>(result: Result<T, mrdb::core::DbError>) -> St
 /// from the extent fault — never a panic, wrong rows, a leaked pin or a
 /// fault slot left `Loading` — for an aggregate, a self-join aggregate
 /// and a sort + limit alike, on both serving engines, and for the jobs
-/// that make a cold main resident, an index build and the merge fold: a
+/// that read every row of a cold main, an index build and the merge fold: a
 /// flipped payload byte fails its checksum (on every retry), a file cut
 /// inside the last extent is a short read. A failed merge aborts its cut
 /// and leaves the table as it was: same generation, the pending row still
@@ -700,6 +709,188 @@ fn damaged_extents_fail_the_scan_cleanly() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// [`three_group_table`] of `n` rows checkpointed in two directories and
+/// reopened: one twin cold through a pool a quarter of the table's size,
+/// the other resident. Returns `(pooled, resident, pool, dirs)`.
+fn cold_and_resident_s(tag: &str, n: i64) -> (Database, Database, Arc<BufferPool>, [PathBuf; 2]) {
+    small_extents();
+    let dirs = [
+        case_dir(&format!("{tag}-pooled")),
+        case_dir(&format!("{tag}-resident")),
+    ];
+    for dir in &dirs {
+        open(dir, None).register(three_group_table(n));
+    }
+    let resident = open(&dirs[1], None);
+    let pool = BufferPool::new(resident.byte_size() / 4);
+    let pooled = open(&dirs[0], Some(Arc::clone(&pool)));
+    (pooled, resident, pool, dirs)
+}
+
+/// `S` is still mounted cold and the pool holds no pin.
+fn assert_still_cold(db: &Database, pool: &BufferPool, after: &str) {
+    assert!(store_of(db).cold().is_some(), "{after} converted S");
+    assert_eq!(pool.stats().pinned_frames, 0, "{after} leaked a pin");
+}
+
+/// Every reader that needs every row of a main store walks its extents,
+/// and every one that needs one row reads its extent: at a pool budget of
+/// a quarter of the table, index builds (hash on an integer column, red-
+/// black trees on a string and an integer column), indexed point and range
+/// selects, the advisor's views, `byte_size`, `get_table`, a Volcano run
+/// and an `UPDATE … WHERE` each leave `S` cold and nothing pinned, and
+/// each answers exactly as a resident twin does. A point select on an
+/// indexed cold table faults at most the hit's extent.
+#[test]
+fn a_cold_main_stays_cold_through_every_reader() {
+    let n = 5000;
+    let (pooled, resident, pool, dirs) = cold_and_resident_s("stays-cold", n);
+    for db in [&pooled, &resident] {
+        db.create_index("S", "id", IndexKind::Hash).unwrap();
+        db.create_index("S", "name", IndexKind::RBTree).unwrap();
+        db.create_index("S", "qty", IndexKind::RBTree).unwrap();
+    }
+    assert_still_cold(&pooled, &pool, "CREATE INDEX");
+    assert!(pool.stats().misses > 0, "the index builds never faulted");
+
+    let select = |pred: Expr| QueryBuilder::scan("S").filter(pred).build();
+    let point = select(Expr::col(0).eq(Expr::lit(17i64)));
+    let lookups = [
+        point.clone(),
+        select(Expr::col(1).eq(Expr::lit("n3"))),
+        select(Expr::col(1).eq(Expr::lit("absent"))),
+        select(Expr::col(2).ge(Expr::lit(3 * (n - 40)))),
+    ];
+    let probe = |db: &Database, plan| db.run_indexed(plan, EngineKind::Compiled).unwrap();
+    for plan in &lookups {
+        assert_eq!(probe(&pooled, plan), probe(&resident, plan));
+        assert_eq!(
+            pooled.execute(plan).unwrap(),
+            resident.execute(plan).unwrap()
+        );
+        assert_still_cold(&pooled, &pool, "an indexed select");
+    }
+    // The key lookup is the planner's index probe too. (It scans for the
+    // rest: a string equality it prices as unselective, and a range of
+    // the clustered `qty` its zone maps prune to one extent.)
+    let phys = pooled.plan_query(&point).unwrap();
+    assert!(
+        phys.pipelines[0].access.is_indexed(),
+        "the key lookup scanned"
+    );
+    // Extent 0 was evicted long ago; the probe of one of its rows faults
+    // that extent alone.
+    let before = pool.stats();
+    let hit = select(Expr::col(0).eq(Expr::lit(3i64)));
+    assert_eq!(
+        pooled.execute(&hit).unwrap(),
+        resident.execute(&hit).unwrap()
+    );
+    let after = pool.stats();
+    let reads = |s: &PoolStats| s.hits + s.misses;
+    assert_eq!(reads(&after) - reads(&before), 1, "{before:?} -> {after:?}");
+    assert_eq!(after.misses - before.misses, 1, "extent 0 stayed resident");
+
+    let views = |db: &Database| {
+        let mut v: Vec<_> = (LayoutAdvisor::default().views(db).into_iter())
+            .map(|(name, v)| (name, v.n_rows, v.col_widths, v.layout))
+            .collect();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
+    };
+    assert_eq!(views(&pooled), views(&resident));
+    assert_eq!(pooled.byte_size(), resident.byte_size());
+    let before = pool.stats().misses;
+    pooled.byte_size();
+    assert_eq!(pool.stats().misses, before, "byte_size faulted");
+    assert_still_cold(&pooled, &pool, "the advisor or byte_size");
+
+    let (a, b) = (
+        pooled.get_table("S").unwrap(),
+        resident.get_table("S").unwrap(),
+    );
+    assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
+    assert_eq!((a.byte_size(), a.layout()), (b.byte_size(), b.layout()));
+    assert_still_cold(&pooled, &pool, "get_table");
+
+    let join = QueryBuilder::scan("S")
+        .filter(Expr::col(1).eq(Expr::lit("n5")))
+        .join(QueryBuilder::scan("S").build(), Expr::col(0), Expr::col(0))
+        .aggregate(vec![], vec![AggExpr::new(AggFunc::Sum, Expr::col(5))])
+        .build();
+    let volcano = |db: &Database| db.run(&join, EngineKind::Volcano).unwrap();
+    assert_eq!(volcano(&pooled), volcano(&resident));
+    assert_still_cold(&pooled, &pool, "a Volcano run");
+
+    let sets = [("qty".to_string(), Value::Int64(-5))];
+    let pred = Expr::col(0).lt(Expr::lit(1500i64));
+    let hit = pooled.update_where("S", &sets, Some(&pred)).unwrap();
+    assert_eq!(hit, resident.update_where("S", &sets, Some(&pred)).unwrap());
+    assert_eq!(hit, 1500);
+    assert_still_cold(&pooled, &pool, "UPDATE … WHERE");
+    for plan in lookups.iter().chain([&sum_qty()]) {
+        assert_eq!(
+            pooled.execute(plan).unwrap(),
+            resident.execute(plan).unwrap()
+        );
+    }
+    assert_still_cold(&pooled, &pool, "a select over the update");
+    drop((pooled, resident));
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Merging a cold main folds it one pinned extent at a time: the pool's
+/// peak stays within its budget plus one extent, nothing overcommits, the
+/// main it folded stays cold, and the next generation's checkpoint blob
+/// is byte-identical to the one a resident twin's merge of the same delta
+/// writes.
+#[test]
+fn merging_a_cold_main_stays_within_the_pool_and_writes_the_same_blob() {
+    let (pooled, resident, pool, dirs) = cold_and_resident_s("cold-merge", 6000);
+    let cold = Arc::clone(store_of(&pooled).cold().unwrap());
+    let extent = (0..cold.n_extents())
+        .map(|e| cold.header().extent_bytes(e))
+        .max()
+        .unwrap();
+    let folded = pooled.table_snapshot("S").unwrap();
+    let before = pool.stats();
+    for db in [&pooled, &resident] {
+        db.insert(
+            "S",
+            &[Value::Int64(-1), Value::from("new"), Value::Int64(7)],
+        )
+        .unwrap();
+        db.delete_where("S", Some(&Expr::col(0).eq(Expr::lit(4000i64))))
+            .unwrap();
+        db.merge("S").unwrap();
+    }
+    let after = pool.stats();
+    assert!(after.misses >= before.misses + cold.n_extents() as u64);
+    assert!(
+        after.peak_resident_bytes <= after.budget_bytes + extent,
+        "peak {} over budget {} + one extent {extent}",
+        after.peak_resident_bytes,
+        after.budget_bytes
+    );
+    assert_eq!(after.overcommits, before.overcommits);
+    assert_eq!(after.pinned_frames, 0);
+    assert!(
+        folded.store().cold().is_some(),
+        "the fold converted its input"
+    );
+    let generation = |db: &Database| db.with_table("S", |vt| vt.generation()).unwrap();
+    assert_eq!(generation(&pooled), generation(&resident));
+    drop((pooled, resident));
+    let [a, b] = dirs.map(|dir| {
+        let blob = std::fs::read(checkpoint_file(&dir, "S")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        blob
+    });
+    assert!(a == b, "the cold merge wrote a different blob");
 }
 
 proptest! {

@@ -166,7 +166,7 @@ fn delete_one(db: &Database, hint: usize) {
     // Resolve against the live set under the table's write lock, exactly
     // like the concurrent-DML suite does.
     db.with_table_write("R", |vt| {
-        let live: Vec<usize> = (0..vt.main().len() + vt.delta_rows())
+        let live: Vec<usize> = (0..vt.main_len() + vt.delta_rows())
             .filter(|&i| vt.is_visible(i))
             .collect();
         if !live.is_empty() {

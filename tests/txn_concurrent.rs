@@ -70,7 +70,7 @@ fn readers_never_see_torn_writes() {
                     // delete one whole pair under a single write lock
                     6 | 7 => {
                         shared.with_write(|t| {
-                            let ids: Vec<usize> = (0..t.main().len() + t.delta_rows())
+                            let ids: Vec<usize> = (0..t.main_len() + t.delta_rows())
                                 .filter(|&i| t.is_visible(i))
                                 .collect();
                             if ids.len() >= 2 {
@@ -91,7 +91,7 @@ fn readers_never_see_torn_writes() {
                     // flip a pair's sign: two updates under one lock
                     8 => {
                         shared.with_write(|t| {
-                            let ids: Vec<usize> = (0..t.main().len() + t.delta_rows())
+                            let ids: Vec<usize> = (0..t.main_len() + t.delta_rows())
                                 .filter(|&i| t.is_visible(i))
                                 .collect();
                             if ids.len() >= 2 {
@@ -195,7 +195,7 @@ fn background_merges_never_tear_reads() {
                 if round % 5 == 4 {
                     // delete one whole pair under a single write lock
                     shared.with_write(|t| {
-                        let ids: Vec<usize> = (0..t.main().len() + t.delta_rows())
+                        let ids: Vec<usize> = (0..t.main_len() + t.delta_rows())
                             .filter(|&i| t.is_visible(i))
                             .collect();
                         if ids.len() >= 2 {
@@ -299,7 +299,7 @@ fn background_merge_is_byte_identical_to_synchronous() {
     let mut a = VersionedTable::new("t", schema());
     let mut b = VersionedTable::new("t", schema());
     let live = |t: &VersionedTable| -> Vec<usize> {
-        (0..t.main().len() + t.delta_rows())
+        (0..t.main_len() + t.delta_rows())
             .filter(|&i| t.is_visible(i))
             .collect()
     };
@@ -344,7 +344,7 @@ fn background_merge_is_byte_identical_to_synchronous() {
             let ticket = b.begin_merge();
             pending = Some(
                 ticket
-                    .build(ticket.snapshot().main().layout().clone())
+                    .build(ticket.snapshot().store().layout().clone())
                     .unwrap(),
             );
             since_begin = 0;

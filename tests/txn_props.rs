@@ -130,7 +130,7 @@ fn apply_versioned(t: &mut VersionedTable, build: &mut Option<mrdb::txn::BuiltMa
             t.insert(row).expect("typed rows insert");
         }
         Op::Update { hint, col, value } => {
-            let live: Vec<usize> = (0..t.main().len() + t.delta_rows())
+            let live: Vec<usize> = (0..t.main_len() + t.delta_rows())
                 .filter(|&i| t.is_visible(i))
                 .collect();
             if live.is_empty() {
@@ -140,7 +140,7 @@ fn apply_versioned(t: &mut VersionedTable, build: &mut Option<mrdb::txn::BuiltMa
                 .expect("update live row");
         }
         Op::Delete { hint } => {
-            let live: Vec<usize> = (0..t.main().len() + t.delta_rows())
+            let live: Vec<usize> = (0..t.main_len() + t.delta_rows())
                 .filter(|&i| t.is_visible(i))
                 .collect();
             if live.is_empty() {
@@ -161,7 +161,7 @@ fn apply_versioned(t: &mut VersionedTable, build: &mut Option<mrdb::txn::BuiltMa
                 return;
             }
             let ticket = t.begin_merge();
-            let layout = ticket.snapshot().main().layout().clone();
+            let layout = ticket.snapshot().store().layout().clone();
             // build immediately; every op until FinishMerge is replayed
             *build = Some(ticket.build(layout).expect("build"));
         }
@@ -203,7 +203,7 @@ proptest! {
             // same order (engines read via the overlay, not via rows())
             let scan = QueryBuilder::scan("t").build();
             for kind in EngineKind::all() {
-                let out = kind.engine().execute(&scan, &t as &dyn TableProvider).unwrap();
+                let out = kind.engine().execute(&scan, &t.snapshot() as &dyn TableProvider).unwrap();
                 prop_assert_eq!(&out.rows, &model.rows(), "{:?} scan vs model", kind);
             }
 
@@ -224,10 +224,10 @@ proptest! {
             merged.merge().unwrap();
             let reference = EngineKind::Compiled
                 .engine()
-                .execute(&agg, &merged as &dyn TableProvider)
+                .execute(&agg, &merged.snapshot() as &dyn TableProvider)
                 .unwrap();
             for kind in EngineKind::all() {
-                let live_out = kind.engine().execute(&agg, &t as &dyn TableProvider).unwrap();
+                let live_out = kind.engine().execute(&agg, &t.snapshot() as &dyn TableProvider).unwrap();
                 reference.assert_same(&live_out, &format!("{kind:?} live vs merged/compiled"));
             }
         }

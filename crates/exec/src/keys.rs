@@ -5,10 +5,21 @@
 //! `i64`, floats keep their bit pattern, strings are length-prefixed UTF-8.
 
 use pdsm_storage::Value;
+use std::borrow::Borrow;
 
 /// A hashable, equality-comparable key over a tuple of values.
+///
+/// It hashes and compares as its encoded bytes, so a map keyed by
+/// `GroupKey` is probed with a reused byte buffer ([`encode`],
+/// [`encode_int`], [`encode_str`]) and allocates a key only on insert.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupKey(Vec<u8>);
+
+impl Borrow<[u8]> for GroupKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 impl GroupKey {
     /// Build from a slice of values.
@@ -24,30 +35,40 @@ impl GroupKey {
     pub fn single(v: &Value) -> Self {
         Self::of(std::slice::from_ref(v))
     }
+
+    /// Take an encoded buffer as a key.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        GroupKey(bytes.to_vec())
+    }
 }
 
-fn encode(v: &Value, buf: &mut Vec<u8>) {
+/// Append the encoding of one integer of either width.
+pub fn encode_int(x: i64, buf: &mut Vec<u8>) {
+    buf.push(1); // one tag for Int32 and Int64: cross-width equality
+    buf.extend(x.to_le_bytes());
+}
+
+/// Append the encoding of one string.
+pub fn encode_str(s: &str, buf: &mut Vec<u8>) {
+    buf.push(3);
+    buf.extend((s.len() as u32).to_le_bytes());
+    buf.extend(s.as_bytes());
+}
+
+/// Append the encoding of `v`; a tuple's key is its values' encodings in
+/// order.
+pub fn encode(v: &Value, buf: &mut Vec<u8>) {
     match v {
         Value::Null => buf.push(0),
-        Value::Int32(x) => {
-            buf.push(1);
-            buf.extend((*x as i64).to_le_bytes());
-        }
-        Value::Int64(x) => {
-            buf.push(1); // same tag as Int32: cross-width equality
-            buf.extend(x.to_le_bytes());
-        }
+        Value::Int32(x) => encode_int(*x as i64, buf),
+        Value::Int64(x) => encode_int(*x, buf),
         Value::Float64(x) => {
             buf.push(2);
             // normalize -0.0 so join keys match arithmetic results
             let x = if *x == 0.0 { 0.0 } else { *x };
             buf.extend(x.to_bits().to_le_bytes());
         }
-        Value::Str(s) => {
-            buf.push(3);
-            buf.extend((s.len() as u32).to_le_bytes());
-            buf.extend(s.as_bytes());
-        }
+        Value::Str(s) => encode_str(s, buf),
     }
 }
 

@@ -11,7 +11,18 @@
 //!   walks every open pipeline over its table's main store **piece by
 //!   piece** ([`TableProvider::for_each_piece`]: a resident table is one
 //!   piece, a cold one is one pinned extent per piece, zone-refuted
-//!   extents skipped), then over the delta tail — once, here;
+//!   extents skipped), then over the delta tail — once, here. Before it
+//!   lowers, it pushes every `WHERE` conjunct that reads one join side
+//!   only below the join, down to the scan whose columns it reads, where
+//!   it becomes a kernel conjunct (zone maps, SIMD masks);
+//! * a join carries only what its consumers read. The build side is a
+//!   [`HashJoin`]: one arena of build rows holding only the columns read
+//!   above the join, behind a map from key (raw `u64` for integers,
+//!   [`GroupKey`] otherwise) to a span of arena row ids. A pipe whose first
+//!   step probes on a plain key column reads the key in place and probes
+//!   before it materializes the row, so a miss allocates nothing, and a
+//!   match flows on as a joined view of (build row, probe row) that
+//!   filters, probe keys and the aggregate fold read in place;
 //! * [`Scan`] is the survivor loop — zone refutation → tombstone mask →
 //!   [`PredKernel::block_mask`] → survivors — over an arbitrary row range
 //!   of one bound table;
@@ -31,15 +42,16 @@ use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
     masked_tail_row, tail_row_passes, Accumulator, ExecError, Overlay, TableProvider,
 };
-use crate::keys::GroupKey;
+use crate::keys::{self, GroupKey};
 use crate::simd;
-use pdsm_plan::expr::{conjuncts, CmpOp, Expr};
-use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};
+use pdsm_plan::expr::{conjuncts, CmpOp, Columns, Expr};
+use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{
     ColId, DataType, Dictionary, F64Col, I32Col, I64Col, Table, U32Col, Value, ZoneMap, ZonePred,
     ZONE_BLOCK_ROWS,
 };
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -50,16 +62,18 @@ use std::sync::Arc;
 // lowering
 // ---------------------------------------------------------------------------
 
-/// Steps applied to rows that survive the scan predicates.
+/// Steps applied to rows that survive the scan predicates, in order.
 pub enum Step {
     /// Replace the row with the projected expressions.
     Project(Vec<Expr>),
-    /// Probe a build-side hash table; fan out to `build_row ++ row`.
-    Probe {
-        ht: HashMap<GroupKey, Vec<Vec<Value>>>,
-        key: Expr,
-    },
-    /// Post-join filter (interpreted; rare in the workloads).
+    /// Probe a join's build side with the row. Each match goes on as a
+    /// joined view of (build row, row) — nothing is concatenated — in
+    /// build-insertion order; a miss or a NULL key drops the row.
+    Probe(HashJoin),
+    /// A selection the lowering could not make a kernel conjunct: over a
+    /// join's output, a conjunct that reads both sides or no column (one
+    /// that reads a single side moved below the join); else one over a
+    /// projection. Interpreted per row, a joined row in place.
     Filter(Expr),
 }
 
@@ -137,214 +151,603 @@ pub fn execute(
 ) -> Result<Vec<Vec<Value>>, ExecError> {
     let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
     let required = plan.required_columns(&width);
-    materialize(plan, db, &required, driver)
-}
-
-fn materialize(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-    driver: &dyn PipeDriver,
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    match lower(plan, db, required, driver)? {
-        Fragment::Rows(rows) => Ok(rows),
-        Fragment::Pipe(pipe) => run(&pipe, db, required, driver, None),
+    let plan = push_filters(plan, &width);
+    let all: Vec<ColId> = (0..plan.arity(&width)).collect();
+    Lowering {
+        db,
+        required: &required,
+        driver,
+        width: &width,
     }
+    .materialize(&plan, &all)
 }
 
-/// Walk `pipe` over every main-store piece of its table the scan's zone
-/// predicates cannot refute, in row order, then over the live delta tail:
-/// collected when `agg` is `None`, else folded into one carried state and
-/// finished.
-fn run(
-    pipe: &Pipe,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-    driver: &dyn PipeDriver,
-    agg: Option<(&[Expr], &[AggExpr])>,
-) -> Result<Vec<Vec<Value>>, ExecError> {
-    let name = pipe.table.as_str();
-    let shape = db
-        .shape(name)
-        .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
-    let needed = required
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, c)| c.clone())
-        .unwrap_or_else(|| (0..shape.schema().len()).collect());
-    let spec = PipeSpec {
-        preds: &pipe.preds,
-        steps: &pipe.steps,
-        needed: &needed,
-    };
-    let zps = zone_preds(shape, spec.preds);
-    let overlay = db.overlay(name);
-    match agg {
-        None => {
-            let mut out = Vec::new();
-            db.for_each_piece(name, &zps, &mut |t, dead| {
-                driver.collect(t, dead, spec, &mut out);
-                Ok(())
-            })?;
-            if let Some(o) = &overlay {
-                tail_rows(o, spec, |r| out.push(r));
-            }
-            Ok(out)
-        }
-        Some((group_by, aggs)) => {
-            let mut state = AggState::new(shape, spec, group_by, aggs);
-            db.for_each_piece(name, &zps, &mut |t, dead| {
-                driver.fold(t, dead, &mut state);
-                Ok(())
-            })?;
-            if let Some(o) = &overlay {
-                state.fold_tail(o);
-            }
-            Ok(state.finish())
-        }
-    }
-}
-
-/// Lower a plan into a fragment, executing pipeline breakers on the way.
-fn lower(
-    plan: &LogicalPlan,
-    db: &dyn TableProvider,
-    required: &[(String, Vec<ColId>)],
-    driver: &dyn PipeDriver,
-) -> Result<Fragment, ExecError> {
+/// `plan` with every `Select` over a `Join` split into its conjuncts, each
+/// moved below the join when it reads one side only: left-side conjuncts
+/// onto the left input, right-side ones onto the right input with their
+/// columns shifted down by the left arity — recursively, so a conjunct
+/// reaches the scan whose columns it reads and becomes a kernel conjunct
+/// there (zone maps, SIMD masks). A conjunct that spans both sides, or
+/// reads no column, stays above the join. Inner joins commute with such
+/// filters, and a filter keeps the relative order of what it passes, so
+/// the result is the unrewritten plan's, row for row.
+fn push_filters(plan: &LogicalPlan, width: &dyn Fn(&str) -> usize) -> LogicalPlan {
+    let push = |p: &LogicalPlan| Box::new(push_filters(p, width));
     match plan {
-        LogicalPlan::Scan { table } => {
-            db.shape(table)
-                .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            Ok(Fragment::Pipe(Pipe::scan(table)))
-        }
-        LogicalPlan::Select { input, pred, .. } => Ok(match lower(input, db, required, driver)? {
-            Fragment::Pipe(mut pipe) => {
-                pipe.select(pred);
-                Fragment::Pipe(pipe)
-            }
-            Fragment::Rows(rows) => Fragment::Rows(
-                rows.into_iter()
-                    .filter(|r| pred.eval_bool(&r[..]))
-                    .collect(),
-            ),
-        }),
-        LogicalPlan::Project { input, exprs } => Ok(match lower(input, db, required, driver)? {
-            Fragment::Pipe(mut pipe) => {
-                pipe.project(exprs);
-                Fragment::Pipe(pipe)
-            }
-            Fragment::Rows(rows) => Fragment::Rows(
-                rows.into_iter()
-                    .map(|r| exprs.iter().map(|e| e.eval(&r[..])).collect())
-                    .collect(),
-            ),
-        }),
+        LogicalPlan::Scan { .. } => plan.clone(),
+        LogicalPlan::Select {
+            input,
+            pred,
+            sel_hint,
+        } => select_over(push_filters(input, width), pred, *sel_hint, width),
+        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
+            input: push(input),
+            exprs: exprs.clone(),
+        },
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let rows = match lower(input, db, required, driver)? {
-                Fragment::Pipe(pipe) => run(&pipe, db, required, driver, Some((group_by, aggs)))?,
-                Fragment::Rows(rows) => {
-                    let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
-                    state.fold_rows(rows);
-                    state.finish()
-                }
-            };
-            Ok(Fragment::Rows(rows))
-        }
+        } => LogicalPlan::Aggregate {
+            input: push(input),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        },
         LogicalPlan::Join {
             left,
             right,
             left_key,
             right_key,
-        } => {
-            // Build side is always materialized (pipeline breaker), and
-            // the hash table is filled in row order so probe fan-out order
-            // is the same under every driver.
-            let build_rows = materialize(left, db, required, driver)?;
-            let mut ht: HashMap<GroupKey, Vec<Vec<Value>>> = HashMap::new();
-            for r in build_rows {
-                let k = left_key.eval(&r[..]);
-                if k.is_null() {
-                    continue;
+        } => LogicalPlan::Join {
+            left: push(left),
+            right: push(right),
+            left_key: left_key.clone(),
+            right_key: right_key.clone(),
+        },
+        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+            input: push(input),
+            keys: keys.clone(),
+        },
+        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
+            input: push(input),
+            n: *n,
+        },
+    }
+}
+
+/// `Select(pred)` over an already rewritten `input`, pushed through it
+/// when it is a join (see [`push_filters`]).
+fn select_over(
+    input: LogicalPlan,
+    pred: &Expr,
+    sel_hint: Option<f64>,
+    width: &dyn Fn(&str) -> usize,
+) -> LogicalPlan {
+    let LogicalPlan::Join {
+        left,
+        right,
+        left_key,
+        right_key,
+    } = input
+    else {
+        return LogicalPlan::Select {
+            input: Box::new(input),
+            pred: pred.clone(),
+            sel_hint,
+        };
+    };
+    let lw = left.arity(&width);
+    let (mut on_left, mut on_right, mut spanning) = (Vec::new(), Vec::new(), Vec::new());
+    for c in conjuncts(pred) {
+        // `columns()` is sorted: its ends say which sides it reads.
+        let cols = c.columns();
+        match (cols.first(), cols.last()) {
+            (Some(_), Some(&hi)) if hi < lw => on_left.push(c.clone()),
+            (Some(&lo), _) if lo >= lw => on_right.push(c.map_columns(&|i| i - lw)),
+            _ => spanning.push(c.clone()),
+        }
+    }
+    let side = |input: LogicalPlan, preds: Vec<Expr>| match conjunction(preds) {
+        Some(p) => select_over(input, &p, None, width),
+        None => input,
+    };
+    let join = LogicalPlan::Join {
+        left: Box::new(side(*left, on_left)),
+        right: Box::new(side(*right, on_right)),
+        left_key,
+        right_key,
+    };
+    match conjunction(spanning) {
+        Some(pred) => LogicalPlan::Select {
+            input: Box::new(join),
+            pred,
+            sel_hint,
+        },
+        None => join,
+    }
+}
+
+/// `a AND b AND …` in the given order; `None` for no conjuncts.
+fn conjunction(preds: Vec<Expr>) -> Option<Expr> {
+    preds.into_iter().reduce(Expr::and)
+}
+
+/// One plan's lowering: the provider, the per-table scan columns, the
+/// driver and the table widths.
+struct Lowering<'a> {
+    db: &'a dyn TableProvider,
+    required: &'a [(String, Vec<ColId>)],
+    driver: &'a dyn PipeDriver,
+    width: &'a dyn Fn(&str) -> usize,
+}
+
+impl Lowering<'_> {
+    /// The rows of `plan`; `need` is the set of its output columns that
+    /// anything above reads.
+    fn materialize(
+        &self,
+        plan: &LogicalPlan,
+        need: &[ColId],
+    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        match self.lower(plan, need)? {
+            Fragment::Rows(rows) => Ok(rows),
+            Fragment::Pipe(pipe) => self.run(&pipe, None),
+        }
+    }
+
+    /// Walk `pipe` over every main-store piece of its table the scan's zone
+    /// predicates cannot refute, in row order, then over the live delta
+    /// tail: collected when `agg` is `None`, else folded into one carried
+    /// state and finished.
+    fn run(
+        &self,
+        pipe: &Pipe,
+        agg: Option<(&[Expr], &[AggExpr])>,
+    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        let (db, driver) = (self.db, self.driver);
+        let name = pipe.table.as_str();
+        let shape = db
+            .shape(name)
+            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
+        let needed = self
+            .required
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| c.clone())
+            .unwrap_or_else(|| (0..shape.schema().len()).collect());
+        let spec = PipeSpec {
+            preds: &pipe.preds,
+            steps: &pipe.steps,
+            needed: &needed,
+        };
+        let zps = zone_preds(shape, spec.preds);
+        let overlay = db.overlay(name);
+        match agg {
+            None => {
+                let mut out = Vec::new();
+                db.for_each_piece(name, &zps, &mut |t, dead| {
+                    driver.collect(t, dead, spec, &mut out);
+                    Ok(())
+                })?;
+                if let Some(o) = &overlay {
+                    tail_rows(o, spec, &mut out);
                 }
-                ht.entry(GroupKey::single(&k)).or_default().push(r);
+                Ok(out)
             }
-            let probe = Step::Probe {
-                ht,
-                key: right_key.clone(),
-            };
-            Ok(match lower(right, db, required, driver)? {
+            Some((group_by, aggs)) => {
+                let mut state = AggState::new(shape, spec, group_by, aggs);
+                db.for_each_piece(name, &zps, &mut |t, dead| {
+                    driver.fold(t, dead, &mut state);
+                    Ok(())
+                })?;
+                if let Some(o) = &overlay {
+                    state.fold_tail(o);
+                }
+                Ok(state.finish())
+            }
+        }
+    }
+
+    /// Lower a plan into a fragment, executing pipeline breakers on the
+    /// way. `need` is the set of the plan's output columns read above it:
+    /// what a join's build side keeps.
+    fn lower(&self, plan: &LogicalPlan, need: &[ColId]) -> Result<Fragment, ExecError> {
+        let needs = plan.input_columns(&self.width, need);
+        match plan {
+            LogicalPlan::Scan { table } => {
+                self.db
+                    .shape(table)
+                    .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
+                Ok(Fragment::Pipe(Pipe::scan(table)))
+            }
+            LogicalPlan::Select { input, pred, .. } => Ok(match self.lower(input, &needs[0])? {
                 Fragment::Pipe(mut pipe) => {
-                    // The probe key is evaluated against the probe-side
-                    // row in its base space; the produced row is
-                    // build ++ probe, and later steps operate positionally
-                    // on that concatenated space.
-                    pipe.steps.push(probe);
+                    pipe.select(pred);
                     Fragment::Pipe(pipe)
                 }
-                Fragment::Rows(rows) => {
-                    let steps = [probe];
-                    let mut out = Vec::new();
-                    for r in rows {
-                        push_row(r, &steps, &mut |j| out.push(j));
-                    }
-                    Fragment::Rows(out)
+                Fragment::Rows(rows) => Fragment::Rows(
+                    rows.into_iter()
+                        .filter(|r| pred.eval_bool(&r[..]))
+                        .collect(),
+                ),
+            }),
+            LogicalPlan::Project { input, exprs } => Ok(match self.lower(input, &needs[0])? {
+                Fragment::Pipe(mut pipe) => {
+                    pipe.project(exprs);
+                    Fragment::Pipe(pipe)
                 }
-            })
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut rows = materialize(input, db, required, driver)?;
-            rows.sort_by(|a, b| {
-                for k in keys {
-                    let ord = cmp_values(&k.expr.eval(&a[..]), &k.expr.eval(&b[..]));
-                    let ord = if k.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+                Fragment::Rows(rows) => Fragment::Rows(
+                    rows.into_iter()
+                        .map(|r| exprs.iter().map(|e| e.eval(&r[..])).collect())
+                        .collect(),
+                ),
+            }),
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let rows = match self.lower(input, &needs[0])? {
+                    Fragment::Pipe(pipe) => self.run(&pipe, Some((group_by, aggs)))?,
+                    Fragment::Rows(rows) => {
+                        let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
+                        state.fold_rows(rows);
+                        state.finish()
                     }
+                };
+                Ok(Fragment::Rows(rows))
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                // The build side is always materialized (pipeline
+                // breaker) and indexed in row order, so probe fan-out
+                // order is the same under every driver. It keeps only the
+                // left columns read above the join.
+                let lw = left.arity(&self.width);
+                let keep: Vec<ColId> = need.iter().copied().filter(|&c| c < lw).collect();
+                let probe = Step::Probe(HashJoin::build(
+                    self.materialize(left, &needs[0])?,
+                    left_key,
+                    lw,
+                    &keep,
+                    right_key.clone(),
+                ));
+                Ok(match self.lower(right, &needs[1])? {
+                    Fragment::Pipe(mut pipe) => {
+                        // The probe key is evaluated against the probe-side
+                        // row in its base space; later steps read the
+                        // joined space, build columns first.
+                        pipe.steps.push(probe);
+                        Fragment::Pipe(pipe)
+                    }
+                    Fragment::Rows(rows) => {
+                        let steps = [probe];
+                        let (mut out, mut buf) = (Vec::new(), Vec::new());
+                        for r in rows {
+                            push_row(r, &steps, &mut buf, &mut out);
+                        }
+                        Fragment::Rows(out)
+                    }
+                })
+            }
+            LogicalPlan::Sort { input, keys } => Ok(Fragment::Rows(sorted(
+                self.materialize(input, &needs[0])?,
+                keys,
+                None,
+            ))),
+            LogicalPlan::Limit { input, n } => Ok(Fragment::Rows(match input.as_ref() {
+                // Top-N: select the first `n`, sort only those.
+                LogicalPlan::Sort { input: rows, keys } => {
+                    let need = &input.input_columns(&self.width, &needs[0])[0];
+                    sorted(self.materialize(rows, need)?, keys, Some(*n))
                 }
-                std::cmp::Ordering::Equal
-            });
-            Ok(Fragment::Rows(rows))
-        }
-        LogicalPlan::Limit { input, n } => {
-            let mut rows = materialize(input, db, required, driver)?;
-            rows.truncate(*n);
-            Ok(Fragment::Rows(rows))
+                _ => {
+                    let mut rows = self.materialize(input, &needs[0])?;
+                    rows.truncate(*n);
+                    rows
+                }
+            })),
         }
     }
 }
 
-/// Push `row` through `steps` into `emit`: NULL probe keys drop the row,
-/// probe matches fan out in build-insertion order.
-pub fn push_row<F: FnMut(Vec<Value>)>(row: Vec<Value>, steps: &[Step], emit: &mut F) {
-    match steps.first() {
-        None => emit(row),
-        Some(Step::Project(exprs)) => {
-            let projected: Vec<Value> = exprs.iter().map(|e| e.eval(&row[..])).collect();
-            push_row(projected, &steps[1..], emit);
-        }
-        Some(Step::Filter(pred)) => {
-            if pred.eval_bool(&row[..]) {
-                push_row(row, &steps[1..], emit);
+/// `rows` stably sorted by `keys`, cut to the first `limit` rows. Each
+/// row's keys are evaluated once, and rows are ordered by (keys, input
+/// position) — a total order, so selecting the first `limit` and sorting
+/// only those yields exactly a full stable sort's first `limit` rows.
+fn sorted(mut rows: Vec<Vec<Value>>, keys: &[SortKey], limit: Option<usize>) -> Vec<Vec<Value>> {
+    let w = keys.len();
+    let flat: Vec<Value> = rows
+        .iter()
+        .flat_map(|r| keys.iter().map(|k| k.expr.eval(&r[..])))
+        .collect();
+    let cmp = |&a: &usize, &b: &usize| {
+        let (ka, kb) = (&flat[a * w..][..w], &flat[b * w..][..w]);
+        for ((x, y), k) in ka.iter().zip(kb).zip(keys) {
+            let ord = cmp_values(x, y);
+            let ord = if k.asc { ord } else { ord.reverse() };
+            if ord != Ordering::Equal {
+                return ord;
             }
         }
-        Some(Step::Probe { ht, key }) => {
-            let k = key.eval(&row[..]);
-            if k.is_null() {
-                return;
+        a.cmp(&b)
+    };
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    let n = limit.unwrap_or(rows.len());
+    if n == 0 {
+        order.clear();
+    } else if n < order.len() {
+        order.select_nth_unstable_by(n - 1, cmp);
+        order.truncate(n);
+    }
+    order.sort_unstable_by(cmp);
+    order
+        .into_iter()
+        .map(|i| std::mem::take(&mut rows[i]))
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// the typed, pruned hash join
+// ---------------------------------------------------------------------------
+
+/// Key → the arena span of the build rows carrying it.
+type Spans<K> = HashMap<K, (usize, usize)>;
+
+/// How a join's build side is keyed.
+enum BuildIndex {
+    /// Every build key is an integer: keyed by its `i64` bits, Int32 and
+    /// Int64 alike (they join, as in [`GroupKey`]).
+    Int(Spans<u64>),
+    /// Strings, floats, mixed types: the canonical [`GroupKey`] encoding.
+    Keyed(Spans<GroupKey>),
+}
+
+/// A probe key, read from a row or straight from a column.
+#[derive(Clone, Copy)]
+enum KeyRef<'v> {
+    Int(i64),
+    Str(&'v str),
+    Val(&'v Value),
+}
+
+/// The build side of a hash join: one arena of build rows, grouped by key
+/// and in insertion order within a key, each holding only the columns the
+/// plan above the join reads, and a map from key to its span of arena row
+/// ids. A probe allocates nothing; a match is read in place as a
+/// joined view.
+pub struct HashJoin {
+    /// The probe key, over the probe-side row.
+    key: Expr,
+    index: BuildIndex,
+    /// Build rows, `width` values each.
+    arena: Vec<Value>,
+    width: usize,
+    /// Build-side column → its arena slot; `None` for a column nothing
+    /// above the join reads (it reads as NULL).
+    slots: Vec<Option<usize>>,
+}
+
+/// Give each distinct key of `keys` (one per build row, in row order) a
+/// contiguous span of arena row ids, first-seen keys first. Returns the
+/// spans and every row's arena position: a key's rows keep their input
+/// order.
+fn spans<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> (Spans<K>, Vec<usize>) {
+    let mut map: Spans<K> = HashMap::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let groups: Vec<usize> = keys
+        .map(|k| {
+            let fresh = counts.len();
+            let g = map.entry(k).or_insert((fresh, 0)).0;
+            if g == fresh {
+                counts.push(0);
             }
-            if let Some(matches) = ht.get(&GroupKey::single(&k)) {
-                for m in matches {
-                    let mut joined = m.clone();
-                    joined.extend(row.iter().cloned());
-                    push_row(joined, &steps[1..], emit);
+            counts[g] += 1;
+            g
+        })
+        .collect();
+    let mut next = Vec::with_capacity(counts.len() + 1);
+    next.push(0);
+    for c in counts {
+        next.push(next[next.len() - 1] + c);
+    }
+    for span in map.values_mut() {
+        let g = span.0;
+        *span = (next[g], next[g + 1]);
+    }
+    let pos = groups
+        .into_iter()
+        .map(|g| {
+            next[g] += 1;
+            next[g] - 1
+        })
+        .collect();
+    (map, pos)
+}
+
+impl HashJoin {
+    /// Index the join's materialized left input `rows` (`lw` columns) on
+    /// `left_key`, keeping columns `keep` of each; a row with a NULL key
+    /// never matches and is dropped. `key` is the probe side's key.
+    fn build(rows: Vec<Vec<Value>>, left_key: &Expr, lw: usize, keep: &[ColId], key: Expr) -> Self {
+        let keyed: Vec<(Value, Vec<Value>)> = rows
+            .into_iter()
+            .map(|r| (left_key.eval(&r[..]), r))
+            .filter(|(k, _)| !k.is_null())
+            .collect();
+        let ints = keyed
+            .iter()
+            .all(|(k, _)| matches!(k, Value::Int32(_) | Value::Int64(_)));
+        let (index, pos) = if ints {
+            let (map, pos) = spans(keyed.iter().map(|(k, _)| k.as_i64().expect("int") as u64));
+            (BuildIndex::Int(map), pos)
+        } else {
+            let (map, pos) = spans(keyed.iter().map(|(k, _)| GroupKey::single(k)));
+            (BuildIndex::Keyed(map), pos)
+        };
+        let width = keep.len();
+        let mut arena = vec![Value::Null; keyed.len() * width];
+        for ((_, mut row), p) in keyed.into_iter().zip(pos) {
+            let dst = &mut arena[p * width..][..width];
+            for (d, &c) in dst.iter_mut().zip(keep) {
+                *d = std::mem::replace(&mut row[c], Value::Null);
+            }
+        }
+        let mut slots = vec![None; lw];
+        for (s, &c) in keep.iter().enumerate() {
+            slots[c] = Some(s);
+        }
+        HashJoin {
+            key,
+            index,
+            arena,
+            width,
+            slots,
+        }
+    }
+
+    /// The arena row ids matching `key`, in build-insertion order; `buf`
+    /// is the reused encoding buffer of a [`GroupKey`]-keyed probe.
+    fn lookup(&self, key: KeyRef<'_>, buf: &mut Vec<u8>) -> Range<usize> {
+        let span = match (&self.index, key) {
+            (_, KeyRef::Val(Value::Null)) => None,
+            (BuildIndex::Int(map), KeyRef::Int(x)) => map.get(&(x as u64)),
+            (BuildIndex::Int(map), KeyRef::Val(v @ (Value::Int32(_) | Value::Int64(_)))) => {
+                map.get(&(v.as_i64().expect("int") as u64))
+            }
+            (BuildIndex::Int(_), _) => None,
+            (BuildIndex::Keyed(map), key) => {
+                buf.clear();
+                match key {
+                    KeyRef::Int(x) => keys::encode_int(x, buf),
+                    KeyRef::Str(s) => keys::encode_str(s, buf),
+                    KeyRef::Val(v) => keys::encode(v, buf),
+                }
+                map.get(&buf[..])
+            }
+        };
+        span.map_or(0..0, |&(a, b)| a..b)
+    }
+
+    /// [`HashJoin::lookup`] with the probe key evaluated over `row`.
+    fn lookup_in(&self, row: &[Value], buf: &mut Vec<u8>) -> Range<usize> {
+        match &self.key {
+            Expr::Col(c) => self.lookup(KeyRef::Val(&row[*c]), buf),
+            key => self.lookup(KeyRef::Val(&key.eval(row)), buf),
+        }
+    }
+
+    /// Send every match `hits` of `probe` through `rest` as a joined view.
+    fn fan_out<S: Sink>(
+        &self,
+        probe: &[Value],
+        hits: Range<usize>,
+        rest: &[Step],
+        buf: &mut Vec<u8>,
+        sink: &mut S,
+    ) {
+        for m in hits {
+            let view = Joined {
+                build: &self.arena[m * self.width..][..self.width],
+                slots: &self.slots,
+                probe,
+            };
+            joined_steps(&view, rest, buf, sink);
+        }
+    }
+}
+
+/// A join's output row read in place: the build row's kept columns beside
+/// the probe row, addressed in the joined space (build columns first).
+struct Joined<'a> {
+    build: &'a [Value],
+    slots: &'a [Option<usize>],
+    probe: &'a [Value],
+}
+
+static NULL: Value = Value::Null;
+
+impl Columns for Joined<'_> {
+    #[inline(always)]
+    fn col(&self, c: ColId) -> &Value {
+        match self.slots.get(c) {
+            Some(Some(s)) => &self.build[*s],
+            Some(None) => &NULL,
+            None => &self.probe[c - self.slots.len()],
+        }
+    }
+}
+
+impl Joined<'_> {
+    /// The joined row as one buffer (unkept build columns NULL).
+    fn to_row(&self) -> Vec<Value> {
+        (0..self.slots.len() + self.probe.len())
+            .map(|c| self.col(c).clone())
+            .collect()
+    }
+}
+
+/// Where a pipeline's rows end: an output buffer or an aggregate fold.
+trait Sink {
+    /// Take a materialized row.
+    fn row(&mut self, row: Vec<Value>);
+    /// Take a join's output row, read in place.
+    fn joined(&mut self, row: &Joined<'_>);
+}
+
+impl Sink for Vec<Vec<Value>> {
+    fn row(&mut self, row: Vec<Value>) {
+        self.push(row);
+    }
+
+    fn joined(&mut self, row: &Joined<'_>) {
+        self.push(row.to_row());
+    }
+}
+
+/// Push `row` through `steps` into `sink`: a NULL or missing probe key
+/// drops the row, probe matches fan out in build-insertion order. `buf`
+/// is the probe key buffer.
+fn push_row<S: Sink>(mut row: Vec<Value>, steps: &[Step], buf: &mut Vec<u8>, sink: &mut S) {
+    for (k, step) in steps.iter().enumerate() {
+        match step {
+            Step::Project(exprs) => row = exprs.iter().map(|e| e.eval(&row[..])).collect(),
+            Step::Filter(pred) => {
+                if !pred.eval_bool(&row[..]) {
+                    return;
                 }
             }
+            Step::Probe(join) => {
+                let hits = join.lookup_in(&row, buf);
+                join.fan_out(&row, hits, &steps[k + 1..], buf, sink);
+                return;
+            }
         }
+    }
+    sink.row(row);
+}
+
+/// [`push_row`] for a joined view: filters read it in place, a projection
+/// or a further probe materializes it once.
+fn joined_steps<S: Sink>(view: &Joined<'_>, steps: &[Step], buf: &mut Vec<u8>, sink: &mut S) {
+    match steps.split_first() {
+        None => sink.joined(view),
+        Some((Step::Filter(pred), rest)) => {
+            if pred.eval_bool(view) {
+                joined_steps(view, rest, buf, sink);
+            }
+        }
+        Some((Step::Project(exprs), rest)) => push_row(
+            exprs.iter().map(|e| e.eval(view)).collect(),
+            rest,
+            buf,
+            sink,
+        ),
+        Some((Step::Probe(_), _)) => push_row(view.to_row(), steps, buf, sink),
     }
 }
 
@@ -381,6 +784,10 @@ pub struct Scan<'a> {
     /// (one-time) zone-map build for unprunable scans.
     zones: Option<Arc<ZoneMap>>,
     wide: bool,
+    /// The first step's probe key when it is a plain non-nullable integer
+    /// or string column of this table: read in place, so a survivor is
+    /// probed before it materializes and a miss allocates nothing.
+    probe_key: Option<KeyReader<'a>>,
 }
 
 impl<'a> Scan<'a> {
@@ -395,6 +802,10 @@ impl<'a> Scan<'a> {
             zpreds,
             zones,
             wide: simd::wide_enabled(simd::mode()),
+            probe_key: match spec.steps.first() {
+                Some(Step::Probe(join)) => KeyReader::open(table, std::slice::from_ref(&join.key)),
+                _ => None,
+            },
         }
     }
 
@@ -463,22 +874,40 @@ impl<'a> Scan<'a> {
         });
     }
 
-    /// Survivors materialized column-pruned and pushed through the steps.
-    fn rows(
-        &self,
-        dead: &[bool],
-        range: Range<usize>,
-        tally: &mut Tally,
-        mut emit: impl FnMut(Vec<Value>),
-    ) {
-        let width = self.table.schema().len();
-        self.survivors(dead, range, tally, |i| {
-            let mut row = vec![Value::Null; width];
-            for &c in self.spec.needed {
-                row[c] = self.table.get(i, c).expect("in-range");
+    /// Survivor `i` materialized column-pruned (other columns NULL).
+    fn row(&self, i: usize) -> Vec<Value> {
+        let mut row = vec![Value::Null; self.table.schema().len()];
+        self.fill(i, &mut row);
+        row
+    }
+
+    /// Overwrite the needed columns of `row` with survivor `i`'s.
+    fn fill(&self, i: usize, row: &mut [Value]) {
+        for &c in self.spec.needed {
+            row[c] = self.table.get(i, c).expect("in-range");
+        }
+    }
+
+    /// Survivors pushed through the steps into `sink`. A pipe that starts
+    /// with a probe on a key column probes first and materializes only
+    /// the rows that match.
+    fn rows<S: Sink>(&self, dead: &[bool], range: Range<usize>, tally: &mut Tally, sink: &mut S) {
+        let mut buf = Vec::new();
+        match (&self.probe_key, self.spec.steps.split_first()) {
+            (Some(key), Some((Step::Probe(join), rest))) => {
+                let mut probe = vec![Value::Null; self.table.schema().len()];
+                self.survivors(dead, range, tally, |i| {
+                    let hits = join.lookup(key.key_ref(i), &mut buf);
+                    if !hits.is_empty() {
+                        self.fill(i, &mut probe);
+                        join.fan_out(&probe, hits, rest, &mut buf, sink);
+                    }
+                })
             }
-            push_row(row, self.spec.steps, &mut emit);
-        });
+            _ => self.survivors(dead, range, tally, |i| {
+                push_row(self.row(i), self.spec.steps, &mut buf, sink)
+            }),
+        }
     }
 
     /// Append `base + i` for every survivor `i` of main-store rows `range`,
@@ -500,19 +929,20 @@ impl<'a> Scan<'a> {
     /// Append every row the pipeline emits for main-store rows `range`.
     pub fn collect_range(&self, dead: &[bool], range: Range<usize>, out: &mut Vec<Vec<Value>>) {
         let mut tally = Tally::default();
-        self.rows(dead, range, &mut tally, |r| out.push(r));
+        self.rows(dead, range, &mut tally, out);
         tally.flush();
     }
 }
 
 /// Push the overlay's live tail rows that pass `spec.preds` through the
-/// steps into `emit`. Predicates are interpreted: tail rows are decoded,
+/// steps into `sink`. Predicates are interpreted: tail rows are decoded,
 /// not dictionary-coded, and full schema width.
-fn tail_rows(overlay: &Overlay<'_>, spec: PipeSpec<'_>, mut emit: impl FnMut(Vec<Value>)) {
+fn tail_rows<S: Sink>(overlay: &Overlay<'_>, spec: PipeSpec<'_>, sink: &mut S) {
+    let mut buf = Vec::new();
     for r in overlay.live_tail() {
         if tail_row_passes(spec.preds, r) {
             let row = masked_tail_row(r, spec.needed, r.values().len());
-            push_row(row, spec.steps, &mut emit);
+            push_row(row, spec.steps, &mut buf, sink);
         }
     }
 }
@@ -615,6 +1045,16 @@ impl<'t> KeyReader<'t> {
         }
     }
 
+    /// Row `i`'s key as a join probe key.
+    #[inline(always)]
+    fn key_ref(&self, i: usize) -> KeyRef<'t> {
+        match self {
+            KeyReader::I32(r) => KeyRef::Int(r.get(i) as i64),
+            KeyReader::I64(r) => KeyRef::Int(r.get(i)),
+            KeyReader::Code(r, dict) => KeyRef::Str(dict.decode(r.get(i))),
+        }
+    }
+
     /// Int32 keys must decode as Int32 to match the generic path.
     fn decode(&self, raw: u64) -> Value {
         match self {
@@ -674,20 +1114,80 @@ fn fresh(aggs: &[AggExpr]) -> Vec<Accumulator> {
     aggs.iter().map(|a| Accumulator::new(a.func)).collect()
 }
 
-/// Fold one materialized (post-step) row into keyed groups.
-fn consume(groups: &mut KeyedGroups, group_by: &[Expr], aggs: &[AggExpr], row: &[Value]) {
-    let key_vals: Vec<Value> = group_by.iter().map(|g| g.eval(row)).collect();
-    let entry = groups
-        .entry(GroupKey::of(&key_vals))
-        .or_insert_with(|| (key_vals, fresh(aggs)));
-    update_from_row(aggs, row, &mut entry.1);
+/// The keyed aggregate as a pipeline sink: a row or a joined view folds in
+/// place, its group key encoded into one reused buffer; only a new group
+/// allocates. A global aggregate folds into its one group without a key.
+struct Fold<'g> {
+    target: Target<'g>,
+    group_by: &'g [Expr],
+    aggs: &'g [AggExpr],
+    key: Vec<u8>,
 }
 
-/// Fold one decoded row into accumulators by evaluating each aggregate's
-/// argument against it (`count(*)` counts the row).
-fn update_from_row(aggs: &[AggExpr], row: &[Value], accs: &mut [Accumulator]) {
+enum Target<'g> {
+    Global(&'g mut Vec<Accumulator>),
+    Groups(&'g mut KeyedGroups),
+}
+
+impl<'g> Fold<'g> {
+    fn new(groups: &'g mut KeyedGroups, group_by: &'g [Expr], aggs: &'g [AggExpr]) -> Self {
+        // The global group exists from the start: finished with no rows it
+        // is the one row a global aggregate answers anyway.
+        let target = if group_by.is_empty() {
+            let (_, accs) = groups
+                .entry(GroupKey::of(&[]))
+                .or_insert_with(|| (Vec::new(), fresh(aggs)));
+            Target::Global(accs)
+        } else {
+            Target::Groups(groups)
+        };
+        Fold {
+            target,
+            group_by,
+            aggs,
+            key: Vec::new(),
+        }
+    }
+
+    fn consume<R: Columns + ?Sized>(&mut self, row: &R) {
+        let groups = match &mut self.target {
+            Target::Global(accs) => return update_from_row(self.aggs, row, accs),
+            Target::Groups(groups) => groups,
+        };
+        self.key.clear();
+        for g in self.group_by {
+            match g {
+                Expr::Col(c) => keys::encode(row.col(*c), &mut self.key),
+                e => keys::encode(&e.eval(row), &mut self.key),
+            }
+        }
+        if let Some((_, accs)) = groups.get_mut(&self.key[..]) {
+            update_from_row(self.aggs, row, accs);
+            return;
+        }
+        let mut accs = fresh(self.aggs);
+        update_from_row(self.aggs, row, &mut accs);
+        let label = self.group_by.iter().map(|g| g.eval(row)).collect();
+        groups.insert(GroupKey::from_bytes(&self.key), (label, accs));
+    }
+}
+
+impl Sink for Fold<'_> {
+    fn row(&mut self, row: Vec<Value>) {
+        self.consume(&row[..]);
+    }
+
+    fn joined(&mut self, row: &Joined<'_>) {
+        self.consume(row);
+    }
+}
+
+/// Fold one row into accumulators by evaluating each aggregate's argument
+/// against it (`count(*)` counts the row).
+fn update_from_row<R: Columns + ?Sized>(aggs: &[AggExpr], row: &R, accs: &mut [Accumulator]) {
     for (acc, spec) in accs.iter_mut().zip(aggs) {
         match &spec.arg {
+            Some(Expr::Col(c)) => acc.update(row.col(*c)),
             Some(e) => acc.update(&e.eval(row)),
             None => acc.update(&Value::Int32(1)),
         }
@@ -852,10 +1352,12 @@ impl<'a> AggState<'a> {
                 });
             }
             Repr::Keyed(groups) => {
-                let group_by = self.group_by;
-                scan.rows(dead, range, &mut tally, |row| {
-                    consume(groups, group_by, aggs, &row)
-                });
+                scan.rows(
+                    dead,
+                    range,
+                    &mut tally,
+                    &mut Fold::new(groups, self.group_by, aggs),
+                );
             }
         }
         tally.flush();
@@ -915,8 +1417,7 @@ impl<'a> AggState<'a> {
                 }
             }
             Repr::Keyed(groups) => {
-                let group_by = self.group_by;
-                tail_rows(overlay, spec, |row| consume(groups, group_by, aggs, &row));
+                tail_rows(overlay, spec, &mut Fold::new(groups, self.group_by, aggs));
             }
         }
     }
@@ -928,8 +1429,9 @@ impl<'a> AggState<'a> {
         let Repr::Keyed(groups) = &mut self.repr else {
             unreachable!("materialized rows fold into a keyed state");
         };
+        let mut fold = Fold::new(groups, self.group_by, self.aggs);
         for row in rows {
-            consume(groups, self.group_by, self.aggs, &row);
+            fold.consume(&row[..]);
         }
     }
 
@@ -1153,6 +1655,131 @@ mod tests {
         let mut ids = Vec::new();
         all.collect_ids(&[], 0..N, 0, &mut ids);
         assert_eq!(ids, (0..N).collect::<Vec<_>>());
+    }
+
+    /// `CH-Q10`'s shape: `CUSTOMER ⋈ ORDERS ⋈ ORDER_LINE` under a `WHERE`
+    /// with an `ORDERS` conjunct, an `ORDER_LINE` one, a spanning one and
+    /// a column-free one.
+    #[test]
+    fn conjuncts_move_to_the_scan_whose_columns_they_read() {
+        let width = |t: &str| match t {
+            "C" => 18,
+            "O" => 8,
+            _ => 10,
+        };
+        let (cw, ow) = (18, 8);
+        let scan = |t: &str| LogicalPlan::Scan {
+            table: t.to_string(),
+        };
+        let join = |left, right, lk, rk| LogicalPlan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_key: Expr::col(lk),
+            right_key: Expr::col(rk),
+        };
+        let o_entry = Expr::col(cw + 4).ge(Expr::lit(20_230_800));
+        let ol_amount = Expr::col(cw + ow + 8).gt(Expr::lit(1.5));
+        let spanning = Expr::col(0).lt(Expr::col(cw + ow + 2));
+        let constant = Expr::lit(1).eq(Expr::lit(1));
+        let plan = LogicalPlan::Select {
+            input: Box::new(join(join(scan("C"), scan("O"), 0, 3), scan("OL"), cw, 0)),
+            pred: o_entry
+                .clone()
+                .and(spanning.clone())
+                .and(ol_amount)
+                .and(constant.clone()),
+            sel_hint: Some(0.5),
+        };
+        let select = |input, pred| LogicalPlan::Select {
+            input: Box::new(input),
+            pred,
+            sel_hint: None,
+        };
+        let pushed = join(
+            join(
+                scan("C"),
+                select(scan("O"), Expr::col(4).ge(Expr::lit(20_230_800))),
+                0,
+                3,
+            ),
+            select(scan("OL"), Expr::col(8).gt(Expr::lit(1.5))),
+            cw,
+            0,
+        );
+        assert_eq!(
+            push_filters(&plan, &width),
+            LogicalPlan::Select {
+                input: Box::new(pushed),
+                pred: spanning.and(constant),
+                sel_hint: Some(0.5),
+            }
+        );
+    }
+
+    /// Top-N equals a stable sort then a cut, ties included, for every
+    /// limit; a full sort is a stable sort.
+    #[test]
+    fn top_n_is_a_stable_sort_cut() {
+        let rows: Vec<Vec<Value>> = (0..200)
+            .map(|i| {
+                let k = if i % 9 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int32(i % 4)
+                };
+                vec![k, Value::Int32(i)]
+            })
+            .collect();
+        let keys = [SortKey {
+            expr: Expr::col(0),
+            asc: false,
+        }];
+        let mut stable = rows.clone();
+        stable.sort_by(|a, b| cmp_values(&a[0], &b[0]).reverse());
+        assert_eq!(sorted(rows.clone(), &keys, None), stable);
+        for n in [0, 1, 7, 50, 199, 200, 500] {
+            let cut = &stable[..n.min(stable.len())];
+            assert_eq!(sorted(rows.clone(), &keys, Some(n)), cut, "n={n}");
+        }
+    }
+
+    /// Build rows of one key sit together, in input order; NULL keys drop;
+    /// only kept columns are stored, the rest read as NULL.
+    #[test]
+    fn build_side_groups_keys_in_input_order_and_keeps_only_read_columns() {
+        let rows: Vec<Vec<Value>> = [(1, "a"), (2, "b"), (1, "c"), (0, "d"), (2, "e")]
+            .into_iter()
+            .map(|(k, s)| {
+                let k = if k == 0 { Value::Null } else { Value::Int64(k) };
+                vec![k, Value::from(s), Value::Int32(9)]
+            })
+            .collect();
+        let join = HashJoin::build(rows, &Expr::col(0), 3, &[1], Expr::col(0));
+        assert!(matches!(join.index, BuildIndex::Int(_)));
+        assert_eq!(join.width, 1);
+        let mut buf = Vec::new();
+        let matches = |key: KeyRef<'_>, buf: &mut Vec<u8>| -> Vec<Vec<Value>> {
+            join.lookup(key, buf)
+                .map(|m| {
+                    let view = Joined {
+                        build: &join.arena[m..m + 1],
+                        slots: &join.slots,
+                        probe: &[Value::Null],
+                    };
+                    view.to_row()
+                })
+                .collect()
+        };
+        let row = |s: &str| vec![Value::Null, Value::from(s), Value::Null, Value::Null];
+        // Int32 and Int64 keys join; the probe's own column comes last.
+        assert_eq!(
+            matches(KeyRef::Val(&Value::Int32(1)), &mut buf),
+            vec![row("a"), row("c")]
+        );
+        assert_eq!(matches(KeyRef::Int(2), &mut buf), vec![row("b"), row("e")]);
+        assert!(matches(KeyRef::Val(&Value::Null), &mut buf).is_empty());
+        assert!(matches(KeyRef::Str("1"), &mut buf).is_empty());
+        assert!(matches(KeyRef::Val(&Value::Float64(1.0)), &mut buf).is_empty());
     }
 
     #[test]

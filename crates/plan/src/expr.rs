@@ -8,6 +8,28 @@
 use pdsm_storage::types::{cmp_values, Value};
 use pdsm_storage::ColId;
 
+/// Positional read access to one input row: what [`Expr::eval`] reads.
+/// A row is usually one slice; a join's output can also be read as a view
+/// over its build row and its probe row, without concatenating them.
+pub trait Columns {
+    /// The value of column `c`.
+    fn col(&self, c: ColId) -> &Value;
+}
+
+impl Columns for [Value] {
+    #[inline(always)]
+    fn col(&self, c: ColId) -> &Value {
+        &self[c]
+    }
+}
+
+impl Columns for Vec<Value> {
+    #[inline(always)]
+    fn col(&self, c: ColId) -> &Value {
+        &self[c]
+    }
+}
+
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
@@ -186,10 +208,11 @@ impl Expr {
         self.arith(ArithOp::Div, other)
     }
 
-    /// Evaluate to a [`Value`].
-    pub fn eval(&self, row: &[Value]) -> Value {
+    /// Evaluate to a [`Value`] over `row`: a slice, or any other
+    /// [`Columns`] view.
+    pub fn eval<R: Columns + ?Sized>(&self, row: &R) -> Value {
         match self {
-            Expr::Col(c) => row[*c].clone(),
+            Expr::Col(c) => row.col(*c).clone(),
             Expr::Lit(v) => v.clone(),
             Expr::Cmp { op, left, right } => {
                 let l = left.eval(row);
@@ -236,7 +259,7 @@ impl Expr {
     }
 
     /// Evaluate as a predicate.
-    pub fn eval_bool(&self, row: &[Value]) -> bool {
+    pub fn eval_bool<R: Columns + ?Sized>(&self, row: &R) -> bool {
         self.eval(row).truthy()
     }
 

@@ -131,14 +131,10 @@ impl LogicalPlan {
     fn collect_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             LogicalPlan::Scan { table } => out.push(table),
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Aggregate { input, .. }
-            | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. } => input.collect_tables(out),
-            LogicalPlan::Join { left, right, .. } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
+            _ => {
+                for input in self.inputs() {
+                    input.collect_tables(out);
+                }
             }
         }
     }
@@ -153,8 +149,8 @@ impl LogicalPlan {
     ) -> Vec<(String, Vec<ColId>)> {
         let mut acc: Vec<(String, Vec<ColId>)> = Vec::new();
         // Every output column of the plan root is required by the consumer.
-        let mut all: Vec<ColId> = (0..self.arity(table_width)).collect();
-        self.collect_required(table_width, &mut acc, &mut all);
+        let all: Vec<ColId> = (0..self.arity(table_width)).collect();
+        self.collect_required(table_width, &mut acc, &all);
         for (_, cols) in &mut acc {
             cols.sort_unstable();
             cols.dedup();
@@ -168,79 +164,81 @@ impl LogicalPlan {
         &self,
         table_width: &impl Fn(&str) -> usize,
         acc: &mut Vec<(String, Vec<ColId>)>,
-        upstream: &mut Vec<ColId>,
+        upstream: &[ColId],
     ) {
+        let LogicalPlan::Scan { table } = self else {
+            let needs = self.input_columns(table_width, upstream);
+            for (input, need) in self.inputs().into_iter().zip(needs) {
+                input.collect_required(table_width, acc, &need);
+            }
+            return;
+        };
+        match acc.iter_mut().find(|(t, _)| t == table) {
+            Some((_, cols)) => cols.extend_from_slice(upstream),
+            None => acc.push((table.clone(), upstream.to_vec())),
+        }
+    }
+
+    /// This node's inputs, in order: a join's left, then its right.
+    pub fn inputs(&self) -> Vec<&LogicalPlan> {
         match self {
-            LogicalPlan::Scan { table } => {
-                let entry = match acc.iter_mut().find(|(t, _)| t == table) {
-                    Some((_, cols)) => cols,
-                    None => {
-                        acc.push((table.clone(), Vec::new()));
-                        &mut acc.last_mut().unwrap().1
-                    }
-                };
-                entry.extend(upstream.iter().copied());
-            }
-            LogicalPlan::Select { input, pred, .. } => {
-                let mut need = upstream.clone();
-                need.extend(pred.columns());
-                input.collect_required(table_width, acc, &mut need);
-            }
-            LogicalPlan::Project { input, exprs } => {
-                let mut need = Vec::new();
-                for &i in upstream.iter() {
-                    if let Some(e) = exprs.get(i) {
-                        need.extend(e.columns());
-                    }
-                }
-                input.collect_required(table_width, acc, &mut need);
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => {
-                // aggregation consumes its inputs regardless of which outputs
-                // are used upstream
-                let mut need = Vec::new();
-                for g in group_by {
-                    need.extend(g.columns());
-                }
-                for a in aggs {
-                    if let Some(e) = &a.arg {
-                        need.extend(e.columns());
-                    }
-                }
-                input.collect_required(table_width, acc, &mut need);
-            }
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
+    /// For each of [`LogicalPlan::inputs`], the columns of its output this
+    /// node reads when its own consumers read `upstream` (sorted, no
+    /// duplicates). An aggregation reads its inputs whatever is read of
+    /// its output; a join reads its keys on each side.
+    pub fn input_columns(
+        &self,
+        table_width: &impl Fn(&str) -> usize,
+        upstream: &[ColId],
+    ) -> Vec<Vec<ColId>> {
+        let set = |cols: &mut dyn Iterator<Item = ColId>| {
+            let mut out: Vec<ColId> = cols.collect();
+            out.sort_unstable();
+            out.dedup();
+            out
+        };
+        let up = || upstream.iter().copied();
+        match self {
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Select { pred, .. } => vec![set(&mut up().chain(pred.columns()))],
+            LogicalPlan::Project { exprs, .. } => vec![set(&mut up()
+                .filter_map(|i| exprs.get(i))
+                .flat_map(Expr::columns))],
+            LogicalPlan::Aggregate { group_by, aggs, .. } => vec![set(&mut group_by
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .flat_map(Expr::columns))],
             LogicalPlan::Join {
                 left,
-                right,
                 left_key,
                 right_key,
+                ..
             } => {
                 let lw = left.arity(table_width);
-                let mut lneed: Vec<ColId> = upstream.iter().filter(|&&c| c < lw).copied().collect();
-                let mut rneed: Vec<ColId> = upstream
-                    .iter()
-                    .filter(|&&c| c >= lw)
-                    .map(|&c| c - lw)
-                    .collect();
-                lneed.extend(left_key.columns());
-                rneed.extend(right_key.columns());
-                left.collect_required(table_width, acc, &mut lneed);
-                right.collect_required(table_width, acc, &mut rneed);
+                vec![
+                    set(&mut up().filter(|&c| c < lw).chain(left_key.columns())),
+                    set(&mut up()
+                        .filter(|&c| c >= lw)
+                        .map(|c| c - lw)
+                        .chain(right_key.columns())),
+                ]
             }
-            LogicalPlan::Sort { input, keys } => {
-                let mut need = upstream.clone();
-                for k in keys {
-                    need.extend(k.expr.columns());
-                }
-                input.collect_required(table_width, acc, &mut need);
+            LogicalPlan::Sort { keys, .. } => {
+                vec![set(
+                    &mut up().chain(keys.iter().flat_map(|k| k.expr.columns()))
+                )]
             }
-            LogicalPlan::Limit { input, .. } => {
-                input.collect_required(table_width, acc, upstream);
-            }
+            LogicalPlan::Limit { .. } => vec![upstream.to_vec()],
         }
     }
 }

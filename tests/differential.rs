@@ -163,6 +163,44 @@ proptest! {
     }
 
     #[test]
+    fn sort_limit_exact_under_ties(layout in arb_layout(), seed in 1u64..5000, k in 0usize..300) {
+        let t = make_table(250, seed, layout);
+        let mut db = HashMap::new();
+        db.insert("t".to_string(), t);
+        // No unique tiebreak: `b` has ten values and `s` seven, so about
+        // 3.5 rows share each key and the limit cuts through tied runs;
+        // the unsorted `e` shows which of them came first.
+        let project = QueryBuilder::scan("t")
+            .project(vec![Expr::col(1), Expr::col(4), Expr::col(3), Expr::col(5)])
+            .build();
+        let keys = [(Expr::col(0), true), (Expr::col(1), false)];
+        let plan = QueryBuilder::from_plan(project.clone())
+            .sort(keys.to_vec())
+            .limit(k)
+            .build();
+        // the contract: a stable sort of the scan order, then the first k
+        let mut expect = EngineKind::Volcano.engine().execute(&project, &db).unwrap().rows;
+        expect.sort_by(|a, b| {
+            keys.iter()
+                .map(|(e, asc)| {
+                    let ord = mrdb::storage::types::cmp_values(&e.eval(&a[..]), &e.eval(&b[..]));
+                    if *asc { ord } else { ord.reverse() }
+                })
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        expect.truncate(k);
+        for kind in EngineKind::all() {
+            let out = kind.engine().execute(&plan, &db).unwrap();
+            prop_assert_eq!(&expect, &out.rows, "{:?}", kind);
+        }
+        for threads in [2, 8] {
+            let out = ParallelEngine::with_threads(threads).execute(&plan, &db).unwrap();
+            prop_assert_eq!(&expect, &out.rows, "parallel({})", threads);
+        }
+    }
+
+    #[test]
     fn arithmetic_projection(layout in arb_layout(), seed in 1u64..5000, div in 1i32..20) {
         let t = make_table(200, seed, layout);
         let mut db = HashMap::new();

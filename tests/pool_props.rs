@@ -129,9 +129,10 @@ fn scan_plans(n: usize) -> Vec<LogicalPlan> {
     ]
 }
 
-/// Pipeline breakers over `n` rows: a sort + limit, a self-join aggregate
-/// and a join feeding a group-by. Both sides of a join walk the extents
-/// like any other scan.
+/// Pipeline breakers over `n` rows: a sort + limit, a three-way join with
+/// a filter pushed below it and one spanning its sides (collected and
+/// grouped), a self-join aggregate and a join feeding a group-by. Both
+/// sides of a join walk the extents like any other scan.
 fn breaker_plans(n: usize) -> Vec<LogicalPlan> {
     let self_join = |build: Expr| {
         QueryBuilder::scan("R").filter(build).join(
@@ -140,11 +141,41 @@ fn breaker_plans(n: usize) -> Vec<LogicalPlan> {
             Expr::col(0),
         )
     };
+    // A three-way join: the clustered suffix joins itself on the unique
+    // `A`, then every `R` row sharing its `B`. Its `WHERE` has a conjunct
+    // that moves onto the third scan and one spanning both join sides.
+    let (j2, j3) = (N_COLS, 2 * N_COLS);
+    let three_way = QueryBuilder::scan("R")
+        .filter(Expr::col(0).lt(Expr::lit(-(n as i32) + 64)))
+        .join(QueryBuilder::scan("R").build(), Expr::col(0), Expr::col(0))
+        .join(
+            QueryBuilder::scan("R").build(),
+            Expr::col(j2 + 1),
+            Expr::col(1),
+        )
+        .filter(
+            Expr::col(j3 + 2)
+                .lt(Expr::lit(600))
+                .and(Expr::col(2).le(Expr::col(j3 + 3))),
+        );
     vec![
         QueryBuilder::scan("R")
             .filter(Expr::col(0).eq(Expr::lit(0)))
             .sort(vec![(Expr::col(1), true), (Expr::col(2), true)])
             .limit(10)
+            .build(),
+        three_way
+            .clone()
+            .project(vec![Expr::col(0), Expr::col(j3), Expr::col(j3 + 2)])
+            .build(),
+        three_way
+            .aggregate(
+                vec![Expr::col(j3 + 4)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Avg, Expr::col(j2 + 5)),
+                ],
+            )
             .build(),
         // Every `A = 0` row joins every other: a fan-out probe.
         self_join(Expr::col(0).eq(Expr::lit(0)))

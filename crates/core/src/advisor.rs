@@ -113,13 +113,6 @@ impl LayoutAdvisor {
     pub fn advise_observed(&self, db: &Database) -> AdvisorReport {
         self.advise(db, &db.observed_workload())
     }
-
-    /// Re-layout every table the observed workload touches, per its own
-    /// advice.
-    pub fn apply_observed(&self, db: &Database) -> Result<AdvisorReport, DbError> {
-        let workload = db.observed_workload();
-        self.apply(db, &workload)
-    }
 }
 
 #[cfg(test)]

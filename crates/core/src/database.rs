@@ -163,6 +163,8 @@ pub enum DbError {
         table: String,
         column: String,
     },
+    /// An environment setting has a value it cannot take.
+    Config(String),
 }
 
 impl std::fmt::Display for DbError {
@@ -175,6 +177,7 @@ impl std::fmt::Display for DbError {
             DbError::NotIndexable { table, column } => {
                 write!(f, "column {table}.{column} cannot be indexed")
             }
+            DbError::Config(m) => write!(f, "invalid configuration: {m}"),
         }
     }
 }
@@ -213,7 +216,8 @@ fn io_db(ctx: &str, e: std::io::Error) -> DbError {
 /// How a durable [`Database`] writes to disk: where, and how eagerly.
 ///
 /// Handed to [`Database::open_with`]; [`Database::open`] builds one from
-/// the environment ([`FsyncMode::from_env`] reads `PDSM_FSYNC`).
+/// the environment ([`FsyncMode::from_env`] reads `PDSM_FSYNC`) and fails
+/// on a value it does not know.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Root directory: one subdirectory per table (main blobs + WAL) plus
@@ -225,11 +229,13 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability under `data_dir` with the fsync policy from `PDSM_FSYNC`
-    /// (default: `batch` group commit).
+    /// (default: `batch` group commit). A value it does not know means
+    /// `always` here — never weaker than what was asked for — and fails
+    /// [`Database::open`].
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             data_dir: data_dir.into(),
-            fsync: FsyncMode::from_env(),
+            fsync: FsyncMode::from_env().unwrap_or(FsyncMode::Always),
         }
     }
 
@@ -414,12 +420,14 @@ impl Database {
     /// tail (the crash point) is truncated, never an error; a corrupt
     /// *committed* checkpoint blob is.
     ///
-    /// Fsync policy comes from `PDSM_FSYNC` (`always` | `batch` | `off`,
-    /// default `batch`); maintenance policy from the environment as in
-    /// [`Database::new`]. Use [`Database::open_with`] to pin both.
+    /// Fsync policy comes from `PDSM_FSYNC` (`always` | `batch` | `group`
+    /// | `off`, default `batch`; any other value is [`DbError::Config`]);
+    /// maintenance policy from the environment as in [`Database::new`].
+    /// Use [`Database::open_with`] to pin both.
     pub fn open(data_dir: impl Into<PathBuf>) -> Result<Database, DbError> {
+        let fsync = FsyncMode::from_env().map_err(DbError::Config)?;
         Self::open_with(
-            DurabilityConfig::new(data_dir),
+            DurabilityConfig::new(data_dir).with_fsync(fsync),
             MaintenanceConfig::from_env(),
         )
     }
@@ -691,13 +699,6 @@ impl Database {
         self.pool.as_ref().map(|p| p.stats())
     }
 
-    /// Merges the background worker has applied since the last call,
-    /// without blocking. (The worker applies builds itself now; this only
-    /// reports them.)
-    pub fn poll_maintenance(&self) -> Result<Vec<(String, MergeStats)>, DbError> {
-        Ok(self.maintenance.drain_applied())
-    }
-
     /// Block until every in-flight background build is applied (or
     /// discarded). The deterministic quiesce point tests and benchmarks
     /// use; returns the merges applied since the last drain.
@@ -818,11 +819,6 @@ impl Database {
         self.cache.set_config(cfg);
     }
 
-    /// The result cache's active configuration.
-    pub fn result_cache_config(&self) -> ResultCacheConfig {
-        self.cache.config()
-    }
-
     /// Record one executed plan into the observed workload (deduplicated;
     /// repeats bump the frequency). `key` is the plan's rendering, shared
     /// with the statement cache so `execute` formats it once.
@@ -921,7 +917,7 @@ fn build_index(main: &MainStore, col: ColId, kind: IndexKind) -> Result<Index, D
         IndexKind::RBTree => Index::RBTree(RBTree::new()),
     };
     let def = &main.schema().columns()[col];
-    main.for_each_extent(&[], &[], |first, t, _| {
+    main.for_each_extent(&[], &[], None, |first, t, _| {
         let mut fill = |key: &dyn Fn(usize) -> i64| {
             for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
                 idx.insert(key(row), (first + row) as u32);

@@ -341,12 +341,6 @@ impl MaintenanceScheduler {
         sent
     }
 
-    /// Merges the worker has applied since the last drain, without
-    /// blocking.
-    pub fn drain_applied(&self) -> Vec<(String, MergeStats)> {
-        std::mem::take(&mut self.shared.lock().applied)
-    }
-
     /// Block until every in-flight build has been applied (or discarded),
     /// then drain the applied list — the deterministic quiesce point tests
     /// and benchmarks use.

@@ -53,8 +53,9 @@ pub const CPU_COMPILED: f64 = 1.5;
 pub const PAR_FIXED_OVERHEAD: f64 = 30_000.0;
 /// Extra parallel cycles per worker (morsel-queue setup, partial merges).
 pub const PAR_PER_THREAD: f64 = 2_000.0;
-/// Cycles to reconstruct and residual-filter one index hit (full-row
-/// decode through every layout group plus interpreted predicate).
+/// Cycles to pass one index hit through the pipeline's hits source: a
+/// tombstone check, each scan conjunct's kernel test at the hit's row,
+/// then the columns the plan reads decoded into one reused row.
 pub const CPU_INDEX_HIT: f64 = 150.0;
 /// Cycles to interpret the predicate against one decoded delta-tail row.
 pub const CPU_TAIL_ROW: f64 = 60.0;

@@ -8,18 +8,26 @@
 //! writer, generation, `delta_ops`), then the indexes built from exactly
 //! that generation. The pin faults and copies nothing. A compiled or
 //! parallel run walks a cold main store one pinned extent at a time
-//! through the view ([`TableProvider::for_each_piece`]), and an index probe
-//! reads each hit through the one extent it lives in; only the Volcano
+//! through the view ([`TableProvider::for_each_piece`]); only the Volcano
 //! oracle reads a whole-table copy, assembled on the running thread after
 //! every lock is gone and dropped with the run.
+//!
+//! **One executor.** Every served statement runs through
+//! [`pdsm_exec::pipeline::execute`]. An index-probed one differs only in
+//! its scan's source: the view looks up the hits in its pinned index
+//! (a string key through the main store's dictionary), sorts them, and
+//! hands them to the pipeline, which pins only the extents holding hits,
+//! tests each hit's tombstone and scan conjuncts, runs the rest of the
+//! plan over the survivors and then over the live delta tail — exactly
+//! as a scan of the same plan does, on the calling thread.
 //!
 //! Everything downstream is a function of that view: the validity tokens
 //! of the statement cache ([`crate::result_cache`]), the planner
 //! ([`crate::Planner::plan`] takes the view, not the database), the
-//! engine / index-probe dispatch, the output names and
+//! engine / index-hits dispatch, the output names and
 //! the tag an entry is stored under. So the planner prices the version the
-//! engine scans, a plan that says `index` probes (an index lagging the
-//! pinned generation is not in the view, hence not a candidate), and a
+//! engine scans, a plan that says `index` reads its hits (an index lagging
+//! the pinned generation is not in the view, hence not a candidate), and a
 //! cached plan and result carry the state they were computed from without
 //! a second look at the live tables.
 //!
@@ -34,10 +42,11 @@
 use crate::database::{Database, DbError, EngineKind, TableEntry};
 use crate::result_cache::{DepTokens, Entry, Probe};
 use pdsm_exec::engine::{ExecError, Overlay, PieceVisitor, TableProvider};
+use pdsm_exec::pipeline::{self, Sequential};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
-use pdsm_plan::logical::LogicalPlan;
+use pdsm_plan::logical::{pipeline_fragment, LogicalPlan};
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
 use pdsm_storage::{ColId, DataType, Table, Value, ZonePred};
 use pdsm_txn::Snapshot;
@@ -200,8 +209,8 @@ impl Database {
 
     /// Execute `plan`, using an index for the outermost selection when one
     /// matches (the Fig.-10 "indexed" execution path); falls back to the
-    /// engine otherwise. Probes are delta-aware: main-store hits minus
-    /// tombstones, unioned with the filtered live tail.
+    /// engine otherwise. The indexed path is delta-aware: main-store hits
+    /// minus tombstones, then the filtered live tail.
     pub fn run_indexed(
         &self,
         plan: &LogicalPlan,
@@ -209,7 +218,7 @@ impl Database {
     ) -> Result<QueryResult, DbError> {
         let view = self.pin(plan);
         match view.index_candidate(plan) {
-            Some((table, access)) => view.probe(plan, &table, &access),
+            Some((table, access)) => view.run_hits(plan, &table, &access),
             None => view.run(plan, engine),
         }
     }
@@ -324,12 +333,12 @@ impl DbSnapshot {
             })
     }
 
-    /// Run `phys` the way it says: an index-probe root pipeline runs the
-    /// overlay-aware probe + delta-tail union it recorded, everything else
-    /// the chosen engine — `Unsupported` if that is not a serving engine.
+    /// Run `phys` the way it says: an index-probe root pipeline reads the
+    /// hits of the index it recorded, everything else the chosen engine —
+    /// `Unsupported` if that is not a serving engine.
     fn execute(&self, phys: &PhysicalPlan) -> Result<QueryResult, DbError> {
         match phys.pipelines.first().filter(|p| p.access.is_indexed()) {
-            Some(pipe) => self.probe(&phys.logical, &pipe.table, &pipe.access),
+            Some(pipe) => self.run_hits(&phys.logical, &pipe.table, &pipe.access),
             None => self.run(&phys.logical, EngineKind::try_from(phys.engine)?),
         }
     }
@@ -419,71 +428,43 @@ impl DbSnapshot {
         range_cand.map(|access| (table.clone(), access))
     }
 
-    /// Evaluate `plan` via the index probe `access` on `table`: probe the
-    /// pinned main-store index, drop tombstoned hits, residual-filter and
-    /// project the survivors, then union the live delta tail (full
-    /// predicate, append order). Rows come out in scan order — main order
-    /// then tail order — exactly what an engine scan of the same plan
-    /// produces. The index is the view's own, built from the pinned main
-    /// store: there is no staleness to check. `Unsupported` is for a
-    /// caller-built plan whose access path does not fit its logical plan.
-    fn probe(
+    /// Run `plan` with its one scan reading `table`'s main-store rows at
+    /// the hits of the pinned index that serves `access` (see the module
+    /// docs): the rows a scan of the plan yields, in its order. The index
+    /// is the view's own: there is no staleness to check. `Unsupported`
+    /// is for a caller-built plan that is not one filtered scan of `table`
+    /// or whose access path has no index in the view.
+    fn run_hits(
         &self,
         plan: &LogicalPlan,
         table: &str,
         access: &AccessPath,
     ) -> Result<QueryResult, DbError> {
         let misfit = || ExecError::Unsupported(format!("{access:?} does not serve this plan"));
-        let (project, inner) = match plan {
-            LogicalPlan::Project { input, exprs } => (Some(exprs), input.as_ref()),
-            other => (None, other),
-        };
-        let LogicalPlan::Select { pred, .. } = inner else {
+        if pipeline_fragment(plan).is_none() || plan.tables() != [table] {
             return Err(misfit().into());
-        };
+        }
         let pinned = self.pinned(table)?;
         let (Some(col), Some(index)) = (access.column(), pinned.index_for(access)) else {
             return Err(misfit().into());
         };
-        let main = pinned.snapshot.store();
-        let mut rows = match access {
-            AccessPath::IndexPoint { key, .. } => match key_of_value(main.skeleton(), col, key) {
-                Some(k) => index.lookup(k),
-                None => Vec::new(), // value not in dictionary → no main hits
-            },
+        let ids = match access {
+            AccessPath::IndexPoint { key, .. } => {
+                // A string the dictionary lacks has no main-store hit.
+                key_of_value(pinned.snapshot.store().skeleton(), col, key)
+                    .map_or_else(Vec::new, |k| index.lookup(k))
+            }
             AccessPath::IndexRange { lo, hi, .. } => {
                 index.lookup_range(*lo, *hi).ok_or_else(misfit)?
             }
             AccessPath::FullScan => return Err(misfit().into()),
         };
-        rows.sort_unstable();
-        let overlay = pinned.snapshot.overlay();
-        let materialize = |values: &[Value]| -> Vec<Value> {
-            match project {
-                Some(exprs) => exprs.iter().map(|e| e.eval(values)).collect(),
-                None => values.to_vec(),
-            }
+        let mut hits: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
+        hits.sort_unstable();
+        let output = QueryOutput {
+            rows: pipeline::execute(plan, self, &Sequential, Some(&hits))?,
         };
-        let mut out = QueryOutput::new();
-        for r in rows {
-            if overlay.as_ref().is_some_and(|o| o.is_dead(r as usize)) {
-                continue;
-            }
-            let row = main.row(r as usize)?;
-            if !pred.eval_bool(row.values()) {
-                continue;
-            }
-            out.rows.push(materialize(row.values()));
-        }
-        if let Some(o) = overlay.as_ref() {
-            for row in o.live_tail() {
-                if !pred.eval_bool(row.values()) {
-                    continue;
-                }
-                out.rows.push(materialize(row.values()));
-            }
-        }
-        Ok(QueryResult::new(self.output_names(plan), out))
+        Ok(QueryResult::new(self.output_names(plan), output))
     }
 }
 
@@ -509,10 +490,11 @@ impl TableProvider for DbSnapshot {
         &self,
         name: &str,
         zps: &[ZonePred],
+        rows: Option<&[usize]>,
         visit: &mut PieceVisitor<'_>,
     ) -> Result<(), ExecError> {
         match self.tables.get(name) {
-            Some(t) => t.snapshot.for_each_piece(name, zps, visit),
+            Some(t) => t.snapshot.for_each_piece(name, zps, rows, visit),
             None => Err(ExecError::UnknownTable(name.to_string())),
         }
     }

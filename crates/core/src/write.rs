@@ -27,7 +27,7 @@
 use crate::database::{Database, DbError, TableEntry};
 use crate::maintenance::{advised_merge, AdviseInputs, BuildJob, MaintenanceMode, TablePolicy};
 use pdsm_exec::engine::{tail_row_passes, Overlay};
-use pdsm_exec::pipeline::{Pipe, PipeSpec, Scan};
+use pdsm_exec::pipeline::{Pipe, PipeSpec, Scan, Source};
 use pdsm_exec::zone_preds;
 use pdsm_plan::expr::Expr;
 use pdsm_storage::row::Row;
@@ -283,7 +283,7 @@ fn match_rows(
     pred: Option<&Expr>,
     mut rows: Option<&mut Vec<Row>>,
 ) -> Result<Vec<RowId>, DbError> {
-    let mut pipe = Pipe::scan(vt.name());
+    let mut pipe = Pipe::new(Source::Table(vt.name().to_string()));
     if let Some(pred) = pred {
         pipe.select(pred);
     }
@@ -299,7 +299,7 @@ fn match_rows(
     // Survivors of `main` — the whole main store, or one extent of it
     // whose first row has id `first`.
     vt.store()
-        .for_each_extent(&zps, dead, |first, main: &Table, dead| {
+        .for_each_extent(&zps, dead, None, |first, main: &Table, dead| {
             let matched = ids.len();
             Scan::new(main, spec).collect_ids(dead, 0..main.len(), first, &mut ids);
             if let Some(rows) = rows.as_deref_mut() {

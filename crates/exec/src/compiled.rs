@@ -28,10 +28,10 @@
 //! state (or one output buffer).
 
 use crate::engine::{Engine, ExecError, TableProvider};
-use crate::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
+use crate::pipeline::{self, Sequential};
 use crate::result::QueryOutput;
 use crate::simd;
-use pdsm_plan::expr::{conjuncts, CmpOp, Expr};
+use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
@@ -51,23 +51,8 @@ impl Engine for CompiledEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
-        let rows = pipeline::execute(plan, db, &Sequential)?;
+        let rows = pipeline::execute(plan, db, &Sequential, None)?;
         Ok(QueryOutput { rows })
-    }
-}
-
-/// The sequential driver: a piece's surviving zone blocks fold in row
-/// order into the carried state (or append to one output buffer).
-struct Sequential;
-
-impl PipeDriver for Sequential {
-    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
-        Scan::new(table, spec).collect_range(dead, 0..table.len(), out);
-    }
-
-    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
-        let scan = Scan::new(table, state.parts().0);
-        state.fold_range(&scan, dead, 0..table.len());
     }
 }
 
@@ -235,68 +220,52 @@ impl PredKernel<'_> {
 /// Lower one conjunct to a kernel.
 pub fn compile_pred<'t>(t: &'t Table, e: &Expr) -> PredKernel<'t> {
     let null_of = |c: ColId| t.schema().columns()[c].nullable.then_some(c);
-    if let Expr::Cmp { op, left, right } = e {
-        let sides = match (left.as_ref(), right.as_ref()) {
-            (Expr::Col(c), Expr::Lit(v)) => Some((*c, *op, v)),
-            (Expr::Lit(v), Expr::Col(c)) => {
-                let flip = match op {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::Ge => CmpOp::Le,
-                    o => *o,
-                };
-                Some((*c, flip, v))
+    if let Some((c, op, lit)) = simple_cmp(e) {
+        match t.schema().columns()[c].ty {
+            DataType::Int32 => {
+                if let Some(v) = lit.as_i64() {
+                    return PredKernel::I32Cmp {
+                        r: t.i32_reader(c),
+                        op,
+                        v,
+                        null_col: null_of(c),
+                        t,
+                    };
+                }
             }
-            _ => None,
-        };
-        if let Some((c, op, lit)) = sides {
-            match t.schema().columns()[c].ty {
-                DataType::Int32 => {
-                    if let Some(v) = lit.as_i64() {
-                        return PredKernel::I32Cmp {
-                            r: t.i32_reader(c),
-                            op,
-                            v,
+            DataType::Int64 => {
+                if let Some(v) = lit.as_i64() {
+                    return PredKernel::I64Cmp {
+                        r: t.i64_reader(c),
+                        op,
+                        v,
+                        null_col: null_of(c),
+                        t,
+                    };
+                }
+            }
+            DataType::Float64 => {
+                if let Some(v) = lit.as_f64() {
+                    return PredKernel::F64Cmp {
+                        r: t.f64_reader(c),
+                        op,
+                        v,
+                        null_col: null_of(c),
+                        t,
+                    };
+                }
+            }
+            DataType::Str => {
+                if let (CmpOp::Eq, Some(s)) = (op, lit.as_str()) {
+                    return match t.dict(c).and_then(|d| d.code_of(s)) {
+                        Some(code) => PredKernel::CodeEq {
+                            r: t.str_code_reader(c),
+                            code,
                             null_col: null_of(c),
                             t,
-                        };
-                    }
-                }
-                DataType::Int64 => {
-                    if let Some(v) = lit.as_i64() {
-                        return PredKernel::I64Cmp {
-                            r: t.i64_reader(c),
-                            op,
-                            v,
-                            null_col: null_of(c),
-                            t,
-                        };
-                    }
-                }
-                DataType::Float64 => {
-                    if let Some(v) = lit.as_f64() {
-                        return PredKernel::F64Cmp {
-                            r: t.f64_reader(c),
-                            op,
-                            v,
-                            null_col: null_of(c),
-                            t,
-                        };
-                    }
-                }
-                DataType::Str => {
-                    if let (CmpOp::Eq, Some(s)) = (op, lit.as_str()) {
-                        return match t.dict(c).and_then(|d| d.code_of(s)) {
-                            Some(code) => PredKernel::CodeEq {
-                                r: t.str_code_reader(c),
-                                code,
-                                null_col: null_of(c),
-                                t,
-                            },
-                            None => PredKernel::Never,
-                        };
-                    }
+                        },
+                        None => PredKernel::Never,
+                    };
                 }
             }
         }
@@ -394,46 +363,18 @@ fn collect_zone_pred(t: &Table, e: &Expr, out: &mut Vec<ZonePred>) {
         CmpOp::Gt => ZoneOp::Gt,
         CmpOp::Ge => ZoneOp::Ge,
     };
-    match e {
-        Expr::Cmp { op, left, right } => {
-            let sides = match (left.as_ref(), right.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => Some((*c, *op, v)),
-                (Expr::Lit(v), Expr::Col(c)) => {
-                    let flip = match op {
-                        CmpOp::Lt => CmpOp::Gt,
-                        CmpOp::Le => CmpOp::Ge,
-                        CmpOp::Gt => CmpOp::Lt,
-                        CmpOp::Ge => CmpOp::Le,
-                        o => *o,
-                    };
-                    Some((*c, flip, v))
-                }
-                _ => None,
-            };
-            if let Some((col, op, lit)) = sides {
-                match t.schema().columns()[col].ty {
-                    DataType::Int32 | DataType::Int64 => {
-                        if let Some(v) = lit.as_i64() {
-                            out.push(ZonePred::I64Cmp {
-                                col,
-                                op: zop(op),
-                                v,
-                            });
-                        }
-                    }
-                    DataType::Float64 => {
-                        if let Some(v) = lit.as_f64() {
-                            out.push(ZonePred::F64Cmp {
-                                col,
-                                op: zop(op),
-                                v,
-                            });
-                        }
-                    }
-                    DataType::Str => {}
-                }
+    if let Some((col, op, lit)) = simple_cmp(e) {
+        let op = zop(op);
+        match t.schema().columns()[col].ty {
+            DataType::Int32 | DataType::Int64 => {
+                out.extend(lit.as_i64().map(|v| ZonePred::I64Cmp { col, op, v }))
             }
+            DataType::Float64 => out.extend(lit.as_f64().map(|v| ZonePred::F64Cmp { col, op, v })),
+            DataType::Str => {}
         }
+        return;
+    }
+    match e {
         Expr::IsNull(inner) => {
             if let Expr::Col(c) = inner.as_ref() {
                 out.push(ZonePred::IsNull {

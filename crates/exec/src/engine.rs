@@ -82,9 +82,10 @@ pub fn masked_tail_row(row: &Row, needed: &[ColId], width: usize) -> Vec<Value> 
     out
 }
 
-/// What [`TableProvider::for_each_piece`] calls on each main-store piece,
-/// with the piece's slice of the tombstone mask.
-pub type PieceVisitor<'v> = dyn FnMut(&Table, &[bool]) -> Result<(), ExecError> + 'v;
+/// What [`TableProvider::for_each_piece`] calls on each main-store piece:
+/// the row id of its first row, the piece, and its slice of the tombstone
+/// mask.
+pub type PieceVisitor<'v> = dyn FnMut(usize, &Table, &[bool]) -> Result<(), ExecError> + 'v;
 
 /// Resolves table names to storage. Implemented by `pdsm-core`'s
 /// statement view, by `pdsm-txn`'s snapshots and by plain maps in tests.
@@ -115,21 +116,28 @@ pub trait TableProvider {
             .ok_or_else(|| ExecError::UnknownTable(name.to_string()))
     }
 
-    /// Visit `name`'s main store in row order as `(table, dead)` pieces,
-    /// `dead` being that piece's slice of the overlay's tombstone mask
-    /// (empty = none). A piece the zone predicates `zps` refute may be
-    /// skipped: callers pass only conjuncts of the scan's own predicate.
-    /// The default visits [`TableProvider::table`] once; a provider over
-    /// cold mains visits one pinned extent at a time, and a fault that
-    /// cannot read an extent is [`ExecError::Storage`].
+    /// Visit `name`'s main store in row order as `(first row id, table,
+    /// dead)` pieces, `dead` being that piece's slice of the overlay's
+    /// tombstone mask (empty = none). A piece the zone predicates `zps`
+    /// refute may be skipped: callers pass only conjuncts of the scan's own
+    /// predicate. So may a piece that holds none of `rows` (ascending
+    /// main-store row ids) when they are given. The default visits
+    /// [`TableProvider::table`] once; a provider over cold mains visits one
+    /// pinned extent at a time, and a fault that cannot read an extent is
+    /// [`ExecError::Storage`].
     fn for_each_piece(
         &self,
         name: &str,
         zps: &[ZonePred],
+        rows: Option<&[usize]>,
         visit: &mut PieceVisitor<'_>,
     ) -> Result<(), ExecError> {
-        let _ = zps;
-        visit(&*self.table(name)?, Overlay::dead_of(&self.overlay(name)))
+        let _ = (zps, rows);
+        visit(
+            0,
+            &*self.table(name)?,
+            Overlay::dead_of(&self.overlay(name)),
+        )
     }
 }
 

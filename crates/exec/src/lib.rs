@@ -20,8 +20,9 @@
 //! [`pipeline`] owns the one lowering, the one walk over a main store's
 //! pieces (a resident table, or a cold one extent by extent) and the one
 //! survivor loop (zone refutation → tombstone mask → block mask →
-//! survivors); its two drivers are the compiled engine and `pdsm-par`'s
-//! parallel engine. A storage feature is therefore implemented twice:
+//! survivors, or over the rows at index hits); its two drivers are the
+//! compiled engine and `pdsm-par`'s parallel engine, and the index path
+//! of `pdsm-core` runs through it too. A storage feature is therefore implemented twice:
 //! once there, once in Volcano, which reads a cold main through a
 //! whole-table copy assembled for the run. The Fig.-3 bulk and vectorized
 //! baselines live in `pdsm-bench`, over plain tables.

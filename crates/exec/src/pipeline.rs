@@ -6,37 +6,41 @@
 //! only changes how the pipeline is walked over row ranges. This module
 //! owns everything that does not depend on the walk:
 //!
-//! * [`execute`] lowers a plan into open scan pipelines ([`Pipe`]: kernel
-//!   conjuncts plus a [`Step`] chain), materializes pipeline breakers and
-//!   walks every open pipeline over its table's main store **piece by
-//!   piece** ([`TableProvider::for_each_piece`]: a resident table is one
-//!   piece, a cold one is one pinned extent per piece, zone-refuted
-//!   extents skipped), then over the delta tail — once, here. Before it
-//!   lowers, it pushes every `WHERE` conjunct that reads one join side
-//!   only below the join, down to the scan whose columns it reads, where
-//!   it becomes a kernel conjunct (zone maps, SIMD masks);
+//! * [`execute`] lowers a plan into pipes ([`Pipe`]: a [`Source`], kernel
+//!   conjuncts, a [`Step`] chain) and walks each into one sink (output
+//!   buffer or aggregate fold). Pipes differ only in their source: a
+//!   table's main store **piece by piece**
+//!   ([`TableProvider::for_each_piece`]: a resident table is one piece, a
+//!   cold one is one pinned extent per piece, zone-refuted extents
+//!   skipped), a table's rows at index hits, or a pipeline breaker's rows.
+//!   A table source then walks its live delta tail — once, here. Before it
+//!   lowers, `execute` pushes every `WHERE` conjunct that reads one join
+//!   side only below the join, down to the scan whose columns it reads,
+//!   where it becomes a kernel conjunct (zone maps, SIMD masks);
 //! * a join carries only what its consumers read. The build side is a
 //!   [`HashJoin`]: one arena of build rows holding only the columns read
 //!   above the join, behind a map from key (raw `u64` for integers,
-//!   [`GroupKey`] otherwise) to a span of arena row ids. A pipe whose first
-//!   step probes on a plain key column reads the key in place and probes
-//!   before it materializes the row, so a miss allocates nothing, and a
-//!   match flows on as a joined view of (build row, probe row) that
+//!   [`GroupKey`] otherwise) to a span of arena row ids; each build row is
+//!   materialized once, as its key beside the kept columns. A pipe whose
+//!   first step probes on a plain key column reads the key in place and
+//!   probes before it materializes the row, so a miss allocates nothing,
+//!   and a match flows on as a joined view of (build row, probe row) that
 //!   filters, probe keys and the aggregate fold read in place;
 //! * [`Scan`] is the survivor loop — zone refutation → tombstone mask →
 //!   [`PredKernel::block_mask`] → survivors — over an arbitrary row range
-//!   of one bound table;
+//!   of one bound table, or over its rows at given ids;
 //! * [`AggState`] is the partial aggregate: `fold_range`, `fold_rows`,
 //!   `fold_tail`, `merge`, `finish`. It is order-free — every sum adds
 //!   exactly ([`Accumulator`]) — so one state carried across the pieces,
 //!   or any set of partials merged in any order, finishes to the same
 //!   bits, and a cold scan is bit-identical to a resident one.
 //!
-//! Two [`PipeDriver`]s walk one piece. The compiled engine folds `0..n`
-//! into the carried state; `pdsm-par` hands every worker its own state (or
-//! per-morsel row buffer) and merges the states. Drivers are called per
-//! block, morsel or piece — never per row; the per-row loops below are
-//! monomorphic.
+//! Two [`PipeDriver`]s walk one piece of a table source. The compiled
+//! engine ([`Sequential`]) folds `0..n` into the carried state; `pdsm-par`
+//! hands every worker its own state (or per-morsel row buffer) and merges
+//! the states. Drivers are called per block, morsel or piece — never per
+//! row; the per-row loops below are monomorphic. Index hits and breaker
+//! rows never reach a driver: they are few, and walked where they are.
 
 use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
@@ -62,7 +66,8 @@ use std::sync::Arc;
 // lowering
 // ---------------------------------------------------------------------------
 
-/// Steps applied to rows that survive the scan predicates, in order.
+/// Steps applied, in order, to a pipe's rows: a table's survivors of the
+/// scan predicates, or a breaker's rows.
 pub enum Step {
     /// Replace the row with the projected expressions.
     Project(Vec<Expr>),
@@ -73,32 +78,47 @@ pub enum Step {
     /// A selection the lowering could not make a kernel conjunct: over a
     /// join's output, a conjunct that reads both sides or no column (one
     /// that reads a single side moved below the join); else one over a
-    /// projection. Interpreted per row, a joined row in place.
+    /// projection or a breaker's rows. Interpreted per row, a joined row
+    /// in place.
     Filter(Expr),
 }
 
-/// An open scan pipeline: kernel conjuncts over `table`, then `steps`.
-pub struct Pipe {
-    pub table: String,
+/// Where a [`Pipe`]'s rows come from. Everything after the source —
+/// kernel conjuncts, steps, sinks, a table's delta tail — is shared.
+pub enum Source<'h> {
+    /// A table's main-store pieces, walked by the driver, then its live
+    /// delta tail.
+    Table(String),
+    /// A table's main-store rows at index hits (ascending row ids),
+    /// walked on the calling thread whatever the driver, then its live
+    /// delta tail.
+    Hits(String, &'h [usize]),
+    /// A pipeline breaker's materialized rows.
+    Rows(Vec<Vec<Value>>),
+}
+
+/// A pipeline: kernel conjuncts over a table source, then `steps`.
+pub struct Pipe<'h> {
+    pub source: Source<'h>,
     pub preds: Vec<Expr>,
     pub steps: Vec<Step>,
 }
 
-impl Pipe {
-    /// The bare scan of `table`.
-    pub fn scan(table: &str) -> Pipe {
+impl<'h> Pipe<'h> {
+    /// The bare pipe over `source`.
+    pub fn new(source: Source<'h>) -> Self {
         Pipe {
-            table: table.to_string(),
+            source,
             preds: Vec::new(),
             steps: Vec::new(),
         }
     }
 
-    /// Add a selection: kernel conjuncts while the pipe has no steps (the
-    /// predicate's columns are still scan columns), a residual filter
-    /// step afterwards.
+    /// Add a selection: kernel conjuncts while the pipe reads a table and
+    /// has no steps (the predicate's columns are still scan columns), a
+    /// residual filter step otherwise.
     pub fn select(&mut self, pred: &Expr) {
-        if self.steps.is_empty() {
+        if self.steps.is_empty() && !matches!(self.source, Source::Rows(_)) {
             self.preds.extend(conjuncts(pred).into_iter().cloned());
         } else {
             self.steps.push(Step::Filter(pred.clone()));
@@ -109,13 +129,6 @@ impl Pipe {
     pub fn project(&mut self, exprs: &[Expr]) {
         self.steps.push(Step::Project(exprs.to_vec()));
     }
-}
-
-/// A lowered query fragment: either an open scan pipeline or materialized
-/// rows (output of a pipeline breaker).
-enum Fragment {
-    Pipe(Pipe),
-    Rows(Vec<Vec<Value>>),
 }
 
 /// What a driver needs to run a [`Pipe`] over its (resolved) table.
@@ -143,21 +156,45 @@ pub trait PipeDriver {
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>);
 }
 
-/// Execute `plan` with `driver` walking its pipelines.
+/// The sequential driver — the compiled engine's: a piece's surviving zone
+/// blocks fold in row order into the carried state (or append to one
+/// output buffer).
+pub struct Sequential;
+
+impl PipeDriver for Sequential {
+    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
+        Scan::new(table, spec).collect_range(dead, 0..table.len(), out);
+    }
+
+    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
+        let scan = Scan::new(table, state.parts().0);
+        state.fold_range(&scan, dead, 0..table.len());
+    }
+}
+
+/// Execute `plan` with `driver` walking its table sources. With `hits`
+/// (ascending main-store row ids, the index path), the plan's one scan
+/// reads only the rows at those ids; a plan with more scans is
+/// [`ExecError::Unsupported`].
 pub fn execute(
     plan: &LogicalPlan,
     db: &dyn TableProvider,
     driver: &dyn PipeDriver,
+    hits: Option<&[usize]>,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
+    if hits.is_some() && plan.tables().len() != 1 {
+        return Err(ExecError::Unsupported("hits feed one scan".into()));
+    }
     let width = |t: &str| db.shape(t).map(|tb| tb.schema().len()).unwrap_or(0);
     let required = plan.required_columns(&width);
-    let plan = push_filters(plan, &width);
+    let plan = push_filters(plan.clone(), &width);
     let all: Vec<ColId> = (0..plan.arity(&width)).collect();
     Lowering {
         db,
         required: &required,
         driver,
         width: &width,
+        hits,
     }
     .materialize(&plan, &all)
 }
@@ -171,48 +208,20 @@ pub fn execute(
 /// reads no column, stays above the join. Inner joins commute with such
 /// filters, and a filter keeps the relative order of what it passes, so
 /// the result is the unrewritten plan's, row for row.
-fn push_filters(plan: &LogicalPlan, width: &dyn Fn(&str) -> usize) -> LogicalPlan {
-    let push = |p: &LogicalPlan| Box::new(push_filters(p, width));
-    match plan {
-        LogicalPlan::Scan { .. } => plan.clone(),
+fn push_filters(plan: LogicalPlan, width: &dyn Fn(&str) -> usize) -> LogicalPlan {
+    let mut plan = match plan {
         LogicalPlan::Select {
             input,
             pred,
             sel_hint,
-        } => select_over(push_filters(input, width), pred, *sel_hint, width),
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: push(input),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: push(input),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => LogicalPlan::Join {
-            left: push(left),
-            right: push(right),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: push(input),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: push(input),
-            n: *n,
-        },
+        } => return select_over(push_filters(*input, width), &pred, sel_hint, width),
+        plan => plan,
+    };
+    for input in plan.inputs_mut() {
+        let taken = std::mem::replace(input, LogicalPlan::Scan { table: "".into() });
+        *input = push_filters(taken, width);
     }
+    plan
 }
 
 /// `Select(pred)` over an already rewritten `input`, pushed through it
@@ -273,15 +282,16 @@ fn conjunction(preds: Vec<Expr>) -> Option<Expr> {
 }
 
 /// One plan's lowering: the provider, the per-table scan columns, the
-/// driver and the table widths.
+/// driver, the table widths and the index hits of the one scan.
 struct Lowering<'a> {
     db: &'a dyn TableProvider,
     required: &'a [(String, Vec<ColId>)],
     driver: &'a dyn PipeDriver,
     width: &'a dyn Fn(&str) -> usize,
+    hits: Option<&'a [usize]>,
 }
 
-impl Lowering<'_> {
+impl<'a> Lowering<'a> {
     /// The rows of `plan`; `need` is the set of its output columns that
     /// anything above reads.
     fn materialize(
@@ -289,30 +299,41 @@ impl Lowering<'_> {
         plan: &LogicalPlan,
         need: &[ColId],
     ) -> Result<Vec<Vec<Value>>, ExecError> {
-        match self.lower(plan, need)? {
-            Fragment::Rows(rows) => Ok(rows),
-            Fragment::Pipe(pipe) => self.run(&pipe, None),
-        }
+        self.run(self.lower(plan, need)?, None)
     }
 
-    /// Walk `pipe` over every main-store piece of its table the scan's zone
-    /// predicates cannot refute, in row order, then over the live delta
-    /// tail: collected when `agg` is `None`, else folded into one carried
-    /// state and finished.
+    /// Walk `pipe` from its source into one sink: collected when `agg` is
+    /// `None`, else folded into one carried state and finished. A table
+    /// source is walked over every main-store piece its scan's zone
+    /// predicates cannot refute (for hits, only those that hold one), in
+    /// row order, then over the live delta tail.
     fn run(
         &self,
-        pipe: &Pipe,
+        pipe: Pipe<'_>,
         agg: Option<(&[Expr], &[AggExpr])>,
     ) -> Result<Vec<Vec<Value>>, ExecError> {
+        let mut out = Vec::new();
+        let (name, hits) = match pipe.source {
+            Source::Table(name) => (name, None),
+            Source::Hits(name, ids) => (name, Some(ids)),
+            Source::Rows(rows) => {
+                let Some((group_by, aggs)) = agg else {
+                    push_rows(rows, &pipe.steps, &mut out);
+                    return Ok(out);
+                };
+                let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
+                push_rows(rows, &pipe.steps, &mut state.sink());
+                return Ok(state.finish());
+            }
+        };
         let (db, driver) = (self.db, self.driver);
-        let name = pipe.table.as_str();
         let shape = db
-            .shape(name)
-            .ok_or_else(|| ExecError::UnknownTable(name.to_string()))?;
+            .shape(&name)
+            .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
         let needed = self
             .required
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, c)| c.clone())
             .unwrap_or_else(|| (0..shape.schema().len()).collect());
         let spec = PipeSpec {
@@ -320,83 +341,65 @@ impl Lowering<'_> {
             steps: &pipe.steps,
             needed: &needed,
         };
+        // Hits fold on this thread through the keyed sink, which takes
+        // any aggregate: there are no partials to merge.
+        let mut state = agg.map(|(group_by, aggs)| match hits {
+            None => AggState::new(shape, spec, group_by, aggs),
+            Some(_) => AggState::keyed(spec, group_by, aggs),
+        });
         let zps = zone_preds(shape, spec.preds);
-        let overlay = db.overlay(name);
-        match agg {
-            None => {
-                let mut out = Vec::new();
-                db.for_each_piece(name, &zps, &mut |t, dead| {
-                    driver.collect(t, dead, spec, &mut out);
-                    Ok(())
-                })?;
-                if let Some(o) = &overlay {
-                    tail_rows(o, spec, &mut out);
+        db.for_each_piece(&name, &zps, hits, &mut |base, t, dead| {
+            match (hits, &mut state) {
+                (None, None) => driver.collect(t, dead, spec, &mut out),
+                (None, Some(state)) => driver.fold(t, dead, state),
+                (Some(ids), None) => Scan::new(t, spec).walk(dead, Walk::Hits(ids, base), &mut out),
+                (Some(ids), Some(state)) => {
+                    Scan::new(t, spec).walk(dead, Walk::Hits(ids, base), &mut state.sink())
                 }
-                Ok(out)
             }
-            Some((group_by, aggs)) => {
-                let mut state = AggState::new(shape, spec, group_by, aggs);
-                db.for_each_piece(name, &zps, &mut |t, dead| {
-                    driver.fold(t, dead, &mut state);
-                    Ok(())
-                })?;
-                if let Some(o) = &overlay {
-                    state.fold_tail(o);
-                }
-                Ok(state.finish())
+            Ok(())
+        })?;
+        if let Some(o) = &db.overlay(&name) {
+            match &mut state {
+                None => tail_rows(o, spec, &mut out),
+                Some(state) => state.fold_tail(o),
             }
         }
+        Ok(state.map_or(out, AggState::finish))
     }
 
-    /// Lower a plan into a fragment, executing pipeline breakers on the
-    /// way. `need` is the set of the plan's output columns read above it:
-    /// what a join's build side keeps.
-    fn lower(&self, plan: &LogicalPlan, need: &[ColId]) -> Result<Fragment, ExecError> {
+    /// Lower a plan into a pipe, executing pipeline breakers on the way.
+    /// `need` is the set of the plan's output columns read above it: what
+    /// a join's build side keeps.
+    fn lower(&self, plan: &LogicalPlan, need: &[ColId]) -> Result<Pipe<'a>, ExecError> {
         let needs = plan.input_columns(&self.width, need);
-        match plan {
+        Ok(match plan {
             LogicalPlan::Scan { table } => {
                 self.db
                     .shape(table)
                     .ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-                Ok(Fragment::Pipe(Pipe::scan(table)))
+                Pipe::new(match self.hits {
+                    Some(ids) => Source::Hits(table.clone(), ids),
+                    None => Source::Table(table.clone()),
+                })
             }
-            LogicalPlan::Select { input, pred, .. } => Ok(match self.lower(input, &needs[0])? {
-                Fragment::Pipe(mut pipe) => {
-                    pipe.select(pred);
-                    Fragment::Pipe(pipe)
-                }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .filter(|r| pred.eval_bool(&r[..]))
-                        .collect(),
-                ),
-            }),
-            LogicalPlan::Project { input, exprs } => Ok(match self.lower(input, &needs[0])? {
-                Fragment::Pipe(mut pipe) => {
-                    pipe.project(exprs);
-                    Fragment::Pipe(pipe)
-                }
-                Fragment::Rows(rows) => Fragment::Rows(
-                    rows.into_iter()
-                        .map(|r| exprs.iter().map(|e| e.eval(&r[..])).collect())
-                        .collect(),
-                ),
-            }),
+            LogicalPlan::Select { input, pred, .. } => {
+                let mut pipe = self.lower(input, &needs[0])?;
+                pipe.select(pred);
+                pipe
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let mut pipe = self.lower(input, &needs[0])?;
+                pipe.project(exprs);
+                pipe
+            }
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
-            } => {
-                let rows = match self.lower(input, &needs[0])? {
-                    Fragment::Pipe(pipe) => self.run(&pipe, Some((group_by, aggs)))?,
-                    Fragment::Rows(rows) => {
-                        let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
-                        state.fold_rows(rows);
-                        state.finish()
-                    }
-                };
-                Ok(Fragment::Rows(rows))
-            }
+            } => Pipe::new(Source::Rows(
+                self.run(self.lower(input, &needs[0])?, Some((group_by, aggs)))?,
+            )),
             LogicalPlan::Join {
                 left,
                 right,
@@ -405,41 +408,30 @@ impl Lowering<'_> {
             } => {
                 // The build side is always materialized (pipeline
                 // breaker) and indexed in row order, so probe fan-out
-                // order is the same under every driver. It keeps only the
-                // left columns read above the join.
+                // order is the same under every driver. Each build row is
+                // materialized once: its key, then the left columns read
+                // above the join.
                 let lw = left.arity(&self.width);
                 let keep: Vec<ColId> = need.iter().copied().filter(|&c| c < lw).collect();
-                let probe = Step::Probe(HashJoin::build(
-                    self.materialize(left, &needs[0])?,
-                    left_key,
-                    lw,
-                    &keep,
-                    right_key.clone(),
-                ));
-                Ok(match self.lower(right, &needs[1])? {
-                    Fragment::Pipe(mut pipe) => {
-                        // The probe key is evaluated against the probe-side
-                        // row in its base space; later steps read the
-                        // joined space, build columns first.
-                        pipe.steps.push(probe);
-                        Fragment::Pipe(pipe)
-                    }
-                    Fragment::Rows(rows) => {
-                        let steps = [probe];
-                        let (mut out, mut buf) = (Vec::new(), Vec::new());
-                        for r in rows {
-                            push_row(r, &steps, &mut buf, &mut out);
-                        }
-                        Fragment::Rows(out)
-                    }
-                })
+                let mut build = self.lower(left, &needs[0])?;
+                let key_and_kept: Vec<Expr> = std::iter::once(left_key.clone())
+                    .chain(keep.iter().map(|&c| Expr::col(c)))
+                    .collect();
+                build.project(&key_and_kept);
+                let join = HashJoin::build(self.run(build, None)?, lw, &keep, right_key.clone());
+                // The probe key is evaluated against the probe-side row in
+                // its base space; later steps read the joined space, build
+                // columns first.
+                let mut pipe = self.lower(right, &needs[1])?;
+                pipe.steps.push(Step::Probe(join));
+                pipe
             }
-            LogicalPlan::Sort { input, keys } => Ok(Fragment::Rows(sorted(
+            LogicalPlan::Sort { input, keys } => Pipe::new(Source::Rows(sorted(
                 self.materialize(input, &needs[0])?,
                 keys,
                 None,
             ))),
-            LogicalPlan::Limit { input, n } => Ok(Fragment::Rows(match input.as_ref() {
+            LogicalPlan::Limit { input, n } => Pipe::new(Source::Rows(match input.as_ref() {
                 // Top-N: select the first `n`, sort only those.
                 LogicalPlan::Sort { input: rows, keys } => {
                     let need = &input.input_columns(&self.width, &needs[0])[0];
@@ -451,7 +443,7 @@ impl Lowering<'_> {
                     rows
                 }
             })),
-        }
+        })
     }
 }
 
@@ -570,31 +562,30 @@ fn spans<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> (Spans<K>, Vec<usize>) 
 }
 
 impl HashJoin {
-    /// Index the join's materialized left input `rows` (`lw` columns) on
-    /// `left_key`, keeping columns `keep` of each; a row with a NULL key
-    /// never matches and is dropped. `key` is the probe side's key.
-    fn build(rows: Vec<Vec<Value>>, left_key: &Expr, lw: usize, keep: &[ColId], key: Expr) -> Self {
-        let keyed: Vec<(Value, Vec<Value>)> = rows
-            .into_iter()
-            .map(|r| (left_key.eval(&r[..]), r))
-            .filter(|(k, _)| !k.is_null())
-            .collect();
-        let ints = keyed
+    /// Index a join's build side: each of `rows` holds a build row's key,
+    /// then its kept left columns `keep` (of `lw`), in row order; a row
+    /// with a NULL key never matches and is dropped. `key` is the probe
+    /// side's key.
+    fn build(mut rows: Vec<Vec<Value>>, lw: usize, keep: &[ColId], key: Expr) -> Self {
+        rows.retain(|r| !r[0].is_null());
+        let ints = rows
             .iter()
-            .all(|(k, _)| matches!(k, Value::Int32(_) | Value::Int64(_)));
+            .all(|r| matches!(r[0], Value::Int32(_) | Value::Int64(_)));
         let (index, pos) = if ints {
-            let (map, pos) = spans(keyed.iter().map(|(k, _)| k.as_i64().expect("int") as u64));
+            let (map, pos) = spans(rows.iter().map(|r| r[0].as_i64().expect("int") as u64));
             (BuildIndex::Int(map), pos)
         } else {
-            let (map, pos) = spans(keyed.iter().map(|(k, _)| GroupKey::single(k)));
+            let (map, pos) = spans(rows.iter().map(|r| GroupKey::single(&r[0])));
             (BuildIndex::Keyed(map), pos)
         };
         let width = keep.len();
-        let mut arena = vec![Value::Null; keyed.len() * width];
-        for ((_, mut row), p) in keyed.into_iter().zip(pos) {
-            let dst = &mut arena[p * width..][..width];
-            for (d, &c) in dst.iter_mut().zip(keep) {
-                *d = std::mem::replace(&mut row[c], Value::Null);
+        let mut arena = vec![Value::Null; rows.len() * width];
+        for (row, p) in rows.into_iter().zip(pos) {
+            for (d, v) in arena[p * width..][..width]
+                .iter_mut()
+                .zip(row.into_iter().skip(1))
+            {
+                *d = v;
             }
         }
         let mut slots = vec![None; lw];
@@ -731,6 +722,14 @@ fn push_row<S: Sink>(mut row: Vec<Value>, steps: &[Step], buf: &mut Vec<u8>, sin
     sink.row(row);
 }
 
+/// Push every row of `rows` through `steps` into `sink`.
+fn push_rows<S: Sink>(rows: Vec<Vec<Value>>, steps: &[Step], sink: &mut S) {
+    let mut buf = Vec::new();
+    for row in rows {
+        push_row(row, steps, &mut buf, sink);
+    }
+}
+
 /// [`push_row`] for a joined view: filters read it in place, a projection
 /// or a further probe materializes it once.
 fn joined_steps<S: Sink>(view: &Joined<'_>, steps: &[Step], buf: &mut Vec<u8>, sink: &mut S) {
@@ -771,6 +770,15 @@ impl Tally {
     }
 }
 
+/// Which main-store rows of one bound table a survivor loop visits.
+enum Walk<'r> {
+    /// Every row of a range.
+    Range(Range<usize>),
+    /// The rows at those of the ascending index hits that fall in the
+    /// table, whose first row has row id `base`.
+    Hits(&'r [usize], usize),
+}
+
 /// One table bound for scanning: predicate kernels compiled against its
 /// partition readers and dictionaries, zone map at hand. Binding costs a
 /// dictionary pass per string predicate, so drivers bind once per worker
@@ -788,6 +796,9 @@ pub struct Scan<'a> {
     /// or string column of this table: read in place, so a survivor is
     /// probed before it materializes and a miss allocates nothing.
     probe_key: Option<KeyReader<'a>>,
+    /// The first step's columns when it projects plain columns: a survivor
+    /// is decoded straight into its projected row.
+    project: Option<Vec<ColId>>,
 }
 
 impl<'a> Scan<'a> {
@@ -804,6 +815,13 @@ impl<'a> Scan<'a> {
             wide: simd::wide_enabled(simd::mode()),
             probe_key: match spec.steps.first() {
                 Some(Step::Probe(join)) => KeyReader::open(table, std::slice::from_ref(&join.key)),
+                _ => None,
+            },
+            project: match spec.steps.first() {
+                Some(Step::Project(exprs)) => exprs
+                    .iter()
+                    .map(|e| if let Expr::Col(c) = e { Some(*c) } else { None })
+                    .collect(),
                 _ => None,
             },
         }
@@ -839,16 +857,30 @@ impl<'a> Scan<'a> {
         }
     }
 
-    /// The survivor loop: call `f(i)` for every row of `range` that sits
-    /// in an unrefuted block, is not tombstoned in `dead` (empty = no
-    /// tombstones) and passes every kernel, in row order.
+    /// The survivor loop: call `f(i)` for every row `walk` visits that is
+    /// not tombstoned in `dead` (empty = no tombstones) and passes every
+    /// kernel, in row order. A range is walked in the zone blocks it
+    /// cannot refute, 64 rows to a mask; hits one at a time.
     fn survivors(
         &self,
         dead: &[bool],
-        range: Range<usize>,
+        walk: Walk<'_>,
         tally: &mut Tally,
         mut f: impl FnMut(usize),
     ) {
+        let range = match walk {
+            Walk::Range(range) => range,
+            Walk::Hits(ids, base) => {
+                let at = |row: usize| ids.partition_point(|&id| id < row);
+                let ids = &ids[at(base)..at(base + self.table.len())];
+                for i in ids.iter().map(|&id| id - base) {
+                    if !dead.get(i).is_some_and(|&d| d) && self.kernels.iter().all(|k| k.test(i)) {
+                        f(i);
+                    }
+                }
+                return;
+            }
+        };
         self.blocks(range, tally, |bs, be, tally| {
             let mut sub = bs;
             while sub < be {
@@ -889,14 +921,25 @@ impl<'a> Scan<'a> {
     }
 
     /// Survivors pushed through the steps into `sink`. A pipe that starts
-    /// with a probe on a key column probes first and materializes only
-    /// the rows that match.
-    fn rows<S: Sink>(&self, dead: &[bool], range: Range<usize>, tally: &mut Tally, sink: &mut S) {
+    /// with a plain-column projection decodes only those columns; one that
+    /// starts with a probe on a key column probes first and materializes
+    /// only the rows that match.
+    fn rows<S: Sink>(&self, dead: &[bool], walk: Walk<'_>, tally: &mut Tally, sink: &mut S) {
         let mut buf = Vec::new();
-        match (&self.probe_key, self.spec.steps.split_first()) {
-            (Some(key), Some((Step::Probe(join), rest))) => {
+        match (
+            &self.probe_key,
+            &self.project,
+            self.spec.steps.split_first(),
+        ) {
+            (_, Some(cols), Some((_, rest))) => self.survivors(dead, walk, tally, |i| {
+                let row = cols
+                    .iter()
+                    .map(|&c| self.table.get(i, c).expect("in-range"));
+                push_row(row.collect(), rest, &mut buf, sink)
+            }),
+            (Some(key), _, Some((Step::Probe(join), rest))) => {
                 let mut probe = vec![Value::Null; self.table.schema().len()];
-                self.survivors(dead, range, tally, |i| {
+                self.survivors(dead, walk, tally, |i| {
                     let hits = join.lookup(key.key_ref(i), &mut buf);
                     if !hits.is_empty() {
                         self.fill(i, &mut probe);
@@ -904,10 +947,17 @@ impl<'a> Scan<'a> {
                     }
                 })
             }
-            _ => self.survivors(dead, range, tally, |i| {
+            _ => self.survivors(dead, walk, tally, |i| {
                 push_row(self.row(i), self.spec.steps, &mut buf, sink)
             }),
         }
+    }
+
+    /// Push every survivor `walk` visits through the steps into `sink`.
+    fn walk<S: Sink>(&self, dead: &[bool], walk: Walk<'_>, sink: &mut S) {
+        let mut tally = Tally::default();
+        self.rows(dead, walk, &mut tally, sink);
+        tally.flush();
     }
 
     /// Append `base + i` for every survivor `i` of main-store rows `range`,
@@ -922,15 +972,13 @@ impl<'a> Scan<'a> {
         out: &mut Vec<usize>,
     ) {
         let mut tally = Tally::default();
-        self.survivors(dead, range, &mut tally, |i| out.push(base + i));
+        self.survivors(dead, Walk::Range(range), &mut tally, |i| out.push(base + i));
         tally.flush();
     }
 
     /// Append every row the pipeline emits for main-store rows `range`.
     pub fn collect_range(&self, dead: &[bool], range: Range<usize>, out: &mut Vec<Vec<Value>>) {
-        let mut tally = Tally::default();
-        self.rows(dead, range, &mut tally, out);
-        tally.flush();
+        self.walk(dead, Walk::Range(range), out);
     }
 }
 
@@ -1332,7 +1380,7 @@ impl<'a> AggState<'a> {
             }
             Repr::Scalar(accs) => {
                 let readers = open_readers(t, aggs).expect("shape checked");
-                scan.survivors(dead, range, &mut tally, |i| {
+                scan.survivors(dead, Walk::Range(range), &mut tally, |i| {
                     for (acc, rd) in accs.iter_mut().zip(&readers) {
                         rd.update(t, i, acc);
                     }
@@ -1341,7 +1389,7 @@ impl<'a> AggState<'a> {
             Repr::Raw { groups, .. } => {
                 let readers = open_readers(t, aggs).expect("shape checked");
                 let key = KeyReader::open(t, self.group_by).expect("shape checked");
-                scan.survivors(dead, range, &mut tally, |i| {
+                scan.survivors(dead, Walk::Range(range), &mut tally, |i| {
                     let raw = key.raw(i);
                     let (_, accs) = groups
                         .entry(raw)
@@ -1354,7 +1402,7 @@ impl<'a> AggState<'a> {
             Repr::Keyed(groups) => {
                 scan.rows(
                     dead,
-                    range,
+                    Walk::Range(range),
                     &mut tally,
                     &mut Fold::new(groups, self.group_by, aggs),
                 );
@@ -1422,17 +1470,19 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// Fold materialized (post-step) rows: the sink of an aggregate over a
-    /// pipeline breaker. Only a [`keyed`](AggState::keyed) state takes
-    /// rows.
+    /// Fold materialized (post-step) rows. Only a
+    /// [`keyed`](AggState::keyed) state takes rows.
     pub fn fold_rows(&mut self, rows: Vec<Vec<Value>>) {
+        push_rows(rows, &[], &mut self.sink());
+    }
+
+    /// The fold sink of a [`keyed`](AggState::keyed) state: what a
+    /// breaker's rows and index hits fold through.
+    fn sink(&mut self) -> Fold<'_> {
         let Repr::Keyed(groups) = &mut self.repr else {
-            unreachable!("materialized rows fold into a keyed state");
+            unreachable!("rows fold into a keyed state");
         };
-        let mut fold = Fold::new(groups, self.group_by, self.aggs);
-        for row in rows {
-            fold.consume(&row[..]);
-        }
+        Fold::new(groups, self.group_by, self.aggs)
     }
 
     /// Fold `other`, a partial of the same pipeline over other rows, into
@@ -1587,7 +1637,7 @@ mod tests {
 
         let mut survivors = Vec::new();
         for range in [0..4_000, 4_000..9_100, 9_100..N] {
-            scan.survivors(&[], range, &mut tally, |i| survivors.push(i));
+            scan.survivors(&[], Walk::Range(range), &mut tally, |i| survivors.push(i));
         }
         assert_eq!(survivors, (9_000..N).collect::<Vec<_>>());
     }
@@ -1627,7 +1677,7 @@ mod tests {
         let mut tally = Tally::default();
         let mut walked = Vec::new();
         for range in ranges.clone() {
-            scan.survivors(&dead, range, &mut tally, |i| walked.push(i));
+            scan.survivors(&dead, Walk::Range(range), &mut tally, |i| walked.push(i));
         }
         assert_eq!(walked, expected);
         assert_eq!(
@@ -1707,7 +1757,7 @@ mod tests {
             0,
         );
         assert_eq!(
-            push_filters(&plan, &width),
+            push_filters(plan, &width),
             LogicalPlan::Select {
                 input: Box::new(pushed),
                 pred: spanning.and(constant),
@@ -1751,10 +1801,10 @@ mod tests {
             .into_iter()
             .map(|(k, s)| {
                 let k = if k == 0 { Value::Null } else { Value::Int64(k) };
-                vec![k, Value::from(s), Value::Int32(9)]
+                vec![k, Value::from(s)]
             })
             .collect();
-        let join = HashJoin::build(rows, &Expr::col(0), 3, &[1], Expr::col(0));
+        let join = HashJoin::build(rows, 3, &[1], Expr::col(0));
         assert!(matches!(join.index, BuildIndex::Int(_)));
         assert_eq!(join.width, 1);
         let mut buf = Vec::new();

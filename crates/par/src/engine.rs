@@ -67,7 +67,7 @@ impl Engine for ParallelEngine {
         let driver = Workers {
             threads: self.effective_threads(),
         };
-        let rows = pipeline::execute(plan, db, &driver)?;
+        let rows = pipeline::execute(plan, db, &driver, None)?;
         Ok(QueryOutput { rows })
     }
 }

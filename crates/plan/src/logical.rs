@@ -192,6 +192,19 @@ impl LogicalPlan {
         }
     }
 
+    /// [`LogicalPlan::inputs`], mutable.
+    pub fn inputs_mut(&mut self) -> Vec<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => vec![input],
+            LogicalPlan::Join { left, right, .. } => vec![left, right],
+        }
+    }
+
     /// For each of [`LogicalPlan::inputs`], the columns of its output this
     /// node reads when its own consumers read `upstream` (sorted, no
     /// duplicates). An aggregation reads its inputs whatever is read of

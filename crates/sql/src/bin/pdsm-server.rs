@@ -14,8 +14,9 @@
 //!   --data-dir PATH      durable mode: recover the directory's tables on
 //!                        start (WAL replay), write-ahead-log every DML,
 //!                        checkpoint on merge and on clean SHUTDOWN.
-//!                        Fsync policy from PDSM_FSYNC (always|batch|off,
-//!                        default batch).
+//!                        Fsync policy from PDSM_FSYNC (always|batch|
+//!                        group|off, default batch; any other value is
+//!                        refused at start).
 //! ```
 //!
 //! With `--data-dir`, `--seed` loads its tables only when they are not

@@ -48,14 +48,21 @@ pub enum FsyncMode {
 }
 
 impl FsyncMode {
-    /// Read `PDSM_FSYNC` (`always` | `batch` | `group` | `off`),
-    /// defaulting to [`FsyncMode::Batch`].
-    pub fn from_env() -> Self {
-        match std::env::var("PDSM_FSYNC").ok().as_deref() {
-            Some("always") => FsyncMode::Always,
-            Some("group") => FsyncMode::Group,
-            Some("off") => FsyncMode::Off,
-            _ => FsyncMode::Batch,
+    /// Read `PDSM_FSYNC` ([`FsyncMode::parse`]).
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(std::env::var("PDSM_FSYNC").ok().as_deref())
+    }
+
+    /// The policy a `PDSM_FSYNC` setting names (`always` | `batch` |
+    /// `group` | `off`), [`FsyncMode::Batch`] when unset. Any other value
+    /// is an error naming it: a typo must not quietly weaken durability.
+    pub fn parse(setting: Option<&str>) -> Result<Self, String> {
+        match setting {
+            None | Some("batch") => Ok(FsyncMode::Batch),
+            Some("always") => Ok(FsyncMode::Always),
+            Some("group") => Ok(FsyncMode::Group),
+            Some("off") => Ok(FsyncMode::Off),
+            Some(other) => Err(format!("PDSM_FSYNC={other:?}: not always|batch|group|off")),
         }
     }
 }
@@ -339,6 +346,23 @@ mod tests {
         WalRecord {
             appends: Vec::new(),
             tombstones: vec![row],
+        }
+    }
+
+    #[test]
+    fn fsync_setting_parses_the_four_names_and_refuses_anything_else() {
+        for (setting, mode) in [
+            (None, FsyncMode::Batch),
+            (Some("batch"), FsyncMode::Batch),
+            (Some("always"), FsyncMode::Always),
+            (Some("group"), FsyncMode::Group),
+            (Some("off"), FsyncMode::Off),
+        ] {
+            assert_eq!(FsyncMode::parse(setting), Ok(mode), "{setting:?}");
+        }
+        for typo in ["alwyas", "Always", "", " batch", "none"] {
+            let err = FsyncMode::parse(Some(typo)).unwrap_err();
+            assert!(err.contains(&format!("{typo:?}")), "{err}");
         }
     }
 

@@ -61,7 +61,7 @@ impl MergeTicket {
         let mut remap: Vec<Option<u32>> = vec![None; main.len() + cut_tail];
         let mut pos = 0u32;
         let mut dead_at_cut = 0usize;
-        main.for_each_extent(&[], Overlay::dead_of(&overlay), |first, t, dead| {
+        main.for_each_extent(&[], Overlay::dead_of(&overlay), None, |first, t, dead| {
             for i in 0..t.len() {
                 if dead.get(i).is_some_and(|d| *d) {
                     dead_at_cut += 1;

@@ -138,7 +138,8 @@ impl MainStore {
 
     /// Visit the rows in order as `(first row id, table, that range's
     /// slice of the tombstone mask `dead`)`: the resident table in one
-    /// visit, or every extent of a cold store `zps` cannot refute, as the
+    /// visit, or every extent of a cold store `zps` cannot refute and that
+    /// holds one of `rows` (ascending row ids) when they are given, as the
     /// pool frame's own mini table, borrowed and pinned only while `visit`
     /// runs (the next extent may evict it). Skipping a refuted extent is
     /// sound for every scan whose predicate implies `zps`: no main row of
@@ -147,6 +148,7 @@ impl MainStore {
         &self,
         zps: &[ZonePred],
         dead: &[bool],
+        rows: Option<&[usize]>,
         mut visit: impl FnMut(usize, &Table, &[bool]) -> Result<(), E>,
     ) -> Result<(), E> {
         let cold = match &self.form {
@@ -154,11 +156,15 @@ impl MainStore {
             Form::Cold(c) => c,
         };
         for e in 0..cold.n_extents() {
+            let (lo, hi) = cold.header().extent_row_range(e);
+            let first_hit = |ids: &[usize]| ids.get(ids.partition_point(|&r| r < lo)).copied();
+            if rows.is_some_and(|ids| first_hit(ids).is_none_or(|r| r >= hi)) {
+                continue;
+            }
             if !zps.is_empty() && cold.extent_refuted(e, zps) {
                 cold.pool().note_skipped_fault();
                 continue;
             }
-            let (lo, hi) = cold.header().extent_row_range(e);
             let frame = cold.pin(e)?;
             let extent_dead = &dead[lo.min(dead.len())..hi.min(dead.len())];
             visit(lo, frame.table(), extent_dead)?;
@@ -270,7 +276,7 @@ impl Snapshot {
         let overlay = self.overlay();
         let mut out = Vec::with_capacity(self.len);
         (self.main)
-            .for_each_extent(&[], Overlay::dead_of(&overlay), |_, t, dead| {
+            .for_each_extent(&[], Overlay::dead_of(&overlay), None, |_, t, dead| {
                 for i in (0..t.len()).filter(|&i| !dead.get(i).is_some_and(|d| *d)) {
                     out.push(t.row(i)?);
                 }
@@ -309,14 +315,14 @@ impl TableProvider for Snapshot {
         &self,
         name: &str,
         zps: &[ZonePred],
+        rows: Option<&[usize]>,
         visit: &mut PieceVisitor<'_>,
     ) -> Result<(), ExecError> {
         if self.shape(name).is_none() {
             return Err(ExecError::UnknownTable(name.to_string()));
         }
         let overlay = self.overlay();
-        let dead = Overlay::dead_of(&overlay);
         self.main
-            .for_each_extent(zps, dead, |_, t, dead| visit(t, dead))
+            .for_each_extent(zps, Overlay::dead_of(&overlay), rows, visit)
     }
 }

@@ -87,6 +87,25 @@ fn run_all(plan: &LogicalPlan, db: &HashMap<String, Table>, ctx: &str) {
     common::assert_engines_agree(plan, db, ctx);
 }
 
+/// `plan` on every engine against the Volcano oracle, then on the parallel
+/// engine at 1/2/4/8 threads against the compiled engine: row for row when
+/// `ordered` (the plan's output order is fixed), else up to row order.
+fn breaker_case(plan: &LogicalPlan, db: &HashMap<String, Table>, ordered: bool, ctx: &str) {
+    common::assert_engines_agree(plan, db, ctx);
+    let compiled = EngineKind::Compiled.engine().execute(plan, db).unwrap();
+    for threads in [1, 2, 4, 8] {
+        let par = ParallelEngine::with_threads(threads)
+            .execute(plan, db)
+            .unwrap();
+        let ctx = format!("{ctx}: parallel({threads})");
+        if ordered {
+            assert_eq!(compiled.rows, par.rows, "{ctx}");
+        } else {
+            compiled.assert_same(&par, &ctx);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -198,6 +217,74 @@ proptest! {
             let out = ParallelEngine::with_threads(threads).execute(&plan, &db).unwrap();
             prop_assert_eq!(&expect, &out.rows, "parallel({})", threads);
         }
+    }
+
+    /// Pipes whose source is a pipeline breaker's rows: a selection and a
+    /// projection over an aggregate, joins whose probe side is an
+    /// aggregate or an `ORDER BY … LIMIT`, and aggregates over a limit.
+    #[test]
+    fn breaker_sources(
+        pred in arb_pred(),
+        l1 in arb_layout(),
+        l2 in arb_layout(),
+        seed in 1u64..5000,
+        k in 0usize..60,
+    ) {
+        let mut db = HashMap::new();
+        db.insert("t".to_string(), make_table(300, seed, l1));
+        db.insert("u".to_string(), make_table(120, seed.wrapping_mul(31), l2));
+        let by_b = QueryBuilder::scan("t")
+            .filter(pred.clone())
+            .aggregate(
+                vec![Expr::col(1)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(0)),
+                    AggExpr::new(AggFunc::Avg, Expr::col(3)),
+                ],
+            )
+            .build();
+        // `e`, unique, breaks every tie of the sort.
+        let top = QueryBuilder::scan("t")
+            .filter(pred.clone())
+            .project(vec![Expr::col(2), Expr::col(5), Expr::col(1)])
+            .sort(vec![(Expr::col(0), false), (Expr::col(1), true)])
+            .limit(k)
+            .build();
+        let over_aggregate = QueryBuilder::from_plan(by_b.clone())
+            .filter(Expr::col(1).gt(Expr::lit(2i64)))
+            .project(vec![Expr::col(0), Expr::col(2).mul(Expr::lit(2)), Expr::col(3)])
+            .build();
+        breaker_case(&over_aggregate, &db, false, "select + project over an aggregate");
+        let probe_aggregate = QueryBuilder::scan("u")
+            .join(by_b, Expr::col(1), Expr::col(0))
+            .project(vec![Expr::col(5), Expr::col(6 + 1), Expr::col(6 + 3)])
+            .build();
+        breaker_case(&probe_aggregate, &db, false, "join probing with an aggregate");
+        // A spanning conjunct stays a filter step above the probe.
+        let probe_top = QueryBuilder::scan("u")
+            .join(top.clone(), Expr::col(1), Expr::col(2))
+            .filter(Expr::col(2).lt(Expr::col(6)))
+            .project(vec![Expr::col(5), Expr::col(6 + 1), Expr::col(2)])
+            .build();
+        breaker_case(&probe_top, &db, true, "join probing with ORDER BY … LIMIT");
+        let over_limit = QueryBuilder::scan("t")
+            .filter(pred)
+            .limit(k)
+            .aggregate(
+                vec![Expr::col(4)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(3)),
+                    AggExpr::new(AggFunc::Min, Expr::col(0)),
+                ],
+            )
+            .build();
+        breaker_case(&over_limit, &db, false, "aggregate over a limit");
+        let over_top = QueryBuilder::from_plan(top)
+            .aggregate(vec![], vec![AggExpr::count_star(), AggExpr::new(AggFunc::Sum, Expr::col(0))])
+            .build();
+        breaker_case(&over_top, &db, false, "aggregate over ORDER BY … LIMIT");
     }
 
     #[test]

@@ -74,10 +74,18 @@ proptest! {
         prop_assert!(h.get(i64::MIN + 1).is_empty() || model.contains_key(&(i64::MIN + 1)));
     }
 
+    /// The index path is the scan path restricted to the hits: over a
+    /// versioned table — tombstoned hits, tail rows carrying the probed
+    /// key, a dead tail row, a string key only the tail holds — every
+    /// indexed select, with and without a residual conjunct and a
+    /// projection, returns the scan's rows in the scan's order.
     #[test]
     fn database_index_path_equals_scan_path(
         keys in proptest::collection::vec(0i32..200, 1..200),
         probe in 0i32..250,
+        cut in 0i64..200,
+        band in (0i64..200, 0i64..40),
+        n_tail in 0i64..6,
         use_rbtree in any::<bool>(),
     ) {
         let db = Database::new();
@@ -86,28 +94,80 @@ proptest! {
             Schema::new(vec![
                 ColumnDef::new("k", DataType::Int32),
                 ColumnDef::new("v", DataType::Int64),
+                ColumnDef::new("s", DataType::Str),
             ]),
         )
         .unwrap();
+        let tag = |k: i32| Value::Str(format!("s{}", k % 7));
         for (i, &k) in keys.iter().enumerate() {
-            db.insert("t", &[Value::Int32(k), Value::Int64(i as i64)]).unwrap();
+            db.insert("t", &[Value::Int32(k), Value::Int64(i as i64), tag(k)]).unwrap();
         }
+        db.merge("t").unwrap();
         let kind = if use_rbtree { IndexKind::RBTree } else { IndexKind::Hash };
         db.create_index("t", "k", kind).unwrap();
-        let eq_plan = QueryBuilder::scan("t")
-            .filter(Expr::col(0).eq(Expr::lit(probe)))
-            .build();
-        let indexed = db.run_indexed(&eq_plan, EngineKind::Compiled).unwrap();
-        let scanned = db.run(&eq_plan, EngineKind::Compiled).unwrap();
-        indexed.assert_same(&scanned, "eq");
+        db.create_index("t", "s", kind).unwrap();
+        // Tombstones: the probed key's hits below `cut`, and a band of
+        // rows whatever their key.
+        let probed = Expr::col(0).eq(Expr::lit(probe));
+        db.delete_where("t", Some(&probed.clone().and(Expr::col(1).lt(Expr::lit(cut)))))
+            .unwrap();
+        let (lo, len) = band;
+        let in_band = Expr::col(1).ge(Expr::lit(lo)).and(Expr::col(1).lt(Expr::lit(lo + len)));
+        db.delete_where("t", Some(&in_band)).unwrap();
+        // Tail rows: the probed key (one of them deleted again), a key
+        // only the tail holds, and the probed key's surviving main rows
+        // above `cut + 20` moved to the tail by an update.
+        for j in 0..n_tail {
+            db.insert("t", &[Value::Int32(probe), Value::Int64(1_000 + j), tag(probe)]).unwrap();
+            db.insert("t", &[Value::Int32(300), Value::Int64(2_000 + j), Value::from("tail-only")])
+                .unwrap();
+        }
+        db.delete_where("t", Some(&Expr::col(1).eq(Expr::lit(1_001i64)))).unwrap();
+        let moved = probed.clone().and(Expr::col(1).gt(Expr::lit(cut + 20)));
+        db.update_where("t", &[("v".to_string(), Value::Int64(-1))], Some(&moved)).unwrap();
+
+        let select = |pred: Expr, project: Option<Vec<Expr>>| {
+            let q = QueryBuilder::scan("t").filter(pred);
+            match project {
+                Some(exprs) => q.project(exprs).build(),
+                None => q.build(),
+            }
+        };
+        let mut plans = vec![
+            ("eq", select(probed.clone(), None)),
+            (
+                "eq + residual + projection",
+                select(
+                    probed.clone().and(Expr::col(1).ge(Expr::lit(cut / 2))),
+                    Some(vec![Expr::col(2), Expr::col(1).add(Expr::lit(1i64))]),
+                ),
+            ),
+            (
+                "tail-only string",
+                select(Expr::col(2).eq(Expr::lit("tail-only")), Some(vec![Expr::col(1)])),
+            ),
+            (
+                "main string + residual",
+                select(
+                    Expr::col(2).eq(Expr::lit(format!("s{}", probe % 7))).and(Expr::col(1).lt(Expr::lit(cut))),
+                    Some(vec![Expr::col(1), Expr::col(0)]),
+                ),
+            ),
+        ];
         if use_rbtree {
-            let range_plan = QueryBuilder::scan("t")
-                .filter(Expr::col(0).le(Expr::lit(probe)))
-                .project(vec![Expr::col(1)])
-                .build();
-            let indexed = db.run_indexed(&range_plan, EngineKind::Compiled).unwrap();
-            let scanned = db.run(&range_plan, EngineKind::Compiled).unwrap();
-            indexed.assert_same(&scanned, "range");
+            plans.push((
+                "range + residual + projection",
+                select(
+                    Expr::col(0).le(Expr::lit(probe)).and(Expr::col(2).ne(Expr::lit("s0"))),
+                    Some(vec![Expr::col(1), Expr::col(2)]),
+                ),
+            ));
+        }
+        for (what, plan) in &plans {
+            let indexed = db.run_indexed(plan, EngineKind::Compiled).unwrap();
+            let scanned = db.run(plan, EngineKind::Compiled).unwrap();
+            prop_assert_eq!(&indexed.rows, &scanned.rows, "{}", what);
+            prop_assert_eq!(&indexed.columns, &scanned.columns, "{}", what);
         }
     }
 }

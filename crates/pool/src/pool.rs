@@ -43,6 +43,9 @@ pub struct PoolStats {
     pub overcommits: u64,
     /// Extents a scan skipped entirely (zone-refuted — never faulted).
     pub skipped_faults: u64,
+    /// Wall-clock nanoseconds spent in faults, summed and at most: each
+    /// fault is timed whole — the extent's read, its checksums and its
+    /// decode into the frame's table — on the thread that waits for it.
     pub fault_ns_total: u64,
     pub fault_ns_max: u64,
 }

@@ -37,6 +37,7 @@
 //! ```
 
 pub mod bitmap;
+mod crc;
 pub mod dictionary;
 pub mod error;
 pub mod layout;
@@ -50,11 +51,12 @@ pub mod types;
 pub mod zonemap;
 
 pub use bitmap::Bitmap;
+pub use crc::crc32;
 pub use dictionary::Dictionary;
 pub use error::{Error, Result};
 pub use layout::{Layout, LayoutKind};
 pub use partition::{F64Col, I32Col, I64Col, Partition, U32Col};
-pub use persist::{crc32, ByteReader};
+pub use persist::ByteReader;
 pub use row::Row;
 pub use schema::{ColId, ColumnDef, Schema};
 pub use stats::ColumnStats;

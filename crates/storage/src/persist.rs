@@ -49,9 +49,11 @@
 //! are refused: no deployed data in an older format exists.
 
 use crate::bitmap::Bitmap;
+use crate::crc32;
 use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::layout::Layout;
+use crate::partition::Partition;
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::types::DataType;
@@ -62,38 +64,6 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"PDSMTBL1";
 /// The extent format — the only version written or accepted.
 const VERSION_EXTENTS: u32 = 3;
-
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven. Shared by
-/// every durable artifact in the workspace (WAL records, checkpoint
-/// blobs, the manifest) via re-export from `pdsm-store`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = build_crc_table();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
 
 fn type_tag(ty: DataType) -> u8 {
     match ty {
@@ -368,44 +338,51 @@ pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> V
     let header_len = head.len() + n_extents * ngroups * 16 + 4;
     head[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
 
-    // Build the payloads, recording the directory as offsets accumulate.
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(n_extents * ngroups);
+    // Every payload's length is known up front, so the directory is
+    // written first and each payload once, straight into the blob.
+    let extent_rows_of = |e: usize| (e * extent_rows, ((e + 1) * extent_rows).min(len));
+    let payload_len = |p: &Partition, rows: usize| {
+        let validity: usize = (0..p.cols().len())
+            .map(|slot| 1 + p.validity(slot).map_or(0, |_| rows.div_ceil(64) * 8))
+            .sum();
+        rows * p.stride() + validity + 4
+    };
     let mut off = header_len as u64;
     for e in 0..n_extents {
-        let lo = e * extent_rows;
-        let hi = ((e + 1) * extent_rows).min(len);
+        let (lo, hi) = extent_rows_of(e);
         for p in table.partitions() {
-            let mut pl =
-                Vec::with_capacity((hi - lo) * p.stride() + p.cols().len() * (1 + (hi - lo) / 8));
-            pl.extend_from_slice(&p.raw_bytes()[lo * p.stride()..hi * p.stride()]);
-            for slot in 0..p.cols().len() {
-                match p.validity(slot) {
-                    None => pl.push(0),
-                    Some(bm) => {
-                        pl.push(1);
-                        for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
-                            pl.extend_from_slice(&w.to_le_bytes());
-                        }
-                    }
-                }
-            }
-            let crc = crc32(&pl);
-            pl.extend_from_slice(&crc.to_le_bytes());
-            payloads.push(pl);
+            let plen = payload_len(p, hi - lo) as u64;
+            head.extend_from_slice(&off.to_le_bytes());
+            head.extend_from_slice(&plen.to_le_bytes());
+            off += plen;
         }
-    }
-    for pl in &payloads {
-        head.extend_from_slice(&off.to_le_bytes());
-        head.extend_from_slice(&(pl.len() as u64).to_le_bytes());
-        off += pl.len() as u64;
     }
     let crc = crc32(&head);
     head.extend_from_slice(&crc.to_le_bytes());
     debug_assert_eq!(head.len(), header_len);
     let mut buf = head;
-    for pl in payloads {
-        buf.extend_from_slice(&pl);
+    buf.reserve(off as usize - header_len);
+    for e in 0..n_extents {
+        let (lo, hi) = extent_rows_of(e);
+        for p in table.partitions() {
+            let from = buf.len();
+            buf.extend_from_slice(&p.raw_bytes()[lo * p.stride()..hi * p.stride()]);
+            for slot in 0..p.cols().len() {
+                match p.validity(slot) {
+                    None => buf.push(0),
+                    Some(bm) => {
+                        buf.push(1);
+                        for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
+                            buf.extend_from_slice(&w.to_le_bytes());
+                        }
+                    }
+                }
+            }
+            let crc = crc32(&buf[from..]);
+            buf.extend_from_slice(&crc.to_le_bytes());
+        }
     }
+    debug_assert_eq!(buf.len() as u64, off);
     buf
 }
 
@@ -552,6 +529,120 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     })
 }
 
+/// Arenas and validity words being filled, in extent order, for `rows`
+/// rows of a header's layout — by a resident load and an extent fault
+/// straight from verified payloads, or by a reassembly from decoded
+/// extents — then handed to a skeleton table.
+struct Fill {
+    rows: usize,
+    arenas: Vec<Vec<u8>>,
+    words: Vec<Vec<Option<Vec<u64>>>>,
+}
+
+impl Fill {
+    /// Arenas pre-sized for `rows` rows, refused unless they fit in
+    /// `avail` bytes: a payload holds its rows' arena bytes and more, so a
+    /// row count the bytes cannot back is damage, not an allocation.
+    fn new(h: &TableHeader, rows: usize, avail: usize) -> Result<Fill> {
+        let need =
+            (h.strides.iter()).try_fold(0usize, |sum, s| sum.checked_add(rows.checked_mul(*s)?));
+        if need.is_none_or(|need| need > avail) {
+            return Err(corrupt("row count exceeds the blob"));
+        }
+        Ok(Fill {
+            rows,
+            arenas: (h.strides.iter())
+                .map(|stride| Vec::with_capacity(rows * stride))
+                .collect(),
+            words: (h.slot_validity.iter())
+                .map(|slots| {
+                    (slots.iter())
+                        .map(|&has| has.then(|| Vec::with_capacity(rows.div_ceil(64))))
+                        .collect()
+                })
+                .collect(),
+        })
+    }
+
+    /// Verify extent `e`'s payloads in place in `bytes`, the file range
+    /// starting at offset `start`, and append each one's arena slice and
+    /// validity words. Every group's payload must lie inside `bytes` and
+    /// pass its CRC and geometry checks.
+    fn append_payloads(
+        &mut self,
+        h: &TableHeader,
+        e: usize,
+        start: u64,
+        bytes: &[u8],
+    ) -> Result<()> {
+        let (lo, hi) = h.extent_row_range(e);
+        let rows = hi - lo;
+        for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
+            let payload = (off.checked_sub(start))
+                .and_then(|from| Some(from as usize..from.checked_add(plen)? as usize))
+                .and_then(|range| bytes.get(range))
+                .ok_or_else(|| corrupt("extent directory out of range"))?;
+            if payload.len() < 4 {
+                return Err(corrupt("extent payload too short"));
+            }
+            let (body, crc_bytes) = payload.split_at(payload.len() - 4);
+            if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
+                return Err(corrupt("extent checksum mismatch"));
+            }
+            let mut r = ByteReader::new(body, 0);
+            self.arenas[g].extend_from_slice(r.take(rows * h.strides[g])?);
+            for acc in &mut self.words[g] {
+                if (r.u8()? != 0) != acc.is_some() {
+                    return Err(corrupt("validity presence does not match schema"));
+                }
+                if let Some(acc) = acc {
+                    let words = r.take(rows.div_ceil(64) * 8)?.chunks_exact(8);
+                    acc.extend(words.map(|w| u64::from_le_bytes(w.try_into().unwrap())));
+                }
+            }
+            if r.pos != body.len() {
+                return Err(corrupt("trailing extent bytes"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Append a decoded extent's arenas and validity words.
+    fn append_table(&mut self, extent: &Table) {
+        for (g, p) in extent.partitions().iter().enumerate() {
+            self.arenas[g].extend_from_slice(p.raw_bytes());
+            for (slot, acc) in self.words[g].iter_mut().enumerate() {
+                if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
+                    acc.extend_from_slice(bm.words());
+                }
+            }
+        }
+    }
+
+    /// The filled table, under `zones`. Fails unless the appended extents
+    /// cover exactly the rows the fill was sized for.
+    fn finish(self, h: &TableHeader, zones: Option<ZoneMap>) -> Result<Table> {
+        let rows = self.rows;
+        let covered = (self.arenas.iter().zip(&h.strides))
+            .all(|(arena, stride)| arena.len() == rows * stride);
+        if !covered {
+            return Err(corrupt("extents do not cover the table"));
+        }
+        let mut t = h.skeleton()?;
+        for (g, (arena, words)) in self.arenas.into_iter().zip(self.words).enumerate() {
+            let validity = (words.into_iter())
+                .map(|w| w.map(|w| Bitmap::from_words(w, rows)))
+                .collect();
+            t.partitions_mut()[g].restore(arena, rows, validity);
+        }
+        t.restore_len(rows);
+        if let Some(z) = zones {
+            t.install_zones(z);
+        }
+        Ok(t)
+    }
+}
+
 /// Decode extent `e` from `bytes`, the file range
 /// [`TableHeader::extent_span`] names (`bytes[0]` sits at file offset
 /// `start`), into a self-contained mini [`Table`] holding exactly the
@@ -561,47 +652,9 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
 /// exactly as they would the corresponding rows of the resident table.
 pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Result<Table> {
     let (lo, hi) = h.extent_row_range(e);
-    let rows = hi - lo;
-    let mut t = h.skeleton()?;
-    for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
-        let payload = (off.checked_sub(start))
-            .and_then(|from| Some(from as usize..from.checked_add(plen)? as usize))
-            .and_then(|range| bytes.get(range))
-            .ok_or_else(|| corrupt("extent directory out of range"))?;
-        if payload.len() < 4 {
-            return Err(corrupt("extent payload too short"));
-        }
-        let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-        if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            return Err(corrupt("extent checksum mismatch"));
-        }
-        let mut r = ByteReader::new(body, 0);
-        let arena = r.take(rows * h.strides[g])?.to_vec();
-        let mut validity = Vec::with_capacity(h.slot_validity[g].len());
-        for &slot_has in &h.slot_validity[g] {
-            let has = r.u8()? != 0;
-            if has != slot_has {
-                return Err(corrupt("validity presence does not match schema"));
-            }
-            validity.push(if has {
-                let words = (0..rows.div_ceil(64))
-                    .map(|_| r.u64())
-                    .collect::<Result<_>>()?;
-                Some(Bitmap::from_words(words, rows))
-            } else {
-                None
-            });
-        }
-        if r.pos != body.len() {
-            return Err(corrupt("trailing extent bytes"));
-        }
-        t.partitions_mut()[g].restore(arena, rows, validity);
-    }
-    t.restore_len(rows);
-    if let Some(z) = &h.zones {
-        t.install_zones(z.slice_rows(lo, hi));
-    }
-    Ok(t)
+    let mut fill = Fill::new(h, hi - lo, bytes.len())?;
+    fill.append_payloads(h, e, start, bytes)?;
+    fill.finish(h, h.zones.as_ref().map(|z| z.slice_rows(lo, hi)))
 }
 
 /// Reassemble the full resident [`Table`] from its decoded extents, in
@@ -612,62 +665,32 @@ pub fn assemble_table<T: Borrow<Table>>(
     h: &TableHeader,
     extents: impl IntoIterator<Item = Result<T>>,
 ) -> Result<Table> {
-    let mut arenas: Vec<Vec<u8>> = (h.strides.iter())
-        .map(|stride| Vec::with_capacity(h.len * stride))
-        .collect();
-    let mut words: Vec<Vec<Option<Vec<u64>>>> = (h.slot_validity.iter())
-        .map(|slots| {
-            (slots.iter())
-                .map(|&has| has.then(|| Vec::with_capacity(h.len.div_ceil(64))))
-                .collect()
-        })
-        .collect();
-    let mut rows = 0;
+    // Sized from the header alone (its CRC vouches for the row count):
+    // decoded extents share no one buffer to bound it by.
+    let mut fill = Fill::new(h, h.len, usize::MAX)?;
     for extent in extents {
-        let extent = extent?;
-        let extent: &Table = extent.borrow();
-        for (g, p) in extent.partitions().iter().enumerate() {
-            arenas[g].extend_from_slice(p.raw_bytes());
-            for (slot, acc) in words[g].iter_mut().enumerate() {
-                if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
-                    acc.extend_from_slice(bm.words());
-                }
-            }
-        }
-        rows += extent.len();
+        fill.append_table(extent?.borrow());
     }
-    if rows != h.len {
-        return Err(corrupt("extents do not cover the table"));
-    }
-    let mut t = h.skeleton()?;
-    for (g, (arena, words)) in arenas.into_iter().zip(words).enumerate() {
-        let validity = (words.into_iter())
-            .map(|w| w.map(|w| Bitmap::from_words(w, h.len)))
-            .collect();
-        t.partitions_mut()[g].restore(arena, h.len, validity);
-    }
-    t.restore_len(h.len);
-    if let Some(z) = &h.zones {
-        t.install_zones(z.clone());
-    }
-    Ok(t)
+    fill.finish(h, h.zones.clone())
 }
 
-/// Deserialize a whole checkpoint blob back into `(table, generation)`:
-/// header, every extent decoded as a pool fault decodes it, reassembly.
-/// Any framing, checksum, version or invariant violation is a hard
-/// [`Error::Io`].
+/// Deserialize a whole checkpoint blob back into `(table, generation)`.
+/// Each extent payload is verified where it lies in `bytes` and copied
+/// once, straight into the table's arenas — the same checks an extent
+/// fault makes, without a mini table per extent. Any framing, checksum,
+/// version or invariant violation is a hard [`Error::Io`].
 pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
     let h = read_header(bytes)?;
+    let mut fill = Fill::new(&h, h.len, bytes.len())?;
     let mut end = h.header_len as u64;
-    let extents = (0..h.n_extents()).map(|e| {
+    for e in 0..h.n_extents() {
         let (start, stop) = h.extent_span(e);
         end = end.max(stop);
         let span = (bytes.get(start as usize..stop as usize))
             .ok_or_else(|| corrupt("extent directory out of range"))?;
-        decode_extent(&h, e, start, span)
-    });
-    let t = assemble_table(&h, extents)?;
+        fill.append_payloads(&h, e, start, span)?;
+    }
+    let t = fill.finish(&h, h.zones.clone())?;
     if end != bytes.len() as u64 {
         return Err(corrupt("trailing bytes"));
     }
@@ -678,12 +701,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
 mod tests {
     use super::*;
     use crate::types::Value;
-
-    #[test]
-    fn crc_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     fn demo_rows(layout: Layout, n: i32) -> Table {
         let schema = Schema::new(vec![

@@ -4,8 +4,9 @@
 //! directories and re-exports every sub-crate under one roof so examples
 //! can write `use mrdb::prelude::*`.
 //!
-//! See `DESIGN.md` for the full system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `README.md` for a tour.
+//! See `README.md` for a tour and the crate map, `ROADMAP.md` for the
+//! measured state and open items, and `pdsm-bench/README.md` for the
+//! end-to-end benchmark and its metrics.
 
 pub use pdsm_cachesim as cachesim;
 pub use pdsm_core as core;

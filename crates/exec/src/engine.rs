@@ -417,16 +417,7 @@ impl ExactSum {
             return;
         }
         let limbs = self.limbs.get_or_insert_with(|| Box::new([0; LIMBS]));
-        let w = (m as u128) << (p % 32);
-        let k = (p / 32) as usize;
-        let parts = [w as u32 as i64, (w >> 32) as u32 as i64, (w >> 64) as i64];
-        for (limb, part) in limbs[k..k + 3].iter_mut().zip(parts) {
-            if neg {
-                *limb -= part;
-            } else {
-                *limb += part;
-            }
-        }
+        add_units(limbs, m, p, neg);
         self.pending += 1;
         if self.pending == CARRY_EVERY {
             carry(limbs);
@@ -461,16 +452,13 @@ impl ExactSum {
         let Some(limbs) = &self.limbs else {
             return plus as f64;
         };
-        let mut exact = ExactSum {
-            limbs: Some(limbs.clone()),
-            ..ExactSum::default()
-        };
+        // A stack copy to round: the state stays as it is.
+        let mut limbs: [i64; LIMBS] = **limbs;
         let mag = plus.unsigned_abs();
         for j in 0..4 {
             let digit = (mag >> (32 * j)) as u32 as u64;
-            exact.add_scaled(digit, ONE_AT + 32 * j, plus < 0);
+            add_units(&mut limbs, digit, ONE_AT + 32 * j, plus < 0);
         }
-        let mut limbs = exact.limbs.expect("allocated above");
         carry(&mut limbs);
         let neg = limbs[LIMBS - 1] < 0;
         if neg {
@@ -484,6 +472,22 @@ impl ExactSum {
             -magnitude
         } else {
             magnitude
+        }
+    }
+}
+
+/// Add `±m · 2^p` units, `m < 2^53`, `p ≤ 2045`, to `limbs`: three limbs
+/// move, by less than 2^32 each.
+#[inline]
+fn add_units(limbs: &mut [i64; LIMBS], m: u64, p: u32, neg: bool) {
+    let w = (m as u128) << (p % 32);
+    let k = (p / 32) as usize;
+    let parts = [w as u32 as i64, (w >> 32) as u32 as i64, (w >> 64) as i64];
+    for (limb, part) in limbs[k..k + 3].iter_mut().zip(parts) {
+        if neg {
+            *limb -= part;
+        } else {
+            *limb += part;
         }
     }
 }

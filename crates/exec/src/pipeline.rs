@@ -8,8 +8,8 @@
 //!
 //! * [`execute`] lowers a plan into pipes ([`Pipe`]: a [`Source`], kernel
 //!   conjuncts, a [`Step`] chain) and walks each into one sink (output
-//!   buffer or aggregate fold). Pipes differ only in their source: a
-//!   table's main store **piece by piece**
+//!   buffer, a join's build, or aggregate fold). Pipes differ only in
+//!   their source: a table's main store **piece by piece**
 //!   ([`TableProvider::for_each_piece`]: a resident table is one piece, a
 //!   cold one is one pinned extent per piece, zone-refuted extents
 //!   skipped), a table's rows at index hits, or a pipeline breaker's rows.
@@ -18,14 +18,36 @@
 //!   side only below the join, down to the scan whose columns it reads,
 //!   where it becomes a kernel conjunct (zone maps, SIMD masks);
 //! * a join carries only what its consumers read. The build side is a
-//!   [`HashJoin`]: one arena of build rows holding only the columns read
-//!   above the join, behind a map from key (raw `u64` for integers,
-//!   [`GroupKey`] otherwise) to a span of arena row ids; each build row is
-//!   materialized once, as its key beside the kept columns. A pipe whose
-//!   first step probes on a plain key column reads the key in place and
-//!   probes before it materializes the row, so a miss allocates nothing,
-//!   and a match flows on as a joined view of (build row, probe row) that
-//!   filters, probe keys and the aggregate fold read in place;
+//!   [`HashJoin`]: one arena of build rows, each its key and only the
+//!   columns read above the join, behind a map from key (raw `u64` for
+//!   integers, [`GroupKey`] otherwise) to a span of row ids. The build
+//!   pipe streams into the arena ([`BuildRows`], [`PipeDriver::build`]):
+//!   its last step projects each row, and the sink reads the projection
+//!   in place and appends its values flat — no build row is a heap
+//!   allocation of its own — before the rows are indexed by key. A pipe
+//!   whose first step probes on a plain key column reads the key in place
+//!   and probes before it materializes the row, so a miss allocates
+//!   nothing, and a match flows on as a joined view of (build row, probe
+//!   row) that filters, probe keys and the aggregate fold read in place;
+//! * an aggregate directly over a join whose group-by expressions are all
+//!   plain build-side columns (or none: a global aggregate) is a
+//!   *group-join* (Moerkotte & Neumann, VLDB 2011). As a build row streams
+//!   in, its group-by values are encoded in place into its group key,
+//!   which gives the row the dense ordinal of its group; the values are
+//!   kept once per group, not per row. The aggregate state is one
+//!   accumulator row per ordinal: a match folds into `accs[group_of[m]]`,
+//!   with no key encoding, hash or label per match. When the probe is the
+//!   pipe's one step and its key a plain column, a run of equal probe keys
+//!   probes once, and `count(*)` and plain numeric probe-side arguments
+//!   are read typed at the probe row (the row is decoded only for an
+//!   argument that needs it). Only groups with a match are emitted, each
+//!   labelled by its first matching build row, as the keyed fold labels
+//!   a group by its first row;
+//! * every hash map here is a [`FastMap`]: a folded-multiply hasher keyed
+//!   once per process from the standard library's random seed
+//!   ([`keys::FastHash`]), so hash order and collisions are no more
+//!   predictable from outside than under SipHash; a join's key map is
+//!   sized up front for its build rows;
 //! * [`Scan`] is the survivor loop — zone refutation → tombstone mask →
 //!   [`PredKernel::block_mask`] → survivors — over an arbitrary row range
 //!   of one bound table, or over its rows at given ids;
@@ -33,20 +55,25 @@
 //!   `fold_tail`, `merge`, `finish`. It is order-free — every sum adds
 //!   exactly ([`Accumulator`]) — so one state carried across the pieces,
 //!   or any set of partials merged in any order, finishes to the same
-//!   bits, and a cold scan is bit-identical to a resident one.
+//!   bits, and a cold scan is bit-identical to a resident one. Group-join
+//!   partials are dense over the ordinals of the one build they share and
+//!   merge index by index; each group keeps the position of its first
+//!   match, so the label it finishes with does not depend on which worker
+//!   saw it first.
 //!
 //! Two [`PipeDriver`]s walk one piece of a table source. The compiled
 //! engine ([`Sequential`]) folds `0..n` into the carried state; `pdsm-par`
-//! hands every worker its own state (or per-morsel row buffer) and merges
-//! the states. Drivers are called per block, morsel or piece — never per
-//! row; the per-row loops below are monomorphic. Index hits and breaker
-//! rows never reach a driver: they are few, and walked where they are.
+//! hands every worker its own state (or per-morsel row buffer or build
+//! chunk) and merges the states. Drivers are called per block, morsel or
+//! piece — never per row; the per-row loops below are monomorphic. Index
+//! hits and breaker rows never reach a driver: they are few, and walked
+//! where they are.
 
 use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
     masked_tail_row, tail_row_passes, Accumulator, ExecError, Overlay, TableProvider,
 };
-use crate::keys::{self, GroupKey};
+use crate::keys::{self, fast_map, FastMap, GroupKey};
 use crate::simd;
 use pdsm_plan::expr::{conjuncts, CmpOp, Columns, Expr};
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
@@ -57,7 +84,6 @@ use pdsm_storage::{
 };
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Arc;
@@ -143,14 +169,18 @@ pub struct PipeSpec<'a> {
 }
 
 /// How an open pipeline is walked over one main-store piece — a resident
-/// table, or one pinned extent of a cold one. The two operations are the
-/// two sinks a pipeline can end in; the walk over the pieces and the delta
-/// tail belong to [`execute`], and everything else about a query is
+/// table, or one pinned extent of a cold one. The three operations are the
+/// three sinks a pipeline can end in; the walk over the pieces and the
+/// delta tail belong to [`execute`], and everything else about a query is
 /// driver-agnostic.
 pub trait PipeDriver {
     /// Append the rows the pipeline emits for `table`'s rows minus `dead`,
     /// in row order.
     fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>);
+
+    /// Stream the rows the pipeline emits, in row order, into a join's
+    /// build.
+    fn build(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut BuildRows);
 
     /// Fold `table`'s rows minus `dead` into `state`.
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>);
@@ -164,6 +194,10 @@ pub struct Sequential;
 impl PipeDriver for Sequential {
     fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
         Scan::new(table, spec).collect_range(dead, 0..table.len(), out);
+    }
+
+    fn build(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut BuildRows) {
+        Scan::new(table, spec).build_range(dead, 0..table.len(), out);
     }
 
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
@@ -299,31 +333,26 @@ impl<'a> Lowering<'a> {
         plan: &LogicalPlan,
         need: &[ColId],
     ) -> Result<Vec<Vec<Value>>, ExecError> {
-        self.run(self.lower(plan, need)?, None)
+        self.run(self.lower(plan, need)?, Want::Rows)
     }
 
-    /// Walk `pipe` from its source into one sink: collected when `agg` is
-    /// `None`, else folded into one carried state and finished. A table
-    /// source is walked over every main-store piece its scan's zone
-    /// predicates cannot refute (for hits, only those that hold one), in
-    /// row order, then over the live delta tail.
-    fn run(
-        &self,
-        pipe: Pipe<'_>,
-        agg: Option<(&[Expr], &[AggExpr])>,
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let mut out = Vec::new();
+    /// Walk `pipe` from its source into one sink: collected rows, a join's
+    /// build, or one carried aggregate state, finished. A table source is
+    /// walked over every main-store piece its scan's zone predicates cannot
+    /// refute (for hits, only those that hold one), in row order, then over
+    /// the live delta tail. Returns the rows (none for [`Want::Build`]).
+    fn run(&self, pipe: Pipe<'_>, want: Want<'_>) -> Result<Vec<Vec<Value>>, ExecError> {
         let (name, hits) = match pipe.source {
             Source::Table(name) => (name, None),
             Source::Hits(name, ids) => (name, Some(ids)),
             Source::Rows(rows) => {
-                let Some((group_by, aggs)) = agg else {
-                    push_rows(rows, &pipe.steps, &mut out);
-                    return Ok(out);
+                let spec = PipeSpec {
+                    steps: &pipe.steps,
+                    ..PipeSpec::default()
                 };
-                let mut state = AggState::keyed(PipeSpec::default(), group_by, aggs);
-                push_rows(rows, &pipe.steps, &mut state.sink());
-                return Ok(state.finish());
+                let mut dest = Dest::open(want, None, spec);
+                dest.push(rows, spec.steps);
+                return Ok(dest.finish());
             }
         };
         let (db, driver) = (self.db, self.driver);
@@ -343,29 +372,19 @@ impl<'a> Lowering<'a> {
         };
         // Hits fold on this thread through the keyed sink, which takes
         // any aggregate: there are no partials to merge.
-        let mut state = agg.map(|(group_by, aggs)| match hits {
-            None => AggState::new(shape, spec, group_by, aggs),
-            Some(_) => AggState::keyed(spec, group_by, aggs),
-        });
+        let mut dest = Dest::open(want, hits.is_none().then_some(shape), spec);
         let zps = zone_preds(shape, spec.preds);
         db.for_each_piece(&name, &zps, hits, &mut |base, t, dead| {
-            match (hits, &mut state) {
-                (None, None) => driver.collect(t, dead, spec, &mut out),
-                (None, Some(state)) => driver.fold(t, dead, state),
-                (Some(ids), None) => Scan::new(t, spec).walk(dead, Walk::Hits(ids, base), &mut out),
-                (Some(ids), Some(state)) => {
-                    Scan::new(t, spec).walk(dead, Walk::Hits(ids, base), &mut state.sink())
-                }
+            match hits {
+                None => dest.piece(driver, t, dead, spec),
+                Some(ids) => dest.walk(&Scan::new(t, spec), dead, Walk::Hits(ids, base)),
             }
             Ok(())
         })?;
         if let Some(o) = &db.overlay(&name) {
-            match &mut state {
-                None => tail_rows(o, spec, &mut out),
-                Some(state) => state.fold_tail(o),
-            }
+            dest.tail(o, spec);
         }
-        Ok(state.map_or(out, AggState::finish))
+        Ok(dest.finish())
     }
 
     /// Lower a plan into a pipe, executing pipeline breakers on the way.
@@ -397,35 +416,32 @@ impl<'a> Lowering<'a> {
                 input,
                 group_by,
                 aggs,
-            } => Pipe::new(Source::Rows(
-                self.run(self.lower(input, &needs[0])?, Some((group_by, aggs)))?,
-            )),
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
             } => {
-                // The build side is always materialized (pipeline
-                // breaker) and indexed in row order, so probe fan-out
-                // order is the same under every driver. Each build row is
-                // materialized once: its key, then the left columns read
-                // above the join.
-                let lw = left.arity(&self.width);
-                let keep: Vec<ColId> = need.iter().copied().filter(|&c| c < lw).collect();
-                let mut build = self.lower(left, &needs[0])?;
-                let key_and_kept: Vec<Expr> = std::iter::once(left_key.clone())
-                    .chain(keep.iter().map(|&c| Expr::col(c)))
-                    .collect();
-                build.project(&key_and_kept);
-                let join = HashJoin::build(self.run(build, None)?, lw, &keep, right_key.clone());
-                // The probe key is evaluated against the probe-side row in
-                // its base space; later steps read the joined space, build
-                // columns first.
-                let mut pipe = self.lower(right, &needs[1])?;
-                pipe.steps.push(Step::Probe(join));
-                pipe
+                let pipe = match input.as_ref() {
+                    // A group-join when every group-by expression is a
+                    // plain build-side column.
+                    join @ LogicalPlan::Join { left, .. } => {
+                        let lw = left.arity(&self.width);
+                        let grouped: Option<Vec<ColId>> = group_by
+                            .iter()
+                            .map(|g| match g {
+                                Expr::Col(c) if *c < lw => Some(*c),
+                                _ => None,
+                            })
+                            .collect();
+                        let args: Vec<ColId> = aggs
+                            .iter()
+                            .filter_map(|a| a.arg.as_ref())
+                            .flat_map(Expr::columns)
+                            .collect();
+                        let grouped = grouped.as_deref().map(|by| (by, &args[..]));
+                        self.join(join, &needs[0], grouped)?
+                    }
+                    input => self.lower(input, &needs[0])?,
+                };
+                Pipe::new(Source::Rows(self.run(pipe, Want::Agg(group_by, aggs))?))
             }
+            LogicalPlan::Join { .. } => self.join(plan, need, None)?,
             LogicalPlan::Sort { input, keys } => Pipe::new(Source::Rows(sorted(
                 self.materialize(input, &needs[0])?,
                 keys,
@@ -445,22 +461,162 @@ impl<'a> Lowering<'a> {
             })),
         })
     }
+
+    /// Lower the join `plan`: build its left input, and return its right
+    /// input's pipe with the probe as its last step. With `grouped`, the
+    /// build also gives each row the ordinal of its group by those left
+    /// columns, for the group-join above.
+    fn join(
+        &self,
+        plan: &LogicalPlan,
+        need: &[ColId],
+        grouped: Option<(&[ColId], &[ColId])>,
+    ) -> Result<Pipe<'a>, ExecError> {
+        let LogicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+        } = plan
+        else {
+            unreachable!("lowering a join");
+        };
+        let needs = plan.input_columns(&self.width, need);
+        // The build side is always materialized (pipeline breaker) and
+        // indexed in row order, so probe fan-out order is the same under
+        // every driver. Each build row streams into the arena once, flat:
+        // its key, then the left columns read above the join — under a
+        // group-join only those its aggregates read, the group-by columns
+        // going to the group's values instead.
+        let lw = left.arity(&self.width);
+        let keep: Vec<ColId> = need
+            .iter()
+            .copied()
+            .filter(|&c| c < lw && grouped.is_none_or(|(_, args)| args.contains(&c)))
+            .collect();
+        let mut build = self.lower(left, &needs[0])?;
+        let group_by = grouped.map_or(&[][..], |(by, _)| by);
+        let projection: Vec<Expr> = std::iter::once(left_key.clone())
+            .chain(keep.iter().chain(group_by).map(|&c| Expr::col(c)))
+            .collect();
+        build.project(&projection);
+        let mut rows = BuildRows::new(1 + keep.len(), grouped.map(|(by, _)| by.len()));
+        self.run(build, Want::Build(&mut rows))?;
+        let join = HashJoin::build(rows, lw, &keep, right_key.clone());
+        // The probe key is evaluated against the probe-side row in its
+        // base space; later steps read the joined space, build columns
+        // first.
+        let mut pipe = self.lower(right, &needs[1])?;
+        pipe.steps.push(Step::Probe(join));
+        Ok(pipe)
+    }
 }
 
-/// `rows` stably sorted by `keys`, cut to the first `limit` rows. Each
-/// row's keys are evaluated once, and rows are ordered by (keys, input
-/// position) — a total order, so selecting the first `limit` and sorting
-/// only those yields exactly a full stable sort's first `limit` rows.
+/// What [`Lowering::run`] makes of a pipe's rows.
+enum Want<'w> {
+    /// The rows, collected.
+    Rows,
+    /// A join's build rows, streamed in.
+    Build(&'w mut BuildRows),
+    /// The aggregate of the rows.
+    Agg(&'w [Expr], &'w [AggExpr]),
+}
+
+/// An open [`Want`]: the sink one pipe walk fills.
+enum Dest<'s> {
+    Rows(Vec<Vec<Value>>),
+    Build(&'s mut BuildRows),
+    Fold(AggState<'s>),
+}
+
+impl<'s> Dest<'s> {
+    /// Open `want` over `spec`. An aggregate takes its typed form when the
+    /// driver walks `shape`'s pieces, else the keyed one, which takes
+    /// materialized rows.
+    fn open(want: Want<'s>, shape: Option<&Table>, spec: PipeSpec<'s>) -> Self {
+        match want {
+            Want::Rows => Dest::Rows(Vec::new()),
+            Want::Build(out) => Dest::Build(out),
+            Want::Agg(group_by, aggs) => Dest::Fold(match shape {
+                Some(shape) => AggState::new(shape, spec, group_by, aggs),
+                None => AggState::keyed(spec, group_by, aggs),
+            }),
+        }
+    }
+
+    /// Walk one main-store piece with `driver`. A carried state is sealed
+    /// after each piece: its groups' first matches precede any later
+    /// piece's.
+    fn piece(&mut self, driver: &dyn PipeDriver, t: &Table, dead: &[bool], spec: PipeSpec<'_>) {
+        match self {
+            Dest::Rows(out) => driver.collect(t, dead, spec, out),
+            Dest::Build(out) => driver.build(t, dead, spec, out),
+            Dest::Fold(state) => {
+                driver.fold(t, dead, state);
+                state.seal();
+            }
+        }
+    }
+
+    /// Walk `walk`'s survivors of `scan` on this thread.
+    fn walk(&mut self, scan: &Scan<'_>, dead: &[bool], walk: Walk<'_>) {
+        match self {
+            Dest::Rows(out) => scan.walk(dead, walk, out),
+            Dest::Build(out) => scan.walk(dead, walk, *out),
+            Dest::Fold(state) => scan.walk(dead, walk, &mut state.sink()),
+        }
+    }
+
+    /// Push materialized rows through `steps`.
+    fn push(&mut self, rows: Vec<Vec<Value>>, steps: &[Step]) {
+        match self {
+            Dest::Rows(out) => push_rows(rows, steps, out),
+            Dest::Build(out) => push_rows(rows, steps, *out),
+            Dest::Fold(state) => push_rows(rows, steps, &mut state.sink()),
+        }
+    }
+
+    /// Walk the overlay's live tail.
+    fn tail(&mut self, overlay: &Overlay<'_>, spec: PipeSpec<'_>) {
+        match self {
+            Dest::Rows(out) => tail_rows(overlay, spec, out),
+            Dest::Build(out) => tail_rows(overlay, spec, *out),
+            Dest::Fold(state) => state.fold_tail(overlay),
+        }
+    }
+
+    fn finish(self) -> Vec<Vec<Value>> {
+        match self {
+            Dest::Rows(out) => out,
+            Dest::Build(_) => Vec::new(),
+            Dest::Fold(state) => state.finish(),
+        }
+    }
+}
+
+/// `rows` stably sorted by `keys`, cut to the first `limit` rows. A plain
+/// column key is read in place, any other key evaluated once per row, and
+/// rows are ordered by (keys, input position) — a total order, so
+/// selecting the first `limit` and sorting only those yields exactly a
+/// full stable sort's first `limit` rows.
 fn sorted(mut rows: Vec<Vec<Value>>, keys: &[SortKey], limit: Option<usize>) -> Vec<Vec<Value>> {
     let w = keys.len();
     let flat: Vec<Value> = rows
         .iter()
-        .flat_map(|r| keys.iter().map(|k| k.expr.eval(&r[..])))
+        .flat_map(|r| {
+            keys.iter().map(|k| match &k.expr {
+                Expr::Col(_) => Value::Null,
+                e => e.eval(&r[..]),
+            })
+        })
         .collect();
+    let key = |i: usize, j: usize| match &keys[j].expr {
+        Expr::Col(c) => &rows[i][*c],
+        _ => &flat[i * w + j],
+    };
     let cmp = |&a: &usize, &b: &usize| {
-        let (ka, kb) = (&flat[a * w..][..w], &flat[b * w..][..w]);
-        for ((x, y), k) in ka.iter().zip(kb).zip(keys) {
-            let ord = cmp_values(x, y);
+        for (j, k) in keys.iter().enumerate() {
+            let ord = cmp_values(key(a, j), key(b, j));
             let ord = if k.asc { ord } else { ord.reverse() };
             if ord != Ordering::Equal {
                 return ord;
@@ -487,8 +643,9 @@ fn sorted(mut rows: Vec<Vec<Value>>, keys: &[SortKey], limit: Option<usize>) -> 
 // the typed, pruned hash join
 // ---------------------------------------------------------------------------
 
-/// Key → the arena span of the build rows carrying it.
-type Spans<K> = HashMap<K, (usize, usize)>;
+/// Key → the span of [`HashJoin::order`] listing the build rows carrying
+/// it.
+type Spans<K> = FastMap<K, (u32, u32)>;
 
 /// How a join's build side is keyed.
 enum BuildIndex {
@@ -507,39 +664,264 @@ enum KeyRef<'v> {
     Val(&'v Value),
 }
 
-/// The build side of a hash join: one arena of build rows, grouped by key
-/// and in insertion order within a key, each holding only the columns the
-/// plan above the join reads, and a map from key to its span of arena row
-/// ids. A probe allocates nothing; a match is read in place as a
-/// joined view.
+/// The build side of a hash join: one arena of build rows as the build
+/// pipe streamed them in, each its key and then only the columns the plan
+/// above the join reads; the row ids grouped by key, in insertion order
+/// within a key; and a map from key to its span of those. A probe
+/// allocates nothing; a match is read in place as a joined view.
 pub struct HashJoin {
     /// The probe key, over the probe-side row.
     key: Expr,
     index: BuildIndex,
-    /// Build rows, `width` values each.
+    /// The arena's row ids with a non-NULL key, grouped by key.
+    order: Vec<u32>,
+    /// Build rows, `stride` values each: the key, then the kept columns.
     arena: Vec<Value>,
-    width: usize,
-    /// Build-side column → its arena slot; `None` for a column nothing
-    /// above the join reads (it reads as NULL).
+    stride: usize,
+    /// Build-side column → its slot in an arena row; `None` for a column
+    /// nothing above the join reads (it reads as NULL).
     slots: Vec<Option<usize>>,
+    /// The group-join's groups, when the aggregate above groups by build
+    /// columns.
+    groups: Option<Box<Groups>>,
 }
 
-/// Give each distinct key of `keys` (one per build row, in row order) a
-/// contiguous span of arena row ids, first-seen keys first. Returns the
-/// spans and every row's arena position: a key's rows keep their input
-/// order.
-fn spans<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> (Spans<K>, Vec<usize>) {
-    let mut map: Spans<K> = HashMap::new();
-    let mut counts: Vec<usize> = Vec::new();
-    let groups: Vec<usize> = keys
-        .map(|k| {
-            let fresh = counts.len();
+/// A group-join's build-side groups. Every match position (an index into
+/// [`HashJoin::order`]) carries the dense ordinal of its row's group, so a
+/// match finds its group by where it matched.
+struct Groups {
+    /// Match position → group ordinal.
+    of: Vec<u32>,
+    /// Number of groups: one for a global aggregate, even over no rows.
+    count: usize,
+    /// The group-by values of each group, `width` each, from its first
+    /// build row.
+    labels: Vec<Value>,
+    width: usize,
+    /// Arena rows whose group-by values differ bit for bit from their
+    /// group's (`-0.0` in a `+0.0` group), with their own.
+    variants: FastMap<u32, Vec<Value>>,
+}
+
+impl Groups {
+    /// The group-by values of arena row `r`, of group `g`.
+    fn label(&self, g: usize, r: u32) -> &[Value] {
+        match self.variants.get(&r) {
+            Some(own) => own,
+            None => &self.labels[g * self.width..][..self.width],
+        }
+    }
+}
+
+/// `a` and `b` are the same value, bit for bit (`-0.0` is not `+0.0`,
+/// `Int32(1)` is not `Int64(1)`).
+fn same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A join's build rows as the build pipe streams them in. The pipe ends in
+/// a projection to the row's key, its kept columns and — for a group-join —
+/// its group-by columns. The key and the kept columns are appended flat to
+/// the arena; the group-by values are encoded in place into the row's
+/// group key, which finds (or makes) the row's dense group ordinal, and are
+/// kept once per group. A row whose values differ bit for bit from its
+/// group's keeps its own.
+///
+/// A parallel driver fills one per morsel ([`BuildRows::fresh`]) and
+/// appends them in morsel order ([`BuildRows::append`]).
+pub struct BuildRows {
+    /// Values an arena row holds: the key, then the kept columns.
+    stride: usize,
+    arena: Vec<Value>,
+    groups: Option<RowGroups>,
+    /// The reused buffer of a row taken as its values.
+    row: Vec<Value>,
+}
+
+/// [`BuildRows`]' groups, keyed by arena row.
+struct RowGroups {
+    /// Group-by columns a row carries.
+    width: usize,
+    /// Arena row → group ordinal.
+    of: Vec<u32>,
+    ids: FastMap<GroupKey, u32>,
+    /// The group-by values of each group, from its first row.
+    labels: Vec<Value>,
+    variants: FastMap<u32, Vec<Value>>,
+    key: Vec<u8>,
+}
+
+impl RowGroups {
+    fn new(width: usize) -> Self {
+        RowGroups {
+            width,
+            of: Vec::new(),
+            ids: FastMap::default(),
+            labels: Vec::new(),
+            variants: FastMap::default(),
+            key: Vec::new(),
+        }
+    }
+
+    /// File arena row `r` under the group of its group-by values
+    /// `value(0..width)`, read in place. They are copied only into a new
+    /// group, or as the row's own when they differ bit for bit from its
+    /// group's.
+    fn file<'v>(&mut self, r: u32, value: impl Fn(usize) -> &'v Value) {
+        let width = self.width;
+        self.key.clear();
+        for i in 0..width {
+            keys::encode(value(i), &mut self.key);
+        }
+        let values = || (0..width).map(|i| value(i).clone());
+        match self.ids.get(&self.key[..]) {
+            Some(&g) => {
+                self.of.push(g);
+                let label = &self.labels[g as usize * width..][..width];
+                if !label.iter().enumerate().all(|(i, l)| same(l, value(i))) {
+                    self.variants.insert(r, values().collect());
+                }
+            }
+            None => {
+                let g = self.ids.len() as u32;
+                self.ids.insert(GroupKey::from_bytes(&self.key), g);
+                self.of.push(g);
+                self.labels.extend(values());
+            }
+        }
+    }
+}
+
+impl BuildRows {
+    /// Empty build rows of `stride` stored values; `group` group-by
+    /// columns for a group-join.
+    fn new(stride: usize, group: Option<usize>) -> Self {
+        BuildRows {
+            stride,
+            arena: Vec::new(),
+            groups: group.map(RowGroups::new),
+            row: Vec::new(),
+        }
+    }
+
+    /// Empty build rows of the same shape.
+    pub fn fresh(&self) -> Self {
+        BuildRows::new(self.stride, self.groups.as_ref().map(|g| g.width))
+    }
+
+    fn len(&self) -> usize {
+        self.arena.len() / self.stride
+    }
+
+    /// Append `other`'s rows after these: its groups map onto these by key.
+    pub fn append(&mut self, other: BuildRows) {
+        if self.arena.is_empty() {
+            *self = other;
+            return;
+        }
+        let base = self.len() as u32;
+        self.arena.extend(other.arena);
+        let (Some(mine), Some(theirs)) = (&mut self.groups, other.groups) else {
+            return;
+        };
+        let w = mine.width;
+        // Their group → ours; a group whose values differ bit for bit
+        // from ours gives each of its rows their own.
+        let mut to = vec![0u32; theirs.ids.len()];
+        let mut differs = vec![false; theirs.ids.len()];
+        for (key, l) in theirs.ids {
+            let label = &theirs.labels[l as usize * w..][..w];
+            to[l as usize] = match mine.ids.get(&key) {
+                Some(&g) => {
+                    let ours = &mine.labels[g as usize * w..][..w];
+                    differs[l as usize] = !ours.iter().zip(label).all(|(a, b)| same(a, b));
+                    g
+                }
+                None => {
+                    let g = mine.ids.len() as u32;
+                    mine.ids.insert(key, g);
+                    mine.labels.extend_from_slice(label);
+                    g
+                }
+            };
+        }
+        for (r, &l) in theirs.of.iter().enumerate() {
+            let r = r as u32;
+            if differs[l as usize] && !theirs.variants.contains_key(&r) {
+                let label = &theirs.labels[l as usize * w..][..w];
+                mine.variants.insert(base + r, label.to_vec());
+            }
+        }
+        mine.variants
+            .extend(theirs.variants.into_iter().map(|(r, v)| (base + r, v)));
+        mine.of.extend(theirs.of.iter().map(|&l| to[l as usize]));
+    }
+
+    /// Take a projected row: the first `stride` values stored, the rest its
+    /// group-by values.
+    fn take(&mut self, row: &mut [Value]) {
+        let r = self.len() as u32;
+        let (stored, grouped) = row.split_at_mut(self.stride);
+        self.arena.extend(stored.iter_mut().map(take));
+        if let Some(groups) = &mut self.groups {
+            groups.file(r, |i| &grouped[i]);
+        }
+    }
+}
+
+impl Sink for BuildRows {
+    fn row(&mut self, mut row: Vec<Value>) {
+        self.take(&mut row);
+    }
+
+    fn joined(&mut self, _: &Joined<'_>) {
+        unreachable!("a build pipe ends in its projection");
+    }
+
+    fn values(&mut self, row: impl Iterator<Item = Value>) {
+        let mut buf = std::mem::take(&mut self.row);
+        buf.clear();
+        buf.extend(row);
+        self.take(&mut buf);
+        self.row = buf;
+    }
+
+    /// The stored values are evaluated; the group-by columns are read in
+    /// place, and copied only into a new group or a row that differs from
+    /// its group.
+    fn projected<R: Columns + ?Sized>(&mut self, exprs: &[Expr], row: &R) {
+        let r = self.len() as u32;
+        let (stored, grouped) = exprs.split_at(self.stride);
+        self.arena.extend(stored.iter().map(|e| e.eval(row)));
+        if let Some(groups) = &mut self.groups {
+            let col = |i: usize| match &grouped[i] {
+                Expr::Col(c) => row.col(*c),
+                _ => unreachable!("group-by columns are plain"),
+            };
+            groups.file(r, col);
+        }
+    }
+}
+
+/// Give each distinct key of `keys` (row id and key, `n` of them, in row
+/// order) a contiguous span of match positions, first-seen keys first.
+/// Returns the spans and the row ids in position order: a key's rows keep
+/// their input order.
+fn spans<K: Hash + Eq>(keys: impl Iterator<Item = (u32, K)>, n: usize) -> (Spans<K>, Vec<u32>) {
+    let mut map: Spans<K> = fast_map(n);
+    let mut counts: Vec<u32> = Vec::new();
+    let rows: Vec<(u32, u32)> = keys
+        .map(|(r, k)| {
+            let fresh = counts.len() as u32;
             let g = map.entry(k).or_insert((fresh, 0)).0;
             if g == fresh {
                 counts.push(0);
             }
-            counts[g] += 1;
-            g
+            counts[g as usize] += 1;
+            (r, g)
         })
         .collect();
     let mut next = Vec::with_capacity(counts.len() + 1);
@@ -548,61 +930,71 @@ fn spans<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> (Spans<K>, Vec<usize>) 
         next.push(next[next.len() - 1] + c);
     }
     for span in map.values_mut() {
-        let g = span.0;
+        let g = span.0 as usize;
         *span = (next[g], next[g + 1]);
     }
-    let pos = groups
-        .into_iter()
-        .map(|g| {
-            next[g] += 1;
-            next[g] - 1
-        })
-        .collect();
-    (map, pos)
+    let mut order = vec![0; rows.len()];
+    for (r, g) in rows {
+        order[next[g as usize] as usize] = r;
+        next[g as usize] += 1;
+    }
+    (map, order)
 }
 
 impl HashJoin {
-    /// Index a join's build side: each of `rows` holds a build row's key,
-    /// then its kept left columns `keep` (of `lw`), in row order; a row
-    /// with a NULL key never matches and is dropped. `key` is the probe
-    /// side's key.
-    fn build(mut rows: Vec<Vec<Value>>, lw: usize, keep: &[ColId], key: Expr) -> Self {
-        rows.retain(|r| !r[0].is_null());
-        let ints = rows
-            .iter()
-            .all(|r| matches!(r[0], Value::Int32(_) | Value::Int64(_)));
-        let (index, pos) = if ints {
-            let (map, pos) = spans(rows.iter().map(|r| r[0].as_i64().expect("int") as u64));
-            (BuildIndex::Int(map), pos)
-        } else {
-            let (map, pos) = spans(rows.iter().map(|r| GroupKey::single(&r[0])));
-            (BuildIndex::Keyed(map), pos)
+    /// Index a join's build side: `rows` holds the build rows in row
+    /// order, each its key, then its kept left columns `keep` (of `lw`),
+    /// and for a group-join its group. A row with a NULL key never
+    /// matches. `key` is the probe side's key.
+    fn build(rows: BuildRows, lw: usize, keep: &[ColId], key: Expr) -> Self {
+        let BuildRows {
+            stride,
+            arena,
+            groups,
+            ..
+        } = rows;
+        let keys = || {
+            (0..arena.len() / stride)
+                .map(|r| (r as u32, &arena[r * stride]))
+                .filter(|(_, k)| !k.is_null())
         };
-        let width = keep.len();
-        let mut arena = vec![Value::Null; rows.len() * width];
-        for (row, p) in rows.into_iter().zip(pos) {
-            for (d, v) in arena[p * width..][..width]
-                .iter_mut()
-                .zip(row.into_iter().skip(1))
-            {
-                *d = v;
-            }
-        }
+        let n = keys().count();
+        let ints = keys().all(|(_, k)| matches!(k, Value::Int32(_) | Value::Int64(_)));
+        let (index, order) = if ints {
+            let (map, order) = spans(keys().map(|(r, k)| (r, k.as_i64().expect("int") as u64)), n);
+            (BuildIndex::Int(map), order)
+        } else {
+            let (map, order) = spans(keys().map(|(r, k)| (r, GroupKey::single(k))), n);
+            (BuildIndex::Keyed(map), order)
+        };
         let mut slots = vec![None; lw];
         for (s, &c) in keep.iter().enumerate() {
-            slots[c] = Some(s);
+            slots[c] = Some(1 + s);
         }
+        let groups = groups.map(|g| {
+            Box::new(Groups {
+                of: order.iter().map(|&r| g.of[r as usize]).collect(),
+                // A global aggregate has its one group even over no rows.
+                count: g.ids.len().max((g.width == 0) as usize),
+                labels: g.labels,
+                width: g.width,
+                variants: g.variants,
+            })
+        });
         HashJoin {
             key,
             index,
+            order,
             arena,
-            width,
+            stride,
             slots,
+            groups,
         }
     }
 
-    /// The arena row ids matching `key`, in build-insertion order; `buf`
-    /// is the reused encoding buffer of a [`GroupKey`]-keyed probe.
+    /// The match positions of `key`: its rows are `order[..]` of them, in
+    /// build-insertion order. `buf` is the reused encoding buffer of a
+    /// [`GroupKey`]-keyed probe.
     fn lookup(&self, key: KeyRef<'_>, buf: &mut Vec<u8>) -> Range<usize> {
         let span = match (&self.index, key) {
             (_, KeyRef::Val(Value::Null)) => None,
@@ -621,7 +1013,7 @@ impl HashJoin {
                 map.get(&buf[..])
             }
         };
-        span.map_or(0..0, |&(a, b)| a..b)
+        span.map_or(0..0, |&(a, b)| a as usize..b as usize)
     }
 
     /// [`HashJoin::lookup`] with the probe key evaluated over `row`.
@@ -629,6 +1021,23 @@ impl HashJoin {
         match &self.key {
             Expr::Col(c) => self.lookup(KeyRef::Val(&row[*c]), buf),
             key => self.lookup(KeyRef::Val(&key.eval(row)), buf),
+        }
+    }
+
+    /// The build row matched at position `j`.
+    #[inline(always)]
+    fn row(&self, j: usize) -> &[Value] {
+        &self.arena[self.order[j] as usize * self.stride..][..self.stride]
+    }
+
+    /// The build row matched at position `j`, joined with `probe`.
+    #[inline(always)]
+    fn view<'v>(&'v self, j: usize, probe: &'v [Value]) -> Joined<'v> {
+        Joined {
+            build: self.row(j),
+            slots: &self.slots,
+            probe,
+            at: j,
         }
     }
 
@@ -642,12 +1051,7 @@ impl HashJoin {
         sink: &mut S,
     ) {
         for m in hits {
-            let view = Joined {
-                build: &self.arena[m * self.width..][..self.width],
-                slots: &self.slots,
-                probe,
-            };
-            joined_steps(&view, rest, buf, sink);
+            joined_steps(&self.view(m, probe), rest, buf, sink);
         }
     }
 }
@@ -658,9 +1062,16 @@ struct Joined<'a> {
     build: &'a [Value],
     slots: &'a [Option<usize>],
     probe: &'a [Value],
+    /// The match position of the build row.
+    at: usize,
 }
 
 static NULL: Value = Value::Null;
+
+/// Move `v` out, leaving NULL.
+fn take(v: &mut Value) -> Value {
+    std::mem::replace(v, Value::Null)
+}
 
 impl Columns for Joined<'_> {
     #[inline(always)]
@@ -674,20 +1085,34 @@ impl Columns for Joined<'_> {
 }
 
 impl Joined<'_> {
-    /// The joined row as one buffer (unkept build columns NULL).
-    fn to_row(&self) -> Vec<Value> {
-        (0..self.slots.len() + self.probe.len())
-            .map(|c| self.col(c).clone())
-            .collect()
+    /// The joined row's values (unkept build columns NULL).
+    fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        (0..self.slots.len() + self.probe.len()).map(|c| self.col(c).clone())
     }
 }
 
-/// Where a pipeline's rows end: an output buffer or an aggregate fold.
+/// Where a pipeline's rows end: an output buffer, a join's build or an
+/// aggregate fold.
 trait Sink {
     /// Take a materialized row.
     fn row(&mut self, row: Vec<Value>);
     /// Take a join's output row, read in place.
     fn joined(&mut self, row: &Joined<'_>);
+    /// Take a row as its values in order: a projection's output, or a
+    /// survivor moved out of a reused buffer.
+    fn values(&mut self, row: impl Iterator<Item = Value>) {
+        self.row(row.collect());
+    }
+    /// Take the projection `exprs` of `row`, read in place.
+    fn projected<R: Columns + ?Sized>(&mut self, exprs: &[Expr], row: &R) {
+        self.values(exprs.iter().map(|e| e.eval(row)));
+    }
+    /// The rows that follow come from main-store row `i` of the piece
+    /// being walked.
+    #[inline(always)]
+    fn at(&mut self, i: usize) {
+        let _ = i;
+    }
 }
 
 impl Sink for Vec<Vec<Value>> {
@@ -696,7 +1121,7 @@ impl Sink for Vec<Vec<Value>> {
     }
 
     fn joined(&mut self, row: &Joined<'_>) {
-        self.push(row.to_row());
+        self.push(row.values().collect());
     }
 }
 
@@ -706,6 +1131,9 @@ impl Sink for Vec<Vec<Value>> {
 fn push_row<S: Sink>(mut row: Vec<Value>, steps: &[Step], buf: &mut Vec<u8>, sink: &mut S) {
     for (k, step) in steps.iter().enumerate() {
         match step {
+            Step::Project(exprs) if k + 1 == steps.len() => {
+                return sink.projected(exprs, &row[..]);
+            }
             Step::Project(exprs) => row = exprs.iter().map(|e| e.eval(&row[..])).collect(),
             Step::Filter(pred) => {
                 if !pred.eval_bool(&row[..]) {
@@ -730,8 +1158,9 @@ fn push_rows<S: Sink>(rows: Vec<Vec<Value>>, steps: &[Step], sink: &mut S) {
     }
 }
 
-/// [`push_row`] for a joined view: filters read it in place, a projection
-/// or a further probe materializes it once.
+/// [`push_row`] for a joined view: filters read it in place, a last
+/// projection is read in place by the sink, and anything else
+/// materializes the row once.
 fn joined_steps<S: Sink>(view: &Joined<'_>, steps: &[Step], buf: &mut Vec<u8>, sink: &mut S) {
     match steps.split_first() {
         None => sink.joined(view),
@@ -740,13 +1169,14 @@ fn joined_steps<S: Sink>(view: &Joined<'_>, steps: &[Step], buf: &mut Vec<u8>, s
                 joined_steps(view, rest, buf, sink);
             }
         }
+        Some((Step::Project(exprs), [])) => sink.projected(exprs, view),
         Some((Step::Project(exprs), rest)) => push_row(
             exprs.iter().map(|e| e.eval(view)).collect(),
             rest,
             buf,
             sink,
         ),
-        Some((Step::Probe(_), _)) => push_row(view.to_row(), steps, buf, sink),
+        Some((Step::Probe(_), _)) => push_row(view.values().collect(), steps, buf, sink),
     }
 }
 
@@ -923,7 +1353,8 @@ impl<'a> Scan<'a> {
     /// Survivors pushed through the steps into `sink`. A pipe that starts
     /// with a plain-column projection decodes only those columns; one that
     /// starts with a probe on a key column probes first and materializes
-    /// only the rows that match.
+    /// only the rows that match; one with no step decodes each survivor's
+    /// needed columns into one reused row and moves them into the sink.
     fn rows<S: Sink>(&self, dead: &[bool], walk: Walk<'_>, tally: &mut Tally, sink: &mut S) {
         let mut buf = Vec::new();
         match (
@@ -932,22 +1363,36 @@ impl<'a> Scan<'a> {
             self.spec.steps.split_first(),
         ) {
             (_, Some(cols), Some((_, rest))) => self.survivors(dead, walk, tally, |i| {
+                sink.at(i);
                 let row = cols
                     .iter()
                     .map(|&c| self.table.get(i, c).expect("in-range"));
-                push_row(row.collect(), rest, &mut buf, sink)
+                if rest.is_empty() {
+                    sink.values(row)
+                } else {
+                    push_row(row.collect(), rest, &mut buf, sink)
+                }
             }),
             (Some(key), _, Some((Step::Probe(join), rest))) => {
                 let mut probe = vec![Value::Null; self.table.schema().len()];
                 self.survivors(dead, walk, tally, |i| {
                     let hits = join.lookup(key.key_ref(i), &mut buf);
                     if !hits.is_empty() {
+                        sink.at(i);
                         self.fill(i, &mut probe);
                         join.fan_out(&probe, hits, rest, &mut buf, sink);
                     }
                 })
             }
+            (_, _, None) => {
+                let mut row = vec![Value::Null; self.table.schema().len()];
+                self.survivors(dead, walk, tally, |i| {
+                    self.fill(i, &mut row);
+                    sink.values(row.iter_mut().map(take));
+                })
+            }
             _ => self.survivors(dead, walk, tally, |i| {
+                sink.at(i);
                 push_row(self.row(i), self.spec.steps, &mut buf, sink)
             }),
         }
@@ -978,6 +1423,12 @@ impl<'a> Scan<'a> {
 
     /// Append every row the pipeline emits for main-store rows `range`.
     pub fn collect_range(&self, dead: &[bool], range: Range<usize>, out: &mut Vec<Vec<Value>>) {
+        self.walk(dead, Walk::Range(range), out);
+    }
+
+    /// Stream every row the pipeline emits for main-store rows `range`
+    /// into a join's build.
+    pub fn build_range(&self, dead: &[bool], range: Range<usize>, out: &mut BuildRows) {
         self.walk(dead, Walk::Range(range), out);
     }
 }
@@ -1011,19 +1462,22 @@ enum AggReader<'t> {
 impl<'t> AggReader<'t> {
     /// `None` unless the argument is `count(*)` or a plain numeric column.
     fn open(table: &'t Table, agg: &AggExpr) -> Option<Self> {
-        Some(match &agg.arg {
-            None => AggReader::CountStar,
-            Some(Expr::Col(c)) => {
-                let def = &table.schema().columns()[*c];
-                let nc = def.nullable.then_some(*c);
-                match def.ty {
-                    DataType::Int32 => AggReader::I32(table.i32_reader(*c), nc),
-                    DataType::Int64 => AggReader::I64(table.i64_reader(*c), nc),
-                    DataType::Float64 => AggReader::F64(table.f64_reader(*c), nc),
-                    DataType::Str => return None,
-                }
-            }
-            Some(_) => return None,
+        match &agg.arg {
+            None => Some(AggReader::CountStar),
+            Some(Expr::Col(c)) => Self::column(table, *c),
+            Some(_) => None,
+        }
+    }
+
+    /// A reader of column `c`; `None` unless it is numeric.
+    fn column(table: &'t Table, c: ColId) -> Option<Self> {
+        let def = &table.schema().columns()[c];
+        let nc = def.nullable.then_some(c);
+        Some(match def.ty {
+            DataType::Int32 => AggReader::I32(table.i32_reader(c), nc),
+            DataType::Int64 => AggReader::I64(table.i64_reader(c), nc),
+            DataType::Float64 => AggReader::F64(table.f64_reader(c), nc),
+            DataType::Str => return None,
         })
     }
 
@@ -1117,8 +1571,174 @@ impl<'t> KeyReader<'t> {
 /// the main dictionary never interned get keys no code can collide with.
 const NOVEL_KEY_BASE: u64 = 1 << 32;
 
-type RawGroups = HashMap<u64, (Value, Vec<Accumulator>)>;
-type KeyedGroups = HashMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>;
+type RawGroups = FastMap<u64, (Value, Vec<Accumulator>)>;
+type KeyedGroups = FastMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>;
+
+/// Where a group-join group was first matched: (probe position, match
+/// position). Within one piece the position is the probe row's index plus one;
+/// [`AggState::seal`] moves a finished piece's to zero, ahead of any later
+/// piece's. Compared as a pair, the least is the match the group's first
+/// joined row came from.
+type Stamp = (u64, u32);
+
+/// The stamp of a group with no match yet.
+const UNMATCHED: Stamp = (u64::MAX, u32::MAX);
+
+/// The join a group-join pipe ends in: its last step, when that probe's
+/// build carries group ordinals.
+fn group_join(steps: &[Step]) -> Option<&HashJoin> {
+    match steps.last() {
+        Some(Step::Probe(join)) if join.groups.is_some() => Some(join),
+        _ => None,
+    }
+}
+
+/// How a group-join reads one aggregate's argument at a match.
+enum JoinArg<'t> {
+    /// `count(*)` or a plain numeric probe-side column: typed, at the
+    /// probe row.
+    Probe(AggReader<'t>),
+    /// A plain build-side column: the matched arena row's value, in place.
+    Build(usize),
+    /// Anything else: evaluated over the joined view, the probe row
+    /// decoded.
+    View(&'t Expr),
+}
+
+impl<'t> JoinArg<'t> {
+    /// `agg`'s argument over `join`, probed by rows of `probe`.
+    fn open(probe: &'t Table, join: &HashJoin, agg: &'t AggExpr) -> Self {
+        let lw = join.slots.len();
+        match &agg.arg {
+            None => JoinArg::Probe(AggReader::CountStar),
+            Some(e @ Expr::Col(c)) if *c < lw => {
+                join.slots[*c].map_or(JoinArg::View(e), JoinArg::Build)
+            }
+            Some(e @ Expr::Col(c)) => {
+                AggReader::column(probe, c - lw).map_or(JoinArg::View(e), JoinArg::Probe)
+            }
+            Some(e) => JoinArg::View(e),
+        }
+    }
+}
+
+/// A group-join's partial aggregate: one accumulator row per group
+/// ordinal of the build, and each group's first match.
+struct Dense {
+    /// Group `g`'s accumulators are `accs[g * aggs..][..aggs]`.
+    accs: Vec<Accumulator>,
+    first: Vec<Stamp>,
+}
+
+impl Dense {
+    fn new(groups: usize, aggs: &[AggExpr]) -> Self {
+        Dense {
+            accs: (0..groups)
+                .flat_map(|_| aggs.iter().map(|a| Accumulator::new(a.func)))
+                .collect(),
+            first: vec![UNMATCHED; groups],
+        }
+    }
+
+    /// The accumulators of the group matched at position `m` from probe
+    /// position `pos`; `k` aggregates a group.
+    #[inline(always)]
+    fn group(&mut self, groups: &Groups, m: usize, pos: u64, k: usize) -> &mut [Accumulator] {
+        let g = groups.of[m] as usize;
+        let first = &mut self.first[g];
+        if first.0 == UNMATCHED.0 {
+            *first = (pos, m as u32);
+        }
+        &mut self.accs[g * k..][..k]
+    }
+
+    /// Fold main-store rows `range` of `scan`'s table, whose one step is
+    /// the group-join's probe on a plain key column: a run of equal keys
+    /// probes once, and arguments are read typed where they can be.
+    fn fold_scan(
+        &mut self,
+        scan: &Scan<'_>,
+        aggs: &[AggExpr],
+        dead: &[bool],
+        range: Range<usize>,
+        tally: &mut Tally,
+    ) {
+        let (Some(key), [Step::Probe(join)]) = (&scan.probe_key, scan.spec.steps) else {
+            unreachable!("checked by the caller");
+        };
+        let groups = join.groups.as_ref().expect("a group-join build");
+        let t = scan.table;
+        let args: Vec<JoinArg<'_>> = aggs.iter().map(|a| JoinArg::open(t, join, a)).collect();
+        let decode = args.iter().any(|a| matches!(a, JoinArg::View(_)));
+        let mut probe = vec![Value::Null; if decode { t.schema().len() } else { 0 }];
+        let k = aggs.len();
+        let mut buf = Vec::new();
+        let mut last: Option<(u64, Range<usize>)> = None;
+        scan.survivors(dead, Walk::Range(range), tally, |i| {
+            let raw = key.raw(i);
+            let hits = match &last {
+                Some((r, hits)) if *r == raw => hits.clone(),
+                _ => {
+                    let hits = join.lookup(key.key_ref(i), &mut buf);
+                    last = Some((raw, hits.clone()));
+                    hits
+                }
+            };
+            if hits.is_empty() {
+                return;
+            }
+            if decode {
+                scan.fill(i, &mut probe);
+            }
+            for m in hits {
+                let accs = self.group(groups, m, i as u64 + 1, k);
+                for (acc, arg) in accs.iter_mut().zip(&args) {
+                    match arg {
+                        JoinArg::Probe(r) => r.update(t, i, acc),
+                        JoinArg::Build(s) => acc.update(&join.row(m)[*s]),
+                        JoinArg::View(e) => acc.update(&e.eval(&join.view(m, &probe))),
+                    }
+                }
+            }
+        });
+    }
+
+    /// Fold `other`, a partial over the same build, in: index by index. A
+    /// group only one side matched is moved, not merged.
+    fn merge(&mut self, mut other: Dense, k: usize) {
+        for (g, theirs) in other.first.iter().enumerate() {
+            if theirs.0 == UNMATCHED.0 {
+                continue;
+            }
+            let (mine, from) = (&mut self.accs[g * k..][..k], &mut other.accs[g * k..][..k]);
+            if self.first[g].0 == UNMATCHED.0 {
+                mine.swap_with_slice(from);
+            } else {
+                merge_accs(mine, from);
+            }
+            self.first[g] = self.first[g].min(*theirs);
+        }
+    }
+
+    /// One row per matched group — its label, read from its first
+    /// matching build row, then its aggregates — or the one row of a
+    /// `global` aggregate.
+    fn finish(self, join: &HashJoin, global: bool, k: usize) -> Vec<Vec<Value>> {
+        if global {
+            return vec![finish_accs(&self.accs[..k]).collect()];
+        }
+        let groups = join.groups.as_ref().expect("a group-join build");
+        self.first
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.0 != UNMATCHED.0)
+            .map(|(g, &(_, m))| {
+                let label = groups.label(g, join.order[m as usize]).iter().cloned();
+                label.chain(finish_accs(&self.accs[g * k..][..k])).collect()
+            })
+            .collect()
+    }
+}
 
 enum Repr {
     /// The literal Fig. 2c kernel: one `i32` comparison predicate, scalar
@@ -1136,6 +1756,8 @@ enum Repr {
     /// One plain non-nullable int/string key column, aggregates as in
     /// `Scalar`; groups keyed by the raw `u64`, decoded once per group.
     Raw { key_col: ColId, groups: RawGroups },
+    /// A group-join: groups are the build's group ordinals.
+    Dense(Dense),
     /// Everything else: survivors materialize, flow through the steps,
     /// and group by evaluated key expressions.
     Keyed(KeyedGroups),
@@ -1164,43 +1786,47 @@ fn fresh(aggs: &[AggExpr]) -> Vec<Accumulator> {
 
 /// The keyed aggregate as a pipeline sink: a row or a joined view folds in
 /// place, its group key encoded into one reused buffer; only a new group
-/// allocates. A global aggregate folds into its one group without a key.
+/// allocates. A global aggregate folds into its one group without a key,
+/// and a group-join's joined row into the group of the build row it
+/// matched.
 struct Fold<'g> {
     target: Target<'g>,
     group_by: &'g [Expr],
     aggs: &'g [AggExpr],
     key: Vec<u8>,
+    /// The reused buffer of a row taken as its values.
+    row: Vec<Value>,
 }
 
 enum Target<'g> {
     Global(&'g mut Vec<Accumulator>),
     Groups(&'g mut KeyedGroups),
+    /// A group-join's state, its build's groups, and the probe position
+    /// the next matches come from.
+    Dense(&'g mut Dense, &'g Groups, u64),
 }
 
-impl<'g> Fold<'g> {
-    fn new(groups: &'g mut KeyedGroups, group_by: &'g [Expr], aggs: &'g [AggExpr]) -> Self {
+impl<'g> Target<'g> {
+    fn keyed(groups: &'g mut KeyedGroups, group_by: &[Expr], aggs: &[AggExpr]) -> Self {
         // The global group exists from the start: finished with no rows it
         // is the one row a global aggregate answers anyway.
-        let target = if group_by.is_empty() {
+        if group_by.is_empty() {
             let (_, accs) = groups
                 .entry(GroupKey::of(&[]))
                 .or_insert_with(|| (Vec::new(), fresh(aggs)));
             Target::Global(accs)
         } else {
             Target::Groups(groups)
-        };
-        Fold {
-            target,
-            group_by,
-            aggs,
-            key: Vec::new(),
         }
     }
+}
 
+impl Fold<'_> {
     fn consume<R: Columns + ?Sized>(&mut self, row: &R) {
         let groups = match &mut self.target {
             Target::Global(accs) => return update_from_row(self.aggs, row, accs),
             Target::Groups(groups) => groups,
+            Target::Dense(..) => unreachable!("a group-join folds joined rows"),
         };
         self.key.clear();
         for g in self.group_by {
@@ -1226,7 +1852,28 @@ impl Sink for Fold<'_> {
     }
 
     fn joined(&mut self, row: &Joined<'_>) {
-        self.consume(row);
+        match &mut self.target {
+            Target::Dense(dense, groups, pos) => {
+                let accs = dense.group(groups, row.at, *pos, self.aggs.len());
+                update_from_row(self.aggs, row, accs);
+            }
+            _ => self.consume(row),
+        }
+    }
+
+    fn values(&mut self, row: impl Iterator<Item = Value>) {
+        let mut buf = std::mem::take(&mut self.row);
+        buf.extend(row);
+        self.consume(&buf[..]);
+        buf.clear();
+        self.row = buf;
+    }
+
+    #[inline(always)]
+    fn at(&mut self, i: usize) {
+        if let Target::Dense(_, _, pos) = &mut self.target {
+            *pos = i as u64 + 1;
+        }
     }
 }
 
@@ -1249,8 +1896,8 @@ fn merge_accs(into: &mut [Accumulator], from: &[Accumulator]) {
 }
 
 fn merge_groups<K: Hash + Eq, V>(
-    into: &mut HashMap<K, (V, Vec<Accumulator>)>,
-    from: HashMap<K, (V, Vec<Accumulator>)>,
+    into: &mut FastMap<K, (V, Vec<Accumulator>)>,
+    from: FastMap<K, (V, Vec<Accumulator>)>,
 ) {
     if into.is_empty() {
         *into = from;
@@ -1308,7 +1955,7 @@ impl<'a> AggState<'a> {
             if let (Some(_), [Expr::Col(key_col)]) = (KeyReader::open(table, group_by), group_by) {
                 state.repr = Repr::Raw {
                     key_col: *key_col,
-                    groups: HashMap::new(),
+                    groups: FastMap::default(),
                 };
             }
         } else if let Some(cols) = fig2c_cols(table, spec.preds, aggs) {
@@ -1323,14 +1970,20 @@ impl<'a> AggState<'a> {
         state
     }
 
-    /// Empty state that groups by evaluated key expressions — the one that
-    /// also folds materialized rows ([`AggState::fold_rows`]).
+    /// Empty state that folds rows through the pipeline's sink: dense over
+    /// the group ordinals when the pipeline ends in a group-join's probe,
+    /// else grouped by evaluated key expressions — the one that also folds
+    /// materialized rows ([`AggState::fold_rows`]).
     pub fn keyed(spec: PipeSpec<'a>, group_by: &'a [Expr], aggs: &'a [AggExpr]) -> Self {
+        let repr = match group_join(spec.steps).and_then(|j| j.groups.as_ref()) {
+            Some(groups) => Repr::Dense(Dense::new(groups.count, aggs)),
+            None => Repr::Keyed(FastMap::default()),
+        };
         AggState {
             spec,
             group_by,
             aggs,
-            repr: Repr::Keyed(HashMap::new()),
+            repr,
         }
     }
 
@@ -1399,13 +2052,13 @@ impl<'a> AggState<'a> {
                     }
                 });
             }
-            Repr::Keyed(groups) => {
-                scan.rows(
-                    dead,
-                    Walk::Range(range),
-                    &mut tally,
-                    &mut Fold::new(groups, self.group_by, aggs),
-                );
+            Repr::Dense(dense)
+                if scan.probe_key.is_some() && matches!(scan.spec.steps, [Step::Probe(_)]) =>
+            {
+                dense.fold_scan(scan, aggs, dead, range, &mut tally);
+            }
+            Repr::Dense(_) | Repr::Keyed(_) => {
+                scan.rows(dead, Walk::Range(range), &mut tally, &mut self.sink());
             }
         }
         tally.flush();
@@ -1440,7 +2093,7 @@ impl<'a> AggState<'a> {
                 // Tail rows are decoded, so string keys find their group
                 // through the strings the main store's groups decoded to.
                 // Built only when a string-keyed tail row actually passes.
-                let mut codes: Option<HashMap<String, u64>> = None;
+                let mut codes: Option<FastMap<String, u64>> = None;
                 for r in passing() {
                     let key = &r.values()[*key_col];
                     let raw = match key {
@@ -1464,31 +2117,54 @@ impl<'a> AggState<'a> {
                     update_from_row(aggs, r.values(), accs);
                 }
             }
-            Repr::Keyed(groups) => {
-                tail_rows(overlay, spec, &mut Fold::new(groups, self.group_by, aggs));
-            }
+            Repr::Dense(_) | Repr::Keyed(_) => tail_rows(overlay, spec, &mut self.sink()),
         }
     }
 
     /// Fold materialized (post-step) rows. Only a
-    /// [`keyed`](AggState::keyed) state takes rows.
+    /// [`keyed`](AggState::keyed) state over no group-join takes rows.
     pub fn fold_rows(&mut self, rows: Vec<Vec<Value>>) {
         push_rows(rows, &[], &mut self.sink());
     }
 
     /// The fold sink of a [`keyed`](AggState::keyed) state: what a
-    /// breaker's rows and index hits fold through.
+    /// breaker's rows, index hits and the delta tail fold through.
     fn sink(&mut self) -> Fold<'_> {
-        let Repr::Keyed(groups) = &mut self.repr else {
-            unreachable!("rows fold into a keyed state");
+        let (steps, group_by, aggs) = (self.spec.steps, self.group_by, self.aggs);
+        let target = match &mut self.repr {
+            Repr::Keyed(groups) => Target::keyed(groups, group_by, aggs),
+            Repr::Dense(dense) => {
+                let join = group_join(steps).expect("a dense state ends in a group-join");
+                Target::Dense(dense, join.groups.as_ref().expect("grouped"), 1)
+            }
+            _ => unreachable!("rows fold into a keyed state"),
         };
-        Fold::new(groups, self.group_by, self.aggs)
+        Fold {
+            target,
+            group_by,
+            aggs,
+            key: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    /// Move every group-join group matched so far ahead of any match a
+    /// later piece's partials bring: the carried state is sealed after
+    /// each piece, so first matches compare by position within a piece
+    /// only.
+    fn seal(&mut self) {
+        if let Repr::Dense(dense) = &mut self.repr {
+            for first in dense.first.iter_mut().filter(|f| f.0 != UNMATCHED.0) {
+                first.0 = 0;
+            }
+        }
     }
 
     /// Fold `other`, a partial of the same pipeline over other rows, into
     /// `self` via [`Accumulator::merge`]. Which rows each side saw, and in
     /// what order states merge, does not change the result.
     pub fn merge(&mut self, other: AggState<'_>) {
+        let theirs = group_join(other.spec.steps);
         match (&mut self.repr, other.repr) {
             (
                 Repr::Fig2c { hits, sums, .. },
@@ -1504,6 +2180,15 @@ impl<'a> AggState<'a> {
             (Repr::Scalar(a), Repr::Scalar(b)) => merge_accs(a, &b),
             (Repr::Raw { groups: a, .. }, Repr::Raw { groups: b, .. }) => merge_groups(a, b),
             (Repr::Keyed(a), Repr::Keyed(b)) => merge_groups(a, b),
+            (Repr::Dense(a), Repr::Dense(b)) => {
+                // Ordinals mean something only within one build.
+                let mine = group_join(self.spec.steps);
+                assert!(
+                    matches!((mine, theirs), (Some(x), Some(y)) if std::ptr::eq(x, y)),
+                    "group-join partials merge over the one build they share"
+                );
+                a.merge(b, self.aggs.len());
+            }
             _ => unreachable!("partials of one pipeline share a representation"),
         }
     }
@@ -1527,6 +2212,11 @@ impl<'a> AggState<'a> {
                 .into_values()
                 .map(|(key, accs)| std::iter::once(key).chain(finish_accs(&accs)).collect())
                 .collect(),
+            Repr::Dense(dense) => dense.finish(
+                group_join(self.spec.steps).expect("a dense state ends in a group-join"),
+                self.group_by.is_empty(),
+                self.aggs.len(),
+            ),
             Repr::Keyed(groups) => finish_keyed(groups, self.group_by, self.aggs),
         }
     }
@@ -1797,27 +2487,18 @@ mod tests {
     /// only kept columns are stored, the rest read as NULL.
     #[test]
     fn build_side_groups_keys_in_input_order_and_keeps_only_read_columns() {
-        let rows: Vec<Vec<Value>> = [(1, "a"), (2, "b"), (1, "c"), (0, "d"), (2, "e")]
-            .into_iter()
-            .map(|(k, s)| {
-                let k = if k == 0 { Value::Null } else { Value::Int64(k) };
-                vec![k, Value::from(s)]
-            })
-            .collect();
+        let mut rows = BuildRows::new(2, None);
+        for (k, s) in [(1, "a"), (2, "b"), (1, "c"), (0, "d"), (2, "e")] {
+            let k = if k == 0 { Value::Null } else { Value::Int64(k) };
+            rows.values([k, Value::from(s)].into_iter());
+        }
         let join = HashJoin::build(rows, 3, &[1], Expr::col(0));
         assert!(matches!(join.index, BuildIndex::Int(_)));
-        assert_eq!(join.width, 1);
+        assert_eq!(join.stride, 2);
         let mut buf = Vec::new();
         let matches = |key: KeyRef<'_>, buf: &mut Vec<u8>| -> Vec<Vec<Value>> {
             join.lookup(key, buf)
-                .map(|m| {
-                    let view = Joined {
-                        build: &join.arena[m..m + 1],
-                        slots: &join.slots,
-                        probe: &[Value::Null],
-                    };
-                    view.to_row()
-                })
+                .map(|m| join.view(m, &[Value::Null]).values().collect())
                 .collect()
         };
         let row = |s: &str| vec![Value::Null, Value::from(s), Value::Null, Value::Null];
@@ -1830,6 +2511,61 @@ mod tests {
         assert!(matches(KeyRef::Val(&Value::Null), &mut buf).is_empty());
         assert!(matches(KeyRef::Str("1"), &mut buf).is_empty());
         assert!(matches(KeyRef::Val(&Value::Float64(1.0)), &mut buf).is_empty());
+    }
+
+    /// A group-join build of `(key, group)` rows, grouped by its column 1.
+    fn grouped_build(rows: &[(i64, &str)]) -> HashJoin {
+        let mut build = BuildRows::new(1, Some(1));
+        for &(k, g) in rows {
+            build.values([Value::Int64(k), Value::from(g)].into_iter());
+        }
+        HashJoin::build(build, 2, &[], Expr::col(0))
+    }
+
+    /// `count(*)` per build group of the probe keys `keys`, folded through
+    /// the group-join sink of `steps`, then `merge`d with `other`'s.
+    fn group_counts(steps: &[Step], keys: &[i64], other: Option<&[Step]>) -> Vec<Vec<Value>> {
+        let (group_by, aggs) = ([Expr::col(1)], [AggExpr::count_star()]);
+        let fold = |steps| {
+            let spec = PipeSpec {
+                steps,
+                ..PipeSpec::default()
+            };
+            let mut state = AggState::keyed(spec, &group_by, &aggs);
+            assert!(matches!(state.repr, Repr::Dense(_)));
+            let rows = keys.iter().map(|&k| vec![Value::Int64(k)]).collect();
+            push_rows(rows, steps, &mut state.sink());
+            state
+        };
+        let mut state = fold(steps);
+        if let Some(other) = other {
+            state.merge(fold(other));
+        }
+        let mut rows = state.finish();
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    /// Group ordinals belong to one build: partials merge index by index
+    /// only over the build they share. Two builds of the same rows in
+    /// another order number their groups the other way round, so merging
+    /// their partials by position would swap the groups' counts.
+    #[test]
+    #[should_panic(expected = "the one build they share")]
+    fn group_join_partials_of_different_builds_do_not_merge() {
+        let one = [Step::Probe(grouped_build(&[(1, "x"), (2, "y"), (3, "x")]))];
+        let other = [Step::Probe(grouped_build(&[(2, "y"), (1, "x"), (3, "x")]))];
+        let count = |g: &str, n: i64| vec![Value::from(g), Value::Int64(n)];
+        // Alone, and merged with a partial of the same build: exact.
+        assert_eq!(
+            group_counts(&one, &[1, 2, 2, 9], None),
+            vec![count("x", 1), count("y", 2)]
+        );
+        assert_eq!(
+            group_counts(&one, &[1, 2, 2, 9], Some(&one)),
+            vec![count("x", 2), count("y", 4)]
+        );
+        group_counts(&one, &[1, 2, 2], Some(&other));
     }
 
     #[test]

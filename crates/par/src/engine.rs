@@ -7,8 +7,9 @@
 //! range is walked* (a resident table, or one pinned extent of a cold
 //! one: every piece fans out over the workers):
 //!
-//! * **collect pipelines** run on the worker pool with per-morsel output
-//!   buffers stitched in morsel order — byte-identical to sequential;
+//! * **collect pipelines**, and a join's build side streaming into its
+//!   arena, run on the worker pool with per-morsel output buffers
+//!   stitched in morsel order — byte-identical to sequential;
 //! * **aggregations**, stepped (join-probing) ones included, give every
 //!   worker its own [`AggState`] and merge the partials into the carried
 //!   state at the barrier. The state is order-free — float `sum` and `avg`
@@ -19,10 +20,11 @@
 use crate::morsel::MorselQueue;
 use crate::pool::{default_threads, run_workers};
 use pdsm_exec::engine::{Engine, ExecError, TableProvider};
-use pdsm_exec::pipeline::{self, AggState, PipeDriver, PipeSpec, Scan};
+use pdsm_exec::pipeline::{self, AggState, BuildRows, PipeDriver, PipeSpec, Scan};
 use pdsm_exec::QueryOutput;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_storage::{Table, Value};
+use std::ops::Range;
 
 /// The morsel-driven parallel engine.
 ///
@@ -87,26 +89,45 @@ impl Workers {
     }
 }
 
-impl PipeDriver for Workers {
-    /// Per-morsel buffers stitched by morsel index, so the rows come back
-    /// in *exactly* the sequential scan order regardless of worker count
-    /// or claim interleaving.
-    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
+impl Workers {
+    /// Per-morsel outputs — each `fresh()`, filled by `walk` — handed to
+    /// `append` in morsel order, so the output comes out in *exactly* the
+    /// sequential scan order regardless of worker count or claim
+    /// interleaving.
+    fn in_order<T: Send>(
+        &self,
+        table: &Table,
+        spec: PipeSpec<'_>,
+        fresh: impl Fn() -> T + Sync,
+        walk: impl Fn(&Scan<'_>, Range<usize>, &mut T) + Sync,
+        append: impl FnMut(T),
+    ) {
         let per_worker = self.run(table, |queue| {
             let scan = Scan::new(table, spec);
-            let mut chunks: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
+            let mut chunks: Vec<(usize, T)> = Vec::new();
             while let Some(m) = queue.claim() {
-                let mut rows = Vec::new();
-                scan.collect_range(dead, m.start..m.end, &mut rows);
-                if !rows.is_empty() {
-                    chunks.push((m.index, rows));
-                }
+                let mut chunk = fresh();
+                walk(&scan, m.start..m.end, &mut chunk);
+                chunks.push((m.index, chunk));
             }
             chunks
         });
-        let mut tagged: Vec<(usize, Vec<Vec<Value>>)> = per_worker.into_iter().flatten().collect();
+        let mut tagged: Vec<(usize, T)> = per_worker.into_iter().flatten().collect();
         tagged.sort_unstable_by_key(|(idx, _)| *idx);
-        out.extend(tagged.into_iter().flat_map(|(_, rows)| rows));
+        tagged.into_iter().map(|(_, chunk)| chunk).for_each(append);
+    }
+}
+
+impl PipeDriver for Workers {
+    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
+        let walk = |scan: &Scan<'_>, r, rows: &mut _| scan.collect_range(dead, r, rows);
+        self.in_order(table, spec, Vec::new, walk, |rows| out.extend(rows));
+    }
+
+    fn build(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut BuildRows) {
+        let fresh = out.fresh();
+        let walk = |scan: &Scan<'_>, r, rows: &mut _| scan.build_range(dead, r, rows);
+        self.in_order(table, spec, || fresh.fresh(), walk, |rows| out.append(rows));
     }
 
     /// Every worker folds the morsels it claims into its own partial; the

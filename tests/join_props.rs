@@ -405,6 +405,70 @@ fn check_join(join: &LogicalPlan, width: usize, db: &dyn TableProvider, rng: &mu
         .build();
     let rows = serving_agree(&total, db, true, &ctx);
     assert_eq!(rows, volcano(&total).rows, "{ctx}: total sort vs volcano");
+
+    check_group_join(join, width, db, &ctx);
+}
+
+/// The width of the build (left) side of `plan`'s top join.
+fn build_width(plan: &LogicalPlan) -> usize {
+    match plan {
+        LogicalPlan::Select { input, .. } => build_width(input),
+        LogicalPlan::Join { left, .. } => left.arity(&|_: &str| W),
+        other => panic!("no join at the top of {other:?}"),
+    }
+}
+
+/// Aggregates over both sides of a join whose build side starts at
+/// column 0 and whose probe side (the last table) starts at `probe`:
+/// `count(*)`, and `sum` / `avg` / `min` / `max` / `count` over plain
+/// integer, float and string columns of either side and an expression
+/// over both.
+fn both_sides_aggs(probe: usize) -> Vec<AggExpr> {
+    let (b, p) = (|c| Expr::col(c), |c| Expr::col(probe + c));
+    vec![
+        AggExpr::count_star(),
+        AggExpr::new(AggFunc::Sum, p(V)),
+        AggExpr::new(AggFunc::Sum, p(F)),
+        AggExpr::new(AggFunc::Avg, p(K)),
+        AggExpr::new(AggFunc::Min, p(S)),
+        AggExpr::new(AggFunc::Max, p(F)),
+        AggExpr::new(AggFunc::Count, p(F)),
+        AggExpr::new(AggFunc::Sum, b(V)),
+        AggExpr::new(AggFunc::Avg, b(F)),
+        AggExpr::new(AggFunc::Min, b(K64)),
+        AggExpr::new(AggFunc::Max, b(S2)),
+        AggExpr::new(AggFunc::Count, b(K)),
+        AggExpr::new(AggFunc::Sum, b(F).mul(p(V))),
+    ]
+}
+
+/// Group-joins: an aggregate directly over `join` grouped by build-side
+/// columns — string, Int32, Int64, float, nullable, several at once, or
+/// none (a global aggregate). Groups are the build rows' group ordinals;
+/// a group no probe row matches must not appear.
+fn check_group_join(join: &LogicalPlan, width: usize, db: &dyn TableProvider, ctx: &str) {
+    let lw = build_width(join);
+    let aggs = both_sides_aggs(width - W);
+    let col = Expr::col;
+    let groupings = [
+        vec![],
+        vec![col(S)],
+        vec![col(K)],
+        vec![col(K64)],
+        vec![col(F)],
+        vec![col(lw - W + S2), col(K)],
+        vec![col(ID), col(lw - W + F), col(S)],
+    ];
+    for group_by in groupings {
+        let plan = QueryBuilder::from_plan(join.clone())
+            .aggregate(group_by, aggs.clone())
+            .build();
+        let rows = serving_agree(&plan, db, false, ctx);
+        VolcanoEngine.execute(&plan, db).unwrap().assert_same(
+            &QueryOutput { rows },
+            &format!("{ctx}: group-join {plan:?}"),
+        );
+    }
 }
 
 proptest! {
@@ -423,6 +487,62 @@ proptest! {
         let ntables = 2 + rng.below(2) as usize;
         let (plan, width) = join_plan(&mut rng, &names[..ntables]);
         check_join(&plan, width, &db, &mut rng);
+    }
+}
+
+/// A build table whose float column holds `-0.0` and `+0.0` (one group,
+/// each sign drawn per row) beside other values, some of its rows matched
+/// by no probe row, and a probe table referencing the build's ids in a
+/// shuffled order. Both span several morsels, so a parallel build appends
+/// per-morsel groups whose first zero may differ in sign, and parallel
+/// probes merge partials.
+fn signed_zero_tables(rng: &mut Rng) -> HashMap<String, Table> {
+    const BUILD: u64 = 30_000;
+    let mut build = Table::new("b", schema());
+    for id in 0..BUILD as i32 {
+        let mut r = row(rng, id, 6);
+        r[F] = match id % 5 {
+            // groups of their own, which no probe row reaches
+            _ if id as u64 >= BUILD * 3 / 4 => Value::Float64(1e6 + f64::from(id)),
+            0 | 1 if rng.chance(2) => Value::Float64(-0.0),
+            0 | 1 => Value::Float64(0.0),
+            2 => Value::Null,
+            _ => Value::Float64(f64::from(id % 97) * 0.25),
+        };
+        build.insert(&r).unwrap();
+    }
+    let mut probe = Table::with_layout("p", schema(), layout(rng)).unwrap();
+    for i in 0..30_000 {
+        let mut r = row(rng, i, 6);
+        // the last quarter of the build's ids is never referenced
+        r[ID] = Value::Int32(rng.below(BUILD * 3 / 4) as i32);
+        probe.insert(&r).unwrap();
+    }
+    [("b".to_string(), build), ("p".to_string(), probe)].into()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A group-join grouped by a float column holding `-0.0` and `+0.0`
+    /// labels the zero group with its first matching build row's value —
+    /// whichever sign the first probe row to reach it matched — at every
+    /// worker count, as Volcano does; groups no probe row matches stay out.
+    #[test]
+    fn group_join_labels_a_signed_zero_group_by_its_first_match(seed in 1u64..u64::MAX) {
+        let mut rng = Rng(seed);
+        let db = signed_zero_tables(&mut rng);
+        let join = QueryBuilder::scan("b")
+            .join(QueryBuilder::scan("p").build(), Expr::col(ID), Expr::col(ID));
+        for group_by in [vec![Expr::col(F)], vec![Expr::col(F), Expr::col(K)]] {
+            let plan = join.clone().aggregate(group_by, both_sides_aggs(W)).build();
+            let rows = serving_agree(&plan, &db, false, "signed zero");
+            let oracle = VolcanoEngine.execute(&plan, &db).unwrap();
+            oracle.assert_same(&QueryOutput { rows: rows.clone() }, "signed zero vs volcano");
+            assert_eq!(bits(&rows), bits(&oracle.rows), "signed zero: exact bits vs volcano");
+            let zero = rows.iter().find(|r| matches!(r[0], Value::Float64(z) if z == 0.0));
+            assert!(zero.is_some(), "the zero group is matched");
+        }
     }
 }
 

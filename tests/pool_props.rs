@@ -131,8 +131,8 @@ fn scan_plans(n: usize) -> Vec<LogicalPlan> {
 
 /// Pipeline breakers over `n` rows: a sort + limit, a three-way join with
 /// a filter pushed below it and one spanning its sides (collected and
-/// grouped), a self-join aggregate and a join feeding a group-by. Both
-/// sides of a join walk the extents like any other scan.
+/// grouped), a self-join aggregate, a group-join and a join feeding a
+/// group-by. Both sides of a join walk the extents like any other scan.
 fn breaker_plans(n: usize) -> Vec<LogicalPlan> {
     let self_join = |build: Expr| {
         QueryBuilder::scan("R").filter(build).join(
@@ -184,6 +184,20 @@ fn breaker_plans(n: usize) -> Vec<LogicalPlan> {
                 vec![
                     AggExpr::count_star(),
                     AggExpr::new(AggFunc::Sum, Expr::col(N_COLS + 1)),
+                ],
+            )
+            .build(),
+        // A group-join: grouped by two build-side columns, its aggregates
+        // over both sides, each build row's group found once.
+        self_join(Expr::col(0).lt(Expr::lit(-(n as i32) + 200)))
+            .aggregate(
+                vec![Expr::col(5), Expr::col(1)],
+                vec![
+                    AggExpr::count_star(),
+                    AggExpr::new(AggFunc::Sum, Expr::col(N_COLS + 2)),
+                    AggExpr::new(AggFunc::Avg, Expr::col(3)),
+                    AggExpr::new(AggFunc::Max, Expr::col(N_COLS + 4)),
+                    AggExpr::new(AggFunc::Min, Expr::col(2).mul(Expr::col(N_COLS + 6))),
                 ],
             )
             .build(),

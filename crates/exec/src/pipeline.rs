@@ -27,22 +27,22 @@
 //!   allocation of its own — before the rows are indexed by key. A pipe
 //!   whose first step probes on a plain key column reads the key in place
 //!   and probes before it materializes the row, so a miss allocates
-//!   nothing, and a match flows on as a joined view of (build row, probe
-//!   row) that filters, probe keys and the aggregate fold read in place;
+//!   nothing, and a run of equal keys (a clustered foreign key) probes
+//!   once. A match flows on as a joined view of (build row, probe row)
+//!   that filters, probe keys and the aggregate fold read in place;
 //! * an aggregate directly over a join whose group-by expressions are all
 //!   plain build-side columns (or none: a global aggregate) is a
-//!   *group-join* (Moerkotte & Neumann, VLDB 2011). As a build row streams
-//!   in, its group-by values are encoded in place into its group key,
-//!   which gives the row the dense ordinal of its group; the values are
-//!   kept once per group, not per row. The aggregate state is one
-//!   accumulator row per ordinal: a match folds into `accs[group_of[m]]`,
-//!   with no key encoding, hash or label per match. When the probe is the
-//!   pipe's one step and its key a plain column, a run of equal probe keys
-//!   probes once, and `count(*)` and plain numeric probe-side arguments
+//!   *group-join* (Moerkotte & Neumann, VLDB 2011). When the build rows
+//!   are indexed, each row's group key is encoded once from its arena row,
+//!   which gives it the dense ordinal of its group. The aggregate state is
+//!   one accumulator row per ordinal: a match folds into
+//!   `accs[group_of[m]]`, with no key encoding or hash per match. When the
+//!   probe is the pipe's one step, a survivor's matches fold without the
+//!   row fanning out: `count(*)` and plain numeric probe-side arguments
 //!   are read typed at the probe row (the row is decoded only for an
 //!   argument that needs it). Only groups with a match are emitted, each
-//!   labelled by its first matching build row, as the keyed fold labels
-//!   a group by its first row;
+//!   labelled by the arena row of its first match, as the keyed fold
+//!   labels a group by its first row;
 //! * every hash map here is a [`FastMap`]: a folded-multiply hasher keyed
 //!   once per process from the standard library's random seed
 //!   ([`keys::FastHash`]), so hash order and collisions are no more
@@ -57,9 +57,11 @@
 //!   or any set of partials merged in any order, finishes to the same
 //!   bits, and a cold scan is bit-identical to a resident one. Group-join
 //!   partials are dense over the ordinals of the one build they share and
-//!   merge index by index; each group keeps the position of its first
-//!   match, so the label it finishes with does not depend on which worker
-//!   saw it first.
+//!   merge index by index; each group keeps the row id of the probe row of
+//!   its first match, so the label it finishes with does not depend on
+//!   which worker saw it first. Being dense, a worker's partial is made
+//!   once per query and kept across a cold table's pieces
+//!   ([`AggState::partials`]).
 //!
 //! Two [`PipeDriver`]s walk one piece of a table source. The compiled
 //! engine ([`Sequential`]) folds `0..n` into the carried state; `pdsm-par`
@@ -201,7 +203,7 @@ impl PipeDriver for Sequential {
     }
 
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
-        let scan = Scan::new(table, state.parts().0);
+        let scan = Scan::new(table, state.spec());
         state.fold_range(&scan, dead, 0..table.len());
     }
 }
@@ -375,6 +377,7 @@ impl<'a> Lowering<'a> {
         let mut dest = Dest::open(want, hits.is_none().then_some(shape), spec);
         let zps = zone_preds(shape, spec.preds);
         db.for_each_piece(&name, &zps, hits, &mut |base, t, dead| {
+            dest.at_piece(base);
             match hits {
                 None => dest.piece(driver, t, dead, spec),
                 Some(ids) => dest.walk(&Scan::new(t, spec), dead, Walk::Hits(ids, base)),
@@ -429,13 +432,7 @@ impl<'a> Lowering<'a> {
                                 _ => None,
                             })
                             .collect();
-                        let args: Vec<ColId> = aggs
-                            .iter()
-                            .filter_map(|a| a.arg.as_ref())
-                            .flat_map(Expr::columns)
-                            .collect();
-                        let grouped = grouped.as_deref().map(|by| (by, &args[..]));
-                        self.join(join, &needs[0], grouped)?
+                        self.join(join, &needs[0], grouped.as_deref())?
                     }
                     input => self.lower(input, &needs[0])?,
                 };
@@ -463,14 +460,14 @@ impl<'a> Lowering<'a> {
     }
 
     /// Lower the join `plan`: build its left input, and return its right
-    /// input's pipe with the probe as its last step. With `grouped`, the
-    /// build also gives each row the ordinal of its group by those left
-    /// columns, for the group-join above.
+    /// input's pipe with the probe as its last step. With `group_by`, the
+    /// build also numbers its rows by group of those left columns, for the
+    /// group-join above.
     fn join(
         &self,
         plan: &LogicalPlan,
         need: &[ColId],
-        grouped: Option<(&[ColId], &[ColId])>,
+        group_by: Option<&[ColId]>,
     ) -> Result<Pipe<'a>, ExecError> {
         let LogicalPlan::Join {
             left,
@@ -485,24 +482,17 @@ impl<'a> Lowering<'a> {
         // The build side is always materialized (pipeline breaker) and
         // indexed in row order, so probe fan-out order is the same under
         // every driver. Each build row streams into the arena once, flat:
-        // its key, then the left columns read above the join — under a
-        // group-join only those its aggregates read, the group-by columns
-        // going to the group's values instead.
+        // its key, then the left columns read above the join.
         let lw = left.arity(&self.width);
-        let keep: Vec<ColId> = need
-            .iter()
-            .copied()
-            .filter(|&c| c < lw && grouped.is_none_or(|(_, args)| args.contains(&c)))
-            .collect();
+        let keep: Vec<ColId> = need.iter().copied().filter(|&c| c < lw).collect();
         let mut build = self.lower(left, &needs[0])?;
-        let group_by = grouped.map_or(&[][..], |(by, _)| by);
         let projection: Vec<Expr> = std::iter::once(left_key.clone())
-            .chain(keep.iter().chain(group_by).map(|&c| Expr::col(c)))
+            .chain(keep.iter().map(|&c| Expr::col(c)))
             .collect();
         build.project(&projection);
-        let mut rows = BuildRows::new(1 + keep.len(), grouped.map(|(by, _)| by.len()));
+        let mut rows = BuildRows::new(projection.len());
         self.run(build, Want::Build(&mut rows))?;
-        let join = HashJoin::build(rows, lw, &keep, right_key.clone());
+        let join = HashJoin::build(rows, lw, &keep, right_key.clone(), group_by);
         // The probe key is evaluated against the probe-side row in its
         // base space; later steps read the joined space, build columns
         // first.
@@ -544,17 +534,19 @@ impl<'s> Dest<'s> {
         }
     }
 
-    /// Walk one main-store piece with `driver`. A carried state is sealed
-    /// after each piece: its groups' first matches precede any later
-    /// piece's.
+    /// The next piece's first row has row id `base`.
+    fn at_piece(&mut self, base: usize) {
+        if let Dest::Fold(state) = self {
+            state.base = base as u64;
+        }
+    }
+
+    /// Walk one main-store piece with `driver`.
     fn piece(&mut self, driver: &dyn PipeDriver, t: &Table, dead: &[bool], spec: PipeSpec<'_>) {
         match self {
             Dest::Rows(out) => driver.collect(t, dead, spec, out),
             Dest::Build(out) => driver.build(t, dead, spec, out),
-            Dest::Fold(state) => {
-                driver.fold(t, dead, state);
-                state.seal();
-            }
+            Dest::Fold(state) => driver.fold(t, dead, state),
         }
     }
 
@@ -563,7 +555,7 @@ impl<'s> Dest<'s> {
         match self {
             Dest::Rows(out) => scan.walk(dead, walk, out),
             Dest::Build(out) => scan.walk(dead, walk, *out),
-            Dest::Fold(state) => scan.walk(dead, walk, &mut state.sink()),
+            Dest::Fold(state) => scan.walk(dead, walk, &mut state.sink(Some(scan.table))),
         }
     }
 
@@ -572,7 +564,7 @@ impl<'s> Dest<'s> {
         match self {
             Dest::Rows(out) => push_rows(rows, steps, out),
             Dest::Build(out) => push_rows(rows, steps, *out),
-            Dest::Fold(state) => push_rows(rows, steps, &mut state.sink()),
+            Dest::Fold(state) => push_rows(rows, steps, &mut state.sink(None)),
         }
     }
 
@@ -594,29 +586,20 @@ impl<'s> Dest<'s> {
     }
 }
 
-/// `rows` stably sorted by `keys`, cut to the first `limit` rows. A plain
-/// column key is read in place, any other key evaluated once per row, and
-/// rows are ordered by (keys, input position) — a total order, so
-/// selecting the first `limit` and sorting only those yields exactly a
-/// full stable sort's first `limit` rows.
+/// `rows` stably sorted by `keys`, cut to the first `limit` rows. Each
+/// row's keys are evaluated once, and rows are ordered by (keys, input
+/// position) — a total order, so selecting the first `limit` and sorting
+/// only those yields exactly a full stable sort's first `limit` rows.
 fn sorted(mut rows: Vec<Vec<Value>>, keys: &[SortKey], limit: Option<usize>) -> Vec<Vec<Value>> {
     let w = keys.len();
     let flat: Vec<Value> = rows
         .iter()
-        .flat_map(|r| {
-            keys.iter().map(|k| match &k.expr {
-                Expr::Col(_) => Value::Null,
-                e => e.eval(&r[..]),
-            })
-        })
+        .flat_map(|r| keys.iter().map(|k| k.expr.eval(&r[..])))
         .collect();
-    let key = |i: usize, j: usize| match &keys[j].expr {
-        Expr::Col(c) => &rows[i][*c],
-        _ => &flat[i * w + j],
-    };
     let cmp = |&a: &usize, &b: &usize| {
-        for (j, k) in keys.iter().enumerate() {
-            let ord = cmp_values(key(a, j), key(b, j));
+        let (ka, kb) = (&flat[a * w..][..w], &flat[b * w..][..w]);
+        for ((x, y), k) in ka.iter().zip(kb).zip(keys) {
+            let ord = cmp_values(x, y);
             let ord = if k.asc { ord } else { ord.reverse() };
             if ord != Ordering::Equal {
                 return ord;
@@ -688,47 +671,50 @@ pub struct HashJoin {
 
 /// A group-join's build-side groups. Every match position (an index into
 /// [`HashJoin::order`]) carries the dense ordinal of its row's group, so a
-/// match finds its group by where it matched.
+/// match finds its group by where it matched. A group's label is read from
+/// the arena row of its first match.
 struct Groups {
     /// Match position → group ordinal.
     of: Vec<u32>,
     /// Number of groups: one for a global aggregate, even over no rows.
     count: usize,
-    /// The group-by values of each group, `width` each, from its first
-    /// build row.
-    labels: Vec<Value>,
-    width: usize,
-    /// Arena rows whose group-by values differ bit for bit from their
-    /// group's (`-0.0` in a `+0.0` group), with their own.
-    variants: FastMap<u32, Vec<Value>>,
+    /// The arena slots of the group-by columns.
+    by: Vec<usize>,
 }
 
 impl Groups {
-    /// The group-by values of arena row `r`, of group `g`.
-    fn label(&self, g: usize, r: u32) -> &[Value] {
-        match self.variants.get(&r) {
-            Some(own) => own,
-            None => &self.labels[g * self.width..][..self.width],
+    /// Number the groups of the build rows `arena` (`stride` values each)
+    /// by the values in slots `by`, each row's group key encoded once, and
+    /// give every match position of `order` its row's ordinal.
+    fn new(arena: &[Value], stride: usize, order: &[u32], by: Vec<usize>) -> Self {
+        let mut ids: FastMap<GroupKey, u32> = FastMap::default();
+        let mut key = Vec::new();
+        let of_row: Vec<u32> = arena
+            .chunks_exact(stride)
+            .map(|row| {
+                key.clear();
+                for &s in &by {
+                    keys::encode(&row[s], &mut key);
+                }
+                if let Some(&g) = ids.get(&key[..]) {
+                    return g;
+                }
+                let g = ids.len() as u32;
+                ids.insert(GroupKey::from_bytes(&key), g);
+                g
+            })
+            .collect();
+        Groups {
+            of: order.iter().map(|&r| of_row[r as usize]).collect(),
+            count: ids.len().max(by.is_empty() as usize),
+            by,
         }
     }
 }
 
-/// `a` and `b` are the same value, bit for bit (`-0.0` is not `+0.0`,
-/// `Int32(1)` is not `Int64(1)`).
-fn same(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float64(x), Value::Float64(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
 /// A join's build rows as the build pipe streams them in. The pipe ends in
-/// a projection to the row's key, its kept columns and — for a group-join —
-/// its group-by columns. The key and the kept columns are appended flat to
-/// the arena; the group-by values are encoded in place into the row's
-/// group key, which finds (or makes) the row's dense group ordinal, and are
-/// kept once per group. A row whose values differ bit for bit from its
-/// group's keeps its own.
+/// a projection to the row's key and its kept columns, and the values are
+/// appended flat to the arena.
 ///
 /// A parallel driver fills one per morsel ([`BuildRows::fresh`]) and
 /// appends them in morsel order ([`BuildRows::append`]).
@@ -736,145 +722,35 @@ pub struct BuildRows {
     /// Values an arena row holds: the key, then the kept columns.
     stride: usize,
     arena: Vec<Value>,
-    groups: Option<RowGroups>,
-    /// The reused buffer of a row taken as its values.
-    row: Vec<Value>,
-}
-
-/// [`BuildRows`]' groups, keyed by arena row.
-struct RowGroups {
-    /// Group-by columns a row carries.
-    width: usize,
-    /// Arena row → group ordinal.
-    of: Vec<u32>,
-    ids: FastMap<GroupKey, u32>,
-    /// The group-by values of each group, from its first row.
-    labels: Vec<Value>,
-    variants: FastMap<u32, Vec<Value>>,
-    key: Vec<u8>,
-}
-
-impl RowGroups {
-    fn new(width: usize) -> Self {
-        RowGroups {
-            width,
-            of: Vec::new(),
-            ids: FastMap::default(),
-            labels: Vec::new(),
-            variants: FastMap::default(),
-            key: Vec::new(),
-        }
-    }
-
-    /// File arena row `r` under the group of its group-by values
-    /// `value(0..width)`, read in place. They are copied only into a new
-    /// group, or as the row's own when they differ bit for bit from its
-    /// group's.
-    fn file<'v>(&mut self, r: u32, value: impl Fn(usize) -> &'v Value) {
-        let width = self.width;
-        self.key.clear();
-        for i in 0..width {
-            keys::encode(value(i), &mut self.key);
-        }
-        let values = || (0..width).map(|i| value(i).clone());
-        match self.ids.get(&self.key[..]) {
-            Some(&g) => {
-                self.of.push(g);
-                let label = &self.labels[g as usize * width..][..width];
-                if !label.iter().enumerate().all(|(i, l)| same(l, value(i))) {
-                    self.variants.insert(r, values().collect());
-                }
-            }
-            None => {
-                let g = self.ids.len() as u32;
-                self.ids.insert(GroupKey::from_bytes(&self.key), g);
-                self.of.push(g);
-                self.labels.extend(values());
-            }
-        }
-    }
 }
 
 impl BuildRows {
-    /// Empty build rows of `stride` stored values; `group` group-by
-    /// columns for a group-join.
-    fn new(stride: usize, group: Option<usize>) -> Self {
+    /// Empty build rows of `stride` values.
+    fn new(stride: usize) -> Self {
         BuildRows {
             stride,
             arena: Vec::new(),
-            groups: group.map(RowGroups::new),
-            row: Vec::new(),
         }
     }
 
     /// Empty build rows of the same shape.
     pub fn fresh(&self) -> Self {
-        BuildRows::new(self.stride, self.groups.as_ref().map(|g| g.width))
+        BuildRows::new(self.stride)
     }
 
-    fn len(&self) -> usize {
-        self.arena.len() / self.stride
-    }
-
-    /// Append `other`'s rows after these: its groups map onto these by key.
+    /// Append `other`'s rows after these.
     pub fn append(&mut self, other: BuildRows) {
         if self.arena.is_empty() {
             *self = other;
-            return;
-        }
-        let base = self.len() as u32;
-        self.arena.extend(other.arena);
-        let (Some(mine), Some(theirs)) = (&mut self.groups, other.groups) else {
-            return;
-        };
-        let w = mine.width;
-        // Their group → ours; a group whose values differ bit for bit
-        // from ours gives each of its rows their own.
-        let mut to = vec![0u32; theirs.ids.len()];
-        let mut differs = vec![false; theirs.ids.len()];
-        for (key, l) in theirs.ids {
-            let label = &theirs.labels[l as usize * w..][..w];
-            to[l as usize] = match mine.ids.get(&key) {
-                Some(&g) => {
-                    let ours = &mine.labels[g as usize * w..][..w];
-                    differs[l as usize] = !ours.iter().zip(label).all(|(a, b)| same(a, b));
-                    g
-                }
-                None => {
-                    let g = mine.ids.len() as u32;
-                    mine.ids.insert(key, g);
-                    mine.labels.extend_from_slice(label);
-                    g
-                }
-            };
-        }
-        for (r, &l) in theirs.of.iter().enumerate() {
-            let r = r as u32;
-            if differs[l as usize] && !theirs.variants.contains_key(&r) {
-                let label = &theirs.labels[l as usize * w..][..w];
-                mine.variants.insert(base + r, label.to_vec());
-            }
-        }
-        mine.variants
-            .extend(theirs.variants.into_iter().map(|(r, v)| (base + r, v)));
-        mine.of.extend(theirs.of.iter().map(|&l| to[l as usize]));
-    }
-
-    /// Take a projected row: the first `stride` values stored, the rest its
-    /// group-by values.
-    fn take(&mut self, row: &mut [Value]) {
-        let r = self.len() as u32;
-        let (stored, grouped) = row.split_at_mut(self.stride);
-        self.arena.extend(stored.iter_mut().map(take));
-        if let Some(groups) = &mut self.groups {
-            groups.file(r, |i| &grouped[i]);
+        } else {
+            self.arena.extend(other.arena);
         }
     }
 }
 
 impl Sink for BuildRows {
-    fn row(&mut self, mut row: Vec<Value>) {
-        self.take(&mut row);
+    fn row(&mut self, row: Vec<Value>) {
+        self.arena.extend(row);
     }
 
     fn joined(&mut self, _: &Joined<'_>) {
@@ -882,27 +758,7 @@ impl Sink for BuildRows {
     }
 
     fn values(&mut self, row: impl Iterator<Item = Value>) {
-        let mut buf = std::mem::take(&mut self.row);
-        buf.clear();
-        buf.extend(row);
-        self.take(&mut buf);
-        self.row = buf;
-    }
-
-    /// The stored values are evaluated; the group-by columns are read in
-    /// place, and copied only into a new group or a row that differs from
-    /// its group.
-    fn projected<R: Columns + ?Sized>(&mut self, exprs: &[Expr], row: &R) {
-        let r = self.len() as u32;
-        let (stored, grouped) = exprs.split_at(self.stride);
-        self.arena.extend(stored.iter().map(|e| e.eval(row)));
-        if let Some(groups) = &mut self.groups {
-            let col = |i: usize| match &grouped[i] {
-                Expr::Col(c) => row.col(*c),
-                _ => unreachable!("group-by columns are plain"),
-            };
-            groups.file(r, col);
-        }
+        self.arena.extend(row);
     }
 }
 
@@ -943,16 +799,17 @@ fn spans<K: Hash + Eq>(keys: impl Iterator<Item = (u32, K)>, n: usize) -> (Spans
 
 impl HashJoin {
     /// Index a join's build side: `rows` holds the build rows in row
-    /// order, each its key, then its kept left columns `keep` (of `lw`),
-    /// and for a group-join its group. A row with a NULL key never
-    /// matches. `key` is the probe side's key.
-    fn build(rows: BuildRows, lw: usize, keep: &[ColId], key: Expr) -> Self {
-        let BuildRows {
-            stride,
-            arena,
-            groups,
-            ..
-        } = rows;
+    /// order, each its key, then its kept left columns `keep` (of `lw`).
+    /// A row with a NULL key never matches. `key` is the probe side's key.
+    /// With `group_by` (kept columns), the rows are numbered by group.
+    fn build(
+        rows: BuildRows,
+        lw: usize,
+        keep: &[ColId],
+        key: Expr,
+        group_by: Option<&[ColId]>,
+    ) -> Self {
+        let BuildRows { stride, arena } = rows;
         let keys = || {
             (0..arena.len() / stride)
                 .map(|r| (r as u32, &arena[r * stride]))
@@ -971,15 +828,9 @@ impl HashJoin {
         for (s, &c) in keep.iter().enumerate() {
             slots[c] = Some(1 + s);
         }
-        let groups = groups.map(|g| {
-            Box::new(Groups {
-                of: order.iter().map(|&r| g.of[r as usize]).collect(),
-                // A global aggregate has its one group even over no rows.
-                count: g.ids.len().max((g.width == 0) as usize),
-                labels: g.labels,
-                width: g.width,
-                variants: g.variants,
-            })
+        let groups = group_by.map(|by| {
+            let by = by.iter().map(|&c| slots[c].expect("group-by columns are kept"));
+            Box::new(Groups::new(&arena, stride, &order, by.collect()))
         });
         HashJoin {
             key,
@@ -1113,6 +964,40 @@ trait Sink {
     fn at(&mut self, i: usize) {
         let _ = i;
     }
+    /// Take survivor `i` of `scan`, whose first step, a probe, matched it
+    /// at positions `hits`; `rest` are the steps after the probe. The row
+    /// is decoded into the reused `probe` row and fans out.
+    fn matched(
+        &mut self,
+        scan: &Scan<'_>,
+        i: usize,
+        hits: Range<usize>,
+        rest: &[Step],
+        probe: &mut [Value],
+        buf: &mut Vec<u8>,
+    ) where
+        Self: Sized,
+    {
+        fan_out_survivor(scan, i, hits, rest, probe, buf, self);
+    }
+}
+
+/// [`Sink::matched`]'s default: decode survivor `i` of `scan` into `probe`
+/// and send its matches `hits` of the scan's probe through `rest`.
+fn fan_out_survivor<S: Sink>(
+    scan: &Scan<'_>,
+    i: usize,
+    hits: Range<usize>,
+    rest: &[Step],
+    probe: &mut [Value],
+    buf: &mut Vec<u8>,
+    sink: &mut S,
+) {
+    let Some(Step::Probe(join)) = scan.spec.steps.first() else {
+        unreachable!("the scan's first step probes");
+    };
+    scan.fill(i, probe);
+    join.fan_out(probe, hits, rest, buf, sink);
 }
 
 impl Sink for Vec<Vec<Value>> {
@@ -1375,12 +1260,21 @@ impl<'a> Scan<'a> {
             }),
             (Some(key), _, Some((Step::Probe(join), rest))) => {
                 let mut probe = vec![Value::Null; self.table.schema().len()];
+                // A run of equal keys (a clustered foreign key) probes once.
+                let mut last: Option<(u64, Range<usize>)> = None;
                 self.survivors(dead, walk, tally, |i| {
-                    let hits = join.lookup(key.key_ref(i), &mut buf);
+                    let raw = key.raw(i);
+                    let hits = match &last {
+                        Some((r, hits)) if *r == raw => hits.clone(),
+                        _ => {
+                            let hits = join.lookup(key.key_ref(i), &mut buf);
+                            last = Some((raw, hits.clone()));
+                            hits
+                        }
+                    };
                     if !hits.is_empty() {
                         sink.at(i);
-                        self.fill(i, &mut probe);
-                        join.fan_out(&probe, hits, rest, &mut buf, sink);
+                        sink.matched(self, i, hits, rest, &mut probe, &mut buf);
                     }
                 })
             }
@@ -1574,15 +1468,17 @@ const NOVEL_KEY_BASE: u64 = 1 << 32;
 type RawGroups = FastMap<u64, (Value, Vec<Accumulator>)>;
 type KeyedGroups = FastMap<GroupKey, (Vec<Value>, Vec<Accumulator>)>;
 
-/// Where a group-join group was first matched: (probe position, match
-/// position). Within one piece the position is the probe row's index plus one;
-/// [`AggState::seal`] moves a finished piece's to zero, ahead of any later
-/// piece's. Compared as a pair, the least is the match the group's first
-/// joined row came from.
+/// Where a group-join group was first matched: (probe row, match
+/// position). A main-store probe row is its row id in the table; a tail or
+/// breaker row comes after every one ([`AFTER_MAIN`]). Compared as a pair,
+/// the least is the match the group's first joined row came from.
 type Stamp = (u64, u32);
 
 /// The stamp of a group with no match yet.
 const UNMATCHED: Stamp = (u64::MAX, u32::MAX);
+
+/// The probe row of a match from the delta tail or a breaker's rows.
+const AFTER_MAIN: u64 = u64::MAX - 1;
 
 /// The join a group-join pipe ends in: its last step, when that probe's
 /// build carries group ordinals.
@@ -1641,70 +1537,22 @@ impl Dense {
     }
 
     /// The accumulators of the group matched at position `m` from probe
-    /// position `pos`; `k` aggregates a group.
+    /// row `row`; `k` aggregates a group. A state sees its rows in probe
+    /// order — pieces ascend, the morsels one worker claims ascend, the
+    /// tail comes last — so its first match of a group is its least.
     #[inline(always)]
-    fn group(&mut self, groups: &Groups, m: usize, pos: u64, k: usize) -> &mut [Accumulator] {
+    fn group(&mut self, groups: &Groups, m: usize, row: u64, k: usize) -> &mut [Accumulator] {
         let g = groups.of[m] as usize;
         let first = &mut self.first[g];
         if first.0 == UNMATCHED.0 {
-            *first = (pos, m as u32);
+            *first = (row, m as u32);
         }
         &mut self.accs[g * k..][..k]
     }
 
-    /// Fold main-store rows `range` of `scan`'s table, whose one step is
-    /// the group-join's probe on a plain key column: a run of equal keys
-    /// probes once, and arguments are read typed where they can be.
-    fn fold_scan(
-        &mut self,
-        scan: &Scan<'_>,
-        aggs: &[AggExpr],
-        dead: &[bool],
-        range: Range<usize>,
-        tally: &mut Tally,
-    ) {
-        let (Some(key), [Step::Probe(join)]) = (&scan.probe_key, scan.spec.steps) else {
-            unreachable!("checked by the caller");
-        };
-        let groups = join.groups.as_ref().expect("a group-join build");
-        let t = scan.table;
-        let args: Vec<JoinArg<'_>> = aggs.iter().map(|a| JoinArg::open(t, join, a)).collect();
-        let decode = args.iter().any(|a| matches!(a, JoinArg::View(_)));
-        let mut probe = vec![Value::Null; if decode { t.schema().len() } else { 0 }];
-        let k = aggs.len();
-        let mut buf = Vec::new();
-        let mut last: Option<(u64, Range<usize>)> = None;
-        scan.survivors(dead, Walk::Range(range), tally, |i| {
-            let raw = key.raw(i);
-            let hits = match &last {
-                Some((r, hits)) if *r == raw => hits.clone(),
-                _ => {
-                    let hits = join.lookup(key.key_ref(i), &mut buf);
-                    last = Some((raw, hits.clone()));
-                    hits
-                }
-            };
-            if hits.is_empty() {
-                return;
-            }
-            if decode {
-                scan.fill(i, &mut probe);
-            }
-            for m in hits {
-                let accs = self.group(groups, m, i as u64 + 1, k);
-                for (acc, arg) in accs.iter_mut().zip(&args) {
-                    match arg {
-                        JoinArg::Probe(r) => r.update(t, i, acc),
-                        JoinArg::Build(s) => acc.update(&join.row(m)[*s]),
-                        JoinArg::View(e) => acc.update(&e.eval(&join.view(m, &probe))),
-                    }
-                }
-            }
-        });
-    }
-
     /// Fold `other`, a partial over the same build, in: index by index. A
-    /// group only one side matched is moved, not merged.
+    /// group only one side matched is moved, not merged; each keeps its
+    /// least stamp.
     fn merge(&mut self, mut other: Dense, k: usize) {
         for (g, theirs) in other.first.iter().enumerate() {
             if theirs.0 == UNMATCHED.0 {
@@ -1733,7 +1581,7 @@ impl Dense {
             .enumerate()
             .filter(|(_, f)| f.0 != UNMATCHED.0)
             .map(|(g, &(_, m))| {
-                let label = groups.label(g, join.order[m as usize]).iter().cloned();
+                let label = groups.by.iter().map(|&s| join.row(m as usize)[s].clone());
                 label.chain(finish_accs(&self.accs[g * k..][..k])).collect()
             })
             .collect()
@@ -1778,6 +1626,11 @@ pub struct AggState<'a> {
     group_by: &'a [Expr],
     aggs: &'a [AggExpr],
     repr: Repr,
+    /// The row id of the first row of the main-store piece being folded.
+    base: u64,
+    /// A group-join's worker partials, kept across pieces
+    /// ([`AggState::partials`]) and merged at finish.
+    parked: Vec<Dense>,
 }
 
 fn fresh(aggs: &[AggExpr]) -> Vec<Accumulator> {
@@ -1801,9 +1654,23 @@ struct Fold<'g> {
 enum Target<'g> {
     Global(&'g mut Vec<Accumulator>),
     Groups(&'g mut KeyedGroups),
-    /// A group-join's state, its build's groups, and the probe position
-    /// the next matches come from.
-    Dense(&'g mut Dense, &'g Groups, u64),
+    Dense(DenseFold<'g>),
+}
+
+/// A group-join's fold: the state, its build, and where the probe rows
+/// come from.
+struct DenseFold<'g> {
+    dense: &'g mut Dense,
+    join: &'g HashJoin,
+    groups: &'g Groups,
+    /// The row id of the piece's first row.
+    base: u64,
+    /// The probe row the next matches come from.
+    row: u64,
+    /// The aggregates' arguments over the table the pipe scans, when the
+    /// probe is its one step: a survivor's matches fold without the row
+    /// fanning out.
+    args: Option<Vec<JoinArg<'g>>>,
 }
 
 impl<'g> Target<'g> {
@@ -1853,8 +1720,8 @@ impl Sink for Fold<'_> {
 
     fn joined(&mut self, row: &Joined<'_>) {
         match &mut self.target {
-            Target::Dense(dense, groups, pos) => {
-                let accs = dense.group(groups, row.at, *pos, self.aggs.len());
+            Target::Dense(f) => {
+                let accs = f.dense.group(f.groups, row.at, f.row, self.aggs.len());
                 update_from_row(self.aggs, row, accs);
             }
             _ => self.consume(row),
@@ -1871,8 +1738,49 @@ impl Sink for Fold<'_> {
 
     #[inline(always)]
     fn at(&mut self, i: usize) {
-        if let Target::Dense(_, _, pos) = &mut self.target {
-            *pos = i as u64 + 1;
+        if let Target::Dense(f) = &mut self.target {
+            f.row = f.base + i as u64;
+        }
+    }
+
+    /// A group-join whose probe is the scan's one step folds each match
+    /// into its group straight away: `count(*)` and plain numeric
+    /// probe-side arguments read typed at the probe row, build-side
+    /// columns in the arena, anything else over the joined view (the only
+    /// case that decodes the probe row).
+    fn matched(
+        &mut self,
+        scan: &Scan<'_>,
+        i: usize,
+        hits: Range<usize>,
+        rest: &[Step],
+        probe: &mut [Value],
+        buf: &mut Vec<u8>,
+    ) {
+        let Target::Dense(DenseFold {
+            dense,
+            join,
+            groups,
+            row,
+            args: Some(args),
+            ..
+        }) = &mut self.target
+        else {
+            return fan_out_survivor(scan, i, hits, rest, probe, buf, self);
+        };
+        debug_assert!(rest.is_empty());
+        if args.iter().any(|a| matches!(a, JoinArg::View(_))) {
+            scan.fill(i, probe);
+        }
+        for m in hits {
+            let accs = dense.group(groups, m, *row, args.len());
+            for (acc, arg) in accs.iter_mut().zip(args.iter()) {
+                match arg {
+                    JoinArg::Probe(r) => r.update(scan.table, i, acc),
+                    JoinArg::Build(s) => acc.update(&join.row(m)[*s]),
+                    JoinArg::View(e) => acc.update(&e.eval(&join.view(m, probe))),
+                }
+            }
         }
     }
 }
@@ -1984,13 +1892,14 @@ impl<'a> AggState<'a> {
             group_by,
             aggs,
             repr,
+            base: 0,
+            parked: Vec::new(),
         }
     }
 
-    /// The pipeline and aggregates this state folds: what a driver opens
-    /// per-worker partials of the same pipeline from.
-    pub fn parts(&self) -> (PipeSpec<'a>, &'a [Expr], &'a [AggExpr]) {
-        (self.spec, self.group_by, self.aggs)
+    /// The pipeline this state folds: what a driver binds its scans to.
+    pub fn spec(&self) -> PipeSpec<'a> {
+        self.spec
     }
 
     /// Fold main-store rows `range` of `scan`'s table, minus the `dead`
@@ -2052,13 +1961,9 @@ impl<'a> AggState<'a> {
                     }
                 });
             }
-            Repr::Dense(dense)
-                if scan.probe_key.is_some() && matches!(scan.spec.steps, [Step::Probe(_)]) =>
-            {
-                dense.fold_scan(scan, aggs, dead, range, &mut tally);
-            }
             Repr::Dense(_) | Repr::Keyed(_) => {
-                scan.rows(dead, Walk::Range(range), &mut tally, &mut self.sink());
+                let mut sink = self.sink(Some(t));
+                scan.rows(dead, Walk::Range(range), &mut tally, &mut sink);
             }
         }
         tally.flush();
@@ -2117,25 +2022,39 @@ impl<'a> AggState<'a> {
                     update_from_row(aggs, r.values(), accs);
                 }
             }
-            Repr::Dense(_) | Repr::Keyed(_) => tail_rows(overlay, spec, &mut self.sink()),
+            Repr::Dense(_) | Repr::Keyed(_) => tail_rows(overlay, spec, &mut self.sink(None)),
         }
     }
 
     /// Fold materialized (post-step) rows. Only a
     /// [`keyed`](AggState::keyed) state over no group-join takes rows.
     pub fn fold_rows(&mut self, rows: Vec<Vec<Value>>) {
-        push_rows(rows, &[], &mut self.sink());
+        push_rows(rows, &[], &mut self.sink(None));
     }
 
     /// The fold sink of a [`keyed`](AggState::keyed) state: what a
-    /// breaker's rows, index hits and the delta tail fold through.
-    fn sink(&mut self) -> Fold<'_> {
-        let (steps, group_by, aggs) = (self.spec.steps, self.group_by, self.aggs);
+    /// pipe's survivors fold through when `scanned` is the table it scans
+    /// (from the current piece's [`base`](AggState::base)), and what a
+    /// breaker's rows and the delta tail fold through when it is `None`.
+    fn sink<'s>(&'s mut self, scanned: Option<&'s Table>) -> Fold<'s> {
+        let (steps, group_by, aggs, base) = (self.spec.steps, self.group_by, self.aggs, self.base);
         let target = match &mut self.repr {
             Repr::Keyed(groups) => Target::keyed(groups, group_by, aggs),
             Repr::Dense(dense) => {
                 let join = group_join(steps).expect("a dense state ends in a group-join");
-                Target::Dense(dense, join.groups.as_ref().expect("grouped"), 1)
+                // Survivors fold without fanning out when the probe is
+                // the pipe's one step.
+                let args = scanned.filter(|_| steps.len() == 1).map(|t| {
+                    aggs.iter().map(|a| JoinArg::open(t, join, a)).collect()
+                });
+                Target::Dense(DenseFold {
+                    dense,
+                    join,
+                    groups: join.groups.as_ref().expect("grouped"),
+                    base,
+                    row: AFTER_MAIN,
+                    args,
+                })
             }
             _ => unreachable!("rows fold into a keyed state"),
         };
@@ -2148,14 +2067,34 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// Move every group-join group matched so far ahead of any match a
-    /// later piece's partials bring: the carried state is sealed after
-    /// each piece, so first matches compare by position within a piece
-    /// only.
-    fn seal(&mut self) {
-        if let Repr::Dense(dense) = &mut self.repr {
-            for first in dense.first.iter_mut().filter(|f| f.0 != UNMATCHED.0) {
-                first.0 = 0;
+    /// `n` partials of this state for workers to fold one main-store piece
+    /// `table` into; [`AggState::gather`] takes them back. A group-join's
+    /// are dense over every group of its build, so they are made once,
+    /// kept across pieces and merged only at finish.
+    pub fn partials(&mut self, table: &Table, n: usize) -> Vec<AggState<'a>> {
+        (0..n)
+            .map(|_| {
+                let repr = match (&self.repr, self.parked.pop()) {
+                    (Repr::Dense(_), Some(dense)) => Repr::Dense(dense),
+                    _ => AggState::new(table, self.spec, self.group_by, self.aggs).repr,
+                };
+                AggState {
+                    repr,
+                    base: self.base,
+                    parked: Vec::new(),
+                    ..*self
+                }
+            })
+            .collect()
+    }
+
+    /// Take back the [`partials`](AggState::partials) of a piece: a
+    /// group-join's are parked for the next piece, any other merged in.
+    pub fn gather(&mut self, partials: impl IntoIterator<Item = AggState<'a>>) {
+        for partial in partials {
+            match partial.repr {
+                Repr::Dense(dense) => self.parked.push(dense),
+                _ => self.merge(partial),
             }
         }
     }
@@ -2187,7 +2126,10 @@ impl<'a> AggState<'a> {
                     matches!((mine, theirs), (Some(x), Some(y)) if std::ptr::eq(x, y)),
                     "group-join partials merge over the one build they share"
                 );
-                a.merge(b, self.aggs.len());
+                let k = self.aggs.len();
+                for dense in std::iter::once(b).chain(other.parked) {
+                    a.merge(dense, k);
+                }
             }
             _ => unreachable!("partials of one pipeline share a representation"),
         }
@@ -2212,11 +2154,17 @@ impl<'a> AggState<'a> {
                 .into_values()
                 .map(|(key, accs)| std::iter::once(key).chain(finish_accs(&accs)).collect())
                 .collect(),
-            Repr::Dense(dense) => dense.finish(
-                group_join(self.spec.steps).expect("a dense state ends in a group-join"),
-                self.group_by.is_empty(),
-                self.aggs.len(),
-            ),
+            Repr::Dense(mut dense) => {
+                let k = self.aggs.len();
+                for parked in self.parked {
+                    dense.merge(parked, k);
+                }
+                dense.finish(
+                    group_join(self.spec.steps).expect("a dense state ends in a group-join"),
+                    self.group_by.is_empty(),
+                    k,
+                )
+            }
             Repr::Keyed(groups) => finish_keyed(groups, self.group_by, self.aggs),
         }
     }
@@ -2487,12 +2435,12 @@ mod tests {
     /// only kept columns are stored, the rest read as NULL.
     #[test]
     fn build_side_groups_keys_in_input_order_and_keeps_only_read_columns() {
-        let mut rows = BuildRows::new(2, None);
+        let mut rows = BuildRows::new(2);
         for (k, s) in [(1, "a"), (2, "b"), (1, "c"), (0, "d"), (2, "e")] {
             let k = if k == 0 { Value::Null } else { Value::Int64(k) };
             rows.values([k, Value::from(s)].into_iter());
         }
-        let join = HashJoin::build(rows, 3, &[1], Expr::col(0));
+        let join = HashJoin::build(rows, 3, &[1], Expr::col(0), None);
         assert!(matches!(join.index, BuildIndex::Int(_)));
         assert_eq!(join.stride, 2);
         let mut buf = Vec::new();
@@ -2515,11 +2463,11 @@ mod tests {
 
     /// A group-join build of `(key, group)` rows, grouped by its column 1.
     fn grouped_build(rows: &[(i64, &str)]) -> HashJoin {
-        let mut build = BuildRows::new(1, Some(1));
+        let mut build = BuildRows::new(2);
         for &(k, g) in rows {
             build.values([Value::Int64(k), Value::from(g)].into_iter());
         }
-        HashJoin::build(build, 2, &[], Expr::col(0))
+        HashJoin::build(build, 2, &[1], Expr::col(0), Some(&[1]))
     }
 
     /// `count(*)` per build group of the probe keys `keys`, folded through
@@ -2534,7 +2482,7 @@ mod tests {
             let mut state = AggState::keyed(spec, &group_by, &aggs);
             assert!(matches!(state.repr, Repr::Dense(_)));
             let rows = keys.iter().map(|&k| vec![Value::Int64(k)]).collect();
-            push_rows(rows, steps, &mut state.sink());
+            push_rows(rows, steps, &mut state.sink(None));
             state
         };
         let mut state = fold(steps);
@@ -2566,6 +2514,48 @@ mod tests {
             vec![count("x", 2), count("y", 4)]
         );
         group_counts(&one, &[1, 2, 2], Some(&other));
+    }
+
+    /// A group is labelled by its first match over every piece and worker
+    /// partial: the `-0.0` row matched in the first piece, not the `+0.0`
+    /// row at the earlier match position matched in the second piece by
+    /// another partial.
+    #[test]
+    fn group_join_labels_by_the_first_match_across_pieces_and_partials() {
+        let mut build = BuildRows::new(2);
+        for (k, f) in [(1, 0.0), (2, -0.0)] {
+            build.values([Value::Int64(k), Value::Float64(f)].into_iter());
+        }
+        let steps = [Step::Probe(HashJoin::build(
+            build,
+            2,
+            &[1],
+            Expr::col(0),
+            Some(&[1]),
+        ))];
+        let spec = PipeSpec {
+            preds: &[],
+            steps: &steps,
+            needed: &[0],
+        };
+        let (group_by, aggs) = ([Expr::col(1)], [AggExpr::count_star()]);
+        let mut state = AggState::keyed(spec, &group_by, &aggs);
+        for (base, key) in [(0, 2), (1, 1)] {
+            let mut piece = Table::new(
+                "p",
+                Schema::new(vec![ColumnDef::new("k", DataType::Int32)]),
+            );
+            piece.insert(&[Value::Int32(key)]).unwrap();
+            state.base = base;
+            // The partial at index 1 is a different one each piece.
+            let mut partials = state.partials(&piece, 2);
+            partials[1].fold_range(&Scan::new(&piece, spec), &[], 0..1);
+            state.gather(partials);
+        }
+        let rows = state.finish();
+        assert_eq!(rows.len(), 1);
+        assert!(matches!(rows[0][0], Value::Float64(f) if f.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(rows[0][1], Value::Int64(2));
     }
 
     #[test]

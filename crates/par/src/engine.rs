@@ -25,6 +25,7 @@ use pdsm_exec::QueryOutput;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_storage::{Table, Value};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// The morsel-driven parallel engine.
 ///
@@ -80,12 +81,16 @@ struct Workers {
 }
 
 impl Workers {
-    /// Run `worker(queue)` on as many workers as the table has morsels
-    /// for (at most `self.threads`), results in worker-id order.
+    /// Run `worker(queue)` on [`Workers::count`] workers, results in
+    /// worker-id order.
     fn run<R: Send>(&self, table: &Table, worker: impl Fn(&MorselQueue) -> R + Sync) -> Vec<R> {
         let queue = MorselQueue::for_table(table);
-        let threads = self.threads.min(queue.n_morsels()).max(1);
-        run_workers(threads, |_| worker(&queue))
+        run_workers(self.count(&queue), |_| worker(&queue))
+    }
+
+    /// As many workers as `queue` has morsels for, at most `self.threads`.
+    fn count(&self, queue: &MorselQueue) -> usize {
+        self.threads.min(queue.n_morsels()).max(1)
     }
 }
 
@@ -130,21 +135,22 @@ impl PipeDriver for Workers {
         self.in_order(table, spec, || fresh.fresh(), walk, |rows| out.append(rows));
     }
 
-    /// Every worker folds the morsels it claims into its own partial; the
-    /// partials merge into `state`.
+    /// Every worker folds the morsels it claims into its own partial of
+    /// `state`; `state` takes the partials back.
     fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
-        let (spec, group_by, aggs) = state.parts();
-        let partials = self.run(table, |queue| {
+        let spec = state.spec();
+        let queue = MorselQueue::for_table(table);
+        let threads = self.count(&queue);
+        let spare = Mutex::new(state.partials(table, threads));
+        let partials = run_workers(threads, |_| {
             let scan = Scan::new(table, spec);
-            let mut partial = AggState::new(table, spec, group_by, aggs);
+            let mut partial = spare.lock().expect("spare").pop().expect("one per worker");
             while let Some(m) = queue.claim() {
                 partial.fold_range(&scan, dead, m.start..m.end);
             }
             partial
         });
-        for partial in partials {
-            state.merge(partial);
-        }
+        state.gather(partials);
     }
 }
 

@@ -86,7 +86,8 @@ impl MorselQueue {
 
     /// Claim the next morsel, or `None` when the scan is exhausted. Safe
     /// to call from any number of threads; each morsel is handed out
-    /// exactly once.
+    /// exactly once. The morsels one caller claims ascend: a group-join
+    /// partial takes a group's first match it sees as its least.
     pub fn claim(&self) -> Option<Morsel> {
         let index = self.cursor.fetch_add(1, Ordering::Relaxed);
         let start = index.checked_mul(self.rows_per)?;

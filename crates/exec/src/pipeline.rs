@@ -829,7 +829,9 @@ impl HashJoin {
             slots[c] = Some(1 + s);
         }
         let groups = group_by.map(|by| {
-            let by = by.iter().map(|&c| slots[c].expect("group-by columns are kept"));
+            let by = by
+                .iter()
+                .map(|&c| slots[c].expect("group-by columns are kept"));
             Box::new(Groups::new(&arena, stride, &order, by.collect()))
         });
         HashJoin {
@@ -2044,9 +2046,9 @@ impl<'a> AggState<'a> {
                 let join = group_join(steps).expect("a dense state ends in a group-join");
                 // Survivors fold without fanning out when the probe is
                 // the pipe's one step.
-                let args = scanned.filter(|_| steps.len() == 1).map(|t| {
-                    aggs.iter().map(|a| JoinArg::open(t, join, a)).collect()
-                });
+                let args = scanned
+                    .filter(|_| steps.len() == 1)
+                    .map(|t| aggs.iter().map(|a| JoinArg::open(t, join, a)).collect());
                 Target::Dense(DenseFold {
                     dense,
                     join,
@@ -2541,10 +2543,8 @@ mod tests {
         let (group_by, aggs) = ([Expr::col(1)], [AggExpr::count_star()]);
         let mut state = AggState::keyed(spec, &group_by, &aggs);
         for (base, key) in [(0, 2), (1, 1)] {
-            let mut piece = Table::new(
-                "p",
-                Schema::new(vec![ColumnDef::new("k", DataType::Int32)]),
-            );
+            let mut piece =
+                Table::new("p", Schema::new(vec![ColumnDef::new("k", DataType::Int32)]));
             piece.insert(&[Value::Int32(key)]).unwrap();
             state.base = base;
             // The partial at index 1 is a different one each piece.

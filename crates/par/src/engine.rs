@@ -144,7 +144,11 @@ impl PipeDriver for Workers {
         let spare = Mutex::new(state.partials(table, threads));
         let partials = run_workers(threads, |_| {
             let scan = Scan::new(table, spec);
-            let mut partial = spare.lock().expect("spare").pop().expect("one per worker");
+            let mut partial = spare
+                .lock()
+                .expect("a worker panicked")
+                .pop()
+                .expect("one per worker");
             while let Some(m) = queue.claim() {
                 partial.fold_range(&scan, dead, m.start..m.end);
             }

@@ -254,8 +254,8 @@ struct DbDurability {
 }
 
 /// Aggregated durability counters across every durable table — the
-/// observability face of the WAL/checkpoint subsystem
-/// ([`Database::storage_stats`]).
+/// observability face of the WAL/checkpoint subsystem — and the main
+/// stores' memory across every table ([`Database::storage_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Tables with a WAL attached (0 for a purely in-memory database).
@@ -279,6 +279,12 @@ pub struct StorageStats {
     /// WAL ops replayed by the last [`Database::open`], summed over
     /// tables — the witness that recovery is O(ops since last checkpoint).
     pub recovery_replay_ops: u64,
+    /// Partition-arena bytes of every resident main store (a cold one's
+    /// rows are the buffer pool's to count), durable or not.
+    pub main_bytes: u64,
+    /// Dictionary heap bytes of every main store, a cold one's header
+    /// dictionaries included, durable or not.
+    pub dict_bytes: u64,
 }
 
 /// Upper bound on *distinct* plans the observed workload records;
@@ -665,11 +671,17 @@ impl Database {
     }
 
     /// Aggregated WAL/checkpoint/recovery counters across every durable
-    /// table (all zeros for an in-memory database).
+    /// table (all zeros for an in-memory database), and the main stores'
+    /// memory across every table.
     pub fn storage_stats(&self) -> StorageStats {
         let mut s = StorageStats::default();
         let entries: Vec<TableEntry> = self.read_catalog().values().cloned().collect();
         for entry in entries {
+            let main = entry.table.with_read(|vt| Arc::clone(vt.store()));
+            if main.cold().is_none() {
+                s.main_bytes += main.byte_size() as u64;
+            }
+            s.dict_bytes += main.skeleton().dict_bytes() as u64;
             let Some(d) = entry.table.durability() else {
                 continue;
             };

@@ -397,6 +397,21 @@ fn collect_zone_pred(t: &Table, e: &Expr, out: &mut Vec<ZonePred>) {
     }
 }
 
+/// `x OP v` as `x.partial_cmp(&v)` decides it, without a branch on the
+/// ordering: no operator holds when either side is NaN, so `<>` is "less
+/// or greater", not `!=`.
+#[inline(always)]
+fn cmp_f64(x: f64, op: CmpOp, v: f64) -> bool {
+    match op {
+        CmpOp::Eq => x == v,
+        CmpOp::Ne => (x < v) | (x > v),
+        CmpOp::Lt => x < v,
+        CmpOp::Le => x <= v,
+        CmpOp::Gt => x > v,
+        CmpOp::Ge => x >= v,
+    }
+}
+
 /// Per-row validity of `c` over `len (≤ 64)` rows from `start`, as a bitmask.
 fn valid_mask(t: &Table, c: ColId, start: usize, len: usize) -> u64 {
     let mut m = 0u64;
@@ -411,8 +426,10 @@ impl<'t> PredKernel<'t> {
     /// starting at `start`; for every row `j` set in `alive`, bit `j` of
     /// the result is `self.test(start + j)` (bits outside `alive` are
     /// unspecified — callers AND the result into their mask).
-    /// Densely packed integer comparisons go through the wide kernels of
-    /// [`crate::simd`] and ignore `alive`; everything else tests only the
+    /// Comparisons of a number column with a literal run a typed 64-row
+    /// loop and ignore `alive` (integer ones through the wide kernels of
+    /// [`crate::simd`] when the column is densely packed; float ones stay
+    /// scalar, see its module docs); everything else tests only the
     /// alive rows one at a time, so a selective cheap conjunct in front
     /// spares an expensive scalar one (interpreted predicates allocate
     /// per row) the rows it already rejected.
@@ -473,6 +490,23 @@ impl<'t> PredKernel<'t> {
                 }
                 m
             }
+            PredKernel::F64Cmp {
+                r,
+                op,
+                v,
+                null_col,
+                t,
+            } => {
+                stats.scalar += 1;
+                let mut m = 0u64;
+                for j in 0..len {
+                    m |= (cmp_f64(r.get(start + j), *op, *v) as u64) << j;
+                }
+                if let Some(c) = null_col {
+                    m &= valid_mask(t, *c, start, len);
+                }
+                m
+            }
             PredKernel::Never => 0,
             PredKernel::Null { col, negate, t } => {
                 let vm = valid_mask(t, *col, start, len);
@@ -494,9 +528,8 @@ impl<'t> PredKernel<'t> {
                 ma | b.block_mask(start, len, alive & !ma, wide, stats)
             }
             PredKernel::Not(a) => !a.block_mask(start, len, alive, wide, stats) & simd::ones(len),
-            // Float comparisons, dictionary-code tests, and interpreted
-            // predicates stay scalar (floats deliberately so: see the
-            // module docs of `crate::simd`).
+            // Dictionary-code tests and interpreted predicates test the
+            // alive rows one at a time.
             _ => {
                 stats.scalar += 1;
                 let (mut m, mut todo) = (0u64, alive);

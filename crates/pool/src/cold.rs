@@ -307,4 +307,29 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+
+    /// A dictionary `["xé", "y"]` re-cut in the header as `["x\xC3",
+    /// "\xA9y"]`, header CRC made good: each string is invalid UTF-8
+    /// although their concatenation is valid, and the mount refuses it.
+    #[test]
+    fn a_character_split_across_two_dictionary_strings_is_refused_by_a_mount() {
+        let schema = Schema::new(vec![ColumnDef::new("s", DataType::Str)]);
+        let mut t = Table::with_layout("split", schema, Layout::column(1)).unwrap();
+        t.insert(&[Value::from("xé")]).unwrap();
+        t.insert(&[Value::from("y")]).unwrap();
+        let mut blob = persist::to_bytes_extents(&t, 1, ZONE_BLOCK_ROWS);
+        let whole = [3, 0, 0, 0, b'x', 0xC3, 0xA9, 1, 0, 0, 0, b'y'];
+        let at = blob.windows(whole.len()).position(|w| w == whole).unwrap();
+        blob[at..at + 12].copy_from_slice(&[2, 0, 0, 0, b'x', 0xC3, 2, 0, 0, 0, 0xA9, b'y']);
+        let header_len = u32::from_le_bytes(blob[12..16].try_into().unwrap()) as usize;
+        let crc = pdsm_storage::crc32(&blob[..header_len - 4]);
+        blob[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("pdsm-cold-split-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("blob");
+        std::fs::write(&path, &blob).unwrap();
+        let err = ColdTable::open(&path, BufferPool::new(16 << 10)).unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

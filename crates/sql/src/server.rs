@@ -11,8 +11,9 @@
 //! * `QUIT` / `EXIT` — `BYE`, then the connection closes.
 //! * `STATS` — a two-column `metric / value` result with the database's
 //!   plan- and result-cache counters (hit rates, resident bytes,
-//!   invalidations), so clients and CI can assert cache behaviour over
-//!   the wire.
+//!   invalidations), the buffer pool's when there is one, and the main
+//!   stores' arena and dictionary bytes, so clients and CI can assert
+//!   cache and memory behaviour over the wire.
 //! * `SHUTDOWN` — `OK 0`, then the whole server shuts down gracefully.
 //!
 //! Blank lines and `--` comment lines are ignored without a response, so
@@ -306,6 +307,12 @@ fn stats_response(db: &Database) -> Response {
             ("pool_fault_ns_max", p.fault_ns_max as i64),
         ]);
     }
+    // The main stores' memory: resident arenas, and every dictionary.
+    let st = db.storage_stats();
+    rows.extend([
+        ("store_main_bytes", st.main_bytes as i64),
+        ("store_dict_bytes", st.dict_bytes as i64),
+    ]);
     Response::Rows {
         columns: vec!["metric".into(), "value".into()],
         rows: rows
@@ -319,7 +326,7 @@ fn stats_response(db: &Database) -> Response {
 mod tests {
     use super::*;
     use crate::session::{read_response, WireResponse};
-    use pdsm_storage::{ColumnDef, DataType, Schema};
+    use pdsm_storage::{ColumnDef, DataType, Layout, Schema, Table, Value};
 
     fn server() -> SqlServer {
         let db = Database::new();
@@ -433,6 +440,42 @@ mod tests {
                 assert_eq!(header, "metric\tvalue");
                 assert!(data.iter().any(|l| l.starts_with("result_cache_enabled\t")));
                 assert!(data.iter().any(|l| l.starts_with("plan_cache_hits\t")));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        srv.shutdown();
+    }
+
+    /// `STATS` ends with the main stores' memory: the arena bytes of a
+    /// resident main and its dictionaries' heap bytes.
+    #[test]
+    fn stats_command_reports_main_store_memory_last() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("a", DataType::Int32),
+            ColumnDef::new("s", DataType::Str),
+        ]);
+        let mut t = Table::with_layout("m", schema, Layout::column(2)).unwrap();
+        for i in 0..100 {
+            t.insert(&[Value::Int32(i), Value::from(format!("s{}", i % 10))])
+                .unwrap();
+        }
+        let (arena, dict) = (t.byte_size(), t.dict_bytes());
+        assert_eq!(arena, 100 * (4 + 4));
+        assert!(dict >= 20, "{dict}");
+        let db = Database::new();
+        db.register(t);
+        let srv = SqlServer::start(Arc::new(db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut c = Client::connect(srv.local_addr());
+        match c.send("STATS") {
+            WireResponse::Rows { data, .. } => {
+                let tail = &data[data.len() - 2..];
+                assert_eq!(
+                    tail,
+                    [
+                        format!("store_main_bytes\t{arena}"),
+                        format!("store_dict_bytes\t{dict}")
+                    ]
+                );
             }
             other => panic!("unexpected {other:?}"),
         }

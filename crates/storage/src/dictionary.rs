@@ -7,16 +7,29 @@
 //! the dictionary once and then reduce to a code-set membership test — the
 //! same trick used by the column stores the paper compares against.
 
-use std::collections::HashMap;
+use crate::hash::FastHash;
+use std::hash::BuildHasher;
 
 /// An order-preserving-insertion string dictionary.
 ///
 /// Codes are assigned in first-seen order, so they are *not* sorted; range
 /// predicates on strings go through [`Dictionary::codes_matching`].
+///
+/// Each distinct string is stored once: back to back in one byte arena in
+/// code order, with one end offset per code, and found by content through
+/// an open-addressed table of codes (linear probing under the process-
+/// seeded [`FastHash`], at most half full). Three heap blocks per
+/// dictionary, whatever its size.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    strings: Vec<String>,
-    codes: HashMap<String, u32>,
+    /// Every string, in code order.
+    bytes: String,
+    /// `ends[c]` is where string `c` ends in `bytes`; it starts where
+    /// string `c - 1` ends.
+    ends: Vec<u32>,
+    /// Code + 1 per slot, 0 for an empty slot. Empty, or a power of two
+    /// at least twice the number of codes.
+    slots: Vec<u32>,
 }
 
 impl Dictionary {
@@ -25,68 +38,110 @@ impl Dictionary {
         Self::default()
     }
 
+    /// An empty dictionary with room for `n` strings of `bytes` bytes in
+    /// all, so that interning them allocates nothing more.
+    pub(crate) fn with_capacity(n: usize, bytes: usize) -> Self {
+        Dictionary {
+            bytes: String::with_capacity(bytes),
+            ends: Vec::with_capacity(n),
+            slots: vec![0; slots_for(n)],
+        }
+    }
+
     /// Number of distinct strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// True iff no strings interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Heap bytes held: the capacities of the arena, the offsets and the
+    /// slot table.
+    pub fn byte_size(&self) -> usize {
+        self.bytes.capacity() + (self.ends.capacity() + self.slots.capacity()) * 4
     }
 
     /// Intern `s`, returning its code (existing or fresh).
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.codes.get(s) {
-            return c;
+        let slot = match self.find(s) {
+            Ok(code) => return code,
+            Err(slot) => slot,
+        };
+        let code = u32::try_from(self.ends.len()).expect("dictionary overflow");
+        let end = u32::try_from(self.bytes.len() + s.len()).expect("dictionary overflow");
+        self.bytes.push_str(s);
+        self.ends.push(end);
+        if self.slots.len() < 2 * self.ends.len() {
+            self.rehash(slots_for(self.ends.len()));
+        } else {
+            self.slots[slot] = code + 1;
         }
-        let c = u32::try_from(self.strings.len()).expect("dictionary overflow");
-        self.strings.push(s.to_owned());
-        self.codes.insert(s.to_owned(), c);
-        c
+        code
     }
 
     /// Code of `s` if it has been interned.
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.codes.get(s).copied()
+        self.find(s).ok()
     }
 
     /// The string behind `code`. Panics on an unknown code (storage-internal
     /// codes are always valid by construction).
     pub fn decode(&self, code: u32) -> &str {
-        &self.strings[code as usize]
+        let c = code as usize;
+        let start = c.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.bytes[start..self.ends[c] as usize]
     }
 
     /// Codes of all strings satisfying `pred` (used for LIKE / prefix / range
     /// predicates: one pass over the dictionary instead of one per row).
     pub fn codes_matching(&self, mut pred: impl FnMut(&str) -> bool) -> Vec<u32> {
-        self.strings
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| pred(s))
-            .map(|(i, _)| i as u32)
+        self.iter()
+            .filter(|&(_, s)| pred(s))
+            .map(|(c, _)| c)
             .collect()
-    }
-
-    /// Rebuild from persisted strings, codes assigned by position — the
-    /// inverse of dumping [`Dictionary::iter`] in code order, so codes
-    /// survive a save/load cycle byte-identically.
-    pub(crate) fn from_strings(strings: Vec<String>) -> Self {
-        let codes = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        Dictionary { strings, codes }
     }
 
     /// Iterate `(code, string)` pairs in code order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.as_str()))
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        (self.ends.iter().zip(starts).enumerate())
+            .map(|(c, (&end, start))| (c as u32, &self.bytes[start as usize..end as usize]))
     }
+
+    /// `Ok(code)` of `s`, or `Err(slot)`: the empty slot where it would
+    /// go (0 when the table has no slots yet).
+    fn find(&self, s: &str) -> Result<u32, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = FastHash::default().hash_one(s.as_bytes()) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                c if self.decode(c - 1) == s => return Ok(c - 1),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Rebuild the slot table at `n` slots from the arena.
+    fn rehash(&mut self, n: usize) {
+        self.slots = vec![0; n];
+        for c in 0..self.ends.len() as u32 {
+            if let Err(slot) = self.find(self.decode(c)) {
+                self.slots[slot] = c + 1;
+            }
+        }
+    }
+}
+
+/// Slots for `n` codes: a power of two, at least twice `n` (and 8).
+fn slots_for(n: usize) -> usize {
+    (2 * n).max(8).next_power_of_two()
 }
 
 /// SQL `LIKE` with `%` (any run) and `_` (any single char), ASCII semantics.
@@ -178,5 +233,21 @@ mod tests {
         d.intern("a");
         let pairs: Vec<(u32, &str)> = d.iter().collect();
         assert_eq!(pairs, vec![(0, "z"), (1, "a")]);
+    }
+
+    #[test]
+    fn loading_sized_allocates_no_more() {
+        let words: Vec<_> = (0..300).map(|i| format!("w{i}")).collect();
+        let bytes = words.iter().map(String::len).sum();
+        let mut d = Dictionary::with_capacity(words.len(), bytes);
+        let before = (d.bytes.as_ptr(), d.ends.as_ptr(), d.slots.as_ptr());
+        for (c, w) in words.iter().enumerate() {
+            assert_eq!(d.intern(w), c as u32);
+        }
+        assert_eq!(
+            (d.bytes.as_ptr(), d.ends.as_ptr(), d.slots.as_ptr()),
+            before
+        );
+        assert_eq!(d.byte_size(), bytes + 300 * 4 + 1024 * 4);
     }
 }

@@ -40,6 +40,7 @@ pub mod bitmap;
 mod crc;
 pub mod dictionary;
 pub mod error;
+pub mod hash;
 pub mod layout;
 pub mod partition;
 pub mod persist;

@@ -139,9 +139,37 @@ impl<'a> ByteReader<'a> {
 
     /// A `u32`-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
+        self.str_ref().map(str::to_owned)
     }
+
+    /// A `u32`-length-prefixed UTF-8 string, borrowed where it lies.
+    pub fn str_ref(&mut self) -> Result<&'a str> {
+        let n = self.u32()? as usize;
+        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("non-UTF-8 string"))
+    }
+}
+
+/// One persisted dictionary (`u32` count, then each string in code order),
+/// codes assigned by position. A first pass over the length prefixes
+/// sizes the arena; the second checks each string as UTF-8 where it lies
+/// (each alone: two invalid halves can join into a valid character) and
+/// appends it, so loading allocates three blocks, not one per string.
+fn read_dictionary(r: &mut ByteReader<'_>) -> Result<Dictionary> {
+    let n = r.u32()? as usize;
+    let mut sizing = ByteReader::new(r.buf, r.pos);
+    let mut bytes = 0usize;
+    for _ in 0..n {
+        let len = sizing.u32()? as usize;
+        sizing.take(len)?;
+        bytes += len;
+    }
+    let mut d = Dictionary::with_capacity(n, bytes);
+    for code in 0..n {
+        if d.intern(r.str_ref()?) as usize != code {
+            return Err(corrupt("duplicate dictionary string"));
+        }
+    }
+    Ok(d)
 }
 
 fn corrupt(why: &str) -> Error {
@@ -444,12 +472,7 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
             dicts.push(None);
             continue;
         }
-        let n = r.u32()? as usize;
-        let mut strings = Vec::with_capacity(n);
-        for _ in 0..n {
-            strings.push(r.str()?);
-        }
-        dicts.push(Some(Dictionary::from_strings(strings)));
+        dicts.push(Some(read_dictionary(&mut r)?));
     }
     let dicts = Arc::new(dicts);
     let len = r.u64()? as usize;
@@ -874,6 +897,76 @@ mod tests {
                     err.to_string().contains("unsupported format version"),
                     "version {version}: {err}"
                 );
+            }
+        }
+    }
+
+    /// A small table with two dictionaries (an empty string, repeats, a
+    /// NULL and multi-byte UTF-8 among their entries), its blob pinned:
+    /// how a dictionary is held in memory must not move a byte of the
+    /// format, nor the code any string is given.
+    #[test]
+    fn a_two_dictionary_blob_is_pinned() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", DataType::Int32),
+            ColumnDef::new("city", DataType::Str),
+            ColumnDef::nullable("note", DataType::Str),
+        ]);
+        let layout = Layout::from_groups(vec![vec![0, 2], vec![1]], 3).unwrap();
+        let mut t = Table::with_layout("pinned", schema, layout).unwrap();
+        let rows = [
+            ("Zürich", Some("")),
+            ("Köln", None),
+            ("", Some("naïve")),
+            ("Zürich", Some("日本")),
+            ("Köln", Some("")),
+        ];
+        for (k, (city, note)) in rows.into_iter().enumerate() {
+            t.insert(&[
+                Value::Int32(k as i32),
+                Value::from(city),
+                note.map_or(Value::Null, Value::from),
+            ])
+            .unwrap();
+        }
+        let blob = to_bytes_extents(&t, 7, ZONE_BLOCK_ROWS);
+        assert_eq!((blob.len(), crc32(&blob)), (303, 0x2310_e7ab));
+    }
+
+    /// A blob whose one dictionary, `["xé", "y"]`, has its twelve bytes
+    /// (length prefixes included) replaced by `with`; header CRC made good.
+    fn recut_dictionary(with: [u8; 12]) -> Vec<u8> {
+        let schema = Schema::new(vec![ColumnDef::new("s", DataType::Str)]);
+        let mut t = Table::with_layout("recut", schema, Layout::column(1)).unwrap();
+        t.insert(&[Value::from("xé")]).unwrap();
+        t.insert(&[Value::from("y")]).unwrap();
+        let mut blob = to_bytes_extents(&t, 1, ZONE_BLOCK_ROWS);
+        let whole = [3, 0, 0, 0, b'x', 0xC3, 0xA9, 1, 0, 0, 0, b'y'];
+        let at = (blob.windows(whole.len()))
+            .position(|w| w == whole)
+            .expect("the dictionary's bytes");
+        blob[at..at + with.len()].copy_from_slice(&with);
+        let header_len = u32::from_le_bytes(blob[12..16].try_into().unwrap()) as usize;
+        let crc = crc32(&blob[..header_len - 4]);
+        blob[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn a_dictionary_string_invalid_alone_or_repeated_is_refused() {
+        // `["x\xC3", "\xA9y"]`: each string is invalid UTF-8 although the
+        // two together are valid, so a check of the concatenation alone
+        // would pass it.
+        let split = recut_dictionary([2, 0, 0, 0, b'x', 0xC3, 2, 0, 0, 0, 0xA9, b'y']);
+        assert!(std::str::from_utf8(&[b'x', 0xC3, 0xA9, b'y']).is_ok());
+        // `["xy", "xy"]`: one string under two codes.
+        let repeated = recut_dictionary([2, 0, 0, 0, b'x', b'y', 2, 0, 0, 0, b'x', b'y']);
+        for (blob, why) in [(split, "UTF-8"), (repeated, "duplicate")] {
+            for err in [
+                read_header(&blob).unwrap_err(),
+                from_bytes(&blob).unwrap_err(),
+            ] {
+                assert!(err.to_string().contains(why), "{err}");
             }
         }
     }

@@ -134,6 +134,13 @@ impl Table {
         t
     }
 
+    /// Heap bytes held by the string dictionaries
+    /// ([`Dictionary::byte_size`]), which every table sharing them (a
+    /// skeleton, an extent decoded from a checkpoint) shares too.
+    pub fn dict_bytes(&self) -> usize {
+        self.dicts.iter().flatten().map(Dictionary::byte_size).sum()
+    }
+
     /// Total bytes held by all partition arenas.
     pub fn byte_size(&self) -> usize {
         self.partitions.iter().map(|p| p.byte_size()).sum()

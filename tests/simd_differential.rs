@@ -389,3 +389,86 @@ fn pruning_respects_tombstones_and_tail() {
         );
     }
 }
+
+/// Float comparisons run a typed 64-row loop. Every operator and literal
+/// over NaN, ±0.0, ±inf, NULL and plain values, in a dense and a strided
+/// layout, at both SIMD modes, passes exactly the rows `partial_cmp`
+/// passes: a NaN on either side passes no operator, `<>` included, and
+/// `-0.0` equals `0.0`. The Volcano oracle orders NaN as equal to
+/// everything, so NaN rows and literals are checked against `partial_cmp`
+/// directly, and a NaN-free copy under the other literals against the
+/// oracle too.
+#[test]
+fn float_comparisons_follow_partial_cmp_in_every_mode() {
+    use mrdb::plan::expr::CmpOp;
+    let _g = SimdGuard::lock();
+    let specials = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.5,
+        -2.25,
+        7.0,
+    ];
+    let ops = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    // 300 rows: four whole 64-row blocks and a tail; every 11th is NULL.
+    let n = 300usize;
+    let value = |i: usize, nan: bool| {
+        let x = specials[(i * 7 + i / 8) % specials.len()];
+        (i % 11 != 10).then_some(if x.is_nan() && !nan { 3.0 } else { x })
+    };
+    let schema = Schema::new(vec![
+        ColumnDef::new("id", DataType::Int32),
+        ColumnDef::nullable("f", DataType::Float64),
+    ]);
+    for layout in [Layout::column(2), Layout::row(2)] {
+        let db = Database::new();
+        for (name, nan) in [("t", true), ("u", false)] {
+            let mut t = Table::with_layout(name, schema.clone(), layout.clone()).unwrap();
+            for i in 0..n {
+                let f = value(i, nan).map_or(Value::Null, Value::Float64);
+                t.insert(&[Value::Int32(i as i32), f]).unwrap();
+            }
+            db.register(t);
+        }
+        let snap = db.snapshot();
+        for op in ops {
+            for lit in specials {
+                for (name, nan) in [("t", true), ("u", false)] {
+                    let plan = QueryBuilder::scan(name)
+                        .filter(Expr::col(1).cmp(op, Expr::lit(lit)))
+                        .project(vec![Expr::col(0)])
+                        .build();
+                    let want: Vec<Vec<Value>> = (0..n)
+                        .filter(|&i| {
+                            value(i, nan)
+                                .and_then(|x| x.partial_cmp(&lit))
+                                .is_some_and(|o| op.matches(o))
+                        })
+                        .map(|i| vec![Value::Int32(i as i32)])
+                        .collect();
+                    let ctx = format!("{name} {layout:?}: f {op:?} {lit}");
+                    for mode in [mrdb::core::SimdMode::Scalar, mrdb::core::SimdMode::Auto] {
+                        set_mode_override(Some(mode));
+                        if !nan && !lit.is_nan() {
+                            common::assert_engines_agree(&plan, &snap, &ctx);
+                        }
+                        for kind in [EngineKind::Compiled, EngineKind::Parallel] {
+                            let got = kind.engine().execute(&plan, &snap).unwrap();
+                            assert_eq!(got.rows, want, "{ctx} {mode:?} {kind:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

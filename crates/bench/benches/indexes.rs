@@ -3,80 +3,56 @@
 //! baselines.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pdsm_index::{HashIndex, RBTree};
+use pdsm_index::SortedIndex;
 use std::collections::{BTreeMap, HashMap};
 
 const N: i64 = 100_000;
 
+/// `N` keys `0, 7, 14, …`, one row each, scrambled so the build sorts.
+fn pairs() -> Vec<(i64, u32)> {
+    (0..N).map(|i| ((i * 7919) % N * 7, i as u32)).collect()
+}
+
 fn bench_indexes(c: &mut Criterion) {
     let mut g = c.benchmark_group("index_build");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("hash_insert", |b| {
-        b.iter(|| {
-            let mut h = HashIndex::with_capacity(N as usize);
-            for k in 0..N {
-                h.insert(k * 7, k as u32);
-            }
-            h
-        })
+    g.bench_function("sorted_build", |b| {
+        b.iter(|| SortedIndex::from_pairs(pairs()))
     });
     g.bench_function("std_hashmap_insert", |b| {
         b.iter(|| {
             let mut h: HashMap<i64, u32> = HashMap::with_capacity(N as usize);
-            for k in 0..N {
-                h.insert(k * 7, k as u32);
+            for (k, row) in pairs() {
+                h.insert(k, row);
             }
             h
-        })
-    });
-    g.bench_function("rbtree_insert", |b| {
-        b.iter(|| {
-            let mut t = RBTree::new();
-            for k in 0..N {
-                t.insert(k * 7, k as u32);
-            }
-            t
         })
     });
     g.bench_function("std_btreemap_insert", |b| {
         b.iter(|| {
             let mut t: BTreeMap<i64, u32> = BTreeMap::new();
-            for k in 0..N {
-                t.insert(k * 7, k as u32);
+            for (k, row) in pairs() {
+                t.insert(k, row);
             }
             t
         })
     });
     g.finish();
 
-    let mut h = HashIndex::with_capacity(N as usize);
-    let mut t = RBTree::new();
-    for k in 0..N {
-        h.insert(k * 7, k as u32);
-        t.insert(k * 7, k as u32);
-    }
+    let idx = SortedIndex::from_pairs(pairs());
     let mut g = c.benchmark_group("index_probe");
     g.throughput(Throughput::Elements(N as u64));
-    g.bench_function("hash_get", |b| {
+    g.bench_function("sorted_lookup", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for k in 0..N {
-                acc += h.get(k * 7).len() as u64;
+                acc += idx.lookup(k * 7).len() as u64;
             }
             acc
         })
     });
-    g.bench_function("rbtree_get", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for k in 0..N {
-                acc += t.get(k * 7).len() as u64;
-            }
-            acc
-        })
-    });
-    g.bench_function("rbtree_range_1pct", |b| {
-        b.iter(|| t.range(0, N * 7 / 100).map(|(_, r)| r.len()).sum::<usize>())
+    g.bench_function("sorted_range_1pct", |b| {
+        b.iter(|| idx.lookup_range(0, N * 7 / 100).len())
     });
     g.finish();
 }

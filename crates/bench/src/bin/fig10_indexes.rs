@@ -3,7 +3,9 @@
 //! column / hybrid layouts.
 //!
 //! Indexes per the paper: hash indexes on the primary keys (`KNA1.KUNNR`),
-//! and one RB-tree on `VBAP(VBELN)`.
+//! and one ordered index on `VBAP(VBELN)` (the paper's RB-tree). Both are
+//! `pdsm-index`'s one sorted index; the declared kind lets the ordered
+//! one serve ranges too.
 //!
 //! Usage: `cargo run -p pdsm-bench --release --bin fig10_indexes
 //!         [--scale 20000] [--reps 5]`

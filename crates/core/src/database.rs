@@ -55,7 +55,7 @@ use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceSta
 use crate::planner::Planner;
 use crate::result_cache::{CacheStats, ResultCacheConfig, StatementCache};
 use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, VolcanoEngine};
-use pdsm_index::{HashIndex, Index, RBTree};
+use pdsm_index::SortedIndex;
 use pdsm_layout::workload::{Workload, WorkloadQuery};
 use pdsm_par::ParallelEngine;
 use pdsm_plan::logical::LogicalPlan;
@@ -143,8 +143,10 @@ impl TryFrom<EngineChoice> for EngineKind {
     }
 }
 
-/// Index flavor (Fig. 10 uses hash indexes for primary keys and an RB-tree
-/// on `VBAP(VBELN)`).
+/// The declared index kind (Fig. 10 uses hash indexes for primary keys
+/// and an RB-tree on `VBAP(VBELN)`). Both build the same [`SortedIndex`];
+/// the kind decides what the planner may probe it for and how it prices
+/// the probe: a `Hash` index serves equality only, an `RBTree` ranges too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     Hash,
@@ -309,7 +311,7 @@ struct ObservedTraffic {
 pub(crate) struct IndexEntry {
     pub generation: u64,
     pub kind: IndexKind,
-    pub index: Arc<Index>,
+    pub index: Arc<SortedIndex>,
 }
 
 /// One catalog slot: the shared table handle plus its index set. Cloning
@@ -780,7 +782,7 @@ impl Database {
                 column: column.to_string(),
             });
         }
-        let index = Arc::new(build_index(&main, col, kind)?);
+        let index = Arc::new(build_index(&main, col)?);
         entry
             .indexes
             .write()
@@ -900,7 +902,7 @@ impl TableEntry {
             return Ok(());
         }
         let rebuilt = (cols.into_iter())
-            .map(|(c, k)| Ok((c, k, Arc::new(build_index(main, c, k)?))))
+            .map(|(c, k)| Ok((c, k, Arc::new(build_index(main, c)?))))
             .collect::<Result<Vec<_>, DbError>>()?;
         let mut set = self.indexes.write().unwrap_or_else(|e| e.into_inner());
         for (col, kind, index) in rebuilt {
@@ -919,21 +921,18 @@ impl TableEntry {
 }
 
 /// Build one secondary index over a main store, walking it piece by piece
-/// (a cold one a pinned extent at a time). Keys are read in place through
-/// the column's typed reader: integers by value, strings by their stored
-/// dictionary code — global, since every extent shares the header's
-/// dictionaries. NULLs are not indexed.
-fn build_index(main: &MainStore, col: ColId, kind: IndexKind) -> Result<Index, DbError> {
-    let mut idx = match kind {
-        IndexKind::Hash => Index::Hash(HashIndex::with_capacity(main.len())),
-        IndexKind::RBTree => Index::RBTree(RBTree::new()),
-    };
+/// (a cold one a pinned extent at a time): every `(key, row)` pair is
+/// collected and sorted once. Keys are read in place through the column's
+/// typed reader: integers by value, strings by their stored dictionary
+/// code — global, since every extent shares the header's dictionaries.
+/// NULLs are not indexed.
+fn build_index(main: &MainStore, col: ColId) -> Result<SortedIndex, DbError> {
+    let mut pairs: Vec<(i64, u32)> = Vec::with_capacity(main.len());
     let def = &main.schema().columns()[col];
     main.for_each_extent(&[], &[], None, |first, t, _| {
         let mut fill = |key: &dyn Fn(usize) -> i64| {
-            for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
-                idx.insert(key(row), (first + row) as u32);
-            }
+            let valid = (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col));
+            pairs.extend(valid.map(|row| (key(row), (first + row) as u32)));
         };
         match def.ty {
             DataType::Int32 => {
@@ -953,7 +952,7 @@ fn build_index(main: &MainStore, col: ColId, kind: IndexKind) -> Result<Index, D
         }
         Ok::<_, DbError>(())
     })?;
-    Ok(idx)
+    Ok(SortedIndex::from_pairs(pairs))
 }
 
 #[cfg(test)]

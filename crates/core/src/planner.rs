@@ -31,11 +31,10 @@
 //! best full scan — that invariant is property-tested in
 //! `tests/planner.rs`.
 
-use crate::database::DbError;
+use crate::database::{DbError, IndexKind};
 use crate::query::{DbSnapshot, PinnedTable};
 use pdsm_cost::{cost, Atom, Hierarchy, Pattern};
 use pdsm_exec::zone_preds;
-use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp};
 use pdsm_plan::logical::{pipeline_fragment, LogicalPlan};
 use pdsm_plan::patterns::{emit_pattern, TableView};
@@ -272,7 +271,7 @@ impl Planner {
             .index_for(access)
             .expect("a candidate's index is pinned with its table");
         let n_main = table.snapshot.store().len().max(1) as u64;
-        let keys = idx.key_count().max(1) as u64;
+        let keys = idx.index.key_count().max(1) as u64;
         let delta = table.snapshot.live_delta_rows() as u64;
 
         // Estimated main-store hits. The probe fetches every row matching
@@ -295,9 +294,9 @@ impl Planner {
 
         let mut atoms: Vec<Pattern> = Vec::new();
         // The index structure itself.
-        atoms.push(Pattern::atom(match idx.as_ref() {
-            Index::Hash(_) => Atom::rr_acc(keys, 24, 1),
-            Index::RBTree(_) => {
+        atoms.push(Pattern::atom(match idx.kind {
+            IndexKind::Hash => Atom::rr_acc(keys, 24, 1),
+            IndexKind::RBTree => {
                 let depth = (keys.max(2) as f64).log2().ceil() as u64;
                 Atom::rr_acc(keys, 40, depth + k)
             }
@@ -629,20 +628,26 @@ mod tests {
     /// snapshot and (for the second plan) an index built by hand.
     #[test]
     fn plans_from_a_hand_built_view() {
+        use crate::database::IndexEntry;
         use crate::query::{DbSnapshot, PinnedTable};
-        use pdsm_index::HashIndex;
+        use pdsm_index::SortedIndex;
         use std::sync::Arc;
 
         let cols: Vec<ColumnDef> = (0..8)
             .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int32))
             .collect();
         let mut main = pdsm_storage::Table::new("r", Schema::new(cols));
-        let mut index = Index::Hash(HashIndex::with_capacity(5_000));
+        let mut pairs = Vec::new();
         for i in 0..5_000 {
             let row: Vec<Value> = (0..8).map(|c| Value::Int32(i * 8 + c)).collect();
             main.insert(&row).unwrap();
-            index.insert((i * 8) as i64, i as u32);
+            pairs.push(((i * 8) as i64, i as u32));
         }
+        let index = IndexEntry {
+            generation: 0,
+            kind: IndexKind::Hash,
+            index: Arc::new(SortedIndex::from_pairs(pairs)),
+        };
         let mut table = pdsm_txn::VersionedTable::from_table(main);
         table.insert(&vec![Value::Int32(-1); 8]).unwrap();
         let view_with = |indexes| DbSnapshot {
@@ -666,7 +671,7 @@ mod tests {
         assert!(scanned.cost_of("index").is_none());
 
         let probed = planner()
-            .plan(&view_with(vec![(0, Arc::new(index))]), &point)
+            .plan(&view_with(vec![(0, index)]), &point)
             .unwrap();
         assert!(probed.access().is_indexed(), "{}", probed.explain());
         assert_eq!(

@@ -39,12 +39,11 @@
 //! The catalog, DML, maintenance and durability halves of `Database` live
 //! in [`crate::database`] and [`crate::write`].
 
-use crate::database::{Database, DbError, EngineKind, TableEntry};
+use crate::database::{Database, DbError, EngineKind, IndexEntry, IndexKind, TableEntry};
 use crate::result_cache::{DepTokens, Entry, Probe};
 use pdsm_exec::engine::{ExecError, Overlay, PieceVisitor, TableProvider};
 use pdsm_exec::pipeline::{self, Sequential};
 use pdsm_exec::{QueryOutput, QueryResult};
-use pdsm_index::Index;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
 use pdsm_plan::logical::{pipeline_fragment, LogicalPlan};
 use pdsm_plan::physical::{AccessPath, PhysicalPlan};
@@ -234,7 +233,7 @@ impl TableEntry {
         let indexes = set
             .iter()
             .filter(|(_, e)| e.generation == snapshot.generation())
-            .map(|(c, e)| (*c, Arc::clone(&e.index)))
+            .map(|(c, e)| (*c, e.clone()))
             .collect();
         PinnedTable { snapshot, indexes }
     }
@@ -245,16 +244,16 @@ impl TableEntry {
 #[derive(Clone)]
 pub(crate) struct PinnedTable {
     pub(crate) snapshot: Snapshot,
-    pub(crate) indexes: Vec<(ColId, Arc<Index>)>,
+    pub(crate) indexes: Vec<(ColId, IndexEntry)>,
 }
 
 impl PinnedTable {
-    /// The pinned index that can serve `access`: on its column, and an
-    /// ordered one when `access` is a range.
-    pub(crate) fn index_for(&self, access: &AccessPath) -> Option<&Arc<Index>> {
+    /// The pinned index that can serve `access`: on its column, and one
+    /// declared ordered when `access` is a range.
+    pub(crate) fn index_for(&self, access: &AccessPath) -> Option<&IndexEntry> {
         let col = access.column()?;
         let (_, index) = self.indexes.iter().find(|(c, _)| *c == col)?;
-        let ordered = matches!(index.as_ref(), Index::RBTree(_));
+        let ordered = index.kind == IndexKind::RBTree;
         (ordered || matches!(access, AccessPath::IndexPoint { .. })).then_some(index)
     }
 }
@@ -399,7 +398,7 @@ impl DbSnapshot {
                 }
                 CmpOp::Le | CmpOp::Lt | CmpOp::Ge | CmpOp::Gt
                     if range_cand.is_none()
-                        && matches!(index.as_ref(), Index::RBTree(_))
+                        && index.kind == IndexKind::RBTree
                         && ty != DataType::Str =>
                 {
                     if let Some(k) = lit.as_i64() {
@@ -452,14 +451,12 @@ impl DbSnapshot {
             AccessPath::IndexPoint { key, .. } => {
                 // A string the dictionary lacks has no main-store hit.
                 key_of_value(pinned.snapshot.store().skeleton(), col, key)
-                    .map_or_else(Vec::new, |k| index.lookup(k))
+                    .map_or(&[][..], |k| index.index.lookup(k))
             }
-            AccessPath::IndexRange { lo, hi, .. } => {
-                index.lookup_range(*lo, *hi).ok_or_else(misfit)?
-            }
+            AccessPath::IndexRange { lo, hi, .. } => index.index.lookup_range(*lo, *hi),
             AccessPath::FullScan => return Err(misfit().into()),
         };
-        let mut hits: Vec<usize> = ids.into_iter().map(|r| r as usize).collect();
+        let mut hits: Vec<usize> = ids.iter().map(|&r| r as usize).collect();
         hits.sort_unstable();
         let output = QueryOutput {
             rows: pipeline::execute(plan, self, &Sequential, Some(&hits))?,

@@ -5,7 +5,7 @@
 //! point of the baseline), while the bulk and compiled engines lower
 //! expressions to typed kernels and never touch it in inner loops.
 
-use pdsm_storage::types::{cmp_values, Value};
+use pdsm_storage::types::{partial_cmp_values, Value};
 use pdsm_storage::ColId;
 
 /// Positional read access to one input row: what [`Expr::eval`] reads.
@@ -220,7 +220,8 @@ impl Expr {
                 if l.is_null() || r.is_null() {
                     return Value::Int32(0);
                 }
-                Value::Int32(op.matches(cmp_values(&l, &r)) as i32)
+                let pass = partial_cmp_values(&l, &r).is_some_and(|o| op.matches(o));
+                Value::Int32(pass as i32)
             }
             Expr::Like { expr, pattern } => {
                 let v = expr.eval(row);

@@ -1,15 +1,15 @@
 //! [`ColdTable`]: a checkpointed main store opened *header-only*. Row data
 //! stays on disk until a reader pins the extents it walks; each extent is
-//! one pool frame, faulted by one read and decoded once into the mini
-//! table readers borrow. A caller that must have one whole table gets a
-//! copy assembled for it ([`ColdTable::hydrate`]); the mount stays cold.
+//! one pool frame, its payloads read straight into the arenas of the mini
+//! table readers borrow and verified there. A caller that must have one
+//! whole table gets a copy assembled for it ([`ColdTable::hydrate`]); the
+//! mount stays cold.
 //! The open file handle is kept for the table's lifetime, so a later
 //! checkpoint unlinking this generation's file cannot invalidate in-flight
 //! faults (POSIX keeps the inode alive).
 
 use std::fs::File;
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,28 +29,13 @@ fn io_err(e: io::Error) -> Error {
     Error::Io(format!("cold table read: {e}"))
 }
 
-/// One extent's read: exactly `len` bytes at `offset`, on the faulting
-/// thread (it would block on the read either way). A short read — a
-/// directory entry reaching past EOF — is an error, never a partial
-/// payload.
-fn read_span(file: &File, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; len];
-    file.read_exact_at(&mut buf, offset)?;
-    Ok(buf)
-}
-
 impl ColdTable {
     /// Open a v3 extent checkpoint without reading any payload: the header
     /// (schema, layout, dicts, zone map, extent directory) is validated
     /// against its CRC; everything else faults in on demand.
     pub fn open(path: &Path, pool: Arc<BufferPool>) -> Result<ColdTable> {
         let file = File::open(path).map_err(io_err)?;
-        let mut prefix = [0u8; 16];
-        file.read_exact_at(&mut prefix, 0).map_err(io_err)?;
-        let header_len = u32::from_le_bytes(prefix[12..16].try_into().unwrap()) as usize;
-        let mut head = vec![0u8; header_len.clamp(16, 1 << 28)];
-        file.read_exact_at(&mut head, 0).map_err(io_err)?;
-        let header = persist::read_header(&head)?;
+        let header = persist::read_header_from(&file)?;
         Ok(ColdTable {
             header: Arc::new(header),
             file: Arc::new(file),
@@ -110,10 +95,13 @@ impl ColdTable {
             .collect()
     }
 
-    /// Pin extent `e`: on a miss, one read of its directory range, decoded
-    /// into the frame's scan-ready table. Scans read that table in place
-    /// for exactly the time they hold the pin. The fault's latency covers
-    /// the whole miss the query waits on: read, checksum and decode.
+    /// Pin extent `e`: on a miss, its payloads are read on the faulting
+    /// thread (it would block on the read either way) straight into the
+    /// frame's scan-ready table; a short read — a directory entry reaching
+    /// past EOF — is an error, never a partial payload. Scans read that
+    /// table in place for exactly the time they hold the pin. The fault's
+    /// latency covers the whole miss the query waits on: read, checksum
+    /// and decode.
     pub fn pin(&self, e: usize) -> Result<PinnedFrame> {
         let key = FrameKey {
             table: self.header.name.clone(),
@@ -125,9 +113,7 @@ impl ColdTable {
         self.pool
             .pin(&key, move || {
                 let started = Instant::now();
-                let (start, end) = header.extent_span(e);
-                let bytes = read_span(&file, start, end.saturating_sub(start) as usize)?;
-                let table = persist::decode_extent(&header, e, start, &bytes)
+                let table = persist::decode_extent(&header, e, &*file)
                     .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))?;
                 let ns = started.elapsed().as_nanos() as u64;
                 Ok((table, header.extent_bytes(e), ns))
@@ -183,21 +169,6 @@ impl std::fmt::Debug for ColdTable {
 mod tests {
     use super::*;
     use pdsm_storage::{ColumnDef, DataType, Layout, Schema, Value, ZONE_BLOCK_ROWS};
-    use std::io::Write;
-
-    #[test]
-    fn reads_land_byte_exact() {
-        let dir = std::env::temp_dir().join(format!("pdsm-cold-read-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blob");
-        let mut f = File::create(&path).unwrap();
-        f.write_all(&(0..=255u8).collect::<Vec<_>>()).unwrap();
-        f.sync_all().unwrap();
-        let f = File::open(&path).unwrap();
-        assert_eq!(read_span(&f, 10, 5).unwrap(), vec![10, 11, 12, 13, 14]);
-        assert!(read_span(&f, 250, 10).is_err()); // past EOF
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     /// 2 500 rows at 1 024-row extents: two full extents and a short last
     /// one of 452 rows, which ends inside a 64-row validity word. Two of

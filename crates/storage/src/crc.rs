@@ -25,12 +25,48 @@ const POLY: u32 = 0xEDB8_8320;
 /// PCLMULQDQ and SSE4.1 and the input spans at least one 64-byte fold,
 /// slicing-by-16 otherwise; both produce the same output.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= fold::MIN_LEN && fold::available() {
-        // SAFETY: `available` confirmed the CPU features `update` enables.
-        return !unsafe { fold::update(!0, bytes) };
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A CRC-32 fed its bytes in pieces, for a writer that streams what it
+/// checksums: after [`Crc32::update`] with each piece in order,
+/// [`Crc32::finish`] equals [`crc32`] of their concatenation. Each piece
+/// goes through the same kernel choice as [`crc32`].
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    /// The register, before the final XOR.
+    reg: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    !slice16(!0, bytes)
+}
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub fn new() -> Self {
+        Crc32 { reg: !0 }
+    }
+
+    /// Advance over the next piece.
+    pub fn update(&mut self, bytes: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= fold::MIN_LEN && fold::available() {
+            // SAFETY: `available` confirmed the CPU features `update` enables.
+            self.reg = unsafe { fold::update(self.reg, bytes) };
+            return;
+        }
+        self.reg = slice16(self.reg, bytes);
+    }
+
+    /// The checksum of every piece so far.
+    pub fn finish(self) -> u32 {
+        !self.reg
+    }
 }
 
 /// `TABLES[k][b]`: the register after byte `b` and then `k` zero bytes.
@@ -287,6 +323,32 @@ mod tests {
         ) {
             let (buf, from) = skewed(len, skew, seed);
             assert_kernels_match(&buf[from..from + len]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any split into pieces, each short enough for either kernel,
+        /// checksums like the whole.
+        #[test]
+        fn pieces_checksum_like_the_whole(
+            len in 0usize..=1024,
+            cuts in proptest::collection::vec(0usize..=1024, 0..6),
+            seed in any::<u64>(),
+        ) {
+            let (buf, from) = skewed(len, 3, seed);
+            let data = &buf[from..from + len];
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+            cuts.push(len);
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut at = 0;
+            for cut in cuts {
+                crc.update(&data[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(crc.finish(), bytewise(data));
         }
     }
 

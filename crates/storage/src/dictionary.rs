@@ -64,6 +64,13 @@ impl Dictionary {
         self.bytes.capacity() + (self.ends.capacity() + self.slots.capacity()) * 4
     }
 
+    /// Drop the arena's and the offsets' growth slack. The slot table is
+    /// sized by the code count alone, as a loaded dictionary's is.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Intern `s`, returning its code (existing or fresh).
     pub fn intern(&mut self, s: &str) -> u32 {
         let slot = match self.find(s) {

@@ -52,7 +52,7 @@ pub mod types;
 pub mod zonemap;
 
 pub use bitmap::Bitmap;
-pub use crc::crc32;
+pub use crc::{crc32, Crc32};
 pub use dictionary::Dictionary;
 pub use error::{Error, Result};
 pub use layout::{Layout, LayoutKind};

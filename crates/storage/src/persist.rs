@@ -11,9 +11,8 @@
 //! There is one format, the *extent* format (version 3): a CRC'd header
 //! with an (extent × layout group) directory followed by independently
 //! CRC'd payloads, an extent's groups adjacent, so a buffer pool can fault
-//! one extent with one read and decode it into a mini table
-//! ([`decode_extent`]) without touching the rest of the blob. All integers
-//! little-endian:
+//! one extent into a mini table ([`decode_extent`]) without touching the
+//! rest of the blob. All integers little-endian:
 //!
 //! ```text
 //! "PDSMTBL1"  magic
@@ -43,13 +42,22 @@
 //! The zone map travels in the header so recovery starts with scan
 //! pruning warm instead of paying a rebuild pass.
 //!
+//! Every byte moves once each way. [`write_extents`] streams the header
+//! and then each payload straight from the arenas and bitmaps into any
+//! writer, checksumming as it goes; [`to_bytes_extents`] is that writer
+//! into a `Vec`. One loader serves a whole blob in memory
+//! ([`from_bytes`]), a checkpoint file ([`read_file`]) and an extent
+//! fault ([`decode_extent`]) over any [`BlobSource`]: it reads each
+//! payload into its layout group's arena where the rows belong, checks
+//! its CRC there, takes the validity words from its tail, and lets the
+//! next payload overwrite that tail.
+//!
 //! [`from_bytes`] fails hard on any mismatch — unlike a WAL tail, a
 //! committed checkpoint blob is written atomically, so corruption here is
 //! damage, not an interrupted write. Blobs stamped with any other version
 //! are refused: no deployed data in an older format exists.
 
 use crate::bitmap::Bitmap;
-use crate::crc32;
 use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::layout::Layout;
@@ -58,7 +66,11 @@ use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::types::DataType;
 use crate::zonemap::{ColZone, ZoneBlock, ZoneMap, ZONE_BLOCK_ROWS};
+use crate::{crc32, Crc32};
 use std::borrow::Borrow;
+use std::fs::File;
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"PDSMTBL1";
@@ -292,8 +304,23 @@ impl TableHeader {
 }
 
 /// Serialize `table` as a generation-stamped checkpoint blob with
-/// `extent_rows` rows per extent.
+/// `extent_rows` rows per extent: [`write_extents`] into a `Vec`.
 pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_extents(table, generation, extent_rows, &mut buf).expect("a Vec takes every write");
+    buf
+}
+
+/// Stream `table` as a generation-stamped checkpoint blob with
+/// `extent_rows` rows per extent into `out`: the header, then each
+/// payload straight from the arenas and bitmaps, checksummed as it goes.
+/// Nothing but the header is buffered.
+pub fn write_extents(
+    table: &Table,
+    generation: u64,
+    extent_rows: usize,
+    out: &mut impl Write,
+) -> io::Result<()> {
     assert!(
         extent_rows > 0 && extent_rows.is_multiple_of(ZONE_BLOCK_ROWS),
         "extent_rows must be a positive multiple of ZONE_BLOCK_ROWS"
@@ -370,10 +397,8 @@ pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> V
     // written first and each payload once, straight into the blob.
     let extent_rows_of = |e: usize| (e * extent_rows, ((e + 1) * extent_rows).min(len));
     let payload_len = |p: &Partition, rows: usize| {
-        let validity: usize = (0..p.cols().len())
-            .map(|slot| 1 + p.validity(slot).map_or(0, |_| rows.div_ceil(64) * 8))
-            .sum();
-        rows * p.stride() + validity + 4
+        let validity = (0..p.cols().len()).map(|slot| p.validity(slot).is_some());
+        rows * p.stride() + payload_tail(validity, rows)
     };
     let mut off = header_len as u64;
     for e in 0..n_extents {
@@ -388,30 +413,34 @@ pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> V
     let crc = crc32(&head);
     head.extend_from_slice(&crc.to_le_bytes());
     debug_assert_eq!(head.len(), header_len);
-    let mut buf = head;
-    buf.reserve(off as usize - header_len);
+    out.write_all(&head)?;
+    let mut words = Vec::new();
     for e in 0..n_extents {
         let (lo, hi) = extent_rows_of(e);
         for p in table.partitions() {
-            let from = buf.len();
-            buf.extend_from_slice(&p.raw_bytes()[lo * p.stride()..hi * p.stride()]);
+            let mut crc = Crc32::new();
+            let mut put = |bytes: &[u8]| {
+                crc.update(bytes);
+                out.write_all(bytes)
+            };
+            put(&p.raw_bytes()[lo * p.stride()..hi * p.stride()])?;
             for slot in 0..p.cols().len() {
                 match p.validity(slot) {
-                    None => buf.push(0),
+                    None => put(&[0])?,
                     Some(bm) => {
-                        buf.push(1);
+                        words.clear();
+                        words.push(1);
                         for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
-                            buf.extend_from_slice(&w.to_le_bytes());
+                            words.extend_from_slice(&w.to_le_bytes());
                         }
+                        put(&words)?;
                     }
                 }
             }
-            let crc = crc32(&buf[from..]);
-            buf.extend_from_slice(&crc.to_le_bytes());
+            out.write_all(&crc.finish().to_le_bytes())?;
         }
     }
-    debug_assert_eq!(buf.len() as u64, off);
-    buf
+    Ok(())
 }
 
 /// Parse a v3 header from a prefix of the blob (at least `header_len`
@@ -552,13 +581,71 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     })
 }
 
+/// Where a blob's bytes come from: positioned reads of exact lengths,
+/// from a blob in memory (`[u8]`) or a file on disk (`File`).
+pub trait BlobSource {
+    /// The blob's length in bytes.
+    fn blob_len(&self) -> Result<u64>;
+
+    /// Fill `buf` from the blob's bytes starting at offset `at`. A read
+    /// reaching past the end is an error, never a partial fill.
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<()>;
+}
+
+impl BlobSource for [u8] {
+    fn blob_len(&self) -> Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<()> {
+        let from = (usize::try_from(at).ok())
+            .and_then(|at| self.get(at..at.checked_add(buf.len())?))
+            .ok_or_else(|| corrupt("extent directory out of range"))?;
+        buf.copy_from_slice(from);
+        Ok(())
+    }
+}
+
+impl BlobSource for File {
+    fn blob_len(&self) -> Result<u64> {
+        self.metadata().map(|m| m.len()).map_err(read_failed)
+    }
+
+    fn read_at(&self, buf: &mut [u8], at: u64) -> Result<()> {
+        self.read_exact_at(buf, at).map_err(read_failed)
+    }
+}
+
+fn read_failed(e: io::Error) -> Error {
+    Error::Io(format!("table blob read: {e}"))
+}
+
+/// Read and parse the header at the start of `src` (see [`read_header`])
+/// without touching a payload. Its claimed length must fit in the blob
+/// before it is read.
+pub fn read_header_from<S: BlobSource + ?Sized>(src: &S) -> Result<TableHeader> {
+    let mut prefix = [0u8; 16];
+    src.read_at(&mut prefix, 0)?;
+    let header_len = u32::from_le_bytes(prefix[12..16].try_into().unwrap()) as u64;
+    if header_len > src.blob_len()? {
+        return Err(corrupt("bad header length"));
+    }
+    let mut head = vec![0u8; (header_len as usize).max(prefix.len())];
+    src.read_at(&mut head, 0)?;
+    read_header(&head)
+}
+
 /// Arenas and validity words being filled, in extent order, for `rows`
-/// rows of a header's layout — by a resident load and an extent fault
-/// straight from verified payloads, or by a reassembly from decoded
+/// rows of a header's layout — by a resident load or an extent fault,
+/// each payload read straight into place, or by a reassembly from decoded
 /// extents — then handed to a skeleton table.
 struct Fill {
     rows: usize,
+    /// Per group: room for the rows' arena bytes and one payload's tail
+    /// (validity and CRC), which the next payload's read overwrites.
     arenas: Vec<Vec<u8>>,
+    /// Per group: arena bytes filled so far.
+    filled: Vec<usize>,
     words: Vec<Vec<Option<Vec<u64>>>>,
 }
 
@@ -566,17 +653,21 @@ impl Fill {
     /// Arenas pre-sized for `rows` rows, refused unless they fit in
     /// `avail` bytes: a payload holds its rows' arena bytes and more, so a
     /// row count the bytes cannot back is damage, not an allocation.
-    fn new(h: &TableHeader, rows: usize, avail: usize) -> Result<Fill> {
+    fn new(h: &TableHeader, rows: usize, avail: u64) -> Result<Fill> {
         let need =
             (h.strides.iter()).try_fold(0usize, |sum, s| sum.checked_add(rows.checked_mul(*s)?));
-        if need.is_none_or(|need| need > avail) {
+        if need.is_none_or(|need| need as u64 > avail) {
             return Err(corrupt("row count exceeds the blob"));
         }
+        let tail_rows = rows.min(h.extent_rows);
         Ok(Fill {
             rows,
-            arenas: (h.strides.iter())
-                .map(|stride| Vec::with_capacity(rows * stride))
+            arenas: (h.strides.iter().zip(&h.slot_validity))
+                .map(|(stride, slots)| {
+                    vec![0; rows * stride + payload_tail(slots.iter().copied(), tail_rows)]
+                })
                 .collect(),
+            filled: vec![0; h.n_groups()],
             words: (h.slot_validity.iter())
                 .map(|slots| {
                     (slots.iter())
@@ -587,33 +678,32 @@ impl Fill {
         })
     }
 
-    /// Verify extent `e`'s payloads in place in `bytes`, the file range
-    /// starting at offset `start`, and append each one's arena slice and
-    /// validity words. Every group's payload must lie inside `bytes` and
-    /// pass its CRC and geometry checks.
-    fn append_payloads(
+    /// Read extent `e`'s payloads from `src`, each into its group's arena
+    /// where its rows belong, and verify them there: CRC, then geometry,
+    /// with the validity words taken from the payload's tail.
+    fn read_extent<S: BlobSource + ?Sized>(
         &mut self,
         h: &TableHeader,
         e: usize,
-        start: u64,
-        bytes: &[u8],
+        src: &S,
     ) -> Result<()> {
         let (lo, hi) = h.extent_row_range(e);
         let rows = hi - lo;
         for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
-            let payload = (off.checked_sub(start))
-                .and_then(|from| Some(from as usize..from.checked_add(plen)? as usize))
-                .and_then(|range| bytes.get(range))
-                .ok_or_else(|| corrupt("extent directory out of range"))?;
+            let at = self.filled[g];
+            let payload = (usize::try_from(plen).ok())
+                .and_then(|plen| self.arenas[g].get_mut(at..at.checked_add(plen)?))
+                .ok_or_else(|| corrupt("extent payload does not match its rows"))?;
             if payload.len() < 4 {
                 return Err(corrupt("extent payload too short"));
             }
+            src.read_at(payload, off)?;
             let (body, crc_bytes) = payload.split_at(payload.len() - 4);
             if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
                 return Err(corrupt("extent checksum mismatch"));
             }
             let mut r = ByteReader::new(body, 0);
-            self.arenas[g].extend_from_slice(r.take(rows * h.strides[g])?);
+            r.take(rows * h.strides[g])?;
             for acc in &mut self.words[g] {
                 if (r.u8()? != 0) != acc.is_some() {
                     return Err(corrupt("validity presence does not match schema"));
@@ -626,33 +716,39 @@ impl Fill {
             if r.pos != body.len() {
                 return Err(corrupt("trailing extent bytes"));
             }
+            self.filled[g] += rows * h.strides[g];
         }
         Ok(())
     }
 
     /// Append a decoded extent's arenas and validity words.
-    fn append_table(&mut self, extent: &Table) {
+    fn append_table(&mut self, extent: &Table) -> Result<()> {
         for (g, p) in extent.partitions().iter().enumerate() {
-            self.arenas[g].extend_from_slice(p.raw_bytes());
+            let at = self.filled[g];
+            (self.arenas[g].get_mut(at..at + p.byte_size()))
+                .ok_or_else(|| corrupt("extents do not cover the table"))?
+                .copy_from_slice(p.raw_bytes());
+            self.filled[g] += p.byte_size();
             for (slot, acc) in self.words[g].iter_mut().enumerate() {
                 if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
                     acc.extend_from_slice(bm.words());
                 }
             }
         }
+        Ok(())
     }
 
     /// The filled table, under `zones`. Fails unless the appended extents
     /// cover exactly the rows the fill was sized for.
     fn finish(self, h: &TableHeader, zones: Option<ZoneMap>) -> Result<Table> {
         let rows = self.rows;
-        let covered = (self.arenas.iter().zip(&h.strides))
-            .all(|(arena, stride)| arena.len() == rows * stride);
+        let covered = (self.filled.iter().zip(&h.strides)).all(|(&n, stride)| n == rows * stride);
         if !covered {
             return Err(corrupt("extents do not cover the table"));
         }
         let mut t = h.skeleton()?;
-        for (g, (arena, words)) in self.arenas.into_iter().zip(self.words).enumerate() {
+        for (g, (mut arena, words)) in self.arenas.into_iter().zip(self.words).enumerate() {
+            arena.truncate(rows * h.strides[g]);
             let validity = (words.into_iter())
                 .map(|w| w.map(|w| Bitmap::from_words(w, rows)))
                 .collect();
@@ -666,17 +762,27 @@ impl Fill {
     }
 }
 
-/// Decode extent `e` from `bytes`, the file range
-/// [`TableHeader::extent_span`] names (`bytes[0]` sits at file offset
-/// `start`), into a self-contained mini [`Table`] holding exactly the
-/// extent's rows. Every group's payload must lie inside `bytes` and pass
-/// its CRC and geometry checks. The header's dictionaries are shared and
-/// the extent's slice of the zone map is installed, so engines scan it
-/// exactly as they would the corresponding rows of the resident table.
-pub fn decode_extent(h: &TableHeader, e: usize, start: u64, bytes: &[u8]) -> Result<Table> {
+/// Bytes a payload of `rows` rows holds after its arena slice: a presence
+/// byte per slot, the validity words of the nullable ones, and the CRC.
+fn payload_tail(slot_validity: impl Iterator<Item = bool>, rows: usize) -> usize {
+    let words = rows.div_ceil(64) * 8;
+    slot_validity
+        .map(|has| 1 + if has { words } else { 0 })
+        .sum::<usize>()
+        + 4
+}
+
+/// Decode extent `e` of the blob `src` into a self-contained mini
+/// [`Table`] holding exactly the extent's rows, its payloads read straight
+/// into the mini table's arenas. Every group's payload must lie inside the
+/// blob and pass its CRC and geometry checks. The header's dictionaries
+/// are shared and the extent's slice of the zone map is installed, so
+/// engines scan it exactly as they would the corresponding rows of the
+/// resident table.
+pub fn decode_extent<S: BlobSource + ?Sized>(h: &TableHeader, e: usize, src: &S) -> Result<Table> {
     let (lo, hi) = h.extent_row_range(e);
-    let mut fill = Fill::new(h, hi - lo, bytes.len())?;
-    fill.append_payloads(h, e, start, bytes)?;
+    let mut fill = Fill::new(h, hi - lo, src.blob_len()?)?;
+    fill.read_extent(h, e, src)?;
     fill.finish(h, h.zones.as_ref().map(|z| z.slice_rows(lo, hi)))
 }
 
@@ -690,34 +796,45 @@ pub fn assemble_table<T: Borrow<Table>>(
 ) -> Result<Table> {
     // Sized from the header alone (its CRC vouches for the row count):
     // decoded extents share no one buffer to bound it by.
-    let mut fill = Fill::new(h, h.len, usize::MAX)?;
+    let mut fill = Fill::new(h, h.len, u64::MAX)?;
     for extent in extents {
-        fill.append_table(extent?.borrow());
+        fill.append_table(extent?.borrow())?;
     }
     fill.finish(h, h.zones.clone())
 }
 
-/// Deserialize a whole checkpoint blob back into `(table, generation)`.
-/// Each extent payload is verified where it lies in `bytes` and copied
-/// once, straight into the table's arenas — the same checks an extent
-/// fault makes, without a mini table per extent. Any framing, checksum,
-/// version or invariant violation is a hard [`Error::Io`].
-pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
-    let h = read_header(bytes)?;
-    let mut fill = Fill::new(&h, h.len, bytes.len())?;
+/// Load the whole table under header `h` from the blob `src`, every
+/// payload read once, straight into the table's arenas and verified
+/// there — the same checks an extent fault makes. The blob must end where
+/// its last payload does.
+fn load<S: BlobSource + ?Sized>(h: &TableHeader, src: &S) -> Result<Table> {
+    let len = src.blob_len()?;
+    let mut fill = Fill::new(h, h.len, len)?;
     let mut end = h.header_len as u64;
     for e in 0..h.n_extents() {
-        let (start, stop) = h.extent_span(e);
-        end = end.max(stop);
-        let span = (bytes.get(start as usize..stop as usize))
-            .ok_or_else(|| corrupt("extent directory out of range"))?;
-        fill.append_payloads(&h, e, start, span)?;
+        end = end.max(h.extent_span(e).1);
+        fill.read_extent(h, e, src)?;
     }
-    let t = fill.finish(&h, h.zones.clone())?;
-    if end != bytes.len() as u64 {
+    let t = fill.finish(h, h.zones.clone())?;
+    if end != len {
         return Err(corrupt("trailing bytes"));
     }
-    Ok((t, h.generation))
+    Ok(t)
+}
+
+/// Deserialize a whole checkpoint blob in memory back into `(table,
+/// generation)`. Any framing, checksum, version or invariant violation is
+/// a hard [`Error::Io`].
+pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
+    let h = read_header(bytes)?;
+    Ok((load(&h, bytes)?, h.generation))
+}
+
+/// [`from_bytes`] of a checkpoint file, read by positioned reads straight
+/// into the table's arenas: no whole-blob buffer.
+pub fn read_file(file: &File) -> Result<(Table, u64)> {
+    let h = read_header_from(file)?;
+    Ok((load(&h, file)?, h.generation))
 }
 
 #[cfg(test)]
@@ -819,9 +936,7 @@ mod tests {
         assert_eq!(h.len, 2500);
         let mut seen = 0usize;
         for e in 0..h.n_extents() {
-            let (start, end) = h.extent_span(e);
-            let span = &blob[start as usize..end as usize];
-            let mini = decode_extent(&h, e, start, span).unwrap();
+            let mini = decode_extent(&h, e, &blob[..]).unwrap();
             let (lo, hi) = h.extent_row_range(e);
             assert_eq!(mini.len(), hi - lo);
             for r in 0..mini.len() {
@@ -841,8 +956,9 @@ mod tests {
                 **mini.zone_map(),
                 h.zones.as_ref().unwrap().slice_rows(lo, hi)
             );
-            // A read that stops short of the last group is refused.
-            assert!(decode_extent(&h, e, start, &span[..span.len() - 1]).is_err());
+            // A blob that stops short of the extent's last group is refused.
+            let end = h.extent_span(e).1 as usize;
+            assert!(decode_extent(&h, e, &blob[..end - 1]).is_err());
             seen += mini.len();
         }
         assert_eq!(seen, t.len());
@@ -969,5 +1085,140 @@ mod tests {
                 assert!(err.to_string().contains(why), "{err}");
             }
         }
+    }
+
+    /// `blob` as a file of its own, open for reading.
+    fn as_file(tag: &str, blob: &[u8]) -> (std::path::PathBuf, File) {
+        let path = std::env::temp_dir().join(format!("pdsm-persist-{tag}-{}", std::process::id()));
+        std::fs::write(&path, blob).unwrap();
+        let file = File::open(&path).unwrap();
+        (path, file)
+    }
+
+    /// Both loaders refuse `blob`, each naming `why` when given.
+    fn both_refuse(tag: &str, blob: &[u8], why: [Option<&str>; 2]) {
+        let (path, file) = as_file(tag, blob);
+        let errs = [from_bytes(blob).unwrap_err(), read_file(&file).unwrap_err()];
+        let _ = std::fs::remove_file(&path);
+        for (err, why) in errs.iter().zip(why) {
+            assert!(
+                why.is_none_or(|w| err.to_string().contains(w)),
+                "{tag}: {err}"
+            );
+        }
+    }
+
+    /// The header's CRC recomputed after an edit of its bytes.
+    fn reseal(blob: &mut [u8]) {
+        let header_len = u32::from_le_bytes(blob[12..16].try_into().unwrap()) as usize;
+        let crc = crc32(&blob[..header_len - 4]);
+        blob[header_len - 4..header_len].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn a_file_loads_like_its_bytes() {
+        for (i, layout) in layouts().into_iter().enumerate() {
+            let t = demo_rows(layout, 3000);
+            let blob = to_bytes_extents(&t, 4, ZONE_BLOCK_ROWS);
+            let (path, file) = as_file(&format!("load-{i}"), &blob);
+            let (back, generation) = read_file(&file).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(generation, 4);
+            assert_bit_identical(&t, &back);
+        }
+    }
+
+    /// What `from_bytes` refuses, the file loader refuses too.
+    #[test]
+    fn the_file_loader_refuses_the_damage_from_bytes_refuses() {
+        let t = demo_rows(
+            Layout::from_groups(vec![vec![0, 3], vec![1], vec![2]], 4).unwrap(),
+            2500,
+        );
+        let blob = to_bytes_extents(&t, 1, ZONE_BLOCK_ROWS);
+        let h = read_header(&blob).unwrap();
+        for cut in [10, h.header_len - 1, h.header_len + 5, blob.len() - 1] {
+            both_refuse("cut", &blob[..cut], [None, None]);
+        }
+        let mut flipped = blob.clone();
+        let (off, plen) = h.dir[1][2];
+        flipped[(off + plen / 2) as usize] ^= 0x10;
+        both_refuse("flip", &flipped, [Some("checksum"); 2]);
+        let mut past_eof = blob.clone();
+        let last = h.header_len - 4 - 16;
+        past_eof[last..last + 8].copy_from_slice(&(blob.len() as u64 + 64).to_le_bytes());
+        reseal(&mut past_eof);
+        both_refuse(
+            "eof",
+            &past_eof,
+            [Some("out of range"), Some("fill whole buffer")],
+        );
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        both_refuse("trailing", &trailing, [Some("trailing bytes"); 2]);
+    }
+
+    /// A well-sealed header of one string column claiming 2^40 rows in
+    /// 2^31-row extents: four bytes a row would need 4 TiB. Both loaders,
+    /// and an extent fault, refuse it before allocating a byte of arena.
+    #[test]
+    fn a_row_count_the_blob_cannot_hold_is_refused_before_allocating() {
+        let (rows, extent_rows) = (1u64 << 40, 1u64 << 31);
+        let n_extents = rows.div_ceil(extent_rows);
+        let mut blob = Vec::new();
+        blob.extend_from_slice(MAGIC);
+        blob.extend_from_slice(&VERSION_EXTENTS.to_le_bytes());
+        blob.extend_from_slice(&0u32.to_le_bytes());
+        blob.extend_from_slice(&0u64.to_le_bytes());
+        put_str(&mut blob, "huge");
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut blob, "s");
+        blob.extend_from_slice(&[type_tag(DataType::Str), 0]);
+        for word in [1u32, 1, 0] {
+            blob.extend_from_slice(&word.to_le_bytes()); // one group: column 0
+        }
+        blob.push(1);
+        blob.extend_from_slice(&0u32.to_le_bytes()); // an empty dictionary
+        blob.extend_from_slice(&rows.to_le_bytes());
+        blob.push(0); // a string column has no zones
+        blob.extend_from_slice(&(extent_rows as u32).to_le_bytes());
+        blob.extend_from_slice(&(n_extents as u32).to_le_bytes());
+        let header_len = blob.len() + n_extents as usize * 16 + 4;
+        for e in 0..n_extents {
+            let plen = extent_rows * 4 + 5;
+            blob.extend_from_slice(&(header_len as u64 + e * plen).to_le_bytes());
+            blob.extend_from_slice(&plen.to_le_bytes());
+        }
+        blob.extend_from_slice(&[0; 4]);
+        blob[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
+        reseal(&mut blob);
+        let h = read_header(&blob).unwrap();
+        assert_eq!(h.len as u64, rows);
+        both_refuse("huge", &blob, [Some("row count exceeds the blob"); 2]);
+        let err = decode_extent(&h, 0, &blob[..]).unwrap_err();
+        assert!(
+            err.to_string().contains("row count exceeds the blob"),
+            "{err}"
+        );
+    }
+
+    /// A blob streamed through a small-buffered file writer is the blob
+    /// `to_bytes_extents` builds, byte for byte: several extents, several
+    /// groups, nullable columns.
+    #[test]
+    fn a_streamed_blob_is_the_built_blob() {
+        let t = demo_rows(
+            Layout::from_groups(vec![vec![0, 2], vec![1, 3]], 4).unwrap(),
+            3000,
+        );
+        let built = to_bytes_extents(&t, 6, ZONE_BLOCK_ROWS);
+        assert_eq!(read_header(&built).unwrap().n_extents(), 3);
+        let path = std::env::temp_dir().join(format!("pdsm-persist-stream-{}", std::process::id()));
+        let mut out = io::BufWriter::with_capacity(100, File::create(&path).unwrap());
+        write_extents(&t, 6, ZONE_BLOCK_ROWS, &mut out).unwrap();
+        drop(out);
+        let streamed = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(streamed == built);
     }
 }

@@ -141,6 +141,14 @@ impl Table {
         self.dicts.iter().flatten().map(Dictionary::byte_size).sum()
     }
 
+    /// Drop the growth slack of the string dictionaries, so a table built
+    /// by inserting holds them as tightly as one loaded from its blob.
+    pub fn shrink_dicts(&mut self) {
+        for d in Arc::make_mut(&mut self.dicts).iter_mut().flatten() {
+            d.shrink_to_fit();
+        }
+    }
+
     /// Total bytes held by all partition arenas.
     pub fn byte_size(&self) -> usize {
         self.partitions.iter().map(|p| p.byte_size()).sum()

@@ -163,12 +163,21 @@ impl fmt::Display for Value {
     }
 }
 
-/// Total ordering over values of the *same* type, with NULL sorting first.
-/// Mixed-type comparisons order by type tag; the planner never produces them.
+/// Total ordering over values of the *same* type, with NULL sorting first
+/// and an unordered float pair (a NaN) read as equal: the order `ORDER BY`
+/// and `min`/`max` use. Mixed-type comparisons order by type tag; the
+/// planner never produces them.
 pub fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
+    partial_cmp_values(a, b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// [`cmp_values`], except that a comparison with a float NaN has no order
+/// (`None`), as `f64::partial_cmp` has it: the comparison a predicate
+/// applies, so that NaN passes none of `=`, `<>`, `<`, `<=`, `>`, `>=`.
+pub fn partial_cmp_values(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     use std::cmp::Ordering::*;
     use Value::*;
-    match (a, b) {
+    Some(match (a, b) {
         (Null, Null) => Equal,
         (Null, _) => Less,
         (_, Null) => Greater,
@@ -176,15 +185,15 @@ pub fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
         (Int64(x), Int64(y)) => x.cmp(y),
         (Int32(x), Int64(y)) => (*x as i64).cmp(y),
         (Int64(x), Int32(y)) => x.cmp(&(*y as i64)),
-        (Float64(x), Float64(y)) => x.partial_cmp(y).unwrap_or(Equal),
-        (Float64(x), Int32(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Equal),
-        (Float64(x), Int64(y)) => x.partial_cmp(&(*y as f64)).unwrap_or(Equal),
-        (Int32(x), Float64(y)) => (*x as f64).partial_cmp(y).unwrap_or(Equal),
-        (Int64(x), Float64(y)) => (*x as f64).partial_cmp(y).unwrap_or(Equal),
+        (Float64(x), Float64(y)) => return x.partial_cmp(y),
+        (Float64(x), Int32(y)) => return x.partial_cmp(&(*y as f64)),
+        (Float64(x), Int64(y)) => return x.partial_cmp(&(*y as f64)),
+        (Int32(x), Float64(y)) => return (*x as f64).partial_cmp(y),
+        (Int64(x), Float64(y)) => return (*x as f64).partial_cmp(y),
         (Str(x), Str(y)) => x.cmp(y),
         (Str(_), _) => Greater,
         (_, Str(_)) => Less,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -218,6 +227,20 @@ mod tests {
             Ordering::Greater
         );
         assert_eq!(cmp_values(&Value::Null, &Value::Null), Ordering::Equal);
+    }
+
+    #[test]
+    fn nan_has_no_order_but_sorts_as_equal() {
+        let nan = Value::Float64(f64::NAN);
+        for other in [Value::Float64(1.0), Value::Int32(1), nan.clone()] {
+            assert_eq!(partial_cmp_values(&nan, &other), None);
+            assert_eq!(partial_cmp_values(&other, &nan), None);
+            assert_eq!(cmp_values(&nan, &other), Ordering::Equal);
+        }
+        assert_eq!(
+            partial_cmp_values(&Value::Float64(-0.0), &Value::Int64(0)),
+            Some(Ordering::Equal)
+        );
     }
 
     #[test]

@@ -37,7 +37,8 @@ use pdsm_store::{
     decode_stream, fsync_dir, remove_temp_files, sanitize_name, write_atomic, FsyncMode, Manifest,
     Wal, WalRecord, WalStats,
 };
-use std::io::Write;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -106,16 +107,15 @@ fn temp_main_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("main.{generation}.tbl.tmp"))
 }
 
-/// Serialize `table` as generation `generation`'s main blob to its temp
+/// Stream `table` as generation `generation`'s main blob to its temp
 /// name, fsynced. On any error the partial file is removed: a
 /// half-written blob must never be renamed into a committed name.
 fn write_temp_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
     let path = temp_main_path(dir, generation);
-    let bytes = persist::to_bytes_extents(table, generation, persist::extent_rows_from_env());
     let res = (|| -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(&bytes)?;
-        f.sync_data()
+        let mut out = BufWriter::new(File::create(&path)?);
+        persist::write_extents(table, generation, persist::extent_rows_from_env(), &mut out)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_data()
     })();
     if res.is_err() {
         let _ = std::fs::remove_file(&path);
@@ -234,8 +234,8 @@ impl TableDurability {
                 (Form::Cold(Arc::new(cold)), on_disk_gen)
             }
             None => {
-                let bytes = std::fs::read(&path).map_err(|e| io_err("read main store", e))?;
-                let (table, on_disk_gen) = persist::from_bytes(&bytes)?;
+                let file = File::open(&path).map_err(|e| io_err("read main store", e))?;
+                let (table, on_disk_gen) = persist::read_file(&file)?;
                 (Form::Resident(Arc::new(table)), on_disk_gen)
             }
         };

@@ -91,6 +91,9 @@ impl MergeTicket {
         // alongside the partitions. (A post-cut replay invalidates them;
         // they then rebuild lazily.)
         fresh.zone_map();
+        // Interning grew the dictionaries by doubling; the main keeps them
+        // for its whole life, so as tight as a reload would.
+        fresh.shrink_dicts();
         let generation = self.snapshot.generation();
         if let Some(d) = &self.durability {
             d.pre_persist(&fresh, generation + 1)?;

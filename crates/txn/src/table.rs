@@ -699,6 +699,31 @@ mod tests {
         assert_eq!(t.len(), 10);
     }
 
+    /// A merge's fresh main holds its dictionaries as tightly as the same
+    /// main reloaded from its blob: interning's doubling slack does not
+    /// outlive the build.
+    #[test]
+    fn a_merged_main_holds_its_dictionaries_as_tightly_as_a_reload() {
+        let mut t = seeded();
+        for i in 10..3000 {
+            let name = Value::Str(format!("name-{}", i % 1500));
+            t.insert(&[Value::Int32(i), name, Value::Null]).unwrap();
+        }
+        t.merge().unwrap();
+        let Form::Resident(main) = t.store().form() else {
+            panic!("a merge builds a resident main");
+        };
+        let blob = pdsm_storage::persist::to_bytes_extents(main, 1, 1024);
+        let (reloaded, _) = pdsm_storage::persist::from_bytes(&blob).unwrap();
+        assert!(reloaded.dict_bytes() > 0);
+        assert!(
+            main.dict_bytes() <= reloaded.dict_bytes(),
+            "merged {} B, reloaded {} B",
+            main.dict_bytes(),
+            reloaded.dict_bytes()
+        );
+    }
+
     #[test]
     fn dml_error_paths() {
         let mut t = seeded();

@@ -1,77 +1,59 @@
-//! Property tests for the index structures: red–black invariants under
-//! arbitrary insertion orders, equivalence with `std` collections as
-//! models, and index-path/scan-path agreement at the database level.
+//! Property tests for the index: the sorted index against a `BTreeMap`
+//! model, and index-path/scan-path agreement at the database level.
 
-use mrdb::index::{HashIndex, RBTree};
+use mrdb::index::SortedIndex;
 use mrdb::prelude::*;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+/// Mostly small keys, with many duplicates, and the two `i64` extremes.
+fn key() -> impl Strategy<Value = i64> {
+    (0u8..12, -300i64..300).prop_map(|(pick, k)| match pick {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        _ => k,
+    })
+}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// Points, ranges (inverted, unbounded, saturated strict bounds as the
+    /// planner forms them) and key counts agree with a `BTreeMap` of
+    /// ascending row lists, whatever order the pairs arrive in.
     #[test]
-    fn rbtree_invariants_hold_for_any_insertion_order(
-        keys in proptest::collection::vec(-5_000i64..5_000, 0..600),
+    fn sorted_index_matches_btreemap_model(
+        keys in proptest::collection::vec(key(), 0..400),
+        reversed in any::<bool>(),
+        probes in proptest::collection::vec(key(), 1..24),
+        bounds in proptest::collection::vec((key(), key()), 1..24),
     ) {
-        let mut t = RBTree::new();
-        for (i, &k) in keys.iter().enumerate() {
-            t.insert(k, i as u32);
+        let mut pairs: Vec<(i64, u32)> =
+            keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
+        if reversed {
+            pairs.reverse();
         }
-        t.check_invariants();
-        // size = number of distinct keys
-        let distinct: std::collections::HashSet<i64> = keys.iter().copied().collect();
-        prop_assert_eq!(t.len(), distinct.len());
-    }
-
-    #[test]
-    fn rbtree_matches_btreemap_model(
-        keys in proptest::collection::vec(-1_000i64..1_000, 0..400),
-        lo in -1_000i64..1_000,
-        span in 0i64..500,
-    ) {
-        let mut t = RBTree::new();
+        let idx = SortedIndex::from_pairs(pairs);
         let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
         for (i, &k) in keys.iter().enumerate() {
-            t.insert(k, i as u32);
             model.entry(k).or_default().push(i as u32);
         }
-        // point lookups
-        for &k in keys.iter().take(50) {
-            prop_assert_eq!(t.get(k), model[&k].as_slice());
+        prop_assert_eq!(idx.key_count(), model.len());
+        for (k, rows) in &model {
+            prop_assert_eq!(idx.lookup(*k), rows.as_slice());
         }
-        // range scan
-        let hi = lo + span;
-        let ours: Vec<(i64, Vec<u32>)> = t.range(lo, hi).map(|(k, v)| (k, v.to_vec())).collect();
-        let theirs: Vec<(i64, Vec<u32>)> = model
-            .range(lo..=hi)
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        prop_assert_eq!(ours, theirs);
-        // extremes
-        prop_assert_eq!(t.min_key(), model.keys().next().copied());
-        prop_assert_eq!(t.max_key(), model.keys().last().copied());
-    }
-
-    #[test]
-    fn hash_index_matches_hashmap_model(
-        keys in proptest::collection::vec(any::<i64>(), 0..500),
-    ) {
-        let mut h = HashIndex::new();
-        let mut model: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (i, &k) in keys.iter().enumerate() {
-            if k == i64::MIN {
-                continue; // reserved sentinel
+        for &k in &probes {
+            let want = model.get(&k).map_or(&[][..], Vec::as_slice);
+            prop_assert_eq!(idx.lookup(k), want);
+            // `< k` and `> k`, as the planner saturates them.
+            for (lo, hi) in [(i64::MIN, k.saturating_sub(1)), (k.saturating_add(1), i64::MAX)] {
+                bounds_agree(&idx, &model, lo, hi);
             }
-            h.insert(k, i as u32);
-            model.entry(k).or_default().push(i as u32);
         }
-        prop_assert_eq!(h.len(), model.len());
-        for (k, v) in &model {
-            prop_assert_eq!(h.get(*k), v.as_slice());
+        for &(lo, hi) in &bounds {
+            bounds_agree(&idx, &model, lo, hi);
         }
-        // absent keys
-        prop_assert!(h.get(i64::MIN + 1).is_empty() || model.contains_key(&(i64::MIN + 1)));
+        bounds_agree(&idx, &model, i64::MIN, i64::MAX);
     }
 
     /// The index path is the scan path restricted to the hits: over a
@@ -170,4 +152,24 @@ proptest! {
             prop_assert_eq!(&indexed.columns, &scanned.columns, "{}", what);
         }
     }
+}
+
+/// `lookup_range(lo, hi)` is the model's `lo..=hi` flattened in key order
+/// (nothing when `lo > hi`).
+fn bounds_agree(idx: &SortedIndex, model: &BTreeMap<i64, Vec<u32>>, lo: i64, hi: i64) {
+    let want: Vec<u32> = if lo > hi {
+        Vec::new()
+    } else {
+        model
+            .range(lo..=hi)
+            .flat_map(|(_, r)| r.iter().copied())
+            .collect()
+    };
+    prop_assert_eq!(
+        idx.lookup_range(lo, hi),
+        want.as_slice(),
+        "[{}, {}]",
+        lo,
+        hi
+    );
 }

@@ -394,10 +394,8 @@ fn pruning_respects_tombstones_and_tail() {
 /// over NaN, ±0.0, ±inf, NULL and plain values, in a dense and a strided
 /// layout, at both SIMD modes, passes exactly the rows `partial_cmp`
 /// passes: a NaN on either side passes no operator, `<>` included, and
-/// `-0.0` equals `0.0`. The Volcano oracle orders NaN as equal to
-/// everything, so NaN rows and literals are checked against `partial_cmp`
-/// directly, and a NaN-free copy under the other literals against the
-/// oracle too.
+/// `-0.0` equals `0.0`. Every engine, the Volcano oracle among them, is
+/// held to those rows.
 #[test]
 fn float_comparisons_follow_partial_cmp_in_every_mode() {
     use mrdb::plan::expr::CmpOp;
@@ -422,50 +420,40 @@ fn float_comparisons_follow_partial_cmp_in_every_mode() {
     ];
     // 300 rows: four whole 64-row blocks and a tail; every 11th is NULL.
     let n = 300usize;
-    let value = |i: usize, nan: bool| {
-        let x = specials[(i * 7 + i / 8) % specials.len()];
-        (i % 11 != 10).then_some(if x.is_nan() && !nan { 3.0 } else { x })
-    };
+    let value = |i: usize| (i % 11 != 10).then_some(specials[(i * 7 + i / 8) % specials.len()]);
     let schema = Schema::new(vec![
         ColumnDef::new("id", DataType::Int32),
         ColumnDef::nullable("f", DataType::Float64),
     ]);
     for layout in [Layout::column(2), Layout::row(2)] {
         let db = Database::new();
-        for (name, nan) in [("t", true), ("u", false)] {
-            let mut t = Table::with_layout(name, schema.clone(), layout.clone()).unwrap();
-            for i in 0..n {
-                let f = value(i, nan).map_or(Value::Null, Value::Float64);
-                t.insert(&[Value::Int32(i as i32), f]).unwrap();
-            }
-            db.register(t);
+        let mut t = Table::with_layout("t", schema.clone(), layout.clone()).unwrap();
+        for i in 0..n {
+            let f = value(i).map_or(Value::Null, Value::Float64);
+            t.insert(&[Value::Int32(i as i32), f]).unwrap();
         }
+        db.register(t);
         let snap = db.snapshot();
         for op in ops {
             for lit in specials {
-                for (name, nan) in [("t", true), ("u", false)] {
-                    let plan = QueryBuilder::scan(name)
-                        .filter(Expr::col(1).cmp(op, Expr::lit(lit)))
-                        .project(vec![Expr::col(0)])
-                        .build();
-                    let want: Vec<Vec<Value>> = (0..n)
-                        .filter(|&i| {
-                            value(i, nan)
-                                .and_then(|x| x.partial_cmp(&lit))
-                                .is_some_and(|o| op.matches(o))
-                        })
-                        .map(|i| vec![Value::Int32(i as i32)])
-                        .collect();
-                    let ctx = format!("{name} {layout:?}: f {op:?} {lit}");
-                    for mode in [mrdb::core::SimdMode::Scalar, mrdb::core::SimdMode::Auto] {
-                        set_mode_override(Some(mode));
-                        if !nan && !lit.is_nan() {
-                            common::assert_engines_agree(&plan, &snap, &ctx);
-                        }
-                        for kind in [EngineKind::Compiled, EngineKind::Parallel] {
-                            let got = kind.engine().execute(&plan, &snap).unwrap();
-                            assert_eq!(got.rows, want, "{ctx} {mode:?} {kind:?}");
-                        }
+                let plan = QueryBuilder::scan("t")
+                    .filter(Expr::col(1).cmp(op, Expr::lit(lit)))
+                    .project(vec![Expr::col(0)])
+                    .build();
+                let want: Vec<Vec<Value>> = (0..n)
+                    .filter(|&i| {
+                        value(i)
+                            .and_then(|x| x.partial_cmp(&lit))
+                            .is_some_and(|o| op.matches(o))
+                    })
+                    .map(|i| vec![Value::Int32(i as i32)])
+                    .collect();
+                let ctx = format!("{layout:?}: f {op:?} {lit}");
+                for mode in [mrdb::core::SimdMode::Scalar, mrdb::core::SimdMode::Auto] {
+                    set_mode_override(Some(mode));
+                    for kind in EngineKind::all() {
+                        let got = kind.engine().execute(&plan, &snap).unwrap();
+                        assert_eq!(got.rows, want, "{ctx} {mode:?} {kind:?}");
                     }
                 }
             }

@@ -3,8 +3,7 @@
 //! statistical companion to the `fig_scaling` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pdsm_exec::engine::{CompiledEngine, Engine};
-use pdsm_par::ParallelEngine;
+use pdsm_exec::engine::{CompiledEngine, Engine, ParallelEngine};
 use pdsm_storage::Table;
 use pdsm_workloads::microbench;
 use std::collections::HashMap;

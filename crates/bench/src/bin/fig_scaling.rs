@@ -17,8 +17,7 @@
 //!         [--rows 2000000] [--sel 0.02] [--reps 3] [--threads 1,2,4,8,16]`
 
 use pdsm_bench::{fmt_num, measure, print_table, Args};
-use pdsm_exec::engine::{CompiledEngine, Engine};
-use pdsm_par::ParallelEngine;
+use pdsm_exec::engine::{CompiledEngine, Engine, ParallelEngine};
 use pdsm_storage::Table;
 use pdsm_workloads::microbench;
 use std::collections::HashMap;

@@ -54,10 +54,9 @@
 use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceStats};
 use crate::planner::Planner;
 use crate::result_cache::{CacheStats, ResultCacheConfig, StatementCache};
-use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, VolcanoEngine};
+use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, ParallelEngine, VolcanoEngine};
 use pdsm_index::SortedIndex;
 use pdsm_layout::workload::{Workload, WorkloadQuery};
-use pdsm_par::ParallelEngine;
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::EngineChoice;
 use pdsm_pool::{BufferPool, PoolStats};
@@ -70,7 +69,7 @@ use pdsm_txn::{
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LazyLock, Mutex, RwLock};
 
 /// Which execution engine runs a statement: the two the planner chooses
 /// between, plus the Volcano oracle every differential test compares
@@ -83,23 +82,25 @@ pub enum EngineKind {
     Volcano,
     /// Data-centric fused pipelines (the paper's model).
     Compiled,
-    /// Morsel-driven parallel execution of the compiled pipelines
-    /// (`pdsm-par`). Thread count comes from `PDSM_THREADS` or the
-    /// machine; use [`pdsm_par::ParallelEngine::with_threads`] directly to
-    /// pin it per query.
+    /// The same pipelines with every piece fanned out over morsel-claiming
+    /// workers ([`ParallelEngine`]). A [`Database`] runs it with the one
+    /// worker count it read at construction, the count its planner prices;
+    /// use [`ParallelEngine::with_threads`] directly to pin it per query.
     Parallel,
 }
 
-/// The default parallel engine instance (automatic thread resolution).
-static PARALLEL: ParallelEngine = ParallelEngine::new();
+/// The parallel engine [`EngineKind::engine`] hands out: its worker count
+/// is read once per process, at first use.
+static PARALLEL: LazyLock<ParallelEngine> = LazyLock::new(ParallelEngine::new);
 
 impl EngineKind {
-    /// The engine object.
+    /// The engine object. A [`Database`] and its snapshots run `Parallel`
+    /// with the database's own worker count instead.
     pub fn engine(&self) -> &'static dyn Engine {
         match self {
             EngineKind::Volcano => &VolcanoEngine,
             EngineKind::Compiled => &CompiledEngine,
-            EngineKind::Parallel => &PARALLEL,
+            EngineKind::Parallel => &*PARALLEL,
         }
     }
 
@@ -368,7 +369,8 @@ pub struct Database {
     /// The planner every cache miss lowers with, built once here: the
     /// hierarchy it prices against and the worker count (`PDSM_THREADS` or
     /// the host's, read at construction) are fixed for this database's
-    /// lifetime, so its plans do not move when the environment does.
+    /// lifetime, so its plans do not move when the environment does. The
+    /// worker count is also the one its parallel plans run with.
     pub(crate) planner: Planner,
     /// Every plan routed through [`Database::execute`], deduplicated with
     /// frequencies — the observed traffic `relayout`/merge re-advise from.
@@ -410,7 +412,7 @@ impl Database {
             cache: StatementCache::new(ResultCacheConfig::from_env()),
             planner: Planner {
                 hierarchy: pdsm_cost::Hierarchy::nehalem(),
-                threads: pdsm_par::default_threads(),
+                threads: ParallelEngine::new().effective_threads(),
             },
             observed: Mutex::new(ObservedTraffic::default()),
             maintenance: MaintenanceScheduler::new(cfg),

@@ -50,10 +50,9 @@ pub use advisor::{AdvisorReport, LayoutAdvisor};
 pub use database::{Database, DbError, DurabilityConfig, EngineKind, IndexKind, StorageStats};
 pub use maintenance::{MaintenanceConfig, MaintenanceMode, MaintenanceScheduler, MaintenanceStats};
 pub use pdsm_exec::{
-    reset_scan_counters, scan_counters, set_mode_override, QueryOutput, QueryResult, ScanCounters,
-    SimdMode,
+    reset_scan_counters, scan_counters, set_mode_override, ParallelEngine, QueryOutput,
+    QueryResult, ScanCounters, SimdMode,
 };
-pub use pdsm_par::ParallelEngine;
 pub use pdsm_plan::physical::{AccessPath, CostSummary, EngineChoice, PhysicalPlan};
 pub use pdsm_pool::{BufferPool, PoolStats};
 pub use pdsm_store::FsyncMode;

@@ -659,6 +659,7 @@ mod tests {
                 },
             )]),
             epoch: 0,
+            threads: 1,
         };
         let point = QueryBuilder::scan("r")
             .filter(Expr::col(0).eq(Expr::lit(80)))

@@ -41,8 +41,8 @@
 
 use crate::database::{Database, DbError, EngineKind, IndexEntry, IndexKind, TableEntry};
 use crate::result_cache::{DepTokens, Entry, Probe};
-use pdsm_exec::engine::{ExecError, Overlay, PieceVisitor, TableProvider};
-use pdsm_exec::pipeline::{self, Sequential};
+use pdsm_exec::engine::{Engine, ExecError, Overlay, ParallelEngine, PieceVisitor, TableProvider};
+use pdsm_exec::pipeline::{self, Drive};
 use pdsm_exec::{QueryOutput, QueryResult};
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp};
 use pdsm_plan::logical::{pipeline_fragment, LogicalPlan};
@@ -69,6 +69,7 @@ impl Database {
         DbSnapshot {
             tables,
             epoch: self.catalog_epoch.load(Ordering::Relaxed),
+            threads: self.planner.threads,
         }
     }
 
@@ -83,6 +84,7 @@ impl Database {
         DbSnapshot {
             tables: catalog.iter().map(|(n, e)| (n.clone(), e.pin())).collect(),
             epoch: self.catalog_epoch.load(Ordering::Relaxed),
+            threads: self.planner.threads,
         }
     }
 
@@ -267,9 +269,18 @@ pub struct DbSnapshot {
     pub(crate) tables: HashMap<String, PinnedTable>,
     /// The catalog epoch the tables were pinned under.
     pub(crate) epoch: u64,
+    /// The worker count of the database's planner, which parallel runs
+    /// over this view use.
+    pub(crate) threads: usize,
 }
 
 impl DbSnapshot {
+    /// The worker count parallel runs over this view use: the one its
+    /// database read at construction and its planner prices with.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// The pinned snapshot of `name`.
     pub fn table_snapshot(&self, name: &str) -> Option<&Snapshot> {
         self.tables.get(name).map(|t| &t.snapshot)
@@ -311,10 +322,17 @@ impl DbSnapshot {
     /// Execute `plan` against this snapshot with the chosen engine. The
     /// compiled and parallel engines read a cold table one pinned extent at
     /// a time through the buffer pool, whatever the plan's shape; the
-    /// Volcano oracle reads a copy assembled for the run. Snapshots carry no
-    /// statement cache — planned execution is [`Database::execute`].
+    /// Volcano oracle reads a copy assembled for the run. The parallel
+    /// engine runs with the database's worker count ([`DbSnapshot::threads`]).
+    /// Snapshots carry no statement cache — planned execution is
+    /// [`Database::execute`].
     pub fn run(&self, plan: &LogicalPlan, engine: EngineKind) -> Result<QueryResult, DbError> {
-        let output = engine.engine().execute(plan, self)?;
+        let output = match engine {
+            EngineKind::Parallel => {
+                ParallelEngine::with_threads(self.threads).execute(plan, self)?
+            }
+            kind => kind.engine().execute(plan, self)?,
+        };
         Ok(QueryResult::new(self.output_names(plan), output))
     }
 
@@ -459,7 +477,7 @@ impl DbSnapshot {
         let mut hits: Vec<usize> = ids.iter().map(|&r| r as usize).collect();
         hits.sort_unstable();
         let output = QueryOutput {
-            rows: pipeline::execute(plan, self, &Sequential, Some(&hits))?,
+            rows: pipeline::execute(plan, self, Drive { threads: 1 }, Some(&hits))?,
         };
         Ok(QueryResult::new(self.output_names(plan), output))
     }

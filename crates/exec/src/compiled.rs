@@ -20,15 +20,16 @@
 //! branches (the same target every iteration), which is the microarchitectural
 //! property the paper contrasts against Volcano's function pointers.
 //!
-//! This file holds the kernels (predicate compilation, 64-row block masks,
-//! zone-predicate extraction). The lowering, the survivor loop, the walk
-//! over main-store pieces and the aggregate state live in
-//! [`crate::pipeline`], shared with the parallel driver; the compiled
-//! engine is that core walked sequentially — each piece's `0..n` into one
-//! state (or one output buffer).
+//! This file holds the two engines and the kernels (predicate
+//! compilation, 64-row block masks, zone-predicate extraction). The
+//! lowering, the survivor loop, the walk over main-store pieces and the
+//! aggregate state live in [`crate::pipeline`]. Both engines are its one
+//! [`Drive`]: the compiled engine at one worker — each piece's `0..n` into
+//! one state (or one output buffer) — and [`ParallelEngine`] at a worker
+//! count fixed when it is built.
 
 use crate::engine::{Engine, ExecError, TableProvider};
-use crate::pipeline::{self, Sequential};
+use crate::pipeline::{self, Drive};
 use crate::result::QueryOutput;
 use crate::simd;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
@@ -37,7 +38,7 @@ use pdsm_storage::dictionary::like_match;
 use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
 use pdsm_storage::{ColId, DataType, Table, Value, ZoneOp, ZonePred};
 
-/// The compiled engine.
+/// The compiled engine: the pipeline at one worker.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CompiledEngine;
 
@@ -51,7 +52,60 @@ impl Engine for CompiledEngine {
         plan: &LogicalPlan,
         db: &dyn TableProvider,
     ) -> Result<QueryOutput, ExecError> {
-        let rows = pipeline::execute(plan, db, &Sequential, None)?;
+        let rows = pipeline::execute(plan, db, Drive { threads: 1 }, None)?;
+        Ok(QueryOutput { rows })
+    }
+}
+
+/// The morsel-driven parallel engine (Leis et al., "Morsel-Driven
+/// Parallelism"): the pipeline with every piece fanned out over up to
+/// [`effective_threads`](ParallelEngine::effective_threads) workers.
+/// Results are the compiled engine's at every worker count: rows in the
+/// same order, aggregates to the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct ParallelEngine(Drive);
+
+impl ParallelEngine {
+    /// Engine with the `PDSM_THREADS` environment variable's worker count
+    /// if it is a positive integer, else the machine's parallelism — read
+    /// once, here.
+    pub fn new() -> Self {
+        let env = std::env::var("PDSM_THREADS").ok();
+        let set = env.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0);
+        let machine = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::with_threads(set.unwrap_or_else(machine))
+    }
+
+    /// Engine pinned to `threads` workers (at least one).
+    pub fn with_threads(threads: usize) -> Self {
+        ParallelEngine(Drive {
+            threads: threads.max(1),
+        })
+    }
+
+    /// The worker count this engine runs with.
+    pub fn effective_threads(&self) -> usize {
+        self.0.threads
+    }
+}
+
+impl Default for ParallelEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Engine for ParallelEngine {
+    fn name(&self) -> &'static str {
+        "parallel"
+    }
+
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        db: &dyn TableProvider,
+    ) -> Result<QueryOutput, ExecError> {
+        let rows = pipeline::execute(plan, db, self.0, None)?;
         Ok(QueryOutput { rows })
     }
 }
@@ -554,6 +608,10 @@ mod tests {
     use std::collections::HashMap;
 
     fn db() -> HashMap<String, Table> {
+        db_of(200)
+    }
+
+    fn db_of(n: i32) -> HashMap<String, Table> {
         let mut t = Table::new(
             "t",
             Schema::new(vec![
@@ -563,7 +621,7 @@ mod tests {
                 ColumnDef::nullable("f", DataType::Float64),
             ]),
         );
-        for i in 0..200 {
+        for i in 0..n {
             t.insert(&[
                 Value::Int32(i),
                 Value::Int32(i % 10),
@@ -696,5 +754,31 @@ mod tests {
         let a = CompiledEngine.execute(&plan, &d).unwrap();
         let b = VolcanoEngine.execute(&plan, &d).unwrap();
         assert_eq!(a.rows, b.rows);
+    }
+
+    #[test]
+    fn parallel_agrees_with_volcano() {
+        let d = db_of(100_000);
+        let plan = QueryBuilder::scan("t")
+            .filter(Expr::col(2).like("name-1").or(Expr::col(3).is_null()))
+            .aggregate(vec![Expr::col(1)], vec![AggExpr::count_star()])
+            .build();
+        let v = VolcanoEngine.execute(&plan, &d).unwrap();
+        for threads in [2, 4] {
+            let p = ParallelEngine::with_threads(threads)
+                .execute(&plan, &d)
+                .unwrap();
+            v.assert_same(&p, &format!("volcano vs parallel({threads})"));
+        }
+    }
+
+    #[test]
+    fn unknown_table_error_matches() {
+        let d: HashMap<String, Table> = HashMap::new();
+        let plan = QueryBuilder::scan("missing").build();
+        for engine in [&CompiledEngine as &dyn Engine, &ParallelEngine::new()] {
+            let err = engine.execute(&plan, &d).unwrap_err();
+            assert_eq!(err, ExecError::UnknownTable("missing".into()));
+        }
     }
 }

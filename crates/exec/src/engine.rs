@@ -187,7 +187,7 @@ pub trait Engine {
         -> Result<QueryOutput, ExecError>;
 }
 
-pub use crate::compiled::CompiledEngine;
+pub use crate::compiled::{CompiledEngine, ParallelEngine};
 pub use crate::volcano::VolcanoEngine;
 
 /// One aggregate's running state. All engines use this accumulator so that

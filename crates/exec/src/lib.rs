@@ -20,9 +20,11 @@
 //! [`pipeline`] owns the one lowering, the one walk over a main store's
 //! pieces (a resident table, or a cold one extent by extent) and the one
 //! survivor loop (zone refutation → tombstone mask → block mask →
-//! survivors, or over the rows at index hits); its two drivers are the
-//! compiled engine and `pdsm-par`'s parallel engine, and the index path
-//! of `pdsm-core` runs through it too. A storage feature is therefore implemented twice:
+//! survivors, or over the rows at index hits). One [`pipeline::Drive`]
+//! walks a piece with a worker count: the compiled engine is it at one
+//! worker, [`ParallelEngine`] at many, over cache-sized row ranges
+//! (morsels). The index path of `pdsm-core` runs through it too. A
+//! storage feature is therefore implemented twice:
 //! once there, once in Volcano, which reads a cold main through a
 //! whole-table copy assembled for the run. The Fig.-3 bulk and vectorized
 //! baselines live in `pdsm-bench`, over plain tables.
@@ -32,12 +34,13 @@
 //! superaccumulator rounded once at the end, and
 //! float `min`/`max` order by `f64::total_cmp`. Row order, piece
 //! boundaries and how partials are split and merged therefore never move
-//! an output bit, which is what lets `pdsm-par` merge per-worker partials
-//! for every aggregate.
+//! an output bit, which is what lets the parallel engine merge per-worker
+//! partials for every aggregate.
 
 pub mod compiled;
 pub mod engine;
 pub mod keys;
+mod morsel;
 pub mod pipeline;
 pub mod result;
 pub mod simd;
@@ -46,7 +49,7 @@ pub mod volcano;
 pub use compiled::{compile_pred, zone_preds, PredKernel};
 pub use engine::{
     masked_tail_row, tail_row_passes, Accumulator, CompiledEngine, Engine, ExecError, Overlay,
-    TableProvider, VolcanoEngine,
+    ParallelEngine, TableProvider, VolcanoEngine,
 };
 pub use result::{QueryOutput, QueryResult};
 pub use simd::{reset_scan_counters, scan_counters, set_mode_override, ScanCounters, SimdMode};

@@ -1,4 +1,5 @@
-//! Morsels: cache-sized row ranges claimed dynamically by workers.
+//! Morsels: cache-sized row ranges claimed dynamically by workers, and
+//! the scoped workers that claim them.
 //!
 //! A morsel is a contiguous range of row ids within one table. Because PDSM
 //! partitions are fixed-stride arrays, a row range addresses a contiguous
@@ -11,6 +12,12 @@
 //! the next morsel when they finish their current one, so skew (e.g. a
 //! selective predicate matching only one region) self-balances without any
 //! static assignment.
+//!
+//! Workers are scoped `std::thread`s spawned per piece walk (not kept hot
+//! across queries): they borrow the table, the kernels' readers and the
+//! shared queue directly, and the scope itself is the barrier. Spawn cost
+//! (~10 µs/thread) is noise against the scans that fan out; a piece of
+//! one morsel never spawns at all.
 
 use pdsm_storage::Table;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,18 +42,6 @@ pub struct Morsel {
     pub end: usize,
 }
 
-impl Morsel {
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True iff the morsel covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-}
-
 /// Rows per morsel for `table`, from its per-row footprint across all
 /// partitions (clamped to [`MIN_MORSEL_ROWS`]..=[`MAX_MORSEL_ROWS`]).
 pub fn rows_per_morsel(table: &Table) -> usize {
@@ -56,8 +51,8 @@ pub fn rows_per_morsel(table: &Table) -> usize {
 
 /// A lock-free dispenser of morsels over `0..n_rows`. Zone-map pruning is
 /// not the queue's business: the survivor loop every worker runs
-/// (`pdsm_exec::pipeline::Scan`) refutes blocks inside whatever range it
-/// is handed, before touching the block's memory.
+/// ([`crate::pipeline::Scan`]) refutes blocks inside whatever range it is
+/// handed, before touching the block's memory.
 pub struct MorselQueue {
     cursor: AtomicUsize,
     n_rows: usize,
@@ -102,6 +97,32 @@ impl MorselQueue {
     }
 }
 
+/// Run `worker(worker_id)` on `threads` scoped workers and return their
+/// results in worker-id order. `threads == 1` runs inline on the caller's
+/// thread.
+pub fn run_workers<R, W>(threads: usize, worker: W) -> Vec<R>
+where
+    R: Send,
+    W: Fn(usize) -> R + Sync,
+{
+    let threads = threads.max(1);
+    if threads == 1 {
+        return vec![worker(0)];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|id| {
+                let worker = &worker;
+                scope.spawn(move || worker(id))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel worker panicked"))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +133,7 @@ mod tests {
         assert_eq!(q.n_morsels(), 11);
         let mut seen = vec![false; 10_500];
         while let Some(m) = q.claim() {
-            assert!(!m.is_empty());
+            assert!(m.start < m.end);
             for (r, flag) in seen.iter_mut().enumerate().take(m.end).skip(m.start) {
                 assert!(!*flag, "row {r} dispensed twice");
                 *flag = true;
@@ -139,7 +160,7 @@ mod tests {
                     s.spawn(move || {
                         let mut rows = 0;
                         while let Some(m) = q.claim() {
-                            rows += m.len();
+                            rows += m.end - m.start;
                         }
                         rows
                     })
@@ -148,5 +169,34 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(counted, 100_000);
+    }
+
+    #[test]
+    fn results_arrive_in_worker_order() {
+        let out = run_workers(8, |id| id * 10);
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+    }
+
+    #[test]
+    fn workers_share_a_queue() {
+        let q = MorselQueue::new(50_000, 128);
+        let partial_sums = run_workers(4, |_| {
+            let mut local = 0u64;
+            while let Some(m) = q.claim() {
+                for r in m.start..m.end {
+                    local += r as u64;
+                }
+            }
+            local
+        });
+        let total: u64 = partial_sums.iter().sum();
+        assert_eq!(total, (0..50_000u64).sum());
+    }
+
+    #[test]
+    fn single_thread_runs_inline() {
+        let caller = std::thread::current().id();
+        let out = run_workers(1, |_| std::thread::current().id());
+        assert_eq!(out, vec![caller]);
     }
 }

@@ -21,7 +21,7 @@
 //!   [`HashJoin`]: one arena of build rows, each its key and only the
 //!   columns read above the join, behind a map from key (raw `u64` for
 //!   integers, [`GroupKey`] otherwise) to a span of row ids. The build
-//!   pipe streams into the arena ([`BuildRows`], [`PipeDriver::build`]):
+//!   pipe streams into the arena ([`BuildRows`]):
 //!   its last step projects each row, and the sink reads the projection
 //!   in place and appends its values flat — no build row is a heap
 //!   allocation of its own — before the rows are indexed by key. A pipe
@@ -60,22 +60,23 @@
 //!   merge index by index; each group keeps the row id of the probe row of
 //!   its first match, so the label it finishes with does not depend on
 //!   which worker saw it first. Being dense, a worker's partial is made
-//!   once per query and kept across a cold table's pieces
-//!   ([`AggState::partials`]).
+//!   once per query and kept across a cold table's pieces.
 //!
-//! Two [`PipeDriver`]s walk one piece of a table source. The compiled
-//! engine ([`Sequential`]) folds `0..n` into the carried state; `pdsm-par`
-//! hands every worker its own state (or per-morsel row buffer or build
-//! chunk) and merges the states. Drivers are called per block, morsel or
-//! piece — never per row; the per-row loops below are monomorphic. Index
-//! hits and breaker rows never reach a driver: they are few, and walked
-//! where they are.
+//! One [`Drive`] walks each piece of a table source, with a worker count.
+//! A piece that gets one worker — the compiled engine's every piece, or
+//! a piece of one morsel — folds `0..n` into the carried state on the
+//! calling thread; more hand every worker its own state (or per-morsel row
+//! buffer or build chunk) and merge the states. The drive is called per
+//! piece and morsel — never per row; the per-row loops below are
+//! monomorphic. Index hits and breaker rows never reach the drive: they
+//! are few, and walked where they are.
 
 use crate::compiled::{compile_pred, zone_preds, PredKernel};
 use crate::engine::{
     masked_tail_row, tail_row_passes, Accumulator, ExecError, Overlay, TableProvider,
 };
 use crate::keys::{self, fast_map, FastMap, GroupKey};
+use crate::morsel::{run_workers, MorselQueue};
 use crate::simd;
 use pdsm_plan::expr::{conjuncts, CmpOp, Columns, Expr};
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
@@ -88,7 +89,7 @@ use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // lowering
@@ -114,11 +115,11 @@ pub enum Step {
 /// Where a [`Pipe`]'s rows come from. Everything after the source —
 /// kernel conjuncts, steps, sinks, a table's delta tail — is shared.
 pub enum Source<'h> {
-    /// A table's main-store pieces, walked by the driver, then its live
+    /// A table's main-store pieces, walked by the drive, then its live
     /// delta tail.
     Table(String),
     /// A table's main-store rows at index hits (ascending row ids),
-    /// walked on the calling thread whatever the driver, then its live
+    /// walked on the calling thread whatever the drive, then its live
     /// delta tail.
     Hits(String, &'h [usize]),
     /// A pipeline breaker's materialized rows.
@@ -159,7 +160,7 @@ impl<'h> Pipe<'h> {
     }
 }
 
-/// What a driver needs to run a [`Pipe`] over its (resolved) table.
+/// What a walk needs to run a [`Pipe`] over its (resolved) table.
 #[derive(Clone, Copy, Default)]
 pub struct PipeSpec<'a> {
     /// Scan conjuncts, compiled to kernels per bound table.
@@ -170,52 +171,102 @@ pub struct PipeSpec<'a> {
     pub needed: &'a [ColId],
 }
 
-/// How an open pipeline is walked over one main-store piece — a resident
-/// table, or one pinned extent of a cold one. The three operations are the
-/// three sinks a pipeline can end in; the walk over the pieces and the
-/// delta tail belong to [`execute`], and everything else about a query is
-/// driver-agnostic.
-pub trait PipeDriver {
-    /// Append the rows the pipeline emits for `table`'s rows minus `dead`,
-    /// in row order.
-    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>);
-
-    /// Stream the rows the pipeline emits, in row order, into a join's
-    /// build.
-    fn build(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut BuildRows);
-
-    /// Fold `table`'s rows minus `dead` into `state`.
-    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>);
+/// How a pipeline walks one main-store piece — a resident table, or one
+/// pinned extent of a cold one: by at most `threads` workers claiming the
+/// piece's morsels. The three walks are the three sinks a pipeline can end
+/// in; the walk over the pieces and the delta tail belong to [`execute`].
+///
+/// A piece gets as many workers as it has morsels, up to `threads`. One
+/// worker walks `0..len` straight into the carried state or output on the
+/// calling thread: no partials, no per-morsel buffers, no spawn. More
+/// fan out over scoped workers: a collect or build buffers per morsel and
+/// appends the buffers in morsel order, so rows come out in exactly the
+/// sequential scan order; a fold gives every worker its own partial of the
+/// carried [`AggState`] and takes the partials back at the barrier. The
+/// state is order-free, so every output bit is the same at any worker
+/// count and claim order.
+#[derive(Debug, Clone, Copy)]
+pub struct Drive {
+    /// The most workers one piece fans out over.
+    pub threads: usize,
 }
 
-/// The sequential driver — the compiled engine's: a piece's surviving zone
-/// blocks fold in row order into the carried state (or append to one
-/// output buffer).
-pub struct Sequential;
-
-impl PipeDriver for Sequential {
-    fn collect(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut Vec<Vec<Value>>) {
-        Scan::new(table, spec).collect_range(dead, 0..table.len(), out);
+impl Drive {
+    /// The morsel queue over `table` and its workers — one per morsel, at
+    /// most `threads` — when that is more than one.
+    fn fan_out(self, table: &Table) -> Option<(MorselQueue, usize)> {
+        if self.threads <= 1 {
+            return None;
+        }
+        let queue = MorselQueue::for_table(table);
+        let workers = self.threads.min(queue.n_morsels());
+        (workers > 1).then_some((queue, workers))
     }
 
-    fn build(&self, table: &Table, dead: &[bool], spec: PipeSpec<'_>, out: &mut BuildRows) {
-        Scan::new(table, spec).build_range(dead, 0..table.len(), out);
+    /// Push `table`'s rows minus `dead` through the pipeline into `out`,
+    /// in row order. With more than one worker, each morsel fills its own
+    /// `fresh()` sink and the sinks go to `append` in morsel order.
+    fn in_order<S: Sink + Send>(
+        self,
+        table: &Table,
+        dead: &[bool],
+        spec: PipeSpec<'_>,
+        out: &mut S,
+        fresh: impl Fn() -> S + Sync,
+        append: impl Fn(&mut S, S),
+    ) {
+        let Some((queue, workers)) = self.fan_out(table) else {
+            return Scan::new(table, spec).walk(dead, Walk::Range(0..table.len()), out);
+        };
+        let per_worker = run_workers(workers, |_| {
+            let scan = Scan::new(table, spec);
+            let mut chunks: Vec<(usize, S)> = Vec::new();
+            while let Some(m) = queue.claim() {
+                let mut chunk = fresh();
+                scan.walk(dead, Walk::Range(m.start..m.end), &mut chunk);
+                chunks.push((m.index, chunk));
+            }
+            chunks
+        });
+        let mut tagged: Vec<(usize, S)> = per_worker.into_iter().flatten().collect();
+        tagged.sort_unstable_by_key(|(idx, _)| *idx);
+        for (_, chunk) in tagged {
+            append(out, chunk);
+        }
     }
 
-    fn fold(&self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
-        let scan = Scan::new(table, state.spec());
-        state.fold_range(&scan, dead, 0..table.len());
+    /// Fold `table`'s rows minus `dead` into `state`. With more than one
+    /// worker, each folds the morsels it claims into its own partial.
+    fn fold(self, table: &Table, dead: &[bool], state: &mut AggState<'_>) {
+        let spec = state.spec();
+        let Some((queue, workers)) = self.fan_out(table) else {
+            return state.fold_range(&Scan::new(table, spec), dead, 0..table.len());
+        };
+        let spare = Mutex::new(state.partials(table, workers));
+        let partials = run_workers(workers, |_| {
+            let scan = Scan::new(table, spec);
+            let mut partial = spare
+                .lock()
+                .expect("a worker panicked")
+                .pop()
+                .expect("one per worker");
+            while let Some(m) = queue.claim() {
+                partial.fold_range(&scan, dead, m.start..m.end);
+            }
+            partial
+        });
+        state.gather(partials);
     }
 }
 
-/// Execute `plan` with `driver` walking its table sources. With `hits`
+/// Execute `plan` with `drive` walking its table sources. With `hits`
 /// (ascending main-store row ids, the index path), the plan's one scan
 /// reads only the rows at those ids; a plan with more scans is
 /// [`ExecError::Unsupported`].
 pub fn execute(
     plan: &LogicalPlan,
     db: &dyn TableProvider,
-    driver: &dyn PipeDriver,
+    drive: Drive,
     hits: Option<&[usize]>,
 ) -> Result<Vec<Vec<Value>>, ExecError> {
     if hits.is_some() && plan.tables().len() != 1 {
@@ -228,7 +279,7 @@ pub fn execute(
     Lowering {
         db,
         required: &required,
-        driver,
+        drive,
         width: &width,
         hits,
     }
@@ -318,11 +369,11 @@ fn conjunction(preds: Vec<Expr>) -> Option<Expr> {
 }
 
 /// One plan's lowering: the provider, the per-table scan columns, the
-/// driver, the table widths and the index hits of the one scan.
+/// drive, the table widths and the index hits of the one scan.
 struct Lowering<'a> {
     db: &'a dyn TableProvider,
     required: &'a [(String, Vec<ColId>)],
-    driver: &'a dyn PipeDriver,
+    drive: Drive,
     width: &'a dyn Fn(&str) -> usize,
     hits: Option<&'a [usize]>,
 }
@@ -357,7 +408,7 @@ impl<'a> Lowering<'a> {
                 return Ok(dest.finish());
             }
         };
-        let (db, driver) = (self.db, self.driver);
+        let (db, drive) = (self.db, self.drive);
         let shape = db
             .shape(&name)
             .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
@@ -379,7 +430,7 @@ impl<'a> Lowering<'a> {
         db.for_each_piece(&name, &zps, hits, &mut |base, t, dead| {
             dest.at_piece(base);
             match hits {
-                None => dest.piece(driver, t, dead, spec),
+                None => dest.piece(drive, t, dead, spec),
                 Some(ids) => dest.walk(&Scan::new(t, spec), dead, Walk::Hits(ids, base)),
             }
             Ok(())
@@ -481,7 +532,7 @@ impl<'a> Lowering<'a> {
         let needs = plan.input_columns(&self.width, need);
         // The build side is always materialized (pipeline breaker) and
         // indexed in row order, so probe fan-out order is the same under
-        // every driver. Each build row streams into the arena once, flat:
+        // every drive. Each build row streams into the arena once, flat:
         // its key, then the left columns read above the join.
         let lw = left.arity(&self.width);
         let keep: Vec<ColId> = need.iter().copied().filter(|&c| c < lw).collect();
@@ -521,7 +572,7 @@ enum Dest<'s> {
 
 impl<'s> Dest<'s> {
     /// Open `want` over `spec`. An aggregate takes its typed form when the
-    /// driver walks `shape`'s pieces, else the keyed one, which takes
+    /// drive walks `shape`'s pieces, else the keyed one, which takes
     /// materialized rows.
     fn open(want: Want<'s>, shape: Option<&Table>, spec: PipeSpec<'s>) -> Self {
         match want {
@@ -541,12 +592,18 @@ impl<'s> Dest<'s> {
         }
     }
 
-    /// Walk one main-store piece with `driver`.
-    fn piece(&mut self, driver: &dyn PipeDriver, t: &Table, dead: &[bool], spec: PipeSpec<'_>) {
+    /// Walk one main-store piece with `drive`.
+    fn piece(&mut self, drive: Drive, t: &Table, dead: &[bool], spec: PipeSpec<'_>) {
         match self {
-            Dest::Rows(out) => driver.collect(t, dead, spec, out),
-            Dest::Build(out) => driver.build(t, dead, spec, out),
-            Dest::Fold(state) => driver.fold(t, dead, state),
+            Dest::Rows(out) => {
+                drive.in_order(t, dead, spec, out, Vec::new, |out, rows| out.extend(rows))
+            }
+            Dest::Build(out) => {
+                let stride = out.stride;
+                let fresh = || BuildRows::new(stride);
+                drive.in_order(t, dead, spec, *out, fresh, BuildRows::append)
+            }
+            Dest::Fold(state) => drive.fold(t, dead, state),
         }
     }
 
@@ -716,8 +773,7 @@ impl Groups {
 /// a projection to the row's key and its kept columns, and the values are
 /// appended flat to the arena.
 ///
-/// A parallel driver fills one per morsel ([`BuildRows::fresh`]) and
-/// appends them in morsel order ([`BuildRows::append`]).
+/// Several workers fill one per morsel and append them in morsel order.
 pub struct BuildRows {
     /// Values an arena row holds: the key, then the kept columns.
     stride: usize,
@@ -733,13 +789,8 @@ impl BuildRows {
         }
     }
 
-    /// Empty build rows of the same shape.
-    pub fn fresh(&self) -> Self {
-        BuildRows::new(self.stride)
-    }
-
     /// Append `other`'s rows after these.
-    pub fn append(&mut self, other: BuildRows) {
+    fn append(&mut self, other: BuildRows) {
         if self.arena.is_empty() {
             *self = other;
         } else {
@@ -1098,7 +1149,7 @@ enum Walk<'r> {
 
 /// One table bound for scanning: predicate kernels compiled against its
 /// partition readers and dictionaries, zone map at hand. Binding costs a
-/// dictionary pass per string predicate, so drivers bind once per worker
+/// dictionary pass per string predicate, so walks bind once per worker
 /// or extent and walk many ranges.
 pub struct Scan<'a> {
     table: &'a Table,
@@ -1319,12 +1370,6 @@ impl<'a> Scan<'a> {
 
     /// Append every row the pipeline emits for main-store rows `range`.
     pub fn collect_range(&self, dead: &[bool], range: Range<usize>, out: &mut Vec<Vec<Value>>) {
-        self.walk(dead, Walk::Range(range), out);
-    }
-
-    /// Stream every row the pipeline emits for main-store rows `range`
-    /// into a join's build.
-    pub fn build_range(&self, dead: &[bool], range: Range<usize>, out: &mut BuildRows) {
         self.walk(dead, Walk::Range(range), out);
     }
 }
@@ -1613,14 +1658,14 @@ enum Repr {
     Keyed(KeyedGroups),
 }
 
-/// The partial aggregate of one pipeline — the unit both drivers share,
+/// The partial aggregate of one pipeline — the unit every worker folds,
 /// and the one state [`execute`] carries across a main store's pieces.
 ///
 /// The state is order-free. Every [`Accumulator`] adds exactly and rounds
 /// only in [`finish`](AggState::finish), so a state folded over `a..c`
 /// equals one folded over `a..b` and then `b..c`, and equals states folded
 /// over any partition of `a..c` and [`merge`](AggState::merge)d in any
-/// order — bit for bit, float `sum` and `avg` included. `pdsm-par` relies
+/// order — bit for bit, float `sum` and `avg` included. [`Drive`] relies
 /// on this: each worker folds the morsels it claims into its own state,
 /// stepped (join-probing) pipelines included, and the partials merge.
 pub struct AggState<'a> {
@@ -1899,7 +1944,7 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// The pipeline this state folds: what a driver binds its scans to.
+    /// The pipeline this state folds: what a walk binds its scans to.
     pub fn spec(&self) -> PipeSpec<'a> {
         self.spec
     }
@@ -2073,7 +2118,7 @@ impl<'a> AggState<'a> {
     /// `table` into; [`AggState::gather`] takes them back. A group-join's
     /// are dense over every group of its build, so they are made once,
     /// kept across pieces and merged only at finish.
-    pub fn partials(&mut self, table: &Table, n: usize) -> Vec<AggState<'a>> {
+    fn partials(&mut self, table: &Table, n: usize) -> Vec<AggState<'a>> {
         (0..n)
             .map(|_| {
                 let repr = match (&self.repr, self.parked.pop()) {
@@ -2092,7 +2137,7 @@ impl<'a> AggState<'a> {
 
     /// Take back the [`partials`](AggState::partials) of a piece: a
     /// group-join's are parked for the next piece, any other merged in.
-    pub fn gather(&mut self, partials: impl IntoIterator<Item = AggState<'a>>) {
+    fn gather(&mut self, partials: impl IntoIterator<Item = AggState<'a>>) {
         for partial in partials {
             match partial.repr {
                 Repr::Dense(dense) => self.parked.push(dense),
@@ -2604,5 +2649,232 @@ mod tests {
                 vec![Value::from("new"), Value::Int64(15)],
             ]
         );
+    }
+
+    /// `k = i % 5`, `v = i`, `f` NULL every third row.
+    fn kvf(n: usize) -> Table {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", DataType::Int32),
+                ColumnDef::new("v", DataType::Int64),
+                ColumnDef::nullable("f", DataType::Float64),
+            ]),
+        );
+        for i in 0..n {
+            t.insert(&[
+                Value::Int32((i % 5) as i32),
+                Value::Int64(i as i64),
+                if i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float64(i as f64 / 4.0)
+                },
+            ])
+            .unwrap();
+        }
+        t
+    }
+
+    /// A `kvf` table of several morsels, so that every worker count up to
+    /// eight fans out.
+    fn many_morsels() -> Table {
+        let t = kvf(100_000);
+        assert!(MorselQueue::for_table(&t).n_morsels() >= 4);
+        t
+    }
+
+    fn kv_spec<'a>(preds: &'a [Expr], steps: &'a [Step]) -> PipeSpec<'a> {
+        PipeSpec {
+            preds,
+            steps,
+            needed: &[0, 1],
+        }
+    }
+
+    /// `t` as one piece collected by `threads` workers.
+    fn collect(threads: usize, t: &Table, spec: PipeSpec<'_>) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        Drive { threads }.in_order(t, &[], spec, &mut out, Vec::new, |out, rows| {
+            out.extend(rows)
+        });
+        out
+    }
+
+    /// `t` as one piece folded by `threads` workers, finished.
+    fn aggregate(
+        threads: usize,
+        t: &Table,
+        spec: PipeSpec<'_>,
+        group_by: &[Expr],
+        aggs: &[AggExpr],
+    ) -> Vec<Vec<Value>> {
+        let mut state = AggState::new(t, spec, group_by, aggs);
+        Drive { threads }.fold(t, &[], &mut state);
+        state.finish()
+    }
+
+    #[test]
+    fn parallel_collect_preserves_scan_order() {
+        let t = many_morsels();
+        let preds = [Expr::col(0).eq(Expr::lit(3))];
+        let one = collect(1, &t, kv_spec(&preds, &[]));
+        for threads in [2, 4, 8] {
+            assert_eq!(
+                one,
+                collect(threads, &t, kv_spec(&preds, &[])),
+                "threads={threads}"
+            );
+        }
+        assert_eq!(one.len(), t.len() / 5);
+    }
+
+    #[test]
+    fn steps_apply_after_kernels() {
+        let t = many_morsels();
+        let preds = [Expr::col(1).lt(Expr::lit(100))];
+        let steps = [Step::Project(vec![Expr::col(1).mul(Expr::lit(2))])];
+        let out = collect(4, &t, kv_spec(&preds, &steps));
+        assert_eq!(out.len(), 100);
+        assert_eq!(out[7], vec![Value::Int64(14)]);
+    }
+
+    #[test]
+    fn scalar_partials_merge_exactly() {
+        let t = many_morsels();
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+            AggExpr::new(AggFunc::Min, Expr::col(1)),
+            AggExpr::new(AggFunc::Max, Expr::col(1)),
+        ];
+        let preds = [Expr::col(0).eq(Expr::lit(2))];
+        let one = aggregate(1, &t, kv_spec(&preds, &[]), &[], &aggs);
+        for threads in [2, 4, 8] {
+            let many = aggregate(threads, &t, kv_spec(&preds, &[]), &[], &aggs);
+            assert_eq!(one, many, "threads={threads}");
+        }
+        assert_eq!(one[0][0], Value::Int64(t.len() as i64 / 5));
+    }
+
+    #[test]
+    fn grouped_partials_merge_exactly() {
+        let t = many_morsels();
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+        ];
+        // raw-u64-keyed groups, then GroupKey-keyed ones
+        for group in [vec![Expr::col(0)], vec![Expr::col(0), Expr::col(0)]] {
+            let mut one = aggregate(1, &t, kv_spec(&[], &[]), &group, &aggs);
+            one.sort_by_key(|r| format!("{r:?}"));
+            assert_eq!(one.len(), 5);
+            for threads in [2, 4] {
+                let mut many = aggregate(threads, &t, kv_spec(&[], &[]), &group, &aggs);
+                many.sort_by_key(|r| format!("{r:?}"));
+                assert_eq!(one, many, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_scan_yields_null_row() {
+        let t = kvf(0);
+        let aggs = [
+            AggExpr::count_star(),
+            AggExpr::new(AggFunc::Sum, Expr::col(1)),
+        ];
+        let out = aggregate(4, &t, kv_spec(&[], &[]), &[], &aggs);
+        assert_eq!(out, vec![vec![Value::Int64(0), Value::Null]]);
+    }
+
+    /// `t` with a tombstone mask and a delta tail.
+    struct Versioned<'a> {
+        t: &'a Table,
+        overlay: Overlay<'a>,
+    }
+
+    impl TableProvider for Versioned<'_> {
+        fn shape(&self, name: &str) -> Option<&Table> {
+            (name == "t").then_some(self.t)
+        }
+
+        fn overlay(&self, name: &str) -> Option<Overlay<'_>> {
+            (name == "t").then_some(self.overlay)
+        }
+    }
+
+    #[test]
+    fn overlay_tombstones_and_tail_in_order() {
+        let t = many_morsels();
+        let mut dead = vec![false; t.len()];
+        for i in [0, 3, 60_003] {
+            dead[i] = true;
+        }
+        let tail = [
+            pdsm_storage::Row(vec![Value::Int32(3), Value::Int64(500_000), Value::Null]),
+            pdsm_storage::Row(vec![Value::Int32(4), Value::Int64(500_001), Value::Null]),
+        ]
+        .map(Arc::new);
+        let db = Versioned {
+            t: &t,
+            overlay: Overlay {
+                dead: &dead,
+                tail: &tail,
+                tail_alive: &[],
+            },
+        };
+        let plan = pdsm_plan::builder::QueryBuilder::scan("t")
+            .filter(Expr::col(0).eq(Expr::lit(3)))
+            .build();
+        let run = |threads| execute(&plan, &db, Drive { threads }, None).unwrap();
+        let one = run(1);
+        for threads in [2, 4] {
+            assert_eq!(one, run(threads), "threads={threads}");
+        }
+        // rows 3 and 60 003 (k == 3) are tombstoned; tail row 500 000
+        // matches and comes last
+        assert_eq!(one.len(), t.len() / 5 - 2 + 1);
+        assert!(!one.iter().any(|r| r[1] == Value::Int64(60_003)));
+        assert_eq!(one.last().unwrap()[1], Value::Int64(500_000));
+    }
+
+    /// A piece of one morsel gets one worker whatever the worker count,
+    /// and yields the compiled engine's rows and float bits.
+    #[test]
+    fn a_piece_of_one_morsel_gets_one_worker() {
+        let t = kvf(5_000);
+        assert_eq!(MorselQueue::for_table(&t).n_morsels(), 1);
+        assert!(Drive { threads: 8 }.fan_out(&t).is_none());
+        let mut db = std::collections::HashMap::new();
+        db.insert("t".to_string(), t);
+        let scan = || pdsm_plan::builder::QueryBuilder::scan("t");
+        let collect = scan().filter(Expr::col(0).lt(Expr::lit(2))).build();
+        let floats = scan()
+            .aggregate(
+                vec![Expr::col(0)],
+                vec![
+                    AggExpr::new(AggFunc::Sum, Expr::col(2).mul(Expr::lit(0.1))),
+                    AggExpr::new(AggFunc::Avg, Expr::col(2)),
+                ],
+            )
+            .build();
+        // Every value by its bits: a float's sign of zero counts.
+        let bits = |rows: Vec<Vec<Value>>| -> Vec<String> {
+            let value = |v: &Value| match v {
+                Value::Float64(f) => format!("f{:016x}", f.to_bits()),
+                other => format!("{other:?}"),
+            };
+            rows.iter()
+                .map(|r| r.iter().map(value).collect::<Vec<_>>().join(","))
+                .collect()
+        };
+        let compiled = |plan| bits(execute(plan, &db, Drive { threads: 1 }, None).unwrap());
+        let eight = |plan| bits(execute(plan, &db, Drive { threads: 8 }, None).unwrap());
+        assert_eq!(compiled(&collect), eight(&collect), "rows in scan order");
+        let (mut a, mut b) = (compiled(&floats), eight(&floats));
+        a.sort();
+        b.sort();
+        assert_eq!(a, b, "float bits");
     }
 }

@@ -14,7 +14,6 @@ pub use pdsm_cost as cost;
 pub use pdsm_exec as exec;
 pub use pdsm_index as index;
 pub use pdsm_layout as layout;
-pub use pdsm_par as par;
 pub use pdsm_plan as plan;
 pub use pdsm_sql as sql;
 pub use pdsm_storage as storage;
@@ -29,9 +28,8 @@ pub mod prelude {
         MaintenanceConfig, MaintenanceMode, MaintenanceStats, PlanCacheStats, QueryOutput,
         QueryResult, ResultCacheConfig, ResultCacheStats, ScanCounters, SimdMode, StorageStats,
     };
-    pub use pdsm_exec::engine::{CompiledEngine, Engine, VolcanoEngine};
+    pub use pdsm_exec::engine::{CompiledEngine, Engine, ParallelEngine, VolcanoEngine};
     pub use pdsm_layout::workload::{Workload, WorkloadQuery};
-    pub use pdsm_par::ParallelEngine;
     pub use pdsm_plan::builder::QueryBuilder;
     pub use pdsm_plan::expr::Expr;
     pub use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan};

@@ -4,7 +4,9 @@
 //! (1/2/4/8), storage layouts (row / column / advised hybrid), and after
 //! relayouts. Thread count must never leak into query results.
 
-use mrdb::par::ParallelEngine;
+use mrdb::exec::ParallelEngine;
+use mrdb::plan::builder::QueryBuilder;
+use mrdb::plan::expr::Expr;
 use mrdb::prelude::*;
 use mrdb::workloads::{ch, microbench};
 
@@ -30,12 +32,38 @@ fn assert_all_engines_agree(db: &Database, plan: &mrdb::plan::logical::LogicalPl
 #[test]
 fn microbench_all_layouts_all_threads() {
     let base = microbench::generate(40_000, 0.05, Layout::row(microbench::N_COLS), 11);
+    // Beside the Fig.-3 query: count/sum/min/max under a filter, and a
+    // grouped count and sum — scalar and grouped partials merged.
+    let scalar = QueryBuilder::scan("R")
+        .filter(Expr::col(2).lt(Expr::lit(100)))
+        .aggregate(
+            vec![],
+            vec![
+                AggExpr::count_star(),
+                AggExpr::new(AggFunc::Sum, Expr::col(1)),
+                AggExpr::new(AggFunc::Min, Expr::col(3)),
+                AggExpr::new(AggFunc::Max, Expr::col(3)),
+            ],
+        )
+        .build();
+    let grouped = QueryBuilder::scan("R")
+        .aggregate(
+            vec![Expr::col(1)],
+            vec![
+                AggExpr::count_star(),
+                AggExpr::new(AggFunc::Sum, Expr::col(2)),
+            ],
+        )
+        .build();
     for (layout_name, layout) in microbench::layouts() {
         let db = Database::new();
         db.register(base.relayout(layout).unwrap());
         for sel in [0.0, 0.01, 0.5] {
             let plan = microbench::query(sel);
             assert_all_engines_agree(&db, &plan, &format!("microbench {layout_name} sel={sel}"));
+        }
+        for (name, plan) in [("scalar", &scalar), ("grouped", &grouped)] {
+            assert_all_engines_agree(&db, plan, &format!("microbench {layout_name} {name}"));
         }
     }
 }
@@ -125,20 +153,25 @@ fn parallel_scan_order_is_byte_identical_to_compiled() {
     let t = microbench::generate(25_000, 0.2, microbench::pdsm_layout(), 3);
     let db = Database::new();
     db.register(t);
-    let plan = mrdb::plan::builder::QueryBuilder::scan("R")
-        .filter(mrdb::plan::expr::Expr::col(0).eq(mrdb::plan::expr::Expr::lit(0)))
-        .project(vec![
-            mrdb::plan::expr::Expr::col(1),
-            mrdb::plan::expr::Expr::col(15),
-        ])
-        .build();
-    let compiled = db.run(&plan, EngineKind::Compiled).unwrap();
-    assert!(!compiled.is_empty());
+    let filtered = QueryBuilder::scan("R")
+        .filter(Expr::col(0).eq(Expr::lit(0)))
+        .project(vec![Expr::col(1), Expr::col(15)]);
+    // A sort with ties cut by a limit: the stable top-N sees the rows in
+    // scan order.
+    let top = QueryBuilder::scan("R")
+        .project(vec![Expr::col(0), Expr::col(1)])
+        .sort(vec![(Expr::col(0), true), (Expr::col(1), false)])
+        .limit(37);
     let snap = db.snapshot();
-    for threads in THREAD_COUNTS {
-        let par = mrdb::exec::Engine::execute(&ParallelEngine::with_threads(threads), &plan, &snap)
-            .unwrap();
-        assert_eq!(compiled.rows, par.rows, "threads={threads}");
+    for plan in [filtered.build(), top.build()] {
+        let compiled = db.run(&plan, EngineKind::Compiled).unwrap();
+        assert!(!compiled.is_empty());
+        for threads in THREAD_COUNTS {
+            let par =
+                mrdb::exec::Engine::execute(&ParallelEngine::with_threads(threads), &plan, &snap)
+                    .unwrap();
+            assert_eq!(compiled.rows, par.rows, "threads={threads}");
+        }
     }
 }
 
@@ -198,8 +231,6 @@ fn parallel_scan_scaling_asserted_on_multicore() {
 /// the Volcano oracle give the same bits, not just the same rounding.
 #[test]
 fn adversarial_float_aggregates_are_bit_identical_at_every_thread_count() {
-    use mrdb::plan::builder::QueryBuilder;
-    use mrdb::plan::expr::Expr;
     let schema = Schema::new(vec![
         ColumnDef::new("k", DataType::Int32),
         ColumnDef::nullable("f", DataType::Float64),
@@ -267,6 +298,10 @@ fn adversarial_float_aggregates_are_bit_identical_at_every_thread_count() {
         QueryBuilder::scan("F")
             .aggregate(vec![Expr::col(0)], float_aggs(1))
             .build(),
+        QueryBuilder::scan("F")
+            .filter(Expr::col(0).lt(Expr::lit(6)))
+            .aggregate(vec![Expr::col(0)], float_aggs(1))
+            .build(),
         // D ⋈ F on k: the probe side F is the pipeline; f is column 3.
         QueryBuilder::scan("D")
             .join(QueryBuilder::scan("F").build(), Expr::col(0), Expr::col(0))
@@ -312,11 +347,12 @@ fn adversarial_float_aggregates_are_bit_identical_at_every_thread_count() {
 
 #[test]
 fn thread_knob_resolution() {
-    // Explicit setting wins; the automatic default is always at least one
-    // worker. The PDSM_THREADS environment path is exercised out of
-    // process (see `fig_scaling` / `examples/parallel_scan`): mutating the
-    // environment from inside this multi-threaded test binary would race
-    // with sibling tests reading it.
+    // A pinned count is kept (zero runs one worker); the count read from
+    // the environment is at least one. The PDSM_THREADS path is exercised
+    // in `planner_env`, alone in its binary: mutating the environment from
+    // inside this multi-threaded test binary would race with sibling tests
+    // reading it.
     assert_eq!(ParallelEngine::with_threads(5).effective_threads(), 5);
+    assert_eq!(ParallelEngine::with_threads(0).effective_threads(), 1);
     assert!(ParallelEngine::new().effective_threads() >= 1);
 }

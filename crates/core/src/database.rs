@@ -55,6 +55,7 @@ use crate::maintenance::{MaintenanceConfig, MaintenanceScheduler, MaintenanceSta
 use crate::planner::Planner;
 use crate::result_cache::{CacheStats, ResultCacheConfig, StatementCache};
 use pdsm_exec::engine::{CompiledEngine, Engine, ExecError, ParallelEngine, VolcanoEngine};
+use pdsm_exec::run_workers;
 use pdsm_index::SortedIndex;
 use pdsm_layout::workload::{Workload, WorkloadQuery};
 use pdsm_plan::logical::LogicalPlan;
@@ -68,7 +69,7 @@ use pdsm_txn::{
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, RwLock};
 
 /// Which execution engine runs a statement: the two the planner chooses
@@ -478,17 +479,9 @@ impl Database {
         // *cold* — header only, extents fault in on demand — because WAL
         // replay never reads main-store row data.
         let d = db.durability.as_ref().expect("just set");
-        for (name, generation) in manifest.tables() {
-            let vt = TableDurability::recover(
-                &d.config.data_dir,
-                &name,
-                generation,
-                Arc::clone(&manifest),
-                d.config.fsync,
-                db.pool.clone(),
-            )?;
-            db.write_catalog().insert(name, TableEntry::new(vt));
-        }
+        let tables = recover_tables(&d.config, &manifest, db.pool.as_ref(), db.planner.threads)?;
+        let entries = tables.into_iter().map(|(n, vt)| (n, TableEntry::new(vt)));
+        db.write_catalog().extend(entries);
         db.bump_epoch();
         Ok(db)
     }
@@ -922,39 +915,104 @@ impl TableEntry {
     }
 }
 
-/// Build one secondary index over a main store, walking it piece by piece
-/// (a cold one a pinned extent at a time): every `(key, row)` pair is
-/// collected and sorted once. Keys are read in place through the column's
-/// typed reader: integers by value, strings by their stored dictionary
-/// code — global, since every extent shares the header's dictionaries.
-/// NULLs are not indexed.
-fn build_index(main: &MainStore, col: ColId) -> Result<SortedIndex, DbError> {
-    let mut pairs: Vec<(i64, u32)> = Vec::with_capacity(main.len());
-    let def = &main.schema().columns()[col];
-    main.for_each_extent(&[], &[], None, |first, t, _| {
-        let mut fill = |key: &dyn Fn(usize) -> i64| {
-            let valid = (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col));
-            pairs.extend(valid.map(|row| (key(row), (first + row) as u32)));
-        };
-        match def.ty {
-            DataType::Int32 => {
-                let r = t.i32_reader(col);
-                fill(&|row| r.get(row) as i64)
-            }
-            DataType::Int64 => {
-                let r = t.i64_reader(col);
-                fill(&|row| r.get(row))
-            }
-            DataType::Str => {
-                let r = t.str_code_reader(col);
-                fill(&|row| r.get(row) as i64)
-            }
-            // Not indexable: `create_index` rejects float columns.
-            DataType::Float64 => {}
+/// Recover every table in `manifest` side by side: `threads` workers (the
+/// database's own count) each claim the next table as they finish one, so
+/// the open takes about as long as its slowest table. Returns the tables
+/// in manifest order, or the error of the first in that order that failed
+/// to recover — and then no table at all.
+fn recover_tables(
+    config: &DurabilityConfig,
+    manifest: &Arc<Manifest>,
+    pool: Option<&Arc<BufferPool>>,
+    threads: usize,
+) -> Result<Vec<(String, VersionedTable)>, DbError> {
+    let tables = manifest.tables();
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        Some(i).zip(tables.get(i))
+    };
+    let mut recovered: Vec<_> = run_workers(threads.clamp(1, tables.len().max(1)), |_| {
+        let mut mine = Vec::new();
+        while let Some((i, (name, generation))) = claim() {
+            let vt = TableDurability::recover(
+                &config.data_dir,
+                name,
+                *generation,
+                Arc::clone(manifest),
+                config.fsync,
+                pool.cloned(),
+            );
+            mine.push((i, vt));
         }
-        Ok::<_, DbError>(())
-    })?;
+        mine
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    recovered.sort_unstable_by_key(|(i, _)| *i);
+    (tables.into_iter().zip(recovered))
+        .map(|((name, _), (_, vt))| Ok((name, vt?)))
+        .collect()
+}
+
+/// Build one secondary index over a main store, walking it piece by piece
+/// (a cold one a pinned extent at a time). Keys are read in place through
+/// the column's typed reader: integers by value, strings by their stored
+/// dictionary code — global, since every extent shares the header's
+/// dictionaries. NULLs are not indexed. A dense key domain
+/// ([`dense_domain`]) is indexed by counting, walking the store twice and
+/// holding one count per domain key; any other collects every `(key,
+/// row)` pair and sorts them once.
+fn build_index(main: &MainStore, col: ColId) -> Result<SortedIndex, DbError> {
+    let def = &main.schema().columns()[col];
+    let walk = |sink: &mut dyn FnMut(i64, u32)| {
+        main.for_each_extent(&[], &[], None, |first, t, _| {
+            let mut each = |key: &dyn Fn(usize) -> i64| {
+                for row in (0..t.len()).filter(|&row| !def.nullable || t.is_valid(row, col)) {
+                    sink(key(row), (first + row) as u32);
+                }
+            };
+            match def.ty {
+                DataType::Int32 => {
+                    let r = t.i32_reader(col);
+                    each(&|row| r.get(row) as i64)
+                }
+                DataType::Int64 => {
+                    let r = t.i64_reader(col);
+                    each(&|row| r.get(row))
+                }
+                DataType::Str => {
+                    let r = t.str_code_reader(col);
+                    each(&|row| r.get(row) as i64)
+                }
+                // Not indexable: `create_index` rejects float columns.
+                DataType::Float64 => {}
+            }
+            Ok::<_, DbError>(())
+        })
+    };
+    if let Some((lo, span)) = dense_domain(main, col) {
+        return SortedIndex::from_dense(lo, span, walk);
+    }
+    let mut pairs: Vec<(i64, u32)> = Vec::with_capacity(main.len());
+    walk(&mut |key, row| pairs.push((key, row)))?;
     Ok(SortedIndex::from_pairs(pairs))
+}
+
+/// The key domain `lo..lo + span` of column `col` when counting builds
+/// its index: a string column's dictionary codes, or an integer column
+/// whose zone-map range holds at most one key per row.
+fn dense_domain(main: &MainStore, col: ColId) -> Option<(i64, usize)> {
+    match main.schema().columns()[col].ty {
+        DataType::Str => Some((0, main.skeleton().dict(col)?.len())),
+        DataType::Int32 | DataType::Int64 => {
+            let (lo, hi) = main.zones()?.int_range(col)?;
+            let span = usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?;
+            (span <= main.len()).then_some((lo, span))
+        }
+        DataType::Float64 => None,
+    }
 }
 
 #[cfg(test)]
@@ -1254,6 +1312,61 @@ pub(crate) mod tests {
         }
         let db = open_off(&dir);
         assert_eq!(count_orders(&db), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The manifest's tables recover side by side at one worker and at
+    /// four. When one table's committed blob is damaged, recovery returns
+    /// that table's error at either count and hands back no table, and
+    /// the open fails.
+    #[test]
+    fn one_damaged_table_fails_the_side_by_side_open() {
+        let dir = durable_tmpdir("side-by-side");
+        let names = ["a", "b", "c", "d", "e"];
+        {
+            let db = open_off(&dir);
+            for (n, name) in names.iter().enumerate() {
+                let schema = Schema::new(vec![ColumnDef::new("id", DataType::Int32)]);
+                let mut t = Table::new(*name, schema);
+                for i in 0..(n as i32 + 1) * 700 {
+                    t.insert(&[Value::Int32(i)]).unwrap();
+                }
+                db.register(t);
+            }
+        }
+        let config = DurabilityConfig::new(&dir).with_fsync(FsyncMode::Off);
+        let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
+        for threads in [1, 4] {
+            let tables = recover_tables(&config, &manifest, None, threads).unwrap();
+            let lens: Vec<(&str, usize)> = (tables.iter())
+                .map(|(name, vt)| (name.as_str(), vt.len()))
+                .collect();
+            assert_eq!(
+                lens,
+                [
+                    ("a", 700),
+                    ("b", 1400),
+                    ("c", 2100),
+                    ("d", 2800),
+                    ("e", 3500)
+                ]
+            );
+        }
+        let generation = manifest.get("c").unwrap();
+        let blob =
+            (dir.join(pdsm_store::sanitize_name("c"))).join(format!("main.{generation}.tbl"));
+        let file = std::fs::File::open(&blob).unwrap();
+        let header_len = pdsm_storage::persist::read_header_from(&file)
+            .unwrap()
+            .header_len;
+        drop(file);
+        pdsm_store::flip_bit(&blob, header_len as u64 + 100).unwrap();
+        for threads in [1, 4] {
+            let err = recover_tables(&config, &manifest, None, threads).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{threads}: {err}");
+        }
+        let maintenance = MaintenanceConfig::default();
+        assert!(Database::open_with_pool(config, maintenance, None).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

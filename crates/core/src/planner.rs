@@ -340,7 +340,7 @@ pub(crate) fn table_view(snap: &Snapshot) -> TableView {
 /// disk_cycles)`. Pruned extents come from the same per-extent zone
 /// refutation the scan's extent walk skips with, so the disk term prices
 /// exactly the faults the scan will take: one request per cold,
-/// non-refuted extent, plus its payload bytes through
+/// non-refuted extent, plus the bytes its fault reads through
 /// [`pdsm_cost::DiskTier`].
 fn cold_stats(cold: &ColdTable, zp: &[ZonePred]) -> (usize, usize, usize, f64) {
     let resident = cold.resident_extents();
@@ -352,9 +352,8 @@ fn cold_stats(cold: &ColdTable, zp: &[ZonePred]) -> (usize, usize, usize, f64) {
         } else if cold.extent_refuted(e, zp) {
             n_pruned += 1;
         } else {
-            let (start, end) = h.extent_span(e);
             requests += 1;
-            bytes += end - start;
+            bytes += h.extent_bytes(e) as u64;
         }
     }
     let disk = pdsm_cost::DiskTier::default().fault_cycles(requests, bytes);

@@ -51,5 +51,6 @@ pub use engine::{
     masked_tail_row, tail_row_passes, Accumulator, CompiledEngine, Engine, ExecError, Overlay,
     ParallelEngine, TableProvider, VolcanoEngine,
 };
+pub use morsel::run_workers;
 pub use result::{QueryOutput, QueryResult};
 pub use simd::{reset_scan_counters, scan_counters, set_mode_override, ScanCounters, SimdMode};

@@ -50,6 +50,53 @@ impl SortedIndex {
         }
     }
 
+    /// The index of keys drawn from the dense domain `lo..lo + span`,
+    /// built by counting instead of sorting: `walk(sink)` hands every
+    /// `(key, row)` pair to `sink`, rows ascending, and is called twice
+    /// with the same pairs — once to count each key's rows, once to place
+    /// them. Beside the index it holds one `u32` count per domain key, and
+    /// never the pairs. A key outside the domain panics.
+    pub fn from_dense<E>(
+        lo: i64,
+        span: usize,
+        mut walk: impl FnMut(&mut dyn FnMut(i64, u32)) -> Result<(), E>,
+    ) -> Result<Self, E> {
+        let slot = |key: i64| key.wrapping_sub(lo) as u64 as usize;
+        // Each key's row count, then the start of its run.
+        let mut next = vec![0u32; span];
+        walk(&mut |key, _| next[slot(key)] += 1)?;
+        let mut total = 0u32;
+        for at in &mut next {
+            (*at, total) = (total, total + *at);
+        }
+        let mut rows = vec![0u32; total as usize];
+        walk(&mut |key, row| {
+            let at = &mut next[slot(key)];
+            rows[*at as usize] = row;
+            *at += 1;
+        })?;
+        // `next[k]` is now the end of key `k`'s run, and the start of the
+        // next key's.
+        let starts = std::iter::once(&0).chain(&next);
+        let distinct = starts.zip(&next).filter(|(start, end)| end > start).count();
+        let mut keys = Vec::with_capacity(distinct);
+        let mut offsets = Vec::with_capacity(distinct + 1);
+        let mut start = 0;
+        for (k, &end) in next.iter().enumerate() {
+            if end > start {
+                keys.push(lo + k as i64);
+                offsets.push(start);
+            }
+            start = end;
+        }
+        offsets.push(total);
+        Ok(SortedIndex {
+            keys,
+            offsets,
+            rows,
+        })
+    }
+
     /// Row ids with exactly this key, ascending.
     pub fn lookup(&self, key: i64) -> &[u32] {
         match self.keys.binary_search(&key) {
@@ -95,6 +142,29 @@ mod tests {
         assert_eq!(idx.lookup_range(i64::MIN, i64::MAX), &[0, 1, 3, 2, 4]);
         assert!(idx.lookup_range(31, 49).is_empty());
         assert!(idx.lookup_range(50, 10).is_empty());
+    }
+
+    /// Counting over a dense domain builds the index sorting builds, for
+    /// the same pairs: duplicates, keys absent from the domain, the
+    /// domain's ends, and no pairs at all.
+    #[test]
+    fn counting_builds_what_sorting_builds() {
+        let pairs = vec![(-3, 0), (4, 1), (-3, 2), (0, 3), (4, 4), (-3, 5), (1, 6)];
+        let walk = |sink: &mut dyn FnMut(i64, u32)| {
+            pairs.iter().for_each(|&(k, r)| sink(k, r));
+            Ok::<_, ()>(())
+        };
+        let dense = SortedIndex::from_dense(-3, 8, walk).unwrap();
+        let sorted = SortedIndex::from_pairs(pairs.clone());
+        assert_eq!(
+            (&dense.keys, &dense.offsets, &dense.rows),
+            (&sorted.keys, &sorted.offsets, &sorted.rows)
+        );
+        assert_eq!(dense.lookup(-3), &[0, 2, 5]);
+        assert_eq!(dense.lookup_range(0, 4), &[3, 6, 1, 4]);
+        let none = |_: &mut dyn FnMut(i64, u32)| Ok::<_, ()>(());
+        let empty = SortedIndex::from_dense(10, 5, none).unwrap();
+        assert_eq!((empty.key_count(), empty.offsets.as_slice()), (0, &[0][..]));
     }
 
     #[test]

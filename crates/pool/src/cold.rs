@@ -1,6 +1,6 @@
 //! [`ColdTable`]: a checkpointed main store opened *header-only*. Row data
 //! stays on disk until a reader pins the extents it walks; each extent is
-//! one pool frame, its payloads read straight into the arenas of the mini
+//! one pool frame, its run slices read straight into the arenas of the mini
 //! table readers borrow and verified there. A caller that must have one
 //! whole table gets a copy assembled for it ([`ColdTable::hydrate`]); the
 //! mount stays cold.
@@ -30,7 +30,7 @@ fn io_err(e: io::Error) -> Error {
 }
 
 impl ColdTable {
-    /// Open a v3 extent checkpoint without reading any payload: the header
+    /// Open a checkpoint without reading any run: the header
     /// (schema, layout, dicts, zone map, extent directory) is validated
     /// against its CRC; everything else faults in on demand.
     pub fn open(path: &Path, pool: Arc<BufferPool>) -> Result<ColdTable> {
@@ -95,10 +95,10 @@ impl ColdTable {
             .collect()
     }
 
-    /// Pin extent `e`: on a miss, its payloads are read on the faulting
+    /// Pin extent `e`: on a miss, its run slices are read on the faulting
     /// thread (it would block on the read either way) straight into the
-    /// frame's scan-ready table; a short read — a directory entry reaching
-    /// past EOF — is an error, never a partial payload. Scans read that
+    /// frame's scan-ready table; a short read — a file cut inside the
+    /// extent's slices — is an error, never a partial slice. Scans read that
     /// table in place for exactly the time they hold the pin. The fault's
     /// latency covers the whole miss the query waits on: read, checksum
     /// and decode.
@@ -254,18 +254,13 @@ mod tests {
         let t = nullable_rows(Layout::column(4));
         let blob = persist::to_bytes_extents(&t, 2, ZONE_BLOCK_ROWS);
         let h = persist::read_header(&blob).unwrap();
-        // The short last extent's `price` payload: an arena of 452 f64s,
-        // a presence byte and 8 validity words, then its CRC.
+        // The short last extent's `price` slices: an arena of 452 f64s
+        // and 8 validity words, checked by one directory CRC.
         let (e, g) = (2, 2);
-        let (off, plen) = h.dir[e][g];
-        let (off, plen) = (off as usize, plen as usize);
-        let words = off + 452 * 8 + 1;
-        assert_eq!(plen, 452 * 8 + 1 + 8 * 8 + 4);
-        for (what, pos, bit) in [
-            ("arena", off + 100, 3),
-            ("validity word", words + 7 * 8, 0),
-            ("stored crc", off + plen - 2, 6),
-        ] {
+        let [(off, len), (words, words_len)] = h.extent_slices(e, g);
+        let (off, words) = (off as usize, words as usize);
+        assert_eq!((len, words_len), (452 * 8, 8 * 8));
+        for (what, pos, bit) in [("arena", off + 100, 3), ("validity word", words + 7 * 8, 0)] {
             let mut bad = blob.clone();
             bad[pos] ^= 1 << bit;
             let err = persist::from_bytes(&bad).unwrap_err();

@@ -1,13 +1,13 @@
 //! # pdsm-pool
 //!
-//! Extent-granular buffer pool over the v3 extent checkpoints written by
+//! Extent-granular buffer pool over the checkpoints written by
 //! `pdsm-store`/`pdsm-txn` — the "larger than memory" layer. The
 //! decomposition is the classical one (frame table + replacer): a
 //! [`BufferPool`] with a `PDSM_POOL_BYTES` budget hands out pinned frames,
 //! each one whole extent decoded once at fault time into a scan-ready mini
 //! table; an LRU-K replacer picks eviction victims among unpinned frames,
-//! and the faulting thread reads its extent itself with one `pread`
-//! (`Loading` slots keep two scans from faulting the same frame twice).
+//! and the faulting thread reads its extent itself, one `pread` per run
+//! slice (`Loading` slots keep two scans from faulting the same frame twice).
 //!
 //! [`ColdTable`] is the integration point: a checkpoint opened header-only
 //! whose extents fault in on first touch. `pdsm-txn` mounts one as the

@@ -42,6 +42,7 @@ pub mod dictionary;
 pub mod error;
 pub mod hash;
 pub mod layout;
+mod mapping;
 pub mod partition;
 pub mod persist;
 pub mod row;

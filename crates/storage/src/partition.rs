@@ -11,6 +11,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::error::{Error, Result};
+use crate::mapping::Arena;
 use crate::schema::ColId;
 use crate::types::DataType;
 use std::marker::PhantomData;
@@ -37,8 +38,9 @@ pub struct Partition {
     offsets: Vec<usize>,
     /// Fragment width in bytes (`R.w`), padded to max field alignment.
     stride: usize,
-    /// The arena: `len * stride` bytes.
-    data: Vec<u8>,
+    /// The arena: `len * stride` bytes, owned or a range of a loaded
+    /// checkpoint's pages (copied out before any write).
+    data: Arena,
     /// Number of fragments (`R.n`).
     len: usize,
     /// Validity bitmap per field; `None` for non-nullable fields.
@@ -71,7 +73,7 @@ impl Partition {
             types,
             offsets,
             stride,
-            data: Vec::new(),
+            data: Arena::default(),
             len: 0,
             validity,
         }
@@ -123,7 +125,7 @@ impl Partition {
 
     /// Reserve space for `additional` more fragments.
     pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional * self.stride);
+        self.data.to_mut().reserve(additional * self.stride);
     }
 
     /// Append one fragment. `vals` must be in field order with types matching
@@ -135,8 +137,9 @@ impl Partition {
                 got: vals.len(),
             });
         }
-        let start = self.data.len();
-        self.data.resize(start + self.stride, 0);
+        let data = self.data.to_mut();
+        let start = data.len();
+        data.resize(start + self.stride, 0);
         for (slot, v) in vals.iter().enumerate() {
             let off = start + self.offsets[slot];
             let ty = self.types[slot];
@@ -144,20 +147,20 @@ impl Partition {
             match (v, ty) {
                 (RawVal::Null, _) => {} // leave zeroed
                 (RawVal::I32(x), DataType::Int32) => {
-                    self.data[off..off + 4].copy_from_slice(&x.to_le_bytes())
+                    data[off..off + 4].copy_from_slice(&x.to_le_bytes())
                 }
                 (RawVal::I64(x), DataType::Int64) => {
-                    self.data[off..off + 8].copy_from_slice(&x.to_le_bytes())
+                    data[off..off + 8].copy_from_slice(&x.to_le_bytes())
                 }
                 (RawVal::F64(x), DataType::Float64) => {
-                    self.data[off..off + 8].copy_from_slice(&x.to_le_bytes())
+                    data[off..off + 8].copy_from_slice(&x.to_le_bytes())
                 }
                 (RawVal::U32(x), DataType::Str) => {
-                    self.data[off..off + 4].copy_from_slice(&x.to_le_bytes())
+                    data[off..off + 4].copy_from_slice(&x.to_le_bytes())
                 }
                 (v, ty) => {
                     // roll back the partial fragment before erroring
-                    self.data.truncate(start);
+                    data.truncate(start);
                     return Err(Error::TypeMismatch {
                         column: format!("col#{}", self.cols[slot]),
                         expected: ty.name(),
@@ -174,7 +177,7 @@ impl Partition {
             if let Some(bm) = &mut self.validity[slot] {
                 bm.push(valid);
             } else if !valid {
-                self.data.truncate(start);
+                data.truncate(start);
                 return Err(Error::NullViolation(format!("col#{}", self.cols[slot])));
             }
         }
@@ -217,24 +220,18 @@ impl Partition {
         let off = row * self.stride + self.offsets[slot];
         let ty = self.types[slot];
         let valid = !matches!(v, RawVal::Null);
+        let mut put =
+            |bytes: &[u8]| self.data.to_mut()[off..off + bytes.len()].copy_from_slice(bytes);
         match (v, ty) {
             (RawVal::Null, _) => {
                 if self.validity[slot].is_none() {
                     return Err(Error::NullViolation(format!("col#{}", self.cols[slot])));
                 }
             }
-            (RawVal::I32(x), DataType::Int32) => {
-                self.data[off..off + 4].copy_from_slice(&x.to_le_bytes())
-            }
-            (RawVal::I64(x), DataType::Int64) => {
-                self.data[off..off + 8].copy_from_slice(&x.to_le_bytes())
-            }
-            (RawVal::F64(x), DataType::Float64) => {
-                self.data[off..off + 8].copy_from_slice(&x.to_le_bytes())
-            }
-            (RawVal::U32(x), DataType::Str) => {
-                self.data[off..off + 4].copy_from_slice(&x.to_le_bytes())
-            }
+            (RawVal::I32(x), DataType::Int32) => put(&x.to_le_bytes()),
+            (RawVal::I64(x), DataType::Int64) => put(&x.to_le_bytes()),
+            (RawVal::F64(x), DataType::Float64) => put(&x.to_le_bytes()),
+            (RawVal::U32(x), DataType::Str) => put(&x.to_le_bytes()),
             _ => {
                 return Err(Error::TypeMismatch {
                     column: format!("col#{}", self.cols[slot]),
@@ -268,11 +265,17 @@ impl Partition {
         &self.data
     }
 
+    /// True while the arena is a range of a checkpoint mapped from its
+    /// file: a load's state until the first write copies it out.
+    pub fn is_mapped(&self) -> bool {
+        self.data.is_mapped()
+    }
+
     /// Overwrite this (empty, freshly constructed) partition's contents
     /// from persisted state. Geometry (cols/types/offsets/stride) is
     /// derived deterministically by [`Partition::new`], so only the arena
     /// and validity bitmaps travel to disk.
-    pub(crate) fn restore(&mut self, data: Vec<u8>, len: usize, validity: Vec<Option<Bitmap>>) {
+    pub(crate) fn restore(&mut self, data: Arena, len: usize, validity: Vec<Option<Bitmap>>) {
         assert_eq!(data.len(), len * self.stride, "arena size mismatch");
         assert_eq!(validity.len(), self.cols.len(), "validity arity mismatch");
         for (slot, v) in validity.iter().enumerate() {

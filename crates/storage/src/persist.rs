@@ -8,16 +8,17 @@
 //! from schema + layout (partition geometry, column locations) through
 //! [`Table::with_layout`].
 //!
-//! There is one format, the *extent* format (version 3): a CRC'd header
-//! with an (extent × layout group) directory followed by independently
-//! CRC'd payloads, an extent's groups adjacent, so a buffer pool can fault
-//! one extent into a mini table ([`decode_extent`]) without touching the
-//! rest of the blob. All integers little-endian:
+//! There is one format (version 4). A CRC'd header, padded to a whole
+//! 4 KiB page, carries an (extent × layout group) directory of CRCs. Then
+//! each layout group's arena follows as one run across all extents,
+//! starting on a 4 KiB boundary, and after the last arena run each
+//! group's validity words follow in a run of their own. All integers
+//! little-endian:
 //!
 //! ```text
 //! "PDSMTBL1"  magic
-//! u32         format version (3)
-//! u32         header_len (bytes 0..header_len are the header, CRC included)
+//! u32         format version (4)
+//! u32         header_len (a multiple of 4096; bytes 0..header_len)
 //! u64         generation (the merge counter at checkpoint time)
 //! str         table name              (str = u32 length + UTF-8 bytes)
 //! u32         #columns, then per column: str name, u8 type, u8 nullable
@@ -28,39 +29,45 @@
 //!             u32 #blocks + per block: 8B min, 8B max, u8 flags
 //! u32         extent_rows (multiple of ZONE_BLOCK_ROWS)
 //! u32         n_extents   (= ceil(rows / extent_rows))
-//! per extent, per group: u64 payload offset + u64 payload length
-//! u32         CRC-32 of the header bytes above
-//! then per (extent, group) payload at its directory offset:
-//!   arena slice (rows_in_extent * stride bytes)
-//!   per slot: u8 has-validity + validity words for the extent's rows
-//!   u32 CRC-32 of the payload bytes above
+//! per extent, per group: u32 CRC-32 of the extent's arena slice followed
+//!             by its validity words
+//! zeros       up to header_len - 4
+//! u32         CRC-32 of the header bytes above, padding included
+//! per group:  zeros up to the next 4 KiB boundary, then the arena run:
+//!             rows * stride bytes, extent after extent
+//! per group:  the validity run: per extent, per nullable slot in slot
+//!             order, the validity words of the extent's rows
 //! ```
 //!
 //! Extents start on ZONE_BLOCK_ROWS boundaries, so each extent covers
-//! whole zone blocks and whole 64-bit validity words; concatenating the
-//! extent slices reproduces the resident arenas and bitmaps bit-for-bit.
-//! The zone map travels in the header so recovery starts with scan
-//! pruning warm instead of paying a rebuild pass.
+//! whole zone blocks and whole 64-bit validity words: extent `e`'s slice
+//! of a run sits at a fixed offset, and the runs are the resident arenas
+//! and bitmaps bit-for-bit. The zone map travels in the header so
+//! recovery starts with scan pruning warm instead of paying a rebuild
+//! pass.
 //!
-//! Every byte moves once each way. [`write_extents`] streams the header
-//! and then each payload straight from the arenas and bitmaps into any
-//! writer, checksumming as it goes; [`to_bytes_extents`] is that writer
-//! into a `Vec`. One loader serves a whole blob in memory
-//! ([`from_bytes`]), a checkpoint file ([`read_file`]) and an extent
-//! fault ([`decode_extent`]) over any [`BlobSource`]: it reads each
-//! payload into its layout group's arena where the rows belong, checks
-//! its CRC there, takes the validity words from its tail, and lets the
-//! next payload overwrite that tail.
+//! [`write_extents`] checksums each extent's slices from the arenas and
+//! bitmaps, then streams the header and each run straight from them into
+//! any writer; [`to_bytes_extents`] is that writer into a `Vec`. A
+//! resident load ([`read_file`]) maps the arena runs read-only and checks
+//! every CRC at open: each partition's arena is then a shared range of
+//! the mapping, copied out only by a write (see `mapping.rs`, which names
+//! the invariant this relies on: a committed blob is never rewritten or
+//! truncated in place, only renamed in and unlinked). [`from_bytes`] is
+//! the same loader over the runs held in memory. An extent fault
+//! ([`decode_extent`]) reads the extent's slice of each arena run and of
+//! each validity run by positioned reads into the frame's own arenas.
 //!
-//! [`from_bytes`] fails hard on any mismatch — unlike a WAL tail, a
-//! committed checkpoint blob is written atomically, so corruption here is
-//! damage, not an interrupted write. Blobs stamped with any other version
-//! are refused: no deployed data in an older format exists.
+//! A load fails hard on any mismatch — unlike a WAL tail, a committed
+//! checkpoint blob is written atomically, so corruption here is damage,
+//! not an interrupted write. Blobs stamped with any other version are
+//! refused: no deployed data in an older format exists.
 
 use crate::bitmap::Bitmap;
 use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::layout::Layout;
+use crate::mapping::{Arena, Pages};
 use crate::partition::Partition;
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
@@ -70,12 +77,16 @@ use crate::{crc32, Crc32};
 use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{self, Write};
+use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"PDSMTBL1";
-/// The extent format — the only version written or accepted.
-const VERSION_EXTENTS: u32 = 3;
+/// The run format — the only version written or accepted.
+const VERSION: u32 = 4;
+/// The header's length and every arena run's offset are multiples of
+/// this, so each run can be mapped on its own pages.
+const RUN_ALIGN: usize = 4096;
 
 fn type_tag(ty: DataType) -> u8 {
     match ty {
@@ -228,8 +239,8 @@ pub fn extent_rows_from_env() -> usize {
     }
 }
 
-/// Parsed v3 header: everything needed to locate, decode, and validate
-/// extent payloads without materializing any row data.
+/// Parsed v4 header: everything needed to locate, decode, and validate
+/// extents without materializing any row data.
 #[derive(Debug, Clone)]
 pub struct TableHeader {
     pub name: String,
@@ -241,14 +252,58 @@ pub struct TableHeader {
     pub len: usize,
     pub extent_rows: usize,
     pub generation: u64,
-    /// `[extent][group] -> (file offset, payload length incl. CRC)`.
-    pub dir: Vec<Vec<(u64, u64)>>,
+    /// `[extent][group] ->` CRC-32 of the extent's arena slice followed
+    /// by its validity words.
+    crcs: Vec<Vec<u32>>,
     /// Per-group arena stride in bytes (derived from schema + layout).
     pub strides: Vec<usize>,
     /// Per-group, per-slot: does this slot carry a validity bitmap?
     pub slot_validity: Vec<Vec<bool>>,
-    /// Total header length in bytes (payloads start here).
+    /// Total header length in bytes (the first arena run starts here).
     pub header_len: usize,
+    /// Where the blob's runs lie.
+    runs: Runs,
+}
+
+/// The blob offsets of each group's arena run and validity run, and the
+/// blob's length. Derived from the geometry alone, so the header stores
+/// none of them.
+#[derive(Debug, Clone)]
+struct Runs {
+    arena_at: Vec<u64>,
+    validity_at: Vec<u64>,
+    end: u64,
+}
+
+impl Runs {
+    /// The runs of `rows` rows of groups with `strides` and `nullable`
+    /// slots each, after a header of `header_len` bytes; `None` when a
+    /// length overflows.
+    fn place(
+        header_len: usize,
+        rows: usize,
+        strides: &[usize],
+        nullable: &[usize],
+    ) -> Option<Runs> {
+        let mut at = header_len as u64;
+        let mut arena_at = Vec::with_capacity(strides.len());
+        for stride in strides {
+            at = at.checked_next_multiple_of(RUN_ALIGN as u64)?;
+            arena_at.push(at);
+            at = at.checked_add(u64::try_from(rows.checked_mul(*stride)?).ok()?)?;
+        }
+        let words = rows.div_ceil(64) as u64 * 8;
+        let mut validity_at = Vec::with_capacity(strides.len());
+        for &n in nullable {
+            validity_at.push(at);
+            at = at.checked_add(words.checked_mul(n as u64)?)?;
+        }
+        Some(Runs {
+            arena_at,
+            validity_at,
+            end: at,
+        })
+    }
 }
 
 impl TableHeader {
@@ -266,17 +321,43 @@ impl TableHeader {
         (lo, ((e + 1) * self.extent_rows).min(self.len))
     }
 
-    /// Decoded in-memory size of extent `e`, every layout group's arena
-    /// slice and validity words — what the buffer pool charges against its
-    /// budget for a resident frame.
-    pub fn extent_bytes(&self, e: usize) -> usize {
+    /// Nullable slots of group `g`: the validity bitmaps it carries.
+    fn nullable(&self, g: usize) -> usize {
+        self.slot_validity[g].iter().filter(|&&has| has).count()
+    }
+
+    /// Where rows `lo..hi` of group `g` lie in the blob: `(offset,
+    /// length)` of their arena bytes and of their validity words. `lo` is
+    /// an extent's first row, so both are contiguous.
+    fn slices(&self, g: usize, lo: usize, hi: usize) -> [(u64, usize); 2] {
+        let (stride, nullable) = (self.strides[g], self.nullable(g));
+        let words = |rows: usize| nullable * rows.div_ceil(64) * 8;
+        [
+            (
+                self.runs.arena_at[g] + (lo * stride) as u64,
+                (hi - lo) * stride,
+            ),
+            (
+                self.runs.validity_at[g] + words(lo) as u64,
+                words(hi) - words(lo),
+            ),
+        ]
+    }
+
+    /// Where extent `e`'s slice of group `g` lies in the blob: `(offset,
+    /// length)` of its arena bytes and of its validity words.
+    pub fn extent_slices(&self, e: usize, g: usize) -> [(u64, usize); 2] {
         let (lo, hi) = self.extent_row_range(e);
-        let rows = hi - lo;
-        (self.strides.iter().zip(&self.slot_validity))
-            .map(|(stride, slots)| {
-                let nullable = slots.iter().filter(|&&has| has).count();
-                rows * stride + nullable * rows.div_ceil(64) * 8
-            })
+        self.slices(g, lo, hi)
+    }
+
+    /// Decoded in-memory size of extent `e`, every layout group's arena
+    /// slice and validity words — what a fault reads, and what the buffer
+    /// pool charges against its budget for a resident frame.
+    pub fn extent_bytes(&self, e: usize) -> usize {
+        (0..self.n_groups())
+            .flat_map(|g| self.extent_slices(e, g))
+            .map(|(_, len)| len)
             .sum()
     }
 
@@ -290,16 +371,66 @@ impl TableHeader {
         Ok(t)
     }
 
-    /// The file range `[start, end)` holding extent `e`'s payloads — its
-    /// directory entries are adjacent, so one read faults the whole extent.
-    pub fn extent_span(&self, e: usize) -> (u64, u64) {
-        let entries = &self.dir[e];
-        let start = entries.iter().map(|&(off, _)| off).min().unwrap_or(0);
-        let end = (entries.iter())
-            .map(|&(off, plen)| off.saturating_add(plen))
-            .max()
-            .unwrap_or(start);
-        (start, end)
+    /// Verify extents `es` of group `g` against their directory CRCs —
+    /// `arena` holds their arena bytes and `validity` their validity
+    /// words, each from extent `es.start` on — and gather the group's
+    /// validity bitmaps over their rows.
+    fn check_group(
+        &self,
+        g: usize,
+        es: Range<usize>,
+        mut arena: &[u8],
+        mut validity: &[u8],
+    ) -> Result<Vec<Option<Bitmap>>> {
+        let first = es.start * self.extent_rows;
+        let rows = (es.end * self.extent_rows).min(self.len) - first;
+        let mut words: Vec<Option<Vec<u64>>> = (self.slot_validity[g].iter())
+            .map(|&has| has.then(|| Vec::with_capacity(rows.div_ceil(64))))
+            .collect();
+        for e in es {
+            let [(_, arena_len), (_, validity_len)] = self.extent_slices(e, g);
+            let (a, rest) = arena.split_at(arena_len);
+            arena = rest;
+            let (v, rest) = validity.split_at(validity_len);
+            validity = rest;
+            let mut crc = Crc32::new();
+            crc.update(a);
+            crc.update(v);
+            if crc.finish() != self.crcs[e][g] {
+                return Err(corrupt("extent checksum mismatch"));
+            }
+            let (lo, hi) = self.extent_row_range(e);
+            let per_slot = (hi - lo).div_ceil(64) * 8;
+            for (acc, slot) in words.iter_mut().flatten().zip(v.chunks_exact(per_slot)) {
+                acc.extend(
+                    (slot.chunks_exact(8)).map(|w| u64::from_le_bytes(w.try_into().unwrap())),
+                );
+            }
+        }
+        debug_assert!(arena.is_empty() && validity.is_empty());
+        Ok(words
+            .into_iter()
+            .map(|w| w.map(|w| Bitmap::from_words(w, rows)))
+            .collect())
+    }
+
+    /// A table of `rows` rows under this header, from each group's arena
+    /// and validity bitmaps, with `zones` installed.
+    fn build(
+        &self,
+        rows: usize,
+        groups: Vec<(Arena, Vec<Option<Bitmap>>)>,
+        zones: Option<ZoneMap>,
+    ) -> Result<Table> {
+        let mut t = self.skeleton()?;
+        for (p, (arena, validity)) in t.partitions_mut().iter_mut().zip(groups) {
+            p.restore(arena, rows, validity);
+        }
+        t.restore_len(rows);
+        if let Some(z) = zones {
+            t.install_zones(z);
+        }
+        Ok(t)
     }
 }
 
@@ -311,10 +442,24 @@ pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> V
     buf
 }
 
+/// Rows `lo..hi` of partition `p`, `lo` an extent's first row: its arena
+/// slice, with its validity words (each nullable slot's, in slot order)
+/// put into `words` as bytes.
+fn extent_of<'a>(p: &'a Partition, lo: usize, hi: usize, words: &mut Vec<u8>) -> &'a [u8] {
+    words.clear();
+    for bm in (0..p.cols().len()).filter_map(|slot| p.validity(slot)) {
+        for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
+            words.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    &p.raw_bytes()[lo * p.stride()..hi * p.stride()]
+}
+
 /// Stream `table` as a generation-stamped checkpoint blob with
-/// `extent_rows` rows per extent into `out`: the header, then each
-/// payload straight from the arenas and bitmaps, checksummed as it goes.
-/// Nothing but the header is buffered.
+/// `extent_rows` rows per extent into `out`: each extent's slices are
+/// checksummed from the arenas and bitmaps into the header's directory,
+/// then the header and each run are written straight from them. Nothing
+/// but the header and one extent's validity words is buffered.
 pub fn write_extents(
     table: &Table,
     generation: u64,
@@ -327,11 +472,11 @@ pub fn write_extents(
     );
     let len = table.len();
     let n_extents = len.div_ceil(extent_rows);
-    let ngroups = table.layout().n_groups();
+    let extent_rows_of = |e: usize| (e * extent_rows, ((e + 1) * extent_rows).min(len));
 
-    let mut head = Vec::with_capacity(256);
+    let mut head = Vec::with_capacity(RUN_ALIGN);
     head.extend_from_slice(MAGIC);
-    head.extend_from_slice(&VERSION_EXTENTS.to_le_bytes());
+    head.extend_from_slice(&VERSION.to_le_bytes());
     head.extend_from_slice(&0u32.to_le_bytes()); // header_len, patched below
     head.extend_from_slice(&generation.to_le_bytes());
     put_str(&mut head, table.name());
@@ -389,73 +534,53 @@ pub fn write_extents(
     }
     head.extend_from_slice(&(extent_rows as u32).to_le_bytes());
     head.extend_from_slice(&(n_extents as u32).to_le_bytes());
-
-    let header_len = head.len() + n_extents * ngroups * 16 + 4;
-    head[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
-
-    // Every payload's length is known up front, so the directory is
-    // written first and each payload once, straight into the blob.
-    let extent_rows_of = |e: usize| (e * extent_rows, ((e + 1) * extent_rows).min(len));
-    let payload_len = |p: &Partition, rows: usize| {
-        let validity = (0..p.cols().len()).map(|slot| p.validity(slot).is_some());
-        rows * p.stride() + payload_tail(validity, rows)
-    };
-    let mut off = header_len as u64;
-    for e in 0..n_extents {
-        let (lo, hi) = extent_rows_of(e);
-        for p in table.partitions() {
-            let plen = payload_len(p, hi - lo) as u64;
-            head.extend_from_slice(&off.to_le_bytes());
-            head.extend_from_slice(&plen.to_le_bytes());
-            off += plen;
-        }
-    }
-    let crc = crc32(&head);
-    head.extend_from_slice(&crc.to_le_bytes());
-    debug_assert_eq!(head.len(), header_len);
-    out.write_all(&head)?;
     let mut words = Vec::new();
     for e in 0..n_extents {
         let (lo, hi) = extent_rows_of(e);
         for p in table.partitions() {
             let mut crc = Crc32::new();
-            let mut put = |bytes: &[u8]| {
-                crc.update(bytes);
-                out.write_all(bytes)
-            };
-            put(&p.raw_bytes()[lo * p.stride()..hi * p.stride()])?;
-            for slot in 0..p.cols().len() {
-                match p.validity(slot) {
-                    None => put(&[0])?,
-                    Some(bm) => {
-                        words.clear();
-                        words.push(1);
-                        for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
-                            words.extend_from_slice(&w.to_le_bytes());
-                        }
-                        put(&words)?;
-                    }
-                }
-            }
-            out.write_all(&crc.finish().to_le_bytes())?;
+            crc.update(extent_of(p, lo, hi, &mut words));
+            crc.update(&words);
+            head.extend_from_slice(&crc.finish().to_le_bytes());
+        }
+    }
+    let header_len = (head.len() + 4).next_multiple_of(RUN_ALIGN);
+    head.resize(header_len - 4, 0);
+    head[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
+    let crc = crc32(&head);
+    head.extend_from_slice(&crc.to_le_bytes());
+    out.write_all(&head)?;
+
+    let mut at = header_len;
+    for p in table.partitions() {
+        let pad = at.next_multiple_of(RUN_ALIGN) - at;
+        out.write_all(&[0; RUN_ALIGN][..pad])?;
+        out.write_all(p.raw_bytes())?;
+        at += pad + p.byte_size();
+    }
+    for p in table.partitions() {
+        for e in 0..n_extents {
+            let (lo, hi) = extent_rows_of(e);
+            extent_of(p, lo, hi, &mut words);
+            out.write_all(&words)?;
         }
     }
     Ok(())
 }
 
-/// Parse a v3 header from a prefix of the blob (at least `header_len`
+/// Parse a v4 header from a prefix of the blob (at least `header_len`
 /// bytes). The header carries its own CRC, so a caller holding only the
-/// file's head can validate it without reading any payload.
+/// file's head can validate it without reading any run.
 pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     if bytes.len() < 16 || &bytes[..MAGIC.len()] != MAGIC {
         return Err(corrupt("bad magic"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != VERSION_EXTENTS {
+    if version != VERSION {
         return Err(corrupt("unsupported format version"));
     }
     let header_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    if header_len < 20 || header_len > bytes.len() {
+    if header_len < 20 || header_len > bytes.len() || !header_len.is_multiple_of(RUN_ALIGN) {
         return Err(corrupt("bad header length"));
     }
     let (body, crc_bytes) = bytes[..header_len].split_at(header_len - 4);
@@ -542,29 +667,30 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     if n_extents != len.div_ceil(extent_rows) {
         return Err(corrupt("extent count does not match row count"));
     }
-    let mut dir = Vec::with_capacity(n_extents);
-    for _ in 0..n_extents {
-        let mut row = Vec::with_capacity(ngroups);
-        for _ in 0..ngroups {
-            let off = r.u64()?;
-            let plen = r.u64()?;
-            row.push((off, plen));
-        }
-        dir.push(row);
-    }
-    if r.pos != body.len() {
+    let dir = r.take(n_extents.saturating_mul(ngroups).saturating_mul(4))?;
+    let crcs = (dir.chunks_exact(4 * ngroups.max(1)))
+        .map(|e| {
+            (e.chunks_exact(4))
+                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+                .collect()
+        })
+        .collect();
+    if body[r.pos..].iter().any(|&b| b != 0) {
         return Err(corrupt("trailing header bytes"));
     }
-    let strides = skeleton.partitions().iter().map(|p| p.stride()).collect();
-    let slot_validity = skeleton
-        .partitions()
-        .iter()
+    let strides: Vec<usize> = skeleton.partitions().iter().map(|p| p.stride()).collect();
+    let slot_validity: Vec<Vec<bool>> = (skeleton.partitions().iter())
         .map(|p| {
             (0..p.cols().len())
                 .map(|s| p.validity(s).is_some())
                 .collect()
         })
         .collect();
+    let nullable: Vec<usize> = (slot_validity.iter())
+        .map(|slots| slots.iter().filter(|&&has| has).count())
+        .collect();
+    let runs = Runs::place(header_len, len, &strides, &nullable)
+        .ok_or_else(|| corrupt("row count exceeds the blob"))?;
     Ok(TableHeader {
         name,
         schema,
@@ -574,10 +700,11 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
         len,
         extent_rows,
         generation,
-        dir,
+        crcs,
         strides,
         slot_validity,
         header_len,
+        runs,
     })
 }
 
@@ -592,6 +719,13 @@ pub trait BlobSource {
     fn read_at(&self, buf: &mut [u8], at: u64) -> Result<()>;
 }
 
+/// The blob's bytes `at..at + len`, read into memory.
+fn read_pages<S: BlobSource + ?Sized>(src: &S, at: u64, len: usize) -> Result<Pages> {
+    let mut buf = vec![0; len];
+    src.read_at(&mut buf, at)?;
+    Ok(Pages::heap(at, buf))
+}
+
 impl BlobSource for [u8] {
     fn blob_len(&self) -> Result<u64> {
         Ok(self.len() as u64)
@@ -600,7 +734,7 @@ impl BlobSource for [u8] {
     fn read_at(&self, buf: &mut [u8], at: u64) -> Result<()> {
         let from = (usize::try_from(at).ok())
             .and_then(|at| self.get(at..at.checked_add(buf.len())?))
-            .ok_or_else(|| corrupt("extent directory out of range"))?;
+            .ok_or_else(|| corrupt("read out of range"))?;
         buf.copy_from_slice(from);
         Ok(())
     }
@@ -621,8 +755,8 @@ fn read_failed(e: io::Error) -> Error {
 }
 
 /// Read and parse the header at the start of `src` (see [`read_header`])
-/// without touching a payload. Its claimed length must fit in the blob
-/// before it is read.
+/// without touching a run. Its claimed length must fit in the blob before
+/// it is read.
 pub fn read_header_from<S: BlobSource + ?Sized>(src: &S) -> Result<TableHeader> {
     let mut prefix = [0u8; 16];
     src.read_at(&mut prefix, 0)?;
@@ -635,155 +769,35 @@ pub fn read_header_from<S: BlobSource + ?Sized>(src: &S) -> Result<TableHeader> 
     read_header(&head)
 }
 
-/// Arenas and validity words being filled, in extent order, for `rows`
-/// rows of a header's layout — by a resident load or an extent fault,
-/// each payload read straight into place, or by a reassembly from decoded
-/// extents — then handed to a skeleton table.
-struct Fill {
-    rows: usize,
-    /// Per group: room for the rows' arena bytes and one payload's tail
-    /// (validity and CRC), which the next payload's read overwrites.
-    arenas: Vec<Vec<u8>>,
-    /// Per group: arena bytes filled so far.
-    filled: Vec<usize>,
-    words: Vec<Vec<Option<Vec<u64>>>>,
-}
-
-impl Fill {
-    /// Arenas pre-sized for `rows` rows, refused unless they fit in
-    /// `avail` bytes: a payload holds its rows' arena bytes and more, so a
-    /// row count the bytes cannot back is damage, not an allocation.
-    fn new(h: &TableHeader, rows: usize, avail: u64) -> Result<Fill> {
-        let need =
-            (h.strides.iter()).try_fold(0usize, |sum, s| sum.checked_add(rows.checked_mul(*s)?));
-        if need.is_none_or(|need| need as u64 > avail) {
-            return Err(corrupt("row count exceeds the blob"));
-        }
-        let tail_rows = rows.min(h.extent_rows);
-        Ok(Fill {
-            rows,
-            arenas: (h.strides.iter().zip(&h.slot_validity))
-                .map(|(stride, slots)| {
-                    vec![0; rows * stride + payload_tail(slots.iter().copied(), tail_rows)]
-                })
-                .collect(),
-            filled: vec![0; h.n_groups()],
-            words: (h.slot_validity.iter())
-                .map(|slots| {
-                    (slots.iter())
-                        .map(|&has| has.then(|| Vec::with_capacity(rows.div_ceil(64))))
-                        .collect()
-                })
-                .collect(),
-        })
-    }
-
-    /// Read extent `e`'s payloads from `src`, each into its group's arena
-    /// where its rows belong, and verify them there: CRC, then geometry,
-    /// with the validity words taken from the payload's tail.
-    fn read_extent<S: BlobSource + ?Sized>(
-        &mut self,
-        h: &TableHeader,
-        e: usize,
-        src: &S,
-    ) -> Result<()> {
-        let (lo, hi) = h.extent_row_range(e);
-        let rows = hi - lo;
-        for (g, &(off, plen)) in h.dir[e].iter().enumerate() {
-            let at = self.filled[g];
-            let payload = (usize::try_from(plen).ok())
-                .and_then(|plen| self.arenas[g].get_mut(at..at.checked_add(plen)?))
-                .ok_or_else(|| corrupt("extent payload does not match its rows"))?;
-            if payload.len() < 4 {
-                return Err(corrupt("extent payload too short"));
-            }
-            src.read_at(payload, off)?;
-            let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-            if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-                return Err(corrupt("extent checksum mismatch"));
-            }
-            let mut r = ByteReader::new(body, 0);
-            r.take(rows * h.strides[g])?;
-            for acc in &mut self.words[g] {
-                if (r.u8()? != 0) != acc.is_some() {
-                    return Err(corrupt("validity presence does not match schema"));
-                }
-                if let Some(acc) = acc {
-                    let words = r.take(rows.div_ceil(64) * 8)?.chunks_exact(8);
-                    acc.extend(words.map(|w| u64::from_le_bytes(w.try_into().unwrap())));
-                }
-            }
-            if r.pos != body.len() {
-                return Err(corrupt("trailing extent bytes"));
-            }
-            self.filled[g] += rows * h.strides[g];
-        }
-        Ok(())
-    }
-
-    /// Append a decoded extent's arenas and validity words.
-    fn append_table(&mut self, extent: &Table) -> Result<()> {
-        for (g, p) in extent.partitions().iter().enumerate() {
-            let at = self.filled[g];
-            (self.arenas[g].get_mut(at..at + p.byte_size()))
-                .ok_or_else(|| corrupt("extents do not cover the table"))?
-                .copy_from_slice(p.raw_bytes());
-            self.filled[g] += p.byte_size();
-            for (slot, acc) in self.words[g].iter_mut().enumerate() {
-                if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
-                    acc.extend_from_slice(bm.words());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The filled table, under `zones`. Fails unless the appended extents
-    /// cover exactly the rows the fill was sized for.
-    fn finish(self, h: &TableHeader, zones: Option<ZoneMap>) -> Result<Table> {
-        let rows = self.rows;
-        let covered = (self.filled.iter().zip(&h.strides)).all(|(&n, stride)| n == rows * stride);
-        if !covered {
-            return Err(corrupt("extents do not cover the table"));
-        }
-        let mut t = h.skeleton()?;
-        for (g, (mut arena, words)) in self.arenas.into_iter().zip(self.words).enumerate() {
-            arena.truncate(rows * h.strides[g]);
-            let validity = (words.into_iter())
-                .map(|w| w.map(|w| Bitmap::from_words(w, rows)))
-                .collect();
-            t.partitions_mut()[g].restore(arena, rows, validity);
-        }
-        t.restore_len(rows);
-        if let Some(z) = zones {
-            t.install_zones(z);
-        }
-        Ok(t)
-    }
-}
-
-/// Bytes a payload of `rows` rows holds after its arena slice: a presence
-/// byte per slot, the validity words of the nullable ones, and the CRC.
-fn payload_tail(slot_validity: impl Iterator<Item = bool>, rows: usize) -> usize {
-    let words = rows.div_ceil(64) * 8;
-    slot_validity
-        .map(|has| 1 + if has { words } else { 0 })
-        .sum::<usize>()
-        + 4
-}
-
 /// Decode extent `e` of the blob `src` into a self-contained mini
-/// [`Table`] holding exactly the extent's rows, its payloads read straight
-/// into the mini table's arenas. Every group's payload must lie inside the
-/// blob and pass its CRC and geometry checks. The header's dictionaries
-/// are shared and the extent's slice of the zone map is installed, so
-/// engines scan it exactly as they would the corresponding rows of the
-/// resident table.
+/// [`Table`] holding exactly the extent's rows: each group's arena slice
+/// and validity words read by positioned reads from their runs into the
+/// mini table's own arenas, and checked against the directory CRC there.
+/// The header's dictionaries are shared and the extent's slice of the
+/// zone map is installed, so engines scan it exactly as they would the
+/// corresponding rows of the resident table.
 pub fn decode_extent<S: BlobSource + ?Sized>(h: &TableHeader, e: usize, src: &S) -> Result<Table> {
+    // A slice larger than the whole blob is damage, not an allocation.
+    if h.extent_bytes(e) as u64 > src.blob_len()? {
+        return Err(corrupt("row count exceeds the blob"));
+    }
     let (lo, hi) = h.extent_row_range(e);
-    let mut fill = Fill::new(h, hi - lo, src.blob_len()?)?;
-    fill.read_extent(h, e, src)?;
-    fill.finish(h, h.zones.as_ref().map(|z| z.slice_rows(lo, hi)))
+    let groups = (0..h.n_groups())
+        .map(|g| {
+            let [(arena_at, arena_len), (words_at, words_len)] = h.extent_slices(e, g);
+            let mut arena = vec![0; arena_len];
+            src.read_at(&mut arena, arena_at)?;
+            let mut words = vec![0; words_len];
+            src.read_at(&mut words, words_at)?;
+            let validity = h.check_group(g, e..e + 1, &arena, &words)?;
+            Ok((Arena::Owned(arena), validity))
+        })
+        .collect::<Result<_>>()?;
+    h.build(
+        hi - lo,
+        groups,
+        h.zones.as_ref().map(|z| z.slice_rows(lo, hi)),
+    )
 }
 
 /// Reassemble the full resident [`Table`] from its decoded extents, in
@@ -796,45 +810,106 @@ pub fn assemble_table<T: Borrow<Table>>(
 ) -> Result<Table> {
     // Sized from the header alone (its CRC vouches for the row count):
     // decoded extents share no one buffer to bound it by.
-    let mut fill = Fill::new(h, h.len, u64::MAX)?;
+    let mut arenas: Vec<Vec<u8>> = (h.strides.iter())
+        .map(|s| Vec::with_capacity(h.len * s))
+        .collect();
+    let mut words: Vec<Vec<Option<Vec<u64>>>> = (h.slot_validity.iter())
+        .map(|slots| {
+            (slots.iter())
+                .map(|&has| has.then(|| Vec::with_capacity(h.len.div_ceil(64))))
+                .collect()
+        })
+        .collect();
+    let mut rows = 0;
     for extent in extents {
-        fill.append_table(extent?.borrow())?;
+        let extent = extent?;
+        let extent = extent.borrow();
+        for (g, p) in extent.partitions().iter().enumerate() {
+            arenas[g].extend_from_slice(p.raw_bytes());
+            for (slot, acc) in words[g].iter_mut().enumerate() {
+                if let (Some(acc), Some(bm)) = (acc, p.validity(slot)) {
+                    acc.extend_from_slice(bm.words());
+                }
+            }
+        }
+        rows += extent.len();
     }
-    fill.finish(h, h.zones.clone())
+    if rows != h.len {
+        return Err(corrupt("extents do not cover the table"));
+    }
+    let groups = (arenas.into_iter().zip(words))
+        .map(|(arena, words)| {
+            let validity = (words.into_iter())
+                .map(|w| w.map(|w| Bitmap::from_words(w, rows)))
+                .collect();
+            (Arena::Owned(arena), validity)
+        })
+        .collect();
+    h.build(rows, groups, h.zones.clone())
 }
 
-/// Load the whole table under header `h` from the blob `src`, every
-/// payload read once, straight into the table's arenas and verified
-/// there — the same checks an extent fault makes. The blob must end where
-/// its last payload does.
-fn load<S: BlobSource + ?Sized>(h: &TableHeader, src: &S) -> Result<Table> {
+/// Load the whole table under header `h` from the blob `src`: the span
+/// of its arena runs becomes shared pages (`pages(at, len)`) that each
+/// partition's arena is a range of, the validity runs are read, and every
+/// extent's CRC is checked before the table is handed out. The blob must
+/// end where its last run does, and the padding between arena runs must
+/// be zero.
+fn load<S: BlobSource + ?Sized>(
+    h: &TableHeader,
+    src: &S,
+    pages: impl FnOnce(u64, usize) -> Result<Pages>,
+) -> Result<Table> {
     let len = src.blob_len()?;
-    let mut fill = Fill::new(h, h.len, len)?;
-    let mut end = h.header_len as u64;
-    for e in 0..h.n_extents() {
-        end = end.max(h.extent_span(e).1);
-        fill.read_extent(h, e, src)?;
+    if len < h.runs.end {
+        return Err(corrupt("row count exceeds the blob"));
     }
-    let t = fill.finish(h, h.zones.clone())?;
-    if end != len {
+    if len > h.runs.end {
         return Err(corrupt("trailing bytes"));
     }
-    Ok(t)
+    let ends: Vec<u64> = (0..h.n_groups())
+        .map(|g| h.runs.arena_at[g] + (h.len * h.strides[g]) as u64)
+        .collect();
+    let first = h.runs.arena_at[0];
+    let last = *ends.last().expect("a layout has a group");
+    let pages = Arc::new(pages(first, (last - first) as usize)?);
+    for (g, &at) in h.runs.arena_at.iter().enumerate().skip(1) {
+        let pad = pages.get(ends[g - 1], (at - ends[g - 1]) as usize);
+        if pad.is_none_or(|pad| pad.iter().any(|&b| b != 0)) {
+            return Err(corrupt("nonzero padding between arena runs"));
+        }
+    }
+    let groups = (0..h.n_groups())
+        .map(|g| {
+            let [(arena_at, arena_len), (words_at, words_len)] = h.slices(g, 0, h.len);
+            let arena = Arena::shared(&pages, arena_at, arena_len)
+                .ok_or_else(|| corrupt("arena run out of range"))?;
+            let mut words = vec![0; words_len];
+            src.read_at(&mut words, words_at)?;
+            let validity = h.check_group(g, 0..h.n_extents(), &arena, &words)?;
+            Ok((arena, validity))
+        })
+        .collect::<Result<_>>()?;
+    h.build(h.len, groups, h.zones.clone())
 }
 
 /// Deserialize a whole checkpoint blob in memory back into `(table,
-/// generation)`. Any framing, checksum, version or invariant violation is
-/// a hard [`Error::Io`].
+/// generation)`: the loader of [`read_file`] over the arena runs copied
+/// into one shared buffer. Any framing, checksum, version or invariant
+/// violation is a hard [`Error::Io`].
 pub fn from_bytes(bytes: &[u8]) -> Result<(Table, u64)> {
     let h = read_header(bytes)?;
-    Ok((load(&h, bytes)?, h.generation))
+    let table = load(&h, bytes, |at, len| read_pages(bytes, at, len))?;
+    Ok((table, h.generation))
 }
 
-/// [`from_bytes`] of a checkpoint file, read by positioned reads straight
-/// into the table's arenas: no whole-blob buffer.
+/// [`from_bytes`] of a checkpoint file: its arena runs mapped read-only
+/// and every extent's CRC checked at open, so the returned table's arenas
+/// are the file's pages until a write copies one out. The caller must not
+/// rewrite or truncate the file in place while the table lives.
 pub fn read_file(file: &File) -> Result<(Table, u64)> {
     let h = read_header_from(file)?;
-    Ok((load(&h, file)?, h.generation))
+    let map = |at, len| Pages::map(file, at, len).map_or_else(|| read_pages(file, at, len), Ok);
+    Ok((load(&h, file, map)?, h.generation))
 }
 
 #[cfg(test)]
@@ -956,8 +1031,12 @@ mod tests {
                 **mini.zone_map(),
                 h.zones.as_ref().unwrap().slice_rows(lo, hi)
             );
-            // A blob that stops short of the extent's last group is refused.
-            let end = h.extent_span(e).1 as usize;
+            // A blob that stops short of the extent's last slice is refused.
+            let end = (0..h.n_groups())
+                .flat_map(|g| h.extent_slices(e, g))
+                .map(|(at, len)| at as usize + len)
+                .max()
+                .unwrap();
             assert!(decode_extent(&h, e, &blob[..end - 1]).is_err());
             seen += mini.len();
         }
@@ -994,13 +1073,14 @@ mod tests {
 
     /// Older formats are refused by version, not misparsed: a blob that is
     /// well-formed in every other respect — correct CRC included — but
-    /// stamped version 1 or 2 must not load.
+    /// stamped version 1, 2 or 3 (the extent format, whose payloads sat
+    /// extent by extent) must not load.
     #[test]
     fn older_format_versions_are_refused() {
         let t = demo_rows(Layout::row(4), 100);
         let blob = to_bytes_extents(&t, 9, ZONE_BLOCK_ROWS);
         let header_len = read_header(&blob).unwrap().header_len;
-        for version in [1u32, 2, 4] {
+        for version in [1u32, 2, 3, 5] {
             let mut old = blob.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let crc = crc32(&old[..header_len - 4]);
@@ -1046,7 +1126,7 @@ mod tests {
             .unwrap();
         }
         let blob = to_bytes_extents(&t, 7, ZONE_BLOCK_ROWS);
-        assert_eq!((blob.len(), crc32(&blob)), (303, 0x2310_e7ab));
+        assert_eq!((blob.len(), crc32(&blob)), (8220, 0x46a5_4ff8));
     }
 
     /// A blob whose one dictionary, `["xé", "y"]`, has its twelve bytes
@@ -1125,7 +1205,74 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             assert_eq!(generation, 4);
             assert_bit_identical(&t, &back);
+            // The file's arena runs are mapped; the in-memory blob's are
+            // copied into one shared buffer.
+            assert!(back.partitions().iter().all(Partition::is_mapped));
+            let (copied, _) = from_bytes(&blob).unwrap();
+            assert!(!copied.partitions().iter().any(Partition::is_mapped));
         }
+    }
+
+    /// A mapped load, a load from bytes, and the decoded extents of a cold
+    /// fault (one by one, and reassembled) reproduce the table bit for
+    /// bit: row, column and PDSM layouts, a nullable column, 1 024-row
+    /// extents, a partial last extent, a one-row table and a 0-row table.
+    #[test]
+    fn mapped_bytes_and_fault_loads_are_bit_identical() {
+        for (i, layout) in layouts().into_iter().enumerate() {
+            for n in [0, 1, 1024, 2500] {
+                let t = demo_rows(layout.clone(), n);
+                let blob = to_bytes_extents(&t, 3, ZONE_BLOCK_ROWS);
+                let h = read_header(&blob).unwrap();
+                let (path, file) = as_file(&format!("parity-{i}-{n}"), &blob);
+                let (mapped, _) = read_file(&file).unwrap();
+                let (copied, _) = from_bytes(&blob).unwrap();
+                let extents: Vec<Table> = (0..h.n_extents())
+                    .map(|e| decode_extent(&h, e, &file).unwrap())
+                    .collect();
+                let _ = std::fs::remove_file(&path);
+                for (e, mini) in extents.iter().enumerate() {
+                    let (lo, hi) = h.extent_row_range(e);
+                    let mut rows = t.skeleton();
+                    for r in lo..hi {
+                        rows.insert(t.row(r).unwrap().values()).unwrap();
+                    }
+                    assert_bit_identical(&rows, mini);
+                }
+                let assembled = assemble_table(&h, extents.into_iter().map(Ok)).unwrap();
+                for back in [&mapped, &copied, &assembled] {
+                    assert_bit_identical(&t, back);
+                    assert!(to_bytes_extents(back, 3, ZONE_BLOCK_ROWS) == blob);
+                }
+            }
+        }
+    }
+
+    /// A write to a mapped main copies the partition it touches out of
+    /// the mapping first: the file's bytes do not move, the other
+    /// partitions stay mapped, and the table reads the new value.
+    #[test]
+    fn a_write_to_a_mapped_main_copies_first() {
+        let t = demo_rows(Layout::column(4), 2000);
+        let blob = to_bytes_extents(&t, 1, ZONE_BLOCK_ROWS);
+        let (path, file) = as_file("write", &blob);
+        let (mut back, _) = read_file(&file).unwrap();
+        assert!(back.partitions().iter().all(Partition::is_mapped));
+        let mapped =
+            |t: &Table| -> Vec<bool> { t.partitions().iter().map(Partition::is_mapped).collect() };
+        back.update(7, 3, &Value::Int64(-1)).unwrap();
+        // A NULL moves a validity bit alone: no arena byte is written.
+        back.update(8, 2, &Value::Null).unwrap();
+        assert_eq!(mapped(&back), [true, true, true, false]);
+        back.insert(t.row(0).unwrap().values()).unwrap();
+        assert_eq!(mapped(&back), [false; 4]);
+        assert_eq!(back.get(7, 3).unwrap(), Value::Int64(-1));
+        assert_eq!(back.get(8, 2).unwrap(), Value::Null);
+        assert_eq!(back.row(2000).unwrap(), t.row(0).unwrap());
+        assert_eq!(back.get(7, 0).unwrap(), t.get(7, 0).unwrap());
+        let on_disk = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(on_disk == blob, "a write reached the checkpoint file");
     }
 
     /// What `from_bytes` refuses, the file loader refuses too.
@@ -1140,19 +1287,20 @@ mod tests {
         for cut in [10, h.header_len - 1, h.header_len + 5, blob.len() - 1] {
             both_refuse("cut", &blob[..cut], [None, None]);
         }
-        let mut flipped = blob.clone();
-        let (off, plen) = h.dir[1][2];
-        flipped[(off + plen / 2) as usize] ^= 0x10;
-        both_refuse("flip", &flipped, [Some("checksum"); 2]);
-        let mut past_eof = blob.clone();
-        let last = h.header_len - 4 - 16;
-        past_eof[last..last + 8].copy_from_slice(&(blob.len() as u64 + 64).to_le_bytes());
-        reseal(&mut past_eof);
-        both_refuse(
-            "eof",
-            &past_eof,
-            [Some("out of range"), Some("fill whole buffer")],
-        );
+        for (what, g, slice) in [("arena", 2, 0), ("validity", 2, 1), ("codes", 1, 0)] {
+            let mut flipped = blob.clone();
+            let (at, len) = h.extent_slices(1, g)[slice];
+            flipped[at as usize + len / 2] ^= 0x10;
+            both_refuse(what, &flipped, [Some("checksum"); 2]);
+        }
+        // Between the first and second arena runs: zeros no CRC covers.
+        let mut padded = blob.clone();
+        let end = h.extent_slices(h.n_extents() - 1, 0)[0];
+        padded[(end.0 as usize + end.1).next_multiple_of(RUN_ALIGN) - 1] = 1;
+        both_refuse("padding", &padded, [Some("padding"); 2]);
+        let mut in_header = blob.clone();
+        in_header[h.header_len - 5] = 1;
+        both_refuse("header padding", &in_header, [Some("header checksum"); 2]);
         let mut trailing = blob.clone();
         trailing.push(0);
         both_refuse("trailing", &trailing, [Some("trailing bytes"); 2]);
@@ -1167,7 +1315,7 @@ mod tests {
         let n_extents = rows.div_ceil(extent_rows);
         let mut blob = Vec::new();
         blob.extend_from_slice(MAGIC);
-        blob.extend_from_slice(&VERSION_EXTENTS.to_le_bytes());
+        blob.extend_from_slice(&VERSION.to_le_bytes());
         blob.extend_from_slice(&0u32.to_le_bytes());
         blob.extend_from_slice(&0u64.to_le_bytes());
         put_str(&mut blob, "huge");
@@ -1183,13 +1331,9 @@ mod tests {
         blob.push(0); // a string column has no zones
         blob.extend_from_slice(&(extent_rows as u32).to_le_bytes());
         blob.extend_from_slice(&(n_extents as u32).to_le_bytes());
-        let header_len = blob.len() + n_extents as usize * 16 + 4;
-        for e in 0..n_extents {
-            let plen = extent_rows * 4 + 5;
-            blob.extend_from_slice(&(header_len as u64 + e * plen).to_le_bytes());
-            blob.extend_from_slice(&plen.to_le_bytes());
-        }
-        blob.extend_from_slice(&[0; 4]);
+        blob.resize(blob.len() + n_extents as usize * 4, 0xAB); // the CRCs
+        let header_len = (blob.len() + 4).next_multiple_of(RUN_ALIGN);
+        blob.resize(header_len, 0);
         blob[12..16].copy_from_slice(&(header_len as u32).to_le_bytes());
         reseal(&mut blob);
         let h = read_header(&blob).unwrap();

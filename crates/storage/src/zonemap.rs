@@ -175,6 +175,19 @@ impl ZoneMap {
         &self.cols
     }
 
+    /// The least and greatest non-NULL value of integer column `c` over
+    /// all rows; `None` for any other column, or one with no value.
+    pub fn int_range(&self, c: usize) -> Option<(i64, i64)> {
+        let ColZone::Int(blocks) = &self.cols[c] else {
+            return None;
+        };
+        let held = blocks.iter().filter(|b| b.has_value);
+        Some((
+            held.clone().map(|b| b.min).min()?,
+            held.map(|b| b.max).max()?,
+        ))
+    }
+
     /// Row range `[start, end)` of block `b`.
     pub fn block_range(&self, b: usize) -> (usize, usize) {
         let start = b * ZONE_BLOCK_ROWS;

@@ -205,7 +205,8 @@ impl TableDurability {
     }
 
     /// Recover the table's durable state at `generation` (the manifest
-    /// entry): the checkpointed main store — read whole, or with `pool`
+    /// entry): the checkpointed main store — mapped whole from its blob
+    /// (`persist::read_file`), or with `pool`
     /// mounted as a header-only [`ColdTable`] whose extents fault in on
     /// demand — with the WAL, decoded up to the last whole checksum-valid
     /// record, replayed over it through the table's commit step.
@@ -595,6 +596,43 @@ mod tests {
         let manifest = Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
         let res = TableDurability::recover(&dir, "t", 0, manifest, FsyncMode::Off, None);
         assert!(res.is_err(), "bit rot in a committed blob must not pass");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reopened main's arenas are its blob's mapped pages. The next
+    /// checkpoint's deletion pass unlinks that blob; a snapshot still
+    /// holding the old main reads every row as before.
+    #[test]
+    fn a_mapped_main_outlives_its_unlinked_blob() {
+        let dir = tmpdir("mapped");
+        let (mut t, _manifest) = durable_table(&dir, "t");
+        for i in 0..3000 {
+            let price = if i % 3 == 0 {
+                Value::Null
+            } else {
+                Value::Float64(i as f64 / 4.0)
+            };
+            t.insert(&[Value::Int32(i), Value::Str(format!("n{}", i % 7)), price])
+                .unwrap();
+        }
+        t.merge().unwrap();
+        let want = all_rows(&t);
+        drop(t);
+        let mut r = reopen(&dir, "t");
+        let old = r.snapshot();
+        let Form::Resident(main) = old.store().form() else {
+            panic!("recovered without a pool, yet not resident");
+        };
+        assert!(main.partitions().iter().all(|p| p.is_mapped()));
+        r.insert(&[Value::Int32(-1), Value::Str("new".into()), Value::Null])
+            .unwrap();
+        r.merge().unwrap();
+        r.durability().unwrap().wait_cleanup();
+        let tdir = dir.join(sanitize_name("t"));
+        assert!(!main_path(&tdir, old.generation()).exists(), "not unlinked");
+        assert!(main.partitions().iter().all(|p| p.is_mapped()));
+        assert_eq!(old.rows(), want);
+        assert_eq!(main.rows().collect::<Vec<_>>(), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -665,10 +665,10 @@ fn storage_err<T: std::fmt::Debug>(result: Result<T, mrdb::core::DbError>) -> St
 /// fault slot left `Loading` — for an aggregate, a self-join aggregate
 /// and a sort + limit alike, on both serving engines, and for the jobs
 /// that read every row of a cold main, an index build and the merge fold: a
-/// flipped payload byte fails its checksum (on every retry), a file cut
-/// inside the last extent is a short read. A failed merge aborts its cut
-/// and leaves the table as it was: same generation, the pending row still
-/// visible.
+/// flipped arena byte fails its checksum (on every retry), a file cut
+/// inside the last extent's first arena slice is a short read. A failed
+/// merge aborts its cut and leaves the table as it was: same generation,
+/// the pending row still visible.
 #[test]
 fn damaged_extents_fail_the_scan_cleanly() {
     use mrdb::store::{flip_bit, truncate_at};
@@ -687,8 +687,8 @@ fn damaged_extents_fail_the_scan_cleanly() {
     let engines = [EngineKind::Compiled, EngineKind::Parallel];
 
     let (dir, db, pool) = cold_three_groups("flip", 5000);
-    let (start, end) = store_of(&db).cold().unwrap().header().extent_span(2);
-    flip_bit(&checkpoint_file(&dir, "S"), (start + end) / 2).unwrap();
+    let [(start, len), _] = store_of(&db).cold().unwrap().header().extent_slices(2, 0);
+    flip_bit(&checkpoint_file(&dir, "S"), start + len as u64 / 2).unwrap();
     let mut runs = 0;
     for attempt in 0..2 {
         for (i, plan) in plans.iter().enumerate() {
@@ -741,7 +741,7 @@ fn damaged_extents_fail_the_scan_cleanly() {
     let (dir, db, pool) = cold_three_groups("cut", 5000);
     let store = store_of(&db);
     let cold = store.cold().unwrap();
-    let (start, _) = cold.header().extent_span(cold.n_extents() - 1);
+    let [(start, _), _] = cold.header().extent_slices(cold.n_extents() - 1, 0);
     truncate_at(&checkpoint_file(&dir, "S"), start + 8).unwrap();
     for plan in &plans {
         for engine in engines {

@@ -57,6 +57,7 @@ pub use crc::{crc32, Crc32};
 pub use dictionary::Dictionary;
 pub use error::{Error, Result};
 pub use layout::{Layout, LayoutKind};
+pub use mapping::start_write_back;
 pub use partition::{F64Col, I32Col, I64Col, Partition, U32Col};
 pub use persist::ByteReader;
 pub use row::Row;

@@ -1,6 +1,7 @@
 //! Shared, immutable bytes behind a loaded main store's arenas, and the
-//! one place the storage layer calls the operating system's `mmap` and
-//! `munmap` (no libc crate: the two calls are declared here).
+//! one place the storage layer calls the operating system's `mmap`,
+//! `munmap` and `sync_file_range` (no libc crate: the calls are declared
+//! here).
 //!
 //! A resident load maps a checkpoint's arena runs read-only and private:
 //! each partition's [`Arena`] is then a range of those [`Pages`], and the
@@ -49,6 +50,45 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
+
+    /// `SYNC_FILE_RANGE_WRITE`: start write-back of the range's dirty
+    /// pages, without waiting for it.
+    #[cfg(target_os = "linux")]
+    pub const SYNC_FILE_RANGE_WRITE: std::ffi::c_uint = 2;
+
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        pub fn sync_file_range(
+            fd: c_int,
+            offset: i64,
+            nbytes: i64,
+            flags: std::ffi::c_uint,
+        ) -> c_int;
+    }
+}
+
+/// Ask the system to start writing bytes `at..at + len` of `file` back to
+/// its device, and return without waiting. Only a hint: off Linux it does
+/// nothing, and a refusal is reported but changes nothing — the file's
+/// `sync_data` is still what makes the bytes durable.
+pub fn start_write_back(file: &File, at: u64, len: u64) -> std::io::Result<()> {
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        use std::os::unix::io::AsRawFd;
+        let (Ok(at), Ok(len)) = (i64::try_from(at), i64::try_from(len)) else {
+            return Err(std::io::ErrorKind::InvalidInput.into());
+        };
+        // SAFETY: reads its arguments only; an invalid descriptor or range
+        // is an error return, not undefined behaviour.
+        let rc =
+            unsafe { sys::sync_file_range(file.as_raw_fd(), at, len, sys::SYNC_FILE_RANGE_WRITE) };
+        if rc != 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+    }
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    let _ = (file, at, len);
+    Ok(())
 }
 
 impl Mapping {
@@ -231,6 +271,31 @@ impl fmt::Debug for Arena {
         match self {
             Arena::Owned(v) => write!(f, "Owned({} bytes)", v.len()),
             Arena::Shared { pages, len, .. } => write!(f, "Shared({len} bytes of {pages:?})"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// The hint is taken for a regular file's written range and leaves its
+    /// bytes as written; a descriptor that cannot be written back refuses
+    /// it (on Linux).
+    #[test]
+    fn write_back_is_a_hint_that_moves_no_byte() {
+        let path = std::env::temp_dir().join(format!("pdsm-writeback-{}", std::process::id()));
+        let mut file = File::create(&path).unwrap();
+        file.write_all(&[7; 8192]).unwrap();
+        assert!(start_write_back(&file, 0, 8192).is_ok());
+        file.sync_data().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), vec![7; 8192]);
+        let _ = std::fs::remove_file(&path);
+        if cfg!(target_os = "linux") {
+            let (reader, _writer) = std::io::pipe().unwrap();
+            let pipe = File::from(std::os::fd::OwnedFd::from(reader));
+            assert!(start_write_back(&pipe, 0, 1).is_err());
         }
     }
 }

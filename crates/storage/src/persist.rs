@@ -46,9 +46,10 @@
 //! recovery starts with scan pruning warm instead of paying a rebuild
 //! pass.
 //!
-//! [`write_extents`] checksums each extent's slices from the arenas and
-//! bitmaps, then streams the header and each run straight from them into
-//! any writer; [`to_bytes_extents`] is that writer into a `Vec`. A
+//! [`write_extents`] seals the table in one walk — each extent's slices
+//! folded into the zone map and checksummed while in cache — then streams
+//! the header and each run straight from the arenas and bitmaps into any
+//! writer; [`to_bytes_extents`] is that writer into a `Vec`. A
 //! resident load ([`read_file`]) maps the arena runs read-only and checks
 //! every CRC at open: each partition's arena is then a shared range of
 //! the mapping, copied out only by a write (see `mapping.rs`, which names
@@ -72,7 +73,7 @@ use crate::partition::Partition;
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::types::DataType;
-use crate::zonemap::{ColZone, ZoneBlock, ZoneMap, ZONE_BLOCK_ROWS};
+use crate::zonemap::{ColZone, ZoneBlock, ZoneFold, ZoneMap, ZONE_BLOCK_ROWS};
 use crate::{crc32, Crc32};
 use std::borrow::Borrow;
 use std::fs::File;
@@ -442,24 +443,56 @@ pub fn to_bytes_extents(table: &Table, generation: u64, extent_rows: usize) -> V
     buf
 }
 
-/// Rows `lo..hi` of partition `p`, `lo` an extent's first row: its arena
-/// slice, with its validity words (each nullable slot's, in slot order)
-/// put into `words` as bytes.
-fn extent_of<'a>(p: &'a Partition, lo: usize, hi: usize, words: &mut Vec<u8>) -> &'a [u8] {
+/// The validity words of rows `lo..hi` of partition `p` (`lo` an
+/// extent's first row), each nullable slot's in slot order, put into
+/// `words` as bytes.
+fn validity_words(p: &Partition, lo: usize, hi: usize, words: &mut Vec<u8>) {
     words.clear();
     for bm in (0..p.cols().len()).filter_map(|slot| p.validity(slot)) {
         for w in &bm.words()[lo / 64..hi.div_ceil(64)] {
             words.extend_from_slice(&w.to_le_bytes());
         }
     }
-    &p.raw_bytes()[lo * p.stride()..hi * p.stride()]
+}
+
+/// Seal `table` for a blob of `extent_rows`-row extents in one walk: zone
+/// block by zone block of each extent's slice of each layout group, the
+/// block's numeric fields are folded into the zone map (unless the table
+/// has one cached) and its bytes fed to the extent's CRC while they are in
+/// cache. Returns the zone map, now the table's, and the directory of
+/// CRCs, extent-major.
+fn seal(table: &Table, extent_rows: usize) -> (Arc<ZoneMap>, Vec<u32>) {
+    let len = table.len();
+    let mut fold = table.cached_zones().is_none().then(|| ZoneFold::new(table));
+    let mut crcs = Vec::with_capacity(len.div_ceil(extent_rows) * table.partitions().len());
+    let mut words = Vec::new();
+    for lo in (0..len).step_by(extent_rows) {
+        let hi = (lo + extent_rows).min(len);
+        for p in table.partitions() {
+            let mut crc = Crc32::new();
+            for b in (lo..hi).step_by(ZONE_BLOCK_ROWS) {
+                let end = (b + ZONE_BLOCK_ROWS).min(hi);
+                if let Some(fold) = &mut fold {
+                    fold.block(p, b, end);
+                }
+                crc.update(&p.raw_bytes()[b * p.stride()..end * p.stride()]);
+            }
+            validity_words(p, lo, hi, &mut words);
+            crc.update(&words);
+            crcs.push(crc.finish());
+        }
+    }
+    if let Some(fold) = fold {
+        table.install_zones(fold.finish());
+    }
+    (Arc::clone(table.zone_map()), crcs)
 }
 
 /// Stream `table` as a generation-stamped checkpoint blob with
-/// `extent_rows` rows per extent into `out`: each extent's slices are
-/// checksummed from the arenas and bitmaps into the header's directory,
-/// then the header and each run are written straight from them. Nothing
-/// but the header and one extent's validity words is buffered.
+/// `extent_rows` rows per extent into `out`: the table is sealed (zone map
+/// and CRC directory, see [`seal`]) into the header, then the header and
+/// each run are written straight from the arenas and bitmaps. Nothing but
+/// the header and one extent's validity words is buffered.
 pub fn write_extents(
     table: &Table,
     generation: u64,
@@ -472,7 +505,7 @@ pub fn write_extents(
     );
     let len = table.len();
     let n_extents = len.div_ceil(extent_rows);
-    let extent_rows_of = |e: usize| (e * extent_rows, ((e + 1) * extent_rows).min(len));
+    let (zones, crcs) = seal(table, extent_rows);
 
     let mut head = Vec::with_capacity(RUN_ALIGN);
     head.extend_from_slice(MAGIC);
@@ -508,7 +541,6 @@ pub fn write_extents(
         }
     }
     head.extend_from_slice(&(len as u64).to_le_bytes());
-    let zones = table.zone_map();
     for zone in zones.cols() {
         match zone {
             ColZone::Skipped => head.push(0),
@@ -534,15 +566,8 @@ pub fn write_extents(
     }
     head.extend_from_slice(&(extent_rows as u32).to_le_bytes());
     head.extend_from_slice(&(n_extents as u32).to_le_bytes());
-    let mut words = Vec::new();
-    for e in 0..n_extents {
-        let (lo, hi) = extent_rows_of(e);
-        for p in table.partitions() {
-            let mut crc = Crc32::new();
-            crc.update(extent_of(p, lo, hi, &mut words));
-            crc.update(&words);
-            head.extend_from_slice(&crc.finish().to_le_bytes());
-        }
+    for crc in crcs {
+        head.extend_from_slice(&crc.to_le_bytes());
     }
     let header_len = (head.len() + 4).next_multiple_of(RUN_ALIGN);
     head.resize(header_len - 4, 0);
@@ -558,10 +583,10 @@ pub fn write_extents(
         out.write_all(p.raw_bytes())?;
         at += pad + p.byte_size();
     }
+    let mut words = Vec::new();
     for p in table.partitions() {
-        for e in 0..n_extents {
-            let (lo, hi) = extent_rows_of(e);
-            extent_of(p, lo, hi, &mut words);
+        for lo in (0..len).step_by(extent_rows) {
+            validity_words(p, lo, (lo + extent_rows).min(len), &mut words);
             out.write_all(&words)?;
         }
     }

@@ -373,6 +373,11 @@ impl Table {
         self.zones.get_or_init(|| Arc::new(ZoneMap::build(self)))
     }
 
+    /// The zone map, if one is built and cached.
+    pub(crate) fn cached_zones(&self) -> Option<&Arc<ZoneMap>> {
+        self.zones.get()
+    }
+
     /// Install a pre-built zone map (persistence / merge warm-up only).
     /// No-op if a map is already cached. The caller asserts `z` describes
     /// exactly this table's contents.

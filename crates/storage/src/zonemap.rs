@@ -25,6 +25,7 @@
 //!   column never refutes anything.
 
 use crate::bitmap::Bitmap;
+use crate::partition::Partition;
 use crate::schema::ColId;
 use crate::table::Table;
 use crate::types::DataType;
@@ -105,31 +106,17 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Build the zone map of `t` in one typed pass per column.
+    /// Build the zone map of `t`: [`ZoneFold`] over every zone block of
+    /// every layout group, the fold a checkpoint's seal runs extent by
+    /// extent.
     pub fn build(t: &Table) -> ZoneMap {
-        let n = t.len();
-        let cols = (0..t.schema().len())
-            .map(|c| {
-                let (pi, slot) = t.col_location(c);
-                let validity = t.partition(pi).validity(slot);
-                match t.schema().columns()[c].ty {
-                    DataType::Int32 => {
-                        let r = t.i32_reader(c);
-                        ColZone::Int(int_blocks(n, validity, |i| r.get(i) as i64))
-                    }
-                    DataType::Int64 => {
-                        let r = t.i64_reader(c);
-                        ColZone::Int(int_blocks(n, validity, |i| r.get(i)))
-                    }
-                    DataType::Float64 => {
-                        let r = t.f64_reader(c);
-                        ColZone::Float(float_blocks(n, validity, |i| r.get(i)))
-                    }
-                    DataType::Str => ColZone::Skipped,
-                }
-            })
-            .collect();
-        ZoneMap { n_rows: n, cols }
+        let mut fold = ZoneFold::new(t);
+        for p in t.partitions() {
+            for lo in (0..t.len()).step_by(ZONE_BLOCK_ROWS) {
+                fold.block(p, lo, (lo + ZONE_BLOCK_ROWS).min(t.len()));
+            }
+        }
+        fold.finish()
     }
 
     /// Construct from already-materialized parts (persistence only).
@@ -170,8 +157,8 @@ impl ZoneMap {
         self.n_rows.div_ceil(ZONE_BLOCK_ROWS)
     }
 
-    /// Per-column summaries, schema order (persistence only).
-    pub(crate) fn cols(&self) -> &[ColZone] {
+    /// Per-column summaries, schema order.
+    pub fn cols(&self) -> &[ColZone] {
         &self.cols
     }
 
@@ -250,84 +237,173 @@ impl ZoneMap {
     }
 }
 
-fn int_blocks(
-    n: usize,
-    validity: Option<&Bitmap>,
-    get: impl Fn(usize) -> i64,
-) -> Vec<ZoneBlock<i64>> {
-    let mut out = Vec::with_capacity(n.div_ceil(ZONE_BLOCK_ROWS));
-    let mut start = 0;
-    while start < n {
-        let end = (start + ZONE_BLOCK_ROWS).min(n);
-        let mut blk = ZoneBlock {
-            min: 0i64,
-            max: 0i64,
-            has_null: false,
-            has_value: false,
-        };
-        for i in start..end {
-            if validity.is_some_and(|bm| !bm.get(i)) {
-                blk.has_null = true;
-                continue;
-            }
-            let v = get(i);
-            if blk.has_value {
-                blk.min = blk.min.min(v);
-                blk.max = blk.max.max(v);
-            } else {
-                blk.min = v;
-                blk.max = v;
-                blk.has_value = true;
-            }
-        }
-        out.push(blk);
-        start = end;
-    }
-    out
+/// Rows each field is folded over at a time: one validity word's worth,
+/// so a row-major group's chunk of fragments stays in L1 while all its
+/// fields are folded.
+const CHUNK_ROWS: usize = 64;
+
+/// A zone map folded one zone block of one layout group at a time, in row
+/// order within each group. The block is walked chunk by chunk, and each
+/// numeric field of a chunk is folded by one typed stride walk, so a
+/// row-major group's bytes are read into cache once for all its fields,
+/// not once per column.
+pub(crate) struct ZoneFold {
+    n_rows: usize,
+    cols: Vec<ColZone>,
 }
 
-fn float_blocks(
-    n: usize,
-    validity: Option<&Bitmap>,
-    get: impl Fn(usize) -> f64,
-) -> Vec<ZoneBlock<f64>> {
-    let mut out = Vec::with_capacity(n.div_ceil(ZONE_BLOCK_ROWS));
-    let mut start = 0;
-    while start < n {
-        let end = (start + ZONE_BLOCK_ROWS).min(n);
-        let mut blk = ZoneBlock {
-            min: 0f64,
-            max: 0f64,
-            has_null: false,
-            has_value: false,
-        };
-        for i in start..end {
-            if validity.is_some_and(|bm| !bm.get(i)) {
-                blk.has_null = true;
-                continue;
-            }
-            let v = get(i);
-            if v.is_nan() {
-                // NaN compares unpredictably per operator: widen the block
-                // to unbounded so no comparison is ever refuted.
-                blk.min = f64::NEG_INFINITY;
-                blk.max = f64::INFINITY;
-                blk.has_value = true;
-                continue;
-            }
-            if blk.has_value {
-                blk.min = blk.min.min(v);
-                blk.max = blk.max.max(v);
-            } else {
-                blk.min = v;
-                blk.max = v;
-                blk.has_value = true;
+impl ZoneFold {
+    /// An empty fold for `t`'s schema and length.
+    pub(crate) fn new(t: &Table) -> ZoneFold {
+        let blocks = t.len().div_ceil(ZONE_BLOCK_ROWS);
+        let cols = (t.schema().columns().iter())
+            .map(|c| match c.ty {
+                DataType::Int32 | DataType::Int64 => ColZone::Int(Vec::with_capacity(blocks)),
+                DataType::Float64 => ColZone::Float(Vec::with_capacity(blocks)),
+                DataType::Str => ColZone::Skipped,
+            })
+            .collect();
+        ZoneFold {
+            n_rows: t.len(),
+            cols,
+        }
+    }
+
+    /// Fold rows `lo..hi` of partition `p`: one zone block, so `lo` is on
+    /// a block boundary and `hi` is the block's end or the table's.
+    pub(crate) fn block(&mut self, p: &Partition, lo: usize, hi: usize) {
+        debug_assert!(lo.is_multiple_of(ZONE_BLOCK_ROWS) && lo < hi && hi - lo <= ZONE_BLOCK_ROWS);
+        // Each field's block starts with bounds every value moves.
+        for &c in p.cols() {
+            match &mut self.cols[c] {
+                ColZone::Int(blocks) => blocks.push(empty(i64::MAX, i64::MIN)),
+                ColZone::Float(blocks) => blocks.push(empty(f64::INFINITY, f64::NEG_INFINITY)),
+                ColZone::Skipped => {}
             }
         }
-        out.push(blk);
-        start = end;
+        for at in (lo..hi).step_by(CHUNK_ROWS) {
+            let end = (at + CHUNK_ROWS).min(hi);
+            for (slot, &c) in p.cols().iter().enumerate() {
+                // The chunk's validity bits; without a bitmap every row is
+                // valid.
+                let valid = p.validity(slot).map_or(!0, |bm| bm.words()[at / 64]);
+                match (&mut self.cols[c], p.types()[slot]) {
+                    (ColZone::Int(blocks), DataType::Int32) => {
+                        let r = p.i32_col(slot);
+                        fold_ints(last(blocks), |i| r.get(i) as i64, valid, at, end);
+                    }
+                    (ColZone::Int(blocks), _) => {
+                        let r = p.i64_col(slot);
+                        fold_ints(last(blocks), |i| r.get(i), valid, at, end);
+                    }
+                    (ColZone::Float(blocks), _) => {
+                        let r = p.f64_col(slot);
+                        fold_floats(last(blocks), |i| r.get(i), valid, at, end);
+                    }
+                    (ColZone::Skipped, _) => {}
+                }
+            }
+        }
+        for (slot, &c) in p.cols().iter().enumerate() {
+            let valid = p.validity(slot);
+            match &mut self.cols[c] {
+                ColZone::Int(blocks) => settle(last(blocks), valid, lo, hi),
+                ColZone::Float(blocks) => settle(last(blocks), valid, lo, hi),
+                ColZone::Skipped => {}
+            }
+        }
     }
-    out
+
+    /// The zone map, once every block of every group is folded.
+    pub(crate) fn finish(self) -> ZoneMap {
+        ZoneMap {
+            n_rows: self.n_rows,
+            cols: self.cols,
+        }
+    }
+}
+
+fn empty<T>(min: T, max: T) -> ZoneBlock<T> {
+    ZoneBlock {
+        min,
+        max,
+        has_null: false,
+        has_value: false,
+    }
+}
+
+fn last<T>(blocks: &mut [ZoneBlock<T>]) -> &mut ZoneBlock<T> {
+    blocks.last_mut().expect("pushed as the block began")
+}
+
+/// Hand `add` the value of each row of `lo..hi` (at most 64 rows) whose
+/// bit is set in `valid` (bit 0 is row `lo`), in row order.
+#[inline(always)]
+fn each_valid<T>(
+    get: impl Fn(usize) -> T,
+    valid: u64,
+    lo: usize,
+    hi: usize,
+    mut add: impl FnMut(T),
+) {
+    let all = u64::MAX >> (64 - (hi - lo));
+    if valid & all == all {
+        (lo..hi).for_each(|i| add(get(i)));
+    } else {
+        (lo..hi)
+            .filter(|i| valid >> (i - lo) & 1 == 1)
+            .for_each(|i| add(get(i)));
+    }
+}
+
+fn fold_ints(z: &mut ZoneBlock<i64>, get: impl Fn(usize) -> i64, valid: u64, lo: usize, hi: usize) {
+    let (mut min, mut max) = (z.min, z.max);
+    each_valid(get, valid, lo, hi, |v| {
+        min = min.min(v);
+        max = max.max(v);
+    });
+    (z.min, z.max) = (min, max);
+}
+
+fn fold_floats(
+    z: &mut ZoneBlock<f64>,
+    get: impl Fn(usize) -> f64,
+    valid: u64,
+    lo: usize,
+    hi: usize,
+) {
+    let (mut min, mut max, mut nan) = (z.min, z.max, false);
+    // Strict comparisons: a NaN moves neither bound, and of equal values
+    // (±0) the first folded stays.
+    each_valid(get, valid, lo, hi, |v: f64| {
+        nan |= v.is_nan();
+        min = if v < min { v } else { min };
+        max = if v > max { v } else { max };
+    });
+    // NaN compares unpredictably per operator: it widens the block to
+    // unbounded, which no later value can narrow, so no comparison is
+    // ever refuted.
+    (z.min, z.max) = if nan {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (min, max)
+    };
+}
+
+/// Finish block `lo..hi`'s summary from its validity: an all-NULL block
+/// is bounded by `T::default()`, so its bytes are fixed.
+fn settle<T: Default>(z: &mut ZoneBlock<T>, valid: Option<&Bitmap>, lo: usize, hi: usize) {
+    let rows = hi - lo;
+    let values = valid.map_or(rows, |bm| {
+        (bm.words()[lo / 64..hi.div_ceil(64)].iter())
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    });
+    z.has_null = values < rows;
+    z.has_value = values > 0;
+    if !z.has_value {
+        (z.min, z.max) = (T::default(), T::default());
+    }
 }
 
 #[cfg(test)]

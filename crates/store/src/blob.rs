@@ -2,24 +2,81 @@
 //! checkpointed main stores and the manifest, so a crash at any byte
 //! leaves either the old file or the new one — never a half of each.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use crate::failpoint::{take_blob_fault, BlobFault};
+use pdsm_storage::start_write_back;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-/// Write `bytes` to `tmp`, fsync it, rename it over `dest`, and fsync the
-/// containing directory so the rename itself is durable. On return the
-/// blob is atomically visible under `dest`; on a crash before the rename
-/// only the temp file (ignored by recovery) is affected.
-pub fn write_atomic(dest: &Path, tmp: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
+/// Bytes of a blob between two write-back hints.
+const WRITE_BACK_PIECE: u64 = 1 << 20;
+
+/// A blob file being written: each write passes through whole, but never
+/// across a [`WRITE_BACK_PIECE`] boundary, and as each whole piece is
+/// written its write-back is started, so the device works while the next
+/// piece is written.
+struct Pieces {
+    file: File,
+    at: u64,
+    fault: Option<BlobFault>,
+}
+
+impl Write for Pieces {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let room = WRITE_BACK_PIECE - self.at % WRITE_BACK_PIECE;
+        let buf = &buf[..buf.len().min(room as usize)];
+        if let Some(BlobFault::WriteAt(fail)) = self.fault {
+            if (self.at..self.at + buf.len() as u64).contains(&fail) {
+                return Err(io::Error::other("injected blob write failure"));
+            }
+        }
+        let n = self.file.write(buf)?;
+        self.at += n as u64;
+        let whole = n > 0 && self.at.is_multiple_of(WRITE_BACK_PIECE);
+        if whole && self.fault != Some(BlobFault::RefuseHints) {
+            // Only a hint: a refusal leaves the bytes to `sync_data`.
+            let _ = start_write_back(&self.file, self.at - WRITE_BACK_PIECE, WRITE_BACK_PIECE);
+        }
+        Ok(n)
     }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Write a blob to `path` through `fill`, then `sync_data` it: on `Ok` its
+/// bytes are durable. The bytes go out in 1 MiB pieces, each one's
+/// write-back started as soon as it is written (see `start_write_back`), so
+/// the closing sync waits for the tail, not the whole blob. On any error
+/// the partial file is removed.
+pub fn write_temp(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let fault = take_blob_fault();
+    let res = (|| {
+        let file = File::create(path)?;
+        let mut out = BufWriter::new(Pieces { file, at: 0, fault });
+        fill(&mut out)?;
+        let pieces = out.into_inner().map_err(|e| e.into_error())?;
+        if fault == Some(BlobFault::Sync) {
+            return Err(io::Error::other("injected blob sync failure"));
+        }
+        pieces.file.sync_data()
+    })();
+    if res.is_err() {
+        let _ = std::fs::remove_file(path);
+    }
+    res
+}
+
+/// Write `bytes` to `tmp` ([`write_temp`]), rename it over `dest`, and
+/// fsync the containing directory so the rename itself is durable. On
+/// return the blob is atomically visible under `dest`; on a crash before
+/// the rename only the temp file (ignored by recovery) is affected.
+pub fn write_atomic(dest: &Path, tmp: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_temp(tmp, |out| out.write_all(bytes))?;
     std::fs::rename(tmp, dest)?;
     if let Some(dir) = dest.parent() {
         fsync_dir(dir)?;

@@ -1,17 +1,21 @@
 //! Fault injection for durability tests. **Test-only tooling** — it lives
 //! in the public API (not behind `cfg(test)`) so downstream crates'
-//! integration tests can crash-test recovery, but nothing in the engine
-//! proper uses it.
+//! integration tests can crash-test recovery. The engine proper consults
+//! one seam of it, [`BlobFault`], which is never armed outside tests.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * [`FailpointFile`]: an `io::Write` wrapper that silently stops
 //!   persisting after byte `N`, simulating a process killed mid-write —
 //!   the file ends up with a torn tail exactly where a real crash would
 //!   leave one.
+//! * [`arm_blob_fault`]: the next blob this thread writes
+//!   (`blob::write_temp`) fails a write or its `sync_data`, or has its
+//!   write-back hints refused, as a failing device would.
 //! * [`truncate_at`] / [`flip_bit`]: post-hoc damage to files already on
 //!   disk, simulating torn appends and media bit rot.
 
+use std::cell::Cell;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -59,6 +63,32 @@ impl<W: Write> Write for FailpointFile<W> {
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
     }
+}
+
+/// A fault for the next blob one thread writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlobFault {
+    /// Every write-back hint is refused.
+    RefuseHints,
+    /// The write that would put byte `N` of the blob fails.
+    WriteAt(u64),
+    /// The closing `sync_data` fails, every byte written.
+    Sync,
+}
+
+thread_local! {
+    static BLOB_FAULT: Cell<Option<BlobFault>> = const { Cell::new(None) };
+}
+
+/// Arm `fault` for the next blob write on this thread; that write disarms
+/// it as it starts.
+pub fn arm_blob_fault(fault: BlobFault) {
+    BLOB_FAULT.set(Some(fault));
+}
+
+/// The fault armed for this thread's next blob write, disarmed.
+pub(crate) fn take_blob_fault() -> Option<BlobFault> {
+    BLOB_FAULT.take()
 }
 
 /// Truncate the file at `path` to `len` bytes (a crash that lost the

@@ -13,11 +13,11 @@
 //! * [`wal`] — the append-only log with group commit
 //!   (`PDSM_FSYNC=always|batch|group|off`), one file per generation;
 //! * [`blob`] — write-temp-then-rename atomic blob I/O for checkpointed
-//!   main stores;
+//!   main stores, written back to the device as they stream;
 //! * [`manifest`] — the atomically-replaced table → generation map whose
 //!   rename is the checkpoint commit point;
-//! * [`failpoint`] — fault injection (torn writes, truncation, bit
-//!   flips) for crash-recovery tests.
+//! * [`failpoint`] — fault injection (torn writes, failed blob writes
+//!   and syncs, truncation, bit flips) for crash-recovery tests.
 //!
 //! Layering: this crate depends only on `pdsm-storage` (for the
 //! `Row`/`Value` vocabulary WAL records carry). `pdsm-txn` wires the WAL
@@ -30,8 +30,8 @@ pub mod manifest;
 pub mod record;
 pub mod wal;
 
-pub use blob::{fsync_dir, remove_temp_files, sanitize_name, write_atomic};
-pub use failpoint::{flip_bit, truncate_at, FailpointFile};
+pub use blob::{fsync_dir, remove_temp_files, sanitize_name, write_atomic, write_temp};
+pub use failpoint::{arm_blob_fault, flip_bit, truncate_at, BlobFault, FailpointFile};
 pub use manifest::Manifest;
 pub use pdsm_storage::crc32;
 pub use record::{decode_stream, WalRecord};

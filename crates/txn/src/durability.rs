@@ -34,11 +34,10 @@ use crate::version::{Form, OverlayData};
 use pdsm_pool::{BufferPool, ColdTable};
 use pdsm_storage::{persist, Error, Result, Table};
 use pdsm_store::{
-    decode_stream, fsync_dir, remove_temp_files, sanitize_name, write_atomic, FsyncMode, Manifest,
-    Wal, WalRecord, WalStats,
+    decode_stream, fsync_dir, remove_temp_files, sanitize_name, write_atomic, write_temp,
+    FsyncMode, Manifest, Wal, WalRecord, WalStats,
 };
 use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -108,19 +107,14 @@ fn temp_main_path(dir: &Path, generation: u64) -> PathBuf {
 }
 
 /// Stream `table` as generation `generation`'s main blob to its temp
-/// name, fsynced. On any error the partial file is removed: a
-/// half-written blob must never be renamed into a committed name.
+/// name, durable (`write_temp`). On any error the partial file is
+/// removed: a half-written blob must never be renamed into a committed
+/// name.
 fn write_temp_main(dir: &Path, table: &Table, generation: u64) -> Result<()> {
-    let path = temp_main_path(dir, generation);
-    let res = (|| -> std::io::Result<()> {
-        let mut out = BufWriter::new(File::create(&path)?);
-        persist::write_extents(table, generation, persist::extent_rows_from_env(), &mut out)?;
-        out.into_inner().map_err(|e| e.into_error())?.sync_data()
-    })();
-    if res.is_err() {
-        let _ = std::fs::remove_file(&path);
-    }
-    res.map_err(|e| io_err("persist main store", e))
+    write_temp(&temp_main_path(dir, generation), |mut out| {
+        persist::write_extents(table, generation, persist::extent_rows_from_env(), &mut out)
+    })
+    .map_err(|e| io_err("persist main store", e))
 }
 
 /// Commit generation `generation`'s temp blob under its final name.
@@ -170,10 +164,15 @@ impl TableDurability {
         let dir = data_dir.join(sanitize_name(&name));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create table dir", e))?;
         write_temp_main(&dir, &table, generation)?;
+        // The WAL is created before the blob is renamed in, so one
+        // directory fsync makes both names durable before the manifest
+        // entry points at them.
+        let wal = Wal::create(&wal_path(&dir, generation), fsync)
+            .inspect_err(|_| {
+                let _ = std::fs::remove_file(temp_main_path(&dir, generation));
+            })
+            .map_err(|e| io_err("create wal", e))?;
         commit_main(&dir, generation)?;
-        let wal =
-            Wal::create(&wal_path(&dir, generation), fsync).map_err(|e| io_err("create wal", e))?;
-        fsync_dir(&dir).map_err(|e| io_err("fsync table dir", e))?;
         manifest
             .set(&name, generation)
             .map_err(|e| io_err("commit manifest", e))?;

@@ -86,17 +86,18 @@ impl MergeTicket {
                 tail_folded += 1;
             }
         }
-        // Warm the zone map here, off the writer lock: the fold above
-        // already touched every value, and the blob persists the zones
-        // alongside the partitions. (A post-cut replay invalidates them;
-        // they then rebuild lazily.)
-        fresh.zone_map();
         // Interning grew the dictionaries by doubling; the main keeps them
         // for its whole life, so as tight as a reload would.
         fresh.shrink_dicts();
+        // Warm the zone map here, off the writer lock: a durable build's
+        // blob seal folds it in the walk that checksums the extents.
+        // (A post-cut replay invalidates it; it then rebuilds lazily.)
         let generation = self.snapshot.generation();
-        if let Some(d) = &self.durability {
-            d.pre_persist(&fresh, generation + 1)?;
+        match &self.durability {
+            Some(d) => d.pre_persist(&fresh, generation + 1)?,
+            None => {
+                fresh.zone_map();
+            }
         }
         Ok(BuiltMain {
             generation,

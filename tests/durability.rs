@@ -432,3 +432,54 @@ fn an_undecodable_wal_record_fails_the_open_and_keeps_the_file() {
     assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the WAL was rewritten");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The I/O edges of a blob write, injected through the blob-fault seam:
+/// with every write-back hint refused the blob is still written whole and
+/// loads; a write or `sync_data` that fails partway through the blob fails
+/// `try_register` and leaves no temp blob, no committed blob and no
+/// manifest entry behind.
+#[test]
+fn a_failed_blob_write_leaves_nothing_and_a_refused_hint_changes_nothing() {
+    use mrdb::store::{arm_blob_fault, BlobFault, Manifest};
+    let dir = tmpdir("blob-faults");
+    // Four 8-byte columns × 80 000 rows: a blob of several 1 MiB pieces.
+    let table = |name: &str| {
+        let cols = ["a", "b", "c", "d"].map(|c| ColumnDef::new(c, DataType::Int64));
+        let mut t = Table::new(name, Schema::new(cols.to_vec()));
+        for i in 0..80_000i64 {
+            t.insert(&[i, -i, i * 3, 7].map(Value::Int64)).unwrap();
+        }
+        t
+    };
+    let blob_len = mrdb::storage::persist::to_bytes_extents(&table("x"), 0, 65_536).len() as u64;
+    assert!(blob_len > 2 << 20, "{blob_len} bytes: too few pieces");
+    let count = |db: &Database, name: &str| {
+        let q = QueryBuilder::scan(name)
+            .aggregate(vec![], vec![AggExpr::count_star()])
+            .build();
+        db.run(&q, EngineKind::Compiled)
+            .map(|out| out.rows[0][0].clone())
+    };
+    {
+        let db = open_durable(&dir);
+        arm_blob_fault(BlobFault::RefuseHints);
+        db.try_register(table("HINTLESS")).unwrap();
+        for (name, fault) in [
+            ("TORN", BlobFault::WriteAt(blob_len / 2)),
+            ("UNSYNCED", BlobFault::Sync),
+        ] {
+            arm_blob_fault(fault);
+            assert!(db.try_register(table(name)).is_err(), "{fault:?} passed");
+            let tdir = dir.join(name);
+            for file in ["main.0.tbl.tmp", "main.0.tbl"] {
+                assert!(!tdir.join(file).exists(), "{fault:?} left {file}");
+            }
+            let manifest = Manifest::open(dir.join("MANIFEST")).unwrap();
+            assert_eq!(manifest.get(name), None, "{fault:?} reached the manifest");
+        }
+    }
+    let db = open_durable(&dir);
+    assert_eq!(count(&db, "HINTLESS").unwrap(), Value::Int64(80_000));
+    assert!(count(&db, "TORN").is_err() && count(&db, "UNSYNCED").is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}

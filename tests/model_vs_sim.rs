@@ -100,3 +100,31 @@ fn prefetch_hiding_only_helps_sequential_patterns() {
     assert!(seq_gain > 0.0, "scans benefit from prefetch hiding");
     assert_eq!(rnd_gain, 0.0, "random traversals cannot hide latency");
 }
+
+#[test]
+fn model_and_sim_rank_one_full_walk_below_a_walk_per_column() {
+    // Sealing a checkpoint of VBAP's shape (299 487 rows of 104 bytes,
+    // twenty 8-byte-or-narrower fields): one walk that reads every byte
+    // of each row once, against one walk per column that reads 8 bytes of
+    // every row each time. Both referees must price the twenty partial
+    // walks above the one full walk, as the zone map built per column
+    // paid them.
+    let hw = Hierarchy::nehalem();
+    let (n, w, cols) = (299_487u64, 104u64, 20u32);
+    let full = Atom::s_trav(n, w);
+    let column = Atom::s_trav_partial(n, w, 8);
+    let full_cost = cost::estimate(&Pattern::atom(full.clone()), &hw).total_cycles;
+    let column_cost = cost::estimate(&Pattern::atom(column.clone()), &hw).total_cycles;
+    assert!(
+        full_cost < f64::from(cols) * column_cost,
+        "model: one walk {full_cost} vs {cols} column walks of {column_cost}"
+    );
+    // The table is far larger than the simulated LLC, so no column walk
+    // finds the previous one's lines: twenty cost twenty times one.
+    let touched = |a: &Atom| run_atom(a, SimConfig::nehalem(), 3).llc_accesses;
+    let (full_sim, column_sim) = (touched(&full), touched(&column));
+    assert!(
+        full_sim < u64::from(cols) * column_sim,
+        "simulator: one walk {full_sim} LLC accesses vs {cols} column walks of {column_sim}"
+    );
+}

@@ -24,7 +24,7 @@ use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
 use pdsm_plan::logical::{AggExpr, LogicalPlan};
 use pdsm_storage::dictionary::like_match;
 use pdsm_storage::types::cmp_values;
-use pdsm_storage::{ColId, DataType, Table, Value};
+use pdsm_storage::{with_codes, ColId, DataType, Table, Value};
 use std::collections::HashMap;
 
 /// `Unsupported` when any table `plan` reads has a visibility overlay. The
@@ -168,20 +168,19 @@ fn select_conjunct(t: &Table, e: &Expr, cands: Option<Vec<u32>>) -> Vec<u32> {
             DataType::Str => {
                 if let (CmpOp::Eq, Some(s)) = (op, lit.as_str()) {
                     let code = t.dict(c).and_then(|d| d.code_of(s));
-                    let r = t.str_code_reader(c);
                     let nullable = t.schema().columns()[c].nullable;
                     return match code {
                         None => Vec::new(),
-                        Some(code) => {
+                        Some(code) => with_codes!(t.str_code_reader(c), r => {
                             let keep = |i: u32| {
                                 (!nullable || t.is_valid(i as usize, c))
-                                    && r.get(i as usize) == code
+                                    && r.code(i as usize) == code
                             };
                             match cands {
                                 None => (0..r.len() as u32).filter(|&i| keep(i)).collect(),
                                 Some(cs) => cs.into_iter().filter(|&i| keep(i)).collect(),
                             }
-                        }
+                        }),
                     };
                 }
             }
@@ -197,15 +196,16 @@ fn select_conjunct(t: &Table, e: &Expr, cands: Option<Vec<u32>>) -> Vec<u32> {
                 for (code, s) in dict.iter() {
                     hit[code as usize] = like_match(pattern, s);
                 }
-                let r = t.str_code_reader(c);
                 let nullable = t.schema().columns()[c].nullable;
-                let keep = |i: u32| {
-                    (!nullable || t.is_valid(i as usize, c)) && hit[r.get(i as usize) as usize]
-                };
-                return match cands {
-                    None => (0..r.len() as u32).filter(|&i| keep(i)).collect(),
-                    Some(cs) => cs.into_iter().filter(|&i| keep(i)).collect(),
-                };
+                return with_codes!(t.str_code_reader(c), r => {
+                    let keep = |i: u32| {
+                        (!nullable || t.is_valid(i as usize, c)) && hit[r.code(i as usize) as usize]
+                    };
+                    match cands {
+                        None => (0..r.len() as u32).filter(|&i| keep(i)).collect(),
+                        Some(cs) => cs.into_iter().filter(|&i| keep(i)).collect(),
+                    }
+                });
             }
         }
     }
@@ -319,17 +319,14 @@ fn fetch(t: &Table, catalog_name: &str, c: ColId, positions: Option<&[u32]>) -> 
                 Some(p) => p.iter().map(|&i| r.get(i as usize)).collect(),
             })
         }
-        DataType::Str => {
-            let r = t.str_code_reader(c);
-            ColBuf::Code {
-                codes: match positions {
-                    None => r.iter().collect(),
-                    Some(p) => p.iter().map(|&i| r.get(i as usize)).collect(),
-                },
-                table: catalog_name.to_string(),
-                col: c,
-            }
-        }
+        DataType::Str => ColBuf::Code {
+            codes: with_codes!(t.str_code_reader(c), r => match positions {
+                None => (0..r.len()).map(|i| r.code(i)).collect(),
+                Some(p) => p.iter().map(|&i| r.code(i as usize)).collect(),
+            }),
+            table: catalog_name.to_string(),
+            col: c,
+        },
     }
 }
 

@@ -61,7 +61,7 @@ use pdsm_layout::workload::{Workload, WorkloadQuery};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_plan::physical::EngineChoice;
 use pdsm_pool::{BufferPool, PoolStats};
-use pdsm_storage::{ColId, DataType, Layout, Schema, Table};
+use pdsm_storage::{with_codes, ColId, DataType, Layout, Schema, Table};
 use pdsm_store::{FsyncMode, Manifest};
 use pdsm_txn::{
     Form, MainStore, MergeStats, SharedTable, Snapshot, TableDurability, VersionStats,
@@ -384,6 +384,10 @@ pub struct Database {
     /// ([`Database::open`]): newly created tables get a WAL, merges
     /// checkpoint, and reopening the directory recovers everything.
     durability: Option<DbDurability>,
+    /// Held by each table addition (register, create) throughout: two
+    /// never race for one name, nor for its next durable generation,
+    /// while neither holds the catalog lock through its blob write.
+    adding: Mutex<()>,
     /// `Some` iff `PDSM_POOL_BYTES` configured a buffer pool at open:
     /// checkpointed tables then recover *cold* (header-only) and fault
     /// extents through the pool on demand, instead of loading wholesale.
@@ -418,6 +422,7 @@ impl Database {
             observed: Mutex::new(ObservedTraffic::default()),
             maintenance: MaintenanceScheduler::new(cfg),
             durability: None,
+            adding: Mutex::new(()),
             pool: None,
         }
     }
@@ -498,19 +503,40 @@ impl Database {
             .map(|d| d.config.data_dir.as_path())
     }
 
-    /// Attach a WAL + checkpoint lifecycle to a fresh table (no-op for an
-    /// in-memory database). Called with the catalog write lock held, so a
-    /// create/register race can never double-create one table's files.
-    fn make_durable(&self, table: Table) -> Result<VersionedTable, DbError> {
-        Ok(match &self.durability {
-            Some(d) => TableDurability::create(
-                &d.config.data_dir,
-                Arc::clone(&d.manifest),
-                d.config.fsync,
-                table,
-            )?,
-            None => VersionedTable::from_table(table),
-        })
+    /// Add `table` to the catalog under its name, replacing a table of
+    /// that name when `replace` is set and refusing it otherwise. In a
+    /// durable database the table's blob and WAL are written and synced
+    /// at a fresh generation first, off the catalog lock, so statements
+    /// on other tables run on meanwhile; only the manifest entry and the
+    /// catalog insert commit under it.
+    fn add_table(&self, table: Table, replace: bool) -> Result<(), DbError> {
+        let _adding = self.adding.lock().unwrap_or_else(|e| e.into_inner());
+        let name = table.name().to_string();
+        if !replace && self.read_catalog().contains_key(&name) {
+            return Err(DbError::DuplicateTable(name));
+        }
+        let mut catalog;
+        let vt = match &self.durability {
+            Some(d) => {
+                let prepared = TableDurability::prepare(
+                    &d.config.data_dir,
+                    Arc::clone(&d.manifest),
+                    d.config.fsync,
+                    table,
+                )?;
+                catalog = self.write_catalog();
+                prepared.commit()?
+            }
+            None => {
+                catalog = self.write_catalog();
+                VersionedTable::from_table(table)
+            }
+        };
+        catalog.insert(name, TableEntry::new(vt));
+        // Under the catalog lock, where a statement's pin reads it: the
+        // pin then sees the added table and the new epoch, or neither.
+        self.bump_epoch();
+        Ok(())
     }
 
     pub(crate) fn read_catalog(
@@ -536,16 +562,16 @@ impl Database {
     }
 
     /// Create a table in row (N-ary) layout. Takes the catalog write lock
-    /// briefly.
+    /// briefly, never across a disk write.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<(), DbError> {
         let layout = Layout::row(schema.len());
         self.create_table_with_layout(name, schema, layout)
     }
 
     /// Adopt an already-built table (e.g. from a workload generator) as the
-    /// generation-0 main store. Replaces any existing table of the same
-    /// name; indexes on the old table are dropped. Takes the catalog write
-    /// lock briefly.
+    /// main store of a fresh generation. Replaces any existing table of
+    /// the same name; indexes on the old table are dropped. Takes the
+    /// catalog write lock briefly, never across a disk write.
     ///
     /// `register` is a catalog-*setup* operation, not a concurrent-DML
     /// one: a thread already inside a DML call on the replaced name holds
@@ -553,9 +579,12 @@ impl Database {
     /// success with no effect on the new one. Quiesce writers to a name
     /// before re-registering it.
     ///
-    /// In a durable database the table is checkpointed as its generation-0
-    /// main store before it becomes visible; a disk error here panics —
-    /// use [`Database::try_register`] to handle it.
+    /// In a durable database the table is checkpointed at its name's next
+    /// unused generation before the manifest entry flips to it and it
+    /// becomes visible: until then the replaced table's blob and WAL stay
+    /// whole, so a crash or a disk error keeps every statement it
+    /// acknowledged. A disk error here panics — use
+    /// [`Database::try_register`] to handle it.
     pub fn register(&self, table: Table) {
         self.try_register(table)
             .expect("persisting a registered table failed");
@@ -564,33 +593,18 @@ impl Database {
     /// [`Database::register`], surfacing the durable-persist error instead
     /// of panicking. Infallible for an in-memory database.
     pub fn try_register(&self, table: Table) -> Result<(), DbError> {
-        let name = table.name().to_string();
-        let mut catalog = self.write_catalog();
-        let vt = self.make_durable(table)?;
-        catalog.insert(name, TableEntry::new(vt));
-        // Under the catalog lock, where a statement's pin reads it: the
-        // pin then sees the replaced table and the new epoch, or neither.
-        self.bump_epoch();
-        Ok(())
+        self.add_table(table, true)
     }
 
     /// Create a table with an explicit layout. Takes the catalog write
-    /// lock briefly.
+    /// lock briefly, never across a disk write.
     pub fn create_table_with_layout(
         &self,
         name: &str,
         schema: Schema,
         layout: Layout,
     ) -> Result<(), DbError> {
-        let t = Table::with_layout(name, schema, layout)?;
-        let mut catalog = self.write_catalog();
-        if catalog.contains_key(name) {
-            return Err(DbError::DuplicateTable(name.to_string()));
-        }
-        let vt = self.make_durable(t)?;
-        catalog.insert(name.to_string(), TableEntry::new(vt));
-        self.bump_epoch();
-        Ok(())
+        self.add_table(Table::with_layout(name, schema, layout)?, false)
     }
 
     /// An owned handle to `name`'s [`SharedTable`] — the per-table
@@ -983,8 +997,7 @@ fn build_index(main: &MainStore, col: ColId) -> Result<SortedIndex, DbError> {
                     each(&|row| r.get(row))
                 }
                 DataType::Str => {
-                    let r = t.str_code_reader(col);
-                    each(&|row| r.get(row) as i64)
+                    with_codes!(t.str_code_reader(col), r => each(&|row| r.code(row) as i64))
                 }
                 // Not indexable: `create_index` rejects float columns.
                 DataType::Float64 => {}

@@ -35,8 +35,8 @@ use crate::simd;
 use pdsm_plan::expr::{conjuncts, simple_cmp, CmpOp, Expr};
 use pdsm_plan::logical::LogicalPlan;
 use pdsm_storage::dictionary::like_match;
-use pdsm_storage::partition::{F64Col, I32Col, I64Col, U32Col};
-use pdsm_storage::{ColId, DataType, Table, Value, ZoneOp, ZonePred};
+use pdsm_storage::partition::{CodeCol, F64Col, I32Col, I64Col};
+use pdsm_storage::{with_codes, ColId, DataType, Table, Value, ZoneOp, ZonePred};
 
 /// The compiled engine: the pipeline at one worker.
 #[derive(Debug, Default, Clone, Copy)]
@@ -139,14 +139,14 @@ pub enum PredKernel<'t> {
         t: &'t Table,
     },
     CodeEq {
-        r: U32Col<'t>,
+        r: CodeCol<'t>,
         code: u32,
         null_col: Option<ColId>,
         t: &'t Table,
     },
     /// Dictionary-code membership (LIKE and other string predicates).
     CodeIn {
-        r: U32Col<'t>,
+        r: CodeCol<'t>,
         hits: Vec<bool>,
         null_col: Option<ColId>,
         t: &'t Table,
@@ -466,6 +466,18 @@ fn cmp_f64(x: f64, op: CmpOp, v: f64) -> bool {
     }
 }
 
+/// Bit `j` set for each row `j` set in `alive` that `hit(j)` holds for.
+#[inline(always)]
+fn alive_mask(alive: u64, mut hit: impl FnMut(usize) -> bool) -> u64 {
+    let (mut m, mut todo) = (0u64, alive);
+    while todo != 0 {
+        let j = todo.trailing_zeros();
+        todo &= todo - 1;
+        m |= (hit(j as usize) as u64) << j;
+    }
+    m
+}
+
 /// Per-row validity of `c` over `len (≤ 64)` rows from `start`, as a bitmask.
 fn valid_mask(t: &Table, c: ColId, start: usize, len: usize) -> u64 {
     let mut m = 0u64;
@@ -582,17 +594,35 @@ impl<'t> PredKernel<'t> {
                 ma | b.block_mask(start, len, alive & !ma, wide, stats)
             }
             PredKernel::Not(a) => !a.block_mask(start, len, alive, wide, stats) & simd::ones(len),
-            // Dictionary-code tests and interpreted predicates test the
-            // alive rows one at a time.
-            _ => {
+            // Dictionary-code tests match the code width once, then test
+            // the alive rows one at a time, as interpreted predicates do.
+            PredKernel::CodeEq {
+                r,
+                code,
+                null_col,
+                t,
+            } => {
                 stats.scalar += 1;
-                let (mut m, mut todo) = (0u64, alive);
-                while todo != 0 {
-                    let j = todo.trailing_zeros();
-                    todo &= todo - 1;
-                    m |= (self.test(start + j as usize) as u64) << j;
-                }
-                m
+                let valid = |i| null_col.is_none_or(|c| t.is_valid(i, c));
+                with_codes!(r, r => alive_mask(alive, |j| {
+                    valid(start + j) && r.code(start + j) == *code
+                }))
+            }
+            PredKernel::CodeIn {
+                r,
+                hits,
+                null_col,
+                t,
+            } => {
+                stats.scalar += 1;
+                let valid = |i| null_col.is_none_or(|c| t.is_valid(i, c));
+                with_codes!(r, r => alive_mask(alive, |j| {
+                    valid(start + j) && hits[r.code(start + j) as usize]
+                }))
+            }
+            PredKernel::Interp { .. } => {
+                stats.scalar += 1;
+                alive_mask(alive, |j| self.test(start + j))
             }
         }
     }

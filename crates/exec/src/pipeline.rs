@@ -80,9 +80,10 @@ use crate::morsel::{run_workers, MorselQueue};
 use crate::simd;
 use pdsm_plan::expr::{conjuncts, CmpOp, Columns, Expr};
 use pdsm_plan::logical::{AggExpr, AggFunc, LogicalPlan, SortKey};
+use pdsm_storage::partition::TypedCol;
 use pdsm_storage::types::cmp_values;
 use pdsm_storage::{
-    ColId, DataType, Dictionary, F64Col, I32Col, I64Col, Table, U32Col, Value, ZoneMap, ZonePred,
+    CodeCol, ColId, DataType, Dictionary, F64Col, I32Col, I64Col, Table, Value, ZoneMap, ZonePred,
     ZONE_BLOCK_ROWS,
 };
 use std::cmp::Ordering;
@@ -1452,11 +1453,14 @@ fn open_readers<'t>(table: &'t Table, aggs: &[AggExpr]) -> Option<Vec<AggReader<
 
 /// Typed reader over a single-column group key. Keys hash as raw `u64`s
 /// (no per-row `Value`, no byte-key serialization): integers
-/// sign-extended, strings by dictionary code.
+/// sign-extended, strings by dictionary code — one variant per code
+/// width, so a row's read branches once, on the variant.
 enum KeyReader<'t> {
     I32(I32Col<'t>),
     I64(I64Col<'t>),
-    Code(U32Col<'t>, &'t Dictionary),
+    Code8(TypedCol<'t, u8>, &'t Dictionary),
+    Code16(TypedCol<'t, u16>, &'t Dictionary),
+    Code32(TypedCol<'t, u32>, &'t Dictionary),
 }
 
 impl<'t> KeyReader<'t> {
@@ -1473,7 +1477,12 @@ impl<'t> KeyReader<'t> {
             DataType::Int32 => KeyReader::I32(table.i32_reader(*c)),
             DataType::Int64 => KeyReader::I64(table.i64_reader(*c)),
             DataType::Str => {
-                KeyReader::Code(table.str_code_reader(*c), table.dict(*c).expect("str col"))
+                let dict = table.dict(*c).expect("str col");
+                match table.str_code_reader(*c) {
+                    CodeCol::U8(r) => KeyReader::Code8(r, dict),
+                    CodeCol::U16(r) => KeyReader::Code16(r, dict),
+                    CodeCol::U32(r) => KeyReader::Code32(r, dict),
+                }
             }
             DataType::Float64 => return None,
         })
@@ -1484,7 +1493,9 @@ impl<'t> KeyReader<'t> {
         match self {
             KeyReader::I32(r) => r.get(i) as i64 as u64,
             KeyReader::I64(r) => r.get(i) as u64,
-            KeyReader::Code(r, _) => r.get(i) as u64,
+            KeyReader::Code8(r, _) => r.code(i) as u64,
+            KeyReader::Code16(r, _) => r.code(i) as u64,
+            KeyReader::Code32(r, _) => r.code(i) as u64,
         }
     }
 
@@ -1494,7 +1505,9 @@ impl<'t> KeyReader<'t> {
         match self {
             KeyReader::I32(r) => KeyRef::Int(r.get(i) as i64),
             KeyReader::I64(r) => KeyRef::Int(r.get(i)),
-            KeyReader::Code(r, dict) => KeyRef::Str(dict.decode(r.get(i))),
+            KeyReader::Code8(r, dict) => KeyRef::Str(dict.decode(r.code(i))),
+            KeyReader::Code16(r, dict) => KeyRef::Str(dict.decode(r.code(i))),
+            KeyReader::Code32(r, dict) => KeyRef::Str(dict.decode(r.code(i))),
         }
     }
 
@@ -1503,7 +1516,9 @@ impl<'t> KeyReader<'t> {
         match self {
             KeyReader::I32(_) => Value::Int32(raw as i64 as i32),
             KeyReader::I64(_) => Value::Int64(raw as i64),
-            KeyReader::Code(_, dict) => Value::Str(dict.decode(raw as u32).to_owned()),
+            KeyReader::Code8(_, dict) | KeyReader::Code16(_, dict) | KeyReader::Code32(_, dict) => {
+                Value::Str(dict.decode(raw as u32).to_owned())
+            }
         }
     }
 }

@@ -102,8 +102,10 @@ impl TableView {
         self
     }
 
-    /// Fragment stride of the layout group containing `cols[0]`'s group —
-    /// reproduces the storage layer's alignment rules.
+    /// Fragment stride of the layout group containing `cols[0]`'s group,
+    /// as the cost model prices it: logical widths (a string code is 4 B)
+    /// padded to natural alignment. The stored fragment packs its fields
+    /// and narrows its codes, so it is never wider than this.
     pub fn group_stride(&self, group: &[ColId]) -> u64 {
         let mut off = 0u64;
         let mut max_align = 1u64;

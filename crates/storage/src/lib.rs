@@ -14,11 +14,12 @@
 //! * **DSM / column store** — one partition per column,
 //! * **PDSM / hybrid** — any other grouping.
 //!
-//! Strings are dictionary-encoded (a fixed-width `u32` code lives in the
-//! partition, the bytes live in a per-column [`Dictionary`]), so every
-//! partition has a fixed stride and scans translate into predictable,
-//! prefetcher-friendly memory traffic — the property the paper's cost model
-//! (crate `pdsm-cost`) relies on.
+//! Strings are dictionary-encoded (a code of 1, 2 or 4 bytes — as wide as
+//! the column's dictionary needs — lives in the partition, the bytes live
+//! in a per-column [`Dictionary`]), so every partition has a fixed stride
+//! and scans translate into predictable, prefetcher-friendly memory
+//! traffic — the property the paper's cost model (crate `pdsm-cost`)
+//! relies on.
 //!
 //! ```
 //! use pdsm_storage::{ColumnDef, DataType, Layout, Schema, Table, Value};
@@ -58,7 +59,7 @@ pub use dictionary::Dictionary;
 pub use error::{Error, Result};
 pub use layout::{Layout, LayoutKind};
 pub use mapping::start_write_back;
-pub use partition::{F64Col, I32Col, I64Col, Partition, U32Col};
+pub use partition::{CodeCol, F64Col, I32Col, I64Col, Partition};
 pub use persist::ByteReader;
 pub use row::Row;
 pub use schema::{ColId, ColumnDef, Schema};

@@ -8,7 +8,7 @@
 //! from schema + layout (partition geometry, column locations) through
 //! [`Table::with_layout`].
 //!
-//! There is one format (version 4). A CRC'd header, padded to a whole
+//! There is one format (version 5). A CRC'd header, padded to a whole
 //! 4 KiB page, carries an (extent × layout group) directory of CRCs. Then
 //! each layout group's arena follows as one run across all extents,
 //! starting on a 4 KiB boundary, and after the last arena run each
@@ -17,13 +17,15 @@
 //!
 //! ```text
 //! "PDSMTBL1"  magic
-//! u32         format version (4)
+//! u32         format version (5)
 //! u32         header_len (a multiple of 4096; bytes 0..header_len)
 //! u64         generation (the merge counter at checkpoint time)
 //! str         table name              (str = u32 length + UTF-8 bytes)
 //! u32         #columns, then per column: str name, u8 type, u8 nullable
 //! u32         #layout groups, then per group: u32 len + u32 col ids
-//! per column: u8 has-dict, then u32 #strings + str each (code order)
+//! per column: u8 has-dict, then for a dictionary: u8 code width (1, 2
+//!             or 4 bytes, at least what its size needs), u32 #strings +
+//!             str each (code order)
 //! u64         row count
 //! per column: u8 zone tag (0 none, 1 int, 2 float), then for 1/2:
 //!             u32 #blocks + per block: 8B min, 8B max, u8 flags
@@ -34,7 +36,8 @@
 //! zeros       up to header_len - 4
 //! u32         CRC-32 of the header bytes above, padding included
 //! per group:  zeros up to the next 4 KiB boundary, then the arena run:
-//!             rows * stride bytes, extent after extent
+//!             rows * stride bytes, extent after extent, each fragment's
+//!             fields back to back at their stored widths
 //! per group:  the validity run: per extent, per nullable slot in slot
 //!             order, the validity words of the extent's rows
 //! ```
@@ -61,7 +64,8 @@
 //!
 //! A load fails hard on any mismatch — unlike a WAL tail, a committed
 //! checkpoint blob is written atomically, so corruption here is damage,
-//! not an interrupted write. Blobs stamped with any other version are
+//! not an interrupted write; a code width too narrow for its dictionary is
+//! refused with the header. Blobs stamped with any other version are
 //! refused: no deployed data in an older format exists.
 
 use crate::bitmap::Bitmap;
@@ -69,7 +73,7 @@ use crate::dictionary::Dictionary;
 use crate::error::{Error, Result};
 use crate::layout::Layout;
 use crate::mapping::{Arena, Pages};
-use crate::partition::Partition;
+use crate::partition::{code_width, Partition};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::types::DataType;
@@ -83,8 +87,8 @@ use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"PDSMTBL1";
-/// The run format — the only version written or accepted.
-const VERSION: u32 = 4;
+/// The packed run format — the only version written or accepted.
+const VERSION: u32 = 5;
 /// The header's length and every arena run's offset are multiples of
 /// this, so each run can be mapped on its own pages.
 const RUN_ALIGN: usize = 4096;
@@ -240,7 +244,7 @@ pub fn extent_rows_from_env() -> usize {
     }
 }
 
-/// Parsed v4 header: everything needed to locate, decode, and validate
+/// Parsed v5 header: everything needed to locate, decode, and validate
 /// extents without materializing any row data.
 #[derive(Debug, Clone)]
 pub struct TableHeader {
@@ -249,6 +253,8 @@ pub struct TableHeader {
     pub layout: Layout,
     /// Shared by every table decoded from this header.
     pub dicts: Arc<Vec<Option<Dictionary>>>,
+    /// Per column: the stored code width of a `Str` column, 0 otherwise.
+    code_widths: Vec<usize>,
     pub zones: Option<ZoneMap>,
     pub len: usize,
     pub extent_rows: usize,
@@ -256,7 +262,8 @@ pub struct TableHeader {
     /// `[extent][group] ->` CRC-32 of the extent's arena slice followed
     /// by its validity words.
     crcs: Vec<Vec<u32>>,
-    /// Per-group arena stride in bytes (derived from schema + layout).
+    /// Per-group arena stride in bytes (derived from schema, layout and
+    /// code widths).
     pub strides: Vec<usize>,
     /// Per-group, per-slot: does this slot carry a validity bitmap?
     pub slot_validity: Vec<Vec<bool>>,
@@ -368,7 +375,7 @@ impl TableHeader {
     pub fn skeleton(&self) -> Result<Table> {
         let mut t =
             Table::with_layout(self.name.clone(), self.schema.clone(), self.layout.clone())?;
-        t.restore_dicts(Arc::clone(&self.dicts));
+        t.restore_dicts(Arc::clone(&self.dicts), &self.code_widths);
         Ok(t)
     }
 
@@ -490,7 +497,7 @@ fn seal(table: &Table, extent_rows: usize) -> (Arc<ZoneMap>, Vec<u32>) {
 
 /// Stream `table` as a generation-stamped checkpoint blob with
 /// `extent_rows` rows per extent into `out`: the table is sealed (zone map
-/// and CRC directory, see [`seal`]) into the header, then the header and
+/// and CRC directory, see `seal`) into the header, then the header and
 /// each run are written straight from the arenas and bitmaps. Nothing but
 /// the header and one extent's validity words is buffered.
 pub fn write_extents(
@@ -533,6 +540,7 @@ pub fn write_extents(
             None => head.push(0),
             Some(d) => {
                 head.push(1);
+                head.push(table.code_width(c) as u8);
                 head.extend_from_slice(&(d.len() as u32).to_le_bytes());
                 for (_, s) in d.iter() {
                     put_str(&mut head, s);
@@ -593,7 +601,7 @@ pub fn write_extents(
     Ok(())
 }
 
-/// Parse a v4 header from a prefix of the blob (at least `header_len`
+/// Parse a v5 header from a prefix of the blob (at least `header_len`
 /// bytes). The header carries its own CRC, so a caller holding only the
 /// file's head can validate it without reading any run.
 pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
@@ -640,9 +648,9 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
         groups.push(g);
     }
     let layout = Layout::from_groups(groups, ncols)?;
-    let skeleton = Table::with_layout(name.clone(), schema.clone(), layout.clone())?;
     let mut dicts = Vec::with_capacity(ncols);
-    for c in 0..ncols {
+    let mut code_widths = vec![0; ncols];
+    for (c, width) in code_widths.iter_mut().enumerate() {
         let has = r.u8()? != 0;
         if has != (schema.columns()[c].ty == DataType::Str) {
             return Err(corrupt("dictionary presence does not match schema"));
@@ -651,7 +659,15 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
             dicts.push(None);
             continue;
         }
-        dicts.push(Some(read_dictionary(&mut r)?));
+        *width = r.u8()? as usize;
+        if ![1, 2, 4].contains(width) {
+            return Err(corrupt("bad code width"));
+        }
+        let dict = read_dictionary(&mut r)?;
+        if *width < code_width(dict.len()) {
+            return Err(corrupt("code width too narrow for its dictionary"));
+        }
+        dicts.push(Some(dict));
     }
     let dicts = Arc::new(dicts);
     let len = r.u64()? as usize;
@@ -703,6 +719,8 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
     if body[r.pos..].iter().any(|&b| b != 0) {
         return Err(corrupt("trailing header bytes"));
     }
+    let mut skeleton = Table::with_layout(name.clone(), schema.clone(), layout.clone())?;
+    skeleton.restore_dicts(Arc::clone(&dicts), &code_widths);
     let strides: Vec<usize> = skeleton.partitions().iter().map(|p| p.stride()).collect();
     let slot_validity: Vec<Vec<bool>> = (skeleton.partitions().iter())
         .map(|p| {
@@ -721,6 +739,7 @@ pub fn read_header(bytes: &[u8]) -> Result<TableHeader> {
         schema,
         layout,
         dicts,
+        code_widths,
         zones,
         len,
         extent_rows,
@@ -1098,14 +1117,15 @@ mod tests {
 
     /// Older formats are refused by version, not misparsed: a blob that is
     /// well-formed in every other respect — correct CRC included — but
-    /// stamped version 1, 2 or 3 (the extent format, whose payloads sat
-    /// extent by extent) must not load.
+    /// stamped version 1, 2, 3 (the extent format, whose payloads sat
+    /// extent by extent), 4 (four-byte codes in padded fragments) or a
+    /// future 6 must not load.
     #[test]
     fn older_format_versions_are_refused() {
         let t = demo_rows(Layout::row(4), 100);
         let blob = to_bytes_extents(&t, 9, ZONE_BLOCK_ROWS);
         let header_len = read_header(&blob).unwrap().header_len;
-        for version in [1u32, 2, 3, 5] {
+        for version in [1u32, 2, 3, 4, 6] {
             let mut old = blob.clone();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let crc = crc32(&old[..header_len - 4]);
@@ -1151,7 +1171,32 @@ mod tests {
             .unwrap();
         }
         let blob = to_bytes_extents(&t, 7, ZONE_BLOCK_ROWS);
-        assert_eq!((blob.len(), crc32(&blob)), (8220, 0x46a5_4ff8));
+        assert_eq!((blob.len(), crc32(&blob)), (8205, 0xe6ec_25f7));
+    }
+
+    /// A header claiming one-byte codes for a 300-string dictionary is
+    /// refused at open, by both loaders and before any run is read; so is
+    /// a width that is no code width at all.
+    #[test]
+    fn a_code_width_too_narrow_for_its_dictionary_is_refused() {
+        let schema = Schema::new(vec![ColumnDef::new("s", DataType::Str)]);
+        let mut t = Table::with_layout("narrow", schema, Layout::column(1)).unwrap();
+        for i in 0..300 {
+            t.insert(&[Value::Str(format!("s{i}"))]).unwrap();
+        }
+        assert_eq!(t.code_width(0), 2);
+        let blob = to_bytes_extents(&t, 1, ZONE_BLOCK_ROWS);
+        // has-dict 1, width 2, 300 strings.
+        let at = (blob.windows(6))
+            .position(|w| w == [1, 2, 0x2C, 0x01, 0, 0])
+            .expect("the dictionary's head");
+        for (width, why) in [(1, "too narrow for its dictionary"), (3, "bad code width")] {
+            let mut bad = blob.clone();
+            bad[at + 1] = width;
+            reseal(&mut bad);
+            assert!(read_header(&bad).unwrap_err().to_string().contains(why));
+            both_refuse("narrow", &bad, [Some(why); 2]);
+        }
     }
 
     /// A blob whose one dictionary, `["xé", "y"]`, has its twelve bytes
@@ -1350,8 +1395,8 @@ mod tests {
         for word in [1u32, 1, 0] {
             blob.extend_from_slice(&word.to_le_bytes()); // one group: column 0
         }
-        blob.push(1);
-        blob.extend_from_slice(&0u32.to_le_bytes()); // an empty dictionary
+        blob.extend_from_slice(&[1, 4]); // four-byte codes …
+        blob.extend_from_slice(&0u32.to_le_bytes()); // … of an empty dictionary
         blob.extend_from_slice(&rows.to_le_bytes());
         blob.push(0); // a string column has no zones
         blob.extend_from_slice(&(extent_rows as u32).to_le_bytes());

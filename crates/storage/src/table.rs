@@ -14,7 +14,10 @@ use std::sync::{Arc, OnceLock};
 /// A memory-resident table stored according to a vertical-partitioning
 /// [`Layout`]. Dictionaries for `Str` columns live at the table level so that
 /// relayouting never re-encodes strings, behind one `Arc` copied on write:
-/// a relayout, and every extent of a checkpoint, shares them.
+/// a relayout, and every extent of a checkpoint, shares them. Each `Str`
+/// field's code is as wide as its dictionary needs
+/// ([`crate::partition::code_width`]): interning a code past the width
+/// widens the field.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -130,8 +133,22 @@ impl Table {
     pub fn skeleton(&self) -> Table {
         let mut t = Table::with_layout(self.name.clone(), self.schema.clone(), self.layout.clone())
             .expect("a table's own layout is valid");
-        t.dicts = Arc::clone(&self.dicts);
+        t.share_dicts(self);
         t
+    }
+
+    /// Share `from`'s dictionaries, each `Str` field as wide as `from`'s.
+    /// `self` must have no rows yet.
+    fn share_dicts(&mut self, from: &Table) {
+        let widths: Vec<usize> = (0..from.schema.len()).map(|c| from.code_width(c)).collect();
+        self.restore_dicts(Arc::clone(&from.dicts), &widths);
+    }
+
+    /// Physical width in bytes of column `c`'s field: for a `Str` column,
+    /// its code width.
+    pub fn code_width(&self, c: ColId) -> usize {
+        let (pi, slot) = self.col_loc[c];
+        self.partitions[pi].field_width(slot)
     }
 
     /// Heap bytes held by the string dictionaries
@@ -182,7 +199,12 @@ impl Table {
                 let dict = Arc::make_mut(&mut self.dicts)[c]
                     .as_mut()
                     .expect("Str column has dictionary");
-                Ok(RawVal::U32(dict.intern(s)))
+                let code = dict.intern(s);
+                // Widen here, not at the push: every code the dictionary
+                // has handed out fits, stored or not.
+                let (pi, slot) = self.col_loc[c];
+                self.partitions[pi].fit_code(slot, code);
+                Ok(RawVal::U32(code))
             }
             (v, ty) => Err(Error::TypeMismatch {
                 column: def.name.clone(),
@@ -314,7 +336,7 @@ impl Table {
             )));
         }
         let mut out = Table::with_layout(self.name.clone(), self.schema.clone(), layout)?;
-        out.dicts = Arc::clone(&self.dicts);
+        out.share_dicts(self);
         out.reserve(self.len);
         for p_out in &mut out.partitions {
             let srcs: Vec<(usize, usize)> = p_out.cols().iter().map(|&c| self.col_loc[c]).collect();
@@ -353,10 +375,10 @@ impl Table {
         self.partitions[pi].f64_col(slot)
     }
 
-    /// Typed reader over the dictionary codes of `Str` column `c`.
-    pub fn str_code_reader(&self, c: ColId) -> crate::partition::U32Col<'_> {
+    /// Reader over the dictionary codes of `Str` column `c`.
+    pub fn str_code_reader(&self, c: ColId) -> crate::partition::CodeCol<'_> {
         let (pi, slot) = self.col_loc[c];
-        self.partitions[pi].u32_col(slot)
+        self.partitions[pi].code_col(slot)
     }
 
     /// Validity check for one cell without decoding.
@@ -396,10 +418,16 @@ impl Table {
         &self.dicts
     }
 
-    /// Install persisted dictionaries (persistence only).
-    pub(crate) fn restore_dicts(&mut self, dicts: Arc<Vec<Option<Dictionary>>>) {
+    /// Install persisted dictionaries, and each `Str` column's stored code
+    /// width from `widths` (indexed by column), into this zero-row table
+    /// (persistence only).
+    pub(crate) fn restore_dicts(&mut self, dicts: Arc<Vec<Option<Dictionary>>>, widths: &[usize]) {
         assert_eq!(dicts.len(), self.schema.len(), "dictionary arity mismatch");
         self.dicts = dicts;
+        for c in (0..self.schema.len()).filter(|&c| self.dicts[c].is_some()) {
+            let (pi, slot) = self.col_loc[c];
+            self.partitions[pi].widen_codes(slot, widths[c]);
+        }
     }
 
     /// Set the row count of restored partitions (persistence only).
@@ -602,9 +630,10 @@ mod tests {
         assert_eq!(s.null_count, 0);
         let s = t.col_stats(2);
         assert_eq!(s.null_count, 10);
-        assert!(t.byte_size() >= 50 * (4 + 4 + 8 + 8));
-        // row layout: one partition, stride = padded fragment
+        // row layout: one partition, its fields back to back, the seven
+        // names one byte of code each
         assert_eq!(t.partitions().len(), 1);
+        assert_eq!(t.byte_size(), 50 * (4 + 1 + 8 + 8));
     }
 
     #[test]

@@ -21,7 +21,10 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Width in bytes of this type inside a partition's tuple fragment.
+    /// Logical width in bytes of this type, the one the cost model and the
+    /// layout advisor price. A number is stored this wide; a `Str` field's
+    /// stored code is 1, 2 or 4 bytes, as its dictionary needs (see
+    /// [`crate::partition::code_width`]).
     #[inline]
     pub const fn width(self) -> usize {
         match self {
@@ -30,12 +33,6 @@ impl DataType {
             DataType::Float64 => 8,
             DataType::Str => 4,
         }
-    }
-
-    /// Alignment requirement of the in-partition representation.
-    #[inline]
-    pub const fn align(self) -> usize {
-        self.width()
     }
 
     /// Human-readable name (used in error messages).

@@ -106,7 +106,7 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Build the zone map of `t`: [`ZoneFold`] over every zone block of
+    /// Build the zone map of `t`: `ZoneFold` over every zone block of
     /// every layout group, the fold a checkpoint's seal runs extent by
     /// extent.
     pub fn build(t: &Table) -> ZoneMap {

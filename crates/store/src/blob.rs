@@ -2,7 +2,7 @@
 //! checkpointed main stores and the manifest, so a crash at any byte
 //! leaves either the old file or the new one — never a half of each.
 
-use crate::failpoint::{take_blob_fault, BlobFault};
+use crate::failpoint::{hold_blob, take_blob_fault, BlobFault};
 use pdsm_storage::start_write_back;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -55,6 +55,9 @@ pub fn write_temp(
     fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     let fault = take_blob_fault();
+    if fault == Some(BlobFault::Hold) {
+        hold_blob();
+    }
     let res = (|| {
         let file = File::create(path)?;
         let mut out = BufWriter::new(Pieces { file, at: 0, fault });

@@ -11,7 +11,9 @@
 //!   leave one.
 //! * [`arm_blob_fault`]: the next blob this thread writes
 //!   (`blob::write_temp`) fails a write or its `sync_data`, or has its
-//!   write-back hints refused, as a failing device would.
+//!   write-back hints refused, as a failing device would — or parks
+//!   before its first byte until [`release_held_blobs`], as a slow one
+//!   would.
 //! * [`truncate_at`] / [`flip_bit`]: post-hoc damage to files already on
 //!   disk, simulating torn appends and media bit rot.
 
@@ -19,6 +21,7 @@ use std::cell::Cell;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// An `io::Write` that forwards bytes to `inner` until `fail_at` total
 /// bytes have been written, then silently swallows the rest (reporting
@@ -74,6 +77,9 @@ pub enum BlobFault {
     WriteAt(u64),
     /// The closing `sync_data` fails, every byte written.
     Sync,
+    /// The write parks before its first byte until
+    /// [`release_held_blobs`].
+    Hold,
 }
 
 thread_local! {
@@ -89,6 +95,41 @@ pub fn arm_blob_fault(fault: BlobFault) {
 /// The fault armed for this thread's next blob write, disarmed.
 pub(crate) fn take_blob_fault() -> Option<BlobFault> {
     BLOB_FAULT.take()
+}
+
+/// Blob writes parked by [`BlobFault::Hold`], and whether they may go on.
+static HELD: Mutex<(usize, bool)> = Mutex::new((0, false));
+/// Signalled whenever [`HELD`] changes.
+static HELD_MOVED: Condvar = Condvar::new();
+
+fn held() -> MutexGuard<'static, (usize, bool)> {
+    HELD.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Park this blob write until [`release_held_blobs`] lets it go on.
+pub(crate) fn hold_blob() {
+    let mut h = held();
+    h.0 += 1;
+    HELD_MOVED.notify_all();
+    while !h.1 {
+        h = HELD_MOVED.wait(h).unwrap_or_else(|e| e.into_inner());
+    }
+    h.0 -= 1;
+    h.1 = h.0 > 0;
+}
+
+/// Block until some blob write is parked by [`BlobFault::Hold`].
+pub fn wait_for_held_blob() {
+    let mut h = held();
+    while h.0 == 0 {
+        h = HELD_MOVED.wait(h).unwrap_or_else(|e| e.into_inner());
+    }
+}
+
+/// Let every parked blob write go on.
+pub fn release_held_blobs() {
+    held().1 = true;
+    HELD_MOVED.notify_all();
 }
 
 /// Truncate the file at `path` to `len` bytes (a crash that lost the

@@ -31,7 +31,10 @@ pub mod record;
 pub mod wal;
 
 pub use blob::{fsync_dir, remove_temp_files, sanitize_name, write_atomic, write_temp};
-pub use failpoint::{arm_blob_fault, flip_bit, truncate_at, BlobFault, FailpointFile};
+pub use failpoint::{
+    arm_blob_fault, flip_bit, release_held_blobs, truncate_at, wait_for_held_blob, BlobFault,
+    FailpointFile,
+};
 pub use manifest::Manifest;
 pub use pdsm_storage::crc32;
 pub use record::{decode_stream, WalRecord};

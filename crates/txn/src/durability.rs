@@ -149,20 +149,56 @@ fn cleanup(dir: &Path, keep: u64) {
     }
 }
 
+/// The first generation no file under `dir` and no manifest entry
+/// (`current`) has used: a (re-)registered table's files never overwrite
+/// the generation a live entry points at.
+fn next_generation(dir: &Path, current: Option<u64>) -> u64 {
+    let on_disk = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    (on_disk.filter_map(|e| parse_generation(&e.file_name().to_string_lossy())))
+        .chain(current)
+        .max()
+        .map_or(0, |g| g + 1)
+}
+
+/// A table's files written at a fresh generation — its main blob renamed
+/// in and an empty WAL, both durable — but not yet committed: the
+/// manifest still names the entry (if any) the name had, whose files stay
+/// whole. Dropped uncommitted, the files are garbage the next cleanup of
+/// the name scrubs.
+pub struct PreparedTable {
+    table: Table,
+    dir: PathBuf,
+    generation: u64,
+    manifest: Arc<Manifest>,
+    fsync: FsyncMode,
+    wal: Wal,
+}
+
 impl TableDurability {
-    /// Bootstrap durability for a table that exists only in memory:
-    /// persist `table` as its generation-0 main store, start an empty WAL,
-    /// commit the manifest entry, and return it as a versioned table with
-    /// the handle attached.
+    /// Bootstrap durability for a table that exists only in memory
+    /// ([`TableDurability::prepare`], then [`PreparedTable::commit`]).
     pub fn create(
         data_dir: &Path,
         manifest: Arc<Manifest>,
         fsync: FsyncMode,
         table: Table,
     ) -> Result<VersionedTable> {
-        let (name, generation) = (table.name().to_string(), 0);
-        let dir = data_dir.join(sanitize_name(&name));
+        Self::prepare(data_dir, manifest, fsync, table)?.commit()
+    }
+
+    /// Persist `table` as the main store of its name's next unused
+    /// generation and start that generation's empty WAL, touching no
+    /// file of an earlier generation and not the manifest. Takes no lock:
+    /// the caller serializes preparations of one name.
+    pub fn prepare(
+        data_dir: &Path,
+        manifest: Arc<Manifest>,
+        fsync: FsyncMode,
+        table: Table,
+    ) -> Result<PreparedTable> {
+        let dir = data_dir.join(sanitize_name(table.name()));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create table dir", e))?;
+        let generation = next_generation(&dir, manifest.get(table.name()));
         write_temp_main(&dir, &table, generation)?;
         // The WAL is created before the blob is renamed in, so one
         // directory fsync makes both names durable before the manifest
@@ -173,13 +209,14 @@ impl TableDurability {
             })
             .map_err(|e| io_err("create wal", e))?;
         commit_main(&dir, generation)?;
-        manifest
-            .set(&name, generation)
-            .map_err(|e| io_err("commit manifest", e))?;
-        cleanup(&dir, generation);
-        let mut table = VersionedTable::from_table(table);
-        table.set_durability(Arc::new(Self::handle(dir, &name, manifest, fsync, wal, 0)));
-        Ok(table)
+        Ok(PreparedTable {
+            table,
+            dir,
+            generation,
+            manifest,
+            fsync,
+            wal,
+        })
     }
 
     fn handle(
@@ -371,6 +408,30 @@ impl TableDurability {
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             last_recovery_replay_ops: self.last_recovery_replay_ops.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl PreparedTable {
+    /// Flip the name's manifest entry to the prepared generation — the
+    /// commit point — then retire every other generation's files, and
+    /// hand the table back at that generation with durability attached.
+    pub fn commit(self) -> Result<VersionedTable> {
+        let name = self.table.name().to_string();
+        self.manifest
+            .set(&name, self.generation)
+            .map_err(|e| io_err("commit manifest", e))?;
+        cleanup(&self.dir, self.generation);
+        let form = Form::Resident(Arc::new(self.table));
+        let mut table = VersionedTable::at_generation(form, self.generation);
+        table.set_durability(Arc::new(TableDurability::handle(
+            self.dir,
+            &name,
+            self.manifest,
+            self.fsync,
+            self.wal,
+            0,
+        )));
+        Ok(table)
     }
 }
 

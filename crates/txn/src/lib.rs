@@ -99,7 +99,7 @@ pub mod shared;
 pub mod table;
 pub mod version;
 
-pub use durability::{DurabilityStats, TableDurability};
+pub use durability::{DurabilityStats, PreparedTable, TableDurability};
 pub use merge::{BuiltMain, MergeTicket};
 pub use shared::SharedTable;
 pub use table::{MergeStats, RowId, VersionStats, VersionedTable};

@@ -724,6 +724,35 @@ mod tests {
         );
     }
 
+    /// A merge whose delta carries a string column past 256 strings folds
+    /// it into two-byte codes, a fresh main exactly as narrow as the same
+    /// main reloaded from its blob: the same code widths, strides and
+    /// arena bytes.
+    #[test]
+    fn a_merge_across_a_code_width_is_as_narrow_as_a_reload() {
+        let mut t = seeded();
+        let Form::Resident(before) = t.store().form() else {
+            panic!("a seeded table is resident");
+        };
+        assert_eq!(before.code_width(1), 1);
+        for i in 10..700 {
+            let name = Value::Str(format!("name-{}", i % 400));
+            t.insert(&[Value::Int32(i), name, Value::Null]).unwrap();
+        }
+        t.merge().unwrap();
+        let Form::Resident(main) = t.store().form() else {
+            panic!("a merge builds a resident main");
+        };
+        assert_eq!(main.code_width(1), 2);
+        let blob = pdsm_storage::persist::to_bytes_extents(main, 1, 1024);
+        let (reloaded, _) = pdsm_storage::persist::from_bytes(&blob).unwrap();
+        assert_eq!(main.code_width(1), reloaded.code_width(1));
+        for (a, b) in main.partitions().iter().zip(reloaded.partitions()) {
+            assert_eq!(a.stride(), b.stride());
+            assert!(a.raw_bytes() == b.raw_bytes());
+        }
+    }
+
     #[test]
     fn dml_error_paths() {
         let mut t = seeded();

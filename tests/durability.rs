@@ -483,3 +483,107 @@ fn a_failed_blob_write_leaves_nothing_and_a_refused_hint_changes_nothing() {
     assert!(count(&db, "TORN").is_err() && count(&db, "UNSYNCED").is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A one-column table `name` of keys `0..rows`.
+fn keys(name: &str, rows: i32) -> Table {
+    let mut t = Table::new(
+        name,
+        Schema::new(vec![ColumnDef::new("k", DataType::Int32)]),
+    );
+    for i in 0..rows {
+        t.insert(&[Value::Int32(i)]).unwrap();
+    }
+    t
+}
+
+/// `count(*)` of `name`.
+fn count_rows(db: &Database, name: &str) -> Result<Value, mrdb::core::DbError> {
+    let q = QueryBuilder::scan(name)
+        .aggregate(vec![], vec![AggExpr::count_star()])
+        .build();
+    db.run(&q, EngineKind::Compiled)
+        .map(|out| out.rows[0][0].clone())
+}
+
+/// Re-registering a name writes the next unused generation's files and
+/// retires the old ones only once the manifest names the new: a blob
+/// write that fails, or files that a crash leaves uncommitted, keep the
+/// old table with every statement its WAL acknowledged.
+#[test]
+fn a_re_register_keeps_the_old_wal_until_the_new_entry_commits() {
+    use mrdb::store::{arm_blob_fault, BlobFault, Manifest};
+    use mrdb::txn::TableDurability;
+    let dir = tmpdir("re-register");
+    {
+        let db = open_durable(&dir);
+        db.register(keys("T", 10));
+        for i in 10..15 {
+            db.with_table_write("T", |vt| vt.insert(&[Value::Int32(i)]).unwrap())
+                .unwrap();
+        }
+        arm_blob_fault(BlobFault::Sync);
+        assert!(db.try_register(keys("T", 3)).is_err());
+        assert_eq!(count_rows(&db, "T").unwrap(), Value::Int64(15));
+    }
+    assert_eq!(
+        count_rows(&open_durable(&dir), "T").unwrap(),
+        Value::Int64(15)
+    );
+    // Crash after the new generation's blob and WAL, before the flip.
+    let manifest = std::sync::Arc::new(Manifest::open(dir.join("MANIFEST")).unwrap());
+    let prepared = TableDurability::prepare(&dir, manifest, FsyncMode::Off, keys("T", 3));
+    drop(prepared.unwrap());
+    assert!(dir.join("T/main.1.tbl").exists() && dir.join("T/wal.0.log").exists());
+    assert_eq!(
+        count_rows(&open_durable(&dir), "T").unwrap(),
+        Value::Int64(15)
+    );
+    // A register that commits replaces the table, past every stray file.
+    open_durable(&dir).register(keys("T", 3));
+    assert_eq!(
+        count_rows(&open_durable(&dir), "T").unwrap(),
+        Value::Int64(3)
+    );
+    let mut files: Vec<String> = std::fs::read_dir(dir.join("T"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["main.1.tbl", "wal.1.log"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A register writes and syncs its blob before it takes the catalog
+/// lock: while one is parked inside its blob write, a statement on
+/// another table, on another thread, completes; the register then
+/// succeeds.
+#[test]
+fn a_register_holds_no_catalog_lock_through_its_blob_write() {
+    use mrdb::store::{arm_blob_fault, release_held_blobs, wait_for_held_blob, BlobFault};
+    use std::sync::{mpsc, Arc};
+    let dir = tmpdir("register-lock");
+    let db = Arc::new(open_durable(&dir));
+    db.register(keys("A", 10));
+    let registering = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            arm_blob_fault(BlobFault::Hold);
+            db.try_register(keys("B", 4))
+        })
+    };
+    wait_for_held_blob();
+    let (tx, rx) = mpsc::channel();
+    let reader = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || tx.send(count_rows(&db, "A")))
+    };
+    let seen = rx.recv_timeout(std::time::Duration::from_secs(30));
+    release_held_blobs();
+    registering.join().unwrap().unwrap();
+    let _ = reader.join();
+    let seen = seen.expect("a statement on another table waited for the register's blob write");
+    assert_eq!(seen.unwrap(), Value::Int64(10));
+    assert_eq!(count_rows(&db, "B").unwrap(), Value::Int64(4));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -360,11 +360,12 @@ fn golden_table() -> Table {
 }
 
 /// The blob of one fixed table keeps its bytes, zone map and CRC
-/// directory included: length and CRC-32 as the per-column zone build and
-/// separate checksum walk wrote it, before the seal.
+/// directory included: length and CRC-32 as the format-5 writer lays it
+/// out, its one string column a byte of code a row and every fragment's
+/// fields back to back.
 #[test]
 fn a_generated_table_blob_is_pinned() {
     use mrdb::storage::{crc32, persist};
     let blob = persist::to_bytes_extents(&golden_table(), 7, ZONE_BLOCK_ROWS);
-    assert_eq!((blob.len(), crc32(&blob)), (140_104, 0xf853_6a3e));
+    assert_eq!((blob.len(), crc32(&blob)), (107_336, 0xaa4a_7f06));
 }
